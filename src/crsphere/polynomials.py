@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 
 def _as_fraction(c):
     if isinstance(c, float):
@@ -70,6 +72,14 @@ class Polynomial:
                     raise ValueError("negative exponent")
                 clean[exps] = c
         self.terms = clean
+
+    @classmethod
+    def _wrap(cls, num_vars, terms):
+        """Adopt a dict of nonzero Fraction terms without re-validating it."""
+        out = cls.__new__(cls)
+        out.num_vars = num_vars
+        out.terms = terms
+        return out
 
     # ---- constructors -------------------------------------------------
 
@@ -135,16 +145,10 @@ class Polynomial:
                 terms[exps] = s
             else:
                 terms.pop(exps, None)
-        out = Polynomial.__new__(Polynomial)
-        out.num_vars = self.num_vars
-        out.terms = terms
-        return out
+        return Polynomial._wrap(self.num_vars, terms)
 
     def __neg__(self):
-        out = Polynomial.__new__(Polynomial)
-        out.num_vars = self.num_vars
-        out.terms = {e: -c for e, c in self.terms.items()}
-        return out
+        return Polynomial._wrap(self.num_vars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -163,17 +167,11 @@ class Polynomial:
                         terms[e] = s
                     else:
                         terms.pop(e, None)
-            out = Polynomial.__new__(Polynomial)
-            out.num_vars = self.num_vars
-            out.terms = terms
-            return out
+            return Polynomial._wrap(self.num_vars, terms)
         c = _as_fraction(other)
         if not c:
             return Polynomial(self.num_vars)
-        out = Polynomial.__new__(Polynomial)
-        out.num_vars = self.num_vars
-        out.terms = {e: c * v for e, v in self.terms.items()}
-        return out
+        return Polynomial._wrap(self.num_vars, {e: c * v for e, v in self.terms.items()})
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -218,10 +216,8 @@ class Polynomial:
             e = exps[i]
             if e == 0:
                 continue
-            new = list(exps)
-            new[i] = e - 1
-            terms[tuple(new)] = c * e
-        return Polynomial(self.num_vars, terms)
+            terms[exps[:i] + (e - 1,) + exps[i + 1 :]] = c * e
+        return Polynomial._wrap(self.num_vars, terms)
 
     def gradient(self):
         return [self.partial(i) for i in range(self.num_vars)]
@@ -283,10 +279,10 @@ class HomogeneousPolynomial(Polynomial):
         return self._degree
 
     @classmethod
-    def from_polynomial(cls, p, degree=None):
-        if degree is None:
-            degree = max(p.degree, 0)
-        return cls(p.num_vars, degree, p.terms)
+    def _wrap(cls, num_vars, terms, degree):
+        out = super()._wrap(num_vars, terms)
+        out._degree = degree
+        return out
 
 
 def directional_derivative(p, point, direction):
@@ -303,13 +299,27 @@ def directional_derivative(p, point, direction):
 
 
 def euclidean_laplacian(p):
-    """Flat Laplacian; drops the degree by two, exactly."""
-    out = Polynomial(p.num_vars)
+    """Flat Laplacian; drops the degree by two, exactly.
+
+    Applied term by term: x^e goes to sum_i e_i (e_i - 1) x^(e - 2 1_i).
+    Terms are accumulated variable by variable, in the order a sum of
+    the second partials would produce them.
+    """
+    terms = {}
     for i in range(p.num_vars):
-        out = out + p.partial(i).partial(i)
+        for exps, c in p.terms.items():
+            e = exps[i]
+            if e < 2:
+                continue
+            key = exps[:i] + (e - 2,) + exps[i + 1 :]
+            s = terms.get(key, 0) + c * (e * (e - 1))
+            if s:
+                terms[key] = s
+            else:
+                terms.pop(key, None)
     if isinstance(p, HomogeneousPolynomial):
-        return HomogeneousPolynomial(p.num_vars, max(p.degree - 2, 0), out.terms)
-    return out
+        return HomogeneousPolynomial._wrap(p.num_vars, terms, max(p.degree - 2, 0))
+    return Polynomial._wrap(p.num_vars, terms)
 
 
 # ----------------------------------------------------------------------
@@ -350,6 +360,31 @@ def matrix_rank(rows):
     return len(rref([list(r) for r in rows]))
 
 
+# A prime below 2^31: a product of two residues fits in an int64.
+CERTIFICATE_PRIME = 2_147_483_647
+
+
+def _rank_mod_p(a):
+    """Rank over GF(CERTIFICATE_PRIME) of an int64 matrix of residues."""
+    p = CERTIFICATE_PRIME
+    a = a[:, a.any(axis=0)]
+    rank = 0
+    for c in range(a.shape[1]):
+        nonzero = np.flatnonzero(a[rank:, c])
+        if not nonzero.size:
+            continue
+        pivot = rank + nonzero[0]
+        a[[rank, pivot]] = a[[pivot, rank]]
+        a[rank] = a[rank] * pow(int(a[rank, c]), p - 2, p) % p
+        below = a[rank + 1 :]
+        below -= below[:, c : c + 1] * a[rank] % p
+        below %= p
+        rank += 1
+        if rank == a.shape[0]:
+            break
+    return rank
+
+
 def null_space(rows, ncols):
     """Basis of the kernel of the matrix, echelon-reduced, exact.
 
@@ -383,6 +418,28 @@ def mat_mul(a, b):
 # ----------------------------------------------------------------------
 
 
+def _monomial_index(num_vars, degree):
+    mons = monomial_basis(num_vars, degree)
+    return mons, {m: i for i, m in enumerate(mons)}
+
+
+def _full_rank_mod_p(polys, num_vars, degree):
+    """True when the coefficient rows are independent modulo a prime p.
+
+    Each row is scaled by the lcm of its own denominators, which keeps
+    the rank, and reduced mod p.  A nonzero r x r minor mod p is a
+    nonzero integer minor, so True proves independence over Q; False
+    proves nothing, because p may divide every full-size minor.
+    """
+    _, index = _monomial_index(num_vars, degree)
+    a = np.zeros((len(polys), len(index)), dtype=np.int64)
+    for r, poly in enumerate(polys):
+        den = math.lcm(*(c.denominator for c in poly.terms.values()))
+        for exps, c in poly.terms.items():
+            a[r, index[exps]] = c.numerator * (den // c.denominator) % CERTIFICATE_PRIME
+    return _rank_mod_p(a) == len(polys)
+
+
 @dataclass(frozen=True)
 class SubspaceBasis:
     """Independent list of homogeneous polynomials of one degree."""
@@ -401,18 +458,14 @@ class SubspaceBasis:
         if any(p.is_zero() for p in self.polys):
             raise ValueError("zero polynomial in a basis")
         leading = [p.leading_monomial() for p in self.polys]
-        if len(set(leading)) != len(leading):
-            # Not echelon; certify independence the slow exact way.
-            mons = monomial_basis(num_vars, self.degree)
-            index = {m: i for i, m in enumerate(mons)}
-            rows = []
-            for p in self.polys:
-                row = [Fraction(0)] * len(mons)
-                for exps, c in p.terms.items():
-                    row[index[exps]] = c
-                rows.append(row)
-            if matrix_rank(rows) != len(self.polys):
-                raise ValueError("basis is not linearly independent")
+        if len(set(leading)) == len(leading):
+            return  # echelon form: independent by inspection
+        if _full_rank_mod_p(self.polys, num_vars, self.degree):
+            return
+        # Rank deficient mod p: only the exact rank can decide.
+        rows, _ = self.coefficient_matrix()
+        if matrix_rank(rows) != len(self.polys):
+            raise ValueError("basis is not linearly independent")
 
     def __len__(self):
         return len(self.polys)
@@ -423,9 +476,7 @@ class SubspaceBasis:
 
     def coefficient_matrix(self):
         """Rows = basis elements, columns = grlex monomials of the degree."""
-        num_vars = 2 * self.n + 2
-        mons = monomial_basis(num_vars, self.degree)
-        index = {m: i for i, m in enumerate(mons)}
+        mons, index = _monomial_index(2 * self.n + 2, self.degree)
         rows = []
         for p in self.polys:
             row = [Fraction(0)] * len(mons)

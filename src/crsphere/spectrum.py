@@ -23,6 +23,7 @@ from .polynomials import (
     Polynomial,
     SubspaceBasis,
     dim_homogeneous,
+    euclidean_laplacian,
     mat_mul,
     monomial_basis,
     null_space,
@@ -30,14 +31,31 @@ from .polynomials import (
 
 
 def t0_apply(p):
-    """The Reeb derivation on a polynomial in 2n+2 variables."""
+    """The Reeb derivation on a polynomial in 2n+2 variables.
+
+    Applied term by term: x^j d/dy^j moves one power from y^j to x^j
+    and y^j d/dx^j one from x^j to y^j.  Terms are accumulated in the
+    order that sum_j (x^j d/dy^j p - y^j d/dx^j p) would produce them,
+    so float evaluations of the result sum in that order too.
+    """
     half = p.num_vars // 2
-    out = Polynomial(p.num_vars)
+    terms = {}
     for j in range(half):
-        xj = Polynomial.variable(p.num_vars, j)
-        yj = Polynomial.variable(p.num_vars, half + j)
-        out = out + xj * p.partial(half + j) - yj * p.partial(j)
-    return out
+        for src, dst, sign in ((half + j, j, 1), (j, half + j, -1)):
+            for exps, c in p.terms.items():
+                e = exps[src]
+                if not e:
+                    continue
+                key = list(exps)
+                key[src] = e - 1
+                key[dst] += 1
+                key = tuple(key)
+                s = terms.get(key, 0) + c * (sign * e)
+                if s:
+                    terms[key] = s
+                else:
+                    terms.pop(key, None)
+    return Polynomial._wrap(p.num_vars, terms)
 
 
 def reeb_derivation_matrix(n, ell):
@@ -130,7 +148,7 @@ def bigraded_block(n, d_plus, d_minus):
                     out.append(im)
     else:
         raise ValueError("blocks are enumerated with d+ >= d-")
-    return [HomogeneousPolynomial.from_polynomial(p, ell) for p in out if not p.is_zero()]
+    return [HomogeneousPolynomial._wrap(p.num_vars, p.terms, ell) for p in out if not p.is_zero()]
 
 
 def structured_t0sq_kernel(n, ell, lam):
@@ -158,19 +176,22 @@ def _harmonic_span(n, ell, block):
     tindex = {m: i for i, m in enumerate(targets)}
     rows = [[Fraction(0)] * len(block) for _ in targets]
     for c, p in enumerate(block):
-        lap = Polynomial(num_vars)
-        for i in range(num_vars):
-            lap = lap + p.partial(i).partial(i)
-        for exps, coeff in lap.terms.items():
+        for exps, coeff in euclidean_laplacian(p).terms.items():
             rows[tindex[exps]][c] = coeff
     combos = null_space(rows, len(block))
     out = []
     for combo in combos:
-        acc = Polynomial(num_vars)
+        terms = {}
         for coeff, p in zip(combo, block):
-            if coeff:
-                acc = acc + coeff * p
-        out.append(HomogeneousPolynomial.from_polynomial(acc, ell))
+            if not coeff:
+                continue
+            for exps, c in p.terms.items():
+                s = terms.get(exps, 0) + coeff * c
+                if s:
+                    terms[exps] = s
+                else:
+                    terms.pop(exps, None)
+        out.append(HomogeneousPolynomial._wrap(num_vars, terms, ell))
     return out
 
 

@@ -128,15 +128,6 @@ def horizontal_project(p, v):
     return TangentVector(p, vec - (t @ vec) * t, horizontal=True)
 
 
-def is_horizontal(p, v, tol=ARG_TOL):
-    vec = v.vec if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
-    scale = max(1.0, float(np.linalg.norm(vec)))
-    return (
-        abs(float(vec @ p.coords)) <= tol * scale
-        and abs(float(p.reeb_coords() @ vec)) <= tol * scale
-    )
-
-
 def complex_structure(p, X):
     """J X = i X for horizontal X; defined on the horizontal space only."""
     vec = _vec_at(p, X)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
@@ -129,6 +130,18 @@ def config_from_file(path, overrides=None):
     return Config(**values)
 
 
+def _worst(*values):
+    """Largest residual, with any non-finite value sticky.
+
+    The builtin max drops NaN (max(0.0, nan) == 0.0), which would let a
+    NaN residual pass.  Here NaN wins, and an infinity of either sign
+    gives +inf, so no tolerance comparison on the result can succeed.
+    """
+    if all(math.isfinite(v) for v in values):
+        return max(values)
+    return math.nan if any(math.isnan(v) for v in values) else math.inf
+
+
 @dataclass
 class CheckResult:
     id: str
@@ -162,7 +175,7 @@ class SuiteReport:
     @property
     def max_residual(self):
         vals = [c.residual for c in self.checks if c.residual is not None]
-        return max(vals) if vals else None
+        return _worst(*vals) if vals else None
 
     def as_dict(self):
         return {
@@ -259,7 +272,7 @@ def _suite_spectrum(cfg):
             for _ in range(20):
                 p = random_point(rng, cfg.n)
                 resid = abs(C.sublaplacian_greenleaf(f, p) - mu * f.value(p))
-                worst = max(worst, resid)
+                worst = _worst(worst, resid)
         checks.append(
             CheckResult(
                 id="spectrum.pointwise.l%d" % ell,
@@ -292,21 +305,21 @@ def _suite_bochner(cfg):
     worst_bochner = 0.0
     worst_route = 0.0
     worst_trace = 0.0
-    worst_cs = 0.0  # most negative Cauchy-Schwarz slack
+    worst_cs = 0.0  # largest Cauchy-Schwarz deficit
     done = 0
     i = 0
     while done < cfg.trials:
         f = pool[i % len(pool)]
         i += 1
         p = random_point(rng, cfg.n)
-        worst_bochner = max(worst_bochner, abs(C.bochner_residual(f, p)))
+        worst_bochner = _worst(worst_bochner, abs(C.bochner_residual(f, p)))
         frame_val = C.sublaplacian_frame(f, p)
         exact_val = C.sublaplacian_greenleaf(f, p)
-        worst_route = max(worst_route, abs(frame_val - exact_val))
+        worst_route = _worst(worst_route, abs(frame_val - exact_val))
         block = C.tw_hessian(f, p)
-        worst_trace = max(worst_trace, abs(block.horizontal_trace() - exact_val))
+        worst_trace = _worst(worst_trace, abs(block.horizontal_trace() - exact_val))
         slack = block.horizontal_norm_sq() - exact_val**2 / (2 * cfg.n)
-        worst_cs = min(worst_cs, slack)
+        worst_cs = _worst(worst_cs, -slack)
         done += 1
     checks.append(
         CheckResult(
@@ -343,8 +356,8 @@ def _suite_bochner(cfg):
             id="bochner.cauchy_schwarz",
             description="|pi_H Hess f|^2 >= (Delta_b f)^2 / 2n pointwise",
             paper_ref="trace inequality",
-            status=worst_cs > -cfg.tol,
-            residual=max(0.0, -worst_cs),
+            status=worst_cs < cfg.tol,
+            residual=worst_cs,
             inputs={"n": cfg.n, "trials": cfg.trials},
         )
     )
@@ -362,11 +375,11 @@ def _suite_lemmas(cfg):
     for i in range(cfg.trials):
         f = pool[i % len(pool)]
         p = random_point(rng, cfg.n)
-        worst1 = max(worst1, abs(C.lemma1_residual(f, p)))
+        worst1 = _worst(worst1, abs(C.lemma1_residual(f, p)))
         x = random_horizontal(rng, p)
         y = random_horizontal(rng, p)
-        worst3 = max(worst3, abs(C.third_commutation_residual(f, p, x.vec, y.vec)))
-        worst_hess = max(worst_hess, C.tw_hessian(f, p).antisymmetry_residual())
+        worst3 = _worst(worst3, abs(C.third_commutation_residual(f, p, x.vec, y.vec)))
+        worst_hess = _worst(worst_hess, C.tw_hessian(f, p).antisymmetry_residual())
     checks.append(
         CheckResult(
             id="lemmas.divergence",
@@ -433,7 +446,7 @@ def _suite_lemmas(cfg):
             random_horizontal(rng, p),
             random_horizontal(rng, p),
         )
-        worst = [max(w, v) for w, v in zip(worst, vals)]
+        worst = [_worst(w, v) for w, v in zip(worst, vals)]
     names = ("metric_compatibility", "j_parallel", "torsion_purity", "reeb_parallel")
     for name, w in zip(names, worst):
         checks.append(
@@ -478,7 +491,7 @@ def _suite_geodesics(cfg):
 
     s_max = cfg.steps * cfg.step_size
     trace_b = G.integrate_connection_geodesic(G.GeodesicState(p, v, 1.3), s_max, cfg.step_size)
-    cons = max(trace_b.max_lengthiness_violation, trace_b.max_speed_drift)
+    cons = _worst(trace_b.max_lengthiness_violation, trace_b.max_speed_drift)
     checks.append(
         CheckResult(
             id="geodesics.conservation",
@@ -513,10 +526,10 @@ def _suite_geodesics(cfg):
         conn = G.integrate_connection_geodesic(G.GeodesicState(p_i, v_i, b_i), 1.0, cfg.step_size)
         lift = G.cotangent_lift(p_i, v_i, b_i)
         hj = G.integrate_hj_geodesic(lift, 1.0, cfg.step_size)
-        worst_match = max(
+        worst_match = _worst(
             worst_match, float(np.max(np.linalg.norm(conn.points - hj.points, axis=1)))
         )
-        worst_ham = max(worst_ham, _hamiltonian_drift(hj))
+        worst_ham = _worst(worst_ham, _hamiltonian_drift(hj))
     checks.append(
         CheckResult(
             id="geodesics.hj_equivalence",
@@ -565,7 +578,7 @@ def _suite_geodesics(cfg):
             res = G.cc_distance(x, y)
             if res.converged:
                 hit += 1
-                violations = max(
+                violations = _worst(
                     violations, G.riemannian_distance(x, y) - res.estimate
                 )
         checks.append(
@@ -574,7 +587,7 @@ def _suite_geodesics(cfg):
                 description="Webster distance never exceeds the sub-Riemannian estimate",
                 paper_ref="metric contraction",
                 status=violations <= cfg.tol_contraction and hit == cfg.cc_pairs,
-                residual=max(violations, 0.0),
+                residual=_worst(violations, 0.0),
                 inputs={"pairs": cfg.cc_pairs, "converged": hit},
             )
         )
@@ -670,7 +683,7 @@ def _suite_s3(cfg):
         pts = np.array([G.great_circle(x0, direction, s).coords for s in svals])
         trace = G.GeodesicTrace(svals, pts, np.zeros_like(pts), np.zeros(svals.size))
         amp, freq, resid = G.eigen_along_geodesic(f, trace)
-        worst_fit = max(worst_fit, resid, abs(amp - alpha), abs(freq - 2.0))
+        worst_fit = _worst(worst_fit, resid, abs(amp - alpha), abs(freq - 2.0))
         fits.append({"amplitude": amp, "frequency": freq, "residual": resid})
     checks.append(
         CheckResult(
@@ -690,7 +703,7 @@ def _suite_s3(cfg):
         resid = float(
             np.max(np.abs(block.horizontal_block() + 4.0 * f.value(p) * np.eye(2)))
         )
-        worst33 = max(worst33, resid)
+        worst33 = _worst(worst33, resid)
     checks.append(
         CheckResult(
             id="s3.hessian_proportional",
@@ -703,10 +716,10 @@ def _suite_s3(cfg):
     )
 
     samples = G.reach_set_half_pi(a, b, cfg.reach_samples)
-    worst_set = max(s.set_residual for s in samples)
-    worst_val = max(abs(s.f_value + alpha) for s in samples)
-    worst_grad = max(s.grad_norm for s in samples)
-    worst_tt = max(abs(s.hess_tt) for s in samples)
+    worst_set = _worst(*(s.set_residual for s in samples))
+    worst_val = _worst(*(abs(s.f_value + alpha) for s in samples))
+    worst_grad = _worst(*(s.grad_norm for s in samples))
+    worst_tt = _worst(*(abs(s.hess_tt) for s in samples))
     checks.append(
         CheckResult(
             id="s3.reach_set",
@@ -716,7 +729,7 @@ def _suite_s3(cfg):
             and worst_val < cfg.tol_strict
             and worst_grad < cfg.tol_strict
             and worst_tt < cfg.tol_strict,
-            residual=max(worst_set, worst_val, worst_grad, worst_tt),
+            residual=_worst(worst_set, worst_val, worst_grad, worst_tt),
             inputs={
                 "a": a,
                 "b": b,
@@ -741,7 +754,7 @@ def _suite_s3(cfg):
             description="exp at radius pi/2 lands on the reach set; distance estimate at most the radius",
             paper_ref="exponential map",
             status=resid < cfg.tol and res_cc.converged and excess <= 1e-6,
-            residual=max(resid, excess),
+            residual=_worst(resid, excess),
             inputs={"a": a, "b": b, "cc_estimate": res_cc.estimate},
         )
     )

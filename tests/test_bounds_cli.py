@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from fractions import Fraction
@@ -6,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from crsphere import calculus as C
 from crsphere.bounds import (
     BoundEntry,
     BoundReport,
@@ -182,6 +184,29 @@ def test_run_suite_bound_passes():
     for n in (1, 2):
         report = run_suite(Config(suite="bound", n=n, degree_max=2, trials=30))
         assert report.passed
+
+
+@pytest.mark.parametrize(
+    "cfg, poisoned",
+    [
+        (
+            Config(suite="spectrum", n=1, degree=2, seed=5),
+            {"spectrum.pointwise.l1", "spectrum.pointwise.l2"},
+        ),
+        (
+            Config(suite="bochner", n=1, trials=4, seed=5),
+            {"bochner.route_agreement", "bochner.hessian_trace", "bochner.cauchy_schwarz"},
+        ),
+    ],
+)
+def test_nan_residual_fails_its_check(monkeypatch, cfg, poisoned):
+    # max(0.0, nan) == 0.0, so a plain max would let these checks pass
+    monkeypatch.setattr(C, "sublaplacian_greenleaf", lambda f, p: float("nan"))
+    checks = {c.id: c for c in run_suite(cfg).checks}
+    for check_id in poisoned:
+        assert checks[check_id].status is False
+        assert math.isnan(checks[check_id].residual)
+    assert all(c.status for i, c in checks.items() if i not in poisoned)
 
 
 def test_run_suite_validates_before_compute():

@@ -2,13 +2,16 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from crsphere import polynomials
 from crsphere.polynomials import (
+    CERTIFICATE_PRIME,
     HomogeneousPolynomial,
     Polynomial,
     SubspaceBasis,
+    _full_rank_mod_p,
     dim_homogeneous,
     directional_derivative,
     euclidean_laplacian,
@@ -18,6 +21,8 @@ from crsphere.polynomials import (
     null_space,
     sphere_integral,
 )
+
+small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
 
 def var(i, m=4):
@@ -69,6 +74,14 @@ def test_laplacian_examples():
     assert euclidean_laplacian(p) == Polynomial.constant(m, 4)
     rot = var(0) * var(3) - var(1) * var(2)  # x1 y2 - x2 y1
     assert euclidean_laplacian(rot).is_zero()
+
+
+def test_laplacian_keeps_homogeneous_type():
+    h = HomogeneousPolynomial(4, 3, {(3, 0, 0, 0): 1, (1, 0, 2, 0): 5})
+    lap = euclidean_laplacian(h)
+    assert isinstance(lap, HomogeneousPolynomial) and lap.degree == 1
+    assert lap.terms == {(1, 0, 0, 0): 16}
+    assert euclidean_laplacian(HomogeneousPolynomial(4, 1, {(1, 0, 0, 0): 1})).degree == 0
 
 
 def test_laplacian_kills_harmonic_basis():
@@ -199,6 +212,73 @@ def test_subspace_basis_rejects_dependent_sets():
     b = HomogeneousPolynomial(4, 1, (2 * x1).terms)
     with pytest.raises(ValueError):
         SubspaceBasis(1, 1, (a, b))
+    # leading monomials collide, so the certificate has to decide
+    c = HomogeneousPolynomial(4, 1, {(1, 0, 0, 0): 1, (0, 1, 0, 0): Fraction(1, 3)})
+    d = HomogeneousPolynomial(4, 1, {(1, 0, 0, 0): 1, (0, 0, 1, 0): -1})
+    e = HomogeneousPolynomial(4, 1, (Fraction(2, 7) * c - 5 * d).terms)
+    SubspaceBasis(1, 1, (c, d))
+    with pytest.raises(ValueError):
+        SubspaceBasis(1, 1, (c, d, e))
+
+
+def test_unlucky_prime_falls_back_to_exact_rank(monkeypatch):
+    # Rows (1, 1) and (1, 1 + p): determinant p, independent over Q but
+    # not mod p.  Both lead with x1, so the certificate runs.
+    p = CERTIFICATE_PRIME
+    a = HomogeneousPolynomial(4, 1, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1})
+    b = HomogeneousPolynomial(4, 1, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1 + p})
+    assert not _full_rank_mod_p((a, b), 4, 1)
+    exact_calls = []
+    real_rank = polynomials.matrix_rank
+    monkeypatch.setattr(
+        polynomials, "matrix_rank", lambda rows: exact_calls.append(rows) or real_rank(rows)
+    )
+    assert len(SubspaceBasis(1, 1, (a, b))) == 2
+    assert len(exact_calls) == 1
+    # a certified basis never reaches the exact rank
+    c = HomogeneousPolynomial(4, 1, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 2})
+    SubspaceBasis(1, 1, (a, c))
+    assert len(exact_calls) == 1
+
+
+def test_certificate_scales_rows_by_their_denominators():
+    # (x1, p x2): a row whose only entry is a multiple of p drops mod p
+    p = CERTIFICATE_PRIME
+    rows = (
+        HomogeneousPolynomial(4, 1, {(1, 0, 0, 0): 1}),
+        HomogeneousPolynomial(4, 1, {(0, 1, 0, 0): p}),
+    )
+    assert not _full_rank_mod_p(rows, 4, 1)
+    assert len(SubspaceBasis(1, 1, rows)) == 2
+    scaled = HomogeneousPolynomial(4, 1, {(0, 1, 0, 0): Fraction(p, 3)})
+    assert not _full_rank_mod_p((rows[0], scaled), 4, 1)
+    thirds = HomogeneousPolynomial(4, 1, {(0, 1, 0, 0): Fraction(1, 3), (1, 0, 0, 0): Fraction(2, 9)})
+    assert _full_rank_mod_p((rows[0], thirds), 4, 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_certificate_verdict_matches_exact_rank(data):
+    # Entries are small enough that every minor of at most four scaled
+    # rows lies below the prime (Hadamard's bound), so a nonzero minor
+    # stays nonzero mod p and the two verdicts must agree exactly.
+    degree = data.draw(st.sampled_from([1, 2]))
+    mons = monomial_basis(4, degree)
+    row = st.lists(small_fractions, min_size=len(mons), max_size=len(mons))
+    rows = data.draw(st.lists(row, min_size=1, max_size=4))
+    if data.draw(st.booleans()):
+        c = data.draw(small_fractions)
+        rows.append([x + c * y for x, y in zip(rows[0], rows[-1])])
+    rows = [r for r in rows if any(r)]
+    assume(rows)
+    polys = tuple(HomogeneousPolynomial(4, degree, dict(zip(mons, r))) for r in rows)
+    independent = matrix_rank(rows) == len(rows)
+    assert _full_rank_mod_p(polys, 4, degree) == independent
+    if independent:
+        assert len(SubspaceBasis(1, degree, polys)) == len(rows)
+    else:
+        with pytest.raises(ValueError):
+            SubspaceBasis(1, degree, polys)
 
 
 def test_subspace_membership():

@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crsphere.calculus import ScalarField, sublaplacian_greenleaf
 from crsphere.polynomials import (
@@ -13,6 +15,7 @@ from crsphere.polynomials import (
     sphere_integral,
 )
 from crsphere.spectrum import (
+    _complex_monomial,
     kernel_t0sq_shift,
     reeb_derivation_matrix,
     reeb_kernel_eigenfunctions,
@@ -38,6 +41,62 @@ def test_t0_kills_the_rotation_invariant():
     rot = var(0) * var(3) - var(1) * var(2)  # x1 y2 - x2 y1
     assert t0_apply(rot).is_zero()
     assert t0_apply(var(0) * var(1) + var(2) * var(3)).is_zero()
+
+
+def t0_reference(p):
+    """sum_j x^j d/dy^j - y^j d/dx^j, built from partials and products."""
+    half = p.num_vars // 2
+    out = Polynomial(p.num_vars)
+    for j in range(half):
+        xj = Polynomial.variable(p.num_vars, j)
+        yj = Polynomial.variable(p.num_vars, half + j)
+        out = out + xj * p.partial(half + j) - yj * p.partial(j)
+    return out
+
+
+@st.composite
+def sparse_polynomials(draw):
+    """A polynomial with a few small rational terms, n = 1..3."""
+    num_vars = 2 * draw(st.integers(1, 3)) + 2
+    exps = st.tuples(*[st.integers(0, 3)] * num_vars)
+    coeffs = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+    return Polynomial(num_vars, draw(st.dictionaries(exps, coeffs, max_size=8)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_polynomials())
+def test_t0_matches_reference_formula(p):
+    got = t0_apply(p)
+    expected = t0_reference(p)
+    assert got == expected
+    # same term order, so float evaluations sum identically
+    assert list(got.terms) == list(expected.terms)
+    assert all(isinstance(c, Fraction) for c in got.terms.values())
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_polynomials())
+def test_laplacian_matches_second_partials(p):
+    reference = Polynomial(p.num_vars)
+    for i in range(p.num_vars):
+        reference = reference + p.partial(i).partial(i)
+    lap = euclidean_laplacian(p)
+    assert lap == reference
+    assert list(lap.terms) == list(reference.terms)
+    assert all(isinstance(c, Fraction) for c in lap.terms.values())
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_t0_rotates_complex_monomials(data):
+    # T0 z^a zbar^b = i (|a| - |b|) z^a zbar^b
+    n = data.draw(st.integers(1, 3))
+    multi = st.tuples(*[st.integers(0, 2)] * (n + 1))
+    a, b = data.draw(multi), data.draw(multi)
+    k = sum(a) - sum(b)
+    re, im = _complex_monomial(n, a, b)
+    assert t0_apply(re) == -k * im
+    assert t0_apply(im) == k * re
 
 
 def test_t0_squared_is_minus_one_on_linear_forms():
