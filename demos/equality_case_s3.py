@@ -12,9 +12,8 @@ degenerate critical points at the minimum value.
 
 import numpy as np
 
-from crsphere import ScalarField, check_bound, eigen_along_geodesic, great_circle, tw_hessian
-from crsphere.geodesics import GeodesicTrace, reach_set_half_pi, s3_max_point
-from crsphere.polynomials import Polynomial
+from crsphere import check_bound, eigen_along_geodesic, great_circle, tw_hessian
+from crsphere.geodesics import GeodesicTrace, reach_set_half_pi, s3_max_point, s3_profile_field
 from crsphere.sphere import horizontal_frame, random_point
 
 # --- the bound on S^3 and S^5 -----------------------------------------
@@ -32,11 +31,7 @@ for n, degree_max in ((1, 3), (2, 2)):
 # --- the cosine profile -------------------------------------------------
 a, b = 0.3, 1.1
 alpha = float(np.hypot(a, b))
-terms = {(2, 0, 0, 0): a, (0, 0, 2, 0): a, (0, 2, 0, 0): -a, (0, 0, 0, 2): -a,
-         (1, 1, 0, 0): 2 * b, (0, 0, 1, 1): 2 * b}
-from fractions import Fraction
-
-f = ScalarField(Polynomial(4, {k: Fraction(v) for k, v in terms.items()}), 1)
+f = s3_profile_field(a, b)
 x0 = s3_max_point(a, b)
 frame = horizontal_frame(x0)
 svals = np.linspace(0.0, 2 * np.pi, 721)

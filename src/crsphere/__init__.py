@@ -83,6 +83,7 @@ from .geodesics import (  # noqa: F401
     reach_set_half_pi,
     riemannian_distance,
     s3_max_point,
+    s3_profile_field,
 )
 from .bounds import (  # noqa: F401
     BoundEntry,

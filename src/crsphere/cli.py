@@ -144,7 +144,7 @@ def main(argv=None):
     if args.report:
         payload = build_payload([report], config, elapsed)
         with open(args.report, "w") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+            json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         print("wrote report: %s" % args.report)
 
     return 0 if report.passed else 1

@@ -28,12 +28,11 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from fractions import Fraction
 
 import numpy as np
 from scipy import optimize
 
-from .calculus import ScalarField
+from .calculus import ScalarField, _rationalize
 from .polynomials import Polynomial
 from .sphere import SpherePoint, TangentVector, horizontal_frame, times_i
 
@@ -614,6 +613,19 @@ def s3_max_point(a, b, psi=0.0):
     return SpherePoint(coords / np.linalg.norm(coords), 1)
 
 
+def s3_profile_field(a, b):
+    """The degree-2 Reeb-kernel eigenfunction on S^3 whose maximum s3_max_point finds.
+
+    f = a(x1^2+y1^2-x2^2-y2^2) + 2b(x1 x2 + y1 y2), with a float a or b
+    taken as its exact binary fraction.
+    """
+    terms = {
+        (2, 0, 0, 0): a, (0, 0, 2, 0): a, (0, 2, 0, 0): -a, (0, 0, 0, 2): -a,
+        (1, 1, 0, 0): 2 * b, (0, 0, 1, 1): 2 * b,
+    }
+    return ScalarField(Polynomial(4, {k: _rationalize(v) for k, v in terms.items() if v}), 1)
+
+
 @dataclass(eq=False)
 class ReachSample:
     point: SpherePoint
@@ -658,11 +670,7 @@ def reach_set_half_pi(a, b, num_samples=64, psi=0.0):
     x0 = s3_max_point(a, b, psi)
     frame = horizontal_frame(x0)
     mat = frame.matrix()
-    terms = {
-        (2, 0, 0, 0): a, (0, 0, 2, 0): a, (0, 2, 0, 0): -a, (0, 0, 0, 2): -a,
-        (1, 1, 0, 0): 2 * b, (0, 0, 1, 1): 2 * b,
-    }
-    f = ScalarField(Polynomial(4, {k: _exactify(v) for k, v in terms.items() if v}), 1)
+    f = s3_profile_field(a, b)
     samples = []
     phis = np.linspace(0.0, 2 * np.pi, num_samples, endpoint=False)
     for phi in phis:
@@ -682,9 +690,3 @@ def reach_set_half_pi(a, b, num_samples=64, psi=0.0):
             )
         )
     return samples
-
-
-def _exactify(v):
-    if isinstance(v, (int, Fraction)):
-        return Fraction(v)
-    return Fraction(float(v))

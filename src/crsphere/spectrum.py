@@ -253,16 +253,9 @@ def spectrum_fragment(n, ell):
     if ell < 1:
         raise ValueError("degree must be >= 1")
     entries = []
-    seen = set()
     for j in range(ell // 2, -1, -1):
-        k = ell - 2 * j
-        lam = k * k
-        if lam in seen:
-            continue
-        seen.add(lam)
-        block = []
-        block.extend(bigraded_block(n, ell - j, j))
-        harmonic = _harmonic_span(n, ell, block)
+        lam = (ell - 2 * j) ** 2
+        harmonic = _harmonic_span(n, ell, structured_t0sq_kernel(n, ell, lam))
         if not harmonic:
             continue
         basis = SubspaceBasis(n, ell, tuple(harmonic))

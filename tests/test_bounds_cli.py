@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from crsphere import calculus as C
+from crsphere import cli
 from crsphere.bounds import (
     BoundEntry,
     BoundReport,
@@ -17,10 +19,12 @@ from crsphere.bounds import (
     lichnerowicz_bound,
 )
 from crsphere.suites import (
+    CheckResult,
     Config,
     ConfigError,
     canonical_payload_bytes,
     config_from_file,
+    _SUITE_FUNCS,
     run_and_report,
     run_suite,
 )
@@ -131,6 +135,42 @@ def test_config_rejects_bad_values():
         Config(suite="s3", b=0.0).validate()
     with pytest.raises(ConfigError):
         Config(suite="s3", n=2).validate()
+    for key in ("tol_match", "step_size", "a", "b"):
+        for value in (math.nan, math.inf):
+            with pytest.raises(ConfigError):
+                Config(suite="s3", **{key: value}).validate()
+
+
+# Small configs under which every suite body reaches all of its checks.
+_SMALL_CONFIGS = {
+    "spectrum": {"degree": 2},
+    "bochner": {"trials": 2},
+    "lemmas": {"trials": 2},
+    "geodesics": {"steps": 10, "step_size": 1e-2, "hj_pairs": 1, "cc_pairs": 1},
+    "bound": {"degree_max": 2, "trials": 1},
+    "s3": {"trials": 1, "reach_samples": 4},
+}
+
+
+def test_every_config_key_is_read_by_a_suite():
+    # a key that no suite body reads does nothing; `suite` is read by run_suite
+    names = {f.name for f in dataclasses.fields(Config)}
+    log = set()
+
+    class RecordingConfig(Config):
+        def __getattribute__(self, name):
+            if name in names:
+                log.add(name)
+            return super().__getattribute__(name)
+
+    read = set()
+    for suite, overrides in _SMALL_CONFIGS.items():
+        cfg = RecordingConfig(suite=suite, **overrides)
+        cfg.validate()
+        log.clear()
+        _SUITE_FUNCS[suite](cfg)
+        read |= log
+    assert names - read == {"suite"}
 
 
 def test_config_file_parsing(tmp_path):
@@ -207,6 +247,42 @@ def test_nan_residual_fails_its_check(monkeypatch, cfg, poisoned):
         assert checks[check_id].status is False
         assert math.isnan(checks[check_id].residual)
     assert all(c.status for i, c in checks.items() if i not in poisoned)
+
+
+def _reject_constant(token):
+    raise ValueError("non-standard JSON constant %s" % token)
+
+
+@pytest.mark.parametrize("value, text", [(math.nan, "nan"), (math.inf, "inf")])
+def test_non_finite_residual_is_strict_json(monkeypatch, value, text):
+    monkeypatch.setattr(C, "sublaplacian_greenleaf", lambda f, p: value)
+    _, payload = run_and_report(Config(suite="spectrum", n=1, degree=2, seed=5))
+    raw = canonical_payload_bytes(payload)
+    suite = json.loads(raw, parse_constant=_reject_constant)["suites"][0]
+    checks = {c["id"]: c for c in suite["checks"]}
+    assert checks["spectrum.pointwise.l1"]["residual"] == text
+    assert checks["spectrum.pointwise.l1"]["status"] == "fail"
+    assert checks["spectrum.values.l1"]["residual"] is None
+    assert suite["max_residual"] == text
+    assert suite["passed"] is False
+
+
+def test_non_finite_input_values_are_strict_json():
+    # s3.reach_set records its worst residuals among its inputs as well
+    inputs = {"value_residual": math.nan, "fits": [{"residual": -math.inf}], "samples": 4}
+    check = CheckResult("s3.reach_set", "reach set", "reach set", False, math.nan, inputs)
+    decoded = json.loads(json.dumps(check.as_dict(), allow_nan=False))
+    assert decoded["residual"] == "nan"
+    assert decoded["inputs"] == {"value_residual": "nan", "fits": [{"residual": "-inf"}], "samples": 4}
+
+
+def test_cli_report_is_strict_json_under_nan(monkeypatch, tmp_path):
+    monkeypatch.setattr(C, "sublaplacian_greenleaf", lambda f, p: math.nan)
+    path = tmp_path / "out.json"
+    status = cli.main(["spectrum", "--n", "1", "--degree", "2", "--report", str(path)])
+    assert status == 1
+    payload = json.loads(path.read_text(), parse_constant=_reject_constant)
+    assert payload["suites"][0]["max_residual"] == "nan"
 
 
 def test_run_suite_validates_before_compute():

@@ -19,18 +19,6 @@ from crsphere.sphere import (
 E1 = SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]), 1)
 
 
-def kernel_quadratic(a=0.0, b=1.0):
-    m = 4
-    terms = {
-        (2, 0, 0, 0): a, (0, 0, 2, 0): a, (0, 2, 0, 0): -a, (0, 0, 0, 2): -a,
-        (1, 1, 0, 0): 2 * b, (0, 0, 1, 1): 2 * b,
-    }
-    from fractions import Fraction
-
-    poly = Polynomial(m, {k: Fraction(float(v)) for k, v in terms.items() if v})
-    return ScalarField(poly, 1)
-
-
 # ---------------------------------------------------------------------------
 # Closed forms.
 # ---------------------------------------------------------------------------
@@ -294,7 +282,7 @@ def _profile_trace(f, x0, direction, num=721):
 
 
 def test_cosine_profile_at_unit_parameters():
-    f = kernel_quadratic(0.0, 1.0)
+    f = G.s3_profile_field(0.0, 1.0)
     x0 = G.s3_max_point(0.0, 1.0)
     assert_allclose(x0.coords, np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2))
     frame = horizontal_frame(x0)
@@ -308,7 +296,7 @@ def test_profile_fit_handles_repeated_minima():
     # over a full period the minimum value occurs twice; rounding noise
     # can make the later copy the literal argmin, which must not derail
     # the frequency seeding (regression: a = 0.5, b = 1.5, direction 0)
-    f = kernel_quadratic(0.5, 1.5)
+    f = G.s3_profile_field(0.5, 1.5)
     x0 = G.s3_max_point(0.5, 1.5)
     frame = horizontal_frame(x0)
     for direction in frame.vectors:
@@ -320,7 +308,7 @@ def test_profile_fit_handles_repeated_minima():
 
 @pytest.mark.parametrize("a,b", [(0.0, 1.0), (0.5, 1.0), (-0.3, 0.8), (1.0, -2.0)])
 def test_amplitude_recovers_alpha(a, b):
-    f = kernel_quadratic(a, b)
+    f = G.s3_profile_field(a, b)
     alpha = float(np.hypot(a, b))
     x0 = G.s3_max_point(a, b, psi=0.3)
     assert abs(f.value(x0) - alpha) < 1e-12
