@@ -18,7 +18,6 @@ from .polynomials import (  # noqa: F401
     Polynomial,
     SubspaceBasis,
     dim_homogeneous,
-    directional_derivative,
     euclidean_laplacian,
     harmonic_basis,
     monomial_basis,
@@ -72,7 +71,6 @@ from .geodesics import (  # noqa: F401
     GeodesicState,
     GeodesicTrace,
     ShootingBudget,
-    canonical_lift,
     cc_distance,
     cotangent_lift,
     eigen_along_geodesic,

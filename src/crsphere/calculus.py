@@ -1,12 +1,16 @@
 """Differential operators of pseudohermitian geometry on polynomial data.
 
 Scalar fields are restrictions to the sphere of exact polynomials;
-vector fields along the sphere are tuples of exact polynomials.  All
-derivatives in the primary path are exact polynomial operations
-followed by evaluation, so the residuals of the identities verified
-here are limited only by the floating-point budget of the final
-evaluation.  Finite differences appear solely as independent oracles
-in the test suite.
+vector fields along the sphere are tuples of exact polynomials.  The
+exact integrals and the difference route to the sublaplacian build
+their polynomials symbolically.  The pointwise routes read f only
+through its exact flat partials (up to third order) evaluated at the
+point; products with the frame, the Reeb field and the canonical
+horizontal extensions are differentiated by the product rule, in
+floats, at that point.  Either way the residuals of the identities
+verified here are limited only by the floating-point budget of the
+final evaluation.  Finite differences appear solely as independent
+oracles in the test suite.
 
 The adapted connection used throughout is
 
@@ -80,33 +84,23 @@ class VectorFieldPoly:
         return cls([Polynomial.constant(m, Fraction(v)) for v in vec], n)
 
     @classmethod
-    def tangent_extension(cls, vec, n):
-        """v - <v,q> q: tangent on the whole sphere, equals v at its base."""
-        return cls._extension(vec, n, horizontal=False)
-
-    @classmethod
     def horizontal_extension(cls, vec, n):
         """v - <v,q> q - <v,iq> iq: horizontal on the whole sphere."""
-        return cls._extension(vec, n, horizontal=True)
-
-    @classmethod
-    def _extension(cls, vec, n, horizontal):
         vec = getattr(vec, "vec", vec)
         m = 2 * n + 2
         exact = [_rationalize(v) for v in vec]
-        q = [Polynomial.variable(m, k) for k in range(m)]
+        q = cls.coordinate_field(n)
+        iq = q.times_i()
         v_dot_q = Polynomial(m)
-        for vk, qk in zip(exact, q):
+        v_dot_iq = Polynomial(m)
+        for vk, qk, ik in zip(exact, q.comps, iq.comps):
             if vk:
                 v_dot_q = v_dot_q + vk * qk
-        comps = [Polynomial.constant(m, vk) - v_dot_q * qk for vk, qk in zip(exact, q)]
-        if horizontal:
-            iq = [-q[n + 1 + j] for j in range(n + 1)] + [q[j] for j in range(n + 1)]
-            v_dot_iq = Polynomial(m)
-            for vk, ik in zip(exact, iq):
-                if vk:
-                    v_dot_iq = v_dot_iq + vk * ik
-            comps = [c - v_dot_iq * ik for c, ik in zip(comps, iq)]
+                v_dot_iq = v_dot_iq + vk * ik
+        comps = [
+            Polynomial.constant(m, vk) - v_dot_q * qk - v_dot_iq * ik
+            for vk, qk, ik in zip(exact, q.comps, iq.comps)
+        ]
         return cls(comps, n)
 
     # -- algebra ---------------------------------------------------------
@@ -178,21 +172,6 @@ class VectorFieldPoly:
                 jac[j, k] = parts[j][k].evaluate(point)
         return jac
 
-    def d_dir(self, point, direction):
-        """Directional derivative of the components at a point."""
-        point = getattr(point, "coords", point)
-        direction = getattr(direction, "vec", direction)
-        parts = self.partials()
-        out = np.zeros(len(self.comps))
-        for j in range(len(self.comps)):
-            acc = 0.0
-            row = parts[j]
-            for k in range(len(direction)):
-                if direction[k]:
-                    acc += row[k].evaluate(point) * float(direction[k])
-            out[j] = acc
-        return out
-
 
 def _rationalize(v):
     """Exact rational from an int/Fraction, or a snapped float.
@@ -245,6 +224,10 @@ class ScalarField:
         return [g.gradient() for g in self.grad_polys]
 
     @cached_property
+    def third_polys(self):
+        return [[h.gradient() for h in row] for row in self.hess_polys]
+
+    @cached_property
     def t0_poly(self):
         return t0_apply(self.poly)
 
@@ -282,37 +265,6 @@ class ScalarField:
     @cached_property
     def l_operator_poly(self):
         return _operator_l_polynomial(self)
-
-    @cached_property
-    def coord_ext_applied(self):
-        """E_k(f) and its gradient for the basis horizontal extensions.
-
-        E_k is the canonical horizontal extension of the k-th ambient
-        basis vector; extensions are linear in the seed vector, so
-        these exact pieces recombine numerically for any seed.
-        """
-        m = 2 * self.n + 2
-        out = []
-        for k in range(m):
-            seed = [0] * m
-            seed[k] = 1
-            ext = VectorFieldPoly.horizontal_extension(seed, self.n)
-            poly = ext.apply_to(self.poly)
-            out.append((poly, poly.gradient()))
-        return out
-
-    @cached_property
-    def reeb_hessian_grads(self):
-        """Gradients of (nabla^2 f)(T, E_k) for the basis extensions E_k."""
-        m = 2 * self.n + 2
-        reeb = VectorFieldPoly.reeb(self.n)
-        out = []
-        for k in range(m):
-            seed = [0] * m
-            seed[k] = 1
-            ext = VectorFieldPoly.horizontal_extension(seed, self.n)
-            out.append(_hessian_biform_poly(self, reeb, ext).gradient())
-        return out
 
     def __repr__(self):
         return "ScalarField(n=%d, %r)" % (self.n, self.poly)
@@ -394,7 +346,7 @@ def tanaka_webster_derivative(p, X, Y):
     t = times_i(q)
     theta_x = float(t @ x)
     theta_y = float(t @ y_at)
-    deriv = Y.d_dir(q, x)
+    deriv = Y.jacobian_at(q) @ x
     vec = (
         deriv
         + float(x @ y_at) * q
@@ -441,6 +393,17 @@ def divergence(p, V):
 # ----------------------------------------------------------------------
 
 
+def _grad_hess(f, q):
+    """Flat gradient and Hessian of f's polynomial, evaluated at q."""
+    m = len(q)
+    grad = np.array([g.evaluate(q) for g in f.grad_polys])
+    hess = np.empty((m, m))
+    for i in range(m):
+        for j in range(i, m):
+            hess[i, j] = hess[j, i] = f.hess_polys[i][j].evaluate(q)
+    return grad, hess
+
+
 def hessian_form(f, p):
     """The bilinear form (u, v) -> (nabla^2 f)(u, v) at p.
 
@@ -452,13 +415,11 @@ def hessian_form(f, p):
 
     with flat Hessian and gradient of the ambient polynomial.
     """
-    q = p.coords
-    m = p.dim
-    grad = np.array([g.evaluate(q) for g in f.grad_polys])
-    hess = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            hess[i, j] = hess[j, i] = f.hess_polys[i][j].evaluate(q)
+    return _hessian_form_at(p.coords, *_grad_hess(f, p.coords))
+
+
+def _hessian_form_at(q, grad, hess):
+    """hessian_form at q from the flat gradient and Hessian there."""
     t = times_i(q)
     radial = float(q @ grad)
     reebward = float(t @ grad)
@@ -529,24 +490,23 @@ def tw_hessian(f, p):
 def sublaplacian_frame(f, p):
     """Delta_b f at p as sum_j { X_j^2 f - (nabla_Xj Xj) f }.
 
-    Each frame vector is extended to the canonical horizontal field it
-    generates; the extension is linear in the seed, so X(Xf) recombines
-    from the cached basis pieces.  Independent of the exact difference
-    route.
+    Each frame vector x is extended to the canonical horizontal field
+    X~ it generates.  f is read only through its flat gradient and
+    Hessian at p, and the product rule gives
+
+        X(X~ f) = x^T (Hess f) x + (D_x X~) . grad f.
+
+    Independent of the exact difference route.
     """
     frame = horizontal_frame(p)
     q = p.coords
-    m = p.dim
-    grad = np.array([g.evaluate(q) for g in f.grad_polys])
-    pieces = f.coord_ext_applied
-    grad_xkf = np.empty((m, m))
-    for k in range(m):
-        grad_xkf[k] = [g.evaluate(q) for g in pieces[k][1]]
+    grad, hess = _grad_hess(f, q)
     total = 0.0
     for X in frame.vectors:
         x = X.vec
-        second = float(x @ grad_xkf @ x)  # X(X~ f), by linearity in the seed
-        drift = _cov_deriv_pointwise(q, x, _ext_value(q, x), _ext_deriv(q, x, x))
+        dx = _ext_deriv(q, x, x)
+        second = float(x @ hess @ x) + float(dx @ grad)
+        drift = _cov_deriv_pointwise(q, x, _ext_value(q, x), dx)
         total += second - float(drift @ grad)
     return total
 
@@ -672,11 +632,11 @@ def operator_l_parts(f, p):
     """Both terms of L f at p; the first vanishes when T(f) = 0."""
     q = p.coords
     t = times_i(q)
-    grad = np.array([gp.evaluate(q) for gp in f.grad_polys])
+    grad, _ = _grad_hess(f, q)
     g_at = f.grad_h_field.at(q)
     t0_grad = np.array([gp.evaluate(q) for gp in f.t0_grad_polys])
     term1 = float(times_i(g_at) @ t0_grad)
-    nabla_t_g = _cov_deriv_pointwise(q, t, g_at, f.grad_h_field.d_dir(q, t))
+    nabla_t_g = _cov_deriv_pointwise(q, t, g_at, f.grad_h_field.jacobian_at(q) @ t)
     term2 = float(_big_j(q, nabla_t_g) @ grad)
     return term1, term2
 
@@ -725,6 +685,36 @@ def lemma2_check(f):
     return lhs, rhs
 
 
+def _hessian_form_derivative(q, u, a, da, b, db, grad, hess, dhess):
+    """D_u at q of the hessian_form expansion (nabla^2 f)(A, B).
+
+    a, b are the values at q of the fields A, B and da, db their D_u;
+    grad, hess and dhess are the flat gradient, Hessian and D_u Hessian
+    of f.  Every factor of the expansion, the projection
+    pi_H w = w - <q,w> q - <iq,w> iq included, moves with q and is
+    differentiated by the product rule.
+    """
+    t, dt = times_i(q), times_i(u)
+    dgrad = hess @ u
+
+    def pi_h(w, dw):
+        val = w - (q @ w) * q - (t @ w) * t
+        dval = dw - (u @ w + q @ dw) * q - (q @ w) * u - (dt @ w + t @ dw) * t - (t @ w) * dt
+        return val, dval
+
+    pa, dpa = pi_h(a, da)
+    pb, dpb = pi_h(b, db)
+    ja, dja = times_i(pa), times_i(dpa)
+    jb, djb = times_i(pb), times_i(dpb)
+    return float(
+        da @ hess @ b + a @ dhess @ b + a @ hess @ db
+        - (da @ b + a @ db) * (q @ grad) - (a @ b) * (u @ grad + q @ dgrad)
+        + (dpa @ jb + pa @ djb) * (t @ grad) + (pa @ jb) * (dt @ grad + t @ dgrad)
+        + (dt @ a + t @ da) * (jb @ grad) + (t @ a) * (djb @ grad + jb @ dgrad)
+        + (dt @ b + t @ db) * (ja @ grad) + (t @ b) * (dja @ grad + ja @ dgrad)
+    )
+
+
 def third_commutation_residual(f, p, X, Y):
     """Residual of the torsion-free third-order exchange identity
 
@@ -732,57 +722,26 @@ def third_commutation_residual(f, p, X, Y):
 
     for horizontal X, Y, with f00 = T(T(f)).  The middle slot carries
     the Reeb field; the outer slots use canonical horizontal extensions
-    (the value of nabla^3 f does not depend on that choice).
+    (the value of nabla^3 f does not depend on that choice).  f is read
+    through its flat partials up to third order at p.
     """
     q = p.coords
     x = getattr(X, "vec", X)
     y = getattr(Y, "vec", Y)
-    form = hessian_form(f, p)
+    grad, hess = _grad_hess(f, q)
+    form = _hessian_form_at(q, grad, hess)
+    third = np.array([[[d.evaluate(q) for d in row] for row in plane] for plane in f.third_polys])
     t = times_i(q)
-    m = p.dim
-    biform_grads = f.reeb_hessian_grads
 
-    def third(u, v):
-        # u((nabla^2 f)(T, v~)), recombined from the cached basis pieces
-        leading = 0.0
-        for k in range(m):
-            if v[k]:
-                grads = biform_grads[k]
-                leading += float(v[k]) * sum(
-                    grads[j].evaluate(q) * u[j] for j in range(m) if u[j]
-                )
+    def third_order(u, v):
+        v_at, dv = _ext_value(q, v), _ext_deriv(q, u, v)
+        leading = _hessian_form_derivative(q, u, t, times_i(u), v_at, dv, grad, hess, third @ u)
         nabla_u_t = _cov_deriv_pointwise(q, u, t, times_i(u))
-        nabla_u_v = _cov_deriv_pointwise(q, u, _ext_value(q, v), _ext_deriv(q, u, v))
-        return leading - form(nabla_u_t, _ext_value(q, v)) - form(t, nabla_u_v)
+        nabla_u_v = _cov_deriv_pointwise(q, u, v_at, dv)
+        return leading - form(nabla_u_t, v_at) - form(t, nabla_u_v)
 
     f00 = f.t0t0_poly.evaluate(q)
-    return third(x, y) - third(y, x) - 2.0 * _omega_vec(q, x, y) * f00
-
-
-def _hessian_biform_poly(f, A, B):
-    """(nabla^2 f)(A, B) as a polynomial, for tangent polynomial fields."""
-    n = f.n
-    q = VectorFieldPoly.coordinate_field(n)
-    iq = q.times_i()
-    grad = VectorFieldPoly(f.grad_polys, n)
-    hess_term = Polynomial(2 * n + 2)
-    for i, row in enumerate(f.hess_polys):
-        if A.comps[i].is_zero():
-            continue
-        for j, h in enumerate(row):
-            if h.is_zero() or B.comps[j].is_zero():
-                continue
-            hess_term = hess_term + A.comps[i] * h * B.comps[j]
-    ja = A.pi_h().times_i()
-    jb = B.pi_h().times_i()
-    omega = A.pi_h().dot(jb)
-    return (
-        hess_term
-        - A.dot(B) * q.dot(grad)
-        + omega * iq.dot(grad)
-        + A.dot(iq) * jb.dot(grad)
-        + B.dot(iq) * ja.dot(grad)
-    )
+    return third_order(x, y) - third_order(y, x) - 2.0 * _omega_vec(q, x, y) * f00
 
 
 # ----------------------------------------------------------------------

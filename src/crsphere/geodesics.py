@@ -334,11 +334,6 @@ def cotangent_lift(p, v, reeb_component=1.0):
     return CotangentState(u, xi, cid, p.n)
 
 
-def canonical_lift(p, v):
-    """The canonical cotangent lift: unit Reeb component."""
-    return cotangent_lift(p, v, 1.0)
-
-
 def hamiltonian(state):
     chart = _charts(state.n)[state.chart]
     g = chart.cometric(state.x)

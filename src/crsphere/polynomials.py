@@ -113,9 +113,6 @@ class Polynomial:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def is_homogeneous(self):
-        return len({sum(e) for e in self.terms}) <= 1
-
     def homogeneous_components(self):
         """Split into degree -> Polynomial (degrees with terms only)."""
         parts = {}
@@ -283,19 +280,6 @@ class HomogeneousPolynomial(Polynomial):
         out = super()._wrap(num_vars, terms)
         out._degree = degree
         return out
-
-
-def directional_derivative(p, point, direction):
-    """<grad p (point), direction>, linear in the direction."""
-    point = getattr(point, "coords", point)
-    direction = getattr(direction, "vec", direction)
-    if len(direction) != p.num_vars:
-        raise ValueError("direction of wrong dimension")
-    return sum(
-        p.partial(i).evaluate(point) * float(direction[i])
-        for i in range(p.num_vars)
-        if direction[i]
-    )
 
 
 def euclidean_laplacian(p):

@@ -65,6 +65,8 @@ class Config:
         for name in ("degree", "degree_max"):
             if not 1 <= getattr(self, name) <= 6:
                 raise ConfigError("%s out of range [1, 6]" % name)
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         for name in ("trials", "steps", "hj_pairs", "cc_pairs"):
             if getattr(self, name) < 1:
                 raise ConfigError("%s must be >= 1" % name)

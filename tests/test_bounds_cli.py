@@ -1,9 +1,11 @@
 import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +137,8 @@ def test_config_rejects_bad_values():
         Config(suite="s3", b=0.0).validate()
     with pytest.raises(ConfigError):
         Config(suite="s3", n=2).validate()
+    with pytest.raises(ConfigError):
+        Config(seed=-1).validate()
     for key in ("tol_match", "step_size", "a", "b"):
         for value in (math.nan, math.inf):
             with pytest.raises(ConfigError):
@@ -313,11 +317,17 @@ def test_payload_differs_across_configs():
 # ---------------------------------------------------------------------------
 
 
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
 def _run_cli(*args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     return subprocess.run(
         [sys.executable, "-m", "crsphere.cli", *args],
         capture_output=True,
         text=True,
+        env=env,
     )
 
 
@@ -338,6 +348,9 @@ def test_cli_rejects_invalid_arguments():
     assert proc.returncode != 0
     proc = _run_cli("unknown-suite")
     assert proc.returncode != 0
+    proc = _run_cli("spectrum", "--seed", "-1")
+    assert proc.returncode == 2
+    assert "seed must be >= 0" in proc.stderr
 
 
 def test_cli_config_file_and_csv(tmp_path):

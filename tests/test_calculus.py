@@ -199,7 +199,12 @@ def test_hessian_form_extension_independent(rng):
         u = random_horizontal(rng, p)
         v = random_horizontal(rng, p)
         form_val = C.hessian_form(f, p)(u.vec, v.vec)
-        ext = C.VectorFieldPoly.tangent_extension(v.vec, 1)
+        # v - <v,q> q: tangent on the whole sphere, equal to v at p
+        seed = [Fraction(float(c)) for c in v.vec]
+        v_dot_q = sum((c * var(k) for k, c in enumerate(seed)), Polynomial(4))
+        ext = C.VectorFieldPoly(
+            [Polynomial.constant(4, c) - v_dot_q * var(k) for k, c in enumerate(seed)], 1
+        )
         vf_poly = ext.apply_to(f.poly)
         lead = sum(
             vf_poly.partial(k).evaluate(p.coords) * u.vec[k] for k in range(4)
@@ -375,13 +380,14 @@ def test_third_commutation_antisymmetric_slot(rng, s3_fields):
     assert abs(C.third_commutation_residual(f, p, x.vec, x.vec)) < 1e-12
 
 
-def test_third_commutation_random(rng, s3_fields):
-    for i in range(20):
-        f = s3_fields[i % len(s3_fields)]
-        p = random_point(rng, 1)
-        x = random_horizontal(rng, p)
-        y = random_horizontal(rng, p)
-        assert abs(C.third_commutation_residual(f, p, x.vec, y.vec)) < 1e-8
+def test_third_commutation_random(rng, s3_fields, s5_fields):
+    for n, pool in ((1, s3_fields), (2, s5_fields)):
+        for i in range(20):
+            f = pool[i % len(pool)]
+            p = random_point(rng, n)
+            x = random_horizontal(rng, p)
+            y = random_horizontal(rng, p)
+            assert abs(C.third_commutation_residual(f, p, x.vec, y.vec)) < 1e-8
 
 
 def test_third_commutation_reeb_kernel_field(rng):
@@ -394,6 +400,56 @@ def test_third_commutation_reeb_kernel_field(rng):
         x = random_horizontal(rng, p)
         y = random_horizontal(rng, p)
         assert abs(C.third_commutation_residual(f, p, x.vec, y.vec)) < 1e-8
+
+
+def _hessian_biform_poly(f, A, B):
+    """Reference: (nabla^2 f)(A, B) as one polynomial, for polynomial fields."""
+    n = f.n
+    q = C.VectorFieldPoly.coordinate_field(n)
+    iq = q.times_i()
+    grad = C.VectorFieldPoly(f.grad_polys, n)
+    hess_term = Polynomial(2 * n + 2)
+    for i, row in enumerate(f.hess_polys):
+        for j, h in enumerate(row):
+            hess_term = hess_term + A.comps[i] * h * B.comps[j]
+    ja = A.pi_h().times_i()
+    jb = B.pi_h().times_i()
+    omega = A.pi_h().dot(jb)
+    return (
+        hess_term
+        - A.dot(B) * q.dot(grad)
+        + omega * iq.dot(grad)
+        + A.dot(iq) * jb.dot(grad)
+        + B.dot(iq) * ja.dot(grad)
+    )
+
+
+@pytest.mark.parametrize("n, points", [(1, 3), (2, 1)])
+def test_hessian_form_derivative_matches_symbolic_biform(n, points, rng, s3_fields, s5_fields):
+    # The product-rule leading term of the third-order check against u . grad
+    # of the symbolic biform.  (T, E_v) is the pair the check uses; the offset
+    # pair has Reeb and radial parts, so no term of the expansion vanishes.
+    pool = s3_fields if n == 1 else s5_fields
+    ext, const = C.VectorFieldPoly.horizontal_extension, C.VectorFieldPoly.constant
+    for i in range(points):
+        f = pool[i % len(pool)]
+        p = random_point(rng, n)
+        q = p.coords
+        u, v, w = (random_horizontal(rng, p).vec for _ in range(3))
+        ca, cb = (rng.integers(-4, 5, size=2 * n + 2) / 4 for _ in range(2))
+        grad, hess = C._grad_hess(f, q)
+        third = np.array([[[d.evaluate(q) for d in row] for row in plane] for plane in f.third_polys])
+        e_v = (ext(v, n), C._ext_value(q, v), C._ext_deriv(q, u, v))
+        pairs = (
+            ((C.VectorFieldPoly.reeb(n), times_i(q), times_i(u)), e_v),
+            ((ext(w, n) + const(ca, n), C._ext_value(q, w) + ca, C._ext_deriv(q, u, w)),
+             (e_v[0] + const(cb, n), e_v[1] + cb, e_v[2])),
+        )
+        for (A, a, da), (B, b, db) in pairs:
+            biform = _hessian_biform_poly(f, A, B)
+            expected = sum(g.evaluate(q) * u[k] for k, g in enumerate(biform.gradient()))
+            got = C._hessian_form_derivative(q, u, a, da, b, db, grad, hess, third @ u)
+            assert abs(got - expected) < 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,15 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("name", ["equality_case_s3.py", "spectrum_fragments.py"])
-def test_demo_exits_cleanly(name):
+@pytest.mark.parametrize(
+    "name",
+    ["bochner_and_lemmas.py", "equality_case_s3.py", "geodesics_two_ways.py", "spectrum_fragments.py"],
+)
+def test_demo_exits_cleanly(name, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, str(ROOT / "demos" / name)],
-        capture_output=True, text=True, env=env, timeout=300,
+        capture_output=True, text=True, env=env, timeout=300, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr

@@ -135,7 +135,7 @@ def test_canonical_lift_pairings(rng):
     p = random_point(rng, 1)
     frame = horizontal_frame(p)
     v = frame.vectors[0]
-    lift = G.canonical_lift(p, v)
+    lift = G.cotangent_lift(p, v, 1.0)
     chart = G._charts(1)[lift.chart]
     jac = chart.jacobian(lift.x)
     # xi(T) = 1 and xi(X_j) = g(v, X_j); chart covectors pair through the

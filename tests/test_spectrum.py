@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -198,6 +199,25 @@ def test_fragment_multiplicities_fill_harmonics():
             for e in frag.entries:
                 for p in e.eigenbasis.polys:
                     assert euclidean_laplacian(p).is_zero()
+
+
+def test_fragment_matches_folland_closed_form():
+    # H_ell splits into the bidegree spaces H_{p,q}, p + q = ell, on which
+    # T0^2 = -(p - q)^2 and Delta_b = -4pq - 2n(p + q) (Folland 1972).
+    for n, ell_max in ((1, 6), (2, 5), (3, 4)):
+        for ell in range(1, ell_max + 1):
+            pairs = [(p, ell - p) for p in range(ell + 1)]
+            frag = spectrum_fragment(n, ell)
+            assert {e.t0sq_eigenvalue for e in frag.entries} == {(p - q) ** 2 for p, q in pairs}
+            for e in frag.entries:
+                mine = [(p, q) for p, q in pairs if (p - q) ** 2 == e.t0sq_eigenvalue]
+                for p, q in mine:
+                    assert e.sublaplacian_eigenvalue == -4 * p * q - 2 * n * (p + q)
+                dims = sum(
+                    Fraction(p + q + n, n) * comb(p + n - 1, p) * comb(q + n - 1, q)
+                    for p, q in mine
+                )
+                assert e.multiplicity == dims
 
 
 def test_fragment_rejects_bad_degree():
