@@ -3,14 +3,18 @@
 Scalar fields are restrictions to the sphere of exact polynomials;
 vector fields along the sphere are tuples of exact polynomials.  The
 exact integrals and the difference route to the sublaplacian build
-their polynomials symbolically.  The pointwise routes read f only
+their polynomials symbolically.  A symbolic polynomial stands only for
+its restriction to the sphere, so it may be built with |q|^2 = 1,
+Euler's identity q . grad f = sum_d d f_d and iq . grad f = T0 f; two
+polynomials that agree on the sphere are interchangeable, but need
+not be equal as polynomials.  The pointwise routes read f only
 through its exact flat partials (up to third order) evaluated at the
-point; products with the frame, the Reeb field and the canonical
-horizontal extensions are differentiated by the product rule, in
-floats, at that point.  Either way the residuals of the identities
-verified here are limited only by the floating-point budget of the
-final evaluation.  Finite differences appear solely as independent
-oracles in the test suite.
+point; products with the frame, the Reeb field, the projection pi_H
+and the canonical horizontal extensions are differentiated by the
+product rule, in floats, at that point.  Either way the residuals of
+the identities verified here are limited only by the floating-point
+budget of the final evaluation.  Finite differences appear solely as
+independent oracles in the test suite.
 
 The adapted connection used throughout is
 
@@ -195,7 +199,10 @@ def sublaplacian_polynomial(poly, n):
 
     Per homogeneous piece of degree d the sphere Laplacian of the
     restriction is (flat Laplacian) - d(d+2n) (restriction), and the
-    sublaplacian subtracts T^2 on top of that.
+    sublaplacian subtracts T^2 on top of that; T is tangent to the
+    sphere.  So the result depends only on the restriction of poly:
+    polynomials that agree on the sphere give results that agree on
+    the sphere, though not as polynomials.
     """
     out = Polynomial(2 * n + 2)
     for d, piece in poly.homogeneous_components().items():
@@ -255,8 +262,25 @@ class ScalarField:
 
     @cached_property
     def grad_h_sq_poly(self):
-        g = self.grad_h_field
-        return g.dot(g)
+        """|grad_H f|^2 as a restriction to the sphere.
+
+        On the sphere q and iq are orthonormal, q . grad f is the Euler
+        sum R = sum_d d f_d over the homogeneous pieces f_d of f, and
+        iq . grad f is T0 f, so there
+
+            |pi_H grad f|^2 = |grad f|^2 - R^2 - (T0 f)^2.
+
+        As ambient polynomials the two sides differ by
+        (R^2 + (T0 f)^2)(|q|^2 - 1); only the restriction is meaningful.
+        """
+        m = 2 * self.n + 2
+        radial = Polynomial(m)
+        for d, piece in self.poly.homogeneous_components().items():
+            radial = radial + d * piece
+        out = Polynomial(m)
+        for g in self.grad_polys:
+            out = out + g * g
+        return out - radial * radial - self.t0_poly * self.t0_poly
 
     @cached_property
     def bochner_lhs_poly(self):
@@ -292,6 +316,18 @@ def sublaplacian_greenleaf(f, p):
 def _pi_h_vec(q, v):
     t = times_i(q)
     return v - (q @ v) * q - (t @ v) * t
+
+
+def _pi_h_deriv(q, u, w, dw):
+    """pi_H w at q and its D_u, for a field with value w and D_u value dw.
+
+    The projection pi_H w = w - <q,w> q - <iq,w> iq moves with q and is
+    differentiated by the product rule.
+    """
+    t, dt = times_i(q), times_i(u)
+    val = _pi_h_vec(q, w)
+    dval = dw - (u @ w + q @ dw) * q - (q @ w) * u - (dt @ w + t @ dw) * t - (t @ w) * dt
+    return val, dval
 
 
 def _big_j(q, v):
@@ -475,8 +511,13 @@ class HessianBlock:
 
 
 def tw_hessian(f, p):
+    return _tw_hessian_at(f, p, *_grad_hess(f, p.coords))
+
+
+def _tw_hessian_at(f, p, grad, hess):
+    """tw_hessian at p from the flat gradient and Hessian there."""
     frame = horizontal_frame(p)
-    form = hessian_form(f, p)
+    form = _hessian_form_at(p.coords, grad, hess)
     t = p.reeb_coords()
     vectors = [t] + [v.vec for v in frame.vectors]
     k = len(vectors)
@@ -498,9 +539,13 @@ def sublaplacian_frame(f, p):
 
     Independent of the exact difference route.
     """
+    return _sublaplacian_frame_at(p, *_grad_hess(f, p.coords))
+
+
+def _sublaplacian_frame_at(p, grad, hess):
+    """sublaplacian_frame at p from the flat gradient and Hessian there."""
     frame = horizontal_frame(p)
     q = p.coords
-    grad, hess = _grad_hess(f, q)
     total = 0.0
     for X in frame.vectors:
         x = X.vec
@@ -630,13 +675,19 @@ def _operator_l_polynomial(f):
 
 def operator_l_parts(f, p):
     """Both terms of L f at p; the first vanishes when T(f) = 0."""
-    q = p.coords
+    return _operator_l_parts_at(f, p.coords, *_grad_hess(f, p.coords))
+
+
+def _operator_l_parts_at(f, q, grad, hess):
+    """operator_l_parts at q from the flat gradient and Hessian there.
+
+    grad_H f and its D_T come from the flat jet by the product rule.
+    """
     t = times_i(q)
-    grad, _ = _grad_hess(f, q)
-    g_at = f.grad_h_field.at(q)
+    g_at, dg = _pi_h_deriv(q, t, grad, hess @ t)
     t0_grad = np.array([gp.evaluate(q) for gp in f.t0_grad_polys])
     term1 = float(times_i(g_at) @ t0_grad)
-    nabla_t_g = _cov_deriv_pointwise(q, t, g_at, f.grad_h_field.jacobian_at(q) @ t)
+    nabla_t_g = _cov_deriv_pointwise(q, t, g_at, dg)
     term2 = float(_big_j(q, nabla_t_g) @ grad)
     return term1, term2
 
@@ -652,20 +703,26 @@ def bochner_residual(f, p):
       (1/2) Delta_b |grad_H f|^2
         - |pi_H Hess f|^2 - (grad_H f)(Delta_b f)
         - rho(grad_H f, grad_H f) - 2 L f
+
+    The left side is exact; the right side reads f through its flat
+    gradient and Hessian at p.
     """
-    lhs = 0.5 * f.bochner_lhs_poly.evaluate(p)
-    block = tw_hessian(f, p)
+    grad, hess = _grad_hess(f, p.coords)
+    return _bochner_residual_at(f, p, grad, hess, _tw_hessian_at(f, p, grad, hess))
+
+
+def _bochner_residual_at(f, p, grad, hess, block):
+    """bochner_residual from the flat jet at p and the Hessian block built from it."""
+    q = p.coords
+    lhs = 0.5 * f.bochner_lhs_poly.evaluate(q)
     hsq = block.horizontal_norm_sq()
-    gh = f.grad_h_field.at(p.coords)
-    grad_term = sum(
-        gp.evaluate(p.coords) * gh[k] for k, gp in enumerate(f.sublaplacian_grad_polys)
-    )
-    frame = block.frame
+    gh = _pi_h_vec(q, grad)
+    grad_term = sum(gp.evaluate(q) * gh[k] for k, gp in enumerate(f.sublaplacian_grad_polys))
     ric = sum(
-        float(curvature_sphere(p, e.vec, gh, gh) @ e.vec) for e in frame.vectors
+        float(curvature_sphere(p, e.vec, gh, gh) @ e.vec) for e in block.frame.vectors
     )
-    lf = operator_l(f, p)
-    return lhs - (hsq + grad_term + ric + 2.0 * lf)
+    term1, term2 = _operator_l_parts_at(f, q, grad, hess)
+    return lhs - (hsq + grad_term + ric + 2.0 * (term1 - term2))
 
 
 def lemma1_residual(f, p):
@@ -696,14 +753,8 @@ def _hessian_form_derivative(q, u, a, da, b, db, grad, hess, dhess):
     """
     t, dt = times_i(q), times_i(u)
     dgrad = hess @ u
-
-    def pi_h(w, dw):
-        val = w - (q @ w) * q - (t @ w) * t
-        dval = dw - (u @ w + q @ dw) * q - (q @ w) * u - (dt @ w + t @ dw) * t - (t @ w) * dt
-        return val, dval
-
-    pa, dpa = pi_h(a, da)
-    pb, dpb = pi_h(b, db)
+    pa, dpa = _pi_h_deriv(q, u, a, da)
+    pb, dpb = _pi_h_deriv(q, u, b, db)
     ja, dja = times_i(pa), times_i(dpa)
     jb, djb = times_i(pb), times_i(dpb)
     return float(

@@ -589,6 +589,21 @@ def eigen_along_geodesic(f, trace):
     return best
 
 
+def _alpha_parts(a, b):
+    """alpha = sqrt(a^2 + b^2) with alpha - a and alpha + a.
+
+    Whichever of the two cancels (alpha - a for a > 0, alpha + a for
+    a < 0) is computed from their product b^2 instead, so both keep full
+    relative precision however small |b| is.
+    """
+    alpha = float(np.hypot(a, b))
+    if a > 0:
+        plus = alpha + a
+        return alpha, b * b / plus, plus
+    minus = alpha - a
+    return alpha, minus, b * b / minus
+
+
 def s3_max_point(a, b, psi=0.0):
     """A maximum point of f = a(x1^2+y1^2-x2^2-y2^2) + 2b(x1 x2 + y1 y2).
 
@@ -599,9 +614,9 @@ def s3_max_point(a, b, psi=0.0):
     """
     if b == 0:
         raise ValueError("the profile requires b != 0")
-    alpha = float(np.hypot(a, b))
-    big_a = (alpha - a) / b
-    r = np.sqrt((alpha + a) / (2.0 * alpha))
+    alpha, minus, plus = _alpha_parts(a, b)
+    big_a = minus / b
+    r = np.sqrt(plus / (2.0 * alpha))
     xi = r * np.cos(psi)
     eta = r * np.sin(psi)
     coords = np.array([xi, big_a * xi, eta, big_a * eta])
@@ -637,9 +652,9 @@ def _set_residual(pt, a, b):
     Interleaved reading: tuple slots are (x1, y1, x2, y2); literal
     reading: slots follow the storage layout (x1, x2, y1, y2).
     """
-    alpha = float(np.hypot(a, b))
-    c = b / (alpha - a)
-    radius_sq = (alpha - a) / (2.0 * alpha)
+    alpha, minus, _ = _alpha_parts(a, b)
+    c = b / minus
+    radius_sq = minus / (2.0 * alpha)
     x1, x2, y1, y2 = pt
     interleaved = max(
         abs(x2 + c * x1), abs(y2 + c * y1), abs(x1 * x1 + y1 * y1 - radius_sq)

@@ -25,6 +25,7 @@ import numpy as np
 UNIT_TOL = 1e-12
 TYPE_TOL = 1e-12  # tolerance enforced on typed values
 ARG_TOL = 1e-9    # tolerance for validating raw array arguments
+FRAME_SEED_MIN = 1e-2  # shortest projected seed horizontal_frame normalises
 
 
 def times_i(v):
@@ -191,8 +192,13 @@ def horizontal_frame(p):
     """Deterministic adapted frame at p.
 
     Gram-Schmidt over the horizontally projected ambient basis vectors in
-    index order, skipping seeds whose projection is shorter than 1e-8;
-    once n vectors are chosen the other half is their J-image.
+    index order, skipping seeds whose projection is shorter than
+    FRAME_SEED_MIN; once n vectors are chosen the other half is their
+    J-image.  Normalising a projection of length s scales its rounding
+    error by 1/s, so a short seed would break tangency beyond TYPE_TOL.
+    A frame is always found: were fewer than n vectors chosen, the
+    2n+2 final projections would have squared lengths summing to at
+    least 2, yet each would be below FRAME_SEED_MIN^2.
     """
     q = p.coords
     t = times_i(q)
@@ -206,7 +212,7 @@ def horizontal_frame(p):
         for u in span:
             w = w - (u @ w) * u
         norm = np.linalg.norm(w)
-        if norm < 1e-8:
+        if norm < FRAME_SEED_MIN:
             continue
         w = w / norm
         chosen.append(w)

@@ -307,11 +307,13 @@ def _suite_bochner(cfg):
     for i in range(cfg.trials):
         f = pool[i % len(pool)]
         p = random_point(rng, cfg.n)
-        worst_bochner = _worst(worst_bochner, abs(C.bochner_residual(f, p)))
-        frame_val = C.sublaplacian_frame(f, p)
+        # One flat jet and one Hessian block serve every pointwise value.
+        grad, hess = C._grad_hess(f, p.coords)
+        block = C._tw_hessian_at(f, p, grad, hess)
+        worst_bochner = _worst(worst_bochner, abs(C._bochner_residual_at(f, p, grad, hess, block)))
+        frame_val = C._sublaplacian_frame_at(p, grad, hess)
         exact_val = C.sublaplacian_greenleaf(f, p)
         worst_route = _worst(worst_route, abs(frame_val - exact_val))
-        block = C.tw_hessian(f, p)
         worst_trace = _worst(worst_trace, abs(block.horizontal_trace() - exact_val))
         slack = block.horizontal_norm_sq() - exact_val**2 / (2 * cfg.n)
         worst_cs = _worst(worst_cs, -slack)

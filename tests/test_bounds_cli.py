@@ -253,6 +253,29 @@ def test_nan_residual_fails_its_check(monkeypatch, cfg, poisoned):
     assert all(c.status for i, c in checks.items() if i not in poisoned)
 
 
+def test_bochner_suite_reads_one_jet_and_one_block_per_point(monkeypatch):
+    counts = {"jet": 0, "block": 0}
+    grad_hess = C._grad_hess
+
+    def counted_grad_hess(f, q):
+        counts["jet"] += 1
+        return grad_hess(f, q)
+
+    class CountedBlock(C.HessianBlock):
+        def __init__(self, *args):
+            counts["block"] += 1
+            super().__init__(*args)
+
+    def forbidden(*args):
+        raise AssertionError("the bochner suite builds no symbolic horizontal gradient")
+
+    monkeypatch.setattr(C, "_grad_hess", counted_grad_hess)
+    monkeypatch.setattr(C, "HessianBlock", CountedBlock)
+    monkeypatch.setattr(C.ScalarField, "grad_h_field", property(forbidden))
+    assert run_suite(Config(suite="bochner", n=1, trials=5)).passed
+    assert counts == {"jet": 5, "block": 5}
+
+
 def _reject_constant(token):
     raise ValueError("non-standard JSON constant %s" % token)
 

@@ -13,9 +13,11 @@ from crsphere.sphere import (
     horizontal_frame,
     random_horizontal,
     random_point,
+    random_tangent,
     times_i,
 )
 from crsphere.spectrum import reeb_kernel_eigenfunctions
+from crsphere.suites import field_pool
 
 
 def var(i, m=4):
@@ -370,6 +372,113 @@ def test_bochner_random_fields(rng, s3_fields, s5_fields):
             f = pool[i % len(pool)]
             p = random_point(rng, n)
             assert abs(C.bochner_residual(f, p)) < 1e-8
+
+
+# ---------------------------------------------------------------------------
+# The Bochner left side from |grad f|^2, the Euler field and T0 f, and the
+# horizontal gradient by the product rule.
+# ---------------------------------------------------------------------------
+
+
+def _reference_grad_h_sq(f):
+    g = f.grad_h_field
+    return g.dot(g)
+
+
+def _assert_grad_h_sq_restricts_to_reference(f):
+    # q . grad f and iq . grad f straight from the partials, without the
+    # Euler sum or t0_apply the property under test uses
+    m = 2 * f.n + 2
+    q = C.VectorFieldPoly.coordinate_field(f.n)
+    grad = C.VectorFieldPoly(f.grad_polys, f.n)
+    radial, reebward = q.dot(grad), q.times_i().dot(grad)
+    q_sq_minus_one = Polynomial.constant(m, -1)
+    for k in range(m):
+        q_sq_minus_one = q_sq_minus_one + var(k, m) * var(k, m)
+    expected = (radial * radial + reebward * reebward) * q_sq_minus_one
+    assert _reference_grad_h_sq(f) - f.grad_h_sq_poly == expected
+
+
+def _integer_polys(n):
+    m = 2 * n + 2
+    exps = st.tuples(*[st.integers(0, 2)] * m).filter(lambda e: sum(e) <= 4)
+    terms = st.dictionaries(exps, st.integers(-3, 3), min_size=1, max_size=6)
+    return terms.map(lambda t: C.ScalarField(Polynomial(m, t), n))
+
+
+def _rational_sphere_point(u):
+    # inverse stereographic projection: q = (2u/d, (d-2)/d), d = |u|^2 + 1
+    d = sum(x * x for x in u) + 1
+    return [2 * x / d for x in u] + [(d - 2) / d]
+
+
+def _rational_points(rng, n, count):
+    def coord():
+        return Fraction(int(rng.integers(-5, 6)), int(rng.integers(1, 6)))
+
+    return [_rational_sphere_point([coord() for _ in range(2 * n + 1)]) for _ in range(count)]
+
+
+def test_grad_h_sq_poly_restricts_to_reference(s3_fields, s5_fields):
+    for f in (*s3_fields[:3], *s5_fields[:2]):
+        _assert_grad_h_sq_restricts_to_reference(f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 2).flatmap(_integer_polys))
+def test_grad_h_sq_poly_restricts_to_reference_non_homogeneous(f):
+    _assert_grad_h_sq_restricts_to_reference(f)
+
+
+def test_bochner_lhs_poly_exact_at_rational_points(rng, s3_fields, s5_fields):
+    for f in (*s3_fields[:2], s5_fields[0]):
+        reference = C.sublaplacian_polynomial(_reference_grad_h_sq(f), f.n)
+        for q in _rational_points(rng, f.n, 3):
+            assert sum(x * x for x in q) == 1
+            assert f.bochner_lhs_poly.evaluate_exact(q) == reference.evaluate_exact(q)
+
+
+@settings(max_examples=25, deadline=None)
+@given(_integer_polys(1), st.integers(0, 2**32 - 1))
+def test_bochner_lhs_poly_exact_non_homogeneous(f, seed):
+    reference = C.sublaplacian_polynomial(_reference_grad_h_sq(f), 1)
+    for q in _rational_points(np.random.default_rng(seed), 1, 2):
+        assert f.bochner_lhs_poly.evaluate_exact(q) == reference.evaluate_exact(q)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pi_h_deriv_matches_symbolic_horizontal_gradient(n, rng):
+    for f in field_pool(np.random.default_rng(30 + n), n, 2):
+        g = f.grad_h_field
+        for _ in range(2):
+            p = random_point(rng, n)
+            q = p.coords
+            grad, hess = C._grad_hess(f, q)
+            for u in (times_i(q), random_tangent(rng, p).vec):
+                val, dval = C._pi_h_deriv(q, u, grad, hess @ u)
+                assert_allclose(val, g.at(q), rtol=0, atol=1e-12)
+                assert_allclose(dval, g.jacobian_at(q) @ u, rtol=0, atol=1e-12)
+
+
+def test_symbolic_and_pointwise_routes_stay_apart(monkeypatch, rng, s3_fields):
+    def forbidden(*args):
+        raise AssertionError("route crossed")
+
+    f, g = s3_fields[0], C.ScalarField(s3_fields[1].poly, 1)
+    p = random_point(rng, 1)
+    x, y = random_horizontal(rng, p).vec, random_horizontal(rng, p).vec
+    # the pointwise routes read neither exact Bochner polynomial
+    monkeypatch.setattr(C.ScalarField, "grad_h_sq_poly", property(forbidden))
+    monkeypatch.setattr(C.ScalarField, "bochner_lhs_poly", property(forbidden))
+    C.tw_hessian(f, p)
+    C.sublaplacian_frame(f, p)
+    C.operator_l_parts(f, p)
+    C.third_commutation_residual(f, p, x, y)
+    monkeypatch.undo()
+    # and the exact left side reads no pointwise helper (g has no caches yet)
+    for name in ("_grad_hess", "_pi_h_vec", "_pi_h_deriv", "_hessian_form_at"):
+        monkeypatch.setattr(C, name, forbidden)
+    assert not g.bochner_lhs_poly.is_zero()
 
 
 def test_third_commutation_antisymmetric_slot(rng, s3_fields):

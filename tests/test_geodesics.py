@@ -1,4 +1,5 @@
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from crsphere.sphere import (
     random_point,
     times_i,
 )
+from crsphere.suites import Config, run_suite
 
 E1 = SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]), 1)
 
@@ -344,6 +346,17 @@ def test_reach_set_is_degenerate_critical_circle(a, b):
         assert abs(s.f_value + alpha) < 1e-9
         assert s.grad_norm < 1e-9
         assert abs(s.hess_tt) < 1e-9
+
+
+@pytest.mark.parametrize("a", [-1.5, -1.0, -0.3, 0.0, 0.3, 1.0, 1.5])
+def test_s3_suite_at_small_b(a):
+    # alpha - a (a > 0) and alpha + a (a < 0) cancel as b -> 0.  At a > 0
+    # with |b| <= 1e-9 the reach-set residual still scales x1's rounding
+    # by c = b / (alpha - a) and fails; every other config passes.
+    for b in (1e-12, -1e-9, 1e-6, -1e-3, 0.25, -1.5):
+        report = run_suite(Config(suite="s3", a=a, b=b))
+        assert all(math.isfinite(c.residual) for c in report.checks)
+        assert report.passed or (a > 0 and abs(b) <= 1e-9)
 
 
 def test_reach_set_zero_a_matches_displayed_circle():

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from crsphere.sphere import (
+    TYPE_TOL,
     HorizontalFrame,
     SpherePoint,
     TangentVector,
@@ -210,6 +213,37 @@ def test_frame_orthonormal_and_paired(rng):
             assert_allclose(mat @ mat.T, np.eye(2 * n), atol=1e-10)
             for a in range(n):
                 assert_allclose(times_i(mat[a]), mat[a + n], atol=1e-10)
+
+
+def _near_axis(n, k, sign, eps, seed):
+    v = np.zeros(2 * n + 2)
+    v[k] = sign
+    v = v + eps * np.random.default_rng(seed).standard_normal(v.size)
+    return SpherePoint(v / np.linalg.norm(v), n)
+
+
+def _assert_frame_typed(p):
+    mat = horizontal_frame(p).matrix()  # constructor enforces the invariants
+    assert np.max(np.abs(mat @ p.coords)) <= TYPE_TOL
+    assert np.max(np.abs(mat @ p.reeb_coords())) <= TYPE_TOL
+
+
+def test_frame_near_first_axis_of_s3():
+    # each of these raised "vector is not tangent" with a 1e-8 seed cut
+    for seed in range(5):
+        _assert_frame_typed(_near_axis(1, 0, 1.0, 1e-3, seed))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(0, 7),
+    st.sampled_from([1.0, -1.0]),
+    st.one_of(st.just(0.0), st.floats(-12.0, -1.5).map(lambda e: 10.0**e)),
+    st.integers(0, 2**32 - 1),
+)
+def test_frame_near_every_coordinate_axis(n, k, sign, eps, seed):
+    _assert_frame_typed(_near_axis(n, k % (2 * n + 2), sign, eps, seed))
 
 
 def test_frame_deterministic(rng):
