@@ -14,7 +14,8 @@ and the canonical horizontal extensions are differentiated by the
 product rule, in floats, at that point.  Either way the residuals of
 the identities verified here are limited only by the floating-point
 budget of the final evaluation.  Finite differences appear solely as
-independent oracles in the test suite.
+independent oracles in the test suite; this holds for the whole
+library, the Hamilton-Jacobi field of `geodesics` included.
 
 The adapted connection used throughout is
 

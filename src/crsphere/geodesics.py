@@ -8,8 +8,13 @@ Two independent integrations of the same curves:
     position renormalized to the sphere each step;
 
   * the Hamilton-Jacobi system of H(x, xi) = (1/2) g^ij(x) xi_i xi_j in
-    stereographic charts, with the cometric obtained analytically from
-    the conformal chart Jacobian and the horizontal projector.
+    stereographic charts.  The cometric is the pushforward of the
+    horizontal projector, g = (D^2/4) I - (D^4/16) m m^T with
+    D = |u|^2 + 1 and m = J^T(iq), so H and both of its gradients have
+    closed forms.  The flow applies them matrix-free, through the
+    products J x and J^T w, and never builds g or J; `Chart.cometric`,
+    `Chart.jacobian` and `hamiltonian` keep the matrix form as the
+    oracle the tests compare against.
 
 On the spheres the multiplier b is constant along a geodesic, and a
 curve solves the connection equation with parameter b exactly when its
@@ -26,7 +31,9 @@ oracle for the integrators.
 
 from __future__ import annotations
 
+import cmath
 import csv
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -206,9 +213,8 @@ def closed_form_geodesic(x0, v, b, s):
     q = x0.coords if isinstance(x0, SpherePoint) else np.asarray(x0, dtype=float)
     vec = v.vec if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    half = q.size // 2
-    z0 = q[:half] + 1j * q[half:]
-    w0 = vec[:half] + 1j * vec[half:]
+    z0 = _complex(q)
+    w0 = _complex(vec)
     root = np.sqrt(1.0 + b * b)
     w1 = root - b
     w2 = root + b
@@ -283,6 +289,21 @@ class Chart:
         jac += (4.0 / (d * d)) * np.outer(pm, u)
         return jac
 
+    def push(self, u, x):
+        """J x without building J: ((2/D) x - (4/D^2) u (u.x), s (4/D^2) u.x)."""
+        d = float(u @ u) + 1.0
+        ux = float(u @ x)
+        out = np.empty(self.m)
+        out[:-1] = (2.0 / d) * x - (4.0 * ux / (d * d)) * u
+        out[-1] = self.sign * 4.0 * ux / (d * d)
+        return out
+
+    def pull(self, u, w):
+        """J^T w without building J: (2/D) w' + (4/D^2) u (s w_last - u.w')."""
+        d = float(u @ u) + 1.0
+        wp = w[:-1]
+        return (2.0 / d) * wp + (4.0 * (self.sign * w[-1] - float(u @ wp)) / (d * d)) * u
+
     def cometric(self, u):
         """g^ij(u) = (D^2/4) I - (D^4/16) m m^T with m_i = <dq/du_i, iq>.
 
@@ -321,7 +342,7 @@ def cotangent_lift(p, v, reeb_component=1.0):
     """Covector with xi(X) = g(v, X) on H and xi(T) = reeb_component.
 
     The ambient representative is v + reeb_component * i p; pairing it
-    with the chart Jacobian gives the chart covector.
+    with the chart Jacobian, J^T m, gives the chart covector.
     """
     vec = v.vec if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
     q = p.coords
@@ -330,8 +351,7 @@ def cotangent_lift(p, v, reeb_component=1.0):
     cid = 0 if charts[0].height(q) <= 0.0 else 1
     chart = charts[cid]
     u = chart.to_coords(q)
-    xi = chart.jacobian(u).T @ m_amb
-    return CotangentState(u, xi, cid, p.n)
+    return CotangentState(u, chart.pull(u, m_amb), cid, p.n)
 
 
 def hamiltonian(state):
@@ -340,26 +360,60 @@ def hamiltonian(state):
     return 0.5 * float(state.xi @ g @ state.xi)
 
 
-def _hj_rhs(chart, u, xi, fd_step):
-    g = chart.cometric(u)
-    du = g @ xi
-    dxi = np.empty_like(xi)
-    for k in range(u.size):
-        shift = np.zeros_like(u)
-        shift[k] = fd_step
-        hp = 0.5 * float(xi @ chart.cometric(u + shift) @ xi)
-        hm = 0.5 * float(xi @ chart.cometric(u - shift) @ xi)
-        dxi[k] = -(hp - hm) / (2.0 * fd_step)
+def _cometric_apply(chart, u, xi):
+    """g(u) xi = (D^2/4) xi - (D^4/16) c m without building g.
+
+    m = J^T(iq) and c = m.xi; returns g xi with D, iq and c.
+    """
+    d = float(u @ u) + 1.0
+    w = times_i(chart.from_coords(u))
+    m = chart.pull(u, w)
+    c = float(m @ xi)
+    return (0.25 * d * d) * xi - (d**4 / 16.0 * c) * m, d, w, c
+
+
+def _hj_rhs(chart, u, xi):
+    """(dH/dxi, -dH/du) for H = (1/2)[(D^2/4)|xi|^2 - (D^4/16) c^2].
+
+    With dD/du = 2u, dH/du = (1/2)[D|xi|^2 u - (1/2) D^3 c^2 u
+    - (D^4/8) c grad c].  Since c = (J xi).(iq), its gradient is
+    Hess_u(q.w)|_(w = iq) xi - J^T(i J xi), where q.w = s w_last
+    + 2a/D with a = u.w' - s w_last for a fixed w.
+    """
+    du, d, w, c = _cometric_apply(chart, u, xi)
+    wp = w[:-1]
+    a = float(u @ wp) - chart.sign * w[-1]
+    uxi = float(u @ xi)
+    hess_xi = (-4.0 / (d * d)) * (uxi * wp + float(wp @ xi) * u + a * xi) + (
+        16.0 * a * uxi / d**3
+    ) * u
+    grad_c = hess_xi - chart.pull(u, times_i(chart.push(u, xi)))
+    dxi = -0.5 * (
+        (d * float(xi @ xi) - 0.5 * d**3 * c * c) * u - (d**4 / 8.0 * c) * grad_c
+    )
     return du, dxi
 
 
-def integrate_hj_geodesic(init, t_max, step, fd_step=1e-5):
+def _hand_off(old, new, u, xi):
+    """Carry a chart state (u, xi) from chart `old` to chart `new`.
+
+    J^T J = (4/D^2) I, so the ambient covector J (J^T J)^-1 xi is
+    J (D^2/4) xi, which the new chart pulls back.
+    """
+    d = float(u @ u) + 1.0
+    m_amb = old.push(u, (0.25 * d * d) * xi)
+    u_new = new.to_coords(old.from_coords(u))
+    return u_new, new.pull(u_new, m_amb)
+
+
+def integrate_hj_geodesic(init, t_max, step):
     """Fixed-step RK4 for the Hamilton-Jacobi system in charts.
 
-    The derivative of the cometric is taken by central differences of
-    the Hamiltonian in the chart coordinates.  Chart exits are events:
-    when the curve climbs toward the active pole the state is handed to
-    the antipodal chart and integration continues.
+    The Hamiltonian field is the closed form of `_hj_rhs`, applied
+    through the Jacobian products `Chart.push` and `Chart.pull`; the
+    recorded velocity is J dH/dxi.  Chart exits are events: when the
+    curve climbs toward the active pole the state is handed to the
+    antipodal chart and integration continues.
     """
     steps = _step_schedule(t_max, step)
     charts = _charts(init.n)
@@ -374,37 +428,27 @@ def integrate_hj_geodesic(init, t_max, step, fd_step=1e-5):
 
     def record(i, t):
         chart = charts[cid]
-        q = chart.from_coords(u)
-        jac = chart.jacobian(u)
         svals[i] = t
-        points[i] = q
-        vels[i] = jac @ (chart.cometric(u) @ xi)
+        points[i] = chart.from_coords(u)
+        vels[i] = chart.push(u, _cometric_apply(chart, u, xi)[0])
 
     record(0, 0.0)
     t = 0.0
     for i, h in enumerate(steps, start=1):
         chart = charts[cid]
-        k1u, k1x = _hj_rhs(chart, u, xi, fd_step)
-        k2u, k2x = _hj_rhs(chart, u + 0.5 * h * k1u, xi + 0.5 * h * k1x, fd_step)
-        k3u, k3x = _hj_rhs(chart, u + 0.5 * h * k2u, xi + 0.5 * h * k2x, fd_step)
-        k4u, k4x = _hj_rhs(chart, u + h * k3u, xi + h * k3x, fd_step)
+        k1u, k1x = _hj_rhs(chart, u, xi)
+        k2u, k2x = _hj_rhs(chart, u + 0.5 * h * k1u, xi + 0.5 * h * k1x)
+        k3u, k3x = _hj_rhs(chart, u + 0.5 * h * k2u, xi + 0.5 * h * k2x)
+        k4u, k4x = _hj_rhs(chart, u + h * k3u, xi + h * k3x)
         u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
         xi = xi + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
         t += h
         record(i, t)
-        q = charts[cid].from_coords(u)
-        if charts[cid].height(q) > Chart.HANDOFF_HEIGHT:
-            # Hand the state to the antipodal chart.
-            old = charts[cid]
-            m_amb = old.jacobian(u) @ np.linalg.solve(
-                old.jacobian(u).T @ old.jacobian(u), xi
-            )
+        if chart.height(points[i]) > Chart.HANDOFF_HEIGHT:
             new_cid = 1 - cid
-            new = charts[new_cid]
-            u_new = new.to_coords(q)
-            xi_new = new.jacobian(u_new).T @ m_amb
+            u, xi = _hand_off(chart, charts[new_cid], u, xi)
             events.append({"t": t, "from_chart": cid, "to_chart": new_cid})
-            cid, u, xi = new_cid, u_new, xi_new
+            cid = new_cid
     trace = GeodesicTrace(
         svals, points, vels, np.full(len(steps) + 1, np.nan), events=events
     )
@@ -460,6 +504,12 @@ def _direction_grid(p, budget):
     return coeffs @ mat
 
 
+def _complex(vec):
+    """(x, y) in R^(2n+2) as x + iy in C^(n+1)."""
+    half = vec.size // 2
+    return vec[:half] + 1j * vec[half:]
+
+
 def _unit_horizontal(p, w):
     q = p.coords
     t = times_i(q)
@@ -506,11 +556,23 @@ def cc_distance(x, y, budget=None):
         if not any(entry is kept for kept in shortlist):
             shortlist.append(entry)
 
+    # The objective is closed_form_geodesic at one time, written with
+    # complex scalars on C^(n+1):
+    # z(t) = (e^(i w1 t)(w2 z0 - i w) + e^(-i w2 t)(w1 z0 + i w)) / (w1 + w2).
+    z0, zy = _complex(qx), _complex(qy)
+
     def endpoint_gap(params, v0, w0):
         phi, b, t = params
-        v = np.cos(phi) * v0 + np.sin(phi) * w0
-        pts, _ = closed_form_geodesic(x, v, b, [abs(t)])
-        return float(np.linalg.norm(pts[0] - qy))
+        w = math.cos(phi) * v0 + math.sin(phi) * w0
+        root = math.sqrt(1.0 + b * b)
+        w1, w2 = root - b, root + b
+        t = abs(t)
+        z = (
+            cmath.exp(1j * w1 * t) * (w2 * z0 - 1j * w)
+            + cmath.exp(-1j * w2 * t) * (w1 * z0 + 1j * w)
+        ) / (w1 + w2)
+        gap = z - zy
+        return math.sqrt(np.vdot(gap, gap).real)
 
     hits = []
     misses = []
@@ -519,7 +581,7 @@ def cc_distance(x, y, budget=None):
         res = optimize.minimize(
             endpoint_gap,
             np.array([0.0, b0, t0]),
-            args=(v0, w0),
+            args=(_complex(v0), _complex(w0)),
             method="Nelder-Mead",
             options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": budget.refine_maxiter},
         )
@@ -651,16 +713,24 @@ def _set_residual(pt, a, b):
 
     Interleaved reading: tuple slots are (x1, y1, x2, y2); literal
     reading: slots follow the storage layout (x1, x2, y1, y2).
+
+    A plane residual |w + c u| is divided by max(1, |c|).  That keeps it
+    at least the Euclidean distance |w + c u| / sqrt(1 + c^2) to the
+    plane, leaves it as it is for |c| <= 1, and stops a large c (a > 0,
+    b -> 0) from scaling the rounding of u past the tolerance.
     """
     alpha, minus, _ = _alpha_parts(a, b)
     c = b / minus
+    scale = max(1.0, abs(c))
     radius_sq = minus / (2.0 * alpha)
     x1, x2, y1, y2 = pt
     interleaved = max(
-        abs(x2 + c * x1), abs(y2 + c * y1), abs(x1 * x1 + y1 * y1 - radius_sq)
+        abs(x2 + c * x1) / scale, abs(y2 + c * y1) / scale,
+        abs(x1 * x1 + y1 * y1 - radius_sq),
     )
     literal = max(
-        abs(y1 + c * x1), abs(y2 + c * x2), abs(x1 * x1 + x2 * x2 - radius_sq)
+        abs(y1 + c * x1) / scale, abs(y2 + c * x2) / scale,
+        abs(x1 * x1 + x2 * x2 - radius_sq),
     )
     if interleaved <= literal:
         return interleaved, "interleaved"
