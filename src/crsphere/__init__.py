@@ -14,7 +14,6 @@ call concurrently.
 __version__ = "0.1.0"
 
 from .polynomials import (  # noqa: F401
-    HomogeneousPolynomial,
     Polynomial,
     SubspaceBasis,
     dim_homogeneous,

@@ -22,11 +22,11 @@ EQUALITY_TOL = 1e-12
 BOUND_SLACK = 1e-9
 
 
-def estimate_k_samples(n, num_samples=200, seed=0, torsion=None):
+def estimate_k_samples(n, num_samples=200, seed=0):
     """Samples of rho(X,X) + 2 A(X,JX) over random unit horizontal X.
 
-    `torsion` is the quadratic form A(X, JX); the spheres have none, so
-    the default contributes zero.
+    The spheres have no pseudohermitian torsion A, so each sample is
+    the Ricci form rho(X,X) alone.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
@@ -35,20 +35,17 @@ def estimate_k_samples(n, num_samples=200, seed=0, torsion=None):
     for i in range(num_samples):
         p = random_point(rng, n)
         x = random_horizontal(rng, p)
-        v = ricci(p, x)
-        if torsion is not None:
-            v += 2.0 * torsion(p, x)
-        vals[i] = v
+        vals[i] = ricci(p, x)
     return vals
 
 
-def estimate_k(n, num_samples=200, seed=0, torsion=None):
+def estimate_k(n, num_samples=200, seed=0):
     """Minimum of the sampled curvature quadratic form.
 
     On the spheres the form is the constant 2(n+1) on unit vectors, so
     the sampled minimum is exact up to rounding.
     """
-    return float(np.min(estimate_k_samples(n, num_samples, seed, torsion)))
+    return float(np.min(estimate_k_samples(n, num_samples, seed)))
 
 
 def lichnerowicz_bound(n, k):

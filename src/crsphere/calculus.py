@@ -315,6 +315,7 @@ def sublaplacian_greenleaf(f, p):
 
 
 def _pi_h_vec(q, v):
+    """pi_H v at q; also the value at q of the horizontal extension seeded by v."""
     t = times_i(q)
     return v - (q @ v) * q - (t @ v) * t
 
@@ -350,12 +351,6 @@ def _cov_deriv_pointwise(q, u, y, dy):
         - float(t @ u) * _big_j(q, y)
         - float(t @ y) * _big_j(q, u)
     )
-
-
-def _ext_value(q, v):
-    """Value at q of the canonical horizontal extension seeded by v."""
-    t = times_i(q)
-    return v - float(v @ q) * q - float(v @ t) * t
 
 
 def _ext_deriv(q, u, v):
@@ -552,7 +547,7 @@ def _sublaplacian_frame_at(p, grad, hess):
         x = X.vec
         dx = _ext_deriv(q, x, x)
         second = float(x @ hess @ x) + float(dx @ grad)
-        drift = _cov_deriv_pointwise(q, x, _ext_value(q, x), dx)
+        drift = _cov_deriv_pointwise(q, x, _pi_h_vec(q, x), dx)
         total += second - float(drift @ grad)
     return total
 
@@ -571,7 +566,7 @@ def connection_axiom_residuals(p, x, y, z):
     y = getattr(y, "vec", y)
     z = getattr(z, "vec", z)
     t = times_i(q)
-    y_at, z_at = _ext_value(q, y), _ext_value(q, z)
+    y_at, z_at = _pi_h_vec(q, y), _pi_h_vec(q, z)
     dy, dz = _ext_deriv(q, x, y), _ext_deriv(q, x, z)
     nabla_x_y = _cov_deriv_pointwise(q, x, y_at, dy)
     nabla_x_z = _cov_deriv_pointwise(q, x, z_at, dz)
@@ -580,10 +575,10 @@ def connection_axiom_residuals(p, x, y, z):
     metric = abs(lhs - rhs)
 
     iy = times_i(y)
-    nabla_x_jy = _cov_deriv_pointwise(q, x, _ext_value(q, iy), _ext_deriv(q, x, iy))
+    nabla_x_jy = _cov_deriv_pointwise(q, x, _pi_h_vec(q, iy), _ext_deriv(q, x, iy))
     j_parallel = float(np.max(np.abs(nabla_x_jy - _big_j(q, nabla_x_y))))
 
-    nabla_y_x = _cov_deriv_pointwise(q, y, _ext_value(q, x), _ext_deriv(q, y, x))
+    nabla_y_x = _cov_deriv_pointwise(q, y, _pi_h_vec(q, x), _ext_deriv(q, y, x))
     bracket = _ext_deriv(q, x, y) - _ext_deriv(q, y, x)
     torsion = nabla_x_y - nabla_y_x - bracket
     purity = float(np.max(np.abs(torsion + 2.0 * _omega_vec(q, x, y) * t)))
@@ -786,7 +781,7 @@ def third_commutation_residual(f, p, X, Y):
     t = times_i(q)
 
     def third_order(u, v):
-        v_at, dv = _ext_value(q, v), _ext_deriv(q, u, v)
+        v_at, dv = _pi_h_vec(q, v), _ext_deriv(q, u, v)
         leading = _hessian_form_derivative(q, u, t, times_i(u), v_at, dv, grad, hess, third @ u)
         nabla_u_t = _cov_deriv_pointwise(q, u, t, times_i(u))
         nabla_u_v = _cov_deriv_pointwise(q, u, v_at, dv)

@@ -136,23 +136,21 @@ def great_circle(x0, v, s):
     return SpherePoint(out / np.linalg.norm(out), x0.n)
 
 
-def _connection_rhs(q, v, b, torsion):
+def _connection_rhs(q, v, b):
     t = times_i(q)
     vh = v - (q @ v) * q - (t @ v) * t
     theta_v = float(t @ v)
     acc = -(v @ v) * q + (2.0 * theta_v - 2.0 * b) * times_i(vh)
-    db = torsion(q, v) if torsion is not None else 0.0
-    return v, acc, db
+    return v, acc
 
 
-def integrate_connection_geodesic(init, s_max, step, torsion=None):
+def integrate_connection_geodesic(init, s_max, step):
     """Fixed-step RK4 for the connection geodesic ODE.
 
     The position is renormalized to the sphere after every step (the
     correction is far below the integrator error).  The multiplier
-    evolves by b' = A(gamma', gamma'); `torsion` supplies that
-    quadratic form, and every sphere model leaves it at its default of
-    zero, freezing b along the flow.
+    evolves by b' = A(gamma', gamma'), and the spheres have no
+    pseudohermitian torsion A, so b stays constant along the flow.
     """
     steps = _step_schedule(s_max, step)
     q = init.x.coords.copy()
@@ -161,31 +159,23 @@ def integrate_connection_geodesic(init, s_max, step, torsion=None):
     svals = np.empty(len(steps) + 1)
     points = np.empty((len(steps) + 1, q.size))
     vels = np.empty((len(steps) + 1, q.size))
-    bvals = np.empty(len(steps) + 1)
     svals[0] = 0.0
     points[0] = q
     vels[0] = v
-    bvals[0] = b
     s = 0.0
     for i, h in enumerate(steps, start=1):
-        k1q, k1v, k1b = _connection_rhs(q, v, b, torsion)
-        k2q, k2v, k2b = _connection_rhs(
-            q + 0.5 * h * k1q, v + 0.5 * h * k1v, b + 0.5 * h * k1b, torsion
-        )
-        k3q, k3v, k3b = _connection_rhs(
-            q + 0.5 * h * k2q, v + 0.5 * h * k2v, b + 0.5 * h * k2b, torsion
-        )
-        k4q, k4v, k4b = _connection_rhs(q + h * k3q, v + h * k3v, b + h * k3b, torsion)
+        k1q, k1v = _connection_rhs(q, v, b)
+        k2q, k2v = _connection_rhs(q + 0.5 * h * k1q, v + 0.5 * h * k1v, b)
+        k3q, k3v = _connection_rhs(q + 0.5 * h * k2q, v + 0.5 * h * k2v, b)
+        k4q, k4v = _connection_rhs(q + h * k3q, v + h * k3v, b)
         q = q + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
         v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        b = b + (h / 6.0) * (k1b + 2 * k2b + 2 * k3b + k4b)
         q = q / np.linalg.norm(q)
         s += h
         svals[i] = s
         points[i] = q
         vels[i] = v
-        bvals[i] = b
-    return GeodesicTrace(svals, points, vels, bvals)
+    return GeodesicTrace(svals, points, vels, np.full(len(steps) + 1, b))
 
 
 def _step_schedule(s_max, step):

@@ -84,10 +84,6 @@ class Polynomial:
     # ---- constructors -------------------------------------------------
 
     @classmethod
-    def zero(cls, num_vars):
-        return cls(num_vars)
-
-    @classmethod
     def constant(cls, num_vars, c):
         return cls(num_vars, {(0,) * num_vars: c})
 
@@ -253,35 +249,6 @@ class Polynomial:
         return total
 
 
-class HomogeneousPolynomial(Polynomial):
-    """Polynomial whose terms all share one declared total degree."""
-
-    __slots__ = ("_degree",)
-
-    def __init__(self, num_vars, degree, terms=None):
-        super().__init__(num_vars, terms)
-        degree = int(degree)
-        if degree < 0:
-            raise ValueError("degree must be >= 0")
-        for exps in self.terms:
-            if sum(exps) != degree:
-                raise ValueError(
-                    "term of degree %d in a homogeneous polynomial of degree %d"
-                    % (sum(exps), degree)
-                )
-        self._degree = degree
-
-    @property
-    def degree(self):
-        return self._degree
-
-    @classmethod
-    def _wrap(cls, num_vars, terms, degree):
-        out = super()._wrap(num_vars, terms)
-        out._degree = degree
-        return out
-
-
 def euclidean_laplacian(p):
     """Flat Laplacian; drops the degree by two, exactly.
 
@@ -301,8 +268,6 @@ def euclidean_laplacian(p):
                 terms[key] = s
             else:
                 terms.pop(key, None)
-    if isinstance(p, HomogeneousPolynomial):
-        return HomogeneousPolynomial._wrap(p.num_vars, terms, max(p.degree - 2, 0))
     return Polynomial._wrap(p.num_vars, terms)
 
 
@@ -407,6 +372,17 @@ def _monomial_index(num_vars, degree):
     return mons, {m: i for i, m in enumerate(mons)}
 
 
+def _coefficient_rows(polys, index):
+    """Dense coefficient row of each polynomial over a monomial -> column map."""
+    rows = []
+    for p in polys:
+        row = [Fraction(0)] * len(index)
+        for exps, c in p.terms.items():
+            row[index[exps]] = c
+        rows.append(row)
+    return rows
+
+
 def _full_rank_mod_p(polys, num_vars, degree):
     """True when the coefficient rows are independent modulo a prime p.
 
@@ -426,7 +402,11 @@ def _full_rank_mod_p(polys, num_vars, degree):
 
 @dataclass(frozen=True)
 class SubspaceBasis:
-    """Independent list of homogeneous polynomials of one degree."""
+    """Independent list of homogeneous polynomials of one degree.
+
+    Every term of every element must have total degree `degree`; a
+    polynomial with a term of any other degree is rejected.
+    """
 
     n: int
     degree: int
@@ -437,8 +417,8 @@ class SubspaceBasis:
         for p in self.polys:
             if p.num_vars != num_vars:
                 raise ValueError("basis element in the wrong number of variables")
-            if not p.is_zero() and p.degree != self.degree:
-                raise ValueError("basis element of the wrong degree")
+            if any(sum(exps) != self.degree for exps in p.terms):
+                raise ValueError("basis element with a term of the wrong degree")
         if any(p.is_zero() for p in self.polys):
             raise ValueError("zero polynomial in a basis")
         leading = [p.leading_monomial() for p in self.polys]
@@ -454,36 +434,51 @@ class SubspaceBasis:
     def __len__(self):
         return len(self.polys)
 
-    @property
-    def dimension(self):
-        return len(self.polys)
-
     def coefficient_matrix(self):
         """Rows = basis elements, columns = grlex monomials of the degree."""
         mons, index = _monomial_index(2 * self.n + 2, self.degree)
-        rows = []
-        for p in self.polys:
-            row = [Fraction(0)] * len(mons)
-            for exps, c in p.terms.items():
-                row[index[exps]] = c
-            rows.append(row)
-        return rows, mons
+        return _coefficient_rows(self.polys, index), mons
 
     def contains(self, poly):
         """Exact membership of a polynomial in the span."""
         if poly.is_zero():
             return True
-        if poly.degree != self.degree:
+        _, index = _monomial_index(2 * self.n + 2, self.degree)
+        if any(exps not in index for exps in poly.terms):
             return False
-        rows, mons = self.coefficient_matrix()
-        index = {m: i for i, m in enumerate(mons)}
-        target = [Fraction(0)] * len(mons)
-        for exps, c in poly.terms.items():
-            if exps not in index:
-                return False
-            target[index[exps]] = c
-        rank0 = matrix_rank(rows)
-        return matrix_rank(rows + [target]) == rank0
+        rows = _coefficient_rows(self.polys, index)
+        target = _coefficient_rows([poly], index)
+        return matrix_rank(rows + target) == matrix_rank(rows)
+
+
+def _harmonic_span(block, degree):
+    """Exact basis of the harmonic polynomials inside the span of a block.
+
+    The block is a list of polynomials of one degree.  Each output is
+    the combination of the block given by one null-space vector of the
+    Laplacian images, with its terms in the order the block sums them.
+    """
+    if degree < 2 or not block:
+        return list(block)
+    num_vars = block[0].num_vars
+    _, index = _monomial_index(num_vars, degree - 2)
+    images = _coefficient_rows([euclidean_laplacian(p) for p in block], index)
+    # Row per target monomial, column per block element.
+    rows = list(zip(*images))
+    out = []
+    for combo in null_space(rows, len(block)):
+        terms = {}
+        for coeff, p in zip(combo, block):
+            if not coeff:
+                continue
+            for exps, c in p.terms.items():
+                s = terms.get(exps, 0) + coeff * c
+                if s:
+                    terms[exps] = s
+                else:
+                    terms.pop(exps, None)
+        out.append(Polynomial._wrap(num_vars, terms))
+    return out
 
 
 def harmonic_basis(n, degree):
@@ -493,27 +488,8 @@ def harmonic_basis(n, degree):
     dimension is dim P_degree - dim P_(degree-2).
     """
     num_vars = 2 * n + 2
-    mons = monomial_basis(num_vars, degree)
-    if degree < 2:
-        polys = [HomogeneousPolynomial(num_vars, degree, {m: 1}) for m in mons]
-        return SubspaceBasis(n, degree, tuple(polys))
-    targets = monomial_basis(num_vars, degree - 2)
-    tindex = {m: i for i, m in enumerate(targets)}
-    # Row per target monomial, column per source monomial.
-    cols = []
-    for m in mons:
-        lap = euclidean_laplacian(Polynomial.monomial(num_vars, m))
-        col = [Fraction(0)] * len(targets)
-        for exps, c in lap.terms.items():
-            col[tindex[exps]] = c
-        cols.append(col)
-    rows = [list(r) for r in zip(*cols)]
-    kernel = null_space(rows, len(mons))
-    polys = []
-    for vec in kernel:
-        terms = {m: c for m, c in zip(mons, vec) if c}
-        polys.append(HomogeneousPolynomial(num_vars, degree, terms))
-    return SubspaceBasis(n, degree, tuple(polys))
+    block = [Polynomial.monomial(num_vars, m) for m in monomial_basis(num_vars, degree)]
+    return SubspaceBasis(n, degree, tuple(_harmonic_span(block, degree)))
 
 
 # ----------------------------------------------------------------------

@@ -19,11 +19,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .polynomials import (
-    HomogeneousPolynomial,
     Polynomial,
     SubspaceBasis,
+    _coefficient_rows,
+    _harmonic_span,
+    _monomial_index,
     dim_homogeneous,
-    euclidean_laplacian,
     mat_mul,
     monomial_basis,
     null_space,
@@ -65,26 +66,10 @@ def reeb_derivation_matrix(n, ell):
     monomial r in T0 applied to monomial c.
     """
     num_vars = 2 * n + 2
-    mons = monomial_basis(num_vars, ell)
-    index = {m: i for i, m in enumerate(mons)}
-    cols = []
-    for m in mons:
-        img = t0_apply(Polynomial.monomial(num_vars, m))
-        col = [Fraction(0)] * len(mons)
-        for exps, c in img.terms.items():
-            col[index[exps]] = c
-        cols.append(col)
+    mons, index = _monomial_index(num_vars, ell)
+    cols = _coefficient_rows([t0_apply(Polynomial.monomial(num_vars, m)) for m in mons], index)
     rows = [list(r) for r in zip(*cols)]
     return rows, mons
-
-
-def _polys_from_vectors(n, ell, vectors, mons):
-    num_vars = 2 * n + 2
-    out = []
-    for vec in vectors:
-        terms = {m: c for m, c in zip(mons, vec) if c}
-        out.append(HomogeneousPolynomial(num_vars, ell, terms))
-    return out
 
 
 def kernel_t0sq_shift(n, ell, lam):
@@ -94,8 +79,9 @@ def kernel_t0sq_shift(n, ell, lam):
     sq = mat_mul(rows, rows)
     for i in range(len(sq)):
         sq[i][i] += lam
-    vectors = null_space(sq, len(mons))
-    return SubspaceBasis(n, ell, tuple(_polys_from_vectors(n, ell, vectors, mons)))
+    num_vars = 2 * n + 2
+    polys = (Polynomial(num_vars, dict(zip(mons, vec))) for vec in null_space(sq, len(mons)))
+    return SubspaceBasis(n, ell, tuple(polys))
 
 
 # ----------------------------------------------------------------------
@@ -107,7 +93,7 @@ def _complex_monomial(n, a, b):
     """Real and imaginary parts of z^a zbar^b as exact real polynomials."""
     num_vars = 2 * n + 2
     re = Polynomial.constant(num_vars, 1)
-    im = Polynomial.zero(num_vars)
+    im = Polynomial(num_vars)
     for j in range(n + 1):
         xj = Polynomial.variable(num_vars, j)
         yj = Polynomial.variable(num_vars, n + 1 + j)
@@ -123,32 +109,21 @@ def bigraded_block(n, d_plus, d_minus):
 
     T0^2 acts on the block as -(d+ - d-)^2.  For d+ > d- the block and
     its conjugate are carried jointly by the real and imaginary parts of
-    each monomial; on the diagonal d+ = d- the block is Hermitian.
+    each monomial; on the diagonal d+ = d- the block is Hermitian, so
+    only pairs with b no earlier than a in grlex order are taken.  Zero
+    parts, such as the imaginary part of z^a zbar^a, are dropped.
     """
-    mons_plus = monomial_basis(n + 1, d_plus)
-    mons_minus = monomial_basis(n + 1, d_minus)
-    ell = d_plus + d_minus
-    out = []
-    if d_plus > d_minus:
-        for a in mons_plus:
-            for b in mons_minus:
-                re, im = _complex_monomial(n, a, b)
-                out.append(re)
-                out.append(im)
-    elif d_plus == d_minus:
-        for i, a in enumerate(mons_plus):
-            for j, b in enumerate(mons_minus):
-                if j < i:
-                    continue
-                re, im = _complex_monomial(n, a, b)
-                if j == i:
-                    out.append(re)
-                else:
-                    out.append(re)
-                    out.append(im)
-    else:
+    if d_plus < d_minus:
         raise ValueError("blocks are enumerated with d+ >= d-")
-    return [HomogeneousPolynomial._wrap(p.num_vars, p.terms, ell) for p in out if not p.is_zero()]
+    mons_minus = monomial_basis(n + 1, d_minus)
+    diagonal = d_plus == d_minus
+    out = []
+    for i, a in enumerate(monomial_basis(n + 1, d_plus)):
+        for j, b in enumerate(mons_minus):
+            if diagonal and j < i:
+                continue
+            out.extend(p for p in _complex_monomial(n, a, b) if not p.is_zero())
+    return out
 
 
 def structured_t0sq_kernel(n, ell, lam):
@@ -162,36 +137,6 @@ def structured_t0sq_kernel(n, ell, lam):
         d_minus = j
         d_plus = ell - j
         out.extend(bigraded_block(n, d_plus, d_minus))
-    return out
-
-
-def _harmonic_span(n, ell, block):
-    """Exact basis of the harmonic polynomials inside the span of a block."""
-    if not block:
-        return []
-    num_vars = 2 * n + 2
-    if ell < 2:
-        return list(block)
-    targets = monomial_basis(num_vars, ell - 2)
-    tindex = {m: i for i, m in enumerate(targets)}
-    rows = [[Fraction(0)] * len(block) for _ in targets]
-    for c, p in enumerate(block):
-        for exps, coeff in euclidean_laplacian(p).terms.items():
-            rows[tindex[exps]][c] = coeff
-    combos = null_space(rows, len(block))
-    out = []
-    for combo in combos:
-        terms = {}
-        for coeff, p in zip(combo, block):
-            if not coeff:
-                continue
-            for exps, c in p.terms.items():
-                s = terms.get(exps, 0) + coeff * c
-                if s:
-                    terms[exps] = s
-                else:
-                    terms.pop(exps, None)
-        out.append(HomogeneousPolynomial._wrap(num_vars, terms, ell))
     return out
 
 
@@ -255,7 +200,7 @@ def spectrum_fragment(n, ell):
     entries = []
     for j in range(ell // 2, -1, -1):
         lam = (ell - 2 * j) ** 2
-        harmonic = _harmonic_span(n, ell, structured_t0sq_kernel(n, ell, lam))
+        harmonic = _harmonic_span(structured_t0sq_kernel(n, ell, lam), ell)
         if not harmonic:
             continue
         basis = SubspaceBasis(n, ell, tuple(harmonic))

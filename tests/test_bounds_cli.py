@@ -52,14 +52,6 @@ def test_estimate_k_rejects_empty_sampling():
         estimate_k(1, num_samples=0)
 
 
-def test_estimate_k_torsion_hook():
-    # plugging a nonzero quadratic form shifts the samples; the spheres
-    # themselves contribute nothing
-    k_plain = estimate_k(1, num_samples=20, seed=1)
-    k_shift = estimate_k(1, num_samples=20, seed=1, torsion=lambda p, x: 0.5)
-    assert abs(k_shift - (k_plain + 1.0)) < 1e-12
-
-
 def test_lichnerowicz_bound_values():
     assert lichnerowicz_bound(1, 4) == Fraction(8)
     assert lichnerowicz_bound(2, 6) == Fraction(8)

@@ -548,10 +548,10 @@ def test_hessian_form_derivative_matches_symbolic_biform(n, points, rng, s3_fiel
         ca, cb = (rng.integers(-4, 5, size=2 * n + 2) / 4 for _ in range(2))
         grad, hess = C._grad_hess(f, q)
         third = np.array([[[d.evaluate(q) for d in row] for row in plane] for plane in f.third_polys])
-        e_v = (ext(v, n), C._ext_value(q, v), C._ext_deriv(q, u, v))
+        e_v = (ext(v, n), C._pi_h_vec(q, v), C._ext_deriv(q, u, v))
         pairs = (
             ((C.VectorFieldPoly.reeb(n), times_i(q), times_i(u)), e_v),
-            ((ext(w, n) + const(ca, n), C._ext_value(q, w) + ca, C._ext_deriv(q, u, w)),
+            ((ext(w, n) + const(ca, n), C._pi_h_vec(q, w) + ca, C._ext_deriv(q, u, w)),
              (e_v[0] + const(cb, n), e_v[1] + cb, e_v[2])),
         )
         for (A, a, da), (B, b, db) in pairs:

@@ -108,19 +108,6 @@ def test_integrator_matches_closed_form(rng):
     assert np.max(np.linalg.norm(trace.points - pts, axis=1)) < 1e-6
 
 
-def test_integrator_torsion_hook(rng):
-    # b' = A(v, v): with a synthetic constant form the multiplier grows
-    # linearly; the sphere default leaves it frozen
-    p = random_point(rng, 1)
-    v = random_horizontal(rng, p)
-    trace = G.integrate_connection_geodesic(
-        G.GeodesicState(p, v, 0.2), 1.0, 1e-3, torsion=lambda q, vel: 0.5
-    )
-    assert_allclose(trace.b, 0.2 + 0.5 * trace.s, atol=1e-12)
-    frozen = G.integrate_connection_geodesic(G.GeodesicState(p, v, 0.2), 1.0, 1e-3)
-    assert np.all(frozen.b == 0.2)
-
-
 def test_exp_map(rng):
     p = random_point(rng, 1)
     assert G.exp_map(p, np.zeros(4)) is p

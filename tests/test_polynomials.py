@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from crsphere import polynomials
 from crsphere.polynomials import (
     CERTIFICATE_PRIME,
-    HomogeneousPolynomial,
     Polynomial,
     SubspaceBasis,
     _full_rank_mod_p,
+    _harmonic_span,
     dim_homogeneous,
     euclidean_laplacian,
     harmonic_basis,
@@ -55,9 +55,21 @@ def test_float_coefficients_rejected():
 
 def test_homogeneous_validation():
     with pytest.raises(ValueError):
-        HomogeneousPolynomial(4, 2, {(1, 0, 0, 0): 1})
-    h = HomogeneousPolynomial(4, 2, {(1, 1, 0, 0): 2})
+        SubspaceBasis(1, 2, (Polynomial(4, {(1, 0, 0, 0): 1}),))
+    h = Polynomial(4, {(1, 1, 0, 0): 2})
     assert h.degree == 2
+    assert len(SubspaceBasis(1, 2, (h,))) == 1
+
+
+def test_subspace_basis_rejects_mixed_degrees():
+    # x1^2 + 1 has top degree 2, but its constant term is not of degree 2
+    mixed = var(0) ** 2 + Polynomial.constant(4, 1)
+    assert mixed.degree == 2
+    with pytest.raises(ValueError):
+        SubspaceBasis(1, 2, (mixed,))
+    with pytest.raises(ValueError):
+        SubspaceBasis(1, 2, (var(1) ** 2, mixed))
+    assert not harmonic_basis(1, 2).contains(mixed)
 
 
 def test_monomial_basis_graded_lex():
@@ -75,17 +87,48 @@ def test_laplacian_examples():
 
 
 def test_laplacian_keeps_homogeneous_type():
-    h = HomogeneousPolynomial(4, 3, {(3, 0, 0, 0): 1, (1, 0, 2, 0): 5})
+    h = Polynomial(4, {(3, 0, 0, 0): 1, (1, 0, 2, 0): 5})
     lap = euclidean_laplacian(h)
-    assert isinstance(lap, HomogeneousPolynomial) and lap.degree == 1
+    assert lap.degree == 1
     assert lap.terms == {(1, 0, 0, 0): 16}
-    assert euclidean_laplacian(HomogeneousPolynomial(4, 1, {(1, 0, 0, 0): 1})).degree == 0
+    assert euclidean_laplacian(Polynomial(4, {(1, 0, 0, 0): 1})).is_zero()
 
 
 def test_laplacian_kills_harmonic_basis():
     for ell in (1, 2, 3):
         for h in harmonic_basis(1, ell).polys:
             assert euclidean_laplacian(h).is_zero()
+
+
+def harmonic_basis_reference(n, degree):
+    # The Laplacian null space over the grlex monomials, built directly:
+    # one column per source monomial, one row per target monomial.
+    num_vars = 2 * n + 2
+    mons = monomial_basis(num_vars, degree)
+    if degree < 2:
+        return [Polynomial(num_vars, {m: 1}) for m in mons]
+    targets = monomial_basis(num_vars, degree - 2)
+    tindex = {m: i for i, m in enumerate(targets)}
+    cols = []
+    for m in mons:
+        lap = euclidean_laplacian(Polynomial.monomial(num_vars, m))
+        col = [Fraction(0)] * len(targets)
+        for exps, c in lap.terms.items():
+            col[tindex[exps]] = c
+        cols.append(col)
+    rows = [list(r) for r in zip(*cols)]
+    return [
+        Polynomial(num_vars, {m: c for m, c in zip(mons, vec) if c})
+        for vec in null_space(rows, len(mons))
+    ]
+
+
+@pytest.mark.parametrize("n, top", [(1, 6), (2, 5), (3, 4)])
+def test_harmonic_basis_matches_reference_term_by_term(n, top):
+    for degree in range(top + 1):
+        got = harmonic_basis(n, degree).polys
+        want = harmonic_basis_reference(n, degree)
+        assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in want]
 
 
 def test_harmonic_dimensions_s3():
@@ -205,14 +248,13 @@ def test_null_space_trivial_kernel():
 
 def test_subspace_basis_rejects_dependent_sets():
     x1 = var(0)
-    a = HomogeneousPolynomial(4, 1, x1.terms)
-    b = HomogeneousPolynomial(4, 1, (2 * x1).terms)
+    a, b = x1, 2 * x1
     with pytest.raises(ValueError):
         SubspaceBasis(1, 1, (a, b))
     # leading monomials collide, so the certificate has to decide
-    c = HomogeneousPolynomial(4, 1, {(1, 0, 0, 0): 1, (0, 1, 0, 0): Fraction(1, 3)})
-    d = HomogeneousPolynomial(4, 1, {(1, 0, 0, 0): 1, (0, 0, 1, 0): -1})
-    e = HomogeneousPolynomial(4, 1, (Fraction(2, 7) * c - 5 * d).terms)
+    c = Polynomial(4, {(1, 0, 0, 0): 1, (0, 1, 0, 0): Fraction(1, 3)})
+    d = Polynomial(4, {(1, 0, 0, 0): 1, (0, 0, 1, 0): -1})
+    e = Fraction(2, 7) * c - 5 * d
     SubspaceBasis(1, 1, (c, d))
     with pytest.raises(ValueError):
         SubspaceBasis(1, 1, (c, d, e))
@@ -222,8 +264,8 @@ def test_unlucky_prime_falls_back_to_exact_rank(monkeypatch):
     # Rows (1, 1) and (1, 1 + p): determinant p, independent over Q but
     # not mod p.  Both lead with x1, so the certificate runs.
     p = CERTIFICATE_PRIME
-    a = HomogeneousPolynomial(4, 1, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1})
-    b = HomogeneousPolynomial(4, 1, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1 + p})
+    a = Polynomial(4, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1})
+    b = Polynomial(4, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1 + p})
     assert not _full_rank_mod_p((a, b), 4, 1)
     exact_calls = []
     real_rank = polynomials.matrix_rank
@@ -233,7 +275,7 @@ def test_unlucky_prime_falls_back_to_exact_rank(monkeypatch):
     assert len(SubspaceBasis(1, 1, (a, b))) == 2
     assert len(exact_calls) == 1
     # a certified basis never reaches the exact rank
-    c = HomogeneousPolynomial(4, 1, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 2})
+    c = Polynomial(4, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 2})
     SubspaceBasis(1, 1, (a, c))
     assert len(exact_calls) == 1
 
@@ -242,14 +284,14 @@ def test_certificate_scales_rows_by_their_denominators():
     # (x1, p x2): a row whose only entry is a multiple of p drops mod p
     p = CERTIFICATE_PRIME
     rows = (
-        HomogeneousPolynomial(4, 1, {(1, 0, 0, 0): 1}),
-        HomogeneousPolynomial(4, 1, {(0, 1, 0, 0): p}),
+        Polynomial(4, {(1, 0, 0, 0): 1}),
+        Polynomial(4, {(0, 1, 0, 0): p}),
     )
     assert not _full_rank_mod_p(rows, 4, 1)
     assert len(SubspaceBasis(1, 1, rows)) == 2
-    scaled = HomogeneousPolynomial(4, 1, {(0, 1, 0, 0): Fraction(p, 3)})
+    scaled = Polynomial(4, {(0, 1, 0, 0): Fraction(p, 3)})
     assert not _full_rank_mod_p((rows[0], scaled), 4, 1)
-    thirds = HomogeneousPolynomial(4, 1, {(0, 1, 0, 0): Fraction(1, 3), (1, 0, 0, 0): Fraction(2, 9)})
+    thirds = Polynomial(4, {(0, 1, 0, 0): Fraction(1, 3), (1, 0, 0, 0): Fraction(2, 9)})
     assert _full_rank_mod_p((rows[0], thirds), 4, 1)
 
 
@@ -268,7 +310,7 @@ def test_certificate_verdict_matches_exact_rank(data):
         rows.append([x + c * y for x, y in zip(rows[0], rows[-1])])
     rows = [r for r in rows if any(r)]
     assume(rows)
-    polys = tuple(HomogeneousPolynomial(4, degree, dict(zip(mons, r))) for r in rows)
+    polys = tuple(Polynomial(4, dict(zip(mons, r))) for r in rows)
     independent = matrix_rank(rows) == len(rows)
     assert _full_rank_mod_p(polys, 4, degree) == independent
     if independent:
@@ -283,3 +325,24 @@ def test_subspace_membership():
     member = basis.polys[0] + 3 * basis.polys[1]
     assert basis.contains(member)
     assert not basis.contains(var(0) ** 2)  # not harmonic
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_harmonic_span_of_random_integer_blocks(data):
+    degree = data.draw(st.sampled_from([1, 2, 3]))
+    mons = monomial_basis(4, degree)
+    coeff = st.integers(-3, 3)
+    row = st.lists(coeff, min_size=len(mons), max_size=len(mons))
+    rows = data.draw(st.lists(row, min_size=1, max_size=5))
+    assume(matrix_rank([[Fraction(c) for c in r] for r in rows]) == len(rows))
+    block = [Polynomial(4, dict(zip(mons, r))) for r in rows]
+    span = SubspaceBasis(1, degree, tuple(block))
+    out = _harmonic_span(block, degree)
+    targets = monomial_basis(4, degree - 2)
+    images = [[euclidean_laplacian(p).terms.get(m, 0) for m in targets] for p in block]
+    assert len(out) == len(block) - matrix_rank(images)
+    for h in out:
+        assert euclidean_laplacian(h).is_zero()
+        assert span.contains(h)
+    SubspaceBasis(1, degree, tuple(out))  # the outputs are independent

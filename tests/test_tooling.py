@@ -1,0 +1,35 @@
+"""The benchmark's span tracer names only code that exists."""
+
+import importlib
+import importlib.util
+import types
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("_perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_span_name_resolves():
+    # A span name that names nothing records no spans, so its per-layer
+    # metric silently reads zero; a rename or deletion must show up here.
+    tracing = _load_tracing()
+    names = {s for group in tracing.GROUPS.values() for s in group} | set(tracing.COUNTERS)
+    names |= {"polynomials.Polynomial." + m for m in tracing.POLYNOMIAL_METHODS}
+    for name in sorted(names):
+        module, *path = name.split(".")
+        obj = importlib.import_module("crsphere." + module)
+        for attr in path:
+            assert hasattr(obj, attr), name
+            obj = getattr(obj, attr)
+        if len(path) == 1:
+            # the tracer wraps public functions defined in their own module
+            assert isinstance(obj, types.FunctionType), name
+            assert obj.__module__ == "crsphere." + module, name
+    for module in tracing.MODULES:
+        importlib.import_module("crsphere." + module)
