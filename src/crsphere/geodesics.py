@@ -194,6 +194,22 @@ def _step_schedule(s_max, step):
     return steps
 
 
+def _geodesic_coefficients(z0, w, b):
+    """Frequencies and amplitudes of z(s) = e^(i w1 s) c1 + e^(-i w2 s) c2.
+
+    z0 and w are the start point and unit direction in C^(n+1); w may
+    carry leading axes, and b broadcasts against them.  Returns
+    (w1, w2, c1, c2) with w1 = r - b, w2 = r + b, r = sqrt(1 + b^2).
+    """
+    b = np.asarray(b, dtype=float)
+    root = np.sqrt(1.0 + b * b)
+    w1, w2 = root - b, root + b
+    total = (w1 + w2)[..., None]
+    c1 = (w2[..., None] * z0 - 1j * w) / total
+    c2 = (w1[..., None] * z0 + 1j * w) / total
+    return w1, w2, c1, c2
+
+
 def closed_form_geodesic(x0, v, b, s):
     """Unit-speed connection geodesic in closed form.
 
@@ -203,13 +219,7 @@ def closed_form_geodesic(x0, v, b, s):
     q = x0.coords if isinstance(x0, SpherePoint) else np.asarray(x0, dtype=float)
     vec = v.vec if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    z0 = _complex(q)
-    w0 = _complex(vec)
-    root = np.sqrt(1.0 + b * b)
-    w1 = root - b
-    w2 = root + b
-    c1 = (w2 * z0 - 1j * w0) / (w1 + w2)
-    c2 = (w1 * z0 + 1j * w0) / (w1 + w2)
+    w1, w2, c1, c2 = _geodesic_coefficients(_complex(q), _complex(vec), b)
     e1 = np.exp(1j * w1 * s)[:, None]
     e2 = np.exp(-1j * w2 * s)[:, None]
     z = e1 * c1[None, :] + e2 * c2[None, :]
@@ -458,7 +468,16 @@ def riemannian_distance(x, y):
 
 @dataclass(frozen=True)
 class ShootingBudget:
-    """Grid x refinement budget for the distance estimator."""
+    """Grid x refinement budget for the distance estimator.
+
+    The coarse scan follows num_directions x num_b closed-form geodesics
+    (b evenly spaced in [-b_span, b_span]) at coarse_samples parameter
+    values in (0, t_max].  The refine_candidates closest approaches, plus
+    up to four short near misses, are each refined by one
+    Levenberg-Marquardt solve capped at refine_maxiter residual
+    evaluations; a refined curve hits y when its endpoint gap is at most
+    endpoint_tol.  seed draws the directions when n > 1.
+    """
 
     num_directions: int = 24
     num_b: int = 13
@@ -473,12 +492,20 @@ class ShootingBudget:
 
 @dataclass(eq=False)
 class CCDistanceResult:
+    """A distance estimate with its certificate trace and solver counters.
+
+    evaluations counts the residual evaluations of every refinement and
+    misses the refined candidates whose gap stayed above endpoint_tol.
+    """
+
     estimate: float
     converged: bool
     endpoint_gap: float
     direction: np.ndarray
     b: float
     trace: GeodesicTrace
+    evaluations: int = 0
+    misses: int = 0
 
 
 def _direction_grid(p, budget):
@@ -507,15 +534,115 @@ def _unit_horizontal(p, w):
     return w / np.linalg.norm(w)
 
 
+def _coarse_scan(qx, qy, dirs, bvals, ts):
+    """Closest sample to qy on every closed-form geodesic of the grid.
+
+    Returns one (t, gap, direction, b) per direction and b, directions
+    outer.  On C^(n+1) the curve is z(t) = e1 c1 + e2 c2 with
+    e1 = e^(i w1 t), e2 = e^(-i w2 t), so
+        |z - zy|^2 = |c1|^2 + |c2|^2 + |zy|^2 + 2 Re(<c1, c2> e1 conj(e2))
+                     - 2 Re(<c1, zy> e1) - 2 Re(<c2, zy> e2).
+    The three Hermitian products are taken for every (direction, b) at
+    once; the exponentials depend only on (b, t), so each b builds them
+    once and weighs their real and imaginary parts into one
+    (direction, t) table.
+    """
+    zy = _complex(qy)
+    w = np.array([_complex(v) for v in dirs])[:, None, :]
+    w1, w2, c1, c2 = _geodesic_coefficients(_complex(qx), w, bvals)
+    c12 = (c1 * c2.conj()).sum(axis=2)
+    c1y, c2y = c1 @ zy.conj(), c2 @ zy.conj()
+    const = (np.abs(c1) ** 2).sum(axis=2) + (np.abs(c2) ** 2).sum(axis=2) + np.vdot(zy, zy).real
+    # Re(p e) = Re p Re e - Im p Im e, in the order of the rows of `basis`.
+    weights = 2.0 * np.stack(
+        [c12.real, -c12.imag, -c1y.real, c1y.imag, -c2y.real, c2y.imag], axis=2
+    )
+    rows = np.arange(len(dirs))
+    best = np.empty((len(dirs), bvals.size), dtype=int)
+    gaps = np.empty((len(dirs), bvals.size))
+    for j in range(bvals.size):
+        e1 = np.exp(1j * w1[j] * ts)
+        e2 = np.exp(-1j * w2[j] * ts)
+        e12 = e1 * e2.conj()
+        basis = np.stack([e12.real, e12.imag, e1.real, e1.imag, e2.real, e2.imag])
+        sq = weights[:, j] @ basis
+        sq += const[:, j, None]
+        best[:, j] = np.argmin(sq, axis=1)
+        gaps[:, j] = np.sqrt(np.maximum(sq[rows, best[:, j]], 0.0))
+    return [
+        (ts[best[d, j]], float(gaps[d, j]), v, float(bvals[j]))
+        for d, v in enumerate(dirs)
+        for j in range(bvals.size)
+    ]
+
+
+def _shot_basis(qx, v0, w0):
+    """Real (2n+2, 6) matrix of k -> k0 z0 + k1 v0 + k2 w0, acting on (Re k, Im k)."""
+    span = np.stack([_complex(qx), _complex(v0), _complex(w0)], axis=1)
+    return np.block([[span.real, -span.imag], [span.imag, span.real]])
+
+
+def _shot_coefficients(params):
+    """The closed form at (phi, b, |t|) and its partials, in the basis (z0, v0, w0).
+
+    With w = cos(phi) v0 + sin(phi) w0, e1 = e^(i w1 |t|),
+    e2 = e^(-i w2 |t|) and S = w1 + w2 = 2r, r = sqrt(1+b^2), the endpoint is
+        z = alpha z0 + beta w,  alpha = (w2 e1 + w1 e2)/S,  beta = i(e2 - e1)/S.
+    Since w1 w2 = 1, d/dt gives alpha_t = i(e1 - e2)/S and
+    beta_t = (w1 e1 + w2 e2)/S, times sign(t); d/dphi turns w into
+    w' = -sin(phi) v0 + cos(phi) w0; and dw1/db = -w1/r, dw2/db = w2/r give
+        alpha_b = (w2 e1 - w1 e2 - i|t|(e1 + e2))/(rS) - alpha b/r^2,
+        beta_b = |t|(w2 e2 - w1 e1)/(rS) - beta b/r^2.
+    Returns the complex (3, 4) matrix whose columns are z, dz/dphi,
+    dz/db and dz/dt.
+    """
+    phi, b, t = params.tolist()
+    cos, sin = math.cos(phi), math.sin(phi)
+    root = math.sqrt(1.0 + b * b)
+    w1, w2 = root - b, root + b
+    total = w1 + w2
+    tau = abs(t)
+    sign = math.copysign(1.0, t)
+    e1 = cmath.exp(1j * w1 * tau)
+    e2 = cmath.exp(-1j * w2 * tau)
+    alpha = (w2 * e1 + w1 * e2) / total
+    beta = 1j * (e2 - e1) / total
+    rs, slope = root * total, b / (root * root)
+    alpha_b = (w2 * e1 - w1 * e2 - 1j * tau * (e1 + e2)) / rs - alpha * slope
+    beta_b = tau * (w2 * e2 - w1 * e1) / rs - beta * slope
+    alpha_t = sign * 1j * (e1 - e2) / total
+    beta_t = sign * (w1 * e1 + w2 * e2) / total
+    return np.array([
+        [alpha, 0.0, alpha_b, alpha_t],
+        [beta * cos, -beta * sin, beta_b * cos, beta_t * cos],
+        [beta * sin, beta * cos, beta_b * sin, beta_t * sin],
+    ])
+
+
+def _endpoint_residual(params, basis, qy):
+    """z(phi, b, |t|) - y in R^(2n+2); `basis` is `_shot_basis(x, v0, w0)`."""
+    c = _shot_coefficients(params)[:, 0]
+    return basis @ np.concatenate([c.real, c.imag]) - qy
+
+
+def _endpoint_jacobian(params, basis, qy):
+    """The analytic (2n+2, 3) Jacobian of `_endpoint_residual`."""
+    c = _shot_coefficients(params)[:, 1:]
+    return basis @ np.concatenate([c.real, c.imag])
+
+
 def cc_distance(x, y, budget=None):
     """Upper bound on the Carnot-Caratheodory distance by shooting.
 
-    Scans unit horizontal directions and multiplier values b at x,
-    follows the closed-form geodesics, and refines the best endpoint
-    matches; the reported estimate is the parameter length of the
-    shortest refined solution that hits y within the endpoint
-    tolerance.  A certificate trace of the winning curve is returned;
-    when nothing converges the best effort is flagged.
+    Scans unit horizontal directions and multiplier values b at x along
+    the closed-form geodesics, then refines the best endpoint matches
+    by Levenberg-Marquardt on the endpoint residual z(phi, b, |t|) - y,
+    with the analytic Jacobian in (phi, b, t) and at most
+    `refine_maxiter` residual evaluations per candidate.  The estimate
+    is the parameter length of the shortest refined solution that hits
+    y within the endpoint tolerance.  A certificate trace of the winning
+    curve is returned; when nothing converges the best effort is
+    flagged.
     """
     budget = budget or ShootingBudget()
     qx, qy = x.coords, (y.coords if isinstance(y, SpherePoint) else np.asarray(y))
@@ -528,14 +655,7 @@ def cc_distance(x, y, budget=None):
     dirs = _direction_grid(x, budget)
     bvals = np.linspace(-budget.b_span, budget.b_span, budget.num_b)
     ts = np.linspace(1e-4, budget.t_max, budget.coarse_samples)
-
-    candidates = []
-    for v in dirs:
-        for b in bvals:
-            pts, _ = closed_form_geodesic(x, v, b, ts)
-            gaps = np.linalg.norm(pts - qy[None, :], axis=1)
-            k = int(np.argmin(gaps))
-            candidates.append((ts[k], float(gaps[k]), v, float(b)))
+    candidates = _coarse_scan(qx, qy, dirs, bvals, ts)
     # Seed the refinement with the closest approaches; add the shortest
     # curves that came reasonably near so short solutions are preferred
     # when several exist.
@@ -546,37 +666,29 @@ def cc_distance(x, y, budget=None):
         if not any(entry is kept for kept in shortlist):
             shortlist.append(entry)
 
-    # The objective is closed_form_geodesic at one time, written with
-    # complex scalars on C^(n+1):
-    # z(t) = (e^(i w1 t)(w2 z0 - i w) + e^(-i w2 t)(w1 z0 + i w)) / (w1 + w2).
-    z0, zy = _complex(qx), _complex(qy)
-
-    def endpoint_gap(params, v0, w0):
-        phi, b, t = params
-        w = math.cos(phi) * v0 + math.sin(phi) * w0
-        root = math.sqrt(1.0 + b * b)
-        w1, w2 = root - b, root + b
-        t = abs(t)
-        z = (
-            cmath.exp(1j * w1 * t) * (w2 * z0 - 1j * w)
-            + cmath.exp(-1j * w2 * t) * (w1 * z0 + 1j * w)
-        ) / (w1 + w2)
-        gap = z - zy
-        return math.sqrt(np.vdot(gap, gap).real)
-
     hits = []
     misses = []
+    evaluations = 0
     for t0, gap0, v0, b0 in shortlist:
         w0 = _unit_horizontal(x, times_i(v0))
-        res = optimize.minimize(
-            endpoint_gap,
+        # x_scale=1: scaling by the Jacobian's column norms lets the phi
+        # and b columns, which vanish like t, take huge steps from the
+        # near candidates that start at t ~ 0, and b runs off to ~1e5.
+        res = optimize.least_squares(
+            _endpoint_residual,
             np.array([0.0, b0, t0]),
-            args=(_complex(v0), _complex(w0)),
-            method="Nelder-Mead",
-            options={"xatol": 1e-12, "fatol": 1e-14, "maxiter": budget.refine_maxiter},
+            jac=_endpoint_jacobian,
+            method="lm",
+            xtol=1e-15,
+            ftol=1e-15,
+            gtol=1e-15,
+            x_scale=1.0,
+            max_nfev=budget.refine_maxiter,
+            args=(_shot_basis(qx, v0, w0), qy),
         )
+        evaluations += res.nfev
         phi, b, t = res.x
-        gap = float(res.fun)
+        gap = float(np.linalg.norm(res.fun))
         v = _unit_horizontal(x, np.cos(phi) * v0 + np.sin(phi) * w0)
         entry = (abs(float(t)), gap, v, float(b))
         (hits if gap <= budget.endpoint_tol else misses).append(entry)
@@ -597,6 +709,8 @@ def cc_distance(x, y, budget=None):
         direction=v,
         b=b,
         trace=trace,
+        evaluations=evaluations,
+        misses=len(misses),
     )
 
 

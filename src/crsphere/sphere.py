@@ -32,7 +32,10 @@ def times_i(v):
     """Ambient multiplication by i: (x, y) -> (-y, x), on the last axis."""
     v = np.asarray(v, dtype=float)
     half = v.shape[-1] // 2
-    return np.concatenate([-v[..., half:], v[..., :half]], axis=-1)
+    out = np.empty_like(v)
+    np.negative(v[..., half:], out=out[..., :half])
+    out[..., half:] = v[..., :half]
+    return out
 
 
 @dataclass(frozen=True, eq=False)

@@ -277,6 +277,112 @@ def test_cc_distance_coincident_points(rng):
     res = G.cc_distance(p, p)
     assert res.estimate == 0.0
     assert res.converged
+    assert res.evaluations == 0 and res.misses == 0
+
+
+@st.composite
+def _shots(draw):
+    n = draw(st.integers(1, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x, y = random_point(rng, n), random_point(rng, n)
+    v0 = random_horizontal(rng, x).vec
+    w0 = G._unit_horizontal(x, times_i(v0))
+    phi = draw(st.floats(0.0, 2 * np.pi, exclude_max=True))
+    b = draw(st.floats(-3.0, 3.0))
+    tau = draw(st.one_of(st.floats(1e-5, 1e-3), st.floats(1e-3, 4.2)))
+    t = draw(st.sampled_from((1.0, -1.0))) * tau
+    return x, y, v0, w0, np.array([phi, b, t])
+
+
+@settings(max_examples=150, deadline=None)
+@given(_shots())
+def test_endpoint_jacobian_matches_central_differences(shot):
+    x, y, v0, w0, params = shot
+    args = (G._shot_basis(x.coords, v0, w0), y.coords)
+    # the residual is the closed form at |t|, minus y
+    phi, b, t = params
+    end, _ = G.closed_form_geodesic(x, np.cos(phi) * v0 + np.sin(phi) * w0, b, abs(t))
+    assert_allclose(G._endpoint_residual(params, *args), end[0] - y.coords, rtol=0, atol=1e-14)
+    h = 1e-6
+    fd = np.stack([
+        (G._endpoint_residual(params + h * e, *args) - G._endpoint_residual(params - h * e, *args))
+        / (2 * h)
+        for e in np.eye(3)
+    ], axis=1)
+    assert_allclose(G._endpoint_jacobian(params, *args), fd, rtol=0, atol=1e-8)
+
+
+def coarse_scan_reference(x, qy, dirs, bvals, ts):
+    """The scan as one closed_form_geodesic call and one norm per curve."""
+    candidates = []
+    for v in dirs:
+        for b in bvals:
+            pts, _ = G.closed_form_geodesic(x, v, b, ts)
+            gaps = np.linalg.norm(pts - qy[None, :], axis=1)
+            k = int(np.argmin(gaps))
+            candidates.append((ts[k], float(gaps[k]), v, float(b)))
+    return candidates
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coarse_scan_matches_per_curve_reference(n, rng):
+    budget = G.ShootingBudget()
+    bvals = np.linspace(-budget.b_span, budget.b_span, budget.num_b)
+    ts = np.linspace(1e-4, budget.t_max, budget.coarse_samples)
+    for _ in range(2):
+        x, y = random_point(rng, n), random_point(rng, n)
+        dirs = G._direction_grid(x, budget)
+        got = G._coarse_scan(x.coords, y.coords, dirs, bvals, ts)
+        want = coarse_scan_reference(x, y.coords, dirs, bvals, ts)
+        assert len(got) == len(want) == budget.num_directions * budget.num_b
+        for (t, gap, v, b), (t_ref, gap_ref, v_ref, b_ref) in zip(got, want):
+            assert t == t_ref
+            assert abs(gap - gap_ref) < 1e-12
+            assert np.array_equal(v, v_ref) and b == b_ref
+
+
+def test_cc_distance_trace_ends_at_y(rng):
+    # Targets behind the first grid direction: y = z(-s) on the curve
+    # (v0, -b_span) that opens the scan, so near candidates refined from
+    # t ~ 0 reach y at negative t, and the trace must be built at the
+    # same |t| as the residual.
+    budget = G.ShootingBudget()
+    cases = []
+    for _ in range(4):
+        x = random_point(rng, 1)
+        v0 = G._direction_grid(x, budget)[0]
+        for s in (0.05, 0.1, 0.2):
+            pts, _ = G.closed_form_geodesic(x, v0, -budget.b_span, -s)
+            cases.append((x, SpherePoint(pts[0], 1)))
+        cases.append((x, random_point(rng, 1)))
+    converged = 0
+    for x, y in cases:
+        res = G.cc_distance(x, y, budget)
+        if res.converged:
+            converged += 1
+            assert np.linalg.norm(res.trace.points[-1] - y.coords) <= budget.endpoint_tol
+            assert res.trace.s[-1] == res.estimate >= 0.0
+    assert converged >= len(cases) - 1
+
+
+def test_cc_distance_counters(monkeypatch, rng):
+    solves = []
+    least_squares = G.optimize.least_squares
+
+    def record(*args, **kwargs):
+        res = least_squares(*args, **kwargs)
+        solves.append((res.nfev, float(np.linalg.norm(res.fun))))
+        return res
+
+    monkeypatch.setattr(G.optimize, "least_squares", record)
+    budget = G.ShootingBudget()
+    for _ in range(3):
+        solves.clear()
+        res = G.cc_distance(random_point(rng, 1), random_point(rng, 1), budget)
+        assert solves
+        assert res.evaluations == sum(nfev for nfev, _ in solves)
+        assert all(nfev <= budget.refine_maxiter for nfev, _ in solves)
+        assert res.misses == sum(gap > budget.endpoint_tol for _, gap in solves)
 
 
 def test_cc_distance_on_great_circle(rng):

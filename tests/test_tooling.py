@@ -1,7 +1,9 @@
-"""The benchmark's span tracer names only code that exists."""
+"""The benchmark's span tracer names only code that exists, and the saved
+benchmark results are whole."""
 
 import importlib
 import importlib.util
+import json
 import types
 from pathlib import Path
 
@@ -33,3 +35,19 @@ def test_every_traced_span_name_resolves():
             assert obj.__module__ == "crsphere." + module, name
     for module in tracing.MODULES:
         importlib.import_module("crsphere." + module)
+
+
+def test_bench_results_are_complete_and_correct():
+    # Every BENCH_*.json holds the last JSON line of perfbench/run.py runs;
+    # a speed claim stands on runs that finished and passed the output gate.
+    paths = sorted(ROOT.glob("BENCH_*.json"))
+    assert paths
+    for path in paths:
+        record = json.loads(path.read_text())
+        for key in ("description", "machine", "runs"):
+            assert key in record, (path.name, key)
+        assert record["runs"], path.name
+        for run in record["runs"]:
+            assert run["returncode"] == 0, (path.name, run)
+            assert run["result"]["correct"] is True, (path.name, run)
+            assert run["result"]["failed"] == 0, (path.name, run)
