@@ -1,10 +1,11 @@
 #!/usr/bin/env python3
-"""Sublaplacian spectrum fragments on S^3 and S^5.
+"""Sublaplacian spectrum fragments on S^3, S^5 and S^7.
 
 Every number printed here is exact: eigenfunctions are harmonic
 polynomials diagonalizing the squared Reeb derivation, and the
 sublaplacian eigenvalue of the block with T0^2 = -lambda on degree-ell
-harmonics is mu = lambda - ell(2n + ell).
+harmonics is mu = lambda - ell(2n + ell).  S^7 is shown up to degree 6,
+where the largest block has 400 complex monomials.
 """
 
 import numpy as np
@@ -12,9 +13,9 @@ import numpy as np
 from crsphere import ScalarField, spectrum_fragment, sublaplacian_greenleaf
 from crsphere.sphere import random_point
 
-for n in (1, 2):
+for n, ell_max in ((1, 3), (2, 3), (3, 6)):
     print(f"\n=== S^{2 * n + 1} (n = {n}) ===")
-    for ell in (1, 2, 3):
+    for ell in range(1, ell_max + 1):
         frag = spectrum_fragment(n, ell)
         print(f"degree {ell}:")
         for entry in frag.entries:

@@ -262,6 +262,11 @@ class ScalarField:
         return grad.pi_h()
 
     @cached_property
+    def j_grad_h_field(self):
+        """J grad_H f as a polynomial field, built once so its partials are reused."""
+        return self.grad_h_field.times_i()
+
+    @cached_property
     def grad_h_sq_poly(self):
         """|grad_H f|^2 as a restriction to the sphere.
 
@@ -659,8 +664,9 @@ def _operator_l_polynomial(f):
     grad = VectorFieldPoly(f.grad_polys, n)
     q = VectorFieldPoly.coordinate_field(n)
     iq = q.times_i()
-    term1 = g.times_i().dot(VectorFieldPoly(f.t0_poly.gradient(), n))
-    w = g.directional_along(VectorFieldPoly.reeb(n)) - g.times_i()
+    jg = f.j_grad_h_field
+    term1 = jg.dot(VectorFieldPoly(f.t0_poly.gradient(), n))
+    w = g.directional_along(VectorFieldPoly.reeb(n)) - jg
     term2 = (
         w.times_i().dot(grad)
         - w.dot(q) * iq.dot(grad)
@@ -723,8 +729,7 @@ def _bochner_residual_at(f, p, grad, hess, block):
 
 def lemma1_residual(f, p):
     """div(J grad_H f) - 2n T(f) at p; the divergence lemma."""
-    v = f.grad_h_field.times_i()
-    return divergence(p, v) - 2.0 * f.n * f.t0_poly.evaluate(p)
+    return divergence(p, f.j_grad_h_field) - 2.0 * f.n * f.t0_poly.evaluate(p)
 
 
 def lemma2_check(f):

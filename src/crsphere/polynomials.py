@@ -314,20 +314,28 @@ CERTIFICATE_PRIME = 2_147_483_647
 
 
 def _rank_mod_p(a):
-    """Rank over GF(CERTIFICATE_PRIME) of an int64 matrix of residues."""
+    """Rank over GF(CERTIFICATE_PRIME) of an int64 matrix of residues.
+
+    Each pivot updates only the rows below it with a nonzero entry in
+    its column, and only from that column on: every other row would
+    subtract zero, and every row below the pivot is already zero to its
+    left.  The elimination is the dense one, entry for entry.
+    """
     p = CERTIFICATE_PRIME
     a = a[:, a.any(axis=0)]
     rank = 0
     for c in range(a.shape[1]):
-        nonzero = np.flatnonzero(a[rank:, c])
+        nonzero = rank + np.flatnonzero(a[rank:, c])
         if not nonzero.size:
             continue
-        pivot = rank + nonzero[0]
+        # The row swapped down into the pivot's place is zero in column c.
+        pivot, below = nonzero[0], nonzero[1:]
         a[[rank, pivot]] = a[[pivot, rank]]
-        a[rank] = a[rank] * pow(int(a[rank, c]), p - 2, p) % p
-        below = a[rank + 1 :]
-        below -= below[:, c : c + 1] * a[rank] % p
-        below %= p
+        a[rank, c:] = a[rank, c:] * pow(int(a[rank, c]), p - 2, p) % p
+        if below.size:
+            block = a[below, c:]
+            block -= block[:, :1] * a[rank, c:] % p
+            a[below, c:] = block % p
         rank += 1
         if rank == a.shape[0]:
             break
@@ -352,6 +360,68 @@ def null_space(rows, ncols):
         for row_idx, pc in enumerate(pivots):
             vec[pc] = -work[row_idx][free]
         basis.append(vec)
+    return basis
+
+
+def _divide_content(row):
+    """Divide a sparse integer row by the gcd of its entries, in place."""
+    g = math.gcd(*row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
+
+
+def _integer_null_space(rows, ncols):
+    """Kernel of a sparse integer matrix by fraction-free Gauss-Jordan.
+
+    Rows are dicts column -> nonzero int.  A pivot row P with entry d in
+    its column c clears that column from every other row R, whose entry
+    there is e, as R <- (d/g) R - (e/g) P with g = gcd(d, e); each row
+    is then divided by the gcd of its entries, so only small ints occur.
+    The pivot columns are those of the rational RREF, so vector k is the
+    positive multiple of `null_space`'s vector k with coprime integer
+    entries: a dict column -> int, positive at its free column.
+    """
+    work = [dict(r) for r in rows if r]
+    for r in work:
+        _divide_content(r)
+    done = []  # (pivot column, row)
+    for c in range(ncols):
+        hits = [i for i, r in enumerate(work) if c in r]
+        if not hits:
+            continue
+        prow = work.pop(min(hits, key=lambda i: len(work[i])))
+        d = prow[c]
+        for r in work + [row for _, row in done]:
+            e = r.get(c)
+            if not e:
+                continue
+            g = math.gcd(d, e)
+            keep, take = d // g, e // g
+            for k in r:
+                r[k] *= keep
+            for k, v in prow.items():
+                s = r.get(k, 0) - take * v
+                if s:
+                    r[k] = s
+                else:
+                    r.pop(k, None)
+            if r:
+                _divide_content(r)
+        work = [r for r in work if r]
+        done.append((c, prow))
+    pivot_cols = {c for c, _ in done}
+    basis = []
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        hits = [(c, r) for c, r in done if free in r]
+        scale = math.lcm(1, *(r[c] for c, r in hits))
+        vec = {free: scale}
+        for c, r in hits:
+            vec[c] = -r[free] * scale // r[c]
+        g = math.gcd(*vec.values())
+        basis.append({k: vec[k] // g for k in sorted(vec)})
     return basis
 
 

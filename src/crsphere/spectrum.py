@@ -1,28 +1,39 @@
 """Reeb rotation on polynomial spaces and sublaplacian spectrum fragments.
 
 The generator T0 = sum_j (x^j d/dy^j - y^j d/dx^j) of the circle action
-acts on homogeneous polynomials.  Writing a complex monomial z^a zbar^b
-(|a| = d+, |b| = d-), T0 multiplies it by i(d+ - d-), so T0^2 acts as
--(d+ - d-)^2 on the bigraded block.  The integer candidates
-lambda = (ell - 2j)^2 therefore exhaust the spectrum of -T0^2 on P_ell,
-and every kernel below is computed exactly over the rationals.
+acts on homogeneous polynomials.  On a complex monomial z^a zbar^b
+(z_j = x_j + i y_j, |a| = p, |b| = q) it multiplies by i(p - q), so
+T0^2 acts as -(p - q)^2 on the bigraded block P_{p,q}.  The integer
+candidates lambda = (ell - 2j)^2 therefore exhaust the spectrum of
+-T0^2 on P_ell.
+
+The flat Laplacian maps P_{p,q} to P_{p-1,q-1} by an integer matrix with
+at most n+1 entries per column, so the harmonics split into the pieces
+H_{p,q} (Folland, Trans. AMS 171, 1972).  `spectrum_fragment` takes the
+integer kernel of that matrix for each (p, q) by fraction-free
+elimination and reads a real basis off its real and imaginary parts;
+everything stays exact.  The real-monomial routes (`kernel_t0sq_shift`
+by brute force, `structured_t0sq_kernel` from real bigraded blocks) are
+kept as independent oracles.
 
 A harmonic eigenvector of T0^2 with T0^2 H = -lambda H restricts to an
 eigenfunction of the sublaplacian with eigenvalue
 mu = lambda - ell (2n + ell), by the difference formula between the
-sphere Laplacian and T^2.
+sphere Laplacian and T^2; for H in H_{p,q} this is -4pq - 2n(p + q).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .polynomials import (
     Polynomial,
     SubspaceBasis,
     _coefficient_rows,
-    _harmonic_span,
+    _integer_null_space,
     _monomial_index,
     dim_homogeneous,
     mat_mul,
@@ -89,19 +100,54 @@ def kernel_t0sq_shift(n, ell, lam):
 # ----------------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _gaussian_factor(a, b):
+    """(x + iy)^a (x - iy)^b as ((k, re, im), ...): re + i im times x^(a+b-k) y^k.
+
+    The binomial expansion is sum_{r,s} C(a,r) C(b,s) i^r (-i)^s, with
+    i^r (-i)^s = i^(r + 3s), collected by the power k = r + s of y.
+    """
+    coeffs = {}
+    for r in range(a + 1):
+        for s in range(b + 1):
+            c = math.comb(a, r) * math.comb(b, s)
+            re, im = ((c, 0), (0, c), (-c, 0), (0, -c))[(r + 3 * s) % 4]
+            old_re, old_im = coeffs.get(r + s, (0, 0))
+            coeffs[r + s] = (old_re + re, old_im + im)
+    return tuple((k, re, im) for k, (re, im) in sorted(coeffs.items()) if re or im)
+
+
+def _complex_monomial_terms(n, a, b):
+    """z^a zbar^b as a dict exponent tuple -> (re, im) integer pair.
+
+    One multinomial expansion: the product over j of the Gaussian-integer
+    factors (x_j + i y_j)^(a_j) (x_j - i y_j)^(b_j).  Distinct j touch
+    distinct variables, so no two products land on the same monomial.
+    """
+    half = n + 1
+    out = {(0,) * (2 * half): (1, 0)}
+    for j in range(half):
+        factor = _gaussian_factor(a[j], b[j])
+        deg = a[j] + b[j]
+        grown = {}
+        for exps, (re, im) in out.items():
+            for k, fre, fim in factor:
+                key = list(exps)
+                key[j] = deg - k
+                key[half + j] = k
+                grown[tuple(key)] = (re * fre - im * fim, re * fim + im * fre)
+        out = grown
+    return out
+
+
 def _complex_monomial(n, a, b):
     """Real and imaginary parts of z^a zbar^b as exact real polynomials."""
+    terms = _complex_monomial_terms(n, a, b).items()
     num_vars = 2 * n + 2
-    re = Polynomial.constant(num_vars, 1)
-    im = Polynomial(num_vars)
-    for j in range(n + 1):
-        xj = Polynomial.variable(num_vars, j)
-        yj = Polynomial.variable(num_vars, n + 1 + j)
-        for _ in range(a[j]):
-            re, im = re * xj - im * yj, re * yj + im * xj
-        for _ in range(b[j]):
-            re, im = re * xj + im * yj, im * xj - re * yj
-    return re, im
+    return tuple(
+        Polynomial._wrap(num_vars, {e: Fraction(z[part]) for e, z in terms if z[part]})
+        for part in (0, 1)
+    )
 
 
 def bigraded_block(n, d_plus, d_minus):
@@ -189,21 +235,68 @@ class SpectrumFragment:
         return None
 
 
+def _bigraded_harmonics(n, p, q):
+    """Real basis of the harmonics in H_{p,q} + H_{q,p}, for p >= q.
+
+    In the basis z^a zbar^b (|a| = p, |b| = q) the flat Laplacian is the
+    integer matrix Delta z^a zbar^b = 4 sum_j a_j b_j z^(a-e_j) zbar^(b-e_j)
+    into the (p-1, q-1) block.  Its coefficients are real, so the real
+    parts Re z^a zbar^b and the imaginary parts map by the same matrix,
+    and an integer kernel vector h gives the harmonics Re h and Im h.
+    For p > q these pairs span the real harmonics of both blocks.  For
+    p = q conjugation swaps z^a zbar^b and z^b zbar^a and commutes with
+    Delta, so the real span splits into the symmetric columns
+    z^a zbar^b + z^b zbar^a = 2 Re z^a zbar^b (a no later than b in grlex
+    order) and the antisymmetric ones i(z^a zbar^b - z^b zbar^a) =
+    -2 Im z^a zbar^b (a strictly earlier); each has its own kernel.
+    Removing e_j from a and b keeps their order, so the image pairs stay
+    in the same half.
+    """
+    mons_p = monomial_basis(n + 1, p)
+    if p > q:
+        groups = [([(a, b) for a in mons_p for b in monomial_basis(n + 1, q)], (0, 1))]
+    else:
+        groups = [
+            ([(a, b) for i, a in enumerate(mons_p) for b in mons_p[i:]], (0,)),
+            ([(a, b) for i, a in enumerate(mons_p) for b in mons_p[i + 1 :]], (1,)),
+        ]
+    num_vars = 2 * n + 2
+    out = []
+    for pairs, parts in groups:
+        rows = {}
+        for col, (a, b) in enumerate(pairs):
+            for j in range(n + 1):
+                if a[j] and b[j]:
+                    image = (a[:j] + (a[j] - 1,) + a[j + 1 :], b[:j] + (b[j] - 1,) + b[j + 1 :])
+                    rows.setdefault(image, {})[col] = 4 * a[j] * b[j]
+        expanded = [_complex_monomial_terms(n, a, b) for a, b in pairs]
+        for vec in _integer_null_space(list(rows.values()), len(pairs)):
+            for part in parts:
+                terms = {}
+                for col, c in vec.items():
+                    for exps, z in expanded[col].items():
+                        if z[part]:
+                            terms[exps] = terms.get(exps, 0) + c * z[part]
+                out.append(
+                    Polynomial._wrap(num_vars, {e: Fraction(v) for e, v in terms.items() if v})
+                )
+    return out
+
+
 def spectrum_fragment(n, ell):
     """All T0^2 eigenvalues on H_ell with exact eigenbases.
 
-    Candidates lambda = (ell - 2j)^2 are tested in ascending order of
-    lambda; no other eigenvalue can occur.
+    The eigenvalue lambda = (p - q)^2 collects H_{p,q} and H_{q,p} with
+    p + q = ell, so no other eigenvalue can occur; entries come in
+    ascending order of lambda.
     """
     if ell < 1:
         raise ValueError("degree must be >= 1")
     entries = []
-    for j in range(ell // 2, -1, -1):
-        lam = (ell - 2 * j) ** 2
-        harmonic = _harmonic_span(structured_t0sq_kernel(n, ell, lam), ell)
-        if not harmonic:
-            continue
-        basis = SubspaceBasis(n, ell, tuple(harmonic))
+    for q in range(ell // 2, -1, -1):
+        p = ell - q
+        lam = (p - q) ** 2
+        basis = SubspaceBasis(n, ell, tuple(_bigraded_harmonics(n, p, q)))
         entries.append(
             SpectrumEntry(
                 t0sq_eigenvalue=lam,

@@ -92,6 +92,31 @@ def test_check_bound_s5_strict():
     assert kernel[0].satisfies and not kernel[0].equality
 
 
+def test_kernel_bound_in_every_degree():
+    # Reeb-kernel harmonics are the pieces H_{p,p} of degree 2p, with
+    # -mu = 4p(p + n) (Folland 1972).  With k = 2(n + 1) the bound
+    # 2nk/(2n - 1) is 4n(n + 1)/(2n - 1), and 4p(p + n) >= 4(n + 1)
+    # >= 4n(n + 1)/(2n - 1), with equality only at n = 1, p = 1.
+    for n in range(1, 9):
+        bound = lichnerowicz_bound(n, 2 * (n + 1))
+        assert bound == Fraction(4 * n * (n + 1), 2 * n - 1)
+        for p in range(1, 60):
+            minus_mu = 4 * p * (p + n)
+            assert minus_mu >= bound
+            assert (minus_mu == bound) == (n == 1 and p == 1)
+    # The closed form agrees with the computed fragments.
+    for n in (1, 2, 3):
+        report = check_bound(n, 6, num_samples=50, seed=0)
+        assert abs(report.bound - 4 * n * (n + 1) / (2 * n - 1)) < 1e-12
+        kernel = report.kernel_entries()
+        assert [e.degree for e in kernel] == [2, 4, 6]
+        for e in kernel:
+            p = e.degree // 2
+            assert -e.sublaplacian_eigenvalue == 4 * p * (p + n)
+            assert e.satisfies
+            assert e.equality == (n == 1 and p == 1)
+
+
 def test_check_bound_degree_cap():
     with pytest.raises(ValueError):
         check_bound(1, 7)

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -12,12 +13,15 @@ from crsphere.polynomials import (
     SubspaceBasis,
     _full_rank_mod_p,
     _harmonic_span,
+    _integer_null_space,
+    _rank_mod_p,
     dim_homogeneous,
     euclidean_laplacian,
     harmonic_basis,
     matrix_rank,
     monomial_basis,
     null_space,
+    rref,
     sphere_integral,
 )
 
@@ -318,6 +322,93 @@ def test_certificate_verdict_matches_exact_rank(data):
     else:
         with pytest.raises(ValueError):
             SubspaceBasis(1, degree, polys)
+
+
+def _rank_mod_p_reference(a):
+    """The dense elimination: every pivot updates every row below it."""
+    p = CERTIFICATE_PRIME
+    a = a[:, a.any(axis=0)]
+    rank = 0
+    for c in range(a.shape[1]):
+        nonzero = np.flatnonzero(a[rank:, c])
+        if not nonzero.size:
+            continue
+        pivot = rank + nonzero[0]
+        a[[rank, pivot]] = a[[pivot, rank]]
+        a[rank] = a[rank] * pow(int(a[rank, c]), p - 2, p) % p
+        below = a[rank + 1 :]
+        below -= below[:, c : c + 1] * a[rank] % p
+        below %= p
+        rank += 1
+        if rank == a.shape[0]:
+            break
+    return rank
+
+
+@st.composite
+def residue_matrices(draw):
+    """Integer rows reduced mod p, with the cases the elimination skips.
+
+    Zero columns, rows that are combinations of earlier rows mod p, and
+    rows that differ from an earlier row by a multiple of p (the same
+    residues) are mixed in.
+    """
+    p = CERTIFICATE_PRIME
+    ncols = draw(st.integers(1, 9))
+    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-3 * p, 3 * p))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=7))
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
+        kind = draw(st.sampled_from(["combination", "shift", "zero_column"]))
+        if kind == "combination":
+            c, d = draw(st.integers(-p, p)), draw(st.integers(-p, p))
+            rows.append([c * x + d * y for x, y in zip(rows[i], rows[j])])
+        elif kind == "shift":
+            rows.append([x + p * draw(st.integers(-2, 2)) for x in rows[i]])
+        else:
+            for r in rows:
+                r[j % ncols] = 0
+    order = draw(st.permutations(range(len(rows))))
+    return np.array([[x % p for x in rows[k]] for k in order], dtype=np.int64)
+
+
+@settings(max_examples=150, deadline=None)
+@given(residue_matrices())
+def test_rank_mod_p_matches_dense_elimination(a):
+    original = a.copy()
+    assert _rank_mod_p(a) == _rank_mod_p_reference(a.copy())
+    assert np.array_equal(a, original)  # the input is left as it was
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    ncols = draw(st.integers(1, 8))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3, 4, 12])
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), max_size=6))
+    if rows and draw(st.booleans()):
+        rows.append([3 * x - 2 * y for x, y in zip(rows[0], rows[-1])])
+    return rows, ncols
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_integer_matrices())
+def test_integer_null_space_matches_rational_null_space(matrix):
+    rows, ncols = matrix
+    sparse = [{c: v for c, v in enumerate(r) if v} for r in rows]
+    got = _integer_null_space(sparse, ncols)
+    exact = [[Fraction(v) for v in r] for r in rows]
+    rational = null_space(exact, ncols)
+    pivots = rref([list(r) for r in exact])
+    free_cols = [c for c in range(ncols) if c not in pivots]
+    assert len(got) == len(rational) == ncols - len(pivots)
+    for vec, ref, free in zip(got, rational, free_cols):
+        assert all(type(v) is int and v for v in vec.values())
+        assert all(sum(r.get(c, 0) * v for c, v in vec.items()) == 0 for r in sparse)
+        assert math.gcd(*vec.values()) == 1
+        dense = [vec.get(c, 0) for c in range(ncols)]
+        assert dense[free] > 0
+        # null_space's vector, rescaled: so the two bases span the same space
+        assert [dense[free] * v for v in ref] == dense
 
 
 def test_subspace_membership():

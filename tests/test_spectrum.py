@@ -8,14 +8,19 @@ from hypothesis import strategies as st
 from crsphere.calculus import ScalarField, sublaplacian_greenleaf
 from crsphere.polynomials import (
     Polynomial,
+    SubspaceBasis,
+    _harmonic_span,
     dim_homogeneous,
     euclidean_laplacian,
     mat_mul,
+    matrix_rank,
     monomial_basis,
     null_space,
     sphere_integral,
 )
 from crsphere.spectrum import (
+    SpectrumEntry,
+    SpectrumFragment,
     _complex_monomial,
     kernel_t0sq_shift,
     reeb_derivation_matrix,
@@ -98,6 +103,34 @@ def test_t0_rotates_complex_monomials(data):
     re, im = _complex_monomial(n, a, b)
     assert t0_apply(re) == -k * im
     assert t0_apply(im) == k * re
+
+
+def complex_monomial_reference(n, a, b):
+    """Re and Im of z^a zbar^b by |a| + |b| successive complex products."""
+    num_vars = 2 * n + 2
+    re = Polynomial.constant(num_vars, 1)
+    im = Polynomial(num_vars)
+    for j in range(n + 1):
+        xj = Polynomial.variable(num_vars, j)
+        yj = Polynomial.variable(num_vars, n + 1 + j)
+        for _ in range(a[j]):
+            re, im = re * xj - im * yj, re * yj + im * xj
+        for _ in range(b[j]):
+            re, im = re * xj + im * yj, im * xj - re * yj
+    return re, im
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_complex_monomial_matches_successive_products(data):
+    n = data.draw(st.integers(1, 3))
+    multi = st.tuples(*[st.integers(0, 4)] * (n + 1))
+    a, b = data.draw(multi), data.draw(multi)
+    re, im = _complex_monomial(n, a, b)
+    ref_re, ref_im = complex_monomial_reference(n, a, b)
+    assert re == ref_re
+    assert im == ref_im
+    assert all(isinstance(c, Fraction) for c in (*re.terms.values(), *im.terms.values()))
 
 
 def test_t0_squared_is_minus_one_on_linear_forms():
@@ -204,7 +237,7 @@ def test_fragment_multiplicities_fill_harmonics():
 def test_fragment_matches_folland_closed_form():
     # H_ell splits into the bidegree spaces H_{p,q}, p + q = ell, on which
     # T0^2 = -(p - q)^2 and Delta_b = -4pq - 2n(p + q) (Folland 1972).
-    for n, ell_max in ((1, 6), (2, 5), (3, 4)):
+    for n, ell_max in ((1, 6), (2, 6), (3, 6)):
         for ell in range(1, ell_max + 1):
             pairs = [(p, ell - p) for p in range(ell + 1)]
             frag = spectrum_fragment(n, ell)
@@ -218,6 +251,46 @@ def test_fragment_matches_folland_closed_form():
                     for p, q in mine
                 )
                 assert e.multiplicity == dims
+
+
+def spectrum_fragment_reference(n, ell):
+    """The real-monomial route: harmonic span of each real bigraded block."""
+    entries = []
+    for j in range(ell // 2, -1, -1):
+        lam = (ell - 2 * j) ** 2
+        harmonic = _harmonic_span(structured_t0sq_kernel(n, ell, lam), ell)
+        basis = SubspaceBasis(n, ell, tuple(harmonic))
+        entries.append(SpectrumEntry(lam, len(basis), lam - ell * (2 * n + ell), lam == 0, basis))
+    return SpectrumFragment(n, ell, tuple(entries))
+
+
+def same_span(a, b):
+    """Both bases independent (checked on construction) and each inside the other's span.
+
+    This is `SubspaceBasis.contains` both ways for every element at
+    once: stacking the two coefficient matrices keeps the rank at
+    len(a) exactly when every element of b lies in the span of a.
+    """
+    rows_a, _ = a.coefficient_matrix()
+    rows_b, _ = b.coefficient_matrix()
+    return len(a) == len(b) == matrix_rank(rows_a + rows_b)
+
+
+@pytest.mark.parametrize("n,ell_max", [(1, 6), (2, 5), (3, 4)])
+def test_fragment_matches_real_monomial_route(n, ell_max):
+    for ell in range(1, ell_max + 1):
+        got = spectrum_fragment(n, ell)
+        ref = spectrum_fragment_reference(n, ell)
+        assert [e.t0sq_eigenvalue for e in got.entries] == [e.t0sq_eigenvalue for e in ref.entries]
+        for e, r in zip(got.entries, ref.entries):
+            assert same_span(e.eigenbasis, r.eigenbasis)
+            for p in e.eigenbasis.polys:
+                assert (t0_apply(t0_apply(p)) + e.t0sq_eigenvalue * p).is_zero()
+                assert all(c.denominator == 1 for c in p.terms.values())  # integer bases
+    # spot-check the per-element route as well
+    e, r = got.entries[-1], ref.entries[-1]
+    assert all(r.eigenbasis.contains(p) for p in e.eigenbasis.polys[:3])
+    assert all(e.eigenbasis.contains(p) for p in r.eigenbasis.polys[:3])
 
 
 def test_fragment_rejects_bad_degree():
