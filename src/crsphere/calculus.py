@@ -616,12 +616,18 @@ def curvature_sphere(p, X, Y, Z):
 
 
 def curvature_via_connection(p, X, Y, Z):
-    """R(X,Y)Z computed from second covariant derivatives (cross-check)."""
+    """R(X,Y)Z computed from second covariant derivatives (cross-check).
+
+    X and Y seed their horizontal extensions exactly: int or Fraction
+    entries are kept as they are, float entries become their binary
+    fractions.  Small rationals keep the symbolic fields small.
+    """
     x = getattr(X, "vec", X)
     y = getattr(Y, "vec", Y)
     n = p.n
     xf = VectorFieldPoly.horizontal_extension(x, n)
     yf = VectorFieldPoly.horizontal_extension(y, n)
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
     nabla_y_z = covariant_derivative_field(yf, Z)
     nabla_x_z = covariant_derivative_field(xf, Z)
     first = tanaka_webster_derivative(p, x, nabla_y_z).vec

@@ -10,13 +10,26 @@ tolerance-based.
 Monomials are exponent tuples.  Within a fixed total degree they are
 ordered by descending exponent tuple (graded lexicographic order); the
 order is fixed once so matrices, bases and reports are reproducible.
+
+Storage.  A `Polynomial` keeps integer numerators over one positive
+common denominator, as FLINT's fmpq_poly does (Hart, flintlib.org);
+the numerators and the denominator share no factor, so the form is
+unique.  Each monomial is one packed int key holding 8 bits per
+exponent, the first variable in the highest byte: a product of
+monomials is the sum of their keys, and within one total degree keys
+compare as their exponent tuples do.  An exponent above 255 is
+rejected, never carried into the next variable.  `Polynomial.terms`
+decodes keys to exponent tuples and numerators to Fractions on access.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache, reduce
+from operator import or_
 
 import numpy as np
 
@@ -52,10 +65,94 @@ def dim_homogeneous(num_vars, degree):
     return math.comb(degree + num_vars - 1, num_vars - 1)
 
 
-class Polynomial:
-    """Sparse polynomial with exact rational coefficients."""
+# ----------------------------------------------------------------------
+# Packed monomial keys: one byte per exponent, variable 0 highest.
+# ----------------------------------------------------------------------
 
-    __slots__ = ("num_vars", "terms")
+MAX_EXPONENT = 255
+
+
+def _pack(exps):
+    return int.from_bytes(bytes(exps), "big")
+
+
+def _unpack(key, num_vars):
+    return tuple(key.to_bytes(num_vars, "big"))
+
+
+def _key_degree(key, num_vars):
+    return sum(key.to_bytes(num_vars, "big"))
+
+
+def _exponent_shift(num_vars, i):
+    """Bit offset of exponent i: key >> shift & MAX_EXPONENT reads it, 1 << shift is x_i."""
+    return 8 * (num_vars - 1 - i)
+
+
+def _check_sum_of_keys(a, b, num_vars):
+    """Raise unless every key of a plus every key of b stays byte by byte.
+
+    The bytes of the OR of a key set bound each exponent from above, so
+    when the two ORs add without a carry out of any byte no sum can
+    overflow; otherwise the exact per-variable maxima decide.
+    """
+    top_a, top_b = reduce(or_, a, 0), reduce(or_, b, 0)
+    carries = (top_a + top_b) ^ top_a ^ top_b
+    if not any(carries >> 8 * k & 1 for k in range(1, num_vars + 1)):
+        return
+    for i in range(num_vars):
+        shift = _exponent_shift(num_vars, i)
+        most = max((k >> shift & MAX_EXPONENT for k in a), default=0)
+        most += max((k >> shift & MAX_EXPONENT for k in b), default=0)
+        if most > MAX_EXPONENT:
+            raise ValueError("exponent %d above %d" % (most, MAX_EXPONENT))
+
+
+@lru_cache(maxsize=1 << 14)
+def _nonzero_exponents(key, num_vars):
+    """((i, e_i) for every e_i > 0) of a packed key; polynomials share monomials."""
+    return tuple((i, e) for i, e in enumerate(key.to_bytes(num_vars, "big")) if e)
+
+
+class _TermView(Mapping):
+    """Read-only mapping exponent tuple -> Fraction over a polynomial's packed terms."""
+
+    __slots__ = ("_poly",)
+
+    def __init__(self, poly):
+        self._poly = poly
+
+    def __len__(self):
+        return len(self._poly._terms)
+
+    def __iter__(self):
+        num_vars = self._poly.num_vars
+        return (_unpack(k, num_vars) for k in self._poly._terms)
+
+    def __getitem__(self, exps):
+        poly = self._poly
+        if (
+            isinstance(exps, tuple)
+            and len(exps) == poly.num_vars
+            and all(0 <= e <= MAX_EXPONENT for e in exps)
+        ):
+            num = poly._terms.get(_pack(exps))
+            if num:
+                return Fraction(num, poly._den)
+        raise KeyError(exps)
+
+    def __repr__(self):
+        return repr(dict(self.items()))
+
+
+class Polynomial:
+    """Sparse polynomial with exact rational coefficients.
+
+    Stored as packed monomial key -> int numerator, over one positive
+    denominator sharing no factor with the numerators.
+    """
+
+    __slots__ = ("num_vars", "_terms", "_den", "_float_form")
 
     def __init__(self, num_vars, terms=None):
         self.num_vars = int(num_vars)
@@ -70,16 +167,34 @@ class Polynomial:
                     raise ValueError("exponent tuple of wrong length")
                 if any(e < 0 for e in exps):
                     raise ValueError("negative exponent")
-                clean[exps] = c
-        self.terms = clean
+                if any(e > MAX_EXPONENT for e in exps):
+                    raise ValueError("exponent above %d" % MAX_EXPONENT)
+                clean[_pack(exps)] = c
+        # The lcm of reduced denominators shares no factor with all numerators.
+        den = math.lcm(*(c.denominator for c in clean.values()))
+        self._terms = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
+        self._den = den
+        self._float_form = None
 
     @classmethod
-    def _wrap(cls, num_vars, terms):
-        """Adopt a dict of nonzero Fraction terms without re-validating it."""
+    def _wrap(cls, num_vars, terms, den=1):
+        """Adopt nonzero int numerators over den > 0, dividing out their common factor."""
+        if den != 1:
+            g = math.gcd(den, *terms.values())
+            if g != 1:
+                den //= g
+                terms = {k: v // g for k, v in terms.items()}
         out = cls.__new__(cls)
         out.num_vars = num_vars
-        out.terms = terms
+        out._terms = terms
+        out._den = den
+        out._float_form = None
         return out
+
+    @property
+    def terms(self):
+        """Exponent tuple -> Fraction, decoded on access."""
+        return _TermView(self)
 
     # ---- constructors -------------------------------------------------
 
@@ -100,26 +215,26 @@ class Polynomial:
     # ---- structure ----------------------------------------------------
 
     def is_zero(self):
-        return not self.terms
+        return not self._terms
 
     @property
     def degree(self):
         """Total degree; -1 for the zero polynomial."""
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max((_key_degree(k, self.num_vars) for k in self._terms), default=-1)
 
     def homogeneous_components(self):
         """Split into degree -> Polynomial (degrees with terms only)."""
         parts = {}
-        for exps, c in self.terms.items():
-            parts.setdefault(sum(exps), {})[exps] = c
-        return {d: Polynomial(self.num_vars, t) for d, t in sorted(parts.items())}
+        for k, v in self._terms.items():
+            parts.setdefault(_key_degree(k, self.num_vars), {})[k] = v
+        return {d: Polynomial._wrap(self.num_vars, t, self._den) for d, t in sorted(parts.items())}
 
     def leading_monomial(self):
-        if not self.terms:
+        if not self._terms:
             return None
-        return max(self.terms, key=monomial_key)
+        num_vars = self.num_vars
+        top = max(self._terms, key=lambda k: (_key_degree(k, num_vars), k))
+        return _unpack(top, num_vars)
 
     # ---- arithmetic ---------------------------------------------------
 
@@ -131,17 +246,23 @@ class Polynomial:
         if not isinstance(other, Polynomial):
             return NotImplemented
         self._check_compatible(other)
-        terms = dict(self.terms)
-        for exps, c in other.terms.items():
-            s = terms.get(exps, 0) + c
+        den = math.lcm(self._den, other._den)
+        up, up_other = den // self._den, den // other._den
+        if up == 1:
+            terms = dict(self._terms)
+        else:
+            terms = {k: v * up for k, v in self._terms.items()}
+        get = terms.get
+        for k, v in other._terms.items():
+            s = get(k, 0) + v * up_other
             if s:
-                terms[exps] = s
+                terms[k] = s
             else:
-                terms.pop(exps, None)
-        return Polynomial._wrap(self.num_vars, terms)
+                del terms[k]
+        return Polynomial._wrap(self.num_vars, terms, den)
 
     def __neg__(self):
-        return Polynomial._wrap(self.num_vars, {e: -c for e, c in self.terms.items()})
+        return Polynomial._wrap(self.num_vars, {k: -v for k, v in self._terms.items()}, self._den)
 
     def __sub__(self, other):
         if not isinstance(other, Polynomial):
@@ -151,20 +272,35 @@ class Polynomial:
     def __mul__(self, other):
         if isinstance(other, Polynomial):
             self._check_compatible(other)
+            a, b = self._terms, other._terms
+            _check_sum_of_keys(a, b, self.num_vars)
+            den = self._den * other._den
+            if len(a) == 1 or len(b) == 1:
+                # one side a single monomial: the keys cannot collide
+                return Polynomial._wrap(
+                    self.num_vars,
+                    {ka + kb: va * vb for ka, va in a.items() for kb, vb in b.items()},
+                    den,
+                )
             terms = {}
-            for ea, ca in self.terms.items():
-                for eb, cb in other.terms.items():
-                    e = tuple(x + y for x, y in zip(ea, eb))
-                    s = terms.get(e, 0) + ca * cb
+            get = terms.get
+            b = list(b.items())
+            for ka, va in a.items():
+                for kb, vb in b:
+                    k = ka + kb
+                    s = get(k, 0) + va * vb
                     if s:
-                        terms[e] = s
+                        terms[k] = s
                     else:
-                        terms.pop(e, None)
-            return Polynomial._wrap(self.num_vars, terms)
+                        del terms[k]
+            return Polynomial._wrap(self.num_vars, terms, den)
         c = _as_fraction(other)
         if not c:
             return Polynomial(self.num_vars)
-        return Polynomial._wrap(self.num_vars, {e: c * v for e, v in self.terms.items()})
+        num = c.numerator
+        return Polynomial._wrap(
+            self.num_vars, {k: v * num for k, v in self._terms.items()}, self._den * c.denominator
+        )
 
     def __rmul__(self, other):
         return self.__mul__(other)
@@ -186,51 +322,67 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.num_vars == other.num_vars
-            and self.terms == other.terms
+            and self._den == other._den
+            and self._terms == other._terms
         )
 
     __hash__ = None
 
     def __repr__(self):
-        if not self.terms:
+        if not self._terms:
             return "Polynomial(0)"
+        terms = self.terms
         bits = []
-        for exps in sorted(self.terms, key=monomial_key, reverse=True)[:4]:
-            bits.append("%s*q^%s" % (self.terms[exps], list(exps)))
-        if len(self.terms) > 4:
+        for exps in sorted(terms, key=monomial_key, reverse=True)[:4]:
+            bits.append("%s*q^%s" % (terms[exps], list(exps)))
+        if len(terms) > 4:
             bits.append("...")
         return "Polynomial(%s)" % " + ".join(bits)
 
     # ---- calculus and evaluation --------------------------------------
 
     def partial(self, i):
+        shift = _exponent_shift(self.num_vars, i)
+        one = 1 << shift
         terms = {}
-        for exps, c in self.terms.items():
-            e = exps[i]
-            if e == 0:
-                continue
-            terms[exps[:i] + (e - 1,) + exps[i + 1 :]] = c * e
-        return Polynomial._wrap(self.num_vars, terms)
+        for k, v in self._terms.items():
+            e = k >> shift & MAX_EXPONENT
+            if e:
+                terms[k - one] = v * e
+        return Polynomial._wrap(self.num_vars, terms, self._den)
 
     def gradient(self):
         return [self.partial(i) for i in range(self.num_vars)]
 
     def evaluate(self, point):
-        """Float value at a numeric point (array-like of length num_vars)."""
+        """Float value at a numeric point (array-like of length num_vars).
+
+        Each term is its float coefficient num / den (correctly rounded,
+        as float(Fraction) is) times its powers in variable order, and
+        the terms are summed in storage order.  The float coefficients
+        and each term's nonzero (variable, exponent) pairs are decoded
+        once and cached.
+        """
         point = getattr(point, "coords", point)
         if len(point) != self.num_vars:
             raise ValueError(
                 "point of dimension %d for a polynomial in %d variables"
                 % (len(point), self.num_vars)
             )
+        form = self._float_form
+        if form is None:
+            den, num_vars = self._den, self.num_vars
+            form = self._float_form = [
+                (v / den, _nonzero_exponents(k, num_vars)) for k, v in self._terms.items()
+            ]
+        xs = list(point)
         total = 0.0
-        for exps, c in self.terms.items():
-            m = float(c)
-            for e, x in zip(exps, point):
+        for m, powers in form:
+            for i, e in powers:
                 if e == 1:
-                    m *= x
-                elif e:
-                    m *= x**e
+                    m *= xs[i]
+                else:
+                    m *= xs[i] ** e
             total += m
         return total
 
@@ -240,13 +392,13 @@ class Polynomial:
         if len(point) != self.num_vars:
             raise ValueError("dimension mismatch")
         total = Fraction(0)
-        for exps, c in self.terms.items():
-            m = c
-            for e, x in zip(exps, point):
+        for k, v in self._terms.items():
+            m = v
+            for e, x in zip(_unpack(k, self.num_vars), point):
                 if e:
                     m *= x**e
             total += m
-        return total
+        return total / self._den
 
 
 def euclidean_laplacian(p):
@@ -257,18 +409,21 @@ def euclidean_laplacian(p):
     the second partials would produce them.
     """
     terms = {}
+    get = terms.get
     for i in range(p.num_vars):
-        for exps, c in p.terms.items():
-            e = exps[i]
+        shift = _exponent_shift(p.num_vars, i)
+        two = 2 << shift
+        for k, v in p._terms.items():
+            e = k >> shift & MAX_EXPONENT
             if e < 2:
                 continue
-            key = exps[:i] + (e - 2,) + exps[i + 1 :]
-            s = terms.get(key, 0) + c * (e * (e - 1))
+            key = k - two
+            s = get(key, 0) + v * (e * (e - 1))
             if s:
                 terms[key] = s
             else:
-                terms.pop(key, None)
-    return Polynomial._wrap(p.num_vars, terms)
+                del terms[key]
+    return Polynomial._wrap(p.num_vars, terms, p._den)
 
 
 # ----------------------------------------------------------------------
@@ -438,17 +593,18 @@ def mat_mul(a, b):
 
 
 def _monomial_index(num_vars, degree):
+    """Grlex monomials of one degree and the map packed key -> column."""
     mons = monomial_basis(num_vars, degree)
-    return mons, {m: i for i, m in enumerate(mons)}
+    return mons, {_pack(m): i for i, m in enumerate(mons)}
 
 
 def _coefficient_rows(polys, index):
-    """Dense coefficient row of each polynomial over a monomial -> column map."""
+    """Dense coefficient row of each polynomial over a packed key -> column map."""
     rows = []
     for p in polys:
         row = [Fraction(0)] * len(index)
-        for exps, c in p.terms.items():
-            row[index[exps]] = c
+        for k, v in p._terms.items():
+            row[index[k]] = Fraction(v, p._den)
         rows.append(row)
     return rows
 
@@ -456,18 +612,25 @@ def _coefficient_rows(polys, index):
 def _full_rank_mod_p(polys, num_vars, degree):
     """True when the coefficient rows are independent modulo a prime p.
 
-    Each row is scaled by the lcm of its own denominators, which keeps
-    the rank, and reduced mod p.  A nonzero r x r minor mod p is a
-    nonzero integer minor, so True proves independence over Q; False
-    proves nothing, because p may divide every full-size minor.
+    Each row is its polynomial's integer numerators, the coefficients
+    scaled by their common denominator, which keeps the rank, reduced
+    mod p.  A nonzero r x r minor mod p is a nonzero integer minor, so
+    True proves independence over Q; False proves nothing, because p
+    may divide every full-size minor.
     """
     _, index = _monomial_index(num_vars, degree)
     a = np.zeros((len(polys), len(index)), dtype=np.int64)
     for r, poly in enumerate(polys):
-        den = math.lcm(*(c.denominator for c in poly.terms.values()))
-        for exps, c in poly.terms.items():
-            a[r, index[exps]] = c.numerator * (den // c.denominator) % CERTIFICATE_PRIME
+        for k, v in poly._terms.items():
+            a[r, index[k]] = v % CERTIFICATE_PRIME
     return _rank_mod_p(a) == len(polys)
+
+
+def _of_degree(poly, num_vars, degree):
+    """True when the polynomial lives in num_vars variables and every term has the degree."""
+    return poly.num_vars == num_vars and all(
+        _key_degree(k, num_vars) == degree for k in poly._terms
+    )
 
 
 @dataclass(frozen=True)
@@ -487,7 +650,7 @@ class SubspaceBasis:
         for p in self.polys:
             if p.num_vars != num_vars:
                 raise ValueError("basis element in the wrong number of variables")
-            if any(sum(exps) != self.degree for exps in p.terms):
+            if not _of_degree(p, num_vars, self.degree):
                 raise ValueError("basis element with a term of the wrong degree")
         if any(p.is_zero() for p in self.polys):
             raise ValueError("zero polynomial in a basis")
@@ -510,15 +673,24 @@ class SubspaceBasis:
         return _coefficient_rows(self.polys, index), mons
 
     def contains(self, poly):
-        """Exact membership of a polynomial in the span."""
+        """Exact membership of a polynomial in the span.
+
+        The elements are independent (checked on construction), so the
+        stacked integer rows of the elements and the target have rank
+        len(self) exactly when the target lies in the span, that is when
+        the transposed matrix, one column per row, has a kernel vector.
+        One fraction-free elimination decides it.
+        """
         if poly.is_zero():
             return True
-        _, index = _monomial_index(2 * self.n + 2, self.degree)
-        if any(exps not in index for exps in poly.terms):
+        if not _of_degree(poly, 2 * self.n + 2, self.degree):
             return False
-        rows = _coefficient_rows(self.polys, index)
-        target = _coefficient_rows([poly], index)
-        return matrix_rank(rows + target) == matrix_rank(rows)
+        stacked = (*self.polys, poly)
+        by_monomial = {}
+        for col, p in enumerate(stacked):
+            for k, v in p._terms.items():
+                by_monomial.setdefault(k, {})[col] = v
+        return bool(_integer_null_space(list(by_monomial.values()), len(stacked)))
 
 
 def _harmonic_span(block, degree):
@@ -537,17 +709,20 @@ def _harmonic_span(block, degree):
     rows = list(zip(*images))
     out = []
     for combo in null_space(rows, len(block)):
+        used = [(coeff, p) for coeff, p in zip(combo, block) if coeff]
+        # coeff * (numerators / p._den), all over one common denominator
+        den = math.lcm(*(coeff.denominator * p._den for coeff, p in used))
         terms = {}
-        for coeff, p in zip(combo, block):
-            if not coeff:
-                continue
-            for exps, c in p.terms.items():
-                s = terms.get(exps, 0) + coeff * c
+        get = terms.get
+        for coeff, p in used:
+            scale = coeff.numerator * (den // (coeff.denominator * p._den))
+            for k, v in p._terms.items():
+                s = get(k, 0) + scale * v
                 if s:
-                    terms[exps] = s
+                    terms[k] = s
                 else:
-                    terms.pop(exps, None)
-        out.append(Polynomial._wrap(num_vars, terms))
+                    del terms[k]
+        out.append(Polynomial._wrap(num_vars, terms, den))
     return out
 
 
@@ -567,29 +742,27 @@ def harmonic_basis(n, degree):
 # ----------------------------------------------------------------------
 
 
-def _even_monomial_average(num_vars, exps):
-    # E[prod u_i^(2 b_i)] over the unit sphere, via the Gaussian trick:
-    # prod (2 b_i - 1)!! / (m (m+2) ... (m + 2|b| - 2)).
-    halves = [e // 2 for e in exps]
-    total = sum(halves)
-    num = 1
-    for b in halves:
-        num *= math.prod(range(1, 2 * b, 2))
-    den = 1
-    for k in range(total):
-        den *= num_vars + 2 * k
-    return Fraction(num, den)
-
-
 def sphere_integral(p):
     """Average of the polynomial over the unit sphere, exact.
 
     Normalized (probability) measure; a monomial with any odd exponent
-    averages to zero, even monomials have a rational closed form.
+    averages to zero.  An even monomial prod u_i^(2 b_i) averages to
+    prod (2 b_i - 1)!! / (m (m+2) ... (m + 2|b| - 2)) with m = num_vars
+    (the Gaussian trick); its denominator depends on |b| only, so the
+    numerators are summed per |b| in integers.
     """
-    total = Fraction(0)
-    for exps, c in p.terms.items():
-        if any(e % 2 for e in exps):
+    num_vars = p.num_vars
+    odd = sum(1 << 8 * k for k in range(num_vars))
+    by_half_degree = {}
+    for k, v in p._terms.items():
+        if k & odd:
             continue
-        total += c * _even_monomial_average(p.num_vars, exps)
-    return total
+        halves = (k >> 1).to_bytes(num_vars, "big")  # every exponent even: b_i per byte
+        for b in halves:
+            v *= math.prod(range(1, 2 * b, 2))
+        t = sum(halves)
+        by_half_degree[t] = by_half_degree.get(t, 0) + v
+    total = Fraction(0)
+    for t, v in by_half_degree.items():
+        total += Fraction(v, math.prod(num_vars + 2 * k for k in range(t)))
+    return total / p._den

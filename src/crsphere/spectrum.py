@@ -30,10 +30,12 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .polynomials import (
+    MAX_EXPONENT,
     Polynomial,
     SubspaceBasis,
     _coefficient_rows,
     _integer_null_space,
+    _exponent_shift,
     _monomial_index,
     dim_homogeneous,
     mat_mul,
@@ -46,28 +48,32 @@ def t0_apply(p):
     """The Reeb derivation on a polynomial in 2n+2 variables.
 
     Applied term by term: x^j d/dy^j moves one power from y^j to x^j
-    and y^j d/dx^j one from x^j to y^j.  Terms are accumulated in the
-    order that sum_j (x^j d/dy^j p - y^j d/dx^j p) would produce them,
-    so float evaluations of the result sum in that order too.
+    and y^j d/dx^j one from x^j to y^j; on a packed key either move is
+    one offset.  Terms are accumulated in the order that
+    sum_j (x^j d/dy^j p - y^j d/dx^j p) would produce them, so float
+    evaluations of the result sum in that order too.
     """
-    half = p.num_vars // 2
+    num_vars = p.num_vars
+    half = num_vars // 2
     terms = {}
+    get = terms.get
     for j in range(half):
         for src, dst, sign in ((half + j, j, 1), (j, half + j, -1)):
-            for exps, c in p.terms.items():
-                e = exps[src]
+            shift, dst_shift = _exponent_shift(num_vars, src), _exponent_shift(num_vars, dst)
+            move = (1 << dst_shift) - (1 << shift)
+            for k, v in p._terms.items():
+                e = k >> shift & MAX_EXPONENT
                 if not e:
                     continue
-                key = list(exps)
-                key[src] = e - 1
-                key[dst] += 1
-                key = tuple(key)
-                s = terms.get(key, 0) + c * (sign * e)
+                key = k + move
+                if not key >> dst_shift & MAX_EXPONENT:  # a power moved onto 255 carried out
+                    raise ValueError("exponent above %d" % MAX_EXPONENT)
+                s = get(key, 0) + v * (sign * e)
                 if s:
                     terms[key] = s
                 else:
-                    terms.pop(key, None)
-    return Polynomial._wrap(p.num_vars, terms)
+                    del terms[key]
+    return Polynomial._wrap(num_vars, terms, p._den)
 
 
 def reeb_derivation_matrix(n, ell):
@@ -118,24 +124,25 @@ def _gaussian_factor(a, b):
 
 
 def _complex_monomial_terms(n, a, b):
-    """z^a zbar^b as a dict exponent tuple -> (re, im) integer pair.
+    """z^a zbar^b as a dict packed monomial key -> (re, im) integer pair.
 
     One multinomial expansion: the product over j of the Gaussian-integer
     factors (x_j + i y_j)^(a_j) (x_j - i y_j)^(b_j).  Distinct j touch
     distinct variables, so no two products land on the same monomial.
     """
     half = n + 1
-    out = {(0,) * (2 * half): (1, 0)}
+    num_vars = 2 * half
+    out = {0: (1, 0)}
     for j in range(half):
         factor = _gaussian_factor(a[j], b[j])
         deg = a[j] + b[j]
+        if deg > MAX_EXPONENT:
+            raise ValueError("exponent above %d" % MAX_EXPONENT)
+        x, y = 1 << _exponent_shift(num_vars, j), 1 << _exponent_shift(num_vars, half + j)
         grown = {}
-        for exps, (re, im) in out.items():
+        for key, (re, im) in out.items():
             for k, fre, fim in factor:
-                key = list(exps)
-                key[j] = deg - k
-                key[half + j] = k
-                grown[tuple(key)] = (re * fre - im * fim, re * fim + im * fre)
+                grown[key + (deg - k) * x + k * y] = (re * fre - im * fim, re * fim + im * fre)
         out = grown
     return out
 
@@ -145,8 +152,7 @@ def _complex_monomial(n, a, b):
     terms = _complex_monomial_terms(n, a, b).items()
     num_vars = 2 * n + 2
     return tuple(
-        Polynomial._wrap(num_vars, {e: Fraction(z[part]) for e, z in terms if z[part]})
-        for part in (0, 1)
+        Polynomial._wrap(num_vars, {k: z[part] for k, z in terms if z[part]}) for part in (0, 1)
     )
 
 
@@ -274,12 +280,10 @@ def _bigraded_harmonics(n, p, q):
             for part in parts:
                 terms = {}
                 for col, c in vec.items():
-                    for exps, z in expanded[col].items():
+                    for k, z in expanded[col].items():
                         if z[part]:
-                            terms[exps] = terms.get(exps, 0) + c * z[part]
-                out.append(
-                    Polynomial._wrap(num_vars, {e: Fraction(v) for e, v in terms.items() if v})
-                )
+                            terms[k] = terms.get(k, 0) + c * z[part]
+                out.append(Polynomial._wrap(num_vars, {k: v for k, v in terms.items() if v}))
     return out
 
 

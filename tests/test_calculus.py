@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from crsphere import calculus as C
+from crsphere.geodesics import Chart
 from crsphere.polynomials import Polynomial, sphere_integral
 from crsphere.sphere import (
     SpherePoint,
@@ -278,17 +279,47 @@ def test_ricci_rejects_non_horizontal(rng):
         C.ricci(p, p.reeb_coords())
 
 
+def rational_point(rng, n):
+    """A rational point of the sphere and its exact coordinates.
+
+    Chart.from_coords maps u to q = (2u/d, (d - 2)/d) with d = |u|^2 + 1,
+    so a small-integer u gives a point with small denominators.
+    """
+    u = [int(v) for v in rng.integers(-3, 4, size=2 * n + 1)]
+    d = sum(v * v for v in u) + 1
+    exact = [Fraction(2 * v, d) for v in u] + [Fraction(d - 2, d)]
+    p = SpherePoint(Chart(n, 1).from_coords(np.array(u, dtype=float)), n)
+    assert list(p.coords) == [float(v) for v in exact]
+    return p, exact
+
+
+def rational_horizontal(rng, exact):
+    """P v for a small-integer v, with P = I - q q^T - (iq)(iq)^T: exact and horizontal."""
+    half = len(exact) // 2
+    iq = [-v for v in exact[half:]] + exact[:half]
+    v = [int(c) for c in rng.integers(-3, 4, size=len(exact))]
+    along_q = sum(a * b for a, b in zip(v, exact))
+    along_iq = sum(a * b for a, b in zip(v, iq))
+    return [a - along_q * b - along_iq * c for a, b, c in zip(v, exact, iq)]
+
+
 def test_curvature_formula_matches_connection(rng):
+    # Rational inputs keep the symbolic connection's fields small.
     for n in (1, 2):
         for _ in range(5):
-            p = random_point(rng, n)
-            x = random_horizontal(rng, p)
-            y = random_horizontal(rng, p)
-            z = random_horizontal(rng, p)
-            zf = C.VectorFieldPoly.horizontal_extension(z.vec, n)
-            via_conn = C.curvature_via_connection(p, x.vec, y.vec, zf)
-            via_formula = C.curvature_sphere(p, x.vec, y.vec, z.vec)
+            p, exact = rational_point(rng, n)
+            x, y, z = (rational_horizontal(rng, exact) for _ in range(3))
+            zf = C.VectorFieldPoly.horizontal_extension(z, n)
+            via_conn = C.curvature_via_connection(p, x, y, zf)
+            floats = [np.array([float(c) for c in v]) for v in (x, y, z)]
+            via_formula = C.curvature_sphere(p, *floats)
             assert_allclose(via_conn, via_formula, atol=1e-12)
+    # One float-seeded case: the extensions come from binary fractions.
+    p = random_point(rng, 1)
+    x, y, z = (random_horizontal(rng, p).vec for _ in range(3))
+    zf = C.VectorFieldPoly.horizontal_extension(z, 1)
+    via_conn = C.curvature_via_connection(p, x, y, zf)
+    assert_allclose(via_conn, C.curvature_sphere(p, x, y, z), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import math
+import struct
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +12,7 @@ from crsphere.polynomials import (
     CERTIFICATE_PRIME,
     Polynomial,
     SubspaceBasis,
+    _as_fraction,
     _full_rank_mod_p,
     _harmonic_span,
     _integer_null_space,
@@ -24,6 +26,7 @@ from crsphere.polynomials import (
     rref,
     sphere_integral,
 )
+from crsphere.spectrum import t0_apply
 
 small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
@@ -55,6 +58,49 @@ def test_float_coefficients_rejected():
         Polynomial(4, {(1, 0, 0, 0): 0.5})
     with pytest.raises(TypeError):
         var(0) * 0.5
+
+
+@pytest.mark.parametrize("bad", [0.5, np.float64(0.5), np.float64(2.0), np.float32(0.5)])
+def test_numpy_float_coefficients_rejected(bad):
+    # floats stay out of the exact layer, numpy scalars included
+    with pytest.raises(TypeError):
+        Polynomial(4, {(1, 0, 0, 0): bad})
+    with pytest.raises(TypeError):
+        var(0) * bad
+    with pytest.raises(TypeError):
+        bad * var(0)
+
+
+def test_exponent_field_is_guarded():
+    # 8 bits per exponent: an overflow must raise, not carry into the next variable
+    x1, x2, y1 = var(0), var(1), var(2)
+    with pytest.raises(ValueError):
+        Polynomial(4, {(256, 0, 0, 0): 1})
+    high, low = x1**200, x1**100
+    with pytest.raises(ValueError):
+        high * low
+    with pytest.raises(ValueError):
+        x1**256
+    with pytest.raises(ValueError):
+        (x1**128) ** 2
+    # other variables and sums up to 255 are fine, even where a bound
+    # from the OR of the exponents alone would reject them
+    assert (high * x2**100).terms == {(200, 100, 0, 0): 1}
+    assert ((x1 + x1**2) * x1**253).terms == {(254, 0, 0, 0): 1, (255, 0, 0, 0): 1}
+    # T0 moves one power: off 255 is fine, onto 255 would overflow
+    assert t0_apply(x1**255) == -255 * x1**254 * y1
+    with pytest.raises(ValueError):
+        t0_apply(x1**255 * y1)
+
+
+def test_terms_view_is_read_only_and_counts_without_decoding(monkeypatch):
+    p = Polynomial(4, {(2, 0, 0, 0): Fraction(1, 2), (0, 1, 1, 0): -3})
+    assert p.terms[(2, 0, 0, 0)] == Fraction(1, 2)
+    assert (1, 0, 0, 0) not in p.terms and (9,) not in p.terms
+    with pytest.raises(TypeError):
+        p.terms[(1, 0, 0, 0)] = 1
+    monkeypatch.setattr(polynomials, "_unpack", None)  # decoding would fail now
+    assert len(p.terms) == 2
 
 
 def test_homogeneous_validation():
@@ -416,6 +462,34 @@ def test_subspace_membership():
     member = basis.polys[0] + 3 * basis.polys[1]
     assert basis.contains(member)
     assert not basis.contains(var(0) ** 2)  # not harmonic
+    assert not basis.contains(var(0))  # wrong degree
+    assert not basis.contains(Polynomial.variable(6, 0) ** 2)  # wrong number of variables
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_contains_matches_rank_rule(data):
+    # Against the rule contains() used before: the rank does not grow
+    # when the target is stacked under the basis rows.
+    n = data.draw(st.sampled_from([1, 2]))
+    degree = data.draw(st.sampled_from([1, 2]))
+    num_vars = 2 * n + 2
+    mons = monomial_basis(num_vars, degree)
+    entry = st.one_of(st.just(Fraction(0)), small_fractions)
+    row = st.lists(entry, min_size=len(mons), max_size=len(mons))
+    rows = data.draw(st.lists(row, min_size=1, max_size=4))
+    assume(matrix_rank(rows) == len(rows))
+    kind = data.draw(st.sampled_from(["combination", "perturbed", "free"]))
+    if kind == "free":
+        target = data.draw(row)
+    else:
+        weights = data.draw(st.lists(small_fractions, min_size=len(rows), max_size=len(rows)))
+        target = [sum(w * r[c] for w, r in zip(weights, rows)) for c in range(len(mons))]
+        if kind == "perturbed":
+            target[data.draw(st.integers(0, len(mons) - 1))] += data.draw(small_fractions)
+    basis = SubspaceBasis(n, degree, tuple(Polynomial(num_vars, dict(zip(mons, r))) for r in rows))
+    expected = matrix_rank(rows + [target]) == matrix_rank(rows)
+    assert basis.contains(Polynomial(num_vars, dict(zip(mons, target)))) == expected
 
 
 @settings(max_examples=60, deadline=None)
@@ -437,3 +511,217 @@ def test_harmonic_span_of_random_integer_blocks(data):
         assert euclidean_laplacian(h).is_zero()
         assert span.contains(h)
     SubspaceBasis(1, degree, tuple(out))  # the outputs are independent
+
+
+# ---------------------------------------------------------------------------
+# Oracle: the Fraction-dict polynomial that the packed integer form replaced.
+# ---------------------------------------------------------------------------
+
+
+class PolynomialReference:
+    """Exponent tuple -> Fraction dict, with the arithmetic loops of the packed form."""
+
+    __slots__ = ("num_vars", "terms")
+
+    def __init__(self, num_vars, terms=None):
+        self.num_vars = int(num_vars)
+        clean = {}
+        for exps, c in (terms or {}).items():
+            c = _as_fraction(c)
+            if c:
+                clean[tuple(int(e) for e in exps)] = c
+        self.terms = clean
+
+    @classmethod
+    def _wrap(cls, num_vars, terms):
+        out = cls.__new__(cls)
+        out.num_vars = num_vars
+        out.terms = terms
+        return out
+
+    def __add__(self, other):
+        terms = dict(self.terms)
+        for exps, c in other.terms.items():
+            s = terms.get(exps, 0) + c
+            if s:
+                terms[exps] = s
+            else:
+                terms.pop(exps, None)
+        return self._wrap(self.num_vars, terms)
+
+    def __neg__(self):
+        return self._wrap(self.num_vars, {e: -c for e, c in self.terms.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if isinstance(other, PolynomialReference):
+            terms = {}
+            for ea, ca in self.terms.items():
+                for eb, cb in other.terms.items():
+                    e = tuple(x + y for x, y in zip(ea, eb))
+                    s = terms.get(e, 0) + ca * cb
+                    if s:
+                        terms[e] = s
+                    else:
+                        terms.pop(e, None)
+            return self._wrap(self.num_vars, terms)
+        c = _as_fraction(other)
+        if not c:
+            return PolynomialReference(self.num_vars)
+        return self._wrap(self.num_vars, {e: c * v for e, v in self.terms.items()})
+
+    __rmul__ = __mul__
+
+    def __pow__(self, k):
+        out = PolynomialReference(self.num_vars, {(0,) * self.num_vars: 1})
+        base = self
+        while k:
+            if k & 1:
+                out = out * base
+            base = base * base if k > 1 else base
+            k >>= 1
+        return out
+
+    def partial(self, i):
+        terms = {}
+        for exps, c in self.terms.items():
+            e = exps[i]
+            if e:
+                terms[exps[:i] + (e - 1,) + exps[i + 1 :]] = c * e
+        return self._wrap(self.num_vars, terms)
+
+    def homogeneous_components(self):
+        parts = {}
+        for exps, c in self.terms.items():
+            parts.setdefault(sum(exps), {})[exps] = c
+        return {d: PolynomialReference(self.num_vars, t) for d, t in sorted(parts.items())}
+
+    def evaluate(self, point):
+        total = 0.0
+        for exps, c in self.terms.items():
+            m = float(c)
+            for e, x in zip(exps, point):
+                if e == 1:
+                    m *= x
+                elif e:
+                    m *= x**e
+            total += m
+        return total
+
+    def evaluate_exact(self, point):
+        total = Fraction(0)
+        for exps, c in self.terms.items():
+            m = c
+            for e, x in zip(exps, point):
+                if e:
+                    m *= x**e
+            total += m
+        return total
+
+
+def laplacian_reference(p):
+    terms = {}
+    for i in range(p.num_vars):
+        for exps, c in p.terms.items():
+            e = exps[i]
+            if e < 2:
+                continue
+            key = exps[:i] + (e - 2,) + exps[i + 1 :]
+            s = terms.get(key, 0) + c * (e * (e - 1))
+            if s:
+                terms[key] = s
+            else:
+                terms.pop(key, None)
+    return PolynomialReference._wrap(p.num_vars, terms)
+
+
+def t0_apply_reference(p):
+    half = p.num_vars // 2
+    terms = {}
+    for j in range(half):
+        for src, dst, sign in ((half + j, j, 1), (j, half + j, -1)):
+            for exps, c in p.terms.items():
+                e = exps[src]
+                if not e:
+                    continue
+                key = list(exps)
+                key[src] = e - 1
+                key[dst] += 1
+                key = tuple(key)
+                s = terms.get(key, 0) + c * (sign * e)
+                if s:
+                    terms[key] = s
+                else:
+                    terms.pop(key, None)
+    return PolynomialReference._wrap(p.num_vars, terms)
+
+
+def assert_same_terms(got, want):
+    # term by term and in order: float sums follow the storage order
+    assert got.num_vars == want.num_vars
+    assert list(got.terms.items()) == list(want.terms.items())
+    assert len(got.terms) == len(want.terms)
+
+
+rational_coefficients = st.one_of(
+    st.integers(-4, 4), st.builds(Fraction, st.integers(-7, 7), st.integers(1, 6))
+)
+
+
+@st.composite
+def reference_pairs(draw):
+    """Two term dicts in 2n+2 variables, n = 1..3, with cancellation cases mixed in."""
+    num_vars = 2 * draw(st.integers(1, 3)) + 2
+    exps = st.tuples(*[st.integers(0, 3)] * num_vars)
+    a = draw(st.dictionaries(exps, rational_coefficients, max_size=6))
+    kind = draw(st.sampled_from(["free", "cancel", "constant", "zero"]))
+    if kind == "free":
+        b = draw(st.dictionaries(exps, rational_coefficients, max_size=6))
+    elif kind == "cancel":  # b = -a plus a little: a + b cancels all but that
+        b = {e: -c for e, c in a.items()}
+        b.update(draw(st.dictionaries(exps, rational_coefficients, max_size=2)))
+    elif kind == "constant":
+        b = {(0,) * num_vars: draw(rational_coefficients)}
+    else:
+        b = {}
+    return num_vars, a, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(reference_pairs(), st.integers(0, 3), rational_coefficients, st.data())
+def test_packed_polynomial_matches_reference(pair, k, c, data):
+    num_vars, a, b = pair
+    p, q = Polynomial(num_vars, a), Polynomial(num_vars, b)
+    rp, rq = PolynomialReference(num_vars, a), PolynomialReference(num_vars, b)
+    assert_same_terms(p, rp)
+    assert_same_terms(q, rq)
+    prod, rprod = p * q, rp * rq
+    assert_same_terms(prod, rprod)
+    assert_same_terms(p + q, rp + rq)
+    assert_same_terms(p - q, rp - rq)
+    assert_same_terms(-p, -rp)
+    assert_same_terms(c * p, c * rp)
+    assert_same_terms(p**k, rp**k)
+    assert_same_terms(p - p, rp - rp)
+    assert (p - p).is_zero()
+    assert_same_terms((p + q) * (p - q) - (p * p - q * q), (rp + rq) * (rp - rq) - (rp * rp - rq * rq))
+    for i in range(num_vars):
+        assert_same_terms(prod.partial(i), rprod.partial(i))
+    got, want = prod.homogeneous_components(), rprod.homogeneous_components()
+    assert list(got) == list(want)
+    for d in got:
+        assert_same_terms(got[d], want[d])
+    assert_same_terms(euclidean_laplacian(prod), laplacian_reference(rprod))
+    assert_same_terms(t0_apply(prod), t0_apply_reference(rprod))
+    coords = st.floats(-2, 2, allow_nan=False)
+    point = data.draw(st.lists(coords, min_size=num_vars, max_size=num_vars))
+    for x in (point, np.array(point)):
+        for poly, ref in ((prod, rprod), (p - q, rp - rq), (q, rq)):
+            value, expected = poly.evaluate(x), ref.evaluate(x)
+            assert type(value) is type(expected)
+            assert struct.pack("<d", value) == struct.pack("<d", expected)  # bit for bit
+    exact = data.draw(st.lists(rational_coefficients, min_size=num_vars, max_size=num_vars))
+    assert prod.evaluate_exact(exact) == rprod.evaluate_exact(exact)
+    assert (p - q).evaluate_exact(exact) == (rp - rq).evaluate_exact(exact)

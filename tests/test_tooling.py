@@ -5,7 +5,11 @@ import importlib
 import importlib.util
 import json
 import types
+from collections import Counter
+from fractions import Fraction
 from pathlib import Path
+
+from crsphere.polynomials import Polynomial
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -35,6 +39,24 @@ def test_every_traced_span_name_resolves():
             assert obj.__module__ == "crsphere." + module, name
     for module in tracing.MODULES:
         importlib.import_module("crsphere." + module)
+
+
+def test_trace_counters_read_the_polynomial_class():
+    # The tracer patches Polynomial methods by name and counts terms
+    # with len(p.terms); both must hold for the packed storage, or the
+    # term-pair metric would change meaning or the install would fail.
+    tracing = _load_tracing()
+    for name in tracing.POLYNOMIAL_METHODS:
+        assert name in Polynomial.__dict__, name
+    p = Polynomial(4, {(1, 0, 0, 0): 1, (0, 1, 0, 0): Fraction(-2, 3), (0, 0, 1, 1): 5})
+    q = Polynomial(4, {(2, 0, 0, 0): Fraction(1, 7), (0, 0, 0, 0): -1})
+    counts = Counter()
+    tracing._count_mul(counts, (p, q), {}, p * q)
+    assert counts["polynomials.mul.term_pairs"] == 3 * 2
+    tracing._count_mul(counts, (p, 4), {}, p * 4)  # a scalar counts as one term
+    assert counts["polynomials.mul.term_pairs"] == 3 * 2 + 3
+    tracing._count_evaluate(counts, (p, [0.1, 0.2, 0.3, 0.4]), {}, None)
+    assert counts["polynomials.evaluate.terms"] == 3
 
 
 def test_bench_results_are_complete_and_correct():
