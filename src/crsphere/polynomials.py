@@ -28,7 +28,7 @@ import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from operator import or_
 
 import numpy as np
@@ -72,7 +72,15 @@ def dim_homogeneous(num_vars, degree):
 MAX_EXPONENT = 255
 
 
+def _exponent_error(e):
+    return ValueError("exponent %d above %d" % (e, MAX_EXPONENT))
+
+
 def _pack(exps):
+    """Packed key of a sequence of nonnegative exponents; one above 255 raises."""
+    top = max(exps, default=0)
+    if top > MAX_EXPONENT:
+        raise _exponent_error(top)
     return int.from_bytes(bytes(exps), "big")
 
 
@@ -105,13 +113,7 @@ def _check_sum_of_keys(a, b, num_vars):
         most = max((k >> shift & MAX_EXPONENT for k in a), default=0)
         most += max((k >> shift & MAX_EXPONENT for k in b), default=0)
         if most > MAX_EXPONENT:
-            raise ValueError("exponent %d above %d" % (most, MAX_EXPONENT))
-
-
-@lru_cache(maxsize=1 << 14)
-def _nonzero_exponents(key, num_vars):
-    """((i, e_i) for every e_i > 0) of a packed key; polynomials share monomials."""
-    return tuple((i, e) for i, e in enumerate(key.to_bytes(num_vars, "big")) if e)
+            raise _exponent_error(most)
 
 
 class _TermView(Mapping):
@@ -167,8 +169,6 @@ class Polynomial:
                     raise ValueError("exponent tuple of wrong length")
                 if any(e < 0 for e in exps):
                     raise ValueError("negative exponent")
-                if any(e > MAX_EXPONENT for e in exps):
-                    raise ValueError("exponent above %d" % MAX_EXPONENT)
                 clean[_pack(exps)] = c
         # The lcm of reduced denominators shares no factor with all numerators.
         den = math.lcm(*(c.denominator for c in clean.values()))
@@ -275,13 +275,6 @@ class Polynomial:
             a, b = self._terms, other._terms
             _check_sum_of_keys(a, b, self.num_vars)
             den = self._den * other._den
-            if len(a) == 1 or len(b) == 1:
-                # one side a single monomial: the keys cannot collide
-                return Polynomial._wrap(
-                    self.num_vars,
-                    {ka + kb: va * vb for ka, va in a.items() for kb, vb in b.items()},
-                    den,
-                )
             terms = {}
             get = terms.get
             b = list(b.items())
@@ -373,7 +366,8 @@ class Polynomial:
         if form is None:
             den, num_vars = self._den, self.num_vars
             form = self._float_form = [
-                (v / den, _nonzero_exponents(k, num_vars)) for k, v in self._terms.items()
+                (v / den, [(i, e) for i, e in enumerate(k.to_bytes(num_vars, "big")) if e])
+                for k, v in self._terms.items()
             ]
         xs = list(point)
         total = 0.0
@@ -399,6 +393,24 @@ class Polynomial:
                     m *= x**e
             total += m
         return total / self._den
+
+
+def _moved_power_terms(p, src, dst):
+    """Terms of x_dst d/dx_src p as (packed key, numerator over p's denominator).
+
+    Moving one power from x_src to x_dst is one key offset, so the terms
+    come in p's order.  A power moved onto an exponent of 255 raises
+    instead of carrying into the next variable.
+    """
+    shift, dst_shift = _exponent_shift(p.num_vars, src), _exponent_shift(p.num_vars, dst)
+    move = (1 << dst_shift) - (1 << shift)
+    for k, v in p._terms.items():
+        e = k >> shift & MAX_EXPONENT
+        if e:
+            key = k + move
+            if not key >> dst_shift & MAX_EXPONENT:  # the destination byte wrapped to 0
+                raise _exponent_error(MAX_EXPONENT + 1)
+            yield key, v * e
 
 
 def euclidean_laplacian(p):

@@ -30,13 +30,13 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .polynomials import (
-    MAX_EXPONENT,
     Polynomial,
     SubspaceBasis,
     _coefficient_rows,
     _integer_null_space,
-    _exponent_shift,
     _monomial_index,
+    _moved_power_terms,
+    _pack,
     dim_homogeneous,
     mat_mul,
     monomial_basis,
@@ -48,10 +48,9 @@ def t0_apply(p):
     """The Reeb derivation on a polynomial in 2n+2 variables.
 
     Applied term by term: x^j d/dy^j moves one power from y^j to x^j
-    and y^j d/dx^j one from x^j to y^j; on a packed key either move is
-    one offset.  Terms are accumulated in the order that
-    sum_j (x^j d/dy^j p - y^j d/dx^j p) would produce them, so float
-    evaluations of the result sum in that order too.
+    and y^j d/dx^j one from x^j to y^j.  Terms are accumulated in the
+    order that sum_j (x^j d/dy^j p - y^j d/dx^j p) would produce them,
+    so float evaluations of the result sum in that order too.
     """
     num_vars = p.num_vars
     half = num_vars // 2
@@ -59,16 +58,8 @@ def t0_apply(p):
     get = terms.get
     for j in range(half):
         for src, dst, sign in ((half + j, j, 1), (j, half + j, -1)):
-            shift, dst_shift = _exponent_shift(num_vars, src), _exponent_shift(num_vars, dst)
-            move = (1 << dst_shift) - (1 << shift)
-            for k, v in p._terms.items():
-                e = k >> shift & MAX_EXPONENT
-                if not e:
-                    continue
-                key = k + move
-                if not key >> dst_shift & MAX_EXPONENT:  # a power moved onto 255 carried out
-                    raise ValueError("exponent above %d" % MAX_EXPONENT)
-                s = get(key, 0) + v * (sign * e)
+            for key, v in _moved_power_terms(p, src, dst):
+                s = get(key, 0) + sign * v
                 if s:
                     terms[key] = s
                 else:
@@ -132,17 +123,19 @@ def _complex_monomial_terms(n, a, b):
     """
     half = n + 1
     num_vars = 2 * half
-    out = {0: (1, 0)}
+    out = {_pack((0,) * num_vars): (1, 0)}
     for j in range(half):
-        factor = _gaussian_factor(a[j], b[j])
         deg = a[j] + b[j]
-        if deg > MAX_EXPONENT:
-            raise ValueError("exponent above %d" % MAX_EXPONENT)
-        x, y = 1 << _exponent_shift(num_vars, j), 1 << _exponent_shift(num_vars, half + j)
+        steps = []  # packed x_j^(deg - k) y_j^k with the factor's coefficient of it
+        for k, fre, fim in _gaussian_factor(a[j], b[j]):
+            exps = [0] * num_vars
+            exps[j], exps[half + j] = deg - k, k
+            steps.append((_pack(exps), fre, fim))
         grown = {}
         for key, (re, im) in out.items():
-            for k, fre, fim in factor:
-                grown[key + (deg - k) * x + k * y] = (re * fre - im * fim, re * fim + im * fre)
+            for step, fre, fim in steps:
+                # a product of monomials is the sum of their packed keys
+                grown[key + step] = (re * fre - im * fim, re * fim + im * fre)
         out = grown
     return out
 
