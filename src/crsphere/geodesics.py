@@ -5,16 +5,26 @@ Two independent integrations of the same curves:
   * the ambient second-order ODE of the adapted connection,
         gamma'' = -|gamma'|^2 gamma + (2 theta(gamma') - 2 b) i pi_H gamma',
     run with a classical fixed-step fourth-order integrator, the
-    position renormalized to the sphere each step;
+    position renormalized to the sphere each step.  The step runs on
+    C^(n+1) in complex scalars: with the Hermitian product
+    c = <gamma, gamma'>, pi_H gamma' = gamma' - c gamma and
+    theta(gamma') = Im c, so
+        gamma'' = -|gamma'|^2 gamma + 2i (Im c - b)(gamma' - c gamma);
 
   * the Hamilton-Jacobi system of H(x, xi) = (1/2) g^ij(x) xi_i xi_j in
     stereographic charts.  The cometric is the pushforward of the
     horizontal projector, g = (D^2/4) I - (D^4/16) m m^T with
     D = |u|^2 + 1 and m = J^T(iq), so H and both of its gradients have
-    closed forms.  The flow applies them matrix-free, through the
-    products J x and J^T w, and never builds g or J; `Chart.cometric`,
-    `Chart.jacobian` and `hamiltonian` keep the matrix form as the
-    oracle the tests compare against.
+    closed forms.  The flow steps on lists of floats and applies them
+    through the scalar chart maps `Chart.from_coords`, `Chart.push`
+    (J x) and `Chart.pull` (J^T w); it never builds g or J.
+    `Chart.cometric`, `Chart.jacobian` and `hamiltonian` keep the
+    matrix form as the oracle the tests compare against.
+
+Both step loops are plain Python arithmetic on a few scalars: the
+vectors have 4 to 8 entries, where a numpy call costs more than its
+arithmetic.  numpy only holds the traces, written row by row into
+preallocated arrays.
 
 On the spheres the multiplier b is constant along a geodesic, and a
 curve solves the connection equation with parameter b exactly when its
@@ -35,13 +45,14 @@ import cmath
 import csv
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 from scipy import optimize
 
 from .calculus import ScalarField, _rationalize
 from .polynomials import Polynomial
-from .sphere import SpherePoint, TangentVector, horizontal_frame, times_i
+from .sphere import ARG_TOL, SpherePoint, TangentVector, horizontal_frame, times_i
 
 MAX_STEP = 1e-2
 
@@ -126,56 +137,75 @@ class GeodesicTrace:
 def great_circle(x0, v, s):
     """x0 cos s + v sin s: the b = 0 geodesic in closed form."""
     vec = v.vec if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(vec) - 1.0) > 1e-9:
+    if abs(np.linalg.norm(vec) - 1.0) > ARG_TOL:
         raise ValueError("great_circle expects a unit direction")
     q = x0.coords
     t = times_i(q)
-    if abs(float(q @ vec)) > 1e-9 or abs(float(t @ vec)) > 1e-9:
+    if abs(float(q @ vec)) > ARG_TOL or abs(float(t @ vec)) > ARG_TOL:
         raise ValueError("great_circle expects a horizontal direction")
     out = q * np.cos(s) + vec * np.sin(s)
     return SpherePoint(out / np.linalg.norm(out), x0.n)
 
 
 def _connection_rhs(q, v, b):
-    t = times_i(q)
-    vh = v - (q @ v) * q - (t @ v) * t
-    theta_v = float(t @ v)
-    acc = -(v @ v) * q + (2.0 * theta_v - 2.0 * b) * times_i(vh)
-    return v, acc
+    """(gamma', gamma'') at (q, v), lists of complex scalars in C^(n+1).
+
+    c = <q, v> = sum conj(q_j) v_j gives pi_H v = v - c q and
+    theta(v) = Im c.
+    """
+    c = sum(map(mul, map(complex.conjugate, q), v))
+    vv = sum([w.real * w.real + w.imag * w.imag for w in v])
+    k = 2j * (c.imag - b)
+    return v, [k * (w - c * z) - vv * z for z, w in zip(q, v)]
 
 
 def integrate_connection_geodesic(init, s_max, step):
     """Fixed-step RK4 for the connection geodesic ODE.
 
-    The position is renormalized to the sphere after every step (the
+    The state is stepped in C^(n+1) (see `_connection_rhs`).  The
+    position is renormalized to the sphere after every step (the
     correction is far below the integrator error).  The multiplier
     evolves by b' = A(gamma', gamma'), and the spheres have no
     pseudohermitian torsion A, so b stays constant along the flow.
     """
     steps = _step_schedule(s_max, step)
-    q = init.x.coords.copy()
-    v = init.v.vec.copy()
+    q = _complex(init.x.coords).tolist()
+    v = _complex(init.v.vec).tolist()
     b = float(init.b)
     svals = np.empty(len(steps) + 1)
-    points = np.empty((len(steps) + 1, q.size))
-    vels = np.empty((len(steps) + 1, q.size))
+    zq = np.empty((len(steps) + 1, len(q)), dtype=complex)
+    zv = np.empty_like(zq)
     svals[0] = 0.0
-    points[0] = q
-    vels[0] = v
+    zq[0] = q
+    zv[0] = v
     s = 0.0
     for i, h in enumerate(steps, start=1):
+        half, sixth = 0.5 * h, h / 6.0
         k1q, k1v = _connection_rhs(q, v, b)
-        k2q, k2v = _connection_rhs(q + 0.5 * h * k1q, v + 0.5 * h * k1v, b)
-        k3q, k3v = _connection_rhs(q + 0.5 * h * k2q, v + 0.5 * h * k2v, b)
-        k4q, k4v = _connection_rhs(q + h * k3q, v + h * k3v, b)
-        q = q + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
-        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
-        q = q / np.linalg.norm(q)
+        k2q, k2v = _connection_rhs(
+            [z + half * d for z, d in zip(q, k1q)], [w + half * d for w, d in zip(v, k1v)], b
+        )
+        k3q, k3v = _connection_rhs(
+            [z + half * d for z, d in zip(q, k2q)], [w + half * d for w, d in zip(v, k2v)], b
+        )
+        k4q, k4v = _connection_rhs(
+            [z + h * d for z, d in zip(q, k3q)], [w + h * d for w, d in zip(v, k3v)], b
+        )
+        q = [
+            z + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
+            for z, d1, d2, d3, d4 in zip(q, k1q, k2q, k3q, k4q)
+        ]
+        v = [
+            w + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
+            for w, d1, d2, d3, d4 in zip(v, k1v, k2v, k3v, k4v)
+        ]
+        norm = math.sqrt(sum([z.real * z.real + z.imag * z.imag for z in q]))
+        q = [z / norm for z in q]
         s += h
         svals[i] = s
-        points[i] = q
-        vels[i] = v
-    return GeodesicTrace(svals, points, vels, np.full(len(steps) + 1, b))
+        zq[i] = q
+        zv[i] = v
+    return GeodesicTrace(svals, _real(zq), _real(zv), np.full(len(steps) + 1, b))
 
 
 def _step_schedule(s_max, step):
@@ -224,9 +254,7 @@ def closed_form_geodesic(x0, v, b, s):
     e2 = np.exp(-1j * w2 * s)[:, None]
     z = e1 * c1[None, :] + e2 * c2[None, :]
     dz = 1j * w1 * e1 * c1[None, :] - 1j * w2 * e2 * c2[None, :]
-    points = np.concatenate([z.real, z.imag], axis=1)
-    vels = np.concatenate([dz.real, dz.imag], axis=1)
-    return points, vels
+    return _real(z), _real(dz)
 
 
 def exp_map(x0, w):
@@ -271,17 +299,21 @@ class Chart:
         h = self.height(q)
         if h >= 1.0 - 1e-14:
             raise ValueError("point at the chart pole")
-        return q[:-1] / (1.0 - h)
+        return [x / (1.0 - h) for x in q[:-1]]
+
+    # The chart maps below take any sequence of floats and return a
+    # list: the HJ flow calls them on every RK4 stage with 3 to 7
+    # entries, where scalar arithmetic beats numpy's per-call cost.
 
     def from_coords(self, u):
-        d = float(u @ u) + 1.0
-        q = np.empty(self.m)
-        q[:-1] = 2.0 * u / d
-        q[-1] = self.sign * (d - 2.0) / d
+        d = sum(map(mul, u, u)) + 1.0
+        q = [2.0 * x / d for x in u]
+        q.append(self.sign * (d - 2.0) / d)
         return q
 
     def jacobian(self, u):
         """d(from_coords)/du, a (2n+2, 2n+1) matrix; conformal columns."""
+        u = np.asarray(u, dtype=float)
         d = float(u @ u) + 1.0
         jac = np.zeros((self.m, self.m - 1))
         jac[: self.m - 1, :] = (2.0 / d) * np.eye(self.m - 1)
@@ -291,18 +323,19 @@ class Chart:
 
     def push(self, u, x):
         """J x without building J: ((2/D) x - (4/D^2) u (u.x), s (4/D^2) u.x)."""
-        d = float(u @ u) + 1.0
-        ux = float(u @ x)
-        out = np.empty(self.m)
-        out[:-1] = (2.0 / d) * x - (4.0 * ux / (d * d)) * u
-        out[-1] = self.sign * 4.0 * ux / (d * d)
+        d = sum(map(mul, u, u)) + 1.0
+        r = 2.0 / d
+        k = 4.0 * sum(map(mul, u, x)) / (d * d)
+        out = [r * z - k * y for y, z in zip(u, x)]
+        out.append(self.sign * k)
         return out
 
     def pull(self, u, w):
         """J^T w without building J: (2/D) w' + (4/D^2) u (s w_last - u.w')."""
-        d = float(u @ u) + 1.0
-        wp = w[:-1]
-        return (2.0 / d) * wp + (4.0 * (self.sign * w[-1] - float(u @ wp)) / (d * d)) * u
+        d = sum(map(mul, u, u)) + 1.0
+        r = 2.0 / d
+        k = 4.0 * (self.sign * w[-1] - sum(map(mul, u, w))) / (d * d)
+        return [r * z + k * y for y, z in zip(u, w)]
 
     def cometric(self, u):
         """g^ij(u) = (D^2/4) I - (D^4/16) m m^T with m_i = <dq/du_i, iq>.
@@ -311,6 +344,7 @@ class Chart:
         Jacobian J satisfies J^T J = (4/D^2) I and J^T q = 0, so only
         the Reeb covector column survives the subtraction.
         """
+        u = np.asarray(u, dtype=float)
         d = float(u @ u) + 1.0
         q = self.from_coords(u)
         jac = self.jacobian(u)
@@ -360,16 +394,23 @@ def hamiltonian(state):
     return 0.5 * float(state.xi @ g @ state.xi)
 
 
+def _mul_i(v):
+    """i v for a list v of floats laid out as (x, y): the list (-y, x)."""
+    half = len(v) // 2
+    return [-x for x in v[half:]] + v[:half]
+
+
 def _cometric_apply(chart, u, xi):
     """g(u) xi = (D^2/4) xi - (D^4/16) c m without building g.
 
-    m = J^T(iq) and c = m.xi; returns g xi with D, iq and c.
+    m = J^T(iq) and c = m.xi; returns g xi with D, iq and c, on lists.
     """
-    d = float(u @ u) + 1.0
-    w = times_i(chart.from_coords(u))
+    d = sum(map(mul, u, u)) + 1.0
+    w = _mul_i(chart.from_coords(u))
     m = chart.pull(u, w)
-    c = float(m @ xi)
-    return (0.25 * d * d) * xi - (d**4 / 16.0 * c) * m, d, w, c
+    c = sum(map(mul, m, xi))
+    r, k = 0.25 * d * d, d**4 / 16.0 * c
+    return [r * x - k * y for x, y in zip(xi, m)], d, w, c
 
 
 def _hj_rhs(chart, u, xi):
@@ -378,20 +419,22 @@ def _hj_rhs(chart, u, xi):
     With dD/du = 2u, dH/du = (1/2)[D|xi|^2 u - (1/2) D^3 c^2 u
     - (D^4/8) c grad c].  Since c = (J xi).(iq), its gradient is
     Hess_u(q.w)|_(w = iq) xi - J^T(i J xi), where q.w = s w_last
-    + 2a/D with a = u.w' - s w_last for a fixed w.
+    + 2a/D with a = u.w' - s w_last for a fixed w.  u and xi are
+    sequences of floats; both parts come back as lists.
     """
     du, d, w, c = _cometric_apply(chart, u, xi)
-    wp = w[:-1]
-    a = float(u @ wp) - chart.sign * w[-1]
-    uxi = float(u @ xi)
-    hess_xi = (-4.0 / (d * d)) * (uxi * wp + float(wp @ xi) * u + a * xi) + (
-        16.0 * a * uxi / d**3
-    ) * u
-    grad_c = hess_xi - chart.pull(u, times_i(chart.push(u, xi)))
-    dxi = -0.5 * (
-        (d * float(xi @ xi) - 0.5 * d**3 * c * c) * u - (d**4 / 8.0 * c) * grad_c
-    )
-    return du, dxi
+    a = sum(map(mul, u, w)) - chart.sign * w[-1]
+    uxi = sum(map(mul, u, xi))
+    wxi = sum(map(mul, w, xi))
+    r, k = -4.0 / (d * d), 16.0 * a * uxi / d**3
+    pulled = chart.pull(u, _mul_i(chart.push(u, xi)))
+    e = d * sum(map(mul, xi, xi)) - 0.5 * d**3 * c * c
+    f = d**4 / 8.0 * c
+    # grad c = Hess xi - pulled, Hess xi = r (uxi w' + (w'.xi) u + a xi) + k u
+    return du, [
+        -0.5 * (e * y - f * ((r * (uxi * x + wxi * y + a * z) + k * y) - p))
+        for x, y, z, p in zip(w, u, xi, pulled)
+    ]
 
 
 def _hand_off(old, new, u, xi):
@@ -400,8 +443,9 @@ def _hand_off(old, new, u, xi):
     J^T J = (4/D^2) I, so the ambient covector J (J^T J)^-1 xi is
     J (D^2/4) xi, which the new chart pulls back.
     """
-    d = float(u @ u) + 1.0
-    m_amb = old.push(u, (0.25 * d * d) * xi)
+    d = sum(map(mul, u, u)) + 1.0
+    r = 0.25 * d * d
+    m_amb = old.push(u, [r * x for x in xi])
     u_new = new.to_coords(old.from_coords(u))
     return u_new, new.pull(u_new, m_amb)
 
@@ -409,46 +453,62 @@ def _hand_off(old, new, u, xi):
 def integrate_hj_geodesic(init, t_max, step):
     """Fixed-step RK4 for the Hamilton-Jacobi system in charts.
 
-    The Hamiltonian field is the closed form of `_hj_rhs`, applied
-    through the Jacobian products `Chart.push` and `Chart.pull`; the
-    recorded velocity is J dH/dxi.  Chart exits are events: when the
-    curve climbs toward the active pole the state is handed to the
-    antipodal chart and integration continues.
+    The state (u, xi) is stepped on lists of floats.  The Hamiltonian
+    field is the closed form of `_hj_rhs`, applied through the scalar
+    Jacobian products `Chart.push` and `Chart.pull`; the recorded
+    velocity is J dH/dxi, taken from the next step's first stage.
+    Chart exits are events: when the curve climbs toward the active
+    pole the state is handed to the antipodal chart and integration
+    continues.
     """
     steps = _step_schedule(t_max, step)
     charts = _charts(init.n)
     cid = init.chart
-    u = init.x.copy()
-    xi = init.xi.copy()
+    chart = charts[cid]
+    u = init.x.tolist()
+    xi = init.xi.tolist()
     m = 2 * init.n + 2
     svals = np.empty(len(steps) + 1)
     points = np.empty((len(steps) + 1, m))
     vels = np.empty((len(steps) + 1, m))
     events = []
-
-    def record(i, t):
-        chart = charts[cid]
-        svals[i] = t
-        points[i] = chart.from_coords(u)
-        vels[i] = chart.push(u, _cometric_apply(chart, u, xi)[0])
-
-    record(0, 0.0)
+    k1u, k1x = _hj_rhs(chart, u, xi)
+    svals[0] = 0.0
+    points[0] = chart.from_coords(u)
+    vels[0] = chart.push(u, k1u)
     t = 0.0
     for i, h in enumerate(steps, start=1):
-        chart = charts[cid]
-        k1u, k1x = _hj_rhs(chart, u, xi)
-        k2u, k2x = _hj_rhs(chart, u + 0.5 * h * k1u, xi + 0.5 * h * k1x)
-        k3u, k3x = _hj_rhs(chart, u + 0.5 * h * k2u, xi + 0.5 * h * k2x)
-        k4u, k4x = _hj_rhs(chart, u + h * k3u, xi + h * k3x)
-        u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        xi = xi + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        half, sixth = 0.5 * h, h / 6.0
+        k2u, k2x = _hj_rhs(
+            chart, [x + half * y for x, y in zip(u, k1u)], [x + half * y for x, y in zip(xi, k1x)]
+        )
+        k3u, k3x = _hj_rhs(
+            chart, [x + half * y for x, y in zip(u, k2u)], [x + half * y for x, y in zip(xi, k2x)]
+        )
+        k4u, k4x = _hj_rhs(
+            chart, [x + h * y for x, y in zip(u, k3u)], [x + h * y for x, y in zip(xi, k3x)]
+        )
+        u = [
+            x + sixth * (y1 + 2 * y2 + 2 * y3 + y4)
+            for x, y1, y2, y3, y4 in zip(u, k1u, k2u, k3u, k4u)
+        ]
+        xi = [
+            x + sixth * (y1 + 2 * y2 + 2 * y3 + y4)
+            for x, y1, y2, y3, y4 in zip(xi, k1x, k2x, k3x, k4x)
+        ]
         t += h
-        record(i, t)
-        if chart.height(points[i]) > Chart.HANDOFF_HEIGHT:
+        q = chart.from_coords(u)
+        k1u, k1x = _hj_rhs(chart, u, xi)
+        svals[i] = t
+        points[i] = q
+        vels[i] = chart.push(u, k1u)
+        if chart.height(q) > Chart.HANDOFF_HEIGHT:
             new_cid = 1 - cid
             u, xi = _hand_off(chart, charts[new_cid], u, xi)
             events.append({"t": t, "from_chart": cid, "to_chart": new_cid})
             cid = new_cid
+            chart = charts[cid]
+            k1u, k1x = _hj_rhs(chart, u, xi)
     trace = GeodesicTrace(
         svals, points, vels, np.full(len(steps) + 1, np.nan), events=events
     )
@@ -525,6 +585,11 @@ def _complex(vec):
     """(x, y) in R^(2n+2) as x + iy in C^(n+1)."""
     half = vec.size // 2
     return vec[:half] + 1j * vec[half:]
+
+
+def _real(z):
+    """Rows x + iy of C^(n+1) as rows (x, y) of R^(2n+2); inverse of `_complex`."""
+    return np.concatenate([z.real, z.imag], axis=-1)
 
 
 def _unit_horizontal(p, w):

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from crsphere import geodesics as G
+from crsphere import sphere
 from crsphere.calculus import ScalarField
 from crsphere.polynomials import Polynomial
 from crsphere.sphere import (
@@ -217,6 +218,34 @@ def test_hj_flow_builds_no_matrix(monkeypatch, rng):
     G.integrate_hj_geodesic(G.cotangent_lift(p, random_horizontal(rng, p), 1.0), 0.5, 1e-2)
 
 
+def test_step_loops_call_no_times_i(monkeypatch):
+    # the RK4 step bodies are scalar: the number of sphere.times_i calls
+    # an integration makes must not grow with its number of steps
+    calls = []
+
+    def counting(v):
+        calls.append(1)
+        return times_i(v)
+
+    monkeypatch.setattr(G, "times_i", counting)
+    monkeypatch.setattr(sphere, "times_i", counting)
+    p, v = _pole_crossing_start(2)
+    lift = G.cotangent_lift(p, v, 0.7)
+    state = G.GeodesicState(p, v, 0.7)
+    counts = {}
+    for length in (0.3, 3.0):
+        for name, run in (
+            ("connection", lambda: G.integrate_connection_geodesic(state, length, 1e-2)),
+            ("hj", lambda: G.integrate_hj_geodesic(lift, length, 1e-2)),
+        ):
+            calls.clear()
+            trace = run()
+            counts.setdefault(name, []).append((len(calls), len(trace.events)))
+    assert counts["hj"][1][1] > 0  # the long HJ run hands off charts
+    for name, ((short, _), (long, _)) in counts.items():
+        assert long == short, name
+
+
 def test_hand_off_matches_solve_form(rng):
     # J^T J = (4/D^2) I, so the closed form replaces a linear solve
     for n in (1, 2, 3):
@@ -265,6 +294,183 @@ def test_hj_reparametrization_invariance(rng):
     full = G.integrate_hj_geodesic(lift, 1.0, 1e-3)
     half = G.integrate_hj_geodesic(doubled, 0.5, 1e-3)
     assert np.linalg.norm(full.endpoint() - half.endpoint()) < 1e-6
+
+
+# ---------------------------------------------------------------------------
+# The scalar RK4 kernels against numpy references.
+# ---------------------------------------------------------------------------
+
+
+def _connection_rhs_reference(q, v, b):
+    t = times_i(q)
+    vh = v - (q @ v) * q - (t @ v) * t
+    theta_v = float(t @ v)
+    acc = -(v @ v) * q + (2.0 * theta_v - 2.0 * b) * times_i(vh)
+    return v, acc
+
+
+def connection_rk4_reference(init, s_max, step):
+    """The connection route as RK4 on real numpy vectors in R^(2n+2)."""
+    steps = G._step_schedule(s_max, step)
+    q = init.x.coords.copy()
+    v = init.v.vec.copy()
+    b = float(init.b)
+    svals, points, vels = [0.0], [q], [v]
+    s = 0.0
+    for h in steps:
+        k1q, k1v = _connection_rhs_reference(q, v, b)
+        k2q, k2v = _connection_rhs_reference(q + 0.5 * h * k1q, v + 0.5 * h * k1v, b)
+        k3q, k3v = _connection_rhs_reference(q + 0.5 * h * k2q, v + 0.5 * h * k2v, b)
+        k4q, k4v = _connection_rhs_reference(q + h * k3q, v + h * k3v, b)
+        q = q + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
+        v = v + (h / 6.0) * (k1v + 2 * k2v + 2 * k3v + k4v)
+        q = q / np.linalg.norm(q)
+        s += h
+        svals.append(s)
+        points.append(q)
+        vels.append(v)
+    return G.GeodesicTrace(
+        np.array(svals), np.array(points), np.array(vels), np.full(len(svals), b)
+    )
+
+
+def _from_coords_reference(chart, u):
+    d = float(u @ u) + 1.0
+    q = np.empty(chart.m)
+    q[:-1] = 2.0 * u / d
+    q[-1] = chart.sign * (d - 2.0) / d
+    return q
+
+
+def _push_reference(chart, u, x):
+    d = float(u @ u) + 1.0
+    ux = float(u @ x)
+    out = np.empty(chart.m)
+    out[:-1] = (2.0 / d) * x - (4.0 * ux / (d * d)) * u
+    out[-1] = chart.sign * 4.0 * ux / (d * d)
+    return out
+
+
+def _pull_reference(chart, u, w):
+    d = float(u @ u) + 1.0
+    wp = w[:-1]
+    return (2.0 / d) * wp + (4.0 * (chart.sign * w[-1] - float(u @ wp)) / (d * d)) * u
+
+
+def _cometric_apply_reference(chart, u, xi):
+    d = float(u @ u) + 1.0
+    w = times_i(_from_coords_reference(chart, u))
+    m = _pull_reference(chart, u, w)
+    c = float(m @ xi)
+    return (0.25 * d * d) * xi - (d**4 / 16.0 * c) * m, d, w, c
+
+
+def _hj_rhs_reference(chart, u, xi):
+    du, d, w, c = _cometric_apply_reference(chart, u, xi)
+    wp = w[:-1]
+    a = float(u @ wp) - chart.sign * w[-1]
+    uxi = float(u @ xi)
+    hess_xi = (-4.0 / (d * d)) * (uxi * wp + float(wp @ xi) * u + a * xi) + (
+        16.0 * a * uxi / d**3
+    ) * u
+    grad_c = hess_xi - _pull_reference(chart, u, times_i(_push_reference(chart, u, xi)))
+    dxi = -0.5 * ((d * float(xi @ xi) - 0.5 * d**3 * c * c) * u - (d**4 / 8.0 * c) * grad_c)
+    return du, dxi
+
+
+def hj_rk4_reference(init, t_max, step):
+    """The HJ route as RK4 on numpy vectors, recording J g xi after every step."""
+    steps = G._step_schedule(t_max, step)
+    charts = G._charts(init.n)
+    cid = init.chart
+    u, xi = init.x.copy(), init.xi.copy()
+    svals, points, vels, events = [], [], [], []
+
+    def record(t):
+        chart = charts[cid]
+        svals.append(t)
+        points.append(_from_coords_reference(chart, u))
+        vels.append(_push_reference(chart, u, _cometric_apply_reference(chart, u, xi)[0]))
+
+    record(0.0)
+    t = 0.0
+    for h in steps:
+        chart = charts[cid]
+        k1u, k1x = _hj_rhs_reference(chart, u, xi)
+        k2u, k2x = _hj_rhs_reference(chart, u + 0.5 * h * k1u, xi + 0.5 * h * k1x)
+        k3u, k3x = _hj_rhs_reference(chart, u + 0.5 * h * k2u, xi + 0.5 * h * k2x)
+        k4u, k4x = _hj_rhs_reference(chart, u + h * k3u, xi + h * k3x)
+        u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
+        xi = xi + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        t += h
+        record(t)
+        if chart.height(points[-1]) > G.Chart.HANDOFF_HEIGHT:
+            new = charts[1 - cid]
+            d = float(u @ u) + 1.0
+            m_amb = _push_reference(chart, u, (0.25 * d * d) * xi)
+            u = np.array(new.to_coords(_from_coords_reference(chart, u)))
+            xi = _pull_reference(new, u, m_amb)
+            events.append({"t": t, "from_chart": cid, "to_chart": 1 - cid})
+            cid = 1 - cid
+    return G.GeodesicTrace(
+        np.array(svals), np.array(points), np.array(vels), np.full(len(svals), np.nan), events
+    )
+
+
+def _pole_crossing_start(n):
+    """E1 in S^(2n+1) with the horizontal unit velocity toward the last axis."""
+    e1, last = np.zeros(2 * n + 2), np.zeros(2 * n + 2)
+    e1[0] = last[-1] = 1.0
+    p = SpherePoint(e1, n)
+    return p, TangentVector(p, last, True)
+
+
+@st.composite
+def _geodesic_starts(draw):
+    n = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        p, v = _pole_crossing_start(n)
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        p = random_point(rng, n)
+        v = random_horizontal(rng, p)
+    b = draw(st.floats(-3.0, 3.0))
+    step = draw(st.sampled_from((2e-3, 5e-3, 1e-2)))
+    # a whole number of steps plus a remainder, so the last step is short
+    length = step * (draw(st.integers(50, 300)) + draw(st.floats(0.05, 0.95)))
+    return p, v, b, length, step
+
+
+def _assert_same_trace(got, want):
+    assert np.array_equal(got.s, want.s)
+    assert_allclose(got.points, want.points, rtol=0, atol=1e-13)
+    assert_allclose(got.velocities, want.velocities, rtol=0, atol=1e-13)
+    assert got.events == want.events
+
+
+@settings(max_examples=40, deadline=None)
+@given(_geodesic_starts())
+def test_scalar_kernels_match_numpy_references(start):
+    p, v, b, length, step = start
+    state = G.GeodesicState(p, v, b)
+    _assert_same_trace(
+        G.integrate_connection_geodesic(state, length, step),
+        connection_rk4_reference(state, length, step),
+    )
+    lift = G.cotangent_lift(p, v, b)
+    _assert_same_trace(
+        G.integrate_hj_geodesic(lift, length, step), hj_rk4_reference(lift, length, step)
+    )
+
+
+def test_pole_crossing_start_hands_off_in_both_kernels():
+    # the E1 start of the property test does exercise a handoff
+    for n in (1, 2, 3):
+        p, v = _pole_crossing_start(n)
+        lift = G.cotangent_lift(p, v, 0.5)
+        got = G.integrate_hj_geodesic(lift, 2.005, 1e-2)
+        assert got.events
+        _assert_same_trace(got, hj_rk4_reference(lift, 2.005, 1e-2))
 
 
 # ---------------------------------------------------------------------------
