@@ -344,7 +344,6 @@ class Chart:
         Jacobian J satisfies J^T J = (4/D^2) I and J^T q = 0, so only
         the Reeb covector column survives the subtraction.
         """
-        u = np.asarray(u, dtype=float)
         d = float(u @ u) + 1.0
         q = self.from_coords(u)
         jac = self.jacobian(u)

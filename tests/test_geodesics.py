@@ -463,8 +463,8 @@ def test_scalar_kernels_match_numpy_references(start):
     )
 
 
-def test_pole_crossing_start_hands_off_in_both_kernels():
-    # the E1 start of the property test does exercise a handoff
+def test_pole_crossing_start_hands_off():
+    # the E1 start of the property test does exercise a chart handoff
     for n in (1, 2, 3):
         p, v = _pole_crossing_start(n)
         lift = G.cotangent_lift(p, v, 0.5)
