@@ -81,6 +81,7 @@ class BoundReport:
     bound: float
     entries: list
     provenance: dict = field(default_factory=dict)
+    samples: np.ndarray | None = field(default=None, repr=False)  # k_hat is their minimum
 
     def __post_init__(self):
         for e in self.entries:
@@ -107,7 +108,8 @@ def check_bound(n, degree_max, num_samples=200, seed=0):
     """
     if degree_max > 6:
         raise ValueError("fragments are desk scale: degree_max <= 6")
-    k_hat = estimate_k(n, num_samples, seed)
+    samples = estimate_k_samples(n, num_samples, seed)
+    k_hat = float(np.min(samples))
     bound = lichnerowicz_bound(n, k_hat)
     entries = []
     for ell in range(1, degree_max + 1):
@@ -140,4 +142,5 @@ def check_bound(n, degree_max, num_samples=200, seed=0):
             "equality_tol": EQUALITY_TOL,
             "bound_slack": BOUND_SLACK,
         },
+        samples=samples,
     )

@@ -37,13 +37,17 @@ import numpy as np
 
 from .polynomials import Polynomial, euclidean_laplacian, sphere_integral
 from .sphere import (
+    ARG_TOL,
     HorizontalFrame,
     SpherePoint,
     TangentVector,
+    _finite,
     horizontal_frame,
     times_i,
 )
 from .spectrum import t0_apply
+
+EXCHANGE_TOL = 1e-9  # HessianBlock's check of its horizontal antisymmetry
 
 
 # ----------------------------------------------------------------------
@@ -316,13 +320,28 @@ def sublaplacian_greenleaf(f, p):
 
 # ----------------------------------------------------------------------
 # The adapted connection.
+#
+# The pointwise helpers take a single vector or a stack of vectors along
+# the leading axis (rows paired row by row; a single vector broadcasts
+# against a stack), so a frame trace is one expression over the rows
+# [T; X_1..X_2n].
 # ----------------------------------------------------------------------
+
+
+def _rowdot(a, b):
+    """Row-by-row dot product over the last axis; a scalar for two vectors."""
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _col(c):
+    """Coefficient(s) c as a column, to scale a vector or each row of a stack."""
+    return np.asarray(c)[..., None]
 
 
 def _pi_h_vec(q, v):
     """pi_H v at q; also the value at q of the horizontal extension seeded by v."""
     t = times_i(q)
-    return v - (q @ v) * q - (t @ v) * t
+    return v - _col(v @ q) * q - _col(v @ t) * t
 
 
 def _pi_h_deriv(q, u, w, dw):
@@ -343,7 +362,7 @@ def _big_j(q, v):
 
 
 def _omega_vec(q, u, v):
-    return float(_pi_h_vec(q, u) @ times_i(_pi_h_vec(q, v)))
+    return _rowdot(_pi_h_vec(q, u), times_i(_pi_h_vec(q, v)))
 
 
 def _cov_deriv_pointwise(q, u, y, dy):
@@ -351,10 +370,10 @@ def _cov_deriv_pointwise(q, u, y, dy):
     t = times_i(q)
     return (
         dy
-        + float(u @ y) * q
-        - _omega_vec(q, u, y) * t
-        - float(t @ u) * _big_j(q, y)
-        - float(t @ y) * _big_j(q, u)
+        + _col(_rowdot(u, y)) * q
+        - _col(_omega_vec(q, u, y)) * t
+        - _col(u @ t) * _big_j(q, y)
+        - _col(y @ t) * _big_j(q, u)
     )
 
 
@@ -363,10 +382,10 @@ def _ext_deriv(q, u, v):
     t = times_i(q)
     iu = times_i(u)
     return (
-        -float(v @ u) * q
-        - float(v @ q) * u
-        - float(v @ iu) * t
-        - float(v @ t) * iu
+        -_col(_rowdot(v, u)) * q
+        - _col(v @ q) * u
+        - _col(_rowdot(v, iu)) * t
+        - _col(v @ t) * iu
     )
 
 
@@ -413,16 +432,17 @@ def covariant_derivative_field(X, Y):
     return deriv + q.scale(x_dot_y) - iq.scale(omega) - jy.scale(theta_x) - jx.scale(theta_y)
 
 
+def _adapted_rows(p, frame):
+    """The rows [T; X_1..X_2n] of the adapted frame at p."""
+    return np.concatenate((p.reeb_coords()[None], frame.matrix()))
+
+
 def divergence(p, V):
     """Frame trace of the covariant derivative over (T, X_1..X_2n)."""
     q = p.coords
-    frame = horizontal_frame(p)
-    y_at = V.at(q)
-    jac = V.jacobian_at(q)
-    total = 0.0
-    for e in (p.reeb_coords(), *(x.vec for x in frame.vectors)):
-        total += float(_cov_deriv_pointwise(q, e, y_at, jac @ e) @ e)
-    return total
+    rows = _adapted_rows(p, horizontal_frame(p))
+    nabla = _cov_deriv_pointwise(q, rows, V.at(q), rows @ V.jacobian_at(q).T)
+    return float(np.einsum("ij,ij->", nabla, rows))
 
 
 # ----------------------------------------------------------------------
@@ -456,7 +476,11 @@ def hessian_form(f, p):
 
 
 def _hessian_form_at(q, grad, hess):
-    """hessian_form at q from the flat gradient and Hessian there."""
+    """hessian_form at q from the flat gradient and Hessian there.
+
+    The form takes single vectors or stacks of rows: rows U and V give
+    the matrix of values over every pair (U_i, V_j).
+    """
     t = times_i(q)
     radial = float(q @ grad)
     reebward = float(t @ grad)
@@ -464,11 +488,14 @@ def _hessian_form_at(q, grad, hess):
     def form(u, v):
         u = getattr(u, "vec", u)
         v = getattr(v, "vec", v)
-        val = float(u @ hess @ v) - float(u @ v) * radial
-        val += _omega_vec(q, u, v) * reebward
-        val += float(t @ u) * float(_big_j(q, v) @ grad)
-        val += float(t @ v) * float(_big_j(q, u) @ grad)
-        return val
+        pu, pv = _pi_h_vec(q, u), _pi_h_vec(q, v)
+        ju, jv = times_i(pu), times_i(pv)
+        return (
+            np.inner(u @ hess, v) - np.inner(u, v) * radial
+            + np.inner(pu, jv) * reebward
+            + np.multiply.outer(u @ t, jv @ grad)
+            + np.multiply.outer(ju @ grad, v @ t)
+        )
 
     return form
 
@@ -492,7 +519,7 @@ class HessianBlock:
         n = base.n
         if self.values.shape != (2 * n + 1, 2 * n + 1):
             raise ValueError("hessian block of the wrong shape")
-        if self.antisymmetry_residual() > 1e-9:
+        if not self.antisymmetry_residual() <= EXCHANGE_TOL:
             raise ValueError("horizontal antisymmetry identity violated")
 
     def horizontal_block(self):
@@ -518,14 +545,8 @@ def tw_hessian(f, p):
 def _tw_hessian_at(f, p, grad, hess):
     """tw_hessian at p from the flat gradient and Hessian there."""
     frame = horizontal_frame(p)
-    form = _hessian_form_at(p.coords, grad, hess)
-    t = p.reeb_coords()
-    vectors = [t] + [v.vec for v in frame.vectors]
-    k = len(vectors)
-    values = np.empty((k, k))
-    for i in range(k):
-        for j in range(k):
-            values[i, j] = form(vectors[i], vectors[j])
+    rows = _adapted_rows(p, frame)
+    values = _hessian_form_at(p.coords, grad, hess)(rows, rows)
     return HessianBlock(p, frame, values, f.t0_poly.evaluate(p))
 
 
@@ -545,16 +566,12 @@ def sublaplacian_frame(f, p):
 
 def _sublaplacian_frame_at(p, grad, hess):
     """sublaplacian_frame at p from the flat gradient and Hessian there."""
-    frame = horizontal_frame(p)
     q = p.coords
-    total = 0.0
-    for X in frame.vectors:
-        x = X.vec
-        dx = _ext_deriv(q, x, x)
-        second = float(x @ hess @ x) + float(dx @ grad)
-        drift = _cov_deriv_pointwise(q, x, _pi_h_vec(q, x), dx)
-        total += second - float(drift @ grad)
-    return total
+    x = horizontal_frame(p).matrix()
+    dx = _ext_deriv(q, x, x)
+    second = _rowdot(x @ hess, x) + dx @ grad
+    drift = _cov_deriv_pointwise(q, x, _pi_h_vec(q, x), dx)
+    return float(np.sum(second - drift @ grad))
 
 
 def connection_axiom_residuals(p, x, y, z):
@@ -601,17 +618,21 @@ def connection_axiom_residuals(p, x, y, z):
 
 def curvature_sphere(p, X, Y, Z):
     """R(X,Y)Z on horizontal vectors from the constant-holomorphic-
-    sectional-curvature expression of the sphere connection."""
+    sectional-curvature expression of the sphere connection.
+
+    X may be a stack of vectors as rows; the result then has one row
+    R(X_i,Y)Z per row of X.
+    """
     x = getattr(X, "vec", X)
     y = getattr(Y, "vec", Y)
     z = getattr(Z, "vec", Z)
     jx, jy, jz = times_i(x), times_i(y), times_i(z)
     return (
         float(y @ z) * x
-        - float(x @ z) * y
+        - np.multiply.outer(x @ z, y)
         + float(jy @ z) * jx
-        - float(jx @ z) * jy
-        - 2.0 * float(jx @ y) * jz
+        - np.multiply.outer(jx @ z, jy)
+        - 2.0 * np.multiply.outer(jx @ y, jz)
     )
 
 
@@ -639,17 +660,18 @@ def curvature_via_connection(p, X, Y, Z):
 
 def ricci(p, X):
     """rho(X, X) by tracing the curvature over a horizontal frame."""
-    x = getattr(X, "vec", X)
-    q = p.coords
-    t = times_i(q)
-    scale = max(1.0, float(np.linalg.norm(x)))
-    if abs(float(x @ q)) > 1e-9 * scale or abs(float(x @ t)) > 1e-9 * scale:
+    x = np.asarray(getattr(X, "vec", X), dtype=float)
+    _finite(x, "Ricci argument")
+    scale = ARG_TOL * max(1.0, float(np.linalg.norm(x)))
+    if not (abs(float(x @ p.coords)) <= scale and abs(float(x @ p.reeb_coords())) <= scale):
         raise ValueError("Ricci is evaluated on horizontal vectors")
-    frame = horizontal_frame(p)
-    total = 0.0
-    for e in frame.vectors:
-        total += float(curvature_sphere(p, e.vec, x, x) @ e.vec)
-    return total
+    return _ricci_trace(p, horizontal_frame(p), x)
+
+
+def _ricci_trace(p, frame, x):
+    """sum_j <R(X_j, x) x, X_j> over the rows of the frame."""
+    mat = frame.matrix()
+    return float(np.einsum("ij,ij->", curvature_sphere(p, mat, x, x), mat))
 
 
 # ----------------------------------------------------------------------
@@ -726,9 +748,7 @@ def _bochner_residual_at(f, p, grad, hess, block):
     hsq = block.horizontal_norm_sq()
     gh = _pi_h_vec(q, grad)
     grad_term = sum(gp.evaluate(q) * gh[k] for k, gp in enumerate(f.sublaplacian_grad_polys))
-    ric = sum(
-        float(curvature_sphere(p, e.vec, gh, gh) @ e.vec) for e in block.frame.vectors
-    )
+    ric = _ricci_trace(p, block.frame, gh)
     term1, term2 = _operator_l_parts_at(f, q, grad, hess)
     return lhs - (hsq + grad_term + ric + 2.0 * (term1 - term2))
 

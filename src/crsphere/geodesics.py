@@ -147,6 +147,23 @@ def great_circle(x0, v, s):
     return SpherePoint(out / np.linalg.norm(out), x0.n)
 
 
+def great_circle_points(x0, v, s):
+    """great_circle at every entry of s, as the rows of one array.
+
+    The direction is validated once, with great_circle's guards (written
+    so that a NaN residual fails them too); each row is normalised.
+    """
+    vec = v.vec if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
+    if not abs(np.linalg.norm(vec) - 1.0) <= ARG_TOL:
+        raise ValueError("great_circle expects a unit direction")
+    q = x0.coords
+    if not (abs(float(q @ vec)) <= ARG_TOL and abs(float(times_i(q) @ vec)) <= ARG_TOL):
+        raise ValueError("great_circle expects a horizontal direction")
+    s = np.asarray(s, dtype=float)[:, None]
+    out = q * np.cos(s) + vec * np.sin(s)
+    return out / np.linalg.norm(out, axis=1)[:, None]
+
+
 def _connection_rhs(q, v, b):
     """(gamma', gamma'') at (q, v), lists of complex scalars in C^(n+1).
 

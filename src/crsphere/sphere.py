@@ -25,7 +25,19 @@ import numpy as np
 UNIT_TOL = 1e-12
 TYPE_TOL = 1e-12  # tolerance enforced on typed values
 ARG_TOL = 1e-9    # tolerance for validating raw array arguments
+FRAME_TOL = 1e-10  # Levi-orthonormality and J-pairing of a horizontal frame
 FRAME_SEED_MIN = 1e-2  # shortest projected seed horizontal_frame normalises
+
+
+def _finite(values, what):
+    """Raise ValueError unless every entry is finite.
+
+    The tolerance guards below are written `not residual <= tol`, which
+    also rejects NaN; an infinite entry can still slip through a guard
+    scaled by the norm (inf <= tol * inf), so it is rejected here.
+    """
+    if not np.all(np.isfinite(values)):
+        raise ValueError("%s has a non-finite entry" % what)
 
 
 def times_i(v):
@@ -55,7 +67,8 @@ class SpherePoint:
                 "expected %d coordinates, got shape %s"
                 % (2 * self.n + 2, coords.shape)
             )
-        if abs(np.linalg.norm(coords) - 1.0) > UNIT_TOL:
+        _finite(coords, "point")
+        if not abs(np.linalg.norm(coords) - 1.0) <= UNIT_TOL:
             raise ValueError("point is not on the unit sphere")
 
     @property
@@ -82,12 +95,13 @@ class TangentVector:
         object.__setattr__(self, "vec", vec)
         if vec.shape != self.base.coords.shape:
             raise ValueError("vector dimension does not match the base point")
+        _finite(vec, "tangent vector")
         scale = max(1.0, float(np.linalg.norm(vec)))
-        if abs(float(vec @ self.base.coords)) > TYPE_TOL * scale:
+        if not abs(float(vec @ self.base.coords)) <= TYPE_TOL * scale:
             raise ValueError("vector is not tangent to the sphere at its base")
         if self.horizontal:
             theta = float(self.base.reeb_coords() @ vec)
-            if abs(theta) > TYPE_TOL * scale:
+            if not abs(theta) <= TYPE_TOL * scale:
                 raise ValueError("vector flagged horizontal has a Reeb component")
 
     @property
@@ -108,8 +122,9 @@ def _vec_at(p, v, tol=ARG_TOL, what="vector"):
             raise ValueError("tangent vector attached to a different base point")
         return v.vec
     v = np.asarray(v, dtype=float)
+    _finite(v, what)
     scale = max(1.0, float(np.linalg.norm(v)))
-    if abs(float(v @ p.coords)) > tol * scale:
+    if not abs(float(v @ p.coords)) <= tol * scale:
         raise ValueError("%s is not tangent at the given point" % what)
     return v
 
@@ -135,7 +150,7 @@ def horizontal_project(p, v):
 def complex_structure(p, X):
     """J X = i X for horizontal X; defined on the horizontal space only."""
     vec = _vec_at(p, X)
-    if abs(float(p.reeb_coords() @ vec)) > ARG_TOL * max(1.0, float(np.linalg.norm(vec))):
+    if not abs(float(p.reeb_coords() @ vec)) <= ARG_TOL * max(1.0, float(np.linalg.norm(vec))):
         raise ValueError("J is defined on horizontal vectors only")
     return TangentVector(p, times_i(vec), horizontal=True)
 
@@ -146,7 +161,7 @@ def levi_form(p, X, Y):
     yv = _vec_at(p, Y)
     t = p.reeb_coords()
     for v in (xv, yv):
-        if abs(float(t @ v)) > ARG_TOL * max(1.0, float(np.linalg.norm(v))):
+        if not abs(float(t @ v)) <= ARG_TOL * max(1.0, float(np.linalg.norm(v))):
             raise ValueError("Levi form takes horizontal arguments")
     return float(xv @ yv)
 
@@ -169,26 +184,48 @@ def omega_form(p, X, Y):
 
 @dataclass(frozen=True, eq=False)
 class HorizontalFrame:
-    """Levi-orthonormal horizontal frame with X_(alpha+n) = J X_alpha."""
+    """Levi-orthonormal horizontal frame with X_(alpha+n) = J X_alpha.
+
+    Stored as one read-only (2n, 2n+2) array of frame vectors as rows;
+    `rows` may be that array or any sequence of vectors (TangentVectors
+    included).  Every invariant is checked once, over the whole matrix.
+    """
 
     base: SpherePoint
-    vectors: tuple
+    rows: np.ndarray
 
     def __post_init__(self):
         n = self.base.n
-        if len(self.vectors) != 2 * n:
-            raise ValueError("frame must have 2n vectors")
-        mat = np.array([v.vec for v in self.vectors])
-        gram = mat @ mat.T
-        if np.max(np.abs(gram - np.eye(2 * n))) > 1e-10:
+        rows = self.rows
+        if not isinstance(rows, np.ndarray):
+            rows = [getattr(v, "vec", v) for v in rows]
+        mat = np.array(rows, dtype=float)
+        if mat.shape != (2 * n, self.base.dim):
+            raise ValueError("frame must have 2n vectors of the ambient dimension")
+        _finite(mat, "frame")
+        mat.flags.writeable = False
+        object.__setattr__(self, "rows", mat)
+        # Each check passes only when its largest residual is <= the
+        # tolerance, which a NaN residual never is.  A frame that passes
+        # has rows of length 1 to within FRAME_TOL, so TYPE_TOL needs no
+        # scaling by the row length here.
+        if not abs(mat @ self.base.reeb_coords()).max() <= TYPE_TOL:
+            raise ValueError("frame vector has a Reeb component: not horizontal")
+        if not abs(mat @ self.base.coords).max() <= TYPE_TOL:
+            raise ValueError("frame vector is not tangent to the sphere at its base")
+        if not abs(mat @ mat.T - np.eye(2 * n)).max() <= FRAME_TOL:
             raise ValueError("frame is not Levi-orthonormal")
-        for a in range(n):
-            if np.max(np.abs(times_i(mat[a]) - mat[a + n])) > 1e-10:
-                raise ValueError("frame does not satisfy X_(a+n) = J X_a")
+        if not abs(times_i(mat[:n]) - mat[n:]).max() <= FRAME_TOL:
+            raise ValueError("frame does not satisfy X_(a+n) = J X_a")
 
     def matrix(self):
-        """(2n, 2n+2) array of frame vectors as rows."""
-        return np.array([v.vec for v in self.vectors])
+        """(2n, 2n+2) read-only array of frame vectors as rows."""
+        return self.rows
+
+    @property
+    def vectors(self):
+        """The frame as horizontal TangentVectors, built on each access."""
+        return tuple(TangentVector(self.base, v, horizontal=True) for v in self.rows)
 
 
 def horizontal_frame(p):
@@ -219,13 +256,13 @@ def horizontal_frame(p):
             continue
         w = w / norm
         chosen.append(w)
-        span.extend([w, times_i(w)])
         if len(chosen) == p.n:
             break
+        span.extend([w, times_i(w)])
     if len(chosen) < p.n:
         raise RuntimeError("failed to build a horizontal frame")  # unreachable
-    vecs = chosen + [times_i(w) for w in chosen]
-    return HorizontalFrame(p, tuple(TangentVector(p, v, horizontal=True) for v in vecs))
+    top = np.array(chosen)
+    return HorizontalFrame(p, np.concatenate((top, times_i(top))))
 
 
 def s3_frame_coefficients(p):

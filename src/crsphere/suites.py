@@ -461,8 +461,8 @@ def _suite_geodesics(cfg):
 
 
 def _suite_bound(cfg):
-    samples = B.estimate_k_samples(cfg.n, num_samples=max(50, cfg.trials), seed=cfg.seed)
-    k_hat = float(np.min(samples))
+    report = B.check_bound(cfg.n, cfg.degree_max, num_samples=max(50, cfg.trials), seed=cfg.seed)
+    samples, k_hat = report.samples, report.k_hat
     expected_k = 2 * (cfg.n + 1)
     checks = [
         _check(
@@ -473,7 +473,6 @@ def _suite_bound(cfg):
             "bound.k_value", "estimated floor equals 2(n+1) = %d" % expected_k,
             "ricci floor", {"n": cfg.n, "k_hat": k_hat}, abs(k_hat - expected_k), TOL_K_VALUE),
     ]
-    report = B.check_bound(cfg.n, cfg.degree_max, num_samples=max(50, cfg.trials), seed=cfg.seed)
     kernel_entries = report.kernel_entries()
     checks.append(_check(
         "bound.kernel_satisfies", "every Reeb-kernel eigenvalue satisfies -mu >= 2nk/(2n-1)",
@@ -507,8 +506,8 @@ def _suite_s3(cfg):
     svals = np.linspace(0.0, 2 * np.pi, 721)
     worst_fit = 0.0
     fits = []
-    for direction in frame.vectors:
-        pts = np.array([G.great_circle(x0, direction, s).coords for s in svals])
+    for direction in frame.matrix():
+        pts = G.great_circle_points(x0, direction, svals)
         trace = G.GeodesicTrace(svals, pts, np.zeros_like(pts), np.zeros(svals.size))
         amp, freq, resid = G.eigen_along_geodesic(f, trace)
         worst_fit = _worst(worst_fit, resid, abs(amp - alpha), abs(freq - 2.0))
@@ -545,7 +544,7 @@ def _suite_s3(cfg):
         _worst(worst_set, worst_val, worst_grad, worst_tt),
         status=worst_set < cfg.tol and strict))
 
-    reached = G.exp_map(x0, frame.vectors[0].vec * (np.pi / 2))
+    reached = G.exp_map(x0, frame.matrix()[0] * (np.pi / 2))
     resid, _ = G._set_residual(reached.coords, a, b)
     res_cc = G.cc_distance(x0, reached)
     excess = res_cc.estimate - np.pi / 2

@@ -117,6 +117,28 @@ def test_kernel_bound_in_every_degree():
             assert e.equality == (n == 1 and p == 1)
 
 
+def test_check_bound_keeps_its_samples():
+    report = check_bound(2, 2, num_samples=60, seed=3)
+    assert np.array_equal(report.samples, estimate_k_samples(2, 60, 3))
+    assert report.k_hat == float(np.min(report.samples))
+
+
+def test_bound_suite_draws_the_samples_once(monkeypatch):
+    from crsphere import bounds
+
+    draws = []
+    original = bounds.estimate_k_samples
+
+    def counting(*args, **kwargs):
+        draws.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "estimate_k_samples", counting)
+    report = run_suite(Config(suite="bound", n=1, degree_max=2, trials=60, seed=4))
+    assert len(draws) == 1
+    assert report.passed
+
+
 def test_check_bound_degree_cap():
     with pytest.raises(ValueError):
         check_bound(1, 7)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from crsphere import calculus as C
+from crsphere import sphere
 from crsphere.geodesics import Chart
 from crsphere.polynomials import Polynomial, sphere_integral
 from crsphere.sphere import (
@@ -277,6 +279,18 @@ def test_ricci_rejects_non_horizontal(rng):
     p = random_point(rng, 1)
     with pytest.raises(ValueError):
         C.ricci(p, p.reeb_coords())
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ricci_rejects_non_finite(bad):
+    q = SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]), 1)
+    p = SpherePoint(np.array([0.6, 0.0, 0.8, 0.0]), 1)
+    for base in (q, p):
+        for k in range(4):
+            x = np.zeros(4)
+            x[k] = bad
+            with pytest.raises(ValueError):
+                C.ricci(base, x)
 
 
 def rational_point(rng, n):
@@ -634,3 +648,192 @@ def test_trace_gap_positive_off_identity(c, m, seed):
         perturb[0, 1] = 1.0
     mat = c * np.eye(m) + perturb
     assert C.trace_equality_gap(mat) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# The per-vector frame traces, kept as oracles for the matrix path: each
+# makes one call per frame entry, as the library did before its traces
+# became one expression over the rows [T; X_1..X_2n].
+# ---------------------------------------------------------------------------
+
+
+def _pi_h_reference(q, v):
+    t = times_i(q)
+    return v - (q @ v) * q - (t @ v) * t
+
+
+def _big_j_reference(q, v):
+    return times_i(_pi_h_reference(q, v))
+
+
+def _omega_reference(q, u, v):
+    return float(_pi_h_reference(q, u) @ times_i(_pi_h_reference(q, v)))
+
+
+def _cov_deriv_reference(q, u, y, dy):
+    t = times_i(q)
+    return (
+        dy
+        + float(u @ y) * q
+        - _omega_reference(q, u, y) * t
+        - float(t @ u) * _big_j_reference(q, y)
+        - float(t @ y) * _big_j_reference(q, u)
+    )
+
+
+def _ext_deriv_reference(q, u, v):
+    t = times_i(q)
+    iu = times_i(u)
+    return -float(v @ u) * q - float(v @ q) * u - float(v @ iu) * t - float(v @ t) * iu
+
+
+def hessian_form_reference(q, grad, hess):
+    t = times_i(q)
+    radial = float(q @ grad)
+    reebward = float(t @ grad)
+
+    def form(u, v):
+        val = float(u @ hess @ v) - float(u @ v) * radial
+        val += _omega_reference(q, u, v) * reebward
+        val += float(t @ u) * float(_big_j_reference(q, v) @ grad)
+        val += float(t @ v) * float(_big_j_reference(q, u) @ grad)
+        return val
+
+    return form
+
+
+def _frame_rows_reference(p):
+    return [p.reeb_coords(), *(x.vec for x in horizontal_frame(p).vectors)]
+
+
+def tw_hessian_reference(f, p):
+    form = hessian_form_reference(p.coords, *C._grad_hess(f, p.coords))
+    rows = _frame_rows_reference(p)
+    return np.array([[form(u, v) for v in rows] for u in rows])
+
+
+def curvature_reference(x, y, z):
+    jx, jy, jz = times_i(x), times_i(y), times_i(z)
+    return (
+        float(y @ z) * x
+        - float(x @ z) * y
+        + float(jy @ z) * jx
+        - float(jx @ z) * jy
+        - 2.0 * float(jx @ y) * jz
+    )
+
+
+def ricci_reference(p, x):
+    return sum(float(curvature_reference(e, x, x) @ e) for e in _frame_rows_reference(p)[1:])
+
+
+def divergence_reference(p, V):
+    q = p.coords
+    y_at, jac = V.at(q), V.jacobian_at(q)
+    return sum(
+        float(_cov_deriv_reference(q, e, y_at, jac @ e) @ e) for e in _frame_rows_reference(p)
+    )
+
+
+def sublaplacian_frame_reference(f, p):
+    q = p.coords
+    grad, hess = C._grad_hess(f, q)
+    total = 0.0
+    for x in _frame_rows_reference(p)[1:]:
+        dx = _ext_deriv_reference(q, x, x)
+        second = float(x @ hess @ x) + float(dx @ grad)
+        drift = _cov_deriv_reference(q, x, _pi_h_reference(q, x), dx)
+        total += second - float(drift @ grad)
+    return total
+
+
+@lru_cache(maxsize=None)
+def _trace_fields(n):
+    return tuple(field_pool(np.random.default_rng(70 + n), n, 3))
+
+
+def _trace_point(n, kind, k, sign, seed):
+    """A random point, a coordinate axis (E1 when k = 0) or a point near one.
+
+    At and near the axes horizontal_frame skips seeds whose projection
+    is short.
+    """
+    rng = np.random.default_rng(seed)
+    if kind == "random":
+        return random_point(rng, n)
+    v = np.zeros(2 * n + 2)
+    v[k % (2 * n + 2)] = sign
+    if kind == "near_axis":
+        v = v + 1e-3 * rng.standard_normal(v.size)
+    return SpherePoint(v / np.linalg.norm(v), n)
+
+
+def _assert_close(got, ref, tol=1e-13):
+    # within tol, relative to the size of the reference once it exceeds 1
+    scale = max(1.0, float(np.max(np.abs(ref))))
+    assert np.max(np.abs(np.asarray(got) - ref)) <= tol * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.sampled_from(["random", "axis", "near_axis"]),
+    st.integers(0, 7),
+    st.sampled_from([1.0, -1.0]),
+    st.integers(0, 2),
+    st.integers(0, 2**32 - 1),
+)
+def test_frame_traces_match_per_vector_references(n, kind, k, sign, which, seed):
+    f = _trace_fields(n)[which]
+    p = _trace_point(n, kind, k, sign, seed)
+    rng = np.random.default_rng(seed + 1)
+    block = C.tw_hessian(f, p)
+    _assert_close(block.values, tw_hessian_reference(f, p))
+    u, v = random_horizontal(rng, p).vec, random_tangent(rng, p).vec
+    reference_form = hessian_form_reference(p.coords, *C._grad_hess(f, p.coords))
+    _assert_close(C.hessian_form(f, p)(u, v), reference_form(u, v))
+    x = 3.0 * random_horizontal(rng, p).vec
+    _assert_close(C.ricci(p, x), ricci_reference(p, x))
+    V = f.j_grad_h_field
+    _assert_close(C.divergence(p, V), divergence_reference(p, V))
+    _assert_close(C.sublaplacian_frame(f, p), sublaplacian_frame_reference(f, p))
+    gh = C.horizontal_gradient(f, p).vec
+    _assert_close(C._ricci_trace(p, block.frame, gh), ricci_reference(p, gh))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 2**32 - 1))
+def test_curvature_rows_match_per_vector_reference(n, seed):
+    rng = np.random.default_rng(seed)
+    p = random_point(rng, n)
+    rows = horizontal_frame(p).matrix()
+    y, z = random_horizontal(rng, p).vec, random_horizontal(rng, p).vec
+    stacked = C.curvature_sphere(p, rows, y, z)
+    for row, out in zip(rows, stacked):
+        _assert_close(out, curvature_reference(row, y, z))
+    _assert_close(C.curvature_sphere(p, rows[0], y, z), curvature_reference(rows[0], y, z))
+
+
+def test_frame_traces_call_times_i_a_bounded_number_of_times(monkeypatch):
+    # each trace is one expression over the frame rows: the number of
+    # sphere.times_i calls must not grow with the (2n+1)^2 frame entries
+    # (the per-entry traces made 362 calls for tw_hessian and 35 for
+    # ricci at n = 3)
+    calls = []
+
+    def counting(v):
+        calls.append(1)
+        return times_i(v)
+
+    n = 3
+    f = _trace_fields(n)[0]
+    rng = np.random.default_rng(5)
+    p = random_point(rng, n)
+    x = random_horizontal(rng, p)
+    C.tw_hessian(f, p)  # build f's cached polynomials first
+    monkeypatch.setattr(C, "times_i", counting)
+    monkeypatch.setattr(sphere, "times_i", counting)
+    for run in (lambda: C.tw_hessian(f, p), lambda: C.ricci(p, x)):
+        calls.clear()
+        run()
+        assert 0 < len(calls) < 20

@@ -43,6 +43,29 @@ def test_great_circle_requires_horizontal_unit():
         G.great_circle(E1, np.array([0.0, 0.0, 1.0, 0.0]), 1.0)  # Reeb direction
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_great_circle_points_match_great_circle(n, rng):
+    p = random_point(rng, n)
+    v = random_horizontal(rng, p)
+    s = np.linspace(0.0, 2 * np.pi, 41)
+    pts = G.great_circle_points(p, v, s)
+    assert pts.shape == (s.size, 2 * n + 2)
+    for si, row in zip(s, pts):
+        assert_allclose(row, G.great_circle(p, v, si).coords, rtol=0, atol=1e-15)
+    assert_allclose(G.great_circle_points(p, v.vec, s), pts, rtol=0, atol=0)
+
+
+@pytest.mark.parametrize("vec", [
+    [0.0, 2.0, 0.0, 0.0],        # not unit
+    [0.0, 0.0, 1.0, 0.0],        # the Reeb direction
+    [0.0, np.nan, 0.0, 0.0],
+    [0.0, np.inf, 0.0, 0.0],
+])
+def test_great_circle_points_validate_the_direction(vec):
+    with pytest.raises(ValueError):
+        G.great_circle_points(E1, np.array(vec), np.linspace(0.0, 1.0, 5))
+
+
 def test_great_circle_stays_lengthy(rng):
     p = random_point(rng, 1)
     v = random_horizontal(rng, p)

@@ -280,3 +280,76 @@ def test_s3_explicit_frame_excluded_circle():
     p = SpherePoint(np.array([np.sqrt(0.5), 0.0, np.sqrt(0.5), 0.0]), 1)
     with pytest.raises(ValueError):
         s3_explicit_frame(p)
+
+
+# ---------------------------------------------------------------------------
+# Non-finite inputs and the frame matrix.
+# ---------------------------------------------------------------------------
+
+NON_FINITE = (np.nan, np.inf, -np.inf)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_point_rejects_non_finite(bad):
+    with pytest.raises(ValueError):
+        SpherePoint([bad, 0.0, 0.0, 0.0], 1)
+    with pytest.raises(ValueError):
+        SpherePoint([1.0, bad, 0.0, 0.0], 1)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("k", [0, 1, 3])
+def test_tangent_vector_rejects_non_finite(bad, k):
+    # k = 1 and 3 are horizontal slots at E1; at a generic point an
+    # infinite entry would pass a guard scaled by the norm
+    p = SpherePoint(np.array([0.6, 0.0, 0.8, 0.0]), 1)
+    for base in (E1, p):
+        vec = np.zeros(4)
+        vec[k] = bad
+        for horizontal in (False, True):
+            with pytest.raises(ValueError):
+                TangentVector(base, vec, horizontal=horizontal)
+        with pytest.raises(ValueError):
+            contact_form(base, vec)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_frame_rejects_non_finite(bad):
+    rows = horizontal_frame(E1).matrix().copy()
+    rows[0, 1] = bad
+    with pytest.raises(ValueError):
+        HorizontalFrame(E1, rows)
+
+
+def test_frame_matrix_is_read_only():
+    rows = np.array([[0.0, 1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    given_rows = HorizontalFrame(E1, rows)
+    rows[0, 1] = 5.0  # the frame keeps its own copy
+    assert given_rows.matrix()[0, 1] == 1.0
+    for frame in (given_rows, horizontal_frame(random_point(np.random.default_rng(3), 2))):
+        with pytest.raises(ValueError):
+            frame.matrix()[0, 0] = 1.0
+
+
+def test_frame_vectors_are_typed_rows(rng):
+    for n in (1, 2, 3):
+        frame = horizontal_frame(random_point(rng, n))
+        vectors = frame.vectors
+        assert len(vectors) == 2 * n
+        for v, row in zip(vectors, frame.matrix()):
+            assert v.horizontal and v.base is frame.base
+            assert np.array_equal(v.vec, row)
+
+
+def test_frame_rejects_non_horizontal_row():
+    # X = (0, cos a, sin a, 0) at E1 leans into the Reeb direction (0, 0, 1, 0);
+    # the pair (X, i X) is still orthonormal and J-paired
+    a = 1e-3
+    x = np.array([0.0, np.cos(a), np.sin(a), 0.0])
+    with pytest.raises(ValueError, match="horizontal"):
+        HorizontalFrame(E1, np.array([x, times_i(x)]))
+
+
+def test_frame_rejects_wrong_shape():
+    with pytest.raises(ValueError):
+        HorizontalFrame(E1, np.eye(4)[1:2])
