@@ -152,6 +152,7 @@ def great_circle_points(x0, v, s):
 
     The direction is validated once, with great_circle's guards (written
     so that a NaN residual fails them too); each row is normalised.
+    great_circle keeps its own body: the tests compare the two.
     """
     vec = v.vec if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
     if not abs(np.linalg.norm(vec) - 1.0) <= ARG_TOL:

@@ -18,6 +18,7 @@ the convention, not an error, and tests pin it down.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -242,16 +243,13 @@ def horizontal_frame(p):
     """
     q = p.coords
     t = times_i(q)
-    m = p.dim
     chosen = []
     span = []  # chosen vectors together with their J-images
-    for k in range(m):
-        w = np.zeros(m)
-        w[k] = 1.0
-        w = w - (q[k]) * q - (t[k]) * t
+    # row k is the projected seed e_k - q_k q - t_k t
+    for w in np.eye(p.dim) - np.outer(q, q) - np.outer(t, t):
         for u in span:
             w = w - (u @ w) * u
-        norm = np.linalg.norm(w)
+        norm = math.sqrt(w @ w)
         if norm < FRAME_SEED_MIN:
             continue
         w = w / norm

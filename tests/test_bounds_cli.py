@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from crsphere import bounds
 from crsphere import calculus as C
 from crsphere import cli
 from crsphere.bounds import (
@@ -124,8 +125,6 @@ def test_check_bound_keeps_its_samples():
 
 
 def test_bound_suite_draws_the_samples_once(monkeypatch):
-    from crsphere import bounds
-
     draws = []
     original = bounds.estimate_k_samples
 

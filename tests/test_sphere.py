@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from crsphere.sphere import (
+    FRAME_SEED_MIN,
     TYPE_TOL,
     HorizontalFrame,
     SpherePoint,
@@ -353,3 +354,40 @@ def test_frame_rejects_non_horizontal_row():
 def test_frame_rejects_wrong_shape():
     with pytest.raises(ValueError):
         HorizontalFrame(E1, np.eye(4)[1:2])
+
+
+def horizontal_frame_reference(p):
+    """horizontal_frame with each projected seed e_k - q_k q - t_k t built on its own."""
+    q = p.coords
+    t = times_i(q)
+    m = p.dim
+    chosen, span = [], []
+    for k in range(m):
+        w = np.zeros(m)
+        w[k] = 1.0
+        w = w - (q[k]) * q - (t[k]) * t
+        for u in span:
+            w = w - (u @ w) * u
+        norm = np.linalg.norm(w)
+        if norm < FRAME_SEED_MIN:
+            continue
+        w = w / norm
+        chosen.append(w)
+        span.extend([w, times_i(w)])
+        if len(chosen) == p.n:
+            break
+    return np.array(chosen + [times_i(w) for w in chosen])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.integers(0, 7),
+    st.sampled_from([1.0, -1.0]),
+    st.one_of(st.just(0.0), st.floats(-12.0, 0.0).map(lambda e: 10.0**e)),
+    st.integers(0, 2**32 - 1),
+)
+def test_frame_matches_reference_bit_for_bit(n, k, sign, eps, seed):
+    # eps = 1 gives points far from every axis; eps = 0 the axes themselves
+    p = _near_axis(n, k % (2 * n + 2), sign, eps, seed)
+    assert np.array_equal(horizontal_frame(p).matrix(), horizontal_frame_reference(p))
