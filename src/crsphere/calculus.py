@@ -329,19 +329,21 @@ def sublaplacian_greenleaf(f, p):
 
 
 def _rowdot(a, b):
-    """Row-by-row dot product over the last axis; a scalar for two vectors."""
-    return np.einsum("...i,...i->...", a, b)
+    """Row-by-row dot product over the last axis; a scalar for two vectors.
 
-
-def _col(c):
-    """Coefficient(s) c as a column, to scale a vector or each row of a stack."""
-    return np.asarray(c)[..., None]
+    Only two stacks need einsum.  With a single vector on either side it
+    is a plain matrix-vector dot, so a one-vector call rounds exactly as
+    a per-vector helper would.
+    """
+    if np.ndim(a) == np.ndim(b) == 2:
+        return np.einsum("ij,ij->i", a, b)
+    return b @ a if np.ndim(b) == 2 else a @ b
 
 
 def _pi_h_vec(q, v):
     """pi_H v at q; also the value at q of the horizontal extension seeded by v."""
     t = times_i(q)
-    return v - _col(v @ q) * q - _col(v @ t) * t
+    return v - (v @ q)[..., None] * q - (v @ t)[..., None] * t
 
 
 def _pi_h_deriv(q, u, w, dw):
@@ -370,10 +372,10 @@ def _cov_deriv_pointwise(q, u, y, dy):
     t = times_i(q)
     return (
         dy
-        + _col(_rowdot(u, y)) * q
-        - _col(_omega_vec(q, u, y)) * t
-        - _col(u @ t) * _big_j(q, y)
-        - _col(y @ t) * _big_j(q, u)
+        + _rowdot(u, y)[..., None] * q
+        - _omega_vec(q, u, y)[..., None] * t
+        - (u @ t)[..., None] * _big_j(q, y)
+        - (y @ t)[..., None] * _big_j(q, u)
     )
 
 
@@ -382,10 +384,10 @@ def _ext_deriv(q, u, v):
     t = times_i(q)
     iu = times_i(u)
     return (
-        -_col(_rowdot(v, u)) * q
-        - _col(v @ q) * u
-        - _col(_rowdot(v, iu)) * t
-        - _col(v @ t) * iu
+        -_rowdot(v, u)[..., None] * q
+        - (v @ q)[..., None] * u
+        - _rowdot(v, iu)[..., None] * t
+        - (v @ t)[..., None] * iu
     )
 
 

@@ -196,6 +196,16 @@ def test_hessian_antisymmetry_and_reeb_reeb_entry(rng, s3_fields):
         assert abs(block.values[0, 0] - f.t0t0_poly.evaluate(p.coords)) < 1e-10
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_hessian_block_rejects_a_non_finite_entry(rng, s3_fields, bad):
+    p = random_point(rng, 1)
+    block = C.tw_hessian(s3_fields[0], p)
+    values = block.values.copy()
+    values[1, 2] = bad
+    with pytest.raises(ValueError):
+        C.HessianBlock(p, block.frame, values, block.reeb_value)
+
+
 def test_hessian_form_extension_independent(rng):
     # same value from a tangent (not horizontal) extension of the slot
     f = kernel_quadratic()
