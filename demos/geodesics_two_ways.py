@@ -5,8 +5,8 @@ The same curve is produced by (a) the second-order equation of the
 adapted connection in ambient coordinates and (b) the Hamilton-Jacobi
 system of the horizontal cometric in stereographic charts, matched
 through the cotangent lift with Reeb component b.  A closed two-
-frequency form provides the oracle and powers the shooting estimator
-for the Carnot-Caratheodory distance.
+frequency form provides the oracle, and the Carnot-Caratheodory
+distance comes from solving its endpoint equation alpha(b, t) = <x, y>.
 """
 
 import os

@@ -35,14 +35,17 @@ Unit-speed solutions also have the closed form
     w1 = sqrt(1+b^2) - b,  w2 = sqrt(1+b^2) + b,
 
 (complex scalar action on C^(n+1)), which stays on the sphere exactly
-and is used as the shooting engine for distance estimates and as an
-oracle for the integrators.
+and is the oracle for the integrators.  Its endpoint is
+alpha(b, t) x + beta(b, t) w for a unit direction w Hermitian-orthogonal
+to x, so the distance estimate solves one complex equation,
+alpha(b, t) = <x, y>, in which neither n nor w appears (`cc_distance`).
 """
 
 from __future__ import annotations
 
 import cmath
 import csv
+import functools
 import math
 from dataclasses import dataclass, field
 from operator import mul
@@ -242,22 +245,6 @@ def _step_schedule(s_max, step):
     return steps
 
 
-def _geodesic_coefficients(z0, w, b):
-    """Frequencies and amplitudes of z(s) = e^(i w1 s) c1 + e^(-i w2 s) c2.
-
-    z0 and w are the start point and unit direction in C^(n+1); w may
-    carry leading axes, and b broadcasts against them.  Returns
-    (w1, w2, c1, c2) with w1 = r - b, w2 = r + b, r = sqrt(1 + b^2).
-    """
-    b = np.asarray(b, dtype=float)
-    root = np.sqrt(1.0 + b * b)
-    w1, w2 = root - b, root + b
-    total = (w1 + w2)[..., None]
-    c1 = (w2[..., None] * z0 - 1j * w) / total
-    c2 = (w1[..., None] * z0 + 1j * w) / total
-    return w1, w2, c1, c2
-
-
 def closed_form_geodesic(x0, v, b, s):
     """Unit-speed connection geodesic in closed form.
 
@@ -267,7 +254,11 @@ def closed_form_geodesic(x0, v, b, s):
     q = x0.coords if isinstance(x0, SpherePoint) else np.asarray(x0, dtype=float)
     vec = v.vec if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    w1, w2, c1, c2 = _geodesic_coefficients(_complex(q), _complex(vec), b)
+    root = math.sqrt(1.0 + b * b)
+    w1, w2 = root - b, root + b
+    z0, w = _complex(q), _complex(vec)
+    c1 = (w2 * z0 - 1j * w) / (w1 + w2)
+    c2 = (w1 * z0 + 1j * w) / (w1 + w2)
     e1 = np.exp(1j * w1 * s)[:, None]
     e2 = np.exp(-1j * w2 * s)[:, None]
     z = e1 * c1[None, :] + e2 * c2[None, :]
@@ -543,36 +534,51 @@ def riemannian_distance(x, y):
     return float(np.arccos(np.clip(qx @ qy, -1.0, 1.0)))
 
 
+SCAN_T0 = 1e-4  # first length of the scan grid
+FIBRE_TOL = 1e-12  # |y - <x, y> x| at or below which y is on the Reeb fibre of x
+
+
 @dataclass(frozen=True)
 class ShootingBudget:
-    """Grid x refinement budget for the distance estimator.
+    """Search box and solver budget for the distance estimator.
 
-    The coarse scan follows num_directions x num_b closed-form geodesics
-    (b evenly spaced in [-b_span, b_span]) at coarse_samples parameter
-    values in (0, t_max].  The refine_candidates closest approaches, plus
-    up to four short near misses, are each refined by one
-    Levenberg-Marquardt solve capped at refine_maxiter residual
-    evaluations; a refined curve hits y when its endpoint gap is at most
-    endpoint_tol.  seed draws the directions when n > 1.
+    The scan evaluates |alpha(b, t) - <x, y>| at num_b values of b,
+    evenly spaced in [-b_span, b_span], times coarse_samples values of
+    t, evenly spaced in [SCAN_T0, t_max].  Each local minimum of the
+    scan is refined by a damped Newton solve capped at refine_maxiter
+    evaluations of alpha; a refined solution hits y when the endpoint
+    gap of its closed-form geodesic is at most endpoint_tol.
     """
 
-    num_directions: int = 24
     num_b: int = 13
     b_span: float = 3.0
     t_max: float = 4.2
     coarse_samples: int = 1400
-    refine_candidates: int = 6
     refine_maxiter: int = 600
     endpoint_tol: float = 1e-5
-    seed: int = 0
+
+    def __post_init__(self):
+        for name in ("num_b", "coarse_samples", "refine_maxiter"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+                raise ValueError("%s must be a positive integer, got %r" % (name, value))
+        # each guard is written `not (...)`, so that NaN fails it
+        if not (0.0 <= self.b_span < math.inf):
+            raise ValueError("b_span must be finite and >= 0, got %r" % self.b_span)
+        if not (SCAN_T0 < self.t_max < math.inf):
+            raise ValueError("t_max must be finite and > %g, got %r" % (SCAN_T0, self.t_max))
+        if not (0.0 < self.endpoint_tol < math.inf):
+            raise ValueError("endpoint_tol must be finite and > 0, got %r" % self.endpoint_tol)
 
 
 @dataclass(eq=False)
 class CCDistanceResult:
     """A distance estimate with its certificate trace and solver counters.
 
-    evaluations counts the residual evaluations of every refinement and
-    misses the refined candidates whose gap stayed above endpoint_tol.
+    evaluations counts the evaluations of alpha (with its partials) made
+    by the Newton refinements, and misses the refined scan minima whose
+    endpoint gap stayed above endpoint_tol.  Both are 0 when y is x or
+    lies on the Reeb fibre of x, which have closed forms.
     """
 
     estimate: float
@@ -583,19 +589,6 @@ class CCDistanceResult:
     trace: GeodesicTrace
     evaluations: int = 0
     misses: int = 0
-
-
-def _direction_grid(p, budget):
-    frame = horizontal_frame(p)
-    mat = frame.matrix()
-    k = mat.shape[0]
-    if k == 2:
-        phis = np.linspace(0.0, 2 * np.pi, budget.num_directions, endpoint=False)
-        return np.cos(phis)[:, None] * mat[0] + np.sin(phis)[:, None] * mat[1]
-    rng = np.random.default_rng(budget.seed)
-    coeffs = rng.standard_normal((budget.num_directions, k))
-    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
-    return coeffs @ mat
 
 
 def _complex(vec):
@@ -609,177 +602,173 @@ def _real(z):
     return np.concatenate([z.real, z.imag], axis=-1)
 
 
-def _unit_horizontal(p, w):
-    q = p.coords
-    t = times_i(q)
-    w = w - (q @ w) * q - (t @ w) * t
-    return w / np.linalg.norm(w)
+def _alpha(b, t):
+    """alpha(b, t) = <x, z(t)> along the closed form, with beta and the partials.
 
-
-def _coarse_scan(qx, qy, dirs, bvals, ts):
-    """Closest sample to qy on every closed-form geodesic of the grid.
-
-    Returns one (t, gap, direction, b) per direction and b, directions
-    outer.  On C^(n+1) the curve is z(t) = e1 c1 + e2 c2 with
-    e1 = e^(i w1 t), e2 = e^(-i w2 t), so
-        |z - zy|^2 = |c1|^2 + |c2|^2 + |zy|^2 + 2 Re(<c1, c2> e1 conj(e2))
-                     - 2 Re(<c1, zy> e1) - 2 Re(<c2, zy> e2).
-    The three Hermitian products are taken for every (direction, b) at
-    once; the exponentials depend only on (b, t), so each b builds them
-    once and weighs their real and imaginary parts into one
-    (direction, t) table.
+    Regrouping e^(i w1 t) c1 + e^(-i w2 t) c2 (w1, w2 = r -+ b,
+    r = sqrt(1+b^2)) around e^(-ibt), the unit-speed geodesic from x with
+    unit direction w Hermitian-orthogonal to x ends at z = alpha x + beta w,
+        alpha = e^(-ibt) (cos rt + i (b/r) sin rt),  beta = e^(-ibt) sin(rt)/r,
+    so |alpha|^2 + |beta|^2 = 1 and
+        alpha_t = -beta,  alpha_b = i e^(-ibt) (sin(rt)/r - t cos rt)/r^2.
+    Returns (alpha, beta, alpha_b, alpha_t), complex scalars; b and t
+    are floats.  alpha(b, -t) = alpha(-b, t), so a root at t < 0 is the
+    root (-b, -t) of the same curve length.
     """
-    zy = _complex(qy)
-    w = np.array([_complex(v) for v in dirs])[:, None, :]
-    w1, w2, c1, c2 = _geodesic_coefficients(_complex(qx), w, bvals)
-    c12 = (c1 * c2.conj()).sum(axis=2)
-    c1y, c2y = c1 @ zy.conj(), c2 @ zy.conj()
-    const = (np.abs(c1) ** 2).sum(axis=2) + (np.abs(c2) ** 2).sum(axis=2) + np.vdot(zy, zy).real
-    # Re(p e) = Re p Re e - Im p Im e, in the order of the rows of `basis`.
-    weights = 2.0 * np.stack(
-        [c12.real, -c12.imag, -c1y.real, c1y.imag, -c2y.real, c2y.imag], axis=2
-    )
-    rows = np.arange(len(dirs))
-    best = np.empty((len(dirs), bvals.size), dtype=int)
-    gaps = np.empty((len(dirs), bvals.size))
-    for j in range(bvals.size):
-        e1 = np.exp(1j * w1[j] * ts)
-        e2 = np.exp(-1j * w2[j] * ts)
-        e12 = e1 * e2.conj()
-        basis = np.stack([e12.real, e12.imag, e1.real, e1.imag, e2.real, e2.imag])
-        sq = weights[:, j] @ basis
-        sq += const[:, j, None]
-        best[:, j] = np.argmin(sq, axis=1)
-        gaps[:, j] = np.sqrt(np.maximum(sq[rows, best[:, j]], 0.0))
-    return [
-        (ts[best[d, j]], float(gaps[d, j]), v, float(bvals[j]))
-        for d, v in enumerate(dirs)
-        for j in range(bvals.size)
-    ]
-
-
-def _shot_basis(qx, v0, w0):
-    """Real (2n+2, 6) matrix of k -> k0 z0 + k1 v0 + k2 w0, acting on (Re k, Im k)."""
-    span = np.stack([_complex(qx), _complex(v0), _complex(w0)], axis=1)
-    return np.block([[span.real, -span.imag], [span.imag, span.real]])
-
-
-def _shot_coefficients(params):
-    """The closed form at (phi, b, |t|) and its partials, in the basis (z0, v0, w0).
-
-    With w = cos(phi) v0 + sin(phi) w0, e1 = e^(i w1 |t|),
-    e2 = e^(-i w2 |t|) and S = w1 + w2 = 2r, r = sqrt(1+b^2), the endpoint is
-        z = alpha z0 + beta w,  alpha = (w2 e1 + w1 e2)/S,  beta = i(e2 - e1)/S.
-    Since w1 w2 = 1, d/dt gives alpha_t = i(e1 - e2)/S and
-    beta_t = (w1 e1 + w2 e2)/S, times sign(t); d/dphi turns w into
-    w' = -sin(phi) v0 + cos(phi) w0; and dw1/db = -w1/r, dw2/db = w2/r give
-        alpha_b = (w2 e1 - w1 e2 - i|t|(e1 + e2))/(rS) - alpha b/r^2,
-        beta_b = |t|(w2 e2 - w1 e1)/(rS) - beta b/r^2.
-    Returns the complex (3, 4) matrix whose columns are z, dz/dphi,
-    dz/db and dz/dt.
-    """
-    phi, b, t = params.tolist()
-    cos, sin = math.cos(phi), math.sin(phi)
     root = math.sqrt(1.0 + b * b)
-    w1, w2 = root - b, root + b
-    total = w1 + w2
-    tau = abs(t)
-    sign = math.copysign(1.0, t)
-    e1 = cmath.exp(1j * w1 * tau)
-    e2 = cmath.exp(-1j * w2 * tau)
-    alpha = (w2 * e1 + w1 * e2) / total
-    beta = 1j * (e2 - e1) / total
-    rs, slope = root * total, b / (root * root)
-    alpha_b = (w2 * e1 - w1 * e2 - 1j * tau * (e1 + e2)) / rs - alpha * slope
-    beta_b = tau * (w2 * e2 - w1 * e1) / rs - beta * slope
-    alpha_t = sign * 1j * (e1 - e2) / total
-    beta_t = sign * (w1 * e1 + w2 * e2) / total
-    return np.array([
-        [alpha, 0.0, alpha_b, alpha_t],
-        [beta * cos, -beta * sin, beta_b * cos, beta_t * cos],
-        [beta * sin, beta * cos, beta_b * sin, beta_t * sin],
-    ])
+    phase = cmath.exp(-1j * b * t)
+    cos, sin = math.cos(root * t), math.sin(root * t) / root
+    beta = phase * sin
+    return phase * complex(cos, b * sin), beta, 1j * phase * (sin - t * cos) / (root * root), -beta
 
 
-def _endpoint_residual(params, basis, qy):
-    """z(phi, b, |t|) - y in R^(2n+2); `basis` is `_shot_basis(x, v0, w0)`."""
-    c = _shot_coefficients(params)[:, 0]
-    return basis @ np.concatenate([c.real, c.imag]) - qy
+@functools.lru_cache(maxsize=8)
+def _alpha_grid(budget):
+    """alpha on the (b, t) grid of a budget: (b values, t values, alpha).
+
+    alpha depends on neither x nor y, so one grid serves every call
+    with the same budget; the arrays are read-only.
+    """
+    bvals = np.linspace(-budget.b_span, budget.b_span, budget.num_b)
+    ts = np.linspace(SCAN_T0, budget.t_max, budget.coarse_samples)
+    b = bvals[:, None]
+    root = np.sqrt(1.0 + b * b)
+    alpha = np.exp(-1j * b * ts) * (np.cos(root * ts) + 1j * (b / root) * np.sin(root * ts))
+    for arr in (bvals, ts, alpha):
+        arr.flags.writeable = False
+    return bvals, ts, alpha
 
 
-def _endpoint_jacobian(params, basis, qy):
-    """The analytic (2n+2, 3) Jacobian of `_endpoint_residual`."""
-    c = _shot_coefficients(params)[:, 1:]
-    return basis @ np.concatenate([c.real, c.imag])
+def _scan(a, budget):
+    """Local minima of |alpha - a| on the (b, t) grid, as (b, t) in increasing t.
+
+    A grid point is a local minimum when no point of its 3 x 3
+    neighbourhood is lower.
+    """
+    bvals, ts, alpha = _alpha_grid(budget)
+    gap = np.abs(alpha - a)
+    pad = np.pad(gap, 1, constant_values=np.inf)
+    low = np.minimum(np.minimum(pad[:, :-2], pad[:, 1:-1]), pad[:, 2:])
+    low = np.minimum(np.minimum(low[:-2], low[1:-1]), low[2:])
+    rows, cols = np.nonzero(gap <= low)
+    return [(float(bvals[i]), float(ts[j])) for j, i in sorted(zip(cols, rows))]
+
+
+def _newton(a, b, t, maxiter):
+    """Damped Newton on the 2 x 2 real system alpha(b, t) = a.
+
+    Each iteration tries the Newton step and up to nine halvings of it,
+    and takes the first that cuts |alpha - a| by at least a tenth.  The
+    solve stops when none does (at a root, once rounding dominates, or
+    in the basin of a minimum that is not a root) or after maxiter
+    evaluations of alpha.  Returns (b, t, evaluations) with t >= 0.
+    """
+    alpha, _, alpha_b, alpha_t = _alpha(b, t)
+    res = alpha - a
+    evaluations = 1
+    progress = True
+    while progress and evaluations < maxiter:
+        det = (alpha_b.conjugate() * alpha_t).imag
+        if det == 0.0:
+            break
+        db = (res.imag * alpha_t.real - res.real * alpha_t.imag) / det
+        dt = (res.real * alpha_b.imag - res.imag * alpha_b.real) / det
+        progress = False
+        for k in range(min(10, maxiter - evaluations)):
+            step = 0.5**k
+            trial = _alpha(b + step * db, t + step * dt)
+            evaluations += 1
+            if abs(trial[0] - a) < 0.9 * abs(res):
+                b, t = b + step * db, t + step * dt
+                res, alpha_b, alpha_t = trial[0] - a, trial[2], trial[3]
+                progress = True
+                break
+    if t < 0.0:
+        b, t = -b, -t
+    return b, t, evaluations
+
+
+def _fibre_solution(phi):
+    """(b, t) of the shortest geodesics from x to e^(i phi) x, 0 <= phi < 2 pi.
+
+    beta = 0 needs sin(rt) = 0 (see `_alpha`), first at rt = pi, where
+    alpha = -e^(-ibt) = e^(i(pi - bt)).  So bt = pi - phi and
+    t^2 = (pi/r)^2 = pi^2 - (bt)^2 = phi (2 pi - phi); every horizontal
+    direction reaches the point.
+    """
+    t = math.sqrt(phi * (2.0 * math.pi - phi))
+    return ((math.pi - phi) / t if t else 0.0), t
 
 
 def cc_distance(x, y, budget=None):
-    """Upper bound on the Carnot-Caratheodory distance by shooting.
+    """Upper bound on the Carnot-Caratheodory distance from one complex equation.
 
-    Scans unit horizontal directions and multiplier values b at x along
-    the closed-form geodesics, then refines the best endpoint matches
-    by Levenberg-Marquardt on the endpoint residual z(phi, b, |t|) - y,
-    with the analytic Jacobian in (phi, b, t) and at most
-    `refine_maxiter` residual evaluations per candidate.  The estimate
-    is the parameter length of the shortest refined solution that hits
-    y within the endpoint tolerance.  A certificate trace of the winning
-    curve is returned; when nothing converges the best effort is
-    flagged.
+    The unit-speed geodesic from x with multiplier b and unit direction
+    w Hermitian-orthogonal to x ends at alpha(b, t) x + beta(b, t) w
+    (see `_alpha`), so it reaches y exactly when alpha(b, t) = <x, y> =: a,
+    and then w = (y - a x)/beta is forced.  Neither n nor the direction
+    enters the equation: every geodesic from x to y lies in
+    span_C(x, y).  The equation is scanned on the (b, t) box of the
+    budget, its local minima are refined by damped Newton in increasing
+    scan length, and the search stops once the next minimum starts more
+    than two grid steps beyond the shortest hit.  The estimate is that
+    shortest length, certified by the endpoint gap of
+    `closed_form_geodesic` along the forced w.  A target on the Reeb
+    fibre of x (y = e^(i phi) x, where beta = 0 and the Jacobian of alpha
+    is singular) has the closed-form solution of `_fibre_solution`.  A
+    certificate trace of the winning curve is returned; when nothing
+    hits the closest refined curve is returned, flagged.
     """
     budget = budget or ShootingBudget()
-    qx, qy = x.coords, (y.coords if isinstance(y, SpherePoint) else np.asarray(y))
+    if isinstance(y, SpherePoint):
+        if y.n != x.n:
+            raise ValueError("target point lies on S^%d, not S^%d" % (2 * y.n + 1, 2 * x.n + 1))
+    else:
+        y = SpherePoint(y, x.n)
+    qx, qy = x.coords, y.coords
     if np.array_equal(qx, qy):
         trace = GeodesicTrace(
             np.zeros(1), qx[None, :].copy(), np.zeros((1, qx.size)), np.zeros(1)
         )
         return CCDistanceResult(0.0, True, 0.0, np.zeros(qx.size), 0.0, trace)
 
-    dirs = _direction_grid(x, budget)
-    bvals = np.linspace(-budget.b_span, budget.b_span, budget.num_b)
-    ts = np.linspace(1e-4, budget.t_max, budget.coarse_samples)
-    candidates = _coarse_scan(qx, qy, dirs, bvals, ts)
-    # Seed the refinement with the closest approaches; add the shortest
-    # curves that came reasonably near so short solutions are preferred
-    # when several exist.
-    by_gap = sorted(candidates, key=lambda c: c[1])
-    near = sorted((c for c in candidates if c[1] < 0.25), key=lambda c: c[0])
-    shortlist = []
-    for entry in by_gap[: budget.refine_candidates] + near[:4]:
-        if not any(entry is kept for kept in shortlist):
-            shortlist.append(entry)
+    zx, zy = _complex(qx), _complex(qy)
+    a = complex(np.vdot(zx, zy))
+    u = zy - a * zx
+    unorm = float(np.linalg.norm(u))
 
-    hits = []
-    misses = []
+    def shot(b, t, v=None):
+        """(t, endpoint gap, direction, b) of one curve; v defaults to the forced w.
+
+        The forced w is (y - a x)/beta scaled to unit length: the two agree
+        at a root, and off one the unit length keeps the gap honest.
+        """
+        if v is None:
+            beta = _alpha(b, t)[1]
+            v = _real(u * (abs(beta) / beta) / unorm)
+        end, _ = closed_form_geodesic(x, v, b, t)
+        return t, float(np.linalg.norm(end[0] - qy)), v, b
+
     evaluations = 0
-    for t0, gap0, v0, b0 in shortlist:
-        w0 = _unit_horizontal(x, times_i(v0))
-        # x_scale=1: scaling by the Jacobian's column norms lets the phi
-        # and b columns, which vanish like t, take huge steps from the
-        # near candidates that start at t ~ 0, and b runs off to ~1e5.
-        res = optimize.least_squares(
-            _endpoint_residual,
-            np.array([0.0, b0, t0]),
-            jac=_endpoint_jacobian,
-            method="lm",
-            xtol=1e-15,
-            ftol=1e-15,
-            gtol=1e-15,
-            x_scale=1.0,
-            max_nfev=budget.refine_maxiter,
-            args=(_shot_basis(qx, v0, w0), qy),
-        )
-        evaluations += res.nfev
-        phi, b, t = res.x
-        gap = float(np.linalg.norm(res.fun))
-        v = _unit_horizontal(x, np.cos(phi) * v0 + np.sin(phi) * w0)
-        entry = (abs(float(t)), gap, v, float(b))
-        (hits if gap <= budget.endpoint_tol else misses).append(entry)
-    if hits:
-        best = min(hits, key=lambda e: e[0])
-    elif misses:
-        best = min(misses, key=lambda e: e[1])
+    misses = []
+    best = None
+    if unorm <= FIBRE_TOL:
+        b, t = _fibre_solution(cmath.phase(a) % (2.0 * math.pi))
+        best = shot(b, t, horizontal_frame(x).matrix()[0])
     else:
-        best = candidates[0]
+        dt = (budget.t_max - SCAN_T0) / max(budget.coarse_samples - 1, 1)
+        for b0, t0 in _scan(a, budget):
+            if best is not None and t0 > best[0] + 2.0 * dt:
+                break
+            b, t, used = _newton(a, b0, t0, budget.refine_maxiter)
+            evaluations += used
+            entry = shot(b, t)
+            if entry[1] > budget.endpoint_tol:
+                misses.append(entry)
+            elif best is None or entry[0] < best[0]:
+                best = entry
+        if best is None:
+            best = min(misses, key=lambda e: e[1])
     t, gap, v, b = best
     samples = np.linspace(0.0, t, 256)
     pts, vels = closed_form_geodesic(x, v, b, samples)

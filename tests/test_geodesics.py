@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
+from scipy import optimize
 
 from crsphere import geodesics as G
 from crsphere import sphere
@@ -19,7 +21,7 @@ from crsphere.sphere import (
     random_point,
     times_i,
 )
-from crsphere.suites import Config, run_suite
+from crsphere.suites import TOL_CLOSED_FORM, Config, run_suite
 
 E1 = SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]), 1)
 
@@ -501,117 +503,310 @@ def test_pole_crossing_start_hands_off():
 # ---------------------------------------------------------------------------
 
 
+def _ref_directions(p):
+    """24 unit horizontal directions at p: a circle for n = 1, seeded random for n > 1."""
+    mat = horizontal_frame(p).matrix()
+    if mat.shape[0] == 2:
+        phis = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
+        return np.cos(phis)[:, None] * mat[0] + np.sin(phis)[:, None] * mat[1]
+    coeffs = np.random.default_rng(0).standard_normal((24, mat.shape[0]))
+    coeffs /= np.linalg.norm(coeffs, axis=1, keepdims=True)
+    return coeffs @ mat
+
+
+def _ref_unit_horizontal(q, w):
+    t = times_i(q)
+    w = w - (q @ w) * q - (t @ w) * t
+    return w / np.linalg.norm(w)
+
+
+def _ref_scan(q, qy, dirs):
+    """Closest of 1400 samples to qy on each of the 24 x 13 grid curves: (t, gap, v, b).
+
+    On z(t) = e1 c1 + e2 c2, e1 = e^(i w1 t), e2 = e^(-i w2 t),
+        |z - zy|^2 = |c1|^2 + |c2|^2 + |zy|^2 + 2 Re(<c1, c2> e1 conj(e2))
+                     - 2 Re(<c1, zy> e1) - 2 Re(<c2, zy> e2).
+    """
+    bvals = np.linspace(-3.0, 3.0, 13)
+    ts = np.linspace(1e-4, 4.2, 1400)
+    root = np.sqrt(1.0 + bvals * bvals)
+    w1, w2 = root - bvals, root + bvals
+    z0, zy = G._complex(q), G._complex(qy)
+    w = np.array([G._complex(v) for v in dirs])[:, None, :]
+    c1 = (w2[:, None] * z0 - 1j * w) / (2.0 * root[:, None])
+    c2 = (w1[:, None] * z0 + 1j * w) / (2.0 * root[:, None])
+    c12 = (c1 * c2.conj()).sum(axis=2)
+    c1y, c2y = c1 @ zy.conj(), c2 @ zy.conj()
+    const = (abs(c1) ** 2).sum(axis=2) + (abs(c2) ** 2).sum(axis=2) + np.vdot(zy, zy).real
+    weights = 2.0 * np.stack([c12.real, -c12.imag, -c1y.real, c1y.imag, -c2y.real, c2y.imag], axis=2)
+    out = {}
+    for j in range(bvals.size):
+        e1, e2 = np.exp(1j * w1[j] * ts), np.exp(-1j * w2[j] * ts)
+        e12 = e1 * e2.conj()
+        sq = weights[:, j] @ np.stack([e12.real, e12.imag, e1.real, e1.imag, e2.real, e2.imag])
+        sq += const[:, j, None]
+        for d, k in enumerate(np.argmin(sq, axis=1)):
+            out[d, j] = (ts[k], math.sqrt(max(sq[d, k], 0.0)), dirs[d], bvals[j])
+    return [out[d, j] for d in range(len(dirs)) for j in range(bvals.size)]
+
+
+def _ref_coefficients(params):
+    """The endpoint alpha z0 + beta w, w = cos(phi) v0 + sin(phi) w0, and its
+    (phi, b, t) partials, as the complex (3, 4) matrix over (z0, v0, w0)."""
+    phi, b, t = params.tolist()
+    cos, sin = math.cos(phi), math.sin(phi)
+    root = math.sqrt(1.0 + b * b)
+    w1, w2 = root - b, root + b
+    total = w1 + w2
+    tau, sign = abs(t), math.copysign(1.0, t)
+    e1, e2 = np.exp(1j * w1 * tau), np.exp(-1j * w2 * tau)
+    alpha = (w2 * e1 + w1 * e2) / total
+    beta = 1j * (e2 - e1) / total
+    rs, slope = root * total, b / (root * root)
+    alpha_b = (w2 * e1 - w1 * e2 - 1j * tau * (e1 + e2)) / rs - alpha * slope
+    beta_b = tau * (w2 * e2 - w1 * e1) / rs - beta * slope
+    alpha_t = sign * 1j * (e1 - e2) / total
+    beta_t = sign * (w1 * e1 + w2 * e2) / total
+    return np.array([
+        [alpha, 0.0, alpha_b, alpha_t],
+        [beta * cos, -beta * sin, beta_b * cos, beta_t * cos],
+        [beta * sin, beta * cos, beta_b * sin, beta_t * sin],
+    ])
+
+
+def _ref_residual(params, basis, qy):
+    c = _ref_coefficients(params)[:, 0]
+    return basis @ np.concatenate([c.real, c.imag]) - qy
+
+
+def _ref_jacobian(params, basis, qy):
+    c = _ref_coefficients(params)[:, 1:]
+    return basis @ np.concatenate([c.real, c.imag])
+
+
+def shooting_reference(x, y):
+    """The direction-grid shooting that `cc_distance` replaced, kept as an oracle.
+
+    Scans 24 directions x 13 values of b x 1400 lengths, then refines
+    the 6 closest approaches and up to 4 short near misses by
+    Levenberg-Marquardt over (phi, b, t).  Returns the shortest length
+    whose endpoint gap is at most 1e-5, or None.
+    """
+    qx, qy = x.coords, y.coords
+    candidates = _ref_scan(qx, qy, _ref_directions(x))
+    by_gap = sorted(candidates, key=lambda c: c[1])
+    near = sorted((c for c in candidates if c[1] < 0.25), key=lambda c: c[0])
+    shortlist = []
+    for entry in by_gap[:6] + near[:4]:
+        if not any(entry is kept for kept in shortlist):
+            shortlist.append(entry)
+    hits = []
+    for t0, _, v0, b0 in shortlist:
+        w0 = _ref_unit_horizontal(qx, times_i(v0))
+        span = np.stack([G._complex(qx), G._complex(v0), G._complex(w0)], axis=1)
+        basis = np.block([[span.real, -span.imag], [span.imag, span.real]])
+        res = optimize.least_squares(
+            _ref_residual, np.array([0.0, b0, t0]), jac=_ref_jacobian, method="lm",
+            xtol=1e-15, ftol=1e-15, gtol=1e-15, x_scale=1.0, max_nfev=600, args=(basis, qy),
+        )
+        if np.linalg.norm(res.fun) <= 1e-5:
+            hits.append(abs(float(res.x[2])))
+    return min(hits) if hits else None
+
+
 def test_cc_distance_coincident_points(rng):
     p = random_point(rng, 1)
     res = G.cc_distance(p, p)
     assert res.estimate == 0.0
     assert res.converged
     assert res.evaluations == 0 and res.misses == 0
+    # 1e-13 away, inside FIBRE_TOL with <x, y> real: the fibre branch at phi = 0
+    q = E1.coords + np.array([0.0, 1e-13, 0.0, 0.0])
+    res = G.cc_distance(E1, SpherePoint(q / np.linalg.norm(q), 1))
+    assert res.converged and res.estimate == 0.0 and res.endpoint_gap < 1e-12
 
 
 @st.composite
 def _shots(draw):
     n = draw(st.integers(1, 3))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    x, y = random_point(rng, n), random_point(rng, n)
-    v0 = random_horizontal(rng, x).vec
-    w0 = G._unit_horizontal(x, times_i(v0))
-    phi = draw(st.floats(0.0, 2 * np.pi, exclude_max=True))
+    x = random_point(rng, n)
+    w = random_horizontal(rng, x).vec
     b = draw(st.floats(-3.0, 3.0))
     tau = draw(st.one_of(st.floats(1e-5, 1e-3), st.floats(1e-3, 4.2)))
-    t = draw(st.sampled_from((1.0, -1.0))) * tau
-    return x, y, v0, w0, np.array([phi, b, t])
+    return x, w, b, draw(st.sampled_from((1.0, -1.0))) * tau
 
 
 @settings(max_examples=150, deadline=None)
 @given(_shots())
-def test_endpoint_jacobian_matches_central_differences(shot):
-    x, y, v0, w0, params = shot
-    args = (G._shot_basis(x.coords, v0, w0), y.coords)
-    # the residual is the closed form at |t|, minus y
-    phi, b, t = params
-    end, _ = G.closed_form_geodesic(x, np.cos(phi) * v0 + np.sin(phi) * w0, b, abs(t))
-    assert_allclose(G._endpoint_residual(params, *args), end[0] - y.coords, rtol=0, atol=1e-14)
+def test_alpha_partials_match_central_differences(shot):
+    x, w, b, t = shot
+    alpha, beta, alpha_b, alpha_t = G._alpha(b, t)
+    # the closed form ends at alpha x + beta w, on the sphere
+    end, _ = G.closed_form_geodesic(x, w, b, t)
+    want = alpha * G._complex(x.coords) + beta * G._complex(w)
+    assert_allclose(G._complex(end[0]), want, rtol=0, atol=1e-14)
+    assert abs(abs(alpha) ** 2 + abs(beta) ** 2 - 1.0) < 1e-14
+    # a root at t < 0 is the root (-b, -t)
+    assert abs(G._alpha(-b, -t)[0] - alpha) < 1e-14
     h = 1e-6
-    fd = np.stack([
-        (G._endpoint_residual(params + h * e, *args) - G._endpoint_residual(params - h * e, *args))
-        / (2 * h)
-        for e in np.eye(3)
-    ], axis=1)
-    assert_allclose(G._endpoint_jacobian(params, *args), fd, rtol=0, atol=1e-8)
+    fd_b = (G._alpha(b + h, t)[0] - G._alpha(b - h, t)[0]) / (2 * h)
+    fd_t = (G._alpha(b, t + h)[0] - G._alpha(b, t - h)[0]) / (2 * h)
+    assert abs(alpha_b - fd_b) < 1e-8
+    assert abs(alpha_t - fd_t) < 1e-8
 
 
-def coarse_scan_reference(x, qy, dirs, bvals, ts):
-    """The scan as one closed_form_geodesic call and one norm per curve."""
-    candidates = []
-    for v in dirs:
-        for b in bvals:
-            pts, _ = G.closed_form_geodesic(x, v, b, ts)
-            gaps = np.linalg.norm(pts - qy[None, :], axis=1)
-            k = int(np.argmin(gaps))
-            candidates.append((ts[k], float(gaps[k]), v, float(b)))
-    return candidates
-
-
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_coarse_scan_matches_per_curve_reference(n, rng):
+def test_alpha_grid_matches_alpha():
     budget = G.ShootingBudget()
-    bvals = np.linspace(-budget.b_span, budget.b_span, budget.num_b)
-    ts = np.linspace(1e-4, budget.t_max, budget.coarse_samples)
-    for _ in range(2):
-        x, y = random_point(rng, n), random_point(rng, n)
-        dirs = G._direction_grid(x, budget)
-        got = G._coarse_scan(x.coords, y.coords, dirs, bvals, ts)
-        want = coarse_scan_reference(x, y.coords, dirs, bvals, ts)
-        assert len(got) == len(want) == budget.num_directions * budget.num_b
-        for (t, gap, v, b), (t_ref, gap_ref, v_ref, b_ref) in zip(got, want):
-            assert t == t_ref
-            assert abs(gap - gap_ref) < 1e-12
-            assert np.array_equal(v, v_ref) and b == b_ref
+    bvals, ts, grid = G._alpha_grid(budget)
+    assert grid.shape == (budget.num_b, budget.coarse_samples)
+    assert not (bvals.flags.writeable or ts.flags.writeable or grid.flags.writeable)
+    for i in range(budget.num_b):
+        for j in range(0, budget.coarse_samples, 53):
+            assert abs(grid[i, j] - G._alpha(bvals[i], ts[j])[0]) < 1e-14
+
+
+def scan_reference(a, budget):
+    """Local minima of |alpha - a| by a loop over every grid point and neighbour."""
+    bvals, ts, grid = G._alpha_grid(budget)
+    gap = abs(grid - a)
+    found = []
+    for j in range(ts.size):
+        for i in range(bvals.size):
+            around = gap[max(i - 1, 0): i + 2, max(j - 1, 0): j + 2]
+            if gap[i, j] <= around.min():
+                found.append((float(bvals[i]), float(ts[j])))
+    return found
+
+
+@pytest.mark.parametrize("budget", [
+    G.ShootingBudget(num_b=7, coarse_samples=90),
+    G.ShootingBudget(num_b=1, b_span=0.0, coarse_samples=40),
+])
+def test_scan_matches_loop_reference(budget, rng):
+    for _ in range(5):
+        a = complex(*rng.standard_normal(2)) * rng.uniform(0.0, 1.0)
+        a /= max(1.0, abs(a))
+        assert G._scan(a, budget) == scan_reference(a, budget)
 
 
 def test_cc_distance_trace_ends_at_y(rng):
-    # Targets behind the first grid direction: y = z(-s) on the curve
-    # (v0, -b_span) that opens the scan, so near candidates refined from
-    # t ~ 0 reach y at negative t, and the trace must be built at the
-    # same |t| as the residual.
+    # y = z(-s) on a random curve of the box edge b = -b_span; the curve
+    # (b_span, s) also reaches y, so the estimate is at most s, and the
+    # trace must be built at the solved length.
     budget = G.ShootingBudget()
-    cases = []
-    for _ in range(4):
-        x = random_point(rng, 1)
-        v0 = G._direction_grid(x, budget)[0]
-        for s in (0.05, 0.1, 0.2):
+    for n in (1, 2, 3):
+        x = random_point(rng, n)
+        v0 = random_horizontal(rng, x).vec
+        for s in (0.05, 0.1, 0.2, 1.0):
             pts, _ = G.closed_form_geodesic(x, v0, -budget.b_span, -s)
-            cases.append((x, SpherePoint(pts[0], 1)))
-        cases.append((x, random_point(rng, 1)))
-    converged = 0
-    for x, y in cases:
-        res = G.cc_distance(x, y, budget)
-        if res.converged:
-            converged += 1
+            y = SpherePoint(pts[0], n)
+            res = G.cc_distance(x, y, budget)
+            assert res.converged
             assert np.linalg.norm(res.trace.points[-1] - y.coords) <= budget.endpoint_tol
-            assert res.trace.s[-1] == res.estimate >= 0.0
-    assert converged >= len(cases) - 1
+            assert res.trace.s[-1] == res.estimate <= s + 1e-9
 
 
 def test_cc_distance_counters(monkeypatch, rng):
     solves = []
-    least_squares = G.optimize.least_squares
+    newton = G._newton
 
-    def record(*args, **kwargs):
-        res = least_squares(*args, **kwargs)
-        solves.append((res.nfev, float(np.linalg.norm(res.fun))))
-        return res
+    def record(a, b, t, maxiter):
+        out = newton(a, b, t, maxiter)
+        solves.append((out[2], abs(G._alpha(out[0], out[1])[0] - a)))
+        return out
 
-    monkeypatch.setattr(G.optimize, "least_squares", record)
+    monkeypatch.setattr(G, "_newton", record)
     budget = G.ShootingBudget()
-    for _ in range(3):
+    for _ in range(4):
+        x = random_point(rng, 1)
+        v0 = random_horizontal(rng, x).vec
+        pts, _ = G.closed_form_geodesic(x, v0, rng.uniform(-2.0, 2.0), rng.uniform(0.5, 3.0))
         solves.clear()
-        res = G.cc_distance(random_point(rng, 1), random_point(rng, 1), budget)
-        assert solves
-        assert res.evaluations == sum(nfev for nfev, _ in solves)
-        assert all(nfev <= budget.refine_maxiter for nfev, _ in solves)
-        assert res.misses == sum(gap > budget.endpoint_tol for _, gap in solves)
+        res = G.cc_distance(x, SpherePoint(pts[0], 1), budget)
+        assert solves and res.converged
+        assert res.evaluations == sum(used for used, _ in solves)
+        assert all(used <= budget.refine_maxiter for used, _ in solves)
+        assert res.misses == sum(miss > budget.endpoint_tol for _, miss in solves)
+
+
+def test_cc_distance_never_longer_than_shooting_reference(rng):
+    longer = 0
+    for _ in range(300):
+        x, y = random_point(rng, 1), random_point(rng, 1)
+        res = G.cc_distance(x, y)
+        assert res.converged
+        ref = shooting_reference(x, y)
+        if ref is not None:
+            assert res.estimate <= ref + 1e-9
+            longer += ref > res.estimate + 1e-6
+    # the reference overestimates on some pairs; the new estimate does not
+    assert longer > 0
+
+
+def test_cc_distance_wider_box_never_shortens(rng):
+    # the default box already holds the shortest solution: a box twice
+    # as wide in b and longer in t, at the same grid steps, finds none shorter
+    wide = G.ShootingBudget(num_b=25, b_span=6.0, t_max=6.0, coarse_samples=2000)
+    for _ in range(300):
+        x, y = random_point(rng, 1), random_point(rng, 1)
+        assert G.cc_distance(x, y, wide).estimate >= G.cc_distance(x, y).estimate - 1e-9
+
+
+def _random_unitary(rng, m):
+    z = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    q, r = np.linalg.qr(z)
+    return q * (np.diag(r) / abs(np.diag(r)))
+
+
+def _moved(u, p):
+    return SpherePoint(G._real(u @ G._complex(p.coords)), p.n)
+
+
+def _embedded(p, n):
+    """An S^3 point in the first two complex coordinates of S^(2n+1)."""
+    z = np.zeros(n + 1, dtype=complex)
+    z[:2] = G._complex(p.coords)
+    return SpherePoint(G._real(z), n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cc_distance_is_unitary_invariant(n, rng):
+    for _ in range(8):
+        u = _random_unitary(rng, n + 1)
+        x, y = random_point(rng, n), random_point(rng, n)
+        base = G.cc_distance(x, y)
+        moved = G.cc_distance(_moved(u, x), _moved(u, y))
+        assert base.converged and moved.converged
+        assert abs(moved.estimate - base.estimate) <= 1e-9
+        x3, y3 = random_point(rng, 1), random_point(rng, 1)
+        flat = G.cc_distance(x3, y3)
+        lifted = G.cc_distance(_moved(u, _embedded(x3, n)), _moved(u, _embedded(y3, n)))
+        assert flat.converged and lifted.converged
+        assert abs(lifted.estimate - flat.estimate) <= 1e-9
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cc_distance_curve_is_a_connection_geodesic(n, rng):
+    # the independent RK4 route, started from the solved (x, w, b),
+    # lands on y after the estimated length
+    for _ in range(2):
+        x, y = random_point(rng, n), random_point(rng, n)
+        res = G.cc_distance(x, y)
+        assert res.converged
+        state = G.GeodesicState(x, TangentVector(x, res.direction, horizontal=True), res.b)
+        trace = G.integrate_connection_geodesic(state, res.estimate, 2e-3)
+        assert np.linalg.norm(trace.endpoint() - y.coords) <= TOL_CLOSED_FORM
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_cc_distance_converges_in_higher_dimensions(n, rng):
+    for _ in range(30):
+        x, y = random_point(rng, n), random_point(rng, n)
+        res = G.cc_distance(x, y)
+        assert res.converged
+        assert np.linalg.norm(res.trace.points[-1] - y.coords) <= 1e-12
+        assert G.riemannian_distance(x, y) <= res.estimate + 1e-9
 
 
 def test_cc_distance_on_great_circle(rng):
@@ -642,16 +837,83 @@ def test_cc_distance_fiber_point(rng):
     assert abs(res.estimate - np.pi * np.sqrt(3) / 2) < 1e-6
 
 
+def _on_fibre(x, phi):
+    return SpherePoint(np.cos(phi) * x.coords + np.sin(phi) * times_i(x.coords), x.n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_cc_distance_reeb_fibre_closed_form(n, rng):
+    x = random_point(rng, n)
+    for phi in (0.02, 0.3, np.pi / 2, np.pi, 4.0, 6.25):
+        res = G.cc_distance(x, _on_fibre(x, phi))
+        assert res.converged
+        assert abs(res.estimate - math.sqrt(phi * (2 * math.pi - phi))) <= 1e-9
+        assert res.evaluations == 0
+        assert np.linalg.norm(res.trace.points[-1] - _on_fibre(x, phi).coords) <= 1e-12
+
+
+def test_cc_distance_near_the_reeb_fibre(rng):
+    # a horizontal step of eps off the fibre moves the distance by at
+    # most about eps; the general solve must still hit
+    x = random_point(rng, 1)
+    for phi in (0.3, 2.0, 4.0):
+        for eps in (1e-9, 1e-6, 1e-3):
+            q = _on_fibre(x, phi).coords + eps * random_horizontal(rng, x).vec
+            res = G.cc_distance(x, SpherePoint(q / np.linalg.norm(q), 1))
+            assert res.converged
+            assert abs(res.estimate - math.sqrt(phi * (2 * math.pi - phi))) <= 2 * eps + 1e-7
+
+
 def test_cc_distance_budget_exhaustion(rng):
     x = random_point(rng, 1)
     y = random_point(rng, 1)
     tiny = G.ShootingBudget(
-        num_directions=2, num_b=1, b_span=0.0, t_max=0.05,
-        coarse_samples=10, refine_candidates=1, refine_maxiter=3,
+        num_b=1, b_span=0.0, t_max=0.05, coarse_samples=10, refine_maxiter=3,
     )
     res = G.cc_distance(x, y, tiny)
     assert not res.converged
     assert res.endpoint_gap > tiny.endpoint_tol
+    assert res.misses >= 1 and res.evaluations <= 3 * res.misses
+
+
+def test_shooting_budget_fields():
+    assert [f.name for f in dataclasses.fields(G.ShootingBudget)] == [
+        "num_b", "b_span", "t_max", "coarse_samples", "refine_maxiter", "endpoint_tol",
+    ]
+    G.ShootingBudget(b_span=0.0, num_b=1)
+
+
+@pytest.mark.parametrize("kwargs", [
+    {"num_b": 0},
+    {"coarse_samples": 0},
+    {"refine_maxiter": 0},
+    {"num_b": 2.0},
+    {"t_max": -1.0},
+    {"t_max": np.nan},
+    {"endpoint_tol": np.nan},
+    {"endpoint_tol": 0.0},
+    {"b_span": np.inf},
+    {"b_span": -1.0},
+])
+def test_shooting_budget_rejects_out_of_range_fields(kwargs):
+    with pytest.raises(ValueError):
+        G.ShootingBudget(**kwargs)
+
+
+@pytest.mark.parametrize("target", [
+    np.array([np.nan, 0.0, 0.0, 1.0]),
+    np.array([0.0, 0.0, 0.0, 2.0]),          # off the sphere
+    np.array([0.0, 1.0, 0.0]),               # wrong length
+    SpherePoint(np.eye(6)[1], 2),            # a point of S^5
+])
+def test_cc_distance_validates_the_target(target):
+    with pytest.raises(ValueError):
+        G.cc_distance(E1, target)
+
+
+def test_cc_distance_accepts_a_raw_target(rng):
+    y = random_point(rng, 1)
+    assert G.cc_distance(E1, y.coords).estimate == G.cc_distance(E1, y).estimate
 
 
 def test_exp_map_distance_consistency(rng):

@@ -1,5 +1,5 @@
-"""The benchmark's span tracer names only code that exists, and the saved
-benchmark results are whole."""
+"""The benchmark's span tracer names only code that exists, its workloads
+still give the recorded verdicts, and the saved benchmark results are whole."""
 
 import importlib
 import importlib.util
@@ -10,15 +10,21 @@ from fractions import Fraction
 from pathlib import Path
 
 from crsphere.polynomials import Polynomial
+from crsphere.suites import Config, run_suite
 
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def _load_tracing():
-    spec = importlib.util.spec_from_file_location("_perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+def _load_perfbench(name):
+    path = ROOT / "perfbench" / (name + ".py")
+    spec = importlib.util.spec_from_file_location("_perfbench_" + name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _load_tracing():
+    return _load_perfbench("tracing")
 
 
 def test_every_traced_span_name_resolves():
@@ -57,6 +63,20 @@ def test_trace_counters_read_the_polynomial_class():
     assert counts["polynomials.mul.term_pairs"] == 3 * 2 + 3
     tracing._count_evaluate(counts, (p, [0.1, 0.2, 0.3, 0.4]), {}, None)
     assert counts["polynomials.evaluate.terms"] == 3
+
+
+def test_workload_verdict_tables_match_expected():
+    # The benchmark's output gate compares each call's (check id, status)
+    # table with perfbench/expected.json; a renamed check or a moved
+    # verdict fails here, in tier-1, before it fails the benchmark gate.
+    # The calls are those of seed 0, as record_expected.py makes them.
+    workloads = _load_perfbench("workloads")
+    worker = _load_perfbench("worker")
+    expected = json.loads((ROOT / "perfbench" / "expected.json").read_text())
+    assert sorted(expected) == sorted(workloads.WORKLOADS)
+    for name in workloads.WORKLOADS:
+        got = [worker.verdict_table(run_suite(Config(**kw))) for kw in workloads.calls(name, 0)]
+        assert got == expected[name], name
 
 
 def test_bench_results_are_complete_and_correct():
