@@ -51,7 +51,6 @@ from dataclasses import dataclass, field
 from operator import mul
 
 import numpy as np
-from scipy import optimize
 
 from .calculus import ScalarField, _rationalize
 from .polynomials import Polynomial
@@ -790,40 +789,94 @@ def cc_distance(x, y, budget=None):
 # ----------------------------------------------------------------------
 
 
+FIT_MAXITER = 50
+
+
 def eigen_along_geodesic(f, trace):
     """Least-squares fit of A cos(w s) to f along a trace.
 
     The trace must start at a maximum point of f; returns (amplitude,
-    frequency, max fit residual).  The frequency is seeded from the
-    first near-minimal sample (a periodic trace repeats its minimum, so
-    a bare argmin may land on a later copy and mislead the optimizer);
-    a few harmonically related seeds are tried and the best fit kept.
+    frequency, max fit residual).  The fit is separable: for fixed w the
+    best amplitude is linear, A(w) = (v.c)/(c.c) with c = cos(w s), so
+    `_cosine_fit` runs Gauss-Newton on w alone over the reduced residual
+    v - A(w) c (variable projection; Golub and Pereyra, SIAM J. Numer.
+    Anal. 10, 1973).  Each run stops once a step is at most 4 eps |w| or
+    no smaller than the step before it (the rounding floor); a run whose
+    w turns non-finite, whose Jacobian vanishes, or that takes
+    FIT_MAXITER steps is dropped.  The frequency is seeded from the first
+    near-minimal sample (a periodic trace repeats its minimum, so a bare
+    argmin may land on a later copy and mislead the iteration); a few
+    harmonically related seeds are tried and the fit with the smallest
+    max residual is kept.  A non-finite profile value, a constant
+    profile, or a drop from every seed raises ValueError.
     """
     vals = np.array([f.poly.evaluate(pt) for pt in trace.points])
+    if not np.all(np.isfinite(vals)):
+        raise ValueError("the profile along the trace has non-finite values")
     spread = float(np.ptp(vals))
     if spread < 1e-12:
         raise ValueError("field is constant along the trace; nothing to fit")
     s = np.asarray(trace.s, dtype=float)
-    a0 = vals[0]
     near_min = np.nonzero(vals <= np.min(vals) + 1e-9 * spread)[0]
     s_min = s[int(near_min[0])]
     w0 = np.pi / s_min if s_min > 0 else 1.0
 
-    def model(t, a, w):
-        return a * np.cos(w * t)
-
     best = None
     for seed in (w0, 2.0 * w0, 0.5 * w0):
-        try:
-            (a_fit, w_fit), _ = optimize.curve_fit(model, s, vals, p0=[a0, seed])
-        except RuntimeError:
+        fit = _cosine_fit(s, vals, seed)
+        if fit is None:
             continue
-        residual = float(np.max(np.abs(model(s, a_fit, w_fit) - vals)))
+        amp, w = fit
+        residual = float(np.max(np.abs(amp * np.cos(w * s) - vals)))
         if best is None or residual < best[2]:
-            best = (float(a_fit), float(abs(w_fit)), residual)
+            best = (amp, abs(w), residual)
     if best is None:
         raise ValueError("cosine fit did not converge from any seed")
     return best
+
+
+def _projected_cosine(s, vals, w):
+    """The variable projection of vals onto cos(w s): (A, r, J).
+
+    With c = cos(w s) and d = dc/dw = -s sin(w s), the best amplitude is
+    A = (v.c)/(c.c), its derivative A' = (v.d - 2A c.d)/(c.c), the
+    reduced residual r = v - A c, and its Jacobian J = dr/dw = -(A' c + A d).
+    """
+    ws = w * s
+    c = np.cos(ws)
+    d = -s * np.sin(ws)
+    cc = float(c @ c)
+    amp = float(vals @ c) / cc
+    damp = (float(vals @ d) - 2.0 * amp * float(c @ d)) / cc
+    return amp, vals - amp * c, -(damp * c + amp * d)
+
+
+def _cosine_fit(s, vals, w):
+    """Gauss-Newton on the reduced residual of vals ~ A cos(w s), from the seed w.
+
+    Each step is w -= (J.r)/(J.J) (`_projected_cosine`).  The iteration
+    stops when |dw| <= 4 eps |w|, or when a step is no smaller than the
+    one before it (the rounding floor; that step is not taken).  Returns
+    (A, w) as floats, or None when w turns non-finite, J.J is 0, or
+    FIT_MAXITER steps do not settle it.
+    """
+    w = float(w)
+    last = math.inf
+    for _ in range(FIT_MAXITER):
+        amp, r, jac = _projected_cosine(s, vals, w)
+        jj = float(jac @ jac)
+        if not jj > 0.0:
+            return None
+        step = -float(jac @ r) / jj
+        if not math.isfinite(w + step):
+            return None
+        if abs(step) >= last:
+            return amp, w
+        w += step
+        if abs(step) <= 4.0 * np.finfo(float).eps * abs(w):
+            return _projected_cosine(s, vals, w)[0], w
+        last = abs(step)
+    return None
 
 
 def _alpha_parts(a, b):

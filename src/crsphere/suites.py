@@ -445,17 +445,20 @@ def _suite_geodesics(cfg):
         "affine reparametrization", {"n": n}, rep_gap, TOL_CLOSED_FORM))
 
     if n == 1:
+        budget = G.ShootingBudget()
         violations, hit = 0.0, 0
         for _ in range(cfg.cc_pairs):
             x, y = random_point(rng, 1), random_point(rng, 1)
-            res = G.cc_distance(x, y)
+            res = G.cc_distance(x, y, budget)
             if res.converged:
                 hit += 1
                 violations = _worst(violations, G.riemannian_distance(x, y) - res.estimate)
         checks.append(_check(
             "geodesics.contraction",
             "Webster distance never exceeds the sub-Riemannian estimate",
-            "metric contraction", {"pairs": cfg.cc_pairs, "converged": hit},
+            "metric contraction",
+            {"pairs": cfg.cc_pairs, "converged": hit,
+             "b_span": budget.b_span, "t_max": budget.t_max},
             violations, cfg.tol_contraction, status=hit == cfg.cc_pairs))
     return checks
 
@@ -546,12 +549,15 @@ def _suite_s3(cfg):
 
     reached = G.exp_map(x0, frame.matrix()[0] * (np.pi / 2))
     resid, _ = G._set_residual(reached.coords, a, b)
-    res_cc = G.cc_distance(x0, reached)
+    budget = G.ShootingBudget()
+    res_cc = G.cc_distance(x0, reached, budget)
     excess = res_cc.estimate - np.pi / 2
     checks.append(_check(
         "s3.exp_map",
         "exp at radius pi/2 lands on the reach set; distance estimate at most the radius",
-        "exponential map", {"a": a, "b": b, "cc_estimate": res_cc.estimate},
+        "exponential map",
+        {"a": a, "b": b, "cc_estimate": res_cc.estimate,
+         "b_span": budget.b_span, "t_max": budget.t_max},
         _worst(resid, excess),
         status=resid < cfg.tol and res_cc.converged and excess <= TOL_CLOSED_FORM))
     return checks

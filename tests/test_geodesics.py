@@ -1,6 +1,7 @@
 import csv
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -931,8 +932,8 @@ def test_exp_map_distance_consistency(rng):
 # ---------------------------------------------------------------------------
 
 
-def _profile_trace(f, x0, direction, num=721):
-    svals = np.linspace(0.0, 2 * np.pi, num)
+def _profile_trace(f, x0, direction, num=721, length=2 * np.pi):
+    svals = np.linspace(0.0, length, num)
     pts = np.array([G.great_circle(x0, direction, s).coords for s in svals])
     return G.GeodesicTrace(svals, pts, np.zeros_like(pts), np.zeros(num))
 
@@ -983,6 +984,158 @@ def test_profile_fit_rejects_constant_field():
         G.eigen_along_geodesic(const, _profile_trace(const, x0, frame.vectors[0]))
 
 
+def cosine_fit_reference(f, trace):
+    """The scipy curve_fit fit that the variable-projection fit replaced.
+
+    Kept verbatim as the oracle of `eigen_along_geodesic`: a two-parameter
+    Levenberg-Marquardt fit of A cos(w s) from the same three seeds,
+    keeping the fit with the smallest max residual.
+    """
+    vals = np.array([f.poly.evaluate(pt) for pt in trace.points])
+    spread = float(np.ptp(vals))
+    if spread < 1e-12:
+        raise ValueError("field is constant along the trace; nothing to fit")
+    s = np.asarray(trace.s, dtype=float)
+    a0 = vals[0]
+    near_min = np.nonzero(vals <= np.min(vals) + 1e-9 * spread)[0]
+    s_min = s[int(near_min[0])]
+    w0 = np.pi / s_min if s_min > 0 else 1.0
+
+    def model(t, a, w):
+        return a * np.cos(w * t)
+
+    best = None
+    for seed in (w0, 2.0 * w0, 0.5 * w0):
+        try:
+            (a_fit, w_fit), _ = optimize.curve_fit(model, s, vals, p0=[a0, seed])
+        except RuntimeError:
+            continue
+        residual = float(np.max(np.abs(model(s, a_fit, w_fit) - vals)))
+        if best is None or residual < best[2]:
+            best = (float(a_fit), float(abs(w_fit)), residual)
+    if best is None:
+        raise ValueError("cosine fit did not converge from any seed")
+    return best
+
+
+@pytest.mark.filterwarnings("ignore::scipy.optimize.OptimizeWarning")
+@settings(max_examples=25, deadline=None)
+@given(
+    a=st.floats(-2.0, 2.0),
+    log_b=st.floats(-6.0, 0.25),
+    negative=st.booleans(),
+    psi=st.floats(0.0, 2 * np.pi),
+    num=st.integers(200, 1000),
+    length=st.floats(np.pi, 4.5),
+)
+def test_cosine_fit_matches_curve_fit_reference(a, log_b, negative, psi, num, length):
+    # A trace of length in [pi, 4.5] holds one minimum, near s = pi/2,
+    # and a grid that misses pi/2 gives an inexact frequency seed, so the
+    # iteration has work to do (on the suite's 721-point grid over
+    # [0, 2 pi] the seed is already 2).
+    b = (-1.0 if negative else 1.0) * 10.0**log_b
+    f = G.s3_profile_field(a, b)
+    x0 = G.s3_max_point(a, b, psi)
+    for direction in horizontal_frame(x0).vectors:
+        trace = _profile_trace(f, x0, direction, num, length)
+        amp, freq, resid = G.eigen_along_geodesic(f, trace)
+        ref_amp, ref_freq, ref_resid = cosine_fit_reference(f, trace)
+        assert abs(amp - ref_amp) <= 1e-12
+        assert abs(freq - ref_freq) <= 1e-12
+        assert resid <= ref_resid + 1e-14
+
+
+@pytest.mark.parametrize("eps", [1e-3, -2e-2])
+def test_cosine_fit_matches_reference_off_an_exact_cosine(eps):
+    # eps * x1^2 adds a constant and a cos(2s + phase) term under
+    # alpha cos(2s), so no cosine fits exactly.  Both fits reach the same
+    # least-squares minimum; the new one sits on it to rounding, while
+    # curve_fit's forward-difference LM stops about 1e-12 off in w, which
+    # moves a max residual of order |eps| by up to a few 1e-9 relative.
+    a, b = 0.4, -1.1
+    x0 = G.s3_max_point(a, b)
+    bump = Polynomial(4, {(2, 0, 0, 0): Fraction(eps).limit_denominator(10**6)})
+    f = ScalarField(G.s3_profile_field(a, b).poly + bump, 1)
+    for direction in horizontal_frame(x0).vectors:
+        trace = _profile_trace(f, x0, direction)
+        amp, freq, resid = G.eigen_along_geodesic(f, trace)
+        ref_amp, ref_freq, ref_resid = cosine_fit_reference(f, trace)
+        assert 1e-3 * abs(eps) < ref_resid < abs(eps)
+        assert resid <= ref_resid * (1 + 1e-8)
+        assert abs(amp - ref_amp) < 1e-9 and abs(freq - ref_freq) < 1e-9
+        s = trace.s
+        vals = np.array([f.poly.evaluate(pt) for pt in trace.points])
+        r = vals - amp * np.cos(freq * s)
+        r_ref = vals - ref_amp * np.cos(ref_freq * s)
+        assert r @ r <= (r_ref @ r_ref) * (1 + 1e-12)
+        # the gradient of |r|^2 in (A, w) vanishes to rounding
+        assert abs(r @ np.cos(freq * s)) < 1e-11
+        assert abs(r @ (amp * s * np.sin(freq * s))) < 1e-10
+
+
+@pytest.mark.parametrize("w", [0.7, 2.0, 2.3, 5.1])
+def test_projected_cosine_jacobian_matches_central_differences(w):
+    # J = dr/dw of the reduced residual r(w) = v - A(w) cos(w s), with
+    # A(w) moving too; a profile that is not a cosine keeps r away from 0
+    s = np.linspace(0.0, 4.0, 300)
+    vals = 1.3 * np.cos(2.1 * s) + 0.2 * np.sin(0.7 * s) - 0.1
+    amp, r, jac = G._projected_cosine(s, vals, w)
+    c = np.cos(w * s)
+    assert amp == pytest.approx((vals @ c) / (c @ c), rel=1e-14)
+    assert_allclose(r, vals - amp * c, rtol=0, atol=1e-15)
+    h = 1e-6
+    fd = (G._projected_cosine(s, vals, w + h)[1] - G._projected_cosine(s, vals, w - h)[1]) / (2 * h)
+    assert_allclose(jac, fd, rtol=0, atol=1e-7 * np.max(np.abs(fd)))
+
+
+def test_profile_fit_rejects_non_finite_values():
+    f = G.s3_profile_field(0.0, 1.0)
+    x0 = G.s3_max_point(0.0, 1.0)
+    trace = _profile_trace(f, x0, horizontal_frame(x0).vectors[0])
+    trace.points[5, 2] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        G.eigen_along_geodesic(f, trace)
+
+
+def test_cosine_fit_breakdowns_return_none():
+    s = np.linspace(0.0, 2 * np.pi, 721)
+    vals = 1.5 * np.cos(2.0 * s)
+    assert G._cosine_fit(s, vals, 1.9) is not None
+    # J.J = 0: with every s = 0 the columns c and d carry no frequency
+    assert G._cosine_fit(np.zeros_like(s), vals, 2.0) is None
+    # a non-finite seed, and a step that overflows to a non-finite w
+    assert G._cosine_fit(s, vals, np.nan) is None
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert G._cosine_fit(s, 1e300 * vals, 2.5) is None
+
+
+def test_profile_fit_skips_a_failed_seed(monkeypatch):
+    f = G.s3_profile_field(0.5, 1.5)
+    x0 = G.s3_max_point(0.5, 1.5)
+    trace = _profile_trace(f, x0, horizontal_frame(x0).vectors[0])
+    expected = G.eigen_along_geodesic(f, trace)
+    fit = G._cosine_fit
+    seeds = []
+
+    def second_seed_fails(s, vals, w):
+        seeds.append(w)
+        return None if len(seeds) == 2 else fit(s, vals, w)
+
+    monkeypatch.setattr(G, "_cosine_fit", second_seed_fails)
+    assert G.eigen_along_geodesic(f, trace) == expected
+    assert len(seeds) == 3
+
+
+def test_profile_fit_fails_when_every_seed_breaks_down():
+    # a trace whose arc lengths are all 0 leaves the frequency undetermined
+    f = G.s3_profile_field(0.0, 1.0)
+    x0 = G.s3_max_point(0.0, 1.0)
+    trace = _profile_trace(f, x0, horizontal_frame(x0).vectors[0])
+    flat = G.GeodesicTrace(np.zeros_like(trace.s), trace.points, trace.velocities, trace.b)
+    with pytest.raises(ValueError, match="did not converge from any seed"):
+        G.eigen_along_geodesic(f, flat)
+
+
 def test_reach_set_requires_nonzero_b():
     with pytest.raises(ValueError):
         G.reach_set_half_pi(1.0, 0.0)
@@ -1010,6 +1163,16 @@ def test_s3_suite_at_small_b(a):
         report = run_suite(Config(suite="s3", a=a, b=b))
         assert all(math.isfinite(c.residual) for c in report.checks)
         assert report.passed
+
+
+def test_distance_checks_record_the_search_box():
+    budget = G.ShootingBudget()
+    geo = run_suite(Config(suite="geodesics", n=1, hj_pairs=1, cc_pairs=2, step_size=2e-3))
+    s3 = run_suite(Config(suite="s3", a=0.5, b=1.5))
+    for report, check_id in ((geo, "geodesics.contraction"), (s3, "s3.exp_map")):
+        (check,) = [c for c in report.checks if c.id == check_id]
+        assert check.inputs["b_span"] == budget.b_span
+        assert check.inputs["t_max"] == budget.t_max
 
 
 def test_reach_set_zero_a_matches_displayed_circle():

@@ -1,9 +1,13 @@
 """The benchmark's span tracer names only code that exists, its workloads
-still give the recorded verdicts, and the saved benchmark results are whole."""
+still give the recorded verdicts, the saved benchmark results are whole,
+and the library runs without importing scipy."""
 
 import importlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 import types
 from collections import Counter
 from fractions import Fraction
@@ -93,3 +97,23 @@ def test_bench_results_are_complete_and_correct():
             assert run["returncode"] == 0, (path.name, run)
             assert run["result"]["correct"] is True, (path.name, run)
             assert run["result"]["failed"] == 0, (path.name, run)
+
+
+def test_library_does_not_import_scipy():
+    # scipy is a test dependency only; importing scipy.optimize costs about
+    # 0.5 s of every start-up, so a module-level import must not come back.
+    code = (
+        "import sys\n"
+        "import crsphere, crsphere.cli\n"
+        "from crsphere.suites import Config, run_suite\n"
+        "assert run_suite(Config(suite='s3', a=0.5, b=1.5)).passed\n"
+        "assert 'scipy' not in sys.modules, sorted(m for m in sys.modules if 'scipy' in m)\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
