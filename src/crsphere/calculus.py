@@ -11,11 +11,15 @@ not be equal as polynomials.  The pointwise routes read f only
 through its exact flat partials (up to third order) evaluated at the
 point; products with the frame, the Reeb field, the projection pi_H
 and the canonical horizontal extensions are differentiated by the
-product rule, in floats, at that point.  Either way the residuals of
-the identities verified here are limited only by the floating-point
-budget of the final evaluation.  Finite differences appear solely as
-independent oracles in the test suite; this holds for the whole
-library, the Hamilton-Jacobi field of `geodesics` included.
+product rule, in floats, at that point.  What they read of f at a
+point (the adapted frame, the flat gradient and Hessian, T0 f, and on
+first use the symmetric third partials and the Hessian block) is
+built once into a `PointJet`; every pointwise evaluator takes the jet
+in place of the point, so checks at one point share it.  Either way
+the residuals of the identities verified here are limited only by the
+floating-point budget of the final evaluation.  Finite differences
+appear solely as independent oracles in the test suite; this holds for
+the whole library, the Hamilton-Jacobi field of `geodesics` included.
 
 The adapted connection used throughout is
 
@@ -350,11 +354,15 @@ def _pi_h_deriv(q, u, w, dw):
     """pi_H w at q and its D_u, for a field with value w and D_u value dw.
 
     The projection pi_H w = w - <q,w> q - <iq,w> iq moves with q and is
-    differentiated by the product rule.
+    differentiated by the product rule.  u and dw may be stacks of rows,
+    one derivative per row of u.
     """
     t, dt = times_i(q), times_i(u)
     val = _pi_h_vec(q, w)
-    dval = dw - (u @ w + q @ dw) * q - (q @ w) * u - (dt @ w + t @ dw) * t - (t @ w) * dt
+    dval = (
+        dw - (u @ w + dw @ q)[..., None] * q - (q @ w) * u
+        - (dt @ w + dw @ t)[..., None] * t - (t @ w) * dt
+    )
     return val, dval
 
 
@@ -472,9 +480,11 @@ def hessian_form(f, p):
                            + Omega(u,v) <iq, grad f>
                            + theta(u) <J v, grad f> + theta(v) <J u, grad f>
 
-    with flat Hessian and gradient of the ambient polynomial.
+    with flat Hessian and gradient of the ambient polynomial.  p is a
+    SpherePoint or the PointJet of f there.
     """
-    return _hessian_form_at(p.coords, *_grad_hess(f, p.coords))
+    jet = _jet(f, p)
+    return _hessian_form_at(jet.coords, jet.grad, jet.hess)
 
 
 def _hessian_form_at(q, grad, hess):
@@ -540,16 +550,86 @@ class HessianBlock:
         return float(np.max(np.abs(h - h.T - 2.0 * omega * self.reeb_value)))
 
 
+# ----------------------------------------------------------------------
+# One point, read once.
+#
+# Every pointwise evaluator below takes p as a SpherePoint or as the
+# PointJet of its field f at that point; several evaluations at one
+# point then share one frame, one flat jet and one T0 f.
+# ----------------------------------------------------------------------
+
+
+class PointJet:
+    """What the pointwise evaluators read of a scalar field f at one point.
+
+    Built by `point_jet`: the adapted frame and its rows [T; X_1..X_2n],
+    the flat gradient and Hessian of f's polynomial at p, and T0 f
+    there.  The flat third partials and the Hessian block over the
+    frame are built on first use and then shared.  Immutable; its
+    arrays are read-only.
+    """
+
+    def __init__(self, field, point, frame, grad, hess, t0):
+        rows = _adapted_rows(point, frame)
+        for a in (rows, grad, hess):
+            a.setflags(write=False)
+        vars(self).update(
+            field=field, point=point, frame=frame, rows=rows, grad=grad, hess=hess, t0=float(t0)
+        )
+
+    def __setattr__(self, name, value):
+        raise AttributeError("a PointJet is immutable")
+
+    @property
+    def coords(self):
+        return self.point.coords
+
+    @cached_property
+    def third(self):
+        """Flat third partials d_i d_j d_k f at p.
+
+        They are symmetric in (i, j, k), so only i <= j <= k is
+        evaluated: C(m+2, 3) of the m^3 entries.
+        """
+        q = self.coords
+        m = len(q)
+        polys = self.field.third_polys
+        third = np.empty((m, m, m))
+        for i in range(m):
+            for j in range(i, m):
+                for k in range(j, m):
+                    v = polys[i][j][k].evaluate(q)
+                    third[i, j, k] = third[i, k, j] = third[j, i, k] = v
+                    third[j, k, i] = third[k, i, j] = third[k, j, i] = v
+        third.setflags(write=False)
+        return third
+
+    @cached_property
+    def block(self):
+        """The HessianBlock over the adapted frame (`tw_hessian`)."""
+        values = _hessian_form_at(self.coords, self.grad, self.hess)(self.rows, self.rows)
+        return HessianBlock(self.point, self.frame, values, self.t0)
+
+
+def point_jet(f, p):
+    """The PointJet of f at p: one frame, one flat jet, one T0 f evaluation."""
+    q = p.coords
+    grad, hess = _grad_hess(f, q)
+    return PointJet(f, p, horizontal_frame(p), grad, hess, f.t0_poly.evaluate(q))
+
+
+def _jet(f, p):
+    """p when it is already a PointJet of f, else the PointJet of f at p."""
+    if isinstance(p, PointJet):
+        if p.field is not f:
+            raise ValueError("the PointJet belongs to another field")
+        return p
+    return point_jet(f, p)
+
+
 def tw_hessian(f, p):
-    return _tw_hessian_at(f, p, *_grad_hess(f, p.coords))
-
-
-def _tw_hessian_at(f, p, grad, hess):
-    """tw_hessian at p from the flat gradient and Hessian there."""
-    frame = horizontal_frame(p)
-    rows = _adapted_rows(p, frame)
-    values = _hessian_form_at(p.coords, grad, hess)(rows, rows)
-    return HessianBlock(p, frame, values, f.t0_poly.evaluate(p))
+    """The HessianBlock of f over the adapted frame at p."""
+    return _jet(f, p).block
 
 
 def sublaplacian_frame(f, p):
@@ -563,15 +643,11 @@ def sublaplacian_frame(f, p):
 
     Independent of the exact difference route.
     """
-    return _sublaplacian_frame_at(p, *_grad_hess(f, p.coords))
-
-
-def _sublaplacian_frame_at(p, grad, hess):
-    """sublaplacian_frame at p from the flat gradient and Hessian there."""
-    q = p.coords
-    x = horizontal_frame(p).matrix()
+    jet = _jet(f, p)
+    q, grad = jet.coords, jet.grad
+    x = jet.frame.matrix()
     dx = _ext_deriv(q, x, x)
-    second = _rowdot(x @ hess, x) + dx @ grad
+    second = _rowdot(x @ jet.hess, x) + dx @ grad
     drift = _cov_deriv_pointwise(q, x, _pi_h_vec(q, x), dx)
     return float(np.sum(second - drift @ grad))
 
@@ -706,17 +782,14 @@ def _operator_l_polynomial(f):
 
 
 def operator_l_parts(f, p):
-    """Both terms of L f at p; the first vanishes when T(f) = 0."""
-    return _operator_l_parts_at(f, p.coords, *_grad_hess(f, p.coords))
-
-
-def _operator_l_parts_at(f, q, grad, hess):
-    """operator_l_parts at q from the flat gradient and Hessian there.
+    """Both terms of L f at p; the first vanishes when T(f) = 0.
 
     grad_H f and its D_T come from the flat jet by the product rule.
     """
+    jet = _jet(f, p)
+    q, grad = jet.coords, jet.grad
     t = times_i(q)
-    g_at, dg = _pi_h_deriv(q, t, grad, hess @ t)
+    g_at, dg = _pi_h_deriv(q, t, grad, jet.hess @ t)
     t0_grad = np.array([gp.evaluate(q) for gp in f.t0_grad_polys])
     term1 = float(times_i(g_at) @ t0_grad)
     nabla_t_g = _cov_deriv_pointwise(q, t, g_at, dg)
@@ -729,35 +802,53 @@ def operator_l(f, p):
     return term1 - term2
 
 
-def bochner_residual(f, p):
+def bochner_lhs(f, points):
+    """(1/2) Delta_b |grad_H f|^2 at each point, as a float array.
+
+    The exact polynomial is evaluated once over the stack of points
+    (SpherePoints or PointJets); each value is bit-identical to
+    evaluating it at that point alone.
+    """
+    if not len(points):
+        return np.empty(0)
+    return 0.5 * f.bochner_lhs_poly.evaluate(np.array([p.coords for p in points]))
+
+
+def bochner_residual(f, p, lhs=None):
     """Pointwise residual of the horizontal Bochner identity.
 
       (1/2) Delta_b |grad_H f|^2
         - |pi_H Hess f|^2 - (grad_H f)(Delta_b f)
         - rho(grad_H f, grad_H f) - 2 L f
 
-    The left side is exact; the right side reads f through its flat
-    gradient and Hessian at p.
+    The left side is exact, and lhs may pass its value at p when
+    `bochner_lhs` has already evaluated it; the right side reads f
+    through its flat gradient and Hessian at p.
     """
-    grad, hess = _grad_hess(f, p.coords)
-    return _bochner_residual_at(f, p, grad, hess, _tw_hessian_at(f, p, grad, hess))
-
-
-def _bochner_residual_at(f, p, grad, hess, block):
-    """bochner_residual from the flat jet at p and the Hessian block built from it."""
-    q = p.coords
-    lhs = 0.5 * f.bochner_lhs_poly.evaluate(q)
+    jet = _jet(f, p)
+    if lhs is None:
+        lhs = bochner_lhs(f, [jet])[0]
+    q, block = jet.coords, jet.block
     hsq = block.horizontal_norm_sq()
-    gh = _pi_h_vec(q, grad)
+    gh = _pi_h_vec(q, jet.grad)
     grad_term = sum(gp.evaluate(q) * gh[k] for k, gp in enumerate(f.sublaplacian_grad_polys))
-    ric = _ricci_trace(p, block.frame, gh)
-    term1, term2 = _operator_l_parts_at(f, q, grad, hess)
+    ric = _ricci_trace(jet.point, block.frame, gh)
+    term1, term2 = operator_l_parts(f, jet)
     return lhs - (hsq + grad_term + ric + 2.0 * (term1 - term2))
 
 
 def lemma1_residual(f, p):
-    """div(J grad_H f) - 2n T(f) at p; the divergence lemma."""
-    return divergence(p, f.j_grad_h_field) - 2.0 * f.n * f.t0_poly.evaluate(p)
+    """div(J grad_H f) - 2n T(f) at p; the divergence lemma.
+
+    J grad_H f = i pi_H grad f, and its D_u along each row u of the
+    adapted frame comes from the flat jet by the product rule
+    (`_pi_h_deriv`); the trace is `divergence`'s, over [T; X_1..X_2n].
+    """
+    jet = _jet(f, p)
+    q, rows = jet.coords, jet.rows
+    g_at, dg = _pi_h_deriv(q, rows, jet.grad, rows @ jet.hess)
+    nabla = _cov_deriv_pointwise(q, rows, times_i(g_at), times_i(dg))
+    return float(np.einsum("ij,ij->", nabla, rows)) - 2.0 * f.n * jet.t0
 
 
 def lemma2_check(f):
@@ -805,12 +896,11 @@ def third_commutation_residual(f, p, X, Y):
     (the value of nabla^3 f does not depend on that choice).  f is read
     through its flat partials up to third order at p.
     """
-    q = p.coords
+    jet = _jet(f, p)
+    q, grad, hess, third = jet.coords, jet.grad, jet.hess, jet.third
     x = getattr(X, "vec", X)
     y = getattr(Y, "vec", Y)
-    grad, hess = _grad_hess(f, q)
     form = _hessian_form_at(q, grad, hess)
-    third = np.array([[[d.evaluate(q) for d in row] for row in plane] for plane in f.third_polys])
     t = times_i(q)
 
     def third_order(u, v):

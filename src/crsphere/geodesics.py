@@ -804,11 +804,13 @@ def eigen_along_geodesic(f, trace):
     no smaller than the step before it (the rounding floor); a run whose
     w turns non-finite, whose Jacobian vanishes, or that takes
     FIT_MAXITER steps is dropped.  The frequency is seeded from the first
-    near-minimal sample (a periodic trace repeats its minimum, so a bare
-    argmin may land on a later copy and mislead the iteration); a few
-    harmonically related seeds are tried and the fit with the smallest
-    max residual is kept.  A non-finite profile value, a constant
-    profile, or a drop from every seed raises ValueError.
+    local minimum of the profile in the lower half of its range: a
+    periodic trace repeats its minimum, and on a profile that is not an
+    exact cosine a later copy may be the lowest, so a global argmin can
+    land a period too far and mislead the iteration.  A few harmonically
+    related seeds are tried and the fit with the smallest max residual
+    is kept.  A non-finite profile value, a constant profile, or a drop
+    from every seed raises ValueError.
     """
     vals = np.array([f.poly.evaluate(pt) for pt in trace.points])
     if not np.all(np.isfinite(vals)):
@@ -817,8 +819,10 @@ def eigen_along_geodesic(f, trace):
     if spread < 1e-12:
         raise ValueError("field is constant along the trace; nothing to fit")
     s = np.asarray(trace.s, dtype=float)
-    near_min = np.nonzero(vals <= np.min(vals) + 1e-9 * spread)[0]
-    s_min = s[int(near_min[0])]
+    inner = vals[1:-1]
+    dips = (inner <= vals[:-2]) & (inner <= vals[2:]) & (inner <= np.min(vals) + 0.5 * spread)
+    first = np.flatnonzero(dips)
+    s_min = s[int(first[0]) + 1 if first.size else int(np.argmin(vals))]
     w0 = np.pi / s_min if s_min > 0 else 1.0
 
     best = None
@@ -856,9 +860,13 @@ def _cosine_fit(s, vals, w):
 
     Each step is w -= (J.r)/(J.J) (`_projected_cosine`).  The iteration
     stops when |dw| <= 4 eps |w|, or when a step is no smaller than the
-    one before it (the rounding floor; that step is not taken).  Returns
-    (A, w) as floats, or None when w turns non-finite, J.J is 0, or
-    FIT_MAXITER steps do not settle it.
+    one before it (the rounding floor; that step is not taken).  The
+    floor is accepted only at a stationary point: J.r must lie within
+    the rounding of its own evaluation, N eps |J| (|r| + |v|) over N
+    samples, since r = v - A c is rounded relative to v.  Returns (A, w)
+    as floats, or None when w turns non-finite, J.J is 0, the floor is
+    reached away from a stationary point, or FIT_MAXITER steps do not
+    settle it.
     """
     w = float(w)
     last = math.inf
@@ -871,7 +879,9 @@ def _cosine_fit(s, vals, w):
         if not math.isfinite(w + step):
             return None
         if abs(step) >= last:
-            return amp, w
+            floor = s.size * np.finfo(float).eps * math.sqrt(jj) * (
+                math.sqrt(float(r @ r)) + math.sqrt(float(vals @ vals)))
+            return (amp, w) if abs(step) * jj <= floor else None
         w += step
         if abs(step) <= 4.0 * np.finfo(float).eps * abs(w):
             return _projected_cosine(s, vals, w)[0], w

@@ -355,8 +355,14 @@ class Polynomial:
         the terms are summed in storage order.  The float coefficients
         and each term's nonzero (variable, exponent) pairs are decoded
         once and cached.
+
+        A 2-D numpy array is a stack of points, one per row; the values
+        come back as a float array, each bit-identical to evaluating
+        its row alone.
         """
         point = getattr(point, "coords", point)
+        if isinstance(point, np.ndarray) and point.ndim == 2:
+            return self._evaluate_rows(point)
         if len(point) != self.num_vars:
             raise ValueError(
                 "point of dimension %d for a polynomial in %d variables"
@@ -379,6 +385,39 @@ class Polynomial:
                     m *= xs[i] ** e
             total += m
         return total
+
+    def _evaluate_rows(self, points):
+        """evaluate over the rows of a 2-D array, as whole-array operations.
+
+        A power table holds x ** e for every row, variable and exponent,
+        taken with the same scalar power as the one-point loop; the terms
+        are multiplied by their powers in variable order (a zero exponent
+        contributes an exact 1.0) and summed from 0.0 in storage order by
+        a sequential accumulate, so every rounding step is the loop's.
+        """
+        rows, width = points.shape
+        if width != self.num_vars:
+            raise ValueError(
+                "point of dimension %d for a polynomial in %d variables"
+                % (width, self.num_vars)
+            )
+        if not self._terms:
+            return np.zeros(rows)
+        keys = b"".join(k.to_bytes(width, "big") for k in self._terms)
+        exps = np.frombuffer(keys, dtype=np.uint8).reshape(-1, width)
+        top = int(exps.max())
+        table = np.ones((width, rows, top + 1))
+        for i in range(width):
+            for r in range(rows):
+                x = points[r, i]
+                table[i, r, 1:] = [x if e == 1 else x ** e for e in range(1, top + 1)]
+        den = self._den
+        values = np.empty((rows, len(self._terms) + 1))
+        values[:, 0] = 0.0
+        values[:, 1:] = [v / den for v in self._terms.values()]
+        for i in range(width):
+            values[:, 1:] *= table[i][:, exps[:, i]]
+        return np.add.accumulate(values, axis=1)[:, -1]
 
     def evaluate_exact(self, point):
         """Exact value at a point with rational coordinates."""

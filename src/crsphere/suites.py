@@ -303,20 +303,23 @@ def _suite_spectrum(cfg):
 def _suite_bochner(cfg):
     rng = np.random.default_rng(cfg.seed)
     pool = field_pool(rng, cfg.n, max(4, cfg.trials // 10))
+    points = [random_point(rng, cfg.n) for _ in range(cfg.trials)]
     worst_bochner = worst_route = worst_trace = worst_cs = 0.0  # cs: largest deficit
-    for i in range(cfg.trials):
-        f = pool[i % len(pool)]
-        p = random_point(rng, cfg.n)
-        # One flat jet and one Hessian block serve every pointwise value.
-        grad, hess = C._grad_hess(f, p.coords)
-        block = C._tw_hessian_at(f, p, grad, hess)
-        worst_bochner = _worst(worst_bochner, abs(C._bochner_residual_at(f, p, grad, hess, block)))
-        frame_val = C._sublaplacian_frame_at(p, grad, hess)
-        exact_val = C.sublaplacian_greenleaf(f, p)
-        worst_route = _worst(worst_route, abs(frame_val - exact_val))
-        worst_trace = _worst(worst_trace, abs(block.horizontal_trace() - exact_val))
-        slack = block.horizontal_norm_sq() - exact_val**2 / (2 * cfg.n)
-        worst_cs = _worst(worst_cs, -slack)
+    for k, f in enumerate(pool):
+        # Point i goes with field i % len(pool).  The exact left side is
+        # evaluated once over all of f's points, and one point jet (frame,
+        # flat jet, T0 f, Hessian block) serves every pointwise value.
+        mine = points[k::len(pool)]
+        for p, lhs in zip(mine, C.bochner_lhs(f, mine)):
+            jet = C.point_jet(f, p)
+            block = C.tw_hessian(f, jet)
+            worst_bochner = _worst(worst_bochner, abs(C.bochner_residual(f, jet, lhs)))
+            frame_val = C.sublaplacian_frame(f, jet)
+            exact_val = C.sublaplacian_greenleaf(f, p)
+            worst_route = _worst(worst_route, abs(frame_val - exact_val))
+            worst_trace = _worst(worst_trace, abs(block.horizontal_trace() - exact_val))
+            slack = block.horizontal_norm_sq() - exact_val**2 / (2 * cfg.n)
+            worst_cs = _worst(worst_cs, -slack)
     inputs = {"n": cfg.n, "trials": cfg.trials}
     return [
         _check(
@@ -343,10 +346,11 @@ def _suite_lemmas(cfg):
     for i in range(cfg.trials):
         f = pool[i % len(pool)]
         p = random_point(rng, cfg.n)
-        worst1 = _worst(worst1, abs(C.lemma1_residual(f, p)))
+        jet = C.point_jet(f, p)  # one frame and one flat jet serve all three checks
+        worst1 = _worst(worst1, abs(C.lemma1_residual(f, jet)))
         x, y = random_horizontal(rng, p), random_horizontal(rng, p)
-        worst3 = _worst(worst3, abs(C.third_commutation_residual(f, p, x.vec, y.vec)))
-        worst_hess = _worst(worst_hess, C.tw_hessian(f, p).antisymmetry_residual())
+        worst3 = _worst(worst3, abs(C.third_commutation_residual(f, jet, x.vec, y.vec)))
+        worst_hess = _worst(worst_hess, C.tw_hessian(f, jet).antisymmetry_residual())
     inputs = {"n": cfg.n, "trials": cfg.trials}
     checks = [
         _check(

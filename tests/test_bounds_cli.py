@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -21,6 +22,7 @@ from crsphere.bounds import (
     estimate_k_samples,
     lichnerowicz_bound,
 )
+from crsphere.polynomials import Polynomial
 from crsphere.suites import (
     CheckResult,
     Config,
@@ -291,27 +293,80 @@ def test_nan_residual_fails_its_check(monkeypatch, cfg, poisoned):
     assert all(c.status for i, c in checks.items() if i not in poisoned)
 
 
-def test_bochner_suite_reads_one_jet_and_one_block_per_point(monkeypatch):
-    counts = {"jet": 0, "block": 0}
-    grad_hess = C._grad_hess
+def _count_point_reads(monkeypatch):
+    """Count, over one suite run, the per-point reads a point jet shares.
 
-    def counted_grad_hess(f, q):
-        counts["jet"] += 1
-        return grad_hess(f, q)
+    frame: horizontal_frame calls; jet: flat gradient-and-Hessian
+    evaluations; t0, third, lhs: Polynomial.evaluate calls on a field's
+    T0 f, its third partials and its Bochner left side; block:
+    HessianBlock constructions.
+    """
+    counts = dict.fromkeys(("frame", "jet", "t0", "third", "lhs", "block"), 0)
+    tagged = {}
+
+    def tag(name, kind):
+        func = getattr(C.ScalarField, name).func
+
+        def build(self):
+            out = func(self)
+            polys = [out] if kind != "third" else [d for plane in out for row in plane for d in row]
+            tagged.update((id(poly), kind) for poly in polys)
+            return out
+
+        prop = functools.cached_property(build)
+        prop.__set_name__(C.ScalarField, name)
+        monkeypatch.setattr(C.ScalarField, name, prop)
+
+    for name, kind in (("t0_poly", "t0"), ("third_polys", "third"), ("bochner_lhs_poly", "lhs")):
+        tag(name, kind)
+    evaluate = Polynomial.evaluate
+
+    def counted_evaluate(self, point):
+        kind = tagged.get(id(self))
+        if kind:
+            counts[kind] += 1
+        return evaluate(self, point)
+
+    def counter(name, func):
+        def counted(*args):
+            counts[name] += 1
+            return func(*args)
+        return counted
 
     class CountedBlock(C.HessianBlock):
         def __init__(self, *args):
             counts["block"] += 1
             super().__init__(*args)
 
+    monkeypatch.setattr(Polynomial, "evaluate", counted_evaluate)
+    monkeypatch.setattr(C, "horizontal_frame", counter("frame", C.horizontal_frame))
+    monkeypatch.setattr(C, "_grad_hess", counter("jet", C._grad_hess))
+    monkeypatch.setattr(C, "HessianBlock", CountedBlock)
+    return counts
+
+
+def test_bochner_suite_reads_one_jet_and_one_block_per_point(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the bochner suite builds no symbolic horizontal gradient")
 
-    monkeypatch.setattr(C, "_grad_hess", counted_grad_hess)
-    monkeypatch.setattr(C, "HessianBlock", CountedBlock)
+    counts = _count_point_reads(monkeypatch)
     monkeypatch.setattr(C.ScalarField, "grad_h_field", property(forbidden))
     assert run_suite(Config(suite="bochner", n=1, trials=5)).passed
-    assert counts == {"jet": 5, "block": 5}
+    # 5 points over a pool of 4 fields: one left-side evaluation per field
+    assert counts == {"frame": 5, "jet": 5, "t0": 5, "third": 0, "lhs": 4, "block": 5}
+
+
+@pytest.mark.parametrize("n, third", [(1, 20), (2, 56)])
+def test_lemmas_suite_reads_one_jet_per_point(monkeypatch, n, third):
+    def forbidden(*args):
+        raise AssertionError("lemma 1 evaluates no symbolic vector field")
+
+    counts = _count_point_reads(monkeypatch)
+    monkeypatch.setattr(C.VectorFieldPoly, "at", forbidden)
+    monkeypatch.setattr(C.VectorFieldPoly, "jacobian_at", forbidden)
+    assert run_suite(Config(suite="lemmas", n=n, trials=3)).passed
+    # C(m + 2, 3) distinct third partials per point, m = 2n + 2
+    assert counts == {"frame": 3, "jet": 3, "t0": 3, "third": 3 * third, "lhs": 0, "block": 3}
 
 
 def _reject_constant(token):

@@ -513,6 +513,10 @@ def test_pi_h_deriv_matches_symbolic_horizontal_gradient(n, rng):
                 val, dval = C._pi_h_deriv(q, u, grad, hess @ u)
                 assert_allclose(val, g.at(q), rtol=0, atol=1e-12)
                 assert_allclose(dval, g.jacobian_at(q) @ u, rtol=0, atol=1e-12)
+            # a stack of directions gives one derivative per row
+            rows = np.concatenate(([times_i(q)], random_tangent(rng, p).vec[None]))
+            _, drows = C._pi_h_deriv(q, rows, grad, rows @ hess)
+            assert_allclose(drows, rows @ g.jacobian_at(q).T, rtol=0, atol=1e-12)
 
 
 def test_symbolic_and_pointwise_routes_stay_apart(monkeypatch, rng, s3_fields):
@@ -847,3 +851,95 @@ def test_frame_traces_call_times_i_a_bounded_number_of_times(monkeypatch):
         calls.clear()
         run()
         assert 0 < len(calls) < 20
+
+
+# ---------------------------------------------------------------------------
+# One point jet per point: the evaluators read frame, flat jet and T0 f once.
+# ---------------------------------------------------------------------------
+
+
+def lemma1_residual_reference(f, p):
+    """The route lemma1_residual replaced, kept as its oracle: the symbolic
+    J grad_H f and its Jacobian evaluated at p, traced by `divergence`."""
+    return C.divergence(p, f.j_grad_h_field) - 2.0 * f.n * f.t0_poly.evaluate(p)
+
+
+def third_partials_reference(f, q):
+    """The m^3 evaluations the symmetric fill replaced, kept as its oracle."""
+    return np.array([[[d.evaluate(q) for d in row] for row in plane] for plane in f.third_polys])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.sampled_from(["random", "axis", "near_axis"]),
+    st.integers(0, 7),
+    st.sampled_from([1.0, -1.0]),
+    st.integers(0, 2),
+    st.integers(0, 2**32 - 1),
+)
+def test_lemma1_on_the_jet_matches_the_divergence_route(n, kind, k, sign, which, seed):
+    f = _trace_fields(n)[which]
+    p = _trace_point(n, kind, k, sign, seed)
+    assert abs(C.lemma1_residual(f, p) - lemma1_residual_reference(f, p)) <= 1e-12
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 3).flatmap(_integer_polys), st.integers(0, 2**32 - 1))
+def test_symmetric_third_partials_match_every_entry(f, seed):
+    m = 2 * f.n + 2
+    polys = f.third_polys
+    for i in range(m):
+        for j in range(m):
+            for k in range(m):
+                a, b, c = sorted((i, j, k))
+                assert polys[i][j][k] == polys[a][b][c]
+    p = random_point(np.random.default_rng(seed), f.n)
+    third = C.point_jet(f, p).third
+    assert third.tobytes() == third_partials_reference(f, p.coords).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_jet_route_is_bitwise_the_point_route(n, rng):
+    f = _trace_fields(n)[0]
+    points = [random_point(rng, n) for _ in range(3)]
+    lhs = C.bochner_lhs(f, points)
+    per_point = [0.5 * f.bochner_lhs_poly.evaluate(p) for p in points]
+    assert lhs.tobytes() == np.array(per_point).tobytes()
+    for p, left in zip(points, lhs):
+        jet = C.point_jet(f, p)
+        x, y = random_horizontal(rng, p).vec, random_horizontal(rng, p).vec
+        u, v = random_tangent(rng, p).vec, random_tangent(rng, p).vec
+        assert C.tw_hessian(f, jet) is C.tw_hessian(f, jet)
+        assert C.tw_hessian(f, jet).values.tobytes() == C.tw_hessian(f, p).values.tobytes()
+        assert C.hessian_form(f, jet)(u, v) == C.hessian_form(f, p)(u, v)
+        assert C.sublaplacian_frame(f, jet) == C.sublaplacian_frame(f, p)
+        assert C.operator_l_parts(f, jet) == C.operator_l_parts(f, p)
+        assert C.bochner_residual(f, jet, left) == C.bochner_residual(f, p)
+        assert C.lemma1_residual(f, jet) == C.lemma1_residual(f, p)
+        third = C.third_commutation_residual
+        assert third(f, jet, x, y) == third(f, p, x, y)
+    assert C.bochner_lhs(f, []).shape == (0,)
+
+
+def test_point_jet_is_immutable_and_belongs_to_its_field(monkeypatch, rng, s3_fields):
+    f, g = s3_fields[:2]
+    p = random_point(rng, 1)
+    jet = C.point_jet(f, p)
+    with pytest.raises(AttributeError):
+        jet.t0 = 0.0
+    for array in (jet.rows, jet.grad, jet.hess, jet.third):
+        with pytest.raises(ValueError):
+            array[0] = 0.0
+    assert jet.rows.shape == (3, 4)
+    assert jet.rows.tobytes() == np.concatenate(([times_i(p.coords)], jet.frame.matrix())).tobytes()
+    with pytest.raises(ValueError, match="another field"):
+        C.tw_hessian(g, jet)
+
+    def forbidden(*args):
+        raise AssertionError("a Hessian block reads no third partials")
+
+    # the s3 suite's tw_hessian calls must not pay for third partials
+    monkeypatch.setattr(C.ScalarField, "third_polys", property(forbidden))
+    C.tw_hessian(g, p)
+    C.tw_hessian(f, C.point_jet(f, p))

@@ -1073,6 +1073,32 @@ def test_cosine_fit_matches_reference_off_an_exact_cosine(eps):
         assert abs(r @ (amp * s * np.sin(freq * s))) < 1e-10
 
 
+@pytest.mark.parametrize("eps", [Fraction(1, 1000), Fraction(1, 100000)])
+def test_cosine_fit_seeds_from_the_first_dip(eps):
+    # eps x1 adds a frequency-1 term under alpha cos(2s), so along frame
+    # direction 0 the minimum near 3 pi / 2 is the lower one.  Seeded from
+    # that global minimum (w0 = 2/3) every run stopped on the rounding floor
+    # away from a stationary point, and the fit came out at w = 0.35 with
+    # max residual 1.2; the first dip near pi / 2 seeds w0 = 2.
+    a, b = 0.4, -1.1
+    x0 = G.s3_max_point(a, b)
+    f = ScalarField(G.s3_profile_field(a, b).poly + eps * Polynomial.variable(4, 0), 1)
+    for direction in horizontal_frame(x0).vectors:
+        trace = _profile_trace(f, x0, direction)
+        amp, freq, resid = G.eigen_along_geodesic(f, trace)
+        assert abs(freq - 2.0) <= 1e-3
+        assert resid < 2 * eps
+        vals = np.array([f.poly.evaluate(pt) for pt in trace.points])
+        _, r, jac = G._projected_cosine(trace.s, vals, freq)
+        assert abs(jac @ r) <= 1e-8 * np.linalg.norm(jac) * np.linalg.norm(r)
+    # the old seed ends on the floor away from a stationary point: dropped
+    direction = horizontal_frame(x0).vectors[0]
+    trace = _profile_trace(f, x0, direction)
+    vals = np.array([f.poly.evaluate(pt) for pt in trace.points])
+    for seed in (2.0 / 3.0, 4.0 / 3.0, 1.0 / 3.0):
+        assert G._cosine_fit(trace.s, vals, seed) is None
+
+
 @pytest.mark.parametrize("w", [0.7, 2.0, 2.3, 5.1])
 def test_projected_cosine_jacobian_matches_central_differences(w):
     # J = dr/dw of the reduced residual r(w) = v - A(w) cos(w s), with

@@ -215,6 +215,56 @@ def test_evaluate_dimension_mismatch():
         var(0).evaluate([1.0, 0.0])
 
 
+@st.composite
+def _polynomial_and_stack(draw):
+    m = 2 * draw(st.integers(1, 3)) + 2
+    kind = draw(st.sampled_from(["zero", "constant", "sparse"]))
+    if kind == "zero":
+        p = Polynomial(m)
+    elif kind == "constant":
+        p = Polynomial.constant(m, draw(small_fractions))
+    else:
+        exps = st.tuples(*[st.integers(0, 6)] * m)
+        p = Polynomial(m, draw(st.dictionaries(exps, small_fractions, max_size=12)))
+    coord = st.floats(-3.0, 3.0)
+    rows = draw(st.lists(st.lists(coord, min_size=m, max_size=m), min_size=1, max_size=8))
+    return p, np.array(rows)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_polynomial_and_stack())
+def test_stacked_evaluate_is_bitwise_per_point_evaluate(case):
+    p, stack = case
+    got = p.evaluate(stack)
+    assert got.shape == (len(stack),)
+    assert got.tobytes() == np.array([p.evaluate(row) for row in stack]).tobytes()
+
+
+@pytest.mark.parametrize("m", [4, 6, 8])
+def test_stacked_evaluate_keeps_the_term_order(m):
+    # every monomial of degree <= 4 (70 to 495 terms) at random
+    # coordinates: any other summation order (numpy's pairwise sum, say)
+    # or another power (np.power) changes low bits
+    rng = np.random.default_rng(m)
+    p = Polynomial.constant(m, 1)
+    for _ in range(4):
+        coefs = [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 9))) for _ in range(m)]
+        form = Polynomial(m, {tuple(int(i == k) for i in range(m)): c for k, c in enumerate(coefs)})
+        p = p * (form + Polynomial.constant(m, 1))
+    assert len(p.terms) >= 70
+    stack = rng.standard_normal((8, m))
+    assert p.evaluate(stack).tobytes() == np.array([p.evaluate(row) for row in stack]).tobytes()
+
+
+def test_stacked_evaluate_rejects_the_wrong_width():
+    p = var(0) * var(1)
+    with pytest.raises(ValueError) as single:
+        p.evaluate(np.zeros(5))
+    with pytest.raises(ValueError) as stacked:
+        p.evaluate(np.zeros((3, 5)))
+    assert str(stacked.value) == str(single.value)
+
+
 def test_directional_derivative_product_rule():
     p = var(0) * var(2)  # x1 y1
     point = np.array([0.3, 0.1, -0.2, 0.9])

@@ -1,7 +1,9 @@
 """The benchmark's span tracer names only code that exists, its workloads
 still give the recorded verdicts, the saved benchmark results are whole,
-and the library runs without importing scipy."""
+the library runs without importing scipy, and the suites call only
+public calculus functions."""
 
+import ast
 import importlib
 import importlib.util
 import json
@@ -117,3 +119,23 @@ def test_library_does_not_import_scipy():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
+
+
+def test_suites_call_only_public_calculus_names():
+    # The tracer wraps public functions only: a suite that reached into a
+    # private calculus helper would run pointwise work that no per-layer
+    # metric sees.
+    tree = ast.parse((ROOT / "src" / "crsphere" / "suites.py").read_text())
+    aliases = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+        for alias in node.names if alias.name == "calculus"
+    }
+    assert aliases == {"C"}
+    private = sorted(
+        "C.%s (line %d)" % (node.attr, node.lineno)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "C" and node.attr.startswith("_")
+    )
+    assert private == []
