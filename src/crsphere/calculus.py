@@ -14,8 +14,11 @@ and the canonical horizontal extensions are differentiated by the
 product rule, in floats, at that point.  What they read of f at a
 point (the adapted frame, the flat gradient and Hessian, T0 f, and on
 first use the symmetric third partials and the Hessian block) is
-built once into a `PointJet`; every pointwise evaluator takes the jet
-in place of the point, so checks at one point share it.  Either way
+built once into a `PointJet`, over one point or a stack of K points;
+every pointwise evaluator takes the jet, a point or a sequence of
+points, and returns a float for one point or a length-K array for a
+stack.  So checks at one point share its jet, and a suite evaluates
+each identity once over all the points of a field.  Either way
 the residuals of the identities verified here are limited only by the
 floating-point budget of the final evaluation.  Finite differences
 appear solely as independent oracles in the test suite; this holds for
@@ -318,50 +321,45 @@ def horizontal_gradient(f, p):
 
 
 def sublaplacian_greenleaf(f, p):
-    """Delta_b f at p via the difference of Laplacian and T^2 (exact route)."""
-    return f.sublaplacian_poly.evaluate(p)
+    """Delta_b f at p via the difference of Laplacian and T^2 (exact route).
+
+    p is a SpherePoint, a sequence of them, or a PointJet; a stack is
+    evaluated at once, each value bit-identical to its point alone.
+    """
+    return f.sublaplacian_poly.evaluate(_coords(p))
 
 
 # ----------------------------------------------------------------------
 # The adapted connection.
 #
-# The pointwise helpers take a single vector or a stack of vectors along
-# the leading axis (rows paired row by row; a single vector broadcasts
-# against a stack), so a frame trace is one expression over the rows
-# [T; X_1..X_2n].
+# The pointwise helpers follow one broadcasting rule: every dot product
+# is over the last axis, and any leading axes broadcast.  So q may be
+# one point or a stack of points, and the vectors one vector per point
+# or a stack of rows per point (the frame rows [T; X_1..X_2n], or a
+# pair of directions); a caller aligns the axes by inserting one, as in
+# q[..., None, :] against rows of shape (..., R, m).
 # ----------------------------------------------------------------------
-
-
-def _rowdot(a, b):
-    """Row-by-row dot product over the last axis; a scalar for two vectors.
-
-    Only two stacks need einsum.  With a single vector on either side it
-    is a plain matrix-vector dot, so a one-vector call rounds exactly as
-    a per-vector helper would.
-    """
-    if np.ndim(a) == np.ndim(b) == 2:
-        return np.einsum("ij,ij->i", a, b)
-    return b @ a if np.ndim(b) == 2 else a @ b
 
 
 def _pi_h_vec(q, v):
     """pi_H v at q; also the value at q of the horizontal extension seeded by v."""
     t = times_i(q)
-    return v - (v @ q)[..., None] * q - (v @ t)[..., None] * t
+    return v - np.vecdot(v, q)[..., None] * q - np.vecdot(v, t)[..., None] * t
 
 
 def _pi_h_deriv(q, u, w, dw):
     """pi_H w at q and its D_u, for a field with value w and D_u value dw.
 
     The projection pi_H w = w - <q,w> q - <iq,w> iq moves with q and is
-    differentiated by the product rule.  u and dw may be stacks of rows,
-    one derivative per row of u.
+    differentiated by the product rule.
     """
     t, dt = times_i(q), times_i(u)
     val = _pi_h_vec(q, w)
     dval = (
-        dw - (u @ w + dw @ q)[..., None] * q - (q @ w) * u
-        - (dt @ w + dw @ t)[..., None] * t - (t @ w) * dt
+        dw - (np.vecdot(u, w) + np.vecdot(dw, q))[..., None] * q
+        - np.vecdot(q, w)[..., None] * u
+        - (np.vecdot(dt, w) + np.vecdot(dw, t))[..., None] * t
+        - np.vecdot(t, w)[..., None] * dt
     )
     return val, dval
 
@@ -372,7 +370,7 @@ def _big_j(q, v):
 
 
 def _omega_vec(q, u, v):
-    return _rowdot(_pi_h_vec(q, u), times_i(_pi_h_vec(q, v)))
+    return np.vecdot(_pi_h_vec(q, u), times_i(_pi_h_vec(q, v)))
 
 
 def _cov_deriv_pointwise(q, u, y, dy):
@@ -380,10 +378,10 @@ def _cov_deriv_pointwise(q, u, y, dy):
     t = times_i(q)
     return (
         dy
-        + _rowdot(u, y)[..., None] * q
+        + np.vecdot(u, y)[..., None] * q
         - _omega_vec(q, u, y)[..., None] * t
-        - (u @ t)[..., None] * _big_j(q, y)
-        - (y @ t)[..., None] * _big_j(q, u)
+        - np.vecdot(u, t)[..., None] * _big_j(q, y)
+        - np.vecdot(y, t)[..., None] * _big_j(q, u)
     )
 
 
@@ -392,11 +390,27 @@ def _ext_deriv(q, u, v):
     t = times_i(q)
     iu = times_i(u)
     return (
-        -_rowdot(v, u)[..., None] * q
-        - (v @ q)[..., None] * u
-        - _rowdot(v, iu)[..., None] * t
-        - (v @ t)[..., None] * iu
+        -np.vecdot(v, u)[..., None] * q
+        - np.vecdot(v, q)[..., None] * u
+        - np.vecdot(v, iu)[..., None] * t
+        - np.vecdot(v, t)[..., None] * iu
     )
+
+
+def _coords(p):
+    """The coordinates of a SpherePoint or PointJet, or the rows of a sequence of points."""
+    return p.coords if hasattr(p, "coords") else np.array([pt.coords for pt in p])
+
+
+def _directions(q, *vectors):
+    """Direction arguments as float arrays shaped like q: one row per point."""
+    out = []
+    for v in vectors:
+        v = np.asarray(getattr(v, "vec", v), dtype=float)
+        if v.shape != q.shape:
+            raise ValueError("directions of shape %s at points of shape %s" % (v.shape, q.shape))
+        out.append(v)
+    return out
 
 
 def tanaka_webster_derivative(p, X, Y):
@@ -442,15 +456,15 @@ def covariant_derivative_field(X, Y):
     return deriv + q.scale(x_dot_y) - iq.scale(omega) - jy.scale(theta_x) - jx.scale(theta_y)
 
 
-def _adapted_rows(p, frame):
-    """The rows [T; X_1..X_2n] of the adapted frame at p."""
-    return np.concatenate((p.reeb_coords()[None], frame.matrix()))
+def _adapted_rows(q, frame_rows):
+    """The rows [T; X_1..X_2n] of the adapted frame, at one point or each of a stack."""
+    return np.concatenate((times_i(q)[..., None, :], frame_rows), axis=-2)
 
 
 def divergence(p, V):
     """Frame trace of the covariant derivative over (T, X_1..X_2n)."""
     q = p.coords
-    rows = _adapted_rows(p, horizontal_frame(p))
+    rows = _adapted_rows(q, horizontal_frame(p).matrix())
     nabla = _cov_deriv_pointwise(q, rows, V.at(q), rows @ V.jacobian_at(q).T)
     return float(np.einsum("ij,ij->", nabla, rows))
 
@@ -458,6 +472,18 @@ def divergence(p, V):
 # ----------------------------------------------------------------------
 # Hessian with respect to the adapted connection.
 # ----------------------------------------------------------------------
+
+
+def _values(polys, q):
+    """The polynomials' values at q, shape (len(polys),), or at each row of a stack q.
+
+    Each value comes from the polynomial's cached per-point float form:
+    for the few-term flat partials that is cheaper than the stacked
+    `Polynomial.evaluate`, and the values are the same.
+    """
+    if q.ndim == 1:
+        return np.array([p.evaluate(q) for p in polys])
+    return np.array([[p.evaluate(row) for p in polys] for row in q])
 
 
 def _grad_hess(f, q):
@@ -481,7 +507,8 @@ def hessian_form(f, p):
                            + theta(u) <J v, grad f> + theta(v) <J u, grad f>
 
     with flat Hessian and gradient of the ambient polynomial.  p is a
-    SpherePoint or the PointJet of f there.
+    SpherePoint, a sequence of them, or the PointJet of f there; for a
+    stack of K points u and v are (K, m) rows, one pair per point.
     """
     jet = _jet(f, p)
     return _hessian_form_at(jet.coords, jet.grad, jet.hess)
@@ -490,12 +517,14 @@ def hessian_form(f, p):
 def _hessian_form_at(q, grad, hess):
     """hessian_form at q from the flat gradient and Hessian there.
 
-    The form takes single vectors or stacks of rows: rows U and V give
-    the matrix of values over every pair (U_i, V_j).
+    The form pairs u with v under the broadcasting rule of the helpers,
+    with q, grad and hess given the leading axes of the pairs: rows
+    U[..., :, None, :] and V[..., None, :, :] give the matrix of values
+    over every pair (U_i, V_j).
     """
     t = times_i(q)
-    radial = float(q @ grad)
-    reebward = float(t @ grad)
+    radial = np.vecdot(q, grad)
+    reebward = np.vecdot(t, grad)
 
     def form(u, v):
         u = getattr(u, "vec", u)
@@ -503,10 +532,10 @@ def _hessian_form_at(q, grad, hess):
         pu, pv = _pi_h_vec(q, u), _pi_h_vec(q, v)
         ju, jv = times_i(pu), times_i(pv)
         return (
-            np.inner(u @ hess, v) - np.inner(u, v) * radial
-            + np.inner(pu, jv) * reebward
-            + np.multiply.outer(u @ t, jv @ grad)
-            + np.multiply.outer(ju @ grad, v @ t)
+            np.vecdot(np.matvec(hess, u), v) - np.vecdot(u, v) * radial
+            + np.vecdot(pu, jv) * reebward
+            + np.vecdot(u, t) * np.vecdot(jv, grad)
+            + np.vecdot(ju, grad) * np.vecdot(v, t)
         )
 
     return form
@@ -520,102 +549,135 @@ class HessianBlock:
 
         H[j,k] - H[k,j] = 2 Omega(X_j, X_k) f0,
 
-    which is checked at construction.
+    which is checked at construction.  A block over a stack of K points
+    takes sequences of K points and frames, values of shape
+    (K, 2n+1, 2n+1) and K Reeb values; it is checked point by point, and
+    each method returns one value per point.
     """
 
     def __init__(self, base, frame, values, reeb_value):
         self.base = base
         self.frame = frame
         self.values = np.asarray(values, dtype=float)
-        self.reeb_value = float(reeb_value)
-        n = base.n
-        if self.values.shape != (2 * n + 1, 2 * n + 1):
+        self.reeb_value = np.asarray(reeb_value, dtype=float)[()]
+        if isinstance(base, SpherePoint):
+            n, stack, self._frame_rows = base.n, (), frame.matrix()
+        else:
+            n, stack = base[0].n, (len(base),)
+            self._frame_rows = np.array([fr.matrix() for fr in frame])
+        if self.values.shape != stack + (2 * n + 1, 2 * n + 1) or np.shape(reeb_value) != stack:
             raise ValueError("hessian block of the wrong shape")
-        if not self.antisymmetry_residual() <= EXCHANGE_TOL:
+        if not np.all(self.antisymmetry_residual() <= EXCHANGE_TOL):
             raise ValueError("horizontal antisymmetry identity violated")
 
     def horizontal_block(self):
-        return self.values[1:, 1:]
+        return self.values[..., 1:, 1:]
 
     def horizontal_trace(self):
-        return float(np.trace(self.horizontal_block()))
+        return np.trace(self.horizontal_block(), axis1=-2, axis2=-1)
 
     def horizontal_norm_sq(self):
-        return float(np.sum(self.horizontal_block() ** 2))
+        return np.sum(self.horizontal_block() ** 2, axis=(-2, -1))
 
     def antisymmetry_residual(self):
-        mat = self.frame.matrix()
-        omega = mat @ times_i(mat).T  # omega[j,k] = <X_j, i X_k>
+        mat = self._frame_rows
+        omega = mat @ np.swapaxes(times_i(mat), -1, -2)  # omega[j,k] = <X_j, i X_k>
         h = self.horizontal_block()
-        return float(np.max(np.abs(h - h.T - 2.0 * omega * self.reeb_value)))
+        gap = h - np.swapaxes(h, -1, -2) - 2.0 * omega * self.reeb_value[..., None, None]
+        return np.max(np.abs(gap), axis=(-2, -1))
 
 
 # ----------------------------------------------------------------------
-# One point, read once.
+# Points, read once.
 #
-# Every pointwise evaluator below takes p as a SpherePoint or as the
-# PointJet of its field f at that point; several evaluations at one
-# point then share one frame, one flat jet and one T0 f.
+# Every pointwise evaluator below takes p as a SpherePoint, a sequence
+# of them, or the PointJet of its field f there; several evaluations
+# then share one frame, one flat jet and one T0 f per point.  It returns
+# a float for one point and an array of K values for a stack of K.
 # ----------------------------------------------------------------------
 
 
 class PointJet:
-    """What the pointwise evaluators read of a scalar field f at one point.
+    """What the pointwise evaluators read of a scalar field f at one point
+    or at each point of a stack.
 
     Built by `point_jet`: the adapted frame and its rows [T; X_1..X_2n],
-    the flat gradient and Hessian of f's polynomial at p, and T0 f
-    there.  The flat third partials and the Hessian block over the
-    frame are built on first use and then shared.  Immutable; its
-    arrays are read-only.
+    the flat gradient and Hessian of f's polynomial, and T0 f.  The flat
+    third partials and the Hessian block over the frame are built on
+    first use and then shared.  For a stack of K points, `point` and
+    `frame` are tuples of K, and `coords`, `rows`, `grad`, `hess`, `t0`,
+    `third` and the block's values carry a leading axis of K points.
+    Immutable; its arrays are read-only.
     """
 
     def __init__(self, field, point, frame, grad, hess, t0):
-        rows = _adapted_rows(point, frame)
+        if isinstance(point, SpherePoint):
+            coords, frame_rows, t0 = point.coords, frame.matrix(), float(t0)
+        else:
+            coords = _coords(point)
+            frame_rows = np.array([fr.matrix() for fr in frame])
+            t0 = np.array(t0, dtype=float)
+            for a in (coords, t0):
+                a.setflags(write=False)
+        rows = _adapted_rows(coords, frame_rows)
         for a in (rows, grad, hess):
             a.setflags(write=False)
         vars(self).update(
-            field=field, point=point, frame=frame, rows=rows, grad=grad, hess=hess, t0=float(t0)
+            field=field, point=point, frame=frame, coords=coords, rows=rows,
+            grad=grad, hess=hess, t0=t0,
         )
 
     def __setattr__(self, name, value):
         raise AttributeError("a PointJet is immutable")
 
-    @property
-    def coords(self):
-        return self.point.coords
-
     @cached_property
     def third(self):
-        """Flat third partials d_i d_j d_k f at p.
+        """Flat third partials d_i d_j d_k f.
 
         They are symmetric in (i, j, k), so only i <= j <= k is
         evaluated: C(m+2, 3) of the m^3 entries.
         """
         q = self.coords
-        m = len(q)
+        m = q.shape[-1]
         polys = self.field.third_polys
-        third = np.empty((m, m, m))
-        for i in range(m):
-            for j in range(i, m):
-                for k in range(j, m):
-                    v = polys[i][j][k].evaluate(q)
-                    third[i, j, k] = third[i, k, j] = third[j, i, k] = v
-                    third[j, k, i] = third[k, i, j] = third[k, j, i] = v
+        distinct = [(i, j, k) for i in range(m) for j in range(i, m) for k in range(j, m)]
+        values = _values([polys[i][j][k] for i, j, k in distinct], q)
+        third = np.empty(q.shape[:-1] + (m, m, m))
+        for c, (i, j, k) in enumerate(distinct):
+            v = values[..., c]
+            third[..., i, j, k] = third[..., i, k, j] = third[..., j, i, k] = v
+            third[..., j, k, i] = third[..., k, i, j] = third[..., k, j, i] = v
         third.setflags(write=False)
         return third
 
     @cached_property
     def block(self):
         """The HessianBlock over the adapted frame (`tw_hessian`)."""
-        values = _hessian_form_at(self.coords, self.grad, self.hess)(self.rows, self.rows)
+        form = _hessian_form_at(
+            self.coords[..., None, None, :], self.grad[..., None, None, :],
+            self.hess[..., None, None, :, :],
+        )
+        values = form(self.rows[..., :, None, :], self.rows[..., None, :, :])
         return HessianBlock(self.point, self.frame, values, self.t0)
 
 
 def point_jet(f, p):
-    """The PointJet of f at p: one frame, one flat jet, one T0 f evaluation."""
-    q = p.coords
-    grad, hess = _grad_hess(f, q)
-    return PointJet(f, p, horizontal_frame(p), grad, hess, f.t0_poly.evaluate(q))
+    """The PointJet of f at p, or over a sequence of points p.
+
+    Each point gets its own validated frame, flat jet and T0 f.
+    """
+    if isinstance(p, SpherePoint):
+        grad, hess = _grad_hess(f, p.coords)
+        return PointJet(f, p, horizontal_frame(p), grad, hess, f.t0_poly.evaluate(p.coords))
+    points = tuple(p)
+    if not points:
+        raise ValueError("a PointJet needs at least one point")
+    jets = [_grad_hess(f, pt.coords) for pt in points]
+    return PointJet(
+        f, points, tuple(horizontal_frame(pt) for pt in points),
+        np.array([g for g, _ in jets]), np.array([h for _, h in jets]),
+        [f.t0_poly.evaluate(pt.coords) for pt in points],
+    )
 
 
 def _jet(f, p):
@@ -644,48 +706,44 @@ def sublaplacian_frame(f, p):
     Independent of the exact difference route.
     """
     jet = _jet(f, p)
-    q, grad = jet.coords, jet.grad
-    x = jet.frame.matrix()
+    q, grad = jet.coords[..., None, :], jet.grad[..., None, :]
+    x = jet.rows[..., 1:, :]
     dx = _ext_deriv(q, x, x)
-    second = _rowdot(x @ jet.hess, x) + dx @ grad
+    second = np.vecdot(x @ jet.hess, x) + np.vecdot(dx, grad)
     drift = _cov_deriv_pointwise(q, x, _pi_h_vec(q, x), dx)
-    return float(np.sum(second - drift @ grad))
+    return np.sum(second - np.vecdot(drift, grad), axis=-1)
 
 
 def connection_axiom_residuals(p, x, y, z):
-    """Residuals of the four connection axioms at one point.
+    """Residuals of the four connection axioms at p.
 
     Returns (metric compatibility, J parallel, torsion purity, Reeb
     parallel) for horizontal vectors x, y, z, each extended by its
     canonical horizontal field.  The left side of the compatibility
     check uses only ambient derivatives, the right side only the
-    connection.
+    connection.  For a sequence of K points x, y, z are (K, m) rows,
+    and each residual is an array of K values.
     """
-    q = p.coords
-    x = getattr(x, "vec", x)
-    y = getattr(y, "vec", y)
-    z = getattr(z, "vec", z)
+    q = _coords(p)
+    x, y, z = _directions(q, x, y, z)
     t = times_i(q)
     y_at, z_at = _pi_h_vec(q, y), _pi_h_vec(q, z)
     dy, dz = _ext_deriv(q, x, y), _ext_deriv(q, x, z)
     nabla_x_y = _cov_deriv_pointwise(q, x, y_at, dy)
     nabla_x_z = _cov_deriv_pointwise(q, x, z_at, dz)
-    lhs = float(dy @ z_at) + float(y_at @ dz)
-    rhs = float(nabla_x_y @ z_at) + float(y_at @ nabla_x_z)
-    metric = abs(lhs - rhs)
+    lhs = np.vecdot(dy, z_at) + np.vecdot(y_at, dz)
+    rhs = np.vecdot(nabla_x_y, z_at) + np.vecdot(y_at, nabla_x_z)
+    metric = np.abs(lhs - rhs)
 
     iy = times_i(y)
     nabla_x_jy = _cov_deriv_pointwise(q, x, _pi_h_vec(q, iy), _ext_deriv(q, x, iy))
-    j_parallel = float(np.max(np.abs(nabla_x_jy - _big_j(q, nabla_x_y))))
+    j_parallel = np.max(np.abs(nabla_x_jy - _big_j(q, nabla_x_y)), axis=-1)
 
     nabla_y_x = _cov_deriv_pointwise(q, y, _pi_h_vec(q, x), _ext_deriv(q, y, x))
-    bracket = _ext_deriv(q, x, y) - _ext_deriv(q, y, x)
-    torsion = nabla_x_y - nabla_y_x - bracket
-    purity = float(np.max(np.abs(torsion + 2.0 * _omega_vec(q, x, y) * t)))
+    torsion = nabla_x_y - nabla_y_x - (dy - _ext_deriv(q, y, x))
+    purity = np.max(np.abs(torsion + 2.0 * _omega_vec(q, x, y)[..., None] * t), axis=-1)
 
-    reeb_parallel = float(
-        np.max(np.abs(_cov_deriv_pointwise(q, x, t, times_i(x))))
-    )
+    reeb_parallel = np.max(np.abs(_cov_deriv_pointwise(q, x, t, times_i(x))), axis=-1)
     return metric, j_parallel, purity, reeb_parallel
 
 
@@ -698,19 +756,20 @@ def curvature_sphere(p, X, Y, Z):
     """R(X,Y)Z on horizontal vectors from the constant-holomorphic-
     sectional-curvature expression of the sphere connection.
 
-    X may be a stack of vectors as rows; the result then has one row
-    R(X_i,Y)Z per row of X.
+    X, Y and Z follow the broadcasting rule of the pointwise helpers:
+    a stack of rows X with single vectors Y, Z gives one row R(X_i,Y)Z
+    per row of X.
     """
     x = getattr(X, "vec", X)
     y = getattr(Y, "vec", Y)
     z = getattr(Z, "vec", Z)
     jx, jy, jz = times_i(x), times_i(y), times_i(z)
     return (
-        float(y @ z) * x
-        - np.multiply.outer(x @ z, y)
-        + float(jy @ z) * jx
-        - np.multiply.outer(jx @ z, jy)
-        - 2.0 * np.multiply.outer(jx @ y, jz)
+        np.vecdot(y, z)[..., None] * x
+        - np.vecdot(x, z)[..., None] * y
+        + np.vecdot(jy, z)[..., None] * jx
+        - np.vecdot(jx, z)[..., None] * jy
+        - 2.0 * np.vecdot(jx, y)[..., None] * jz
     )
 
 
@@ -743,13 +802,16 @@ def ricci(p, X):
     scale = ARG_TOL * max(1.0, float(np.linalg.norm(x)))
     if not (abs(float(x @ p.coords)) <= scale and abs(float(x @ p.reeb_coords())) <= scale):
         raise ValueError("Ricci is evaluated on horizontal vectors")
-    return _ricci_trace(p, horizontal_frame(p), x)
+    return _ricci_trace(p, horizontal_frame(p).matrix(), x)
 
 
-def _ricci_trace(p, frame, x):
-    """sum_j <R(X_j, x) x, X_j> over the rows of the frame."""
-    mat = frame.matrix()
-    return float(np.einsum("ij,ij->", curvature_sphere(p, mat, x, x), mat))
+def _ricci_trace(p, frame_rows, x):
+    """sum_j <R(X_j, x) x, X_j> over the frame rows X_j (the last two axes).
+
+    With a stack of frames, x holds one row per frame.
+    """
+    x = x[..., None, :]
+    return np.sum(np.vecdot(curvature_sphere(p, frame_rows, x, x), frame_rows), axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -789,11 +851,10 @@ def operator_l_parts(f, p):
     jet = _jet(f, p)
     q, grad = jet.coords, jet.grad
     t = times_i(q)
-    g_at, dg = _pi_h_deriv(q, t, grad, jet.hess @ t)
-    t0_grad = np.array([gp.evaluate(q) for gp in f.t0_grad_polys])
-    term1 = float(times_i(g_at) @ t0_grad)
+    g_at, dg = _pi_h_deriv(q, t, grad, np.matvec(jet.hess, t))
+    term1 = np.vecdot(times_i(g_at), _values(f.t0_grad_polys, q))
     nabla_t_g = _cov_deriv_pointwise(q, t, g_at, dg)
-    term2 = float(_big_j(q, nabla_t_g) @ grad)
+    term2 = np.vecdot(_big_j(q, nabla_t_g), grad)
     return term1, term2
 
 
@@ -802,39 +863,34 @@ def operator_l(f, p):
     return term1 - term2
 
 
-def bochner_lhs(f, points):
-    """(1/2) Delta_b |grad_H f|^2 at each point, as a float array.
+def bochner_lhs(f, p):
+    """(1/2) Delta_b |grad_H f|^2 at p, as a float, or at each point of a stack.
 
-    The exact polynomial is evaluated once over the stack of points
-    (SpherePoints or PointJets); each value is bit-identical to
-    evaluating it at that point alone.
+    p is a SpherePoint, a sequence of them, or a PointJet.  Over a
+    stack the exact polynomial is evaluated once; each value is
+    bit-identical to evaluating it at that point alone.
     """
-    if not len(points):
-        return np.empty(0)
-    return 0.5 * f.bochner_lhs_poly.evaluate(np.array([p.coords for p in points]))
+    return 0.5 * f.bochner_lhs_poly.evaluate(_coords(p))
 
 
-def bochner_residual(f, p, lhs=None):
+def bochner_residual(f, p):
     """Pointwise residual of the horizontal Bochner identity.
 
       (1/2) Delta_b |grad_H f|^2
         - |pi_H Hess f|^2 - (grad_H f)(Delta_b f)
         - rho(grad_H f, grad_H f) - 2 L f
 
-    The left side is exact, and lhs may pass its value at p when
-    `bochner_lhs` has already evaluated it; the right side reads f
+    The left side is exact (`bochner_lhs`); the right side reads f
     through its flat gradient and Hessian at p.
     """
     jet = _jet(f, p)
-    if lhs is None:
-        lhs = bochner_lhs(f, [jet])[0]
     q, block = jet.coords, jet.block
-    hsq = block.horizontal_norm_sq()
     gh = _pi_h_vec(q, jet.grad)
-    grad_term = sum(gp.evaluate(q) * gh[k] for k, gp in enumerate(f.sublaplacian_grad_polys))
-    ric = _ricci_trace(jet.point, block.frame, gh)
+    grad_term = np.vecdot(_values(f.sublaplacian_grad_polys, q), gh)
+    ric = _ricci_trace(jet.point, jet.rows[..., 1:, :], gh)
     term1, term2 = operator_l_parts(f, jet)
-    return lhs - (hsq + grad_term + ric + 2.0 * (term1 - term2))
+    rhs = block.horizontal_norm_sq() + grad_term + ric + 2.0 * (term1 - term2)
+    return bochner_lhs(f, jet) - rhs
 
 
 def lemma1_residual(f, p):
@@ -845,10 +901,10 @@ def lemma1_residual(f, p):
     (`_pi_h_deriv`); the trace is `divergence`'s, over [T; X_1..X_2n].
     """
     jet = _jet(f, p)
-    q, rows = jet.coords, jet.rows
-    g_at, dg = _pi_h_deriv(q, rows, jet.grad, rows @ jet.hess)
+    q, rows = jet.coords[..., None, :], jet.rows
+    g_at, dg = _pi_h_deriv(q, rows, jet.grad[..., None, :], rows @ jet.hess)
     nabla = _cov_deriv_pointwise(q, rows, times_i(g_at), times_i(dg))
-    return float(np.einsum("ij,ij->", nabla, rows)) - 2.0 * f.n * jet.t0
+    return np.sum(np.vecdot(nabla, rows), axis=-1) - 2.0 * f.n * jet.t0
 
 
 def lemma2_check(f):
@@ -867,22 +923,24 @@ def _hessian_form_derivative(q, u, a, da, b, db, grad, hess, dhess):
 
     a, b are the values at q of the fields A, B and da, db their D_u;
     grad, hess and dhess are the flat gradient, Hessian and D_u Hessian
-    of f.  Every factor of the expansion, the projection
-    pi_H w = w - <q,w> q - <iq,w> iq included, moves with q and is
-    differentiated by the product rule.
+    of f (symmetric matrices on the last two axes).  Every factor of
+    the expansion, the projection pi_H w = w - <q,w> q - <iq,w> iq
+    included, moves with q and is differentiated by the product rule.
     """
+    dot = np.vecdot
     t, dt = times_i(q), times_i(u)
-    dgrad = hess @ u
+    dgrad = np.matvec(hess, u)
     pa, dpa = _pi_h_deriv(q, u, a, da)
     pb, dpb = _pi_h_deriv(q, u, b, db)
     ja, dja = times_i(pa), times_i(dpa)
     jb, djb = times_i(pb), times_i(dpb)
-    return float(
-        da @ hess @ b + a @ dhess @ b + a @ hess @ db
-        - (da @ b + a @ db) * (q @ grad) - (a @ b) * (u @ grad + q @ dgrad)
-        + (dpa @ jb + pa @ djb) * (t @ grad) + (pa @ jb) * (dt @ grad + t @ dgrad)
-        + (dt @ a + t @ da) * (jb @ grad) + (t @ a) * (djb @ grad + jb @ dgrad)
-        + (dt @ b + t @ db) * (ja @ grad) + (t @ b) * (dja @ grad + ja @ dgrad)
+    return (
+        dot(np.matvec(hess, da), b) + dot(np.matvec(dhess, a), b) + dot(np.matvec(hess, a), db)
+        - (dot(da, b) + dot(a, db)) * dot(q, grad) - dot(a, b) * (dot(u, grad) + dot(q, dgrad))
+        + (dot(dpa, jb) + dot(pa, djb)) * dot(t, grad)
+        + dot(pa, jb) * (dot(dt, grad) + dot(t, dgrad))
+        + (dot(dt, a) + dot(t, da)) * dot(jb, grad) + dot(t, a) * (dot(djb, grad) + dot(jb, dgrad))
+        + (dot(dt, b) + dot(t, db)) * dot(ja, grad) + dot(t, b) * (dot(dja, grad) + dot(ja, dgrad))
     )
 
 
@@ -894,24 +952,25 @@ def third_commutation_residual(f, p, X, Y):
     for horizontal X, Y, with f00 = T(T(f)).  The middle slot carries
     the Reeb field; the outer slots use canonical horizontal extensions
     (the value of nabla^3 f does not depend on that choice).  f is read
-    through its flat partials up to third order at p.
+    through its flat partials up to third order at p.  For a stack of
+    K points X and Y are (K, m) rows.  Both orders of the slots,
+    (X, Y) and (Y, X), are evaluated together as two rows per point.
     """
     jet = _jet(f, p)
-    q, grad, hess, third = jet.coords, jet.grad, jet.hess, jet.third
-    x = getattr(X, "vec", X)
-    y = getattr(Y, "vec", Y)
+    x, y = _directions(jet.coords, X, Y)
+    q, grad = jet.coords[..., None, :], jet.grad[..., None, :]
+    hess = jet.hess[..., None, :, :]
+    u, v = np.stack((x, y), axis=-2), np.stack((y, x), axis=-2)
+    t, du_t = times_i(q), times_i(u)
+    v_at, dv = _pi_h_vec(q, v), _ext_deriv(q, u, v)
+    dhess = np.matvec(jet.third[..., None, :, :, :], u[..., None, :])
+    leading = _hessian_form_derivative(q, u, t, du_t, v_at, dv, grad, hess, dhess)
     form = _hessian_form_at(q, grad, hess)
-    t = times_i(q)
-
-    def third_order(u, v):
-        v_at, dv = _pi_h_vec(q, v), _ext_deriv(q, u, v)
-        leading = _hessian_form_derivative(q, u, t, times_i(u), v_at, dv, grad, hess, third @ u)
-        nabla_u_t = _cov_deriv_pointwise(q, u, t, times_i(u))
-        nabla_u_v = _cov_deriv_pointwise(q, u, v_at, dv)
-        return leading - form(nabla_u_t, v_at) - form(t, nabla_u_v)
-
-    f00 = f.t0t0_poly.evaluate(q)
-    return third_order(x, y) - third_order(y, x) - 2.0 * _omega_vec(q, x, y) * f00
+    nabla_u_t = _cov_deriv_pointwise(q, u, t, du_t)
+    nabla_u_v = _cov_deriv_pointwise(q, u, v_at, dv)
+    third_order = leading - form(nabla_u_t, v_at) - form(t, nabla_u_v)
+    f00 = f.t0t0_poly.evaluate(jet.coords)
+    return third_order[..., 0] - third_order[..., 1] - 2.0 * _omega_vec(jet.coords, x, y) * f00
 
 
 # ----------------------------------------------------------------------

@@ -139,11 +139,11 @@ class GeodesicTrace:
 def great_circle(x0, v, s):
     """x0 cos s + v sin s: the b = 0 geodesic in closed form."""
     vec = v.vec if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
-    if abs(np.linalg.norm(vec) - 1.0) > ARG_TOL:
+    if not abs(np.linalg.norm(vec) - 1.0) <= ARG_TOL:
         raise ValueError("great_circle expects a unit direction")
     q = x0.coords
     t = times_i(q)
-    if abs(float(q @ vec)) > ARG_TOL or abs(float(t @ vec)) > ARG_TOL:
+    if not (abs(float(q @ vec)) <= ARG_TOL and abs(float(t @ vec)) <= ARG_TOL):
         raise ValueError("great_circle expects a horizontal direction")
     out = q * np.cos(s) + vec * np.sin(s)
     return SpherePoint(out / np.linalg.norm(out), x0.n)

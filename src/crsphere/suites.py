@@ -306,20 +306,20 @@ def _suite_bochner(cfg):
     points = [random_point(rng, cfg.n) for _ in range(cfg.trials)]
     worst_bochner = worst_route = worst_trace = worst_cs = 0.0  # cs: largest deficit
     for k, f in enumerate(pool):
-        # Point i goes with field i % len(pool).  The exact left side is
-        # evaluated once over all of f's points, and one point jet (frame,
-        # flat jet, T0 f, Hessian block) serves every pointwise value.
+        # Point i goes with field i % len(pool).  One stacked jet over all
+        # of f's points (frames, flat jets, T0 f, Hessian blocks) serves
+        # every evaluator, each called once per field.
         mine = points[k::len(pool)]
-        for p, lhs in zip(mine, C.bochner_lhs(f, mine)):
-            jet = C.point_jet(f, p)
-            block = C.tw_hessian(f, jet)
-            worst_bochner = _worst(worst_bochner, abs(C.bochner_residual(f, jet, lhs)))
-            frame_val = C.sublaplacian_frame(f, jet)
-            exact_val = C.sublaplacian_greenleaf(f, p)
-            worst_route = _worst(worst_route, abs(frame_val - exact_val))
-            worst_trace = _worst(worst_trace, abs(block.horizontal_trace() - exact_val))
-            slack = block.horizontal_norm_sq() - exact_val**2 / (2 * cfg.n)
-            worst_cs = _worst(worst_cs, -slack)
+        if not mine:
+            continue
+        jet = C.point_jet(f, mine)
+        block = C.tw_hessian(f, jet)
+        exact_val = C.sublaplacian_greenleaf(f, jet)
+        worst_bochner = _worst(worst_bochner, *np.abs(C.bochner_residual(f, jet)))
+        worst_route = _worst(worst_route, *np.abs(C.sublaplacian_frame(f, jet) - exact_val))
+        worst_trace = _worst(worst_trace, *np.abs(block.horizontal_trace() - exact_val))
+        slack = block.horizontal_norm_sq() - exact_val**2 / (2 * cfg.n)
+        worst_cs = _worst(worst_cs, *-slack)
     inputs = {"n": cfg.n, "trials": cfg.trials}
     return [
         _check(
@@ -339,18 +339,34 @@ def _suite_bochner(cfg):
     ]
 
 
+def _draw(rng, n, trials, slots):
+    """trials random points, each followed by `slots` random horizontal
+    vectors at it, drawn in that order; returns the points and one
+    (trials, 2n+2) array of vectors per slot."""
+    points, vecs = [], []
+    for _ in range(trials):
+        p = random_point(rng, n)
+        points.append(p)
+        vecs.append([random_horizontal(rng, p).vec for _ in range(slots)])
+    return points, np.array(vecs).transpose(1, 0, 2)
+
+
 def _suite_lemmas(cfg):
     rng = np.random.default_rng(cfg.seed)
     pool = field_pool(rng, cfg.n, max(4, cfg.trials // 10))
+    points, (xs, ys) = _draw(rng, cfg.n, cfg.trials, 2)
     worst1 = worst3 = worst_hess = 0.0
-    for i in range(cfg.trials):
-        f = pool[i % len(pool)]
-        p = random_point(rng, cfg.n)
-        jet = C.point_jet(f, p)  # one frame and one flat jet serve all three checks
-        worst1 = _worst(worst1, abs(C.lemma1_residual(f, jet)))
-        x, y = random_horizontal(rng, p), random_horizontal(rng, p)
-        worst3 = _worst(worst3, abs(C.third_commutation_residual(f, jet, x.vec, y.vec)))
-        worst_hess = _worst(worst_hess, C.tw_hessian(f, jet).antisymmetry_residual())
+    for k, f in enumerate(pool):
+        # Trial i goes with field i % len(pool); one stacked jet over all
+        # of f's points serves the three checks.
+        mine = slice(k, None, len(pool))
+        if not points[mine]:
+            continue
+        jet = C.point_jet(f, points[mine])
+        worst1 = _worst(worst1, *np.abs(C.lemma1_residual(f, jet)))
+        third = C.third_commutation_residual(f, jet, xs[mine], ys[mine])
+        worst3 = _worst(worst3, *np.abs(third))
+        worst_hess = _worst(worst_hess, *C.tw_hessian(f, jet).antisymmetry_residual())
     inputs = {"n": cfg.n, "trials": cfg.trials}
     checks = [
         _check(
@@ -374,11 +390,8 @@ def _suite_lemmas(cfg):
             "integrated L identity", {"n": cfg.n, "lhs": str(lhs), "rhs": str(rhs)},
             float(abs(lhs - rhs)), status=lhs == rhs))
 
-    worst = [0.0, 0.0, 0.0, 0.0]
-    for _ in range(cfg.trials):
-        p = random_point(rng, cfg.n)
-        vals = C.connection_axiom_residuals(p, *(random_horizontal(rng, p) for _ in range(3)))
-        worst = [_worst(w, v) for w, v in zip(worst, vals)]
+    points, vecs = _draw(rng, cfg.n, cfg.trials, 3)
+    worst = [_worst(0.0, *vals) for vals in C.connection_axiom_residuals(points, *vecs)]
     names = ("metric_compatibility", "j_parallel", "torsion_purity", "reeb_parallel")
     for name, w in zip(names, worst):
         checks.append(_check(

@@ -352,8 +352,9 @@ def test_bochner_suite_reads_one_jet_and_one_block_per_point(monkeypatch):
     counts = _count_point_reads(monkeypatch)
     monkeypatch.setattr(C.ScalarField, "grad_h_field", property(forbidden))
     assert run_suite(Config(suite="bochner", n=1, trials=5)).passed
-    # 5 points over a pool of 4 fields: one left-side evaluation per field
-    assert counts == {"frame": 5, "jet": 5, "t0": 5, "third": 0, "lhs": 4, "block": 5}
+    # 5 points over a pool of 4 fields: one left-side evaluation and one
+    # stacked Hessian block per field
+    assert counts == {"frame": 5, "jet": 5, "t0": 5, "third": 0, "lhs": 4, "block": 4}
 
 
 @pytest.mark.parametrize("n, third", [(1, 20), (2, 56)])
@@ -371,6 +372,39 @@ def test_lemmas_suite_reads_one_jet_per_point(monkeypatch, n, third):
 
 def _reject_constant(token):
     raise ValueError("non-standard JSON constant %s" % token)
+
+
+def _poison_last_row(evaluate, bad):
+    def poisoned(*args):
+        out = np.array(evaluate(*args), dtype=float)
+        out[-1] = bad
+        return out
+    return poisoned
+
+
+@pytest.mark.parametrize("bad, text", [(math.nan, "nan"), (math.inf, "inf"), (-math.inf, "inf")])
+def test_a_poisoned_row_of_a_stacked_residual_fails_its_check(monkeypatch, bad, text):
+    # Each field's residuals arrive as one array.  A +inf row of
+    # |pi_H Hess f|^2 makes a -inf deficit in the Cauchy-Schwarz check,
+    # which np.max over the rows would let pass; the suites' reduction
+    # must not.
+    for name in ("third_commutation_residual", "bochner_residual"):
+        monkeypatch.setattr(C, name, _poison_last_row(getattr(C, name), bad))
+    norm_sq = _poison_last_row(C.HessianBlock.horizontal_norm_sq, bad)
+    monkeypatch.setattr(C.HessianBlock, "horizontal_norm_sq", norm_sq)
+    poisoned = {
+        "lemmas": {"lemmas.third_order"},
+        "bochner": {"bochner.residual", "bochner.cauchy_schwarz"},
+    }
+    for suite, ids in poisoned.items():
+        _, payload = run_and_report(Config(suite=suite, n=1, trials=8, seed=5))
+        decoded = json.loads(canonical_payload_bytes(payload), parse_constant=_reject_constant)
+        checks = {c["id"]: c for c in decoded["suites"][0]["checks"]}
+        for check_id, check in checks.items():
+            if check_id in ids:
+                assert (check["status"], check["residual"]) == ("fail", text), check_id
+            else:
+                assert check["status"] == "pass", check_id
 
 
 @pytest.mark.parametrize("value, text", [(math.nan, "nan"), (math.inf, "inf")])

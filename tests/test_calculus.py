@@ -20,7 +20,7 @@ from crsphere.sphere import (
     times_i,
 )
 from crsphere.spectrum import reeb_kernel_eigenfunctions
-from crsphere.suites import field_pool
+from crsphere.suites import Config, field_pool, run_suite
 
 
 def var(i, m=4):
@@ -204,6 +204,15 @@ def test_hessian_block_rejects_a_non_finite_entry(rng, s3_fields, bad):
     values[1, 2] = bad
     with pytest.raises(ValueError):
         C.HessianBlock(p, block.frame, values, block.reeb_value)
+    # a stacked block is checked point by point: one bad point is enough
+    points = [p, random_point(rng, 1), random_point(rng, 1)]
+    stacked = C.tw_hessian(s3_fields[0], points)
+    values = stacked.values.copy()
+    values[1, 1, 2] = bad
+    with pytest.raises(ValueError):
+        C.HessianBlock(stacked.base, stacked.frame, values, stacked.reeb_value)
+    with pytest.raises(ValueError, match="wrong shape"):
+        C.HessianBlock(stacked.base, stacked.frame, stacked.values[:2], stacked.reeb_value[:2])
 
 
 def test_hessian_form_extension_independent(rng):
@@ -812,7 +821,7 @@ def test_frame_traces_match_per_vector_references(n, kind, k, sign, which, seed)
     _assert_close(C.divergence(p, V), divergence_reference(p, V))
     _assert_close(C.sublaplacian_frame(f, p), sublaplacian_frame_reference(f, p))
     gh = C.horizontal_gradient(f, p).vec
-    _assert_close(C._ricci_trace(p, block.frame, gh), ricci_reference(p, gh))
+    _assert_close(C._ricci_trace(p, block.frame.matrix(), gh), ricci_reference(p, gh))
 
 
 @settings(max_examples=30, deadline=None)
@@ -901,25 +910,282 @@ def test_symmetric_third_partials_match_every_entry(f, seed):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_jet_route_is_bitwise_the_point_route(n, rng):
+    # the one-point jet, the SpherePoint and a stack of one give the same bits
     f = _trace_fields(n)[0]
     points = [random_point(rng, n) for _ in range(3)]
     lhs = C.bochner_lhs(f, points)
     per_point = [0.5 * f.bochner_lhs_poly.evaluate(p) for p in points]
     assert lhs.tobytes() == np.array(per_point).tobytes()
     for p, left in zip(points, lhs):
-        jet = C.point_jet(f, p)
-        x, y = random_horizontal(rng, p).vec, random_horizontal(rng, p).vec
+        jet, one = C.point_jet(f, p), C.point_jet(f, [p])
+        x, y, z = (random_horizontal(rng, p).vec for _ in range(3))
         u, v = random_tangent(rng, p).vec, random_tangent(rng, p).vec
         assert C.tw_hessian(f, jet) is C.tw_hessian(f, jet)
-        assert C.tw_hessian(f, jet).values.tobytes() == C.tw_hessian(f, p).values.tobytes()
+        values = C.tw_hessian(f, jet).values.tobytes()
+        assert values == C.tw_hessian(f, p).values.tobytes() == C.tw_hessian(f, one).values[0].tobytes()
+        for method in ("horizontal_trace", "horizontal_norm_sq", "antisymmetry_residual"):
+            got = getattr(C.tw_hessian(f, one), method)()
+            assert got.shape == (1,) and got[0] == getattr(C.tw_hessian(f, jet), method)()
         assert C.hessian_form(f, jet)(u, v) == C.hessian_form(f, p)(u, v)
-        assert C.sublaplacian_frame(f, jet) == C.sublaplacian_frame(f, p)
+        assert C.hessian_form(f, one)(u[None], v[None])[0] == C.hessian_form(f, p)(u, v)
+        assert left == C.bochner_lhs(f, p) == C.bochner_lhs(f, jet)
+        for evaluator in (C.sublaplacian_frame, C.sublaplacian_greenleaf, C.bochner_residual,
+                          C.lemma1_residual, C.bochner_lhs):
+            stacked = evaluator(f, one)
+            assert stacked.shape == (1,)
+            assert evaluator(f, jet) == evaluator(f, p) == stacked[0]
         assert C.operator_l_parts(f, jet) == C.operator_l_parts(f, p)
-        assert C.bochner_residual(f, jet, left) == C.bochner_residual(f, p)
-        assert C.lemma1_residual(f, jet) == C.lemma1_residual(f, p)
+        assert C.operator_l_parts(f, p) == tuple(part[0] for part in C.operator_l_parts(f, one))
         third = C.third_commutation_residual
-        assert third(f, jet, x, y) == third(f, p, x, y)
-    assert C.bochner_lhs(f, []).shape == (0,)
+        assert third(f, jet, x, y) == third(f, p, x, y) == third(f, one, x[None], y[None])[0]
+        axioms = C.connection_axiom_residuals([p], x[None], y[None], z[None])
+        assert C.connection_axiom_residuals(p, x, y, z) == tuple(r[0] for r in axioms)
+    for empty in (C.point_jet, C.bochner_lhs):
+        with pytest.raises(ValueError):
+            empty(f, [])
+
+
+def test_stacked_directions_must_match_the_points(rng):
+    f, g = _trace_fields(1)[:2]
+    points = [random_point(rng, 1) for _ in range(3)]
+    jet = C.point_jet(f, points)
+    xs, ys = (np.array([random_horizontal(rng, p).vec for p in points]) for _ in range(2))
+    for bad in (xs[:2], xs[:, :3], xs[0], np.concatenate((xs, xs[:1]))):
+        with pytest.raises(ValueError, match="directions of shape"):
+            C.third_commutation_residual(f, jet, bad, ys)
+        with pytest.raises(ValueError, match="directions of shape"):
+            C.connection_axiom_residuals(points, ys, bad, ys)
+    with pytest.raises(ValueError, match="directions of shape"):
+        C.third_commutation_residual(f, points[0], xs, ys)
+    with pytest.raises(ValueError, match="another field"):
+        C.lemma1_residual(g, jet)
+    with pytest.raises(ValueError, match="another field"):
+        C.third_commutation_residual(g, jet, xs, ys)
+
+
+# ---------------------------------------------------------------------------
+# Stacked point jets: each evaluator runs once over all of a field's points.
+# The one-point bodies it replaced are kept here as its oracles, written
+# with the per-vector references above.
+# ---------------------------------------------------------------------------
+
+
+def _pi_h_deriv_reference(q, u, w, dw):
+    t, dt = times_i(q), times_i(u)
+    dval = (
+        dw - float(u @ w + dw @ q) * q - float(q @ w) * u
+        - float(dt @ w + dw @ t) * t - float(t @ w) * dt
+    )
+    return _pi_h_reference(q, w), dval
+
+
+def _hessian_form_derivative_reference(q, u, a, da, b, db, grad, hess, dhess):
+    t, dt = times_i(q), times_i(u)
+    dgrad = hess @ u
+    pa, dpa = _pi_h_deriv_reference(q, u, a, da)
+    pb, dpb = _pi_h_deriv_reference(q, u, b, db)
+    ja, dja = times_i(pa), times_i(dpa)
+    jb, djb = times_i(pb), times_i(dpb)
+    return float(
+        da @ hess @ b + a @ dhess @ b + a @ hess @ db
+        - (da @ b + a @ db) * (q @ grad) - (a @ b) * (u @ grad + q @ dgrad)
+        + (dpa @ jb + pa @ djb) * (t @ grad) + (pa @ jb) * (dt @ grad + t @ dgrad)
+        + (dt @ a + t @ da) * (jb @ grad) + (t @ a) * (djb @ grad + jb @ dgrad)
+        + (dt @ b + t @ db) * (ja @ grad) + (t @ b) * (dja @ grad + ja @ dgrad)
+    )
+
+
+def third_commutation_residual_reference(f, p, x, y):
+    q = p.coords
+    grad, hess = C._grad_hess(f, q)
+    third = third_partials_reference(f, q)
+    form = hessian_form_reference(q, grad, hess)
+    t = times_i(q)
+
+    def third_order(u, v):
+        v_at, dv = _pi_h_reference(q, v), _ext_deriv_reference(q, u, v)
+        leading = _hessian_form_derivative_reference(
+            q, u, t, times_i(u), v_at, dv, grad, hess, third @ u
+        )
+        nabla_u_t = _cov_deriv_reference(q, u, t, times_i(u))
+        nabla_u_v = _cov_deriv_reference(q, u, v_at, dv)
+        return leading - form(nabla_u_t, v_at) - form(t, nabla_u_v)
+
+    f00 = f.t0t0_poly.evaluate(q)
+    return third_order(x, y) - third_order(y, x) - 2.0 * _omega_reference(q, x, y) * f00
+
+
+def connection_axiom_residuals_reference(p, x, y, z):
+    q = p.coords
+    t = times_i(q)
+    y_at, z_at = _pi_h_reference(q, y), _pi_h_reference(q, z)
+    dy, dz = _ext_deriv_reference(q, x, y), _ext_deriv_reference(q, x, z)
+    nabla_x_y = _cov_deriv_reference(q, x, y_at, dy)
+    nabla_x_z = _cov_deriv_reference(q, x, z_at, dz)
+    lhs = float(dy @ z_at) + float(y_at @ dz)
+    rhs = float(nabla_x_y @ z_at) + float(y_at @ nabla_x_z)
+    metric = abs(lhs - rhs)
+
+    iy = times_i(y)
+    nabla_x_jy = _cov_deriv_reference(q, x, _pi_h_reference(q, iy), _ext_deriv_reference(q, x, iy))
+    j_parallel = float(np.max(np.abs(nabla_x_jy - _big_j_reference(q, nabla_x_y))))
+
+    nabla_y_x = _cov_deriv_reference(q, y, _pi_h_reference(q, x), _ext_deriv_reference(q, y, x))
+    bracket = _ext_deriv_reference(q, x, y) - _ext_deriv_reference(q, y, x)
+    torsion = nabla_x_y - nabla_y_x - bracket
+    purity = float(np.max(np.abs(torsion + 2.0 * _omega_reference(q, x, y) * t)))
+
+    reeb_parallel = float(np.max(np.abs(_cov_deriv_reference(q, x, t, times_i(x)))))
+    return metric, j_parallel, purity, reeb_parallel
+
+
+def operator_l_parts_reference(f, p):
+    q = p.coords
+    grad, hess = C._grad_hess(f, q)
+    t = times_i(q)
+    g_at, dg = _pi_h_deriv_reference(q, t, grad, hess @ t)
+    t0_grad = np.array([gp.evaluate(q) for gp in f.t0_grad_polys])
+    nabla_t_g = _cov_deriv_reference(q, t, g_at, dg)
+    return float(times_i(g_at) @ t0_grad), float(_big_j_reference(q, nabla_t_g) @ grad)
+
+
+def bochner_residual_reference(f, p):
+    q = p.coords
+    grad, _ = C._grad_hess(f, q)
+    hsq = float(np.sum(tw_hessian_reference(f, p)[1:, 1:] ** 2))
+    gh = _pi_h_reference(q, grad)
+    grad_term = sum(gp.evaluate(q) * gh[k] for k, gp in enumerate(f.sublaplacian_grad_polys))
+    term1, term2 = operator_l_parts_reference(f, p)
+    lhs = 0.5 * f.bochner_lhs_poly.evaluate(q)
+    return lhs - (hsq + grad_term + ricci_reference(p, gh) + 2.0 * (term1 - term2))
+
+
+def antisymmetry_reference(f, p):
+    h = tw_hessian_reference(f, p)[1:, 1:]
+    mat = horizontal_frame(p).matrix()
+    omega = mat @ times_i(mat).T
+    return float(np.max(np.abs(h - h.T - 2.0 * omega * f.t0_poly.evaluate(p.coords))))
+
+
+_KINDS = st.tuples(
+    st.sampled_from(["random", "axis", "near_axis"]),
+    st.integers(0, 7),
+    st.sampled_from([1.0, -1.0]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3), st.lists(_KINDS, min_size=1, max_size=8), st.integers(0, 2),
+       st.integers(0, 2**32 - 1))
+def test_stacked_evaluators_match_their_one_point_oracles(n, kinds, which, seed):
+    f = _trace_fields(n)[which]
+    points = [_trace_point(n, kind, k, sign, seed + i) for i, (kind, k, sign) in enumerate(kinds)]
+    rng = np.random.default_rng([seed, 1])  # a stream apart from the points' seeds
+    xs, ys, zs = (np.array([random_horizontal(rng, p).vec for p in points]) for _ in range(3))
+    jet = C.point_jet(f, points)
+    size = len(points)
+    # the Bochner residual is a difference of terms the size of its left
+    # side, so it is compared relative to that size
+    lhs = np.maximum(1.0, np.abs(C.bochner_lhs(f, jet)))
+    rows = {
+        C.lemma1_residual: (lemma1_residual_reference, np.ones(size)),
+        C.sublaplacian_frame: (sublaplacian_frame_reference, np.ones(size)),
+        C.bochner_residual: (bochner_residual_reference, lhs),
+    }
+    for evaluator, (reference, scale) in rows.items():
+        got = evaluator(f, jet)
+        assert got.shape == (size,)
+        for value, p, s in zip(got, points, scale):
+            _assert_close(value, reference(f, p), 1e-12 * s)
+    third = C.third_commutation_residual(f, jet, xs, ys)
+    parts = C.operator_l_parts(f, jet)
+    axioms = C.connection_axiom_residuals(points, xs, ys, zs)
+    block = C.tw_hessian(f, jet)
+    greenleaf = C.sublaplacian_greenleaf(f, jet)
+    assert greenleaf.tobytes() == C.sublaplacian_greenleaf(f, points).tobytes()
+    for i, p in enumerate(points):
+        _assert_close(third[i], third_commutation_residual_reference(f, p, xs[i], ys[i]), 1e-12)
+        _assert_close([r[i] for r in parts], operator_l_parts_reference(f, p), 1e-12)
+        _assert_close(
+            [r[i] for r in axioms], connection_axiom_residuals_reference(p, xs[i], ys[i], zs[i]), 1e-12
+        )
+        _assert_close(block.values[i], tw_hessian_reference(f, p), 1e-12)
+        _assert_close(block.antisymmetry_residual()[i], antisymmetry_reference(f, p), 1e-12)
+        assert greenleaf[i] == C.sublaplacian_greenleaf(f, p)
+
+
+def _suite_by_points(cfg):
+    """The pointwise checks of the lemmas or bochner suite as a per-point
+    loop over the one-point oracles, drawing in the order the suites have
+    always drawn.  Returns check id -> worst residual, and check id ->
+    the size of the terms the residual is a difference of (at least 1)."""
+    rng = np.random.default_rng(cfg.seed)
+    pool = field_pool(rng, cfg.n, max(4, cfg.trials // 10))
+    worst, scale = {}, {}
+
+    def record(check_id, value, size=1.0):
+        worst[check_id] = max(worst.get(check_id, 0.0), value)
+        scale[check_id] = max(scale.get(check_id, 1.0), abs(size))
+
+    if cfg.suite == "bochner":
+        points = [random_point(rng, cfg.n) for _ in range(cfg.trials)]
+        for i, p in enumerate(points):
+            f = pool[i % len(pool)]
+            exact = f.sublaplacian_poly.evaluate(p.coords)
+            h = tw_hessian_reference(f, p)[1:, 1:]
+            lhs = 0.5 * f.bochner_lhs_poly.evaluate(p.coords)
+            record("bochner.residual", abs(bochner_residual_reference(f, p)), lhs)
+            record("bochner.route_agreement", abs(sublaplacian_frame_reference(f, p) - exact))
+            record("bochner.hessian_trace", abs(float(np.trace(h)) - exact))
+            record("bochner.cauchy_schwarz", exact**2 / (2 * cfg.n) - float(np.sum(h**2)))
+        return worst, scale
+    for i in range(cfg.trials):
+        f = pool[i % len(pool)]
+        p = random_point(rng, cfg.n)
+        x, y = random_horizontal(rng, p).vec, random_horizontal(rng, p).vec
+        record("lemmas.divergence", abs(lemma1_residual_reference(f, p)))
+        record("lemmas.third_order", abs(third_commutation_residual_reference(f, p, x, y)))
+        record("lemmas.hessian_exchange", antisymmetry_reference(f, p))
+    names = ("metric_compatibility", "j_parallel", "torsion_purity", "reeb_parallel")
+    for _ in range(cfg.trials):
+        p = random_point(rng, cfg.n)
+        vals = connection_axiom_residuals_reference(p, *(random_horizontal(rng, p).vec for _ in range(3)))
+        for name, value in zip(names, vals):
+            record("lemmas.connection." + name, value)
+    return worst, scale
+
+
+_SUITE_IDS = {
+    "lemmas": [
+        "lemmas.divergence", "lemmas.third_order", "lemmas.hessian_exchange",
+        "lemmas.integrated.x1", "lemmas.integrated.random",
+        "lemmas.connection.metric_compatibility", "lemmas.connection.j_parallel",
+        "lemmas.connection.torsion_purity", "lemmas.connection.reeb_parallel",
+    ],
+    "bochner": [
+        "bochner.residual", "bochner.route_agreement", "bochner.hessian_trace",
+        "bochner.cauchy_schwarz",
+    ],
+}
+
+
+@pytest.mark.parametrize("seed", [901, 2001])
+@pytest.mark.parametrize("suite, n, trials", [("lemmas", 1, 40), ("lemmas", 2, 12), ("bochner", 2, 20)])
+def test_stacked_suites_keep_the_per_point_draws_and_verdicts(suite, n, trials, seed):
+    cfg = Config(suite=suite, n=n, trials=trials, seed=seed)
+    checks = run_suite(cfg).checks
+    assert [c.id for c in checks] == _SUITE_IDS[suite]
+    tols = {"lemmas.divergence": cfg.tol_strict, "lemmas.connection": cfg.tol_strict}
+    worst, scale = _suite_by_points(cfg)
+    for check_id, value in worst.items():
+        check = next(c for c in checks if c.id == check_id)
+        assert abs(check.residual - value) <= 1e-12 * scale[check_id], check_id
+        tol = tols.get(check_id, tols.get(check_id.rsplit(".", 1)[0], cfg.tol))
+        assert check.status == (value < tol), check_id
+        inputs = {"n": n, "trials": trials}
+        if check_id in ("lemmas.divergence", "bochner.residual"):
+            inputs["seed"] = seed
+        assert check.inputs == inputs, check_id
 
 
 def test_point_jet_is_immutable_and_belongs_to_its_field(monkeypatch, rng, s3_fields):

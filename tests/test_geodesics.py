@@ -69,6 +69,16 @@ def test_great_circle_points_validate_the_direction(vec):
         G.great_circle_points(E1, np.array(vec), np.linspace(0.0, 1.0, 5))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_great_circle_rejects_a_non_finite_direction(bad):
+    # a NaN norm fails the unit guard itself, before SpherePoint sees it
+    for k in range(4):
+        vec = np.array([0.0, 1.0, 0.0, 0.0])
+        vec[k] = bad
+        with pytest.raises(ValueError, match="expects a unit direction"):
+            G.great_circle(E1, vec, 1.0)
+
+
 def test_great_circle_stays_lengthy(rng):
     p = random_point(rng, 1)
     v = random_horizontal(rng, p)

@@ -1,7 +1,7 @@
 """The benchmark's span tracer names only code that exists, its workloads
 still give the recorded verdicts, the saved benchmark results are whole,
 the library runs without importing scipy, and the suites call only
-public calculus functions."""
+public calculus functions, each pointwise one once per field."""
 
 import ast
 import importlib
@@ -15,6 +15,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+from crsphere import calculus as C
 from crsphere.polynomials import Polynomial
 from crsphere.suites import Config, run_suite
 
@@ -139,3 +140,29 @@ def test_suites_call_only_public_calculus_names():
         and node.value.id == "C" and node.attr.startswith("_")
     )
     assert private == []
+
+
+def test_suites_call_each_pointwise_evaluator_once_per_field(monkeypatch):
+    # The pointwise checks run over stacks of points: a per-point loop
+    # that came back would multiply these counts by the points per field.
+    tracing = _load_tracing()
+    spans = tracing.GROUPS["calculus.pointwise"] + tracing.GROUPS["calculus.connection"]
+    names = [s.split(".", 1)[1] for s in spans] + ["point_jet", "bochner_lhs"]
+    counts = Counter()
+    for name in names:
+        def counted(*args, _name=name, _func=getattr(C, name)):
+            counts[_name] += 1
+            return _func(*args)
+        monkeypatch.setattr(C, name, counted)
+    # a pool of 4 fields in both suites
+    assert run_suite(Config(suite="lemmas", n=1, trials=40)).passed
+    assert counts == {
+        "point_jet": 4, "lemma1_residual": 4, "third_commutation_residual": 4, "tw_hessian": 4,
+        "connection_axiom_residuals": 1,
+    }
+    counts.clear()
+    assert run_suite(Config(suite="bochner", n=2, trials=20)).passed
+    assert counts == {
+        "point_jet": 4, "tw_hessian": 4, "sublaplacian_greenleaf": 4, "bochner_residual": 4,
+        "bochner_lhs": 4, "operator_l_parts": 4, "curvature_sphere": 4, "sublaplacian_frame": 4,
+    }
