@@ -5,26 +5,30 @@ Two independent integrations of the same curves:
   * the ambient second-order ODE of the adapted connection,
         gamma'' = -|gamma'|^2 gamma + (2 theta(gamma') - 2 b) i pi_H gamma',
     run with a classical fixed-step fourth-order integrator, the
-    position renormalized to the sphere each step.  The step runs on
-    C^(n+1) in complex scalars: with the Hermitian product
-    c = <gamma, gamma'>, pi_H gamma' = gamma' - c gamma and
-    theta(gamma') = Im c, so
-        gamma'' = -|gamma'|^2 gamma + 2i (Im c - b)(gamma' - c gamma);
+    position renormalized to the sphere each step.  With the Hermitian
+    product c = <gamma, gamma'> on C^(n+1), pi_H gamma' = gamma' - c gamma
+    and theta(gamma') = Im c, so
+        gamma'' = k gamma' - (k c + |gamma'|^2) gamma,  k = 2i (Im c - b),
+    a complex combination of gamma and gamma'.  Every RK4 stage
+    therefore stays in the plane span_C{q0, v0} of the initial data,
+    and the step runs on four complex coefficients over that plane,
+    whatever n is;
 
   * the Hamilton-Jacobi system of H(x, xi) = (1/2) g^ij(x) xi_i xi_j in
     stereographic charts.  The cometric is the pushforward of the
     horizontal projector, g = (D^2/4) I - (D^4/16) m m^T with
-    D = |u|^2 + 1 and m = J^T(iq), so H and both of its gradients have
-    closed forms.  The flow steps on lists of floats and applies them
-    through the scalar chart maps `Chart.from_coords`, `Chart.push`
-    (J x) and `Chart.pull` (J^T w); it never builds g or J.
-    `Chart.cometric`, `Chart.jacobian` and `hamiltonian` keep the
-    matrix form as the oracle the tests compare against.
+    D = |u|^2 + 1 and m = J^T(iq).  (D^2/4) m is the quadratic
+    polynomial M(u) of `_hj_rhs`, so H = (D^2/8)|xi|^2 - (1/2)(M.xi)^2
+    and both of its gradients are polynomial; the flow steps on lists
+    of floats and never builds g or J.  `Chart.cometric`,
+    `Chart.jacobian` and `hamiltonian` keep the matrix form as the
+    oracle the tests compare against.
 
-Both step loops are plain Python arithmetic on a few scalars: the
-vectors have 4 to 8 entries, where a numpy call costs more than its
-arithmetic.  numpy only holds the traces, written row by row into
-preallocated arrays.
+Both step loops are plain Python arithmetic on a few scalars, where a
+numpy call costs more than its arithmetic.  numpy only holds the
+traces: the HJ route writes them row by row into preallocated arrays,
+the connection route maps its coefficient rows onto the plane with one
+matrix product at the end.
 
 On the spheres the multiplier b is constant along a geodesic, and a
 curve solves the connection equation with parameter b exactly when its
@@ -54,7 +58,7 @@ import numpy as np
 
 from .calculus import ScalarField, _rationalize
 from .polynomials import Polynomial
-from .sphere import ARG_TOL, SpherePoint, TangentVector, horizontal_frame, times_i
+from .sphere import ARG_TOL, SpherePoint, TangentVector, _finite, horizontal_frame, times_i
 
 MAX_STEP = 1e-2
 
@@ -75,6 +79,8 @@ class GeodesicState:
     def __post_init__(self):
         if not self.v.horizontal:
             raise ValueError("geodesic initial velocity must be horizontal")
+        if not math.isfinite(self.b):
+            raise ValueError("the multiplier b must be finite, got %r" % (self.b,))
 
 
 @dataclass(eq=False)
@@ -167,75 +173,88 @@ def great_circle_points(x0, v, s):
     return out / np.linalg.norm(out, axis=1)[:, None]
 
 
-def _connection_rhs(q, v, b):
-    """(gamma', gamma'') at (q, v), lists of complex scalars in C^(n+1).
+def _plane_rhs(y, gram, b):
+    """(gamma', gamma'') on span_C{q0, v0}, as coefficients over (q0, v0).
 
-    c = <q, v> = sum conj(q_j) v_j gives pi_H v = v - c q and
-    theta(v) = Im c.
+    y = (a, beta, g, d) holds q = a q0 + beta v0 and v = g q0 + d v0.
+    gram = (<q0, q0>, <q0, v0>, <v0, q0>, <v0, v0>), so
+    <x, y> = conj(x) . G y for coefficient pairs.  With c = <q, v> and
+    k = 2i (Im c - b), gamma'' = k (v - c q) - |v|^2 q.  Returns the
+    4-tuple (g, d, gamma''_a, gamma''_beta).
     """
-    c = sum(map(mul, map(complex.conjugate, q), v))
-    vv = sum([w.real * w.real + w.imag * w.imag for w in v])
+    a, beta, g, d = y
+    g11, g12, g21, g22 = gram
+    wa, wb = g11 * g + g12 * d, g21 * g + g22 * d  # G v
+    c = a.conjugate() * wa + beta.conjugate() * wb
+    vv = (g.conjugate() * wa + d.conjugate() * wb).real
     k = 2j * (c.imag - b)
-    return v, [k * (w - c * z) - vv * z for z, w in zip(q, v)]
+    return g, d, k * (g - c * a) - vv * a, k * (d - c * beta) - vv * beta
 
 
 def integrate_connection_geodesic(init, s_max, step):
     """Fixed-step RK4 for the connection geodesic ODE.
 
-    The state is stepped in C^(n+1) (see `_connection_rhs`).  The
-    position is renormalized to the sphere after every step (the
-    correction is far below the integrator error).  The multiplier
-    evolves by b' = A(gamma', gamma'), and the spheres have no
-    pseudohermitian torsion A, so b stays constant along the flow.
+    gamma'' = k v - (k c + |v|^2) q is a complex combination of the
+    position q and the velocity v, so every RK4 stage stays in the plane
+    span_C{q0, v0} of the initial data.  The step runs on the four
+    complex coefficients of q = a q0 + beta v0 and v = g q0 + d v0
+    (`_plane_rhs`), with every Hermitian product, the renormalization's
+    included, read from the Gram matrix of (q0, v0) as it is: no
+    orthonormalization, so v0 = 0 and non-unit v0 need no special case.
+    It is the same RK4 on the same field as in C^(n+1), at a cost per
+    step that does not depend on n.  The position is
+    renormalized to the sphere after every step (the correction is far
+    below the integrator error).  The multiplier evolves by
+    b' = A(gamma', gamma'), and the spheres have no pseudohermitian
+    torsion A, so b stays constant along the flow.
     """
     steps = _step_schedule(s_max, step)
-    q = _complex(init.x.coords).tolist()
-    v = _complex(init.v.vec).tolist()
+    q0, v0 = _complex(init.x.coords), _complex(init.v.vec)
+    g11, g22 = float(np.vdot(q0, q0).real), float(np.vdot(v0, v0).real)
+    g12 = complex(np.vdot(q0, v0))
+    g21 = g12.conjugate()
+    gram = (g11, g12, g21, g22)
     b = float(init.b)
+    y = [1 + 0j, 0j, 0j, 1 + 0j]
     svals = np.empty(len(steps) + 1)
-    zq = np.empty((len(steps) + 1, len(q)), dtype=complex)
-    zv = np.empty_like(zq)
+    coef = np.empty((len(steps) + 1, 4), dtype=complex)
     svals[0] = 0.0
-    zq[0] = q
-    zv[0] = v
+    coef[0] = y
     s = 0.0
     for i, h in enumerate(steps, start=1):
         half, sixth = 0.5 * h, h / 6.0
-        k1q, k1v = _connection_rhs(q, v, b)
-        k2q, k2v = _connection_rhs(
-            [z + half * d for z, d in zip(q, k1q)], [w + half * d for w, d in zip(v, k1v)], b
-        )
-        k3q, k3v = _connection_rhs(
-            [z + half * d for z, d in zip(q, k2q)], [w + half * d for w, d in zip(v, k2v)], b
-        )
-        k4q, k4v = _connection_rhs(
-            [z + h * d for z, d in zip(q, k3q)], [w + h * d for w, d in zip(v, k3v)], b
-        )
-        q = [
-            z + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
-            for z, d1, d2, d3, d4 in zip(q, k1q, k2q, k3q, k4q)
+        k1 = _plane_rhs(y, gram, b)
+        k2 = _plane_rhs([x + half * d for x, d in zip(y, k1)], gram, b)
+        k3 = _plane_rhs([x + half * d for x, d in zip(y, k2)], gram, b)
+        k4 = _plane_rhs([x + h * d for x, d in zip(y, k3)], gram, b)
+        a, beta, g, d = [
+            x + sixth * (d1 + 2 * d2 + 2 * d3 + d4) for x, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)
         ]
-        v = [
-            w + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
-            for w, d1, d2, d3, d4 in zip(v, k1v, k2v, k3v, k4v)
-        ]
-        norm = math.sqrt(sum([z.real * z.real + z.imag * z.imag for z in q]))
-        q = [z / norm for z in q]
+        wa, wb = g11 * a + g12 * beta, g21 * a + g22 * beta  # G q
+        norm = math.sqrt((a.conjugate() * wa + beta.conjugate() * wb).real)
+        y = [a / norm, beta / norm, g, d]
         s += h
         svals[i] = s
-        zq[i] = q
-        zv[i] = v
-    return GeodesicTrace(svals, _real(zq), _real(zv), np.full(len(steps) + 1, b))
+        coef[i] = y
+    # rows alternate q and v; dropping the coefficients before the real
+    # traces are built lowers the peak memory by their size
+    z = coef.reshape(-1, 2) @ np.stack([q0, v0])
+    del coef
+    return GeodesicTrace(svals, _real(z[0::2]), _real(z[1::2]), np.full(len(steps) + 1, b))
 
 
 def _step_schedule(s_max, step):
-    """Fixed steps, with one shorter final step landing exactly on s_max."""
-    if step <= 0:
+    """Fixed steps, with one shorter final step landing exactly on s_max.
+
+    The guards are written `not ...`, so that a NaN step or length
+    fails them too.
+    """
+    if not step > 0:
         raise ValueError("step must be positive")
     if step > MAX_STEP:
         raise ValueError("step must be <= %g" % MAX_STEP)
-    if s_max <= 0:
-        raise ValueError("the integration length must be positive")
+    if not 0 < s_max < math.inf:
+        raise ValueError("the integration length must be finite and positive")
     nfull = int(s_max / step)
     rem = s_max - nfull * step
     steps = [step] * nfull
@@ -310,8 +329,9 @@ class Chart:
         return [x / (1.0 - h) for x in q[:-1]]
 
     # The chart maps below take any sequence of floats and return a
-    # list: the HJ flow calls them on every RK4 stage with 3 to 7
-    # entries, where scalar arithmetic beats numpy's per-call cost.
+    # list: the HJ flow records its trace through from_coords and push
+    # once per step, with 3 to 7 entries, where scalar arithmetic beats
+    # numpy's per-call cost.
 
     def from_coords(self, u):
         d = sum(map(mul, u, u)) + 1.0
@@ -373,6 +393,8 @@ class CotangentState:
         self.xi = np.asarray(self.xi, dtype=float)
         if self.x.shape != (2 * self.n + 1,) or self.xi.shape != self.x.shape:
             raise ValueError("chart state of the wrong dimension")
+        _finite(self.x, "chart position")
+        _finite(self.xi, "chart covector")
 
 
 def _charts(n):
@@ -385,6 +407,8 @@ def cotangent_lift(p, v, reeb_component=1.0):
     The ambient representative is v + reeb_component * i p; pairing it
     with the chart Jacobian, J^T m, gives the chart covector.
     """
+    if not math.isfinite(reeb_component):
+        raise ValueError("the Reeb component must be finite, got %r" % (reeb_component,))
     vec = v.vec if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
     q = p.coords
     m_amb = vec + float(reeb_component) * times_i(q)
@@ -401,47 +425,36 @@ def hamiltonian(state):
     return 0.5 * float(state.xi @ g @ state.xi)
 
 
-def _mul_i(v):
-    """i v for a list v of floats laid out as (x, y): the list (-y, x)."""
-    half = len(v) // 2
-    return [-x for x in v[half:]] + v[:half]
-
-
-def _cometric_apply(chart, u, xi):
-    """g(u) xi = (D^2/4) xi - (D^4/16) c m without building g.
-
-    m = J^T(iq) and c = m.xi; returns g xi with D, iq and c, on lists.
-    """
-    d = sum(map(mul, u, u)) + 1.0
-    w = _mul_i(chart.from_coords(u))
-    m = chart.pull(u, w)
-    c = sum(map(mul, m, xi))
-    r, k = 0.25 * d * d, d**4 / 16.0 * c
-    return [r * x - k * y for x, y in zip(xi, m)], d, w, c
-
-
 def _hj_rhs(chart, u, xi):
-    """(dH/dxi, -dH/du) for H = (1/2)[(D^2/4)|xi|^2 - (D^4/16) c^2].
+    """(dH/dxi, -dH/du) for H = (D^2/8)|xi|^2 - (1/2)(M.xi)^2.
 
-    With dD/du = 2u, dH/du = (1/2)[D|xi|^2 u - (1/2) D^3 c^2 u
-    - (D^4/8) c grad c].  Since c = (J xi).(iq), its gradient is
-    Hess_u(q.w)|_(w = iq) xi - J^T(i J xi), where q.w = s w_last
-    + 2a/D with a = u.w' - s w_last for a fixed w.  u and xi are
+    With q laid out as (x_0..x_n, y_0..y_n) and the chart dropping y_n,
+    the Reeb covector m = J^T(iq) scaled by D^2/4 is the polynomial
+        M(u) = R u + s u_n u - (s/2)(|u|^2 - 1) e_n,
+    s the chart sign, (Ru)_j = -u_(j+n+1) for j < n, (Ru)_n = 0 and
+    (Ru)_j = u_(j-n-1) for j > n; R is antisymmetric, so u.Ru = 0.  So
+        dH/dxi = (D^2/4) xi - (M.xi) M,
+        -dH/du = (M.xi)(R^T xi + s[(u.xi) e_n + u_n xi - xi_n u])
+                 - (D/2)|xi|^2 u,
+    from one D and four dot products, with no chart map.  u and xi are
     sequences of floats; both parts come back as lists.
     """
-    du, d, w, c = _cometric_apply(chart, u, xi)
-    a = sum(map(mul, u, w)) - chart.sign * w[-1]
+    n, s = chart.n, chart.sign
+    uu = sum(map(mul, u, u))
     uxi = sum(map(mul, u, xi))
-    wxi = sum(map(mul, w, xi))
-    r, k = -4.0 / (d * d), 16.0 * a * uxi / d**3
-    pulled = chart.pull(u, _mul_i(chart.push(u, xi)))
-    e = d * sum(map(mul, xi, xi)) - 0.5 * d**3 * c * c
-    f = d**4 / 8.0 * c
-    # grad c = Hess xi - pulled, Hess xi = r (uxi w' + (w'.xi) u + a xi) + k u
-    return du, [
-        -0.5 * (e * y - f * ((r * (uxi * x + wxi * y + a * z) + k * y) - p))
-        for x, y, z, p in zip(w, u, xi, pulled)
-    ]
+    xx = sum(map(mul, xi, xi))
+    su, sx = s * u[n], s * xi[n]
+    # mr = M - s u_n u and gr = R^T xi + s (u.xi) e_n: R u and R^T xi
+    # with their zero e_n entries filled in
+    mr = [-y for y in u[n + 1:]] + [-0.5 * s * (uu - 1.0)] + list(u[:n])
+    gr = list(xi[n + 1:]) + [s * uxi] + [-y for y in xi[:n]]
+    c = sum(map(mul, mr, xi)) + su * uxi  # M.xi
+    d = uu + 1.0
+    r, e = 0.25 * d * d, 0.5 * d * xx
+    return (
+        [r * z - c * (m + su * x) for x, m, z in zip(u, mr, xi)],
+        [c * (g + su * z - sx * x) - e * x for x, g, z in zip(u, gr, xi)],
+    )
 
 
 def _hand_off(old, new, u, xi):
@@ -461,9 +474,9 @@ def integrate_hj_geodesic(init, t_max, step):
     """Fixed-step RK4 for the Hamilton-Jacobi system in charts.
 
     The state (u, xi) is stepped on lists of floats.  The Hamiltonian
-    field is the closed form of `_hj_rhs`, applied through the scalar
-    Jacobian products `Chart.push` and `Chart.pull`; the recorded
-    velocity is J dH/dxi, taken from the next step's first stage.
+    field is the polynomial form of `_hj_rhs`; the trace is recorded
+    through `Chart.from_coords` and `Chart.push`, the velocity as
+    J dH/dxi, taken from the next step's first stage.
     Chart exits are events: when the curve climbs toward the active
     pole the state is handed to the antipodal chart and integration
     continues.

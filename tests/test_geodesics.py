@@ -2,6 +2,7 @@ import csv
 import dataclasses
 import math
 from fractions import Fraction
+from operator import mul
 
 import numpy as np
 import pytest
@@ -453,6 +454,143 @@ def hj_rk4_reference(init, t_max, step):
     )
 
 
+def _connection_rhs_scalar_reference(q, v, b):
+    """(gamma', gamma'') at (q, v), lists of complex scalars in C^(n+1).
+
+    c = <q, v> = sum conj(q_j) v_j gives pi_H v = v - c q and
+    theta(v) = Im c.
+    """
+    c = sum(map(mul, map(complex.conjugate, q), v))
+    vv = sum([w.real * w.real + w.imag * w.imag for w in v])
+    k = 2j * (c.imag - b)
+    return v, [k * (w - c * z) - vv * z for z, w in zip(q, v)]
+
+
+def connection_scalar_rk4_reference(init, s_max, step):
+    """The connection route as RK4 on lists of complex scalars in C^(n+1).
+
+    The step loop the plane-coefficient route replaced.
+    """
+    steps = G._step_schedule(s_max, step)
+    q = G._complex(init.x.coords).tolist()
+    v = G._complex(init.v.vec).tolist()
+    b = float(init.b)
+    svals = np.empty(len(steps) + 1)
+    zq = np.empty((len(steps) + 1, len(q)), dtype=complex)
+    zv = np.empty_like(zq)
+    svals[0] = 0.0
+    zq[0] = q
+    zv[0] = v
+    s = 0.0
+    for i, h in enumerate(steps, start=1):
+        half, sixth = 0.5 * h, h / 6.0
+        k1q, k1v = _connection_rhs_scalar_reference(q, v, b)
+        k2q, k2v = _connection_rhs_scalar_reference(
+            [z + half * d for z, d in zip(q, k1q)], [w + half * d for w, d in zip(v, k1v)], b
+        )
+        k3q, k3v = _connection_rhs_scalar_reference(
+            [z + half * d for z, d in zip(q, k2q)], [w + half * d for w, d in zip(v, k2v)], b
+        )
+        k4q, k4v = _connection_rhs_scalar_reference(
+            [z + h * d for z, d in zip(q, k3q)], [w + h * d for w, d in zip(v, k3v)], b
+        )
+        q = [
+            z + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
+            for z, d1, d2, d3, d4 in zip(q, k1q, k2q, k3q, k4q)
+        ]
+        v = [
+            w + sixth * (d1 + 2 * d2 + 2 * d3 + d4)
+            for w, d1, d2, d3, d4 in zip(v, k1v, k2v, k3v, k4v)
+        ]
+        norm = math.sqrt(sum([z.real * z.real + z.imag * z.imag for z in q]))
+        q = [z / norm for z in q]
+        s += h
+        svals[i] = s
+        zq[i] = q
+        zv[i] = v
+    return G.GeodesicTrace(svals, G._real(zq), G._real(zv), np.full(len(steps) + 1, b))
+
+
+def _mul_i_reference(v):
+    """i v for a list v of floats laid out as (x, y): the list (-y, x)."""
+    half = len(v) // 2
+    return [-x for x in v[half:]] + v[:half]
+
+
+def _cometric_apply_scalar_reference(chart, u, xi):
+    """g(u) xi = (D^2/4) xi - (D^4/16) c m without building g.
+
+    m = J^T(iq) and c = m.xi; returns g xi with D, iq and c, on lists.
+    """
+    d = sum(map(mul, u, u)) + 1.0
+    w = _mul_i_reference(chart.from_coords(u))
+    m = chart.pull(u, w)
+    c = sum(map(mul, m, xi))
+    r, k = 0.25 * d * d, d**4 / 16.0 * c
+    return [r * x - k * y for x, y in zip(xi, m)], d, w, c
+
+
+def _hj_rhs_scalar_reference(chart, u, xi):
+    """(dH/dxi, -dH/du) for H = (1/2)[(D^2/4)|xi|^2 - (D^4/16) c^2] through the chart maps.
+
+    The closed form the polynomial `_hj_rhs` replaced.  With dD/du = 2u,
+    dH/du = (1/2)[D|xi|^2 u - (1/2) D^3 c^2 u - (D^4/8) c grad c].  Since
+    c = (J xi).(iq), its gradient is Hess_u(q.w)|_(w = iq) xi - J^T(i J xi),
+    where q.w = s w_last + 2a/D with a = u.w' - s w_last for a fixed w.
+    """
+    du, d, w, c = _cometric_apply_scalar_reference(chart, u, xi)
+    a = sum(map(mul, u, w)) - chart.sign * w[-1]
+    uxi = sum(map(mul, u, xi))
+    wxi = sum(map(mul, w, xi))
+    r, k = -4.0 / (d * d), 16.0 * a * uxi / d**3
+    pulled = chart.pull(u, _mul_i_reference(chart.push(u, xi)))
+    e = d * sum(map(mul, xi, xi)) - 0.5 * d**3 * c * c
+    f = d**4 / 8.0 * c
+    # grad c = Hess xi - pulled, Hess xi = r (uxi w' + (w'.xi) u + a xi) + k u
+    return du, [
+        -0.5 * (e * y - f * ((r * (uxi * x + wxi * y + a * z) + k * y) - p))
+        for x, y, z, p in zip(w, u, xi, pulled)
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(_chart_states())
+def test_hj_rhs_matches_the_chart_map_closed_form(state):
+    # the polynomial field against the closed form through push and pull
+    chart, u, xi = state
+    got = G._hj_rhs(chart, u.tolist(), xi.tolist())
+    want = _hj_rhs_scalar_reference(chart, u.tolist(), xi.tolist())
+    for g, w in zip(got, want):
+        w = np.array(w)
+        assert np.max(np.abs(np.array(g) - w)) <= 1e-13 * max(1.0, float(np.max(np.abs(w))))
+
+
+def _reeb_polynomial_reference(chart, u):
+    """M(u) = R u + s u_n u - (s/2)(|u|^2 - 1) e_n with R as an explicit matrix."""
+    n, s = chart.n, chart.sign
+    rot = np.zeros((2 * n + 1, 2 * n + 1))
+    for j in range(n):
+        rot[j, j + n + 1] = -1.0
+        rot[j + n + 1, j] = 1.0
+    e_n = np.eye(2 * n + 1)[n]
+    return rot @ u + s * u[n] * u - 0.5 * s * (u @ u - 1.0) * e_n
+
+
+@settings(max_examples=120, deadline=None)
+@given(_chart_states())
+def test_polynomial_hamiltonian_matches_the_matrix_cometric(state):
+    # (D^2/4) J^T(iq) is the polynomial M(u), so
+    # H = (D^2/8)|xi|^2 - (1/2)(M.xi)^2 is the matrix Hamiltonian
+    chart, u, xi = state
+    d = float(u @ u) + 1.0
+    m = _reeb_polynomial_reference(chart, u)
+    jac_m = 0.25 * d * d * (chart.jacobian(u).T @ times_i(chart.from_coords(u)))
+    assert_allclose(m, jac_m, rtol=0, atol=1e-13 * max(1.0, float(np.max(np.abs(jac_m)))))
+    lift = G.CotangentState(u, xi, 0 if chart.sign > 0 else 1, chart.n)
+    ham = 0.125 * d * d * float(xi @ xi) - 0.5 * float(m @ xi) ** 2
+    assert abs(ham - G.hamiltonian(lift)) <= 1e-12 * max(1.0, 0.125 * d * d * float(xi @ xi))
+
+
 def _pole_crossing_start(n):
     """E1 in S^(2n+1) with the horizontal unit velocity toward the last axis."""
     e1, last = np.zeros(2 * n + 2), np.zeros(2 * n + 2)
@@ -497,6 +635,59 @@ def test_scalar_kernels_match_numpy_references(start):
     _assert_same_trace(
         G.integrate_hj_geodesic(lift, length, step), hj_rk4_reference(lift, length, step)
     )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("speed", [0.0, 0.3, 3.0])
+def test_plane_route_on_every_gram_matrix(n, speed, rng):
+    # the plane route reads every product from the Gram matrix of (q0, v0)
+    # as it is: a zero and non-unit velocities need no special case
+    for b in (0.0, 1.3, -2.2):
+        p = random_point(rng, n)
+        v = TangentVector(p, speed * random_horizontal(rng, p).vec, True)
+        state = G.GeodesicState(p, v, b)
+        got = G.integrate_connection_geodesic(state, 1.2345, 5e-3)
+        _assert_same_trace(got, connection_rk4_reference(state, 1.2345, 5e-3))
+        _assert_same_trace(got, connection_scalar_rk4_reference(state, 1.2345, 5e-3))
+        if speed == 0.0:
+            assert np.all(got.velocities == 0.0)
+            assert np.max(np.abs(got.points - p.coords)) <= 1e-15
+
+
+@pytest.mark.parametrize("s_max, step", [
+    (1.0, np.nan),
+    (np.nan, 1e-2),
+    (np.inf, 1e-2),
+    (-np.inf, 1e-2),
+    (1.0, np.inf),
+])
+@pytest.mark.parametrize("route", ["connection", "hj"])
+def test_integrators_reject_non_finite_lengths_and_steps(s_max, step, route):
+    p, v = _pole_crossing_start(1)
+    if route == "connection":
+        run, init = G.integrate_connection_geodesic, G.GeodesicState(p, v, 0.5)
+    else:
+        run, init = G.integrate_hj_geodesic, G.cotangent_lift(p, v, 0.5)
+    with pytest.raises(ValueError):
+        run(init, s_max, step)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_geodesic_data_must_be_finite(bad):
+    p, v = _pole_crossing_start(1)
+    with pytest.raises(ValueError, match="multiplier b must be finite"):
+        G.GeodesicState(p, v, bad)
+    with pytest.raises(ValueError, match="Reeb component must be finite"):
+        G.cotangent_lift(p, v, bad)
+    lift = G.cotangent_lift(p, v, 0.5)
+    for k in range(lift.x.size):
+        x, xi = lift.x.copy(), lift.xi.copy()
+        x[k] = bad
+        with pytest.raises(ValueError, match="chart position has a non-finite entry"):
+            G.CotangentState(x, lift.xi, lift.chart, 1)
+        xi[k] = bad
+        with pytest.raises(ValueError, match="chart covector has a non-finite entry"):
+            G.CotangentState(lift.x, xi, lift.chart, 1)
 
 
 def test_pole_crossing_start_hands_off():
