@@ -478,95 +478,8 @@ def euclidean_laplacian(p):
 
 
 # ----------------------------------------------------------------------
-# Exact rational linear algebra (desk scale).
+# Exact linear algebra: fraction-free elimination on sparse integer rows.
 # ----------------------------------------------------------------------
-
-
-def rref(rows):
-    """In-place reduced row echelon form over Q; returns pivot columns."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = Fraction(1) / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
-
-
-def matrix_rank(rows):
-    return len(rref([list(r) for r in rows]))
-
-
-# A prime below 2^31: a product of two residues fits in an int64.
-CERTIFICATE_PRIME = 2_147_483_647
-
-
-def _rank_mod_p(a):
-    """Rank over GF(CERTIFICATE_PRIME) of an int64 matrix of residues.
-
-    Each pivot updates only the rows below it with a nonzero entry in
-    its column, and only from that column on: every other row would
-    subtract zero, and every row below the pivot is already zero to its
-    left.  The elimination is the dense one, entry for entry.
-    """
-    p = CERTIFICATE_PRIME
-    a = a[:, a.any(axis=0)]
-    rank = 0
-    for c in range(a.shape[1]):
-        nonzero = rank + np.flatnonzero(a[rank:, c])
-        if not nonzero.size:
-            continue
-        # The row swapped down into the pivot's place is zero in column c.
-        pivot, below = nonzero[0], nonzero[1:]
-        a[[rank, pivot]] = a[[pivot, rank]]
-        a[rank, c:] = a[rank, c:] * pow(int(a[rank, c]), p - 2, p) % p
-        if below.size:
-            block = a[below, c:]
-            block -= block[:, :1] * a[rank, c:] % p
-            a[below, c:] = block % p
-        rank += 1
-        if rank == a.shape[0]:
-            break
-    return rank
-
-
-def null_space(rows, ncols):
-    """Basis of the kernel of the matrix, echelon-reduced, exact.
-
-    Each basis vector has a 1 in one free column and the compensating
-    pivot entries; vectors are ordered by their free column.
-    """
-    work = [list(r) for r in rows]
-    pivots = rref(work)
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(ncols):
-        if free in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for row_idx, pc in enumerate(pivots):
-            vec[pc] = -work[row_idx][free]
-        basis.append(vec)
-    return basis
 
 
 def _divide_content(row):
@@ -577,16 +490,18 @@ def _divide_content(row):
             row[k] //= g
 
 
-def _integer_null_space(rows, ncols):
-    """Kernel of a sparse integer matrix by fraction-free Gauss-Jordan.
+def rref(rows, ncols):
+    """Fraction-free Gauss-Jordan elimination of a sparse integer matrix.
 
-    Rows are dicts column -> nonzero int.  A pivot row P with entry d in
-    its column c clears that column from every other row R, whose entry
-    there is e, as R <- (d/g) R - (e/g) P with g = gcd(d, e); each row
-    is then divided by the gcd of its entries, so only small ints occur.
-    The pivot columns are those of the rational RREF, so vector k is the
-    positive multiple of `null_space`'s vector k with coprime integer
-    entries: a dict column -> int, positive at its free column.
+    Rows are dicts column -> nonzero int; the input is left as it was.
+    A pivot row P with entry d in its column c clears that column from
+    every other row R, whose entry there is e, as R <- (d/g) R - (e/g) P
+    with g = gcd(d, e); each row is then divided by the gcd of its
+    entries, so only small ints occur.  Returns the (pivot column, row)
+    pairs in column order.  The pivot columns are those of the rational
+    reduced row echelon form, and each row, divided by its pivot entry,
+    is that form's row: it is zero left of its pivot and in every other
+    pivot column.
     """
     work = [dict(r) for r in rows if r]
     for r in work:
@@ -616,6 +531,19 @@ def _integer_null_space(rows, ncols):
                 _divide_content(r)
         work = [r for r in work if r]
         done.append((c, prow))
+    return done
+
+
+def null_space(rows, ncols):
+    """Kernel of a sparse integer matrix, read off its `rref`.
+
+    Rows are dicts column -> nonzero int.  There is one vector per free
+    (non-pivot) column, in column order: a dict column -> int with
+    coprime entries, keys ascending, positive at its free column, which
+    is its largest key.  It is the positive multiple of the rational
+    kernel vector with a 1 in that free column and 0 in the others.
+    """
+    done = rref(rows, ncols)
     pivot_cols = {c for c, _ in done}
     basis = []
     for free in range(ncols):
@@ -631,11 +559,19 @@ def _integer_null_space(rows, ncols):
     return basis
 
 
-def mat_mul(a, b):
-    if not a or not b:
-        return []
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+def _stacked_columns(polys):
+    """Sparse integer rows, one per monomial, of the matrix with column j = polys[j].
+
+    Column j holds the numerators of polys[j], its coefficients times
+    its own denominator: a positive scale per column, so the kernel
+    vectors are the integer relations among the polynomials up to that
+    scale, and the kernel is empty exactly when they are independent.
+    """
+    by_monomial = {}
+    for col, p in enumerate(polys):
+        for k, v in p._terms.items():
+            by_monomial.setdefault(k, {})[col] = v
+    return list(by_monomial.values())
 
 
 # ----------------------------------------------------------------------
@@ -660,23 +596,6 @@ def _coefficient_rows(polys, index):
     return rows
 
 
-def _full_rank_mod_p(polys, num_vars, degree):
-    """True when the coefficient rows are independent modulo a prime p.
-
-    Each row is its polynomial's integer numerators, the coefficients
-    scaled by their common denominator, which keeps the rank, reduced
-    mod p.  A nonzero r x r minor mod p is a nonzero integer minor, so
-    True proves independence over Q; False proves nothing, because p
-    may divide every full-size minor.
-    """
-    _, index = _monomial_index(num_vars, degree)
-    a = np.zeros((len(polys), len(index)), dtype=np.int64)
-    for r, poly in enumerate(polys):
-        for k, v in poly._terms.items():
-            a[r, index[k]] = v % CERTIFICATE_PRIME
-    return _rank_mod_p(a) == len(polys)
-
-
 def _of_degree(poly, num_vars, degree):
     """True when the polynomial lives in num_vars variables and every term has the degree."""
     return poly.num_vars == num_vars and all(
@@ -689,7 +608,11 @@ class SubspaceBasis:
     """Independent list of homogeneous polynomials of one degree.
 
     Every term of every element must have total degree `degree`; a
-    polynomial with a term of any other degree is rejected.
+    polynomial with a term of any other degree is rejected.  A basis in
+    echelon form, with distinct leading monomials, is independent by
+    inspection; any other is independent exactly when the integer
+    kernel of its stacked columns (`_stacked_columns`) is empty, which
+    one fraction-free elimination decides on every input.
     """
 
     n: int
@@ -708,11 +631,7 @@ class SubspaceBasis:
         leading = [p.leading_monomial() for p in self.polys]
         if len(set(leading)) == len(leading):
             return  # echelon form: independent by inspection
-        if _full_rank_mod_p(self.polys, num_vars, self.degree):
-            return
-        # Rank deficient mod p: only the exact rank can decide.
-        rows, _ = self.coefficient_matrix()
-        if matrix_rank(rows) != len(self.polys):
+        if null_space(_stacked_columns(self.polys), len(self.polys)):
             raise ValueError("basis is not linearly independent")
 
     def __len__(self):
@@ -737,36 +656,35 @@ class SubspaceBasis:
         if not _of_degree(poly, 2 * self.n + 2, self.degree):
             return False
         stacked = (*self.polys, poly)
-        by_monomial = {}
-        for col, p in enumerate(stacked):
-            for k, v in p._terms.items():
-                by_monomial.setdefault(k, {})[col] = v
-        return bool(_integer_null_space(list(by_monomial.values()), len(stacked)))
+        return bool(null_space(_stacked_columns(stacked), len(stacked)))
 
 
 def _harmonic_span(block, degree):
     """Exact basis of the harmonic polynomials inside the span of a block.
 
     The block is a list of polynomials of one degree.  Each output is
-    the combination of the block given by one null-space vector of the
-    Laplacian images, with its terms in the order the block sums them.
+    the combination of the block given by one kernel vector of the
+    Laplacian images, scaled to 1 at its free column, with its terms in
+    the order the block sums them.
     """
     if degree < 2 or not block:
         return list(block)
     num_vars = block[0].num_vars
-    _, index = _monomial_index(num_vars, degree - 2)
-    images = _coefficient_rows([euclidean_laplacian(p) for p in block], index)
-    # Row per target monomial, column per block element.
-    rows = list(zip(*images))
+    images = [euclidean_laplacian(p) for p in block]
     out = []
-    for combo in null_space(rows, len(block)):
-        used = [(coeff, p) for coeff, p in zip(combo, block) if coeff]
-        # coeff * (numerators / p._den), all over one common denominator
-        den = math.lcm(*(coeff.denominator * p._den for coeff, p in used))
+    for vec in null_space(_stacked_columns(images), len(block)):
+        # Column j holds image j times its own denominator, so block[j]
+        # enters with weight vec[j] * images[j]._den; dividing by the free
+        # column's weight, and by block[j]._den to act on its numerators,
+        # puts everything over one common denominator.
+        free = max(vec)
+        common = math.lcm(*(block[j]._den for j in vec))
+        den = vec[free] * images[free]._den * common
         terms = {}
         get = terms.get
-        for coeff, p in used:
-            scale = coeff.numerator * (den // (coeff.denominator * p._den))
+        for j, c in vec.items():
+            p = block[j]
+            scale = c * images[j]._den * (common // p._den)
             for k, v in p._terms.items():
                 s = get(k, 0) + scale * v
                 if s:

@@ -10,11 +10,14 @@ candidates lambda = (ell - 2j)^2 therefore exhaust the spectrum of
 The flat Laplacian maps P_{p,q} to P_{p-1,q-1} by an integer matrix with
 at most n+1 entries per column, so the harmonics split into the pieces
 H_{p,q} (Folland, Trans. AMS 171, 1972).  `spectrum_fragment` takes the
-integer kernel of that matrix for each (p, q) by fraction-free
-elimination and reads a real basis off its real and imaginary parts;
-everything stays exact.  The real-monomial routes (`kernel_t0sq_shift`
-by brute force, `structured_t0sq_kernel` from real bigraded blocks) are
-kept as independent oracles.
+integer kernel of that matrix for each (p, q) and reads a real basis off
+its real and imaginary parts; everything stays exact.  Every kernel in
+this module, as in `polynomials`, comes from the one fraction-free
+elimination `polynomials.null_space` (Bareiss, Math. Comp. 22, 1968).
+The real-monomial routes (`kernel_t0sq_shift` by brute force on
+q T0^2 + p I, `structured_t0sq_kernel` from real bigraded blocks) are
+kept as independent oracles: they differ from the complex route in
+basis and matrix, not in the elimination.
 
 A harmonic eigenvector of T0^2 with T0^2 H = -lambda H restricts to an
 eigenfunction of the sublaplacian with eigenvalue
@@ -26,19 +29,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .polynomials import (
     Polynomial,
     SubspaceBasis,
+    _as_fraction,
     _coefficient_rows,
-    _integer_null_space,
     _monomial_index,
     _moved_power_terms,
     _pack,
+    _stacked_columns,
     dim_homogeneous,
-    mat_mul,
     monomial_basis,
     null_space,
 )
@@ -81,14 +83,21 @@ def reeb_derivation_matrix(n, ell):
 
 
 def kernel_t0sq_shift(n, ell, lam):
-    """Exact basis of Ker(T0^2 + lam I) inside P_ell (brute force route)."""
-    lam = Fraction(lam)
-    rows, mons = reeb_derivation_matrix(n, ell)
-    sq = mat_mul(rows, rows)
-    for i in range(len(sq)):
-        sq[i][i] += lam
+    """Exact basis of Ker(T0^2 + lam I) inside P_ell (brute force route).
+
+    With lam = p/q in lowest terms this is the integer kernel of
+    q T0^2 + p I on the grlex monomials, each vector scaled to 1 at its
+    free column.
+    """
+    lam = _as_fraction(lam)
     num_vars = 2 * n + 2
-    polys = (Polynomial(num_vars, dict(zip(mons, vec))) for vec in null_space(sq, len(mons)))
+    keys = [_pack(m) for m in monomial_basis(num_vars, ell)]
+    monos = [Polynomial._wrap(num_vars, {k: 1}) for k in keys]
+    cols = [lam.denominator * t0_apply(t0_apply(m)) + lam.numerator * m for m in monos]
+    polys = [
+        Polynomial._wrap(num_vars, {keys[c]: v for c, v in vec.items()}, vec[max(vec)])
+        for vec in null_space(_stacked_columns(cols), len(keys))
+    ]
     return SubspaceBasis(n, ell, tuple(polys))
 
 
@@ -173,11 +182,11 @@ def bigraded_block(n, d_plus, d_minus):
 
 def structured_t0sq_kernel(n, ell, lam):
     """Ker(T0^2 + lam I) in P_ell assembled from bigraded blocks."""
-    lam = Fraction(lam)
+    lam = _as_fraction(lam)
     out = []
     for j in range(ell // 2 + 1):
         k = ell - 2 * j  # d+ - d-
-        if Fraction(k * k) != lam:
+        if k * k != lam:
             continue
         d_minus = j
         d_plus = ell - j
@@ -269,7 +278,7 @@ def _bigraded_harmonics(n, p, q):
                     image = (a[:j] + (a[j] - 1,) + a[j + 1 :], b[:j] + (b[j] - 1,) + b[j + 1 :])
                     rows.setdefault(image, {})[col] = 4 * a[j] * b[j]
         expanded = [_complex_monomial_terms(n, a, b) for a, b in pairs]
-        for vec in _integer_null_space(list(rows.values()), len(pairs)):
+        for vec in null_space(list(rows.values()), len(pairs)):
             for part in parts:
                 terms = {}
                 for col, c in vec.items():

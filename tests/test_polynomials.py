@@ -9,18 +9,13 @@ from hypothesis import strategies as st
 
 from crsphere import polynomials
 from crsphere.polynomials import (
-    CERTIFICATE_PRIME,
     Polynomial,
     SubspaceBasis,
     _as_fraction,
-    _full_rank_mod_p,
     _harmonic_span,
-    _integer_null_space,
-    _rank_mod_p,
     dim_homogeneous,
     euclidean_laplacian,
     harmonic_basis,
-    matrix_rank,
     monomial_basis,
     null_space,
     rref,
@@ -169,11 +164,11 @@ def harmonic_basis_reference(n, degree):
     rows = [list(r) for r in zip(*cols)]
     return [
         Polynomial(num_vars, {m: c for m, c in zip(mons, vec) if c})
-        for vec in null_space(rows, len(mons))
+        for vec in null_space_reference(rows, len(mons))
     ]
 
 
-@pytest.mark.parametrize("n, top", [(1, 6), (2, 5), (3, 4)])
+@pytest.mark.parametrize("n, top", [(1, 6), (2, 5), (2, 6), (3, 4)])
 def test_harmonic_basis_matches_reference_term_by_term(n, top):
     for degree in range(top + 1):
         got = harmonic_basis(n, degree).polys
@@ -325,25 +320,96 @@ def test_sphere_integral_monte_carlo_oracle():
 
 
 # ---------------------------------------------------------------------------
+# Oracle: the dense Fraction elimination that the integer kernel replaced.
+# ---------------------------------------------------------------------------
+
+
+def rref_reference(rows):
+    """In-place reduced row echelon form over Q; returns pivot columns."""
+    if not rows:
+        return []
+    ncols = len(rows[0])
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot_row = None
+        for i in range(r, len(rows)):
+            if rows[i][c]:
+                pivot_row = i
+                break
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = Fraction(1) / rows[r][c]
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def matrix_rank_reference(rows):
+    return len(rref_reference([list(r) for r in rows]))
+
+
+def null_space_reference(rows, ncols):
+    """Basis of the kernel of the matrix, echelon-reduced, exact.
+
+    Each basis vector has a 1 in one free column and the compensating
+    pivot entries; vectors are ordered by their free column.
+    """
+    work = [list(r) for r in rows]
+    pivots = rref_reference(work)
+    pivot_set = set(pivots)
+    basis = []
+    for free in range(ncols):
+        if free in pivot_set:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[free] = Fraction(1)
+        for row_idx, pc in enumerate(pivots):
+            vec[pc] = -work[row_idx][free]
+        basis.append(vec)
+    return basis
+
+
+def harmonic_span_reference(block, degree):
+    """The block combinations given by the Fraction null space of the dense Laplacian images."""
+    if degree < 2 or not block:
+        return list(block)
+    num_vars = block[0].num_vars
+    targets = monomial_basis(num_vars, degree - 2)
+    images = [[euclidean_laplacian(p).terms.get(m, Fraction(0)) for m in targets] for p in block]
+    rows = [list(r) for r in zip(*images)]
+    out = []
+    for combo in null_space_reference(rows, len(block)):
+        h = Polynomial(num_vars)
+        for coeff, p in zip(combo, block):
+            if coeff:
+                h = h + coeff * p
+        out.append(h)
+    return out
+
+
+# ---------------------------------------------------------------------------
 # Exact linear algebra.
 # ---------------------------------------------------------------------------
 
 
 def test_null_space_small_system():
-    rows = [
-        [Fraction(1), Fraction(2), Fraction(3)],
-        [Fraction(2), Fraction(4), Fraction(6)],
-    ]
-    basis = null_space(rows, 3)
-    assert len(basis) == 2
-    for vec in basis:
-        assert sum(a * b for a, b in zip(rows[0], vec)) == 0
-    assert matrix_rank(rows) == 1
+    rows = [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}]
+    assert null_space(rows, 3) == [{0: -2, 1: 1}, {0: -3, 2: 1}]
+    assert [c for c, _ in rref(rows, 3)] == [0]
+    assert rows == [{0: 1, 1: 2, 2: 3}, {0: 2, 1: 4, 2: 6}]  # the input is left as it was
 
 
 def test_null_space_trivial_kernel():
-    rows = [[Fraction(1), Fraction(0)], [Fraction(1), Fraction(1)]]
-    assert null_space(rows, 2) == []
+    assert null_space([{0: 1}, {0: 1, 1: 1}], 2) == []
 
 
 def test_subspace_basis_rejects_dependent_sets():
@@ -351,7 +417,7 @@ def test_subspace_basis_rejects_dependent_sets():
     a, b = x1, 2 * x1
     with pytest.raises(ValueError):
         SubspaceBasis(1, 1, (a, b))
-    # leading monomials collide, so the certificate has to decide
+    # leading monomials collide, so the elimination has to decide
     c = Polynomial(4, {(1, 0, 0, 0): 1, (0, 1, 0, 0): Fraction(1, 3)})
     d = Polynomial(4, {(1, 0, 0, 0): 1, (0, 0, 1, 0): -1})
     e = Fraction(2, 7) * c - 5 * d
@@ -360,120 +426,54 @@ def test_subspace_basis_rejects_dependent_sets():
         SubspaceBasis(1, 1, (c, d, e))
 
 
-def test_unlucky_prime_falls_back_to_exact_rank(monkeypatch):
-    # Rows (1, 1) and (1, 1 + p): determinant p, independent over Q but
-    # not mod p.  Both lead with x1, so the certificate runs.
-    p = CERTIFICATE_PRIME
-    a = Polynomial(4, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1})
-    b = Polynomial(4, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 1 + p})
-    assert not _full_rank_mod_p((a, b), 4, 1)
-    exact_calls = []
-    real_rank = polynomials.matrix_rank
-    monkeypatch.setattr(
-        polynomials, "matrix_rank", lambda rows: exact_calls.append(rows) or real_rank(rows)
-    )
-    assert len(SubspaceBasis(1, 1, (a, b))) == 2
-    assert len(exact_calls) == 1
-    # a certified basis never reaches the exact rank
-    c = Polynomial(4, {(1, 0, 0, 0): 1, (0, 1, 0, 0): 2})
-    SubspaceBasis(1, 1, (a, c))
-    assert len(exact_calls) == 1
-
-
-def test_certificate_scales_rows_by_their_denominators():
-    # (x1, p x2): a row whose only entry is a multiple of p drops mod p
-    p = CERTIFICATE_PRIME
-    rows = (
-        Polynomial(4, {(1, 0, 0, 0): 1}),
-        Polynomial(4, {(0, 1, 0, 0): p}),
-    )
-    assert not _full_rank_mod_p(rows, 4, 1)
-    assert len(SubspaceBasis(1, 1, rows)) == 2
-    scaled = Polynomial(4, {(0, 1, 0, 0): Fraction(p, 3)})
-    assert not _full_rank_mod_p((rows[0], scaled), 4, 1)
-    thirds = Polynomial(4, {(0, 1, 0, 0): Fraction(1, 3), (1, 0, 0, 0): Fraction(2, 9)})
-    assert _full_rank_mod_p((rows[0], thirds), 4, 1)
+def test_subspace_basis_accepts_rows_dependent_mod_a_prime():
+    # Independent over Q, but every 2 x 2 minor of the integer numerators
+    # is a multiple of p = 2^31 - 1, so an elimination mod p would call
+    # them dependent.
+    p = 2**31 - 1
+    x1, x2 = var(0), var(1)
+    for rows in (
+        (x1 + x2, x1 + (1 + p) * x2),
+        (x1, p * x2),
+        (x1 + p * x2, x1),
+        (x1, Fraction(p, 3) * x2 + x1),
+    ):
+        assert len(SubspaceBasis(1, 1, rows)) == 2
+    with pytest.raises(ValueError):
+        SubspaceBasis(1, 1, (x1 + x2, p * x1 + p * x2))
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.data())
-def test_certificate_verdict_matches_exact_rank(data):
-    # Entries are small enough that every minor of at most four scaled
-    # rows lies below the prime (Hadamard's bound), so a nonzero minor
-    # stays nonzero mod p and the two verdicts must agree exactly.
+def test_subspace_basis_verdict_matches_exact_rank(data):
+    # Entries of any size, multiples of a large prime among them, and
+    # rows that agree with an earlier row modulo that prime.
+    p = 2**31 - 1
     degree = data.draw(st.sampled_from([1, 2]))
     mons = monomial_basis(4, degree)
-    row = st.lists(small_fractions, min_size=len(mons), max_size=len(mons))
+    entry = st.one_of(
+        small_fractions,
+        st.integers(-3, 3).map(lambda k: Fraction(k * p)),
+        st.builds(Fraction, st.integers(-3 * p, 3 * p), st.integers(1, 3 * p)),
+    )
+    row = st.lists(entry, min_size=len(mons), max_size=len(mons))
     rows = data.draw(st.lists(row, min_size=1, max_size=4))
-    if data.draw(st.booleans()):
-        c = data.draw(small_fractions)
+    kind = data.draw(st.sampled_from(["none", "combination", "shift"]))
+    if kind == "combination":
+        c = data.draw(entry)
         rows.append([x + c * y for x, y in zip(rows[0], rows[-1])])
+    elif kind == "shift":
+        shifted = list(rows[0])
+        shifted[data.draw(st.integers(0, len(mons) - 1))] += p
+        rows.append(shifted)
     rows = [r for r in rows if any(r)]
     assume(rows)
     polys = tuple(Polynomial(4, dict(zip(mons, r))) for r in rows)
-    independent = matrix_rank(rows) == len(rows)
-    assert _full_rank_mod_p(polys, 4, degree) == independent
-    if independent:
+    if matrix_rank_reference(rows) == len(rows):
         assert len(SubspaceBasis(1, degree, polys)) == len(rows)
     else:
         with pytest.raises(ValueError):
             SubspaceBasis(1, degree, polys)
-
-
-def _rank_mod_p_reference(a):
-    """The dense elimination: every pivot updates every row below it."""
-    p = CERTIFICATE_PRIME
-    a = a[:, a.any(axis=0)]
-    rank = 0
-    for c in range(a.shape[1]):
-        nonzero = np.flatnonzero(a[rank:, c])
-        if not nonzero.size:
-            continue
-        pivot = rank + nonzero[0]
-        a[[rank, pivot]] = a[[pivot, rank]]
-        a[rank] = a[rank] * pow(int(a[rank, c]), p - 2, p) % p
-        below = a[rank + 1 :]
-        below -= below[:, c : c + 1] * a[rank] % p
-        below %= p
-        rank += 1
-        if rank == a.shape[0]:
-            break
-    return rank
-
-
-@st.composite
-def residue_matrices(draw):
-    """Integer rows reduced mod p, with the cases the elimination skips.
-
-    Zero columns, rows that are combinations of earlier rows mod p, and
-    rows that differ from an earlier row by a multiple of p (the same
-    residues) are mixed in.
-    """
-    p = CERTIFICATE_PRIME
-    ncols = draw(st.integers(1, 9))
-    entry = st.one_of(st.just(0), st.integers(-3, 3), st.integers(-3 * p, 3 * p))
-    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=7))
-    for _ in range(draw(st.integers(0, 3))):
-        i, j = draw(st.integers(0, len(rows) - 1)), draw(st.integers(0, len(rows) - 1))
-        kind = draw(st.sampled_from(["combination", "shift", "zero_column"]))
-        if kind == "combination":
-            c, d = draw(st.integers(-p, p)), draw(st.integers(-p, p))
-            rows.append([c * x + d * y for x, y in zip(rows[i], rows[j])])
-        elif kind == "shift":
-            rows.append([x + p * draw(st.integers(-2, 2)) for x in rows[i]])
-        else:
-            for r in rows:
-                r[j % ncols] = 0
-    order = draw(st.permutations(range(len(rows))))
-    return np.array([[x % p for x in rows[k]] for k in order], dtype=np.int64)
-
-
-@settings(max_examples=150, deadline=None)
-@given(residue_matrices())
-def test_rank_mod_p_matches_dense_elimination(a):
-    original = a.copy()
-    assert _rank_mod_p(a) == _rank_mod_p_reference(a.copy())
-    assert np.array_equal(a, original)  # the input is left as it was
 
 
 @st.composite
@@ -491,20 +491,28 @@ def sparse_integer_matrices(draw):
 def test_integer_null_space_matches_rational_null_space(matrix):
     rows, ncols = matrix
     sparse = [{c: v for c, v in enumerate(r) if v} for r in rows]
-    got = _integer_null_space(sparse, ncols)
     exact = [[Fraction(v) for v in r] for r in rows]
-    rational = null_space(exact, ncols)
-    pivots = rref([list(r) for r in exact])
+    echelon = [list(r) for r in exact]
+    pivots = rref_reference(echelon)
+    reduced = rref(sparse, ncols)
+    assert [c for c, _ in reduced] == pivots
+    for (c, row), ref in zip(reduced, echelon):
+        # each integer row over its pivot entry is the rational RREF row
+        assert [Fraction(row.get(k, 0), row[c]) for k in range(ncols)] == ref
+    got = null_space(sparse, ncols)
+    rational = null_space_reference(exact, ncols)
     free_cols = [c for c in range(ncols) if c not in pivots]
     assert len(got) == len(rational) == ncols - len(pivots)
     for vec, ref, free in zip(got, rational, free_cols):
         assert all(type(v) is int and v for v in vec.values())
         assert all(sum(r.get(c, 0) * v for c, v in vec.items()) == 0 for r in sparse)
         assert math.gcd(*vec.values()) == 1
+        assert list(vec) == sorted(vec) and max(vec) == free
         dense = [vec.get(c, 0) for c in range(ncols)]
         assert dense[free] > 0
-        # null_space's vector, rescaled: so the two bases span the same space
+        # the oracle's vector, rescaled: so the two bases span the same space
         assert [dense[free] * v for v in ref] == dense
+    assert sparse == [{c: v for c, v in enumerate(r) if v} for r in rows]
 
 
 def test_subspace_membership():
@@ -528,7 +536,7 @@ def test_contains_matches_rank_rule(data):
     entry = st.one_of(st.just(Fraction(0)), small_fractions)
     row = st.lists(entry, min_size=len(mons), max_size=len(mons))
     rows = data.draw(st.lists(row, min_size=1, max_size=4))
-    assume(matrix_rank(rows) == len(rows))
+    assume(matrix_rank_reference(rows) == len(rows))
     kind = data.draw(st.sampled_from(["combination", "perturbed", "free"]))
     if kind == "free":
         target = data.draw(row)
@@ -538,25 +546,29 @@ def test_contains_matches_rank_rule(data):
         if kind == "perturbed":
             target[data.draw(st.integers(0, len(mons) - 1))] += data.draw(small_fractions)
     basis = SubspaceBasis(n, degree, tuple(Polynomial(num_vars, dict(zip(mons, r))) for r in rows))
-    expected = matrix_rank(rows + [target]) == matrix_rank(rows)
+    expected = matrix_rank_reference(rows + [target]) == matrix_rank_reference(rows)
     assert basis.contains(Polynomial(num_vars, dict(zip(mons, target)))) == expected
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_harmonic_span_of_random_integer_blocks(data):
+    # Rational entries too: an element's Laplacian image can have another
+    # denominator than the element, and the span must scale by the image's.
     degree = data.draw(st.sampled_from([1, 2, 3]))
     mons = monomial_basis(4, degree)
-    coeff = st.integers(-3, 3)
+    coeff = st.one_of(st.integers(-3, 3), small_fractions)
     row = st.lists(coeff, min_size=len(mons), max_size=len(mons))
     rows = data.draw(st.lists(row, min_size=1, max_size=5))
-    assume(matrix_rank([[Fraction(c) for c in r] for r in rows]) == len(rows))
+    assume(matrix_rank_reference(rows) == len(rows))
     block = [Polynomial(4, dict(zip(mons, r))) for r in rows]
     span = SubspaceBasis(1, degree, tuple(block))
     out = _harmonic_span(block, degree)
+    want = harmonic_span_reference(block, degree)
+    assert [list(h.terms.items()) for h in out] == [list(h.terms.items()) for h in want]
     targets = monomial_basis(4, degree - 2)
     images = [[euclidean_laplacian(p).terms.get(m, 0) for m in targets] for p in block]
-    assert len(out) == len(block) - matrix_rank(images)
+    assert len(out) == len(block) - matrix_rank_reference(images)
     for h in out:
         assert euclidean_laplacian(h).is_zero()
         assert span.contains(h)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -12,10 +13,7 @@ from crsphere.polynomials import (
     _harmonic_span,
     dim_homogeneous,
     euclidean_laplacian,
-    mat_mul,
-    matrix_rank,
     monomial_basis,
-    null_space,
     sphere_integral,
 )
 from crsphere.spectrum import (
@@ -30,6 +28,7 @@ from crsphere.spectrum import (
     t0_apply,
 )
 from crsphere.sphere import random_point
+from test_polynomials import matrix_rank_reference, null_space_reference
 
 
 def var(i, m=4):
@@ -133,6 +132,13 @@ def test_complex_monomial_matches_successive_products(data):
     assert all(isinstance(c, Fraction) for c in (*re.terms.values(), *im.terms.values()))
 
 
+def mat_mul(a, b):
+    if not a or not b:
+        return []
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col) if x and y) for col in bt] for row in a]
+
+
 def test_t0_squared_is_minus_one_on_linear_forms():
     rows, mons = reeb_derivation_matrix(1, 1)
     sq = mat_mul(rows, rows)
@@ -160,6 +166,42 @@ def test_kernel_dimensions_degree_two(lam, expected):
     assert len(kernel_t0sq_shift(1, 2, lam)) == expected
 
 
+@lru_cache(maxsize=None)
+def _t0_squared_reference(n, ell):
+    rows, mons = reeb_derivation_matrix(n, ell)
+    return tuple(map(tuple, mat_mul(rows, rows))), mons
+
+
+def kernel_t0sq_shift_reference(n, ell, lam):
+    """Ker(T0^2 + lam I) as the Fraction null space of the dense squared T0 matrix."""
+    square, mons = _t0_squared_reference(n, ell)
+    sq = [list(r) for r in square]
+    for i in range(len(sq)):
+        sq[i][i] += Fraction(lam)
+    num_vars = 2 * n + 2
+    return [
+        Polynomial(num_vars, dict(zip(mons, vec))) for vec in null_space_reference(sq, len(mons))
+    ]
+
+
+@pytest.mark.parametrize("n, top", [(1, 5), (2, 3)])
+def test_kernel_matches_fraction_route_term_by_term(n, top):
+    for ell in range(top + 1):
+        squares = {(ell - 2 * j) ** 2 for j in range(ell // 2 + 1)}
+        for lam in sorted(squares | {Fraction(1, 2)}):
+            got = kernel_t0sq_shift(n, ell, lam).polys
+            want = kernel_t0sq_shift_reference(n, ell, lam)
+            assert [list(p.terms.items()) for p in got] == [list(p.terms.items()) for p in want]
+
+
+def test_float_lambda_is_rejected():
+    # Fraction(4.0) would pass a float into the exact layer silently.
+    with pytest.raises(TypeError):
+        kernel_t0sq_shift(1, 2, 4.0)
+    with pytest.raises(TypeError):
+        structured_t0sq_kernel(1, 2, 4.0)
+
+
 def test_kernel_members_are_exact():
     basis = kernel_t0sq_shift(1, 2, 4)
     for p in basis.polys:
@@ -182,7 +224,9 @@ def test_t0_kernel_equals_t0sq_kernel():
     for ell in (1, 2, 3):
         rows, mons = reeb_derivation_matrix(1, ell)
         sq = mat_mul(rows, rows)
-        assert len(null_space(rows, len(mons))) == len(null_space(sq, len(mons)))
+        assert len(null_space_reference(rows, len(mons))) == len(
+            null_space_reference(sq, len(mons))
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +317,7 @@ def same_span(a, b):
     """
     rows_a, _ = a.coefficient_matrix()
     rows_b, _ = b.coefficient_matrix()
-    return len(a) == len(b) == matrix_rank(rows_a + rows_b)
+    return len(a) == len(b) == matrix_rank_reference(rows_a + rows_b)
 
 
 @pytest.mark.parametrize("n,ell_max", [(1, 6), (2, 5), (3, 4)])

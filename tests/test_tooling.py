@@ -1,7 +1,8 @@
-"""The benchmark's span tracer names only code that exists, its workloads
-still give the recorded verdicts, the saved benchmark results are whole,
-the library runs without importing scipy, and the suites call only
-public calculus functions, each pointwise one once per field."""
+"""The benchmark's span tracer names only code that exists and sees the
+exact kernel, its workloads still give the recorded verdicts, the saved
+benchmark results are whole, the library runs without importing scipy,
+and the suites call only public calculus functions, each pointwise one
+once per field."""
 
 import ast
 import importlib
@@ -16,7 +17,8 @@ from fractions import Fraction
 from pathlib import Path
 
 from crsphere import calculus as C
-from crsphere.polynomials import Polynomial
+from crsphere import polynomials, spectrum
+from crsphere.polynomials import Polynomial, SubspaceBasis
 from crsphere.suites import Config, run_suite
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,6 +72,33 @@ def test_trace_counters_read_the_polynomial_class():
     assert counts["polynomials.mul.term_pairs"] == 3 * 2 + 3
     tracing._count_evaluate(counts, (p, [0.1, 0.2, 0.3, 0.4]), {}, None)
     assert counts["polynomials.evaluate.terms"] == 3
+
+
+def test_tracer_sees_the_exact_kernel():
+    # Every exact elimination runs through the public rref and null_space,
+    # so their per-layer metrics measure the exact layer; a private kernel
+    # that came back would leave them reading zero.
+    tracing = _load_tracing()
+    x1, x2, y1 = (Polynomial.variable(4, i) for i in range(3))
+    collided = (x1 + x2, x1 + 2 * x2)  # both lead with x1
+    basis = SubspaceBasis(1, 1, collided)
+    calls = {
+        "spectrum_fragment": lambda: spectrum.spectrum_fragment(1, 3),
+        "harmonic_basis": lambda: polynomials.harmonic_basis(1, 3),
+        "SubspaceBasis": lambda: SubspaceBasis(1, 1, collided),
+        "contains": lambda: basis.contains(y1),
+    }
+    for label, call in calls.items():
+        tracer = tracing.Tracer()
+        tracer.install()
+        try:
+            call()
+        finally:
+            tracer.uninstall()
+        spans = Counter(tracer.span_names[i] for i in tracer.name)
+        assert spans["polynomials.rref"] >= 1, label
+        assert spans["polynomials.null_space"] == spans["polynomials.rref"], label
+        assert tracer.counts["polynomials.null_space.cells"] > 0, label
 
 
 def test_workload_verdict_tables_match_expected():
