@@ -426,21 +426,38 @@ def test_subspace_basis_rejects_dependent_sets():
         SubspaceBasis(1, 1, (c, d, e))
 
 
-def test_subspace_basis_accepts_rows_dependent_mod_a_prime():
-    # Independent over Q, but every 2 x 2 minor of the integer numerators
-    # is a multiple of p = 2^31 - 1, so an elimination mod p would call
-    # them dependent.
+def test_unlucky_prime_falls_back_to_exact_rank():
+    # Rows (1, 1) and (1, 1 + p): determinant p = 2^31 - 1, independent
+    # over Q but not mod p.  Both lead with x1, so the elimination has to
+    # decide, and being exact it never takes the prime's verdict.
     p = 2**31 - 1
     x1, x2 = var(0), var(1)
     for rows in (
         (x1 + x2, x1 + (1 + p) * x2),
-        (x1, p * x2),
         (x1 + p * x2, x1),
-        (x1, Fraction(p, 3) * x2 + x1),
     ):
         assert len(SubspaceBasis(1, 1, rows)) == 2
     with pytest.raises(ValueError):
         SubspaceBasis(1, 1, (x1 + x2, p * x1 + p * x2))
+
+
+def test_certificate_scales_rows_by_their_denominators():
+    # Each polynomial enters the elimination as its integer numerators,
+    # scaled by its own denominator; a row whose only entry is a multiple
+    # of p, or p/3, must still count.
+    p = 2**31 - 1
+    x1, x2 = var(0), var(1)
+    scaled = Fraction(p, 3) * x2 + x1
+    thirds = Fraction(1, 3) * x2 + Fraction(2, 9) * x1
+    columns = polynomials._stacked_columns((x1, scaled, thirds))
+    assert sorted(sorted(r.items()) for r in columns) == [
+        [(0, 1), (1, 3), (2, 2)],
+        [(1, p), (2, 3)],
+    ]
+    for rows in ((x1, p * x2), (x1, scaled), (x1, thirds)):
+        assert len(SubspaceBasis(1, 1, rows)) == 2
+    with pytest.raises(ValueError):
+        SubspaceBasis(1, 1, (x1, scaled, thirds))
 
 
 @settings(max_examples=80, deadline=None)
