@@ -15,7 +15,7 @@ from fractions import Fraction
 import numpy as np
 
 from .calculus import ricci
-from .sphere import random_horizontal, random_point
+from .sphere import random_point
 from .spectrum import spectrum_fragment
 
 EQUALITY_TOL = 1e-12
@@ -26,17 +26,16 @@ def estimate_k_samples(n, num_samples=200, seed=0):
     """Samples of rho(X,X) + 2 A(X,JX) over random unit horizontal X.
 
     The spheres have no pseudohermitian torsion A, so each sample is
-    the Ricci form rho(X,X) alone.
+    the Ricci form rho(X,X) alone.  One stacked draw gives the points,
+    each followed by its vector X in the stream, and one stacked `ricci`
+    traces the curvature over all their frames at once; sample i is
+    what random_point, random_horizontal and ricci give at point i of
+    the same stream.
     """
     if num_samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    vals = np.empty(num_samples)
-    for i in range(num_samples):
-        p = random_point(rng, n)
-        x = random_horizontal(rng, p)
-        vals[i] = ricci(p, x)
-    return vals
+    points, (x,) = random_point(np.random.default_rng(seed), n, num_samples, slots=1)
+    return ricci(points, x)
 
 
 def estimate_k(n, num_samples=200, seed=0):

@@ -48,7 +48,7 @@ from .sphere import (
     HorizontalFrame,
     SpherePoint,
     TangentVector,
-    _finite,
+    _check_horizontal,
     horizontal_frame,
     times_i,
 )
@@ -550,9 +550,9 @@ class HessianBlock:
         H[j,k] - H[k,j] = 2 Omega(X_j, X_k) f0,
 
     which is checked at construction.  A block over a stack of K points
-    takes sequences of K points and frames, values of shape
-    (K, 2n+1, 2n+1) and K Reeb values; it is checked point by point, and
-    each method returns one value per point.
+    takes a sequence of K points and their stacked frame, values of
+    shape (K, 2n+1, 2n+1) and K Reeb values; it is checked point by
+    point, and each method returns one value per point.
     """
 
     def __init__(self, base, frame, values, reeb_value):
@@ -560,11 +560,8 @@ class HessianBlock:
         self.frame = frame
         self.values = np.asarray(values, dtype=float)
         self.reeb_value = np.asarray(reeb_value, dtype=float)[()]
-        if isinstance(base, SpherePoint):
-            n, stack, self._frame_rows = base.n, (), frame.matrix()
-        else:
-            n, stack = base[0].n, (len(base),)
-            self._frame_rows = np.array([fr.matrix() for fr in frame])
+        n, stack = (base.n, ()) if isinstance(base, SpherePoint) else (base[0].n, (len(base),))
+        self._frame_rows = frame.matrix()
         if self.values.shape != stack + (2 * n + 1, 2 * n + 1) or np.shape(reeb_value) != stack:
             raise ValueError("hessian block of the wrong shape")
         if not np.all(self.antisymmetry_residual() <= EXCHANGE_TOL):
@@ -604,22 +601,22 @@ class PointJet:
     Built by `point_jet`: the adapted frame and its rows [T; X_1..X_2n],
     the flat gradient and Hessian of f's polynomial, and T0 f.  The flat
     third partials and the Hessian block over the frame are built on
-    first use and then shared.  For a stack of K points, `point` and
-    `frame` are tuples of K, and `coords`, `rows`, `grad`, `hess`, `t0`,
-    `third` and the block's values carry a leading axis of K points.
+    first use and then shared.  For a stack of K points, `point` is a
+    tuple of K, `frame` is their one stacked HorizontalFrame, and
+    `coords`, `rows`, `grad`, `hess`, `t0`, `third` and the block's
+    values carry a leading axis of K points.
     Immutable; its arrays are read-only.
     """
 
     def __init__(self, field, point, frame, grad, hess, t0):
         if isinstance(point, SpherePoint):
-            coords, frame_rows, t0 = point.coords, frame.matrix(), float(t0)
+            coords, t0 = point.coords, float(t0)
         else:
             coords = _coords(point)
-            frame_rows = np.array([fr.matrix() for fr in frame])
             t0 = np.array(t0, dtype=float)
             for a in (coords, t0):
                 a.setflags(write=False)
-        rows = _adapted_rows(coords, frame_rows)
+        rows = _adapted_rows(coords, frame.matrix())
         for a in (rows, grad, hess):
             a.setflags(write=False)
         vars(self).update(
@@ -664,7 +661,8 @@ class PointJet:
 def point_jet(f, p):
     """The PointJet of f at p, or over a sequence of points p.
 
-    Each point gets its own validated frame, flat jet and T0 f.
+    Each point gets its own flat jet and T0 f; the frames of a sequence
+    are built and validated as one stack.
     """
     if isinstance(p, SpherePoint):
         grad, hess = _grad_hess(f, p.coords)
@@ -674,7 +672,7 @@ def point_jet(f, p):
         raise ValueError("a PointJet needs at least one point")
     jets = [_grad_hess(f, pt.coords) for pt in points]
     return PointJet(
-        f, points, tuple(horizontal_frame(pt) for pt in points),
+        f, points, horizontal_frame(points),
         np.array([g for g, _ in jets]), np.array([h for _, h in jets]),
         [f.t0_poly.evaluate(pt.coords) for pt in points],
     )
@@ -796,12 +794,19 @@ def curvature_via_connection(p, X, Y, Z):
 
 
 def ricci(p, X):
-    """rho(X, X) by tracing the curvature over a horizontal frame."""
+    """rho(X, X) by tracing the curvature over a horizontal frame.
+
+    p is a SpherePoint, with X one vector, or a sequence of K points,
+    with X a (K, m) array of one vector per point; the frames of a
+    sequence are built as one stack.  Each vector must be finite,
+    tangent and horizontal at its point (to ARG_TOL), or ValueError is
+    raised.  Returns a float, or an array of K values.
+    """
     x = np.asarray(getattr(X, "vec", X), dtype=float)
-    _finite(x, "Ricci argument")
-    scale = ARG_TOL * max(1.0, float(np.linalg.norm(x)))
-    if not (abs(float(x @ p.coords)) <= scale and abs(float(x @ p.reeb_coords())) <= scale):
-        raise ValueError("Ricci is evaluated on horizontal vectors")
+    q = _coords(p)
+    if x.shape != q.shape:
+        raise ValueError("Ricci arguments of shape %s at points of shape %s" % (x.shape, q.shape))
+    _check_horizontal(q, x, ARG_TOL, "Ricci argument")
     return _ricci_trace(p, horizontal_frame(p).matrix(), x)
 
 

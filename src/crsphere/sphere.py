@@ -18,8 +18,7 @@ the convention, not an error, and tests pin it down.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,6 +38,40 @@ def _finite(values, what):
     """
     if not np.all(np.isfinite(values)):
         raise ValueError("%s has a non-finite entry" % what)
+
+
+def _norms(v):
+    """Euclidean lengths over the last axis; each equals np.linalg.norm of its row."""
+    return np.sqrt(np.vecdot(v, v))
+
+
+def _check_points(coords, n, stack):
+    """Raise ValueError unless coords holds finite unit vectors of R^(2n+2)
+    with leading axes `stack`: () for one point, (K,) for K of them."""
+    if n < 1:
+        raise ValueError("CR dimension must be a positive integer")
+    if coords.shape != stack + (2 * n + 2,):
+        raise ValueError(
+            "expected %d coordinates, got shape %s" % (2 * n + 2, coords.shape)
+        )
+    _finite(coords, "point")
+    if not np.all(np.abs(_norms(coords) - 1.0) <= UNIT_TOL):
+        raise ValueError("point is not on the unit sphere")
+
+
+def _check_horizontal(q, v, tol, what):
+    """Raise ValueError unless each row of v is finite, tangent and
+    horizontal at its row of q (rows broadcast against the points).
+
+    Each row is held to tol times max(1, its length), as a single
+    TangentVector is.
+    """
+    _finite(v, what)
+    scale = tol * np.maximum(1.0, _norms(v))
+    if not np.all(np.abs(np.vecdot(v, q)) <= scale):
+        raise ValueError("%s is not tangent to the sphere at its point" % what)
+    if not np.all(np.abs(np.vecdot(v, times_i(q))) <= scale):
+        raise ValueError("%s has a Reeb component: not horizontal" % what)
 
 
 def times_i(v):
@@ -61,16 +94,26 @@ class SpherePoint:
     def __post_init__(self):
         coords = np.asarray(self.coords, dtype=float)
         object.__setattr__(self, "coords", coords)
-        if self.n < 1:
-            raise ValueError("CR dimension must be a positive integer")
-        if coords.shape != (2 * self.n + 2,):
-            raise ValueError(
-                "expected %d coordinates, got shape %s"
-                % (2 * self.n + 2, coords.shape)
-            )
-        _finite(coords, "point")
-        if not abs(np.linalg.norm(coords) - 1.0) <= UNIT_TOL:
-            raise ValueError("point is not on the unit sphere")
+        _check_points(coords, self.n, ())
+
+    @classmethod
+    def stack(cls, coords, n):
+        """One point per row of a (K, 2n+2) array, the rows checked together.
+
+        The rows are copied into one read-only array, checked once as a
+        whole exactly as a single point is checked, and each point
+        holds its row of it.
+        """
+        coords = np.array(coords, dtype=float)
+        _check_points(coords, n, coords.shape[:1])
+        coords.flags.writeable = False
+        points = []
+        for row in coords:
+            p = object.__new__(cls)
+            object.__setattr__(p, "coords", row)
+            object.__setattr__(p, "n", n)
+            points.append(p)
+        return tuple(points)
 
     @property
     def dim(self):
@@ -185,23 +228,30 @@ def omega_form(p, X, Y):
 
 @dataclass(frozen=True, eq=False)
 class HorizontalFrame:
-    """Levi-orthonormal horizontal frame with X_(alpha+n) = J X_alpha.
+    """Levi-orthonormal horizontal frame with X_(alpha+n) = J X_alpha,
+    at one point or at each point of a stack.
 
-    Stored as one read-only (2n, 2n+2) array of frame vectors as rows;
-    `rows` may be that array or any sequence of vectors (TangentVectors
-    included).  Every invariant is checked once, over the whole matrix.
+    At one SpherePoint the frame is one read-only (2n, 2n+2) array of
+    frame vectors as rows; `rows` may be that array or any sequence of
+    vectors (TangentVectors included).  At a sequence of K points it is
+    one read-only (K, 2n, 2n+2) array.  Every invariant is checked
+    once, over the whole array.
     """
 
-    base: SpherePoint
+    base: SpherePoint | tuple
     rows: np.ndarray
 
     def __post_init__(self):
-        n = self.base.n
+        if isinstance(self.base, SpherePoint):
+            n, q = self.base.n, self.base.coords
+        else:
+            object.__setattr__(self, "base", tuple(self.base))
+            n, q = self.base[0].n, np.array([pt.coords for pt in self.base])
         rows = self.rows
         if not isinstance(rows, np.ndarray):
             rows = [getattr(v, "vec", v) for v in rows]
         mat = np.array(rows, dtype=float)
-        if mat.shape != (2 * n, self.base.dim):
+        if mat.shape != q.shape[:-1] + (2 * n, 2 * n + 2):
             raise ValueError("frame must have 2n vectors of the ambient dimension")
         _finite(mat, "frame")
         mat.flags.writeable = False
@@ -210,27 +260,30 @@ class HorizontalFrame:
         # tolerance, which a NaN residual never is.  A frame that passes
         # has rows of length 1 to within FRAME_TOL, so TYPE_TOL needs no
         # scaling by the row length here.
-        if not abs(mat @ self.base.reeb_coords()).max() <= TYPE_TOL:
+        q = q[..., None, :]
+        if not np.abs(np.vecdot(mat, times_i(q))).max() <= TYPE_TOL:
             raise ValueError("frame vector has a Reeb component: not horizontal")
-        if not abs(mat @ self.base.coords).max() <= TYPE_TOL:
+        if not np.abs(np.vecdot(mat, q)).max() <= TYPE_TOL:
             raise ValueError("frame vector is not tangent to the sphere at its base")
-        if not abs(mat @ mat.T - np.eye(2 * n)).max() <= FRAME_TOL:
+        if not np.abs(mat @ np.swapaxes(mat, -1, -2) - np.eye(2 * n)).max() <= FRAME_TOL:
             raise ValueError("frame is not Levi-orthonormal")
-        if not abs(times_i(mat[:n]) - mat[n:]).max() <= FRAME_TOL:
+        if not np.abs(times_i(mat[..., :n, :]) - mat[..., n:, :]).max() <= FRAME_TOL:
             raise ValueError("frame does not satisfy X_(a+n) = J X_a")
 
     def matrix(self):
-        """(2n, 2n+2) read-only array of frame vectors as rows."""
+        """Read-only array of frame vectors as rows: (2n, 2n+2), or (K, 2n, 2n+2)."""
         return self.rows
 
     @property
     def vectors(self):
-        """The frame as horizontal TangentVectors, built on each access."""
+        """The frame at one point as horizontal TangentVectors, built on each access."""
+        if not isinstance(self.base, SpherePoint):
+            raise ValueError("a frame over a stack of points has no single vector tuple")
         return tuple(TangentVector(self.base, v, horizontal=True) for v in self.rows)
 
 
 def horizontal_frame(p):
-    """Deterministic adapted frame at p.
+    """Deterministic adapted frame at p, or at each point of a sequence p.
 
     Gram-Schmidt over the horizontally projected ambient basis vectors in
     index order, skipping seeds whose projection is shorter than
@@ -240,27 +293,58 @@ def horizontal_frame(p):
     A frame is always found: were fewer than n vectors chosen, the
     2n+2 final projections would have squared lengths summing to at
     least 2, yet each would be below FRAME_SEED_MIN^2.
+
+    A sequence of K points is built as one stack, each point running
+    its own seed skips; the frame at one point is the stack of K = 1.
+    Every frame row is bitwise the one that Gram-Schmidt at its point
+    alone gives.  The points' coordinates are checked again first, so a
+    point changed after it was made cannot pass.
     """
-    q = p.coords
+    single = isinstance(p, SpherePoint)
+    points = (p,) if single else tuple(p)
+    if not points:
+        raise ValueError("a frame needs at least one point")
+    n = points[0].n
+    q = np.array([pt.coords for pt in points])
+    _check_points(q, n, q.shape[:1])
+    rows = _gram_schmidt_rows(q, n)
+    return HorizontalFrame(p, rows[0]) if single else HorizontalFrame(points, rows)
+
+
+def _gram_schmidt_rows(q, n):
+    """The frame rows of horizontal_frame at each row of a (K, 2n+2) stack q.
+
+    Every point runs the one-point loop: seed k is projected against the
+    span [X_1, J X_1, X_2, J X_2, ...] of the vectors that point has
+    chosen so far, in that order, with the same operations, and is kept
+    only if its projection is long enough, so each point's rows do not
+    depend on the others in the stack.  The span is zero past a point's
+    own vectors: w - <0, w> 0 = w exactly, since no entry of w is ever
+    -0.0 (x - y is +0.0 whenever it is zero).
+    """
+    num, m = q.shape
     t = times_i(q)
-    chosen = []
-    span = []  # chosen vectors together with their J-images
-    # row k is the projected seed e_k - q_k q - t_k t
-    for w in np.eye(p.dim) - np.outer(q, q) - np.outer(t, t):
-        for u in span:
-            w = w - (u @ w) * u
-        norm = math.sqrt(w @ w)
-        if norm < FRAME_SEED_MIN:
-            continue
-        w = w / norm
-        chosen.append(w)
-        if len(chosen) == p.n:
+    # seeds[:, k] is the projected seed e_k - q_k q - t_k t
+    seeds = np.eye(m) - q[:, :, None] * q[:, None, :] - t[:, :, None] * t[:, None, :]
+    span = np.zeros((num, 2 * n, m))  # X_a at 2a, J X_a at 2a + 1
+    chosen = np.zeros(num, dtype=int)
+    for k in range(m):
+        live = np.flatnonzero(chosen < n)
+        if not live.size:
             break
-        span.extend([w, times_i(w)])
-    if len(chosen) < p.n:
+        w = seeds[live, k]
+        for s in range(2 * chosen[live].max()):
+            u = span[live, s]  # a zero row past a point's own span vectors
+            w = w - np.vecdot(u, w)[:, None] * u
+        norm = np.sqrt(np.vecdot(w, w))
+        keep = norm >= FRAME_SEED_MIN
+        rows, w = live[keep], w[keep] / norm[keep, None]
+        slot = 2 * chosen[rows]
+        span[rows, slot], span[rows, slot + 1] = w, times_i(w)
+        chosen[rows] += 1
+    if np.any(chosen < n):
         raise RuntimeError("failed to build a horizontal frame")  # unreachable
-    top = np.array(chosen)
-    return HorizontalFrame(p, np.concatenate((top, times_i(top))))
+    return np.concatenate((span[:, 0::2], span[:, 1::2]), axis=1)
 
 
 def s3_frame_coefficients(p):
@@ -296,9 +380,37 @@ def s3_explicit_frame(p):
 # ----------------------------------------------------------------------
 
 
-def random_point(rng, n):
-    v = rng.standard_normal(2 * n + 2)
-    return SpherePoint(v / np.linalg.norm(v), n)
+def random_point(rng, n, count=None, slots=0):
+    """A random point of S^(2n+1), or a stack of points with `slots`
+    random unit horizontal vectors at each.
+
+    With count None: one SpherePoint.  With a count K: the pair
+    (points, vectors) of a tuple of K points and a (slots, K, 2n+2)
+    array whose [s, i] row is the s-th vector at point i.  The stack is
+    one rng.standard_normal((K, 1 + slots, 2n+2)), each point's row
+    followed by its vectors' rows: the stream of K rounds of one
+    random_point and `slots` random_horizontal calls, with the same
+    operations on each row.  Points and vectors are checked in bulk:
+    finite, of unit length, and the vectors tangent and horizontal at
+    their points, at the tolerances of SpherePoint and TangentVector.
+    """
+    m = 2 * n + 2
+    if count is None:
+        if slots:
+            raise ValueError("horizontal vectors are drawn only with a count of points")
+        v = rng.standard_normal(m)
+        return SpherePoint(v / np.linalg.norm(v), n)
+    draw = rng.standard_normal((count, 1 + slots, m))
+    q = draw[:, 0] / _norms(draw[:, 0])[:, None]
+    points = SpherePoint.stack(q, n)
+    t = times_i(q)
+    w = np.swapaxes(draw[:, 1:], 0, 1)
+    w = w - np.vecdot(w, q)[..., None] * q - np.vecdot(w, t)[..., None] * t
+    w = w / _norms(w)[..., None]
+    if not np.all(np.abs(_norms(w) - 1.0) <= UNIT_TOL):
+        raise ValueError("horizontal vector is not of unit length")
+    _check_horizontal(q, w, TYPE_TOL, "horizontal vector")
+    return points, w
 
 
 def random_horizontal(rng, p, unit=True):

@@ -303,7 +303,7 @@ def _suite_spectrum(cfg):
 def _suite_bochner(cfg):
     rng = np.random.default_rng(cfg.seed)
     pool = field_pool(rng, cfg.n, max(4, cfg.trials // 10))
-    points = [random_point(rng, cfg.n) for _ in range(cfg.trials)]
+    points, _ = random_point(rng, cfg.n, cfg.trials)
     worst_bochner = worst_route = worst_trace = worst_cs = 0.0  # cs: largest deficit
     for k, f in enumerate(pool):
         # Point i goes with field i % len(pool).  One stacked jet over all
@@ -339,22 +339,11 @@ def _suite_bochner(cfg):
     ]
 
 
-def _draw(rng, n, trials, slots):
-    """trials random points, each followed by `slots` random horizontal
-    vectors at it, drawn in that order; returns the points and one
-    (trials, 2n+2) array of vectors per slot."""
-    points, vecs = [], []
-    for _ in range(trials):
-        p = random_point(rng, n)
-        points.append(p)
-        vecs.append([random_horizontal(rng, p).vec for _ in range(slots)])
-    return points, np.array(vecs).transpose(1, 0, 2)
-
-
 def _suite_lemmas(cfg):
     rng = np.random.default_rng(cfg.seed)
     pool = field_pool(rng, cfg.n, max(4, cfg.trials // 10))
-    points, (xs, ys) = _draw(rng, cfg.n, cfg.trials, 2)
+    # trial i: a point and two horizontal vectors at it, one (trials, m) array per slot
+    points, (xs, ys) = random_point(rng, cfg.n, cfg.trials, slots=2)
     worst1 = worst3 = worst_hess = 0.0
     for k, f in enumerate(pool):
         # Trial i goes with field i % len(pool); one stacked jet over all
@@ -390,7 +379,7 @@ def _suite_lemmas(cfg):
             "integrated L identity", {"n": cfg.n, "lhs": str(lhs), "rhs": str(rhs)},
             float(abs(lhs - rhs)), status=lhs == rhs))
 
-    points, vecs = _draw(rng, cfg.n, cfg.trials, 3)
+    points, vecs = random_point(rng, cfg.n, cfg.trials, slots=3)
     worst = [_worst(0.0, *vals) for vals in C.connection_axiom_residuals(points, *vecs)]
     names = ("metric_compatibility", "j_parallel", "torsion_purity", "reeb_parallel")
     for name, w in zip(names, worst):
@@ -536,17 +525,15 @@ def _suite_s3(cfg):
         "s3.cosine_profile", "f along unit lengthy geodesics from the maximum fits alpha cos(2s)",
         "cosine profile", {"a": a, "b": b, "fits": fits}, worst_fit, cfg.tol_fit))
 
-    worst33 = 0.0
-    points = max(10, cfg.trials // 5)
-    for _ in range(points):
-        p = random_point(rng, 1)
-        block = C.tw_hessian(f, p)
-        resid = float(np.max(np.abs(block.horizontal_block() + 4.0 * f.value(p) * np.eye(2))))
-        worst33 = _worst(worst33, resid)
+    count = max(10, cfg.trials // 5)
+    points, _ = random_point(rng, 1, count)
+    jet = C.point_jet(f, points)
+    gap = C.tw_hessian(f, jet).horizontal_block() + 4.0 * f.value(jet)[:, None, None] * np.eye(2)
+    worst33 = _worst(0.0, *np.max(np.abs(gap), axis=(1, 2)))
     checks.append(_check(
         "s3.hessian_proportional",
         "pi_H Hess f + 4 f G vanishes pointwise for the kernel eigenfunction",
-        "equality case", {"a": a, "b": b, "points": points}, worst33, cfg.tol))
+        "equality case", {"a": a, "b": b, "points": count}, worst33, cfg.tol))
 
     samples = G.reach_set_half_pi(a, b, cfg.reach_samples)
     worst_set = _worst(*(s.set_residual for s in samples))

@@ -23,6 +23,7 @@ from crsphere.bounds import (
     lichnerowicz_bound,
 )
 from crsphere.polynomials import Polynomial
+from crsphere.sphere import random_horizontal, random_point
 from crsphere.suites import (
     CheckResult,
     Config,
@@ -53,6 +54,27 @@ def test_estimate_k_is_constant_on_spheres():
 def test_estimate_k_rejects_empty_sampling():
     with pytest.raises(ValueError):
         estimate_k(1, num_samples=0)
+
+
+def estimate_k_samples_reference(n, num_samples, seed):
+    """The one-point sampling loop: random_point, random_horizontal and ricci per sample."""
+    rng = np.random.default_rng(seed)
+    vals = np.empty(num_samples)
+    for i in range(num_samples):
+        p = random_point(rng, n)
+        vals[i] = C.ricci(p, random_horizontal(rng, p))
+    return vals
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_stacked_samples_match_the_per_point_loop(n):
+    for seed, num_samples in ((0, 1), (9, 100), (901, 200)):
+        reference = estimate_k_samples_reference(n, num_samples, seed)
+        samples = estimate_k_samples(n, num_samples, seed)
+        assert samples.shape == (num_samples,)
+        assert np.max(np.abs(samples - reference)) <= 1e-14
+        report = check_bound(n, 2, num_samples=num_samples, seed=seed)
+        assert abs(report.k_hat - float(np.min(reference))) <= 1e-14
 
 
 def test_lichnerowicz_bound_values():
@@ -296,10 +318,11 @@ def test_nan_residual_fails_its_check(monkeypatch, cfg, poisoned):
 def _count_point_reads(monkeypatch):
     """Count, over one suite run, the per-point reads a point jet shares.
 
-    frame: horizontal_frame calls; jet: flat gradient-and-Hessian
-    evaluations; t0, third, lhs: Polynomial.evaluate calls on a field's
-    T0 f, its third partials and its Bochner left side; block:
-    HessianBlock constructions.
+    frame: frame rows built by horizontal_frame, one per point (one
+    call builds the frames of a whole stack); jet: flat
+    gradient-and-Hessian evaluations; t0, third, lhs:
+    Polynomial.evaluate calls on a field's T0 f, its third partials and
+    its Bochner left side; block: HessianBlock constructions.
     """
     counts = dict.fromkeys(("frame", "jet", "t0", "third", "lhs", "block"), 0)
     tagged = {}
@@ -339,7 +362,13 @@ def _count_point_reads(monkeypatch):
             super().__init__(*args)
 
     monkeypatch.setattr(Polynomial, "evaluate", counted_evaluate)
-    monkeypatch.setattr(C, "horizontal_frame", counter("frame", C.horizontal_frame))
+    build_frame = C.horizontal_frame
+
+    def counted_frame(p):
+        counts["frame"] += 1 if isinstance(p, C.SpherePoint) else len(p)
+        return build_frame(p)
+
+    monkeypatch.setattr(C, "horizontal_frame", counted_frame)
     monkeypatch.setattr(C, "_grad_hess", counter("jet", C._grad_hess))
     monkeypatch.setattr(C, "HessianBlock", CountedBlock)
     return counts

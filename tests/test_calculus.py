@@ -312,6 +312,36 @@ def test_ricci_rejects_non_finite(bad):
                 C.ricci(base, x)
 
 
+def test_stacked_ricci_matches_the_one_point_values(rng):
+    for n in (1, 2, 3):
+        points, (xs,) = random_point(rng, n, 30, slots=1)
+        got = C.ricci(points, 2.0 * xs)
+        assert got.shape == (30,)
+        for p, x, value in zip(points, xs, got):
+            assert value == C.ricci(p, 2.0 * x)
+            _assert_close(value, ricci_reference(p, 2.0 * x))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, "radial", "reeb", "point"])
+def test_stacked_ricci_rejects_a_poisoned_row(rng, bad):
+    for row in range(3):
+        points, (xs,) = random_point(rng, 2, 3, slots=1)
+        points, xs = list(points), xs.copy()
+        if bad == "radial":
+            xs[row] += 1e-6 * points[row].coords
+        elif bad == "reeb":
+            xs[row] += 1e-6 * points[row].reeb_coords()
+        elif bad == "point":  # a point off the sphere, its vector still at the old point
+            points[row] = SpherePoint(points[row].coords.copy(), 2)
+            points[row].coords[:] *= 1.0 + 1e-9
+        else:
+            xs[row, 4] = bad
+        with pytest.raises(ValueError):
+            C.ricci(points, xs)
+    with pytest.raises(ValueError):
+        C.ricci(points, xs[:2])
+
+
 def rational_point(rng, n):
     """A rational point of the sphere and its exact coordinates.
 

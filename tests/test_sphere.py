@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -356,27 +358,29 @@ def test_frame_rejects_wrong_shape():
         HorizontalFrame(E1, np.eye(4)[1:2])
 
 
-def horizontal_frame_reference(p):
-    """horizontal_frame with each projected seed e_k - q_k q - t_k t built on its own."""
+def horizontal_frame_reference(p, skipped=None):
+    """The one-point Gram-Schmidt of horizontal_frame, point by point: the
+    oracle of the stacked build.  Appends the seeds it skips to `skipped`."""
     q = p.coords
     t = times_i(q)
-    m = p.dim
-    chosen, span = [], []
-    for k in range(m):
-        w = np.zeros(m)
-        w[k] = 1.0
-        w = w - (q[k]) * q - (t[k]) * t
+    chosen = []
+    span = []  # chosen vectors together with their J-images
+    # row k is the projected seed e_k - q_k q - t_k t
+    for k, w in enumerate(np.eye(p.dim) - np.outer(q, q) - np.outer(t, t)):
         for u in span:
             w = w - (u @ w) * u
-        norm = np.linalg.norm(w)
+        norm = math.sqrt(w @ w)
         if norm < FRAME_SEED_MIN:
+            if skipped is not None:
+                skipped.append(k)
             continue
         w = w / norm
         chosen.append(w)
-        span.extend([w, times_i(w)])
         if len(chosen) == p.n:
             break
-    return np.array(chosen + [times_i(w) for w in chosen])
+        span.extend([w, times_i(w)])
+    top = np.array(chosen)
+    return np.concatenate((top, times_i(top)))
 
 
 @settings(max_examples=150, deadline=None)
@@ -391,3 +395,203 @@ def test_frame_matches_reference_bit_for_bit(n, k, sign, eps, seed):
     # eps = 1 gives points far from every axis; eps = 0 the axes themselves
     p = _near_axis(n, k % (2 * n + 2), sign, eps, seed)
     assert np.array_equal(horizontal_frame(p).matrix(), horizontal_frame_reference(p))
+
+
+def _near_seed_min(n, j, delta, seed):
+    """A point whose projected seed e_j has length FRAME_SEED_MIN + delta.
+
+    That projection has squared length 1 - |z_j|^2 for both seeds of the
+    complex coordinate z_j, so |z_j| is set to sqrt(1 - s^2) and the
+    other coordinates share the remaining length s.
+    """
+    rng = np.random.default_rng(seed)
+    s = FRAME_SEED_MIN + delta
+    v = rng.standard_normal(2 * n + 2)
+    v[[j, j + n + 1]] = 0.0
+    v *= s / np.linalg.norm(v)
+    phase = rng.uniform(0.0, 2.0 * np.pi)
+    v[j], v[j + n + 1] = math.sqrt(1.0 - s * s) * np.array([math.cos(phase), math.sin(phase)])
+    return SpherePoint(v / np.linalg.norm(v), n)
+
+
+def _edge_point(n, kind, k, sign, delta, seed):
+    m = 2 * n + 2
+    if kind == "random":
+        return random_point(np.random.default_rng(seed), n)
+    if kind == "axis":
+        return _near_axis(n, k % m, sign, 0.0, seed)
+    if kind == "pole":  # the chart poles +-e_(2n+2)
+        return _near_axis(n, m - 1, sign, 0.0, seed)
+    if kind == "near_axis":
+        return _near_axis(n, k % m, sign, 10.0 ** -(3 + seed % 10), seed)
+    return _near_seed_min(n, k % (n + 1), delta, seed)
+
+
+EDGE_POINTS = st.tuples(
+    st.sampled_from(["random", "axis", "pole", "near_axis", "seed_min"]),
+    st.integers(0, 7),
+    st.sampled_from([1.0, -1.0]),
+    st.floats(-1e-9, 1e-9),
+    st.integers(0, 2**32 - 1),
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 3), st.lists(EDGE_POINTS, min_size=1, max_size=8))
+def test_stacked_frame_rows_match_the_one_point_oracle(n, specs):
+    points = [_edge_point(n, *spec) for spec in specs]
+    frame = horizontal_frame(points)
+    assert frame.base == tuple(points) and frame.matrix().shape == (len(points), 2 * n, 2 * n + 2)
+    for p, rows in zip(points, frame.matrix()):
+        assert rows.tobytes() == horizontal_frame_reference(p).tobytes()  # signed zeros too
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_mixed_stack_rows_skip_their_own_seeds(n):
+    m = 2 * n + 2
+    points_and_skips = [
+        (random_point(np.random.default_rng(1), n), []),
+        (_near_axis(n, 0, 1.0, 0.0, 0), [0]),
+        (_near_axis(n, 1, -1.0, 0.0, 0), [1] if n > 1 else []),
+        (_near_axis(n, m - 1, -1.0, 0.0, 0), []),  # a chart pole
+        (_near_seed_min(n, 0, -1e-9, 2), [0]),
+        (_near_seed_min(n, 0, 1e-9, 2), []),
+    ]
+    points = [p for p, _ in points_and_skips]
+    frame = horizontal_frame(points)
+    for i, (p, expected) in enumerate(points_and_skips):
+        skipped = []
+        assert frame.matrix()[i].tobytes() == horizontal_frame_reference(p, skipped).tobytes()
+        assert skipped == expected
+        assert frame.matrix()[i].tobytes() == horizontal_frame(p).matrix().tobytes()
+
+
+def test_one_point_frame_is_the_single_stack(rng):
+    for n in (1, 2, 3):
+        p = random_point(rng, n)
+        one, stack = horizontal_frame(p), horizontal_frame([p])
+        assert one.base is p and stack.base == (p,)
+        assert np.array_equal(one.matrix(), stack.matrix()[0])
+        with pytest.raises(ValueError):
+            stack.vectors
+    with pytest.raises(ValueError):
+        horizontal_frame([])
+
+
+# ---------------------------------------------------------------------------
+# The stacked draw.
+# ---------------------------------------------------------------------------
+
+
+def _draw_reference(seed, n, count, slots):
+    """The per-point draw loop: random_point, then `slots` random_horizontal."""
+    rng = np.random.default_rng(seed)
+    points, vecs = [], []
+    for _ in range(count):
+        p = random_point(rng, n)
+        points.append(p.coords)
+        vecs.append([random_horizontal(rng, p).vec for _ in range(slots)])
+    return np.array(points), np.array(vecs).reshape(count, slots, 2 * n + 2).transpose(1, 0, 2)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("slots", [0, 1, 2, 3])
+def test_stacked_draw_keeps_the_per_point_stream(n, slots):
+    for seed, count in ((0, 1), (7, 25), (901, 100)):
+        rng = np.random.default_rng(seed)
+        points, vecs = random_point(rng, n, count, slots)
+        ref_points, ref_vecs = _draw_reference(seed, n, count, slots)
+        assert len(points) == count and vecs.shape == (slots, count, 2 * n + 2)
+        assert all(isinstance(p, SpherePoint) and p.n == n for p in points)
+        assert np.max(np.abs(np.array([p.coords for p in points]) - ref_points)) <= 1e-15
+        if slots:
+            assert np.max(np.abs(vecs - ref_vecs)) <= 1e-15
+        # the stream goes on where the loop leaves it
+        assert rng.standard_normal() == np.random.default_rng(seed).standard_normal(
+            count * (1 + slots) * (2 * n + 2) + 1)[-1]
+
+
+def test_stacked_points_are_read_only_and_typed():
+    points, _ = random_point(np.random.default_rng(2), 2, 4)
+    for p in points:
+        assert abs(np.linalg.norm(p.coords) - 1.0) <= 1e-15
+        with pytest.raises(ValueError):
+            p.coords[0] = 1.0
+    with pytest.raises(ValueError):
+        random_point(np.random.default_rng(2), 2, slots=1)
+
+
+class _FixedDraw:
+    """A generator stand-in whose standard_normal returns a given array."""
+
+    def __init__(self, values):
+        self.values = values
+
+    def standard_normal(self, shape):
+        assert np.shape(self.values) == shape
+        return np.array(self.values, dtype=float)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("row, slot", [(0, 0), (2, 0), (1, 1), (2, 2)])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e300, 0.0])
+def test_a_poisoned_row_of_the_draw_raises(row, slot, bad):
+    # slot 0 is the point, slots 1 and 2 its vectors; a zero point or
+    # vector row has no direction, and 1e300 overflows its length
+    values = np.random.default_rng(4).standard_normal((3, 3, 4))
+    values[row, slot] = 0.0 if bad == 0.0 else values[row, slot]
+    values[row, slot, 1] = bad
+    with pytest.raises(ValueError):
+        random_point(_FixedDraw(values), 1, 3, slots=2)
+    values[row, slot] = np.random.default_rng(5).standard_normal(4)
+    random_point(_FixedDraw(values), 1, 3, slots=2)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+def test_point_stack_rejects_a_poisoned_row(bad):
+    coords = np.eye(4)[:3].copy()
+    SpherePoint.stack(coords, 1)
+    for row in range(3):
+        poisoned = coords.copy()
+        poisoned[row, 2] = bad
+        with pytest.raises(ValueError):
+            SpherePoint.stack(poisoned, 1)
+        off = coords.copy()
+        off[row] *= 1.0 + 1e-9
+        with pytest.raises(ValueError, match="unit sphere"):
+            SpherePoint.stack(off, 1)
+    with pytest.raises(ValueError):
+        SpherePoint.stack(np.eye(6)[:2], 1)
+
+
+@pytest.mark.parametrize("bad", (*NON_FINITE, "off_sphere"))
+def test_horizontal_frame_rejects_a_poisoned_point_in_a_stack(rng, bad):
+    # a single point's coordinates stay writable, so a point can be
+    # changed after it was checked; horizontal_frame checks the stack again
+    for row in range(3):
+        points = [random_point(rng, 2) for _ in range(3)]
+        if bad == "off_sphere":
+            points[row].coords[:] *= 1.0 + 1e-9
+        else:
+            points[row].coords[3] = bad
+        with pytest.raises(ValueError):
+            horizontal_frame(points)
+
+
+def test_stacked_frame_rejects_a_poisoned_row(rng):
+    points = [random_point(rng, 1) for _ in range(3)]
+    rows = horizontal_frame(points).matrix()
+    HorizontalFrame(points, rows)
+    for row in range(3):
+        for bad in NON_FINITE:
+            poisoned = rows.copy()
+            poisoned[row, 1, 0] = bad
+            with pytest.raises(ValueError):
+                HorizontalFrame(points, poisoned)
+        # a frame at another point is orthonormal and J-paired, but not horizontal here
+        moved = rows.copy()
+        moved[row] = horizontal_frame(random_point(rng, 1)).matrix()
+        with pytest.raises(ValueError):
+            HorizontalFrame(points, moved)
+    with pytest.raises(ValueError):
+        HorizontalFrame(points, rows[:2])

@@ -16,6 +16,7 @@ from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
+from crsphere import bounds as B
 from crsphere import calculus as C
 from crsphere import polynomials, spectrum
 from crsphere.polynomials import Polynomial, SubspaceBasis
@@ -195,3 +196,19 @@ def test_suites_call_each_pointwise_evaluator_once_per_field(monkeypatch):
         "point_jet": 4, "tw_hessian": 4, "sublaplacian_greenleaf": 4, "bochner_residual": 4,
         "bochner_lhs": 4, "operator_l_parts": 4, "curvature_sphere": 4, "sublaplacian_frame": 4,
     }
+    # the S^3 suite checks its 20 Hessian points with one stacked block
+    counts.clear()
+    assert run_suite(Config(suite="s3", trials=100)).passed
+    assert counts == {"point_jet": 1, "tw_hessian": 1}
+    # the bound draws its samples once, builds all their frames in one
+    # call and traces the curvature once (bounds holds its own name for ricci)
+    frames = []
+
+    def counted_frame(p, _build=C.horizontal_frame):
+        frames.append(len(p))
+        return _build(p)
+
+    monkeypatch.setattr(C, "horizontal_frame", counted_frame)
+    counts.clear()
+    assert B.check_bound(2, 2, num_samples=100).all_kernel_entries_satisfy
+    assert counts == {"curvature_sphere": 1} and frames == [100]
