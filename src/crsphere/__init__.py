@@ -41,7 +41,6 @@ from .spectrum import (  # noqa: F401
     SpectrumEntry,
     SpectrumFragment,
     kernel_t0sq_shift,
-    reeb_derivation_matrix,
     reeb_kernel_eigenfunctions,
     spectrum_fragment,
     t0_apply,

@@ -55,6 +55,7 @@ from .sphere import (
 from .spectrum import t0_apply
 
 EXCHANGE_TOL = 1e-9  # HessianBlock's check of its horizontal antisymmetry
+FIELD_TANGENCY_TOL = 1e-8  # tanaka_webster_derivative's check that its field is tangent
 
 
 # ----------------------------------------------------------------------
@@ -222,6 +223,23 @@ def sublaplacian_polynomial(poly, n):
     return out - t0_apply(t0_apply(poly))
 
 
+def _euler(poly):
+    """E(p) = sum_d d p_d over the homogeneous pieces p_d; equals q . grad p exactly."""
+    out = Polynomial(poly.num_vars)
+    for d, piece in poly.homogeneous_components().items():
+        out = out + d * piece
+    return out
+
+
+def _i_dot(a, b):
+    """(i a) . b = sum_j (a_xj b_yj - a_yj b_xj) for lists a, b of 2n+2 polynomials."""
+    half = len(a) // 2
+    out = Polynomial(a[0].num_vars)
+    for j in range(half):
+        out = out + a[j] * b[half + j] - a[half + j] * b[j]
+    return out
+
+
 class ScalarField:
     """Restriction to S^(2n+1) of an exact polynomial."""
 
@@ -267,17 +285,6 @@ class ScalarField:
         return self.sublaplacian_poly.gradient()
 
     @cached_property
-    def grad_h_field(self):
-        """Horizontal gradient as a polynomial field."""
-        grad = VectorFieldPoly(self.grad_polys, self.n)
-        return grad.pi_h()
-
-    @cached_property
-    def j_grad_h_field(self):
-        """J grad_H f as a polynomial field, built once so its partials are reused."""
-        return self.grad_h_field.times_i()
-
-    @cached_property
     def grad_h_sq_poly(self):
         """|grad_H f|^2 as a restriction to the sphere.
 
@@ -290,11 +297,8 @@ class ScalarField:
         As ambient polynomials the two sides differ by
         (R^2 + (T0 f)^2)(|q|^2 - 1); only the restriction is meaningful.
         """
-        m = 2 * self.n + 2
-        radial = Polynomial(m)
-        for d, piece in self.poly.homogeneous_components().items():
-            radial = radial + d * piece
-        out = Polynomial(m)
+        radial = _euler(self.poly)
+        out = Polynomial(2 * self.n + 2)
         for g in self.grad_polys:
             out = out + g * g
         return out - radial * radial - self.t0_poly * self.t0_poly
@@ -317,7 +321,8 @@ def reeb_derivative(f, p):
 
 
 def horizontal_gradient(f, p):
-    return TangentVector(p, f.grad_h_field.at(p), horizontal=True)
+    """grad_H f at p: pi_H of the flat gradient there."""
+    return TangentVector(p, _pi_h_vec(p.coords, _values(f.grad_polys, p.coords)), horizontal=True)
 
 
 def sublaplacian_greenleaf(f, p):
@@ -421,20 +426,9 @@ def tanaka_webster_derivative(p, X, Y):
     q = p.coords
     x = X.vec if isinstance(X, TangentVector) else np.asarray(X, dtype=float)
     y_at = Y.at(q)
-    if abs(float(y_at @ q)) > 1e-8 * max(1.0, float(np.linalg.norm(y_at))):
+    if not abs(float(y_at @ q)) <= FIELD_TANGENCY_TOL * max(1.0, float(np.linalg.norm(y_at))):
         raise ValueError("field is not tangent at the evaluation point")
-    t = times_i(q)
-    theta_x = float(t @ x)
-    theta_y = float(t @ y_at)
-    deriv = Y.jacobian_at(q) @ x
-    vec = (
-        deriv
-        + float(x @ y_at) * q
-        - _omega_vec(q, x, y_at) * t
-        - theta_x * _big_j(q, y_at)
-        - theta_y * _big_j(q, x)
-    )
-    return TangentVector(p, vec)
+    return TangentVector(p, _cov_deriv_pointwise(q, x, y_at, Y.jacobian_at(q) @ x))
 
 
 def covariant_derivative_field(X, Y):
@@ -828,23 +822,26 @@ def _operator_l_polynomial(f):
     """L f = (J grad_H f)(T f) - (J nabla_T grad_H f)(f), symbolically.
 
     Valid as a restriction to the sphere (which is all the exact
-    integration needs): along the sphere the Reeb covariant derivative
-    of the horizontal gradient G collapses to D_T G - i G, and the
-    pairing with J pi_H expands into three ambient dot products.
+    integration needs), and built from scalar pieces: S = T0 f, its
+    gradient, T0^2 f, and the Euler sums R = E(f) and E(S).  With
+    q . grad p = E(p) and iq . grad p = T0 p, the first term
+    (J grad_H f) . grad S is, exactly as a polynomial,
+
+        (i grad f) . grad S - R T0^2 f + S E(S).
+
+    Along the sphere the Reeb covariant derivative of G = grad_H f
+    collapses to D_T G - i G, which restricts to
+    w = grad S - E(S) q - (T0^2 f) iq; w is horizontal there, so the
+    second term (J w) . grad f restricts to
+
+        (i grad S) . grad f - E(S) S + T0^2 f R.
+
+    The two terms are kept as separate sums.
     """
-    n = f.n
-    g = f.grad_h_field
-    grad = VectorFieldPoly(f.grad_polys, n)
-    q = VectorFieldPoly.coordinate_field(n)
-    iq = q.times_i()
-    jg = f.j_grad_h_field
-    term1 = jg.dot(VectorFieldPoly(f.t0_poly.gradient(), n))
-    w = g.directional_along(VectorFieldPoly.reeb(n)) - jg
-    term2 = (
-        w.times_i().dot(grad)
-        - w.dot(q) * iq.dot(grad)
-        + w.dot(iq) * q.dot(grad)
-    )
+    grad, s, grad_s, s2 = f.grad_polys, f.t0_poly, f.t0_grad_polys, f.t0t0_poly
+    r, e_s = _euler(f.poly), _euler(s)
+    term1 = _i_dot(grad, grad_s) - r * s2 + s * e_s
+    term2 = _i_dot(grad_s, grad) - e_s * s + s2 * r
     return term1 - term2
 
 

@@ -142,34 +142,35 @@ class GeodesicTrace:
 # ----------------------------------------------------------------------
 
 
-def great_circle(x0, v, s):
-    """x0 cos s + v sin s: the b = 0 geodesic in closed form."""
-    vec = v.vec if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
-    if not abs(np.linalg.norm(vec) - 1.0) <= ARG_TOL:
-        raise ValueError("great_circle expects a unit direction")
-    q = x0.coords
-    t = times_i(q)
-    if not (abs(float(q @ vec)) <= ARG_TOL and abs(float(t @ vec)) <= ARG_TOL):
-        raise ValueError("great_circle expects a horizontal direction")
-    out = q * np.cos(s) + vec * np.sin(s)
-    return SpherePoint(out / np.linalg.norm(out), x0.n)
-
-
-def great_circle_points(x0, v, s):
-    """great_circle at every entry of s, as the rows of one array.
-
-    The direction is validated once, with great_circle's guards (written
-    so that a NaN residual fails them too); each row is normalised.
-    great_circle keeps its own body: the tests compare the two.
-    """
+def _great_circle_direction(x0, v):
+    """v as a float array, or ValueError unless it is a unit horizontal
+    direction at x0 to ARG_TOL (guards written so that a NaN fails them)."""
     vec = v.vec if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
     if not abs(np.linalg.norm(vec) - 1.0) <= ARG_TOL:
         raise ValueError("great_circle expects a unit direction")
     q = x0.coords
     if not (abs(float(q @ vec)) <= ARG_TOL and abs(float(times_i(q) @ vec)) <= ARG_TOL):
         raise ValueError("great_circle expects a horizontal direction")
+    return vec
+
+
+def great_circle(x0, v, s):
+    """x0 cos s + v sin s: the b = 0 geodesic in closed form."""
+    vec = _great_circle_direction(x0, v)
+    out = x0.coords * np.cos(s) + vec * np.sin(s)
+    return SpherePoint(out / np.linalg.norm(out), x0.n)
+
+
+def great_circle_points(x0, v, s):
+    """great_circle at every entry of s, as the rows of one array.
+
+    The direction is validated once, by great_circle's guard; each row
+    is normalised.  great_circle keeps its own body: the tests compare
+    the two.
+    """
+    vec = _great_circle_direction(x0, v)
     s = np.asarray(s, dtype=float)[:, None]
-    out = q * np.cos(s) + vec * np.sin(s)
+    out = x0.coords * np.cos(s) + vec * np.sin(s)
     return out / np.linalg.norm(out, axis=1)[:, None]
 
 

@@ -420,18 +420,27 @@ class Polynomial:
         return np.add.accumulate(values, axis=1)[:, -1]
 
     def evaluate_exact(self, point):
-        """Exact value at a point with rational coordinates."""
+        """Exact value at a point with rational coordinates.
+
+        The coordinates go over one common denominator d, so a term of
+        degree k is an integer over d^k; the integers are summed per
+        degree in int arithmetic and divided once.
+        """
         point = [_as_fraction(x) for x in point]
         if len(point) != self.num_vars:
             raise ValueError("dimension mismatch")
-        total = Fraction(0)
+        d = math.lcm(*(x.denominator for x in point))
+        nums = [x.numerator * (d // x.denominator) for x in point]
+        by_degree = {}
         for k, v in self._terms.items():
-            m = v
-            for e, x in zip(_unpack(k, self.num_vars), point):
+            for e, a in zip(_unpack(k, self.num_vars), nums):
                 if e:
-                    m *= x**e
-            total += m
-        return total / self._den
+                    v *= a**e
+            deg = _key_degree(k, self.num_vars)
+            by_degree[deg] = by_degree.get(deg, 0) + v
+        top = max(by_degree, default=0)
+        total = sum(v * d ** (top - deg) for deg, v in by_degree.items())
+        return Fraction(total, d**top * self._den)
 
 
 def _moved_power_terms(p, src, dst):
@@ -579,23 +588,6 @@ def _stacked_columns(polys):
 # ----------------------------------------------------------------------
 
 
-def _monomial_index(num_vars, degree):
-    """Grlex monomials of one degree and the map packed key -> column."""
-    mons = monomial_basis(num_vars, degree)
-    return mons, {_pack(m): i for i, m in enumerate(mons)}
-
-
-def _coefficient_rows(polys, index):
-    """Dense coefficient row of each polynomial over a packed key -> column map."""
-    rows = []
-    for p in polys:
-        row = [Fraction(0)] * len(index)
-        for k, v in p._terms.items():
-            row[index[k]] = Fraction(v, p._den)
-        rows.append(row)
-    return rows
-
-
 def _of_degree(poly, num_vars, degree):
     """True when the polynomial lives in num_vars variables and every term has the degree."""
     return poly.num_vars == num_vars and all(
@@ -636,11 +628,6 @@ class SubspaceBasis:
 
     def __len__(self):
         return len(self.polys)
-
-    def coefficient_matrix(self):
-        """Rows = basis elements, columns = grlex monomials of the degree."""
-        mons, index = _monomial_index(2 * self.n + 2, self.degree)
-        return _coefficient_rows(self.polys, index), mons
 
     def contains(self, poly):
         """Exact membership of a polynomial in the span.

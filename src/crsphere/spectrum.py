@@ -35,8 +35,6 @@ from .polynomials import (
     Polynomial,
     SubspaceBasis,
     _as_fraction,
-    _coefficient_rows,
-    _monomial_index,
     _moved_power_terms,
     _pack,
     _stacked_columns,
@@ -67,19 +65,6 @@ def t0_apply(p):
                 else:
                     del terms[key]
     return Polynomial._wrap(num_vars, terms, p._den)
-
-
-def reeb_derivation_matrix(n, ell):
-    """Exact matrix of T0 on the grlex monomial basis of P_ell.
-
-    Returns (rows, monomials); entry [r][c] is the coefficient of
-    monomial r in T0 applied to monomial c.
-    """
-    num_vars = 2 * n + 2
-    mons, index = _monomial_index(num_vars, ell)
-    cols = _coefficient_rows([t0_apply(Polynomial.monomial(num_vars, m)) for m in mons], index)
-    rows = [list(r) for r in zip(*cols)]
-    return rows, mons
 
 
 def kernel_t0sq_shift(n, ell, lam):

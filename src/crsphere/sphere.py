@@ -86,13 +86,18 @@ def times_i(v):
 
 @dataclass(frozen=True, eq=False)
 class SpherePoint:
-    """Unit vector in R^(2n+2), layout (x^1..x^(n+1), y^1..y^(n+1))."""
+    """Unit vector in R^(2n+2), layout (x^1..x^(n+1), y^1..y^(n+1)).
+
+    The point holds its own read-only copy of the coordinates, so
+    neither the caller's array nor a write through `coords` can move it.
+    """
 
     coords: np.ndarray
     n: int
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=float)
+        coords = np.array(self.coords, dtype=float)
+        coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
         _check_points(coords, self.n, ())
 

@@ -374,12 +374,25 @@ def _count_point_reads(monkeypatch):
     return counts
 
 
-def test_bochner_suite_reads_one_jet_and_one_block_per_point(monkeypatch):
+def _forbid_vector_fields(monkeypatch):
     def forbidden(*args):
-        raise AssertionError("the bochner suite builds no symbolic horizontal gradient")
+        raise AssertionError("a suite path built a VectorFieldPoly")
 
+    monkeypatch.setattr(C.VectorFieldPoly, "__init__", forbidden)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_lemmas_and_bochner_suites_build_no_vector_field(monkeypatch, n):
+    # L f is built from scalar pieces and grad_H f is read from the flat
+    # jet, so the symbolic vector fields serve only the connection route
+    _forbid_vector_fields(monkeypatch)
+    for suite in ("lemmas", "bochner"):
+        assert run_suite(Config(suite=suite, n=n)).passed
+
+
+def test_bochner_suite_reads_one_jet_and_one_block_per_point(monkeypatch):
     counts = _count_point_reads(monkeypatch)
-    monkeypatch.setattr(C.ScalarField, "grad_h_field", property(forbidden))
+    _forbid_vector_fields(monkeypatch)
     assert run_suite(Config(suite="bochner", n=1, trials=5)).passed
     # 5 points over a pool of 4 fields: one left-side evaluation and one
     # stacked Hessian block per field

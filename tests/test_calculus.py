@@ -36,6 +36,22 @@ def kernel_quadratic():
     return C.ScalarField(2 * (var(0) * var(1) + var(2) * var(3)), 1)
 
 
+@lru_cache(maxsize=None)
+def grad_h_field(f):
+    """grad_H f as a symbolic vector field, pi_H of the flat gradient.
+
+    The library reads grad_H f pointwise from the flat jet and builds L f
+    from scalar pieces; this field is the oracle of both.
+    """
+    return C.VectorFieldPoly(f.grad_polys, f.n).pi_h()
+
+
+@lru_cache(maxsize=None)
+def j_grad_h_field(f):
+    """J grad_H f as a symbolic vector field, built once per field so its partials are reused."""
+    return grad_h_field(f).times_i()
+
+
 def test_reeb_derivative_values():
     f = x1_field()
     p = SpherePoint(np.array([0.0, 0.0, 1.0, 0.0]), 1)
@@ -100,7 +116,7 @@ def test_sublaplacian_leibniz(rng):
             - f.value(p) * C.sublaplacian_greenleaf(g, p)
             - g.value(p) * C.sublaplacian_greenleaf(f, p)
         )
-        rhs = 2.0 * float(f.grad_h_field.at(p.coords) @ g.grad_h_field.at(p.coords))
+        rhs = 2.0 * float(grad_h_field(f).at(p.coords) @ grad_h_field(g).at(p.coords))
         assert abs(lhs - rhs) < 1e-8
 
 
@@ -247,7 +263,7 @@ def test_hessian_norm_matches_covariant_gradient_norms(rng, s3_fields):
         total = 0.0
         for e in block.frame.vectors:
             total += float(
-                np.sum(C.tanaka_webster_derivative(p, e, f.grad_h_field).vec ** 2)
+                np.sum(C.tanaka_webster_derivative(p, e, grad_h_field(f)).vec ** 2)
             )
         assert abs(block.horizontal_norm_sq() - total) < 1e-8
 
@@ -332,8 +348,8 @@ def test_stacked_ricci_rejects_a_poisoned_row(rng, bad):
         elif bad == "reeb":
             xs[row] += 1e-6 * points[row].reeb_coords()
         elif bad == "point":  # a point off the sphere, its vector still at the old point
-            points[row] = SpherePoint(points[row].coords.copy(), 2)
-            points[row].coords[:] *= 1.0 + 1e-9
+            points[row] = SpherePoint(points[row].coords, 2)
+            object.__setattr__(points[row], "coords", points[row].coords * (1.0 + 1e-9))
         else:
             xs[row, 4] = bad
         with pytest.raises(ValueError):
@@ -416,7 +432,7 @@ def test_lemma1_divergence_value(rng):
     f = x1_field()
     for _ in range(20):
         p = random_point(rng, 1)
-        div = C.divergence(p, f.grad_h_field.times_i())
+        div = C.divergence(p, j_grad_h_field(f))
         assert abs(div + 2.0 * p.coords[2]) < 1e-12
         assert abs(C.lemma1_residual(f, p)) < 1e-9
 
@@ -475,7 +491,7 @@ def test_bochner_random_fields(rng, s3_fields, s5_fields):
 
 
 def _reference_grad_h_sq(f):
-    g = f.grad_h_field
+    g = grad_h_field(f)
     return g.dot(g)
 
 
@@ -540,10 +556,47 @@ def test_bochner_lhs_poly_exact_non_homogeneous(f, seed):
         assert f.bochner_lhs_poly.evaluate_exact(q) == reference.evaluate_exact(q)
 
 
+@lru_cache(maxsize=None)
+def operator_l_polynomial_reference(f):
+    """The vector-field route `_operator_l_polynomial` replaced, kept as its oracle.
+
+    Along the sphere the Reeb covariant derivative of G = grad_H f
+    collapses to D_T G - i G, and the pairing with J pi_H expands into
+    three ambient dot products.
+    """
+    n = f.n
+    g = grad_h_field(f)
+    grad = C.VectorFieldPoly(f.grad_polys, n)
+    q = C.VectorFieldPoly.coordinate_field(n)
+    iq = q.times_i()
+    jg = j_grad_h_field(f)
+    term1 = jg.dot(C.VectorFieldPoly(f.t0_poly.gradient(), n))
+    w = g.directional_along(C.VectorFieldPoly.reeb(n)) - jg
+    term2 = w.times_i().dot(grad) - w.dot(q) * iq.dot(grad) + w.dot(iq) * q.dot(grad)
+    return term1 - term2
+
+
+def _pool_or_integer_fields(n):
+    """x1 or a pool field, as the lemmas suite integrates, or an integer polynomial."""
+    pool = st.sampled_from(range(4)).map(lambda i: (x1_field(n), *_trace_fields(n))[i])
+    return st.one_of(pool, _integer_polys(n))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(1, 3).flatmap(_pool_or_integer_fields), st.integers(0, 2**32 - 1))
+def test_l_operator_poly_matches_the_vector_field_route(f, seed):
+    # equal on the sphere: the same exact integral and the same exact
+    # value at rational points of the sphere
+    reference = operator_l_polynomial_reference(f)
+    assert sphere_integral(f.l_operator_poly) == sphere_integral(reference)
+    for q in _rational_points(np.random.default_rng(seed), f.n, 3):
+        assert f.l_operator_poly.evaluate_exact(q) == reference.evaluate_exact(q)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_pi_h_deriv_matches_symbolic_horizontal_gradient(n, rng):
     for f in field_pool(np.random.default_rng(30 + n), n, 2):
-        g = f.grad_h_field
+        g = grad_h_field(f)
         for _ in range(2):
             p = random_point(rng, n)
             q = p.coords
@@ -847,7 +900,7 @@ def test_frame_traces_match_per_vector_references(n, kind, k, sign, which, seed)
     _assert_close(C.hessian_form(f, p)(u, v), reference_form(u, v))
     x = 3.0 * random_horizontal(rng, p).vec
     _assert_close(C.ricci(p, x), ricci_reference(p, x))
-    V = f.j_grad_h_field
+    V = j_grad_h_field(f)
     _assert_close(C.divergence(p, V), divergence_reference(p, V))
     _assert_close(C.sublaplacian_frame(f, p), sublaplacian_frame_reference(f, p))
     gh = C.horizontal_gradient(f, p).vec
@@ -900,7 +953,7 @@ def test_frame_traces_call_times_i_a_bounded_number_of_times(monkeypatch):
 def lemma1_residual_reference(f, p):
     """The route lemma1_residual replaced, kept as its oracle: the symbolic
     J grad_H f and its Jacobian evaluated at p, traced by `divergence`."""
-    return C.divergence(p, f.j_grad_h_field) - 2.0 * f.n * f.t0_poly.evaluate(p)
+    return C.divergence(p, j_grad_h_field(f)) - 2.0 * f.n * f.t0_poly.evaluate(p)
 
 
 def third_partials_reference(f, q):

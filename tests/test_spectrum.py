@@ -21,7 +21,6 @@ from crsphere.spectrum import (
     SpectrumFragment,
     _complex_monomial,
     kernel_t0sq_shift,
-    reeb_derivation_matrix,
     reeb_kernel_eigenfunctions,
     spectrum_fragment,
     structured_t0sq_kernel,
@@ -130,6 +129,35 @@ def test_complex_monomial_matches_successive_products(data):
     assert re == ref_re
     assert im == ref_im
     assert all(isinstance(c, Fraction) for c in (*re.terms.values(), *im.terms.values()))
+
+
+def coefficient_rows(polys, mons):
+    """Dense Fraction coefficient row of each polynomial over the monomials mons."""
+    index = {m: i for i, m in enumerate(mons)}
+    rows = []
+    for p in polys:
+        row = [Fraction(0)] * len(mons)
+        for m, c in p.terms.items():
+            row[index[m]] = c
+        rows.append(row)
+    return rows
+
+
+def coefficient_matrix(basis):
+    """Rows = basis elements, columns = grlex monomials of the basis degree."""
+    return coefficient_rows(basis.polys, monomial_basis(2 * basis.n + 2, basis.degree))
+
+
+def reeb_derivation_matrix(n, ell):
+    """Exact dense matrix of T0 on the grlex monomial basis of P_ell.
+
+    Returns (rows, monomials); entry [r][c] is the coefficient of
+    monomial r in T0 applied to monomial c.
+    """
+    num_vars = 2 * n + 2
+    mons = monomial_basis(num_vars, ell)
+    cols = coefficient_rows([t0_apply(Polynomial.monomial(num_vars, m)) for m in mons], mons)
+    return [list(r) for r in zip(*cols)], mons
 
 
 def mat_mul(a, b):
@@ -315,9 +343,7 @@ def same_span(a, b):
     once: stacking the two coefficient matrices keeps the rank at
     len(a) exactly when every element of b lies in the span of a.
     """
-    rows_a, _ = a.coefficient_matrix()
-    rows_b, _ = b.coefficient_matrix()
-    return len(a) == len(b) == matrix_rank_reference(rows_a + rows_b)
+    return len(a) == len(b) == matrix_rank_reference(coefficient_matrix(a) + coefficient_matrix(b))
 
 
 @pytest.mark.parametrize("n,ell_max", [(1, 6), (2, 5), (3, 4)])

@@ -511,6 +511,18 @@ def test_stacked_draw_keeps_the_per_point_stream(n, slots):
             count * (1 + slots) * (2 * n + 2) + 1)[-1]
 
 
+def test_a_point_holds_a_read_only_copy_of_its_coordinates():
+    a = np.array([0.6, 0.0, 0.8, 0.0])
+    p = SpherePoint(a, 1)
+    with pytest.raises(ValueError):
+        p.coords[0] = 5.0
+    with pytest.raises(ValueError):
+        p.coords[:] *= 1.1
+    a[0] = 5.0
+    assert p.coords.tolist() == [0.6, 0.0, 0.8, 0.0]
+    assert a.flags.writeable
+
+
 def test_stacked_points_are_read_only_and_typed():
     points, _ = random_point(np.random.default_rng(2), 2, 4)
     for p in points:
@@ -566,14 +578,17 @@ def test_point_stack_rejects_a_poisoned_row(bad):
 
 @pytest.mark.parametrize("bad", (*NON_FINITE, "off_sphere"))
 def test_horizontal_frame_rejects_a_poisoned_point_in_a_stack(rng, bad):
-    # a single point's coordinates stay writable, so a point can be
-    # changed after it was checked; horizontal_frame checks the stack again
+    # a point's coordinates are read-only, but a caller can still replace
+    # them on purpose past the frozen dataclass; horizontal_frame checks
+    # the stack again
     for row in range(3):
         points = [random_point(rng, 2) for _ in range(3)]
+        coords = points[row].coords.copy()
         if bad == "off_sphere":
-            points[row].coords[:] *= 1.0 + 1e-9
+            coords *= 1.0 + 1e-9
         else:
-            points[row].coords[3] = bad
+            coords[3] = bad
+        object.__setattr__(points[row], "coords", coords)
         with pytest.raises(ValueError):
             horizontal_frame(points)
 
