@@ -229,13 +229,6 @@ class Polynomial:
             parts.setdefault(_key_degree(k, self.num_vars), {})[k] = v
         return {d: Polynomial._wrap(self.num_vars, t, self._den) for d, t in sorted(parts.items())}
 
-    def leading_monomial(self):
-        if not self._terms:
-            return None
-        num_vars = self.num_vars
-        top = max(self._terms, key=lambda k: (_key_degree(k, num_vars), k))
-        return _unpack(top, num_vars)
-
     # ---- arithmetic ---------------------------------------------------
 
     def _check_compatible(self, other):
@@ -499,46 +492,90 @@ def _divide_content(row):
             row[k] //= g
 
 
+def _column_index(rows, ncols):
+    """Copies of the nonempty rows, content divided out, and the column -> row ids map.
+
+    Raises ValueError for a key outside range(ncols) and for an entry
+    that is zero or not an int.
+    """
+    work = []
+    cols = {}
+    for r in rows:
+        if not r:
+            continue
+        i = len(work)
+        for k, v in r.items():
+            if type(k) is not int or not 0 <= k < ncols:
+                raise ValueError(f"column {k!r} outside range({ncols})")
+            if type(v) is not int or not v:
+                raise ValueError(f"entry {v!r} in column {k} is not a nonzero int")
+            cols.setdefault(k, set()).add(i)
+        row = dict(r)
+        _divide_content(row)
+        work.append(row)
+    return work, cols
+
+
 def rref(rows, ncols):
     """Fraction-free Gauss-Jordan elimination of a sparse integer matrix.
 
-    Rows are dicts column -> nonzero int; the input is left as it was.
-    A pivot row P with entry d in its column c clears that column from
+    Rows are dicts column -> nonzero int, keys in range(ncols); any
+    other row raises ValueError, and the input is left as it was.  A
+    pivot row P with entry d in its column c clears that column from
     every other row R, whose entry there is e, as R <- (d/g) R - (e/g) P
     with g = gcd(d, e); each row is then divided by the gcd of its
-    entries, so only small ints occur.  Returns the (pivot column, row)
-    pairs in column order.  The pivot columns are those of the rational
-    reduced row echelon form, and each row, divided by its pivot entry,
-    is that form's row: it is zero left of its pivot and in every other
-    pivot column.
+    entries, so only small ints occur.  The pivot of column c is the
+    fewest-entry waiting row that holds c, the earliest input row on a
+    tie.  Returns the (pivot column, row) pairs in column order.
+    The pivot columns are those of the rational reduced row echelon
+    form, and each row, divided by its pivot entry, is that form's row:
+    it is zero left of its pivot and in every other pivot column.
+
+    A map from each column to the ids of the rows, waiting or reduced,
+    that hold it is kept beside the rows and updated on every fill-in
+    and cancellation, so a column step visits only the rows holding
+    that column: the work grows with the entries and their fill-in, not
+    with rows x columns (Davis, Direct Methods for Sparse Linear
+    Systems, SIAM 2006, ch. 6).
     """
-    work = [dict(r) for r in rows if r]
-    for r in work:
-        _divide_content(r)
+    work, cols = _column_index(rows, ncols)
+    waiting = [True] * len(work)
     done = []  # (pivot column, row)
-    for c in range(ncols):
-        hits = [i for i, r in enumerate(work) if c in r]
-        if not hits:
+    # Fill-in only enters columns of a pivot row, all later than its
+    # pivot and already in the map, so the map gains no column.
+    for c in sorted(cols):
+        holders = cols.pop(c)
+        p = min((i for i in holders if waiting[i]), key=lambda i: (len(work[i]), i), default=None)
+        if p is None:
             continue
-        prow = work.pop(min(hits, key=lambda i: len(work[i])))
+        waiting[p] = False
+        prow = work[p]
         d = prow[c]
-        for r in work + [row for _, row in done]:
-            e = r.get(c)
-            if not e:
+        rest = [(k, v) for k, v in prow.items() if k != c]
+        for i in holders:
+            if i == p:
                 continue
+            r = work[i]
+            e = r.pop(c)
             g = math.gcd(d, e)
             keep, take = d // g, e // g
-            for k in r:
-                r[k] *= keep
-            for k, v in prow.items():
-                s = r.get(k, 0) - take * v
+            if keep != 1:
+                for k in r:
+                    r[k] *= keep
+            for k, v in rest:
+                s = r.get(k)
+                if s is None:
+                    r[k] = -take * v
+                    cols[k].add(i)
+                    continue
+                s -= take * v
                 if s:
                     r[k] = s
                 else:
-                    r.pop(k, None)
+                    del r[k]
+                    cols[k].discard(i)
             if r:
                 _divide_content(r)
-        work = [r for r in work if r]
         done.append((c, prow))
     return done
 
@@ -546,19 +583,28 @@ def rref(rows, ncols):
 def null_space(rows, ncols):
     """Kernel of a sparse integer matrix, read off its `rref`.
 
-    Rows are dicts column -> nonzero int.  There is one vector per free
+    Rows are dicts column -> nonzero int, keys in range(ncols); any
+    other row raises ValueError.  There is one vector per free
     (non-pivot) column, in column order: a dict column -> int with
     coprime entries, keys ascending, positive at its free column, which
     is its largest key.  It is the positive multiple of the rational
     kernel vector with a 1 in that free column and 0 in the others.
+    One pass over the reduced rows maps each free column to the
+    (pivot column, row) pairs that hold it, in column order, so each
+    vector is read from that map rather than from a scan of every row.
     """
     done = rref(rows, ncols)
     pivot_cols = {c for c, _ in done}
+    held = {}
+    for c, r in done:
+        for k in r:
+            if k != c:
+                held.setdefault(k, []).append((c, r))
     basis = []
     for free in range(ncols):
         if free in pivot_cols:
             continue
-        hits = [(c, r) for c, r in done if free in r]
+        hits = held.get(free, ())
         scale = math.lcm(1, *(r[c] for c, r in hits))
         vec = {free: scale}
         for c, r in hits:
@@ -602,9 +648,12 @@ class SubspaceBasis:
     Every term of every element must have total degree `degree`; a
     polynomial with a term of any other degree is rejected.  A basis in
     echelon form, with distinct leading monomials, is independent by
-    inspection; any other is independent exactly when the integer
-    kernel of its stacked columns (`_stacked_columns`) is empty, which
-    one fraction-free elimination decides on every input.
+    inspection.  Within one degree packed keys compare as exponent
+    tuples, so an element's largest key is its leading monomial and the
+    largest keys are distinct exactly when the leading monomials are.
+    Any other basis is independent exactly when the integer kernel of
+    its stacked columns (`_stacked_columns`) is empty, which one
+    fraction-free elimination decides on every input.
     """
 
     n: int
@@ -620,8 +669,8 @@ class SubspaceBasis:
                 raise ValueError("basis element with a term of the wrong degree")
         if any(p.is_zero() for p in self.polys):
             raise ValueError("zero polynomial in a basis")
-        leading = [p.leading_monomial() for p in self.polys]
-        if len(set(leading)) == len(leading):
+        leading = {max(p._terms) for p in self.polys}
+        if len(leading) == len(self.polys):
             return  # echelon form: independent by inspection
         if null_space(_stacked_columns(self.polys), len(self.polys)):
             raise ValueError("basis is not linearly independent")

@@ -21,7 +21,7 @@ from crsphere.polynomials import (
     rref,
     sphere_integral,
 )
-from crsphere.spectrum import t0_apply
+from crsphere.spectrum import spectrum_fragment, t0_apply
 
 small_fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 
@@ -378,6 +378,57 @@ def null_space_reference(rows, ncols):
     return basis
 
 
+def rref_scan_reference(rows, ncols):
+    """The integer elimination before the column index: every step scans every row."""
+    work = [dict(r) for r in rows if r]
+    for r in work:
+        polynomials._divide_content(r)
+    done = []  # (pivot column, row)
+    for c in range(ncols):
+        hits = [i for i, r in enumerate(work) if c in r]
+        if not hits:
+            continue
+        prow = work.pop(min(hits, key=lambda i: len(work[i])))
+        d = prow[c]
+        for r in work + [row for _, row in done]:
+            e = r.get(c)
+            if not e:
+                continue
+            g = math.gcd(d, e)
+            keep, take = d // g, e // g
+            for k in r:
+                r[k] *= keep
+            for k, v in prow.items():
+                s = r.get(k, 0) - take * v
+                if s:
+                    r[k] = s
+                else:
+                    r.pop(k, None)
+            if r:
+                polynomials._divide_content(r)
+        work = [r for r in work if r]
+        done.append((c, prow))
+    return done
+
+
+def null_space_scan_reference(rows, ncols):
+    """The kernel read before the column index: every free column scans every reduced row."""
+    done = rref_scan_reference(rows, ncols)
+    pivot_cols = {c for c, _ in done}
+    basis = []
+    for free in range(ncols):
+        if free in pivot_cols:
+            continue
+        hits = [(c, r) for c, r in done if free in r]
+        scale = math.lcm(1, *(r[c] for c, r in hits))
+        vec = {free: scale}
+        for c, r in hits:
+            vec[c] = -r[free] * scale // r[c]
+        g = math.gcd(*vec.values())
+        basis.append({k: vec[k] // g for k in sorted(vec)})
+    return basis
+
+
 def harmonic_span_reference(block, degree):
     """The block combinations given by the Fraction null space of the dense Laplacian images."""
     if degree < 2 or not block:
@@ -530,6 +581,78 @@ def test_integer_null_space_matches_rational_null_space(matrix):
         # the oracle's vector, rescaled: so the two bases span the same space
         assert [dense[free] * v for v in ref] == dense
     assert sparse == [{c: v for c, v in enumerate(r) if v} for r in rows]
+
+
+@st.composite
+def indexed_elimination_matrices(draw):
+    # Up to 40 x 30 with small entries.  Copies, multiples and integer
+    # combinations of earlier rows add length ties, duplicate rows and
+    # rows that cancel to zero; sparse rows leave columns that only
+    # already-reduced rows hold.
+    ncols = draw(st.integers(1, 30))
+    entry = st.sampled_from([1, -1, 2, -2, 3, -4, 6])
+    row = st.dictionaries(st.integers(0, ncols - 1), entry, max_size=min(ncols, 8))
+    rows = draw(st.lists(row, max_size=30))
+    for _ in range(draw(st.integers(0, 10)) if rows else 0):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, len(rows) - 1))
+        a, b = draw(st.sampled_from([(1, 0), (-2, 0), (1, 1), (2, -3), (3, 1)]))
+        mixed = {k: a * rows[i].get(k, 0) + b * rows[j].get(k, 0) for k in rows[i].keys() | rows[j].keys()}
+        rows.insert(draw(st.integers(0, len(rows))), {k: mixed[k] for k in sorted(mixed) if mixed[k]})
+    return rows, ncols
+
+
+@settings(max_examples=200, deadline=None)
+@given(indexed_elimination_matrices())
+def test_indexed_elimination_matches_the_scan(matrix):
+    rows, ncols = matrix
+    want = rref_scan_reference(rows, ncols)
+    got = rref(rows, ncols)
+    # the same pivots, rows, entries and entry order
+    assert [(c, list(r.items())) for c, r in got] == [(c, list(r.items())) for c, r in want]
+    assert null_space(rows, ncols) == null_space_scan_reference(rows, ncols)
+
+
+def test_bases_unchanged_under_the_scan_elimination(monkeypatch):
+    def bases():
+        out = []
+        for n in (1, 2):
+            for degree in range(5):
+                out.append([(p._den, list(p._terms.items())) for p in harmonic_basis(n, degree).polys])
+            for ell in range(1, 5):
+                for entry in spectrum_fragment(n, ell).entries:
+                    polys = entry.eigenbasis.polys
+                    out.append((entry.t0sq_eigenvalue, [(p._den, list(p._terms.items())) for p in polys]))
+        return out
+
+    indexed = bases()
+    calls = []
+
+    def scan(rows, ncols):
+        calls.append(ncols)
+        return rref_scan_reference(rows, ncols)
+
+    monkeypatch.setattr(polynomials, "rref", scan)
+    assert bases() == indexed
+    assert calls  # the scan really ran
+
+
+@pytest.mark.parametrize(
+    "rows, ncols",
+    [
+        ([{0: 1, 5: 2}], 3),  # a column past ncols must not vanish from the kernel
+        ([{-1: 1, 0: 1}], 2),
+        ([{"0": 1}], 1),
+        ([{0: 0, 1: 0}], 2),  # zero entries, whose content is 0
+        ([{0: 1}, {0: 2, 1: 0}], 2),
+        ([{0: Fraction(1, 2)}], 1),
+        ([{0: 1.0}], 1),
+    ],
+)
+def test_elimination_rejects_malformed_rows(rows, ncols):
+    for kernel in (rref, null_space):
+        with pytest.raises(ValueError):
+            kernel(rows, ncols)
 
 
 def test_subspace_membership():
