@@ -42,7 +42,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .polynomials import Polynomial, euclidean_laplacian, sphere_integral
+from .polynomials import Polynomial, euclidean_laplacian, evaluate_many, sphere_integral
 from .sphere import (
     ARG_TOL,
     HorizontalFrame,
@@ -169,8 +169,7 @@ class VectorFieldPoly:
     # -- evaluation -------------------------------------------------------
 
     def at(self, point):
-        point = getattr(point, "coords", point)
-        return np.array([c.evaluate(point) for c in self.comps])
+        return evaluate_many(self.comps, point)
 
     def partials(self):
         """Component partial derivatives, computed once and reused."""
@@ -180,14 +179,8 @@ class VectorFieldPoly:
 
     def jacobian_at(self, point):
         """Matrix J[j, k] = d_k (component j) evaluated at the point."""
-        point = getattr(point, "coords", point)
-        parts = self.partials()
         m = len(self.comps)
-        jac = np.empty((m, m))
-        for j in range(m):
-            for k in range(m):
-                jac[j, k] = parts[j][k].evaluate(point)
-        return jac
+        return evaluate_many([d for row in self.partials() for d in row], point).reshape(m, m)
 
 
 def _rationalize(v):
@@ -250,7 +243,8 @@ class ScalarField:
         self.n = n
 
     def value(self, p):
-        return self.poly.evaluate(p)
+        """f at p: a SpherePoint, a sequence of them, or a PointJet."""
+        return self.poly.evaluate(_coords(p))
 
     @cached_property
     def grad_polys(self):
@@ -322,7 +316,8 @@ def reeb_derivative(f, p):
 
 def horizontal_gradient(f, p):
     """grad_H f at p: pi_H of the flat gradient there."""
-    return TangentVector(p, _pi_h_vec(p.coords, _values(f.grad_polys, p.coords)), horizontal=True)
+    grad = evaluate_many(f.grad_polys, p.coords)
+    return TangentVector(p, _pi_h_vec(p.coords, grad), horizontal=True)
 
 
 def sublaplacian_greenleaf(f, p):
@@ -468,27 +463,19 @@ def divergence(p, V):
 # ----------------------------------------------------------------------
 
 
-def _values(polys, q):
-    """The polynomials' values at q, shape (len(polys),), or at each row of a stack q.
-
-    Each value comes from the polynomial's cached per-point float form:
-    for the few-term flat partials that is cheaper than the stacked
-    `Polynomial.evaluate`, and the values are the same.
-    """
-    if q.ndim == 1:
-        return np.array([p.evaluate(q) for p in polys])
-    return np.array([[p.evaluate(row) for p in polys] for row in q])
-
-
 def _grad_hess(f, q):
-    """Flat gradient and Hessian of f's polynomial, evaluated at q."""
-    m = len(q)
-    grad = np.array([g.evaluate(q) for g in f.grad_polys])
-    hess = np.empty((m, m))
-    for i in range(m):
-        for j in range(i, m):
-            hess[i, j] = hess[j, i] = f.hess_polys[i][j].evaluate(q)
-    return grad, hess
+    """Flat gradient and Hessian of f's polynomial at q, or at each row of a stack q.
+
+    The Hessian is symmetric: its upper triangle is evaluated, with the
+    gradient, in one `evaluate_many` call and mirrored.
+    """
+    m = q.shape[-1]
+    upper = np.triu_indices(m)
+    polys = f.grad_polys + [f.hess_polys[i][j] for i, j in zip(*upper)]
+    values = evaluate_many(polys, q)
+    hess = np.empty(q.shape[:-1] + (m, m))
+    hess[..., upper[0], upper[1]] = hess[..., upper[1], upper[0]] = values[..., m:]
+    return np.ascontiguousarray(values[..., :m]), hess
 
 
 def hessian_form(f, p):
@@ -603,16 +590,11 @@ class PointJet:
     """
 
     def __init__(self, field, point, frame, grad, hess, t0):
-        if isinstance(point, SpherePoint):
-            coords, t0 = point.coords, float(t0)
-        else:
-            coords = _coords(point)
-            t0 = np.array(t0, dtype=float)
-            for a in (coords, t0):
-                a.setflags(write=False)
+        coords = _coords(point)
         rows = _adapted_rows(coords, frame.matrix())
-        for a in (rows, grad, hess):
-            a.setflags(write=False)
+        for a in (coords, rows, grad, hess, t0):
+            if isinstance(a, np.ndarray):
+                a.setflags(write=False)
         vars(self).update(
             field=field, point=point, frame=frame, coords=coords, rows=rows,
             grad=grad, hess=hess, t0=t0,
@@ -628,16 +610,12 @@ class PointJet:
         They are symmetric in (i, j, k), so only i <= j <= k is
         evaluated: C(m+2, 3) of the m^3 entries.
         """
-        q = self.coords
-        m = q.shape[-1]
+        m = self.coords.shape[-1]
+        column = {}  # sorted (i, j, k) -> its column of values
+        where = [column.setdefault(tuple(sorted(ijk)), len(column)) for ijk in np.ndindex(m, m, m)]
         polys = self.field.third_polys
-        distinct = [(i, j, k) for i in range(m) for j in range(i, m) for k in range(j, m)]
-        values = _values([polys[i][j][k] for i, j, k in distinct], q)
-        third = np.empty(q.shape[:-1] + (m, m, m))
-        for c, (i, j, k) in enumerate(distinct):
-            v = values[..., c]
-            third[..., i, j, k] = third[..., i, k, j] = third[..., j, i, k] = v
-            third[..., j, k, i] = third[..., k, i, j] = third[..., k, j, i] = v
+        values = evaluate_many([polys[i][j][k] for i, j, k in column], self.coords)
+        third = values[..., np.reshape(where, (m, m, m))]
         third.setflags(write=False)
         return third
 
@@ -655,21 +633,16 @@ class PointJet:
 def point_jet(f, p):
     """The PointJet of f at p, or over a sequence of points p.
 
-    Each point gets its own flat jet and T0 f; the frames of a sequence
-    are built and validated as one stack.
+    The flat jet and T0 f of all the points are evaluated together, and
+    the frames of a sequence are built and validated as one stack.
     """
-    if isinstance(p, SpherePoint):
-        grad, hess = _grad_hess(f, p.coords)
-        return PointJet(f, p, horizontal_frame(p), grad, hess, f.t0_poly.evaluate(p.coords))
-    points = tuple(p)
-    if not points:
-        raise ValueError("a PointJet needs at least one point")
-    jets = [_grad_hess(f, pt.coords) for pt in points]
-    return PointJet(
-        f, points, horizontal_frame(points),
-        np.array([g for g, _ in jets]), np.array([h for _, h in jets]),
-        [f.t0_poly.evaluate(pt.coords) for pt in points],
-    )
+    if not isinstance(p, SpherePoint):
+        p = tuple(p)
+        if not p:
+            raise ValueError("a PointJet needs at least one point")
+    q = _coords(p)
+    grad, hess = _grad_hess(f, q)
+    return PointJet(f, p, horizontal_frame(p), grad, hess, f.t0_poly.evaluate(q))
 
 
 def _jet(f, p):
@@ -854,7 +827,7 @@ def operator_l_parts(f, p):
     q, grad = jet.coords, jet.grad
     t = times_i(q)
     g_at, dg = _pi_h_deriv(q, t, grad, np.matvec(jet.hess, t))
-    term1 = np.vecdot(times_i(g_at), _values(f.t0_grad_polys, q))
+    term1 = np.vecdot(times_i(g_at), evaluate_many(f.t0_grad_polys, q))
     nabla_t_g = _cov_deriv_pointwise(q, t, g_at, dg)
     term2 = np.vecdot(_big_j(q, nabla_t_g), grad)
     return term1, term2
@@ -888,7 +861,7 @@ def bochner_residual(f, p):
     jet = _jet(f, p)
     q, block = jet.coords, jet.block
     gh = _pi_h_vec(q, jet.grad)
-    grad_term = np.vecdot(_values(f.sublaplacian_grad_polys, q), gh)
+    grad_term = np.vecdot(evaluate_many(f.sublaplacian_grad_polys, q), gh)
     ric = _ricci_trace(jet.point, jet.rows[..., 1:, :], gh)
     term1, term2 = operator_l_parts(f, jet)
     rhs = block.horizontal_norm_sq() + grad_term + ric + 2.0 * (term1 - term2)

@@ -57,7 +57,7 @@ from operator import mul
 import numpy as np
 
 from .calculus import ScalarField, _rationalize
-from .polynomials import Polynomial
+from .polynomials import Polynomial, evaluate_many
 from .sphere import ARG_TOL, SpherePoint, TangentVector, _finite, horizontal_frame, times_i
 
 MAX_STEP = 1e-2
@@ -826,7 +826,7 @@ def eigen_along_geodesic(f, trace):
     is kept.  A non-finite profile value, a constant profile, or a drop
     from every seed raises ValueError.
     """
-    vals = np.array([f.poly.evaluate(pt) for pt in trace.points])
+    vals = f.poly.evaluate(trace.points)
     if not np.all(np.isfinite(vals)):
         raise ValueError("the profile along the trace has non-finite values")
     spread = float(np.ptp(vals))
@@ -1003,22 +1003,24 @@ def reach_set_half_pi(a, b, num_samples=64, psi=0.0):
     frame = horizontal_frame(x0)
     mat = frame.matrix()
     f = s3_profile_field(a, b)
-    samples = []
     phis = np.linspace(0.0, 2 * np.pi, num_samples, endpoint=False)
-    for phi in phis:
-        v = np.cos(phi) * mat[0] + np.sin(phi) * mat[1]
-        pt = great_circle(x0, v, np.pi / 2.0)
+    points = [great_circle(x0, np.cos(phi) * mat[0] + np.sin(phi) * mat[1], np.pi / 2.0)
+              for phi in phis]
+    # f's gradient, f and T^2 f at every reached point, in one evaluation
+    values = evaluate_many([*f.grad_polys, f.poly, f.t0t0_poly], [pt.coords for pt in points])
+    grads = np.ascontiguousarray(values[:, :-2])
+    samples = []
+    for pt, grad, (f_value, hess_tt) in zip(points, grads, values[:, -2:]):
         resid, order = _set_residual(pt.coords, a, b)
-        grad = np.array([g.evaluate(pt.coords) for g in f.grad_polys])
         grad_t = grad - float(grad @ pt.coords) * pt.coords
         samples.append(
             ReachSample(
                 point=pt,
                 set_residual=resid,
                 resolved_order=order,
-                f_value=f.value(pt),
+                f_value=f_value,
                 grad_norm=float(np.linalg.norm(grad_t)),
-                hess_tt=f.t0t0_poly.evaluate(pt.coords),
+                hess_tt=hess_tt,
             )
         )
     return samples

@@ -154,7 +154,7 @@ class Polynomial:
     denominator sharing no factor with the numerators.
     """
 
-    __slots__ = ("num_vars", "_terms", "_den", "_float_form")
+    __slots__ = ("num_vars", "_terms", "_den")
 
     def __init__(self, num_vars, terms=None):
         self.num_vars = int(num_vars)
@@ -174,7 +174,6 @@ class Polynomial:
         den = math.lcm(*(c.denominator for c in clean.values()))
         self._terms = {k: c.numerator * (den // c.denominator) for k, c in clean.items()}
         self._den = den
-        self._float_form = None
 
     @classmethod
     def _wrap(cls, num_vars, terms, den=1):
@@ -188,7 +187,6 @@ class Polynomial:
         out.num_vars = num_vars
         out._terms = terms
         out._den = den
-        out._float_form = None
         return out
 
     @property
@@ -341,76 +339,14 @@ class Polynomial:
         return [self.partial(i) for i in range(self.num_vars)]
 
     def evaluate(self, point):
-        """Float value at a numeric point (array-like of length num_vars).
+        """Float value at one point, or the values over the rows of a stack.
 
-        Each term is its float coefficient num / den (correctly rounded,
-        as float(Fraction) is) times its powers in variable order, and
-        the terms are summed in storage order.  The float coefficients
-        and each term's nonzero (variable, exponent) pairs are decoded
-        once and cached.
-
-        A 2-D numpy array is a stack of points, one per row; the values
-        come back as a float array, each bit-identical to evaluating
-        its row alone.
+        A point is a sequence of num_vars numbers (or has `coords`) and
+        gives a float; a (K, num_vars) stack gives a length-K array.
+        The values are `evaluate_many`'s for this one polynomial.
         """
-        point = getattr(point, "coords", point)
-        if isinstance(point, np.ndarray) and point.ndim == 2:
-            return self._evaluate_rows(point)
-        if len(point) != self.num_vars:
-            raise ValueError(
-                "point of dimension %d for a polynomial in %d variables"
-                % (len(point), self.num_vars)
-            )
-        form = self._float_form
-        if form is None:
-            den, num_vars = self._den, self.num_vars
-            form = self._float_form = [
-                (v / den, [(i, e) for i, e in enumerate(k.to_bytes(num_vars, "big")) if e])
-                for k, v in self._terms.items()
-            ]
-        xs = list(point)
-        total = 0.0
-        for m, powers in form:
-            for i, e in powers:
-                if e == 1:
-                    m *= xs[i]
-                else:
-                    m *= xs[i] ** e
-            total += m
-        return total
-
-    def _evaluate_rows(self, points):
-        """evaluate over the rows of a 2-D array, as whole-array operations.
-
-        A power table holds x ** e for every row, variable and exponent,
-        taken with the same scalar power as the one-point loop; the terms
-        are multiplied by their powers in variable order (a zero exponent
-        contributes an exact 1.0) and summed from 0.0 in storage order by
-        a sequential accumulate, so every rounding step is the loop's.
-        """
-        rows, width = points.shape
-        if width != self.num_vars:
-            raise ValueError(
-                "point of dimension %d for a polynomial in %d variables"
-                % (width, self.num_vars)
-            )
-        if not self._terms:
-            return np.zeros(rows)
-        keys = b"".join(k.to_bytes(width, "big") for k in self._terms)
-        exps = np.frombuffer(keys, dtype=np.uint8).reshape(-1, width)
-        top = int(exps.max())
-        table = np.ones((width, rows, top + 1))
-        for i in range(width):
-            for r in range(rows):
-                x = points[r, i]
-                table[i, r, 1:] = [x if e == 1 else x ** e for e in range(1, top + 1)]
-        den = self._den
-        values = np.empty((rows, len(self._terms) + 1))
-        values[:, 0] = 0.0
-        values[:, 1:] = [v / den for v in self._terms.values()]
-        for i in range(width):
-            values[:, 1:] *= table[i][:, exps[:, i]]
-        return np.add.accumulate(values, axis=1)[:, -1]
+        values = evaluate_many((self,), point)
+        return float(values[0]) if values.ndim == 1 else values.reshape(-1)
 
     def evaluate_exact(self, point):
         """Exact value at a point with rational coordinates.
@@ -434,6 +370,78 @@ class Polynomial:
         top = max(by_degree, default=0)
         total = sum(v * d ** (top - deg) for deg, v in by_degree.items())
         return Fraction(total, d**top * self._den)
+
+
+def _powers(xs, e):
+    """x ** e for each float x, by the scalar float power; an overflow gives inf."""
+    try:
+        return [x**e for x in xs]
+    except OverflowError:  # Python's float power raises where C's pow gives inf
+        return [np.float64(x) ** e for x in xs]
+
+
+def evaluate_many(polys, points):
+    """Float values of polynomials in the same variables at one point or a stack.
+
+    points is one point of num_vars numbers (or has `coords`) or a
+    (K, num_vars) stack, as an array or nested lists; any other shape
+    raises ValueError.  Returns a C-contiguous array of shape
+    (len(polys),) for one point and (K, len(polys)) for a stack.
+
+    Each term is its float coefficient num / den (correctly rounded, as
+    float(Fraction) is) times its powers x ** e in variable order, each
+    taken with the scalar float power, and the terms are summed from 0.0
+    in storage order, so every value is bit for bit that sequential
+    loop's at its point alone.  One power table per variable serves all
+    the polynomials and rows, a zero exponent contributing an exact 1.0.
+    The terms sit in one (K, P, T) array, each polynomial padded after
+    its last term with zeros, which leave its sum as it is, and one
+    sequential accumulate sums them.
+    """
+    polys = tuple(polys)
+    if not polys:
+        raise ValueError("no polynomials to evaluate")
+    num_vars = polys[0].num_vars
+    if any(p.num_vars != num_vars for p in polys):
+        raise ValueError("mixed numbers of variables")
+    rows = np.asarray(getattr(points, "coords", points), dtype=float)
+    single = rows.ndim == 1
+    if rows.ndim not in (1, 2):
+        raise ValueError(
+            "points of shape %s for a polynomial in %d variables: expected one point "
+            "or a stack of rows" % (rows.shape, num_vars)
+        )
+    if rows.shape[-1] != num_vars:
+        raise ValueError(
+            "point of dimension %d for a polynomial in %d variables" % (rows.shape[-1], num_vars)
+        )
+    rows = rows[None] if single else rows
+    size = max(len(p._terms) for p in polys)
+    coefs = np.zeros((len(polys), size + 1))
+    keys = bytearray(len(polys) * size * num_vars)  # zero exponents pad every polynomial
+    for j, p in enumerate(polys):
+        coefs[j, 1 : len(p._terms) + 1] = [v / p._den for v in p._terms.values()]
+        packed = b"".join(k.to_bytes(num_vars, "big") for k in p._terms)
+        at = j * size * num_vars
+        keys[at : at + len(packed)] = packed
+    exps = np.frombuffer(keys, dtype=np.uint8).reshape(len(polys), size, num_vars)
+    values = np.empty((len(rows), len(polys), size + 1))
+    values[:] = coefs
+    with np.errstate(over="ignore", invalid="ignore"):  # as silent as float arithmetic
+        for i in range(num_vars):
+            col = exps[..., i]
+            top = int(col.max(initial=0))
+            if not top:
+                continue
+            table = np.empty((len(rows), top + 1))  # table[k, e] = x_ki ** e
+            table[:, 0] = 1.0
+            table[:, 1] = rows[:, i]
+            xs = rows[:, i].tolist()
+            for e in range(2, top + 1):
+                table[:, e] = _powers(xs, e)
+            values[..., 1:] *= table[:, col]
+        sums = np.add.accumulate(values, axis=2)[..., -1]
+    return np.ascontiguousarray(sums[0] if single else sums)
 
 
 def _moved_power_terms(p, src, dst):

@@ -13,7 +13,7 @@ import pytest
 
 from crsphere import bounds
 from crsphere import calculus as C
-from crsphere import cli
+from crsphere import cli, polynomials
 from crsphere.bounds import (
     BoundEntry,
     BoundReport,
@@ -316,15 +316,16 @@ def test_nan_residual_fails_its_check(monkeypatch, cfg, poisoned):
 
 
 def _count_point_reads(monkeypatch):
-    """Count, over one suite run, the per-point reads a point jet shares.
+    """Count, over one suite run, the reads a point jet shares, per field.
 
-    frame: frame rows built by horizontal_frame, one per point (one
-    call builds the frames of a whole stack); jet: flat
-    gradient-and-Hessian evaluations; t0, third, lhs:
-    Polynomial.evaluate calls on a field's T0 f, its third partials and
-    its Bochner left side; block: HessianBlock constructions.
+    frame: horizontal_frame calls (one builds the frames of a whole
+    stack); jet: flat gradient-and-Hessian evaluations; t0, third, lhs:
+    float-kernel calls that evaluate a field's T0 f, its third partials
+    and its Bochner left side; block: HessianBlock constructions.
+    counts["sizes"] lists how many third partials each third call took.
     """
     counts = dict.fromkeys(("frame", "jet", "t0", "third", "lhs", "block"), 0)
+    sizes = []
     tagged = {}
 
     def tag(name, kind):
@@ -342,13 +343,14 @@ def _count_point_reads(monkeypatch):
 
     for name, kind in (("t0_poly", "t0"), ("third_polys", "third"), ("bochner_lhs_poly", "lhs")):
         tag(name, kind)
-    evaluate = Polynomial.evaluate
 
-    def counted_evaluate(self, point):
-        kind = tagged.get(id(self))
-        if kind:
+    def counted_kernel(polys, points, _kernel=polynomials.evaluate_many):
+        polys = list(polys)
+        for kind in {tagged.get(id(p)) for p in polys} - {None}:
             counts[kind] += 1
-        return evaluate(self, point)
+        if any(tagged.get(id(p)) == "third" for p in polys):
+            sizes.append(len(polys))
+        return _kernel(polys, points)
 
     def counter(name, func):
         def counted(*args):
@@ -361,17 +363,12 @@ def _count_point_reads(monkeypatch):
             counts["block"] += 1
             super().__init__(*args)
 
-    monkeypatch.setattr(Polynomial, "evaluate", counted_evaluate)
-    build_frame = C.horizontal_frame
-
-    def counted_frame(p):
-        counts["frame"] += 1 if isinstance(p, C.SpherePoint) else len(p)
-        return build_frame(p)
-
-    monkeypatch.setattr(C, "horizontal_frame", counted_frame)
+    for module in (polynomials, C):
+        monkeypatch.setattr(module, "evaluate_many", counted_kernel)
+    monkeypatch.setattr(C, "horizontal_frame", counter("frame", C.horizontal_frame))
     monkeypatch.setattr(C, "_grad_hess", counter("jet", C._grad_hess))
     monkeypatch.setattr(C, "HessianBlock", CountedBlock)
-    return counts
+    return counts, sizes
 
 
 def _forbid_vector_fields(monkeypatch):
@@ -391,12 +388,12 @@ def test_lemmas_and_bochner_suites_build_no_vector_field(monkeypatch, n):
 
 
 def test_bochner_suite_reads_one_jet_and_one_block_per_point(monkeypatch):
-    counts = _count_point_reads(monkeypatch)
+    counts, _ = _count_point_reads(monkeypatch)
     _forbid_vector_fields(monkeypatch)
-    assert run_suite(Config(suite="bochner", n=1, trials=5)).passed
-    # 5 points over a pool of 4 fields: one left-side evaluation and one
-    # stacked Hessian block per field
-    assert counts == {"frame": 5, "jet": 5, "t0": 5, "third": 0, "lhs": 4, "block": 4}
+    assert run_suite(Config(suite="bochner", n=1, trials=8)).passed
+    # 8 points over a pool of 4 fields, two each: one stacked frame, jet,
+    # left-side evaluation and Hessian block per field
+    assert counts == {"frame": 4, "jet": 4, "t0": 4, "third": 0, "lhs": 4, "block": 4}
 
 
 @pytest.mark.parametrize("n, third", [(1, 20), (2, 56)])
@@ -404,12 +401,14 @@ def test_lemmas_suite_reads_one_jet_per_point(monkeypatch, n, third):
     def forbidden(*args):
         raise AssertionError("lemma 1 evaluates no symbolic vector field")
 
-    counts = _count_point_reads(monkeypatch)
+    counts, sizes = _count_point_reads(monkeypatch)
     monkeypatch.setattr(C.VectorFieldPoly, "at", forbidden)
     monkeypatch.setattr(C.VectorFieldPoly, "jacobian_at", forbidden)
-    assert run_suite(Config(suite="lemmas", n=n, trials=3)).passed
-    # C(m + 2, 3) distinct third partials per point, m = 2n + 2
-    assert counts == {"frame": 3, "jet": 3, "t0": 3, "third": 3 * third, "lhs": 0, "block": 3}
+    assert run_suite(Config(suite="lemmas", n=n, trials=8)).passed
+    # 8 points over a pool of 4 fields, two each: everything once per
+    # field, the C(m + 2, 3) distinct third partials (m = 2n + 2) in one call
+    assert counts == {"frame": 4, "jet": 4, "t0": 4, "third": 4, "lhs": 0, "block": 4}
+    assert sizes == [third] * 4
 
 
 def _reject_constant(token):

@@ -15,6 +15,7 @@ from crsphere.polynomials import (
     _harmonic_span,
     dim_homogeneous,
     euclidean_laplacian,
+    evaluate_many,
     harmonic_basis,
     monomial_basis,
     null_space,
@@ -210,6 +211,30 @@ def test_evaluate_dimension_mismatch():
         var(0).evaluate([1.0, 0.0])
 
 
+def evaluate_reference(p, point):
+    """The one-point float loop the stacked kernel replaced, kept as its oracle.
+
+    Each term is its float coefficient num / den times its powers in
+    variable order, summed from 0.0 in storage order.  Given an array
+    row, the powers are np.float64's, which overflow to inf where
+    Python's float power raises.
+    """
+    form = [
+        (v / p._den, [(i, e) for i, e in enumerate(k.to_bytes(p.num_vars, "big")) if e])
+        for k, v in p._terms.items()
+    ]
+    xs = list(point)
+    total = 0.0
+    for m, powers in form:
+        for i, e in powers:
+            if e == 1:
+                m *= xs[i]
+            else:
+                m *= xs[i] ** e
+        total += m
+    return total
+
+
 @st.composite
 def _polynomial_and_stack(draw):
     m = 2 * draw(st.integers(1, 3)) + 2
@@ -232,7 +257,8 @@ def test_stacked_evaluate_is_bitwise_per_point_evaluate(case):
     p, stack = case
     got = p.evaluate(stack)
     assert got.shape == (len(stack),)
-    assert got.tobytes() == np.array([p.evaluate(row) for row in stack]).tobytes()
+    assert got.tobytes() == np.array([evaluate_reference(p, row) for row in stack]).tobytes()
+    assert [p.evaluate(row) for row in stack] == got.tolist()
 
 
 @pytest.mark.parametrize("m", [4, 6, 8])
@@ -248,16 +274,73 @@ def test_stacked_evaluate_keeps_the_term_order(m):
         p = p * (form + Polynomial.constant(m, 1))
     assert len(p.terms) >= 70
     stack = rng.standard_normal((8, m))
-    assert p.evaluate(stack).tobytes() == np.array([p.evaluate(row) for row in stack]).tobytes()
+    reference = np.array([evaluate_reference(p, row) for row in stack])
+    assert p.evaluate(stack).tobytes() == reference.tobytes()
 
 
 def test_stacked_evaluate_rejects_the_wrong_width():
     p = var(0) * var(1)
     with pytest.raises(ValueError) as single:
         p.evaluate(np.zeros(5))
-    with pytest.raises(ValueError) as stacked:
-        p.evaluate(np.zeros((3, 5)))
-    assert str(stacked.value) == str(single.value)
+    for wrong in (np.zeros((3, 5)), [[0.0] * 5] * 2, [[0.0] * 5] * 4):
+        with pytest.raises(ValueError) as stacked:
+            p.evaluate(wrong)
+        assert str(stacked.value) == str(single.value)
+    # a point is a row, never a block of rows
+    for wrong in (np.zeros((4, 4, 4)), [[[0.0] * 4] * 4] * 4, np.float64(1.0)):
+        with pytest.raises(ValueError, match=r"points of shape \(.*\) for a polynomial in 4"):
+            p.evaluate(wrong)
+    # nested lists are stacks like arrays: 2 and 4 rows of width 4
+    for rows in ([[1.0, 2.0, 0.0, 0.0]] * 2, [[1.0, 2.0, 0.0, 0.0]] * 4):
+        assert p.evaluate(rows).tolist() == [2.0] * len(rows)
+
+
+def _evaluation_polys(num_vars):
+    exps = st.tuples(*[st.integers(0, 12)] * num_vars)
+    coefs = st.builds(Fraction, st.integers(-50, 50), st.integers(1, 9))
+    return st.one_of(
+        st.just(Polynomial(num_vars)),
+        coefs.map(lambda c: Polynomial.constant(num_vars, c)),
+        st.dictionaries(exps, coefs, max_size=10).map(lambda t: Polynomial(num_vars, t)),
+    )
+
+
+_COORDS = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.sampled_from([0.0, -0.0, 1e-30, -1e-30, 1e30, -1e30, 1e154, -1e300]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_evaluate_many_is_bitwise_the_one_point_loop(data):
+    num_vars = data.draw(st.integers(1, 6))
+    polys = data.draw(st.lists(_evaluation_polys(num_vars), min_size=1, max_size=6))
+    row = st.lists(_COORDS, min_size=num_vars, max_size=num_vars)
+    stacked = data.draw(st.booleans())
+    if stacked:
+        points = data.draw(st.lists(row, min_size=1, max_size=8))
+    else:
+        points = data.draw(row)
+    rows = np.array(points, dtype=float).reshape(-1, num_vars)
+    with np.errstate(all="ignore"):  # large coordinates overflow to inf, as the loop's do
+        want = np.array([[evaluate_reference(p, x) for p in polys] for x in rows])
+    want = want if stacked else want[0]
+    for given_as in (points, np.array(points)):
+        got = evaluate_many(polys, given_as)
+        assert got.shape == want.shape and got.dtype == np.float64
+        assert got.flags.c_contiguous
+        assert got.tobytes() == want.tobytes()
+        # each polynomial's values do not depend on its company
+        for j, p in enumerate(polys):
+            alone = evaluate_many([p], given_as)
+            assert alone.tobytes() == np.ascontiguousarray(got[..., j : j + 1]).tobytes()
+            value = p.evaluate(given_as)
+            if stacked:
+                assert value.flags.c_contiguous and value.tobytes() == got[:, j].tobytes()
+            else:
+                assert type(value) is float
+                assert struct.pack("<d", value) == struct.pack("<d", got[j])
 
 
 def test_directional_derivative_product_rule():
@@ -922,7 +1005,7 @@ def test_packed_polynomial_matches_reference(pair, k, c, data):
     for x in (point, np.array(point)):
         for poly, ref in ((prod, rprod), (p - q, rp - rq), (q, rq)):
             value, expected = poly.evaluate(x), ref.evaluate(x)
-            assert type(value) is type(expected)
+            assert type(value) is float
             assert struct.pack("<d", value) == struct.pack("<d", expected)  # bit for bit
     exact = data.draw(st.lists(rational_coefficients, min_size=num_vars, max_size=num_vars))
     assert prod.evaluate_exact(exact) == rprod.evaluate_exact(exact)

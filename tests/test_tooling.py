@@ -2,7 +2,8 @@
 exact kernel, its workloads still give the recorded verdicts, the saved
 benchmark results are whole, the library runs without importing scipy,
 and the suites call only public calculus functions, each pointwise one
-once per field."""
+once per field, and the float kernel a number of times that does not
+grow with the points."""
 
 import ast
 import importlib
@@ -212,3 +213,35 @@ def test_suites_call_each_pointwise_evaluator_once_per_field(monkeypatch):
     counts.clear()
     assert B.check_bound(2, 2, num_samples=100).all_kernel_entries_satisfy
     assert counts == {"curvature_sphere": 1} and frames == [100]
+
+
+def test_float_kernel_calls_do_not_scale_with_points(monkeypatch):
+    # Every float evaluation of a polynomial goes through evaluate_many,
+    # once per field and stack: doubling or quadrupling the points leaves
+    # the number of calls as it was.  A per-point loop would scale it.
+    kernel = polynomials.evaluate_many
+    calls = []
+
+    def counted(polys, points):
+        calls.append(1)
+        return kernel(polys, points)
+
+    holders = [
+        m for m in list(sys.modules.values())
+        if m and m.__name__.startswith("crsphere") and getattr(m, "evaluate_many", None) is kernel
+    ]
+    assert {m.__name__ for m in holders} >= {"crsphere.polynomials", "crsphere.calculus"}
+    for module in holders:
+        monkeypatch.setattr(module, "evaluate_many", counted)
+
+    def kernel_calls(**kw):
+        calls.clear()
+        assert run_suite(Config(**kw)).passed
+        return len(calls)
+
+    # the same pool of 4 fields at 8 and 16 trials
+    for suite in ("lemmas", "bochner"):
+        few, many = (kernel_calls(suite=suite, n=1, trials=t) for t in (8, 16))
+        assert few == many > 0, suite
+    few, many = (kernel_calls(suite="s3", reach_samples=r) for r in (8, 32))
+    assert few == many > 0
