@@ -48,7 +48,9 @@ from .sphere import (
     HorizontalFrame,
     SpherePoint,
     TangentVector,
-    _check_horizontal,
+    _check_tangent,
+    _point_coords,
+    _vec_at,
     horizontal_frame,
     times_i,
 )
@@ -244,7 +246,7 @@ class ScalarField:
 
     def value(self, p):
         """f at p: a SpherePoint, a sequence of them, or a PointJet."""
-        return self.poly.evaluate(_coords(p))
+        return self.poly.evaluate(_point_coords(p))
 
     @cached_property
     def grad_polys(self):
@@ -310,8 +312,9 @@ class ScalarField:
 
 
 def reeb_derivative(f, p):
-    """f0 = T(f), exact polynomial evaluated at p."""
-    return f.t0_poly.evaluate(p)
+    """f0 = T(f), exact polynomial evaluated at p: a SpherePoint, a
+    sequence of them, or a PointJet."""
+    return f.t0_poly.evaluate(_point_coords(p))
 
 
 def horizontal_gradient(f, p):
@@ -326,7 +329,7 @@ def sublaplacian_greenleaf(f, p):
     p is a SpherePoint, a sequence of them, or a PointJet; a stack is
     evaluated at once, each value bit-identical to its point alone.
     """
-    return f.sublaplacian_poly.evaluate(_coords(p))
+    return f.sublaplacian_poly.evaluate(_point_coords(p))
 
 
 # ----------------------------------------------------------------------
@@ -397,18 +400,15 @@ def _ext_deriv(q, u, v):
     )
 
 
-def _coords(p):
-    """The coordinates of a SpherePoint or PointJet, or the rows of a sequence of points."""
-    return p.coords if hasattr(p, "coords") else np.array([pt.coords for pt in p])
-
-
 def _directions(q, *vectors):
-    """Direction arguments as float arrays shaped like q: one row per point."""
+    """Direction arguments as float arrays shaped like q, one row per point,
+    each row finite, tangent and horizontal at its point to ARG_TOL."""
     out = []
     for v in vectors:
         v = np.asarray(getattr(v, "vec", v), dtype=float)
         if v.shape != q.shape:
             raise ValueError("directions of shape %s at points of shape %s" % (v.shape, q.shape))
+        _check_tangent(q, v, ARG_TOL, "direction", horizontal=True)
         out.append(v)
     return out
 
@@ -416,13 +416,14 @@ def _directions(q, *vectors):
 def tanaka_webster_derivative(p, X, Y):
     """Covariant derivative nabla_X Y at p of a polynomial field Y.
 
-    X is a tangent vector at p; Y must take tangent values near p.
+    X is a tangent vector at p, not necessarily horizontal (a Lie bracket
+    of horizontal fields has a Reeb part); Y must take tangent values
+    near p.
     """
     q = p.coords
-    x = X.vec if isinstance(X, TangentVector) else np.asarray(X, dtype=float)
+    x = _vec_at(p, X, "direction")
     y_at = Y.at(q)
-    if not abs(float(y_at @ q)) <= FIELD_TANGENCY_TOL * max(1.0, float(np.linalg.norm(y_at))):
-        raise ValueError("field is not tangent at the evaluation point")
+    _check_tangent(q, y_at, FIELD_TANGENCY_TOL, "field", horizontal=False)
     return TangentVector(p, _cov_deriv_pointwise(q, x, y_at, Y.jacobian_at(q) @ x))
 
 
@@ -590,7 +591,7 @@ class PointJet:
     """
 
     def __init__(self, field, point, frame, grad, hess, t0):
-        coords = _coords(point)
+        coords = _point_coords(point)
         rows = _adapted_rows(coords, frame.matrix())
         for a in (coords, rows, grad, hess, t0):
             if isinstance(a, np.ndarray):
@@ -636,11 +637,9 @@ def point_jet(f, p):
     The flat jet and T0 f of all the points are evaluated together, and
     the frames of a sequence are built and validated as one stack.
     """
+    q = _point_coords(p)
     if not isinstance(p, SpherePoint):
         p = tuple(p)
-        if not p:
-            raise ValueError("a PointJet needs at least one point")
-    q = _coords(p)
     grad, hess = _grad_hess(f, q)
     return PointJet(f, p, horizontal_frame(p), grad, hess, f.t0_poly.evaluate(q))
 
@@ -689,7 +688,7 @@ def connection_axiom_residuals(p, x, y, z):
     connection.  For a sequence of K points x, y, z are (K, m) rows,
     and each residual is an array of K values.
     """
-    q = _coords(p)
+    q = _point_coords(p)
     x, y, z = _directions(q, x, y, z)
     t = times_i(q)
     y_at, z_at = _pi_h_vec(q, y), _pi_h_vec(q, z)
@@ -769,11 +768,7 @@ def ricci(p, X):
     tangent and horizontal at its point (to ARG_TOL), or ValueError is
     raised.  Returns a float, or an array of K values.
     """
-    x = np.asarray(getattr(X, "vec", X), dtype=float)
-    q = _coords(p)
-    if x.shape != q.shape:
-        raise ValueError("Ricci arguments of shape %s at points of shape %s" % (x.shape, q.shape))
-    _check_horizontal(q, x, ARG_TOL, "Ricci argument")
+    (x,) = _directions(_point_coords(p), X)
     return _ricci_trace(p, horizontal_frame(p).matrix(), x)
 
 
@@ -845,7 +840,7 @@ def bochner_lhs(f, p):
     stack the exact polynomial is evaluated once; each value is
     bit-identical to evaluating it at that point alone.
     """
-    return 0.5 * f.bochner_lhs_poly.evaluate(_coords(p))
+    return 0.5 * f.bochner_lhs_poly.evaluate(_point_coords(p))
 
 
 def bochner_residual(f, p):

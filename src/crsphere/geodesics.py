@@ -58,7 +58,16 @@ import numpy as np
 
 from .calculus import ScalarField, _rationalize
 from .polynomials import Polynomial, evaluate_many
-from .sphere import ARG_TOL, SpherePoint, TangentVector, _finite, horizontal_frame, times_i
+from .sphere import (
+    ARG_TOL,
+    SpherePoint,
+    TangentVector,
+    _finite,
+    _point_coords,
+    _vec_at,
+    horizontal_frame,
+    times_i,
+)
 
 MAX_STEP = 1e-2
 
@@ -144,14 +153,12 @@ class GeodesicTrace:
 
 def _great_circle_direction(x0, v):
     """v as a float array, or ValueError unless it is a unit horizontal
-    direction at x0 to ARG_TOL (guards written so that a NaN fails them)."""
+    direction at x0 to ARG_TOL.  The unit guard runs first and is
+    written so that a NaN fails it."""
     vec = v.vec if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
     if not abs(np.linalg.norm(vec) - 1.0) <= ARG_TOL:
         raise ValueError("great_circle expects a unit direction")
-    q = x0.coords
-    if not (abs(float(q @ vec)) <= ARG_TOL and abs(float(times_i(q) @ vec)) <= ARG_TOL):
-        raise ValueError("great_circle expects a horizontal direction")
-    return vec
+    return _vec_at(x0, v, "great_circle direction", horizontal=True)
 
 
 def great_circle(x0, v, s):
@@ -270,7 +277,7 @@ def closed_form_geodesic(x0, v, b, s):
     Returns (points, velocities) sampled at the parameter values s;
     exact up to floating point, stays on the sphere identically.
     """
-    q = x0.coords if isinstance(x0, SpherePoint) else np.asarray(x0, dtype=float)
+    q = x0.coords
     vec = v.vec if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
     s = np.atleast_1d(np.asarray(s, dtype=float))
     root = math.sqrt(1.0 + b * b)
@@ -410,7 +417,7 @@ def cotangent_lift(p, v, reeb_component=1.0):
     """
     if not math.isfinite(reeb_component):
         raise ValueError("the Reeb component must be finite, got %r" % (reeb_component,))
-    vec = v.vec if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
+    vec = _vec_at(p, v, "cotangent_lift direction", horizontal=True)
     q = p.coords
     m_amb = vec + float(reeb_component) * times_i(q)
     charts = _charts(p.n)
@@ -542,9 +549,7 @@ def integrate_hj_geodesic(init, t_max, step):
 
 
 def riemannian_distance(x, y):
-    qx = x.coords if isinstance(x, SpherePoint) else np.asarray(x, dtype=float)
-    qy = y.coords if isinstance(y, SpherePoint) else np.asarray(y, dtype=float)
-    return float(np.arccos(np.clip(qx @ qy, -1.0, 1.0)))
+    return float(np.arccos(np.clip(x.coords @ y.coords, -1.0, 1.0)))
 
 
 SCAN_T0 = 1e-4  # first length of the scan grid
@@ -954,17 +959,17 @@ def s3_profile_field(a, b):
 class ReachSample:
     point: SpherePoint
     set_residual: float
-    resolved_order: str  # which reading of the target tuple matched
     f_value: float
     grad_norm: float
     hess_tt: float
 
 
-def _set_residual(pt, a, b):
-    """Distance of a point from the parametrized target set, both readings.
+def reach_set_residual(pt, a, b):
+    """Distance of a point's coordinates from the parametrized target circle.
 
-    Interleaved reading: tuple slots are (x1, y1, x2, y2); literal
-    reading: slots follow the storage layout (x1, x2, y1, y2).
+    The circle's tuple has the interleaved slots (x1, y1, x2, y2); in the
+    storage layout (x1, x2, y1, y2) its points satisfy x2 = -c x1,
+    y2 = -c y1 and x1^2 + y1^2 = r^2.
 
     A plane residual |w + c u| is divided by max(1, |c|).  That keeps it
     at least the Euclidean distance |w + c u| / sqrt(1 + c^2) to the
@@ -976,17 +981,10 @@ def _set_residual(pt, a, b):
     scale = max(1.0, abs(c))
     radius_sq = minus / (2.0 * alpha)
     x1, x2, y1, y2 = pt
-    interleaved = max(
+    return max(
         abs(x2 + c * x1) / scale, abs(y2 + c * y1) / scale,
         abs(x1 * x1 + y1 * y1 - radius_sq),
     )
-    literal = max(
-        abs(y1 + c * x1) / scale, abs(y2 + c * x2) / scale,
-        abs(x1 * x1 + x2 * x2 - radius_sq),
-    )
-    if interleaved <= literal:
-        return interleaved, "interleaved"
-    return literal, "literal"
 
 
 def reach_set_half_pi(a, b, num_samples=64, psi=0.0):
@@ -1007,17 +1005,15 @@ def reach_set_half_pi(a, b, num_samples=64, psi=0.0):
     points = [great_circle(x0, np.cos(phi) * mat[0] + np.sin(phi) * mat[1], np.pi / 2.0)
               for phi in phis]
     # f's gradient, f and T^2 f at every reached point, in one evaluation
-    values = evaluate_many([*f.grad_polys, f.poly, f.t0t0_poly], [pt.coords for pt in points])
+    values = evaluate_many([*f.grad_polys, f.poly, f.t0t0_poly], _point_coords(points))
     grads = np.ascontiguousarray(values[:, :-2])
     samples = []
     for pt, grad, (f_value, hess_tt) in zip(points, grads, values[:, -2:]):
-        resid, order = _set_residual(pt.coords, a, b)
         grad_t = grad - float(grad @ pt.coords) * pt.coords
         samples.append(
             ReachSample(
                 point=pt,
-                set_residual=resid,
-                resolved_order=order,
+                set_residual=reach_set_residual(pt.coords, a, b),
                 f_value=f_value,
                 grad_norm=float(np.linalg.norm(grad_t)),
                 hess_tt=hess_tt,

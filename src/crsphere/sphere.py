@@ -59,19 +59,21 @@ def _check_points(coords, n, stack):
         raise ValueError("point is not on the unit sphere")
 
 
-def _check_horizontal(q, v, tol, what):
-    """Raise ValueError unless each row of v is finite, tangent and
-    horizontal at its row of q (rows broadcast against the points).
+def _check_tangent(q, v, tol, what, horizontal):
+    """Raise ValueError unless each row of v is finite and tangent at its
+    row of q, and also horizontal there when `horizontal` is set (rows
+    broadcast against the points).
 
     Each row is held to tol times max(1, its length), as a single
-    TangentVector is.
+    TangentVector is.  This is the one tangency and horizontality check
+    of the library; each caller passes its own tolerance.
     """
     _finite(v, what)
     scale = tol * np.maximum(1.0, _norms(v))
+    if horizontal and not np.all(np.abs(np.vecdot(v, times_i(q))) <= scale):
+        raise ValueError("%s has a Reeb component: not horizontal" % what)
     if not np.all(np.abs(np.vecdot(v, q)) <= scale):
         raise ValueError("%s is not tangent to the sphere at its point" % what)
-    if not np.all(np.abs(np.vecdot(v, times_i(q))) <= scale):
-        raise ValueError("%s has a Reeb component: not horizontal" % what)
 
 
 def times_i(v):
@@ -144,14 +146,7 @@ class TangentVector:
         object.__setattr__(self, "vec", vec)
         if vec.shape != self.base.coords.shape:
             raise ValueError("vector dimension does not match the base point")
-        _finite(vec, "tangent vector")
-        scale = max(1.0, float(np.linalg.norm(vec)))
-        if not abs(float(vec @ self.base.coords)) <= TYPE_TOL * scale:
-            raise ValueError("vector is not tangent to the sphere at its base")
-        if self.horizontal:
-            theta = float(self.base.reeb_coords() @ vec)
-            if not abs(theta) <= TYPE_TOL * scale:
-                raise ValueError("vector flagged horizontal has a Reeb component")
+        _check_tangent(self.base.coords, vec, TYPE_TOL, "tangent vector", self.horizontal)
 
     @property
     def norm(self):
@@ -164,17 +159,41 @@ class TangentVector:
         )
 
 
-def _vec_at(p, v, tol=ARG_TOL, what="vector"):
-    """Unwrap a TangentVector or validate a raw array as tangent at p."""
+def _point_coords(p):
+    """The coordinates of a SpherePoint or a PointJet, or the (K, m) rows
+    of a nonempty sequence of SpherePoints.
+
+    This is the one reader of point arguments; any other input, a raw
+    coordinate array included, raises ValueError.
+    """
+    coords = getattr(p, "coords", None)  # a SpherePoint, or a PointJet of one or K points
+    if isinstance(coords, np.ndarray):
+        return coords
+    if isinstance(p, (list, tuple)) and p and all(isinstance(pt, SpherePoint) for pt in p):
+        return np.array([pt.coords for pt in p])
+    raise ValueError(
+        "expected a SpherePoint, a PointJet or a nonempty sequence of SpherePoints, got %s"
+        % type(p).__name__
+    )
+
+
+def _vec_at(p, v, what="vector", horizontal=False):
+    """A direction at p as a float array: a TangentVector at p unwrapped,
+    or a raw array checked by the guard at ARG_TOL.
+
+    With `horizontal` set, the direction must also be horizontal; a
+    TangentVector flagged horizontal was checked when it was made.
+    """
     if isinstance(v, TangentVector):
         if v.base is not p and not np.array_equal(v.base.coords, p.coords):
             raise ValueError("tangent vector attached to a different base point")
-        return v.vec
+        if v.horizontal or not horizontal:
+            return v.vec
+        v = v.vec
     v = np.asarray(v, dtype=float)
-    _finite(v, what)
-    scale = max(1.0, float(np.linalg.norm(v)))
-    if not abs(float(v @ p.coords)) <= tol * scale:
-        raise ValueError("%s is not tangent at the given point" % what)
+    if v.shape != p.coords.shape:
+        raise ValueError("%s of shape %s at a point of shape %s" % (what, v.shape, p.coords.shape))
+    _check_tangent(p.coords, v, ARG_TOL, what, horizontal)
     return v
 
 
@@ -198,20 +217,14 @@ def horizontal_project(p, v):
 
 def complex_structure(p, X):
     """J X = i X for horizontal X; defined on the horizontal space only."""
-    vec = _vec_at(p, X)
-    if not abs(float(p.reeb_coords() @ vec)) <= ARG_TOL * max(1.0, float(np.linalg.norm(vec))):
-        raise ValueError("J is defined on horizontal vectors only")
+    vec = _vec_at(p, X, "J argument", horizontal=True)
     return TangentVector(p, times_i(vec), horizontal=True)
 
 
 def levi_form(p, X, Y):
     """Positive form on the horizontal space; Euclidean under our gauge."""
-    xv = _vec_at(p, X)
-    yv = _vec_at(p, Y)
-    t = p.reeb_coords()
-    for v in (xv, yv):
-        if not abs(float(t @ v)) <= ARG_TOL * max(1.0, float(np.linalg.norm(v))):
-            raise ValueError("Levi form takes horizontal arguments")
+    xv = _vec_at(p, X, "Levi form argument", horizontal=True)
+    yv = _vec_at(p, Y, "Levi form argument", horizontal=True)
     return float(xv @ yv)
 
 
@@ -247,29 +260,21 @@ class HorizontalFrame:
     rows: np.ndarray
 
     def __post_init__(self):
-        if isinstance(self.base, SpherePoint):
-            n, q = self.base.n, self.base.coords
-        else:
+        if not isinstance(self.base, SpherePoint):
             object.__setattr__(self, "base", tuple(self.base))
-            n, q = self.base[0].n, np.array([pt.coords for pt in self.base])
+        q = _point_coords(self.base)
+        n = q.shape[-1] // 2 - 1
         rows = self.rows
         if not isinstance(rows, np.ndarray):
             rows = [getattr(v, "vec", v) for v in rows]
         mat = np.array(rows, dtype=float)
         if mat.shape != q.shape[:-1] + (2 * n, 2 * n + 2):
             raise ValueError("frame must have 2n vectors of the ambient dimension")
-        _finite(mat, "frame")
         mat.flags.writeable = False
         object.__setattr__(self, "rows", mat)
+        _check_tangent(q[..., None, :], mat, TYPE_TOL, "frame vector", horizontal=True)
         # Each check passes only when its largest residual is <= the
-        # tolerance, which a NaN residual never is.  A frame that passes
-        # has rows of length 1 to within FRAME_TOL, so TYPE_TOL needs no
-        # scaling by the row length here.
-        q = q[..., None, :]
-        if not np.abs(np.vecdot(mat, times_i(q))).max() <= TYPE_TOL:
-            raise ValueError("frame vector has a Reeb component: not horizontal")
-        if not np.abs(np.vecdot(mat, q)).max() <= TYPE_TOL:
-            raise ValueError("frame vector is not tangent to the sphere at its base")
+        # tolerance, which a NaN residual never is.
         if not np.abs(mat @ np.swapaxes(mat, -1, -2) - np.eye(2 * n)).max() <= FRAME_TOL:
             raise ValueError("frame is not Levi-orthonormal")
         if not np.abs(times_i(mat[..., :n, :]) - mat[..., n:, :]).max() <= FRAME_TOL:
@@ -307,10 +312,8 @@ def horizontal_frame(p):
     """
     single = isinstance(p, SpherePoint)
     points = (p,) if single else tuple(p)
-    if not points:
-        raise ValueError("a frame needs at least one point")
+    q = _point_coords(points)
     n = points[0].n
-    q = np.array([pt.coords for pt in points])
     _check_points(q, n, q.shape[:1])
     rows = _gram_schmidt_rows(q, n)
     return HorizontalFrame(p, rows[0]) if single else HorizontalFrame(points, rows)
@@ -414,24 +417,22 @@ def random_point(rng, n, count=None, slots=0):
     w = w / _norms(w)[..., None]
     if not np.all(np.abs(_norms(w) - 1.0) <= UNIT_TOL):
         raise ValueError("horizontal vector is not of unit length")
-    _check_horizontal(q, w, TYPE_TOL, "horizontal vector")
+    _check_tangent(q, w, TYPE_TOL, "horizontal vector", horizontal=True)
     return points, w
 
 
-def random_horizontal(rng, p, unit=True):
+def random_horizontal(rng, p):
     q = p.coords
     t = times_i(q)
     w = rng.standard_normal(p.dim)
     w = w - (q @ w) * q - (t @ w) * t
-    if unit:
-        w = w / np.linalg.norm(w)
+    w = w / np.linalg.norm(w)
     return TangentVector(p, w, horizontal=True)
 
 
-def random_tangent(rng, p, unit=True):
+def random_tangent(rng, p):
     q = p.coords
     w = rng.standard_normal(p.dim)
     w = w - (q @ w) * q
-    if unit:
-        w = w / np.linalg.norm(w)
+    w = w / np.linalg.norm(w)
     return TangentVector(p, w)

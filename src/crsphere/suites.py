@@ -545,13 +545,12 @@ def _suite_s3(cfg):
         "points reached at s = pi/2 lie on the target circle of degenerate critical points",
         "reach set",
         {"a": a, "b": b, "samples": cfg.reach_samples, "set_residual": worst_set,
-         "value_residual": worst_val, "gradient_norm": worst_grad, "reeb_hessian": worst_tt,
-         "orders": sorted({s.resolved_order for s in samples})},
+         "value_residual": worst_val, "gradient_norm": worst_grad, "reeb_hessian": worst_tt},
         _worst(worst_set, worst_val, worst_grad, worst_tt),
         status=worst_set < cfg.tol and strict))
 
     reached = G.exp_map(x0, frame.matrix()[0] * (np.pi / 2))
-    resid, _ = G._set_residual(reached.coords, a, b)
+    resid = G.reach_set_residual(reached.coords, a, b)
     budget = G.ShootingBudget()
     res_cc = G.cc_distance(x0, reached, budget)
     excess = res_cc.estimate - np.pi / 2

@@ -9,7 +9,7 @@ from numpy.testing import assert_allclose
 
 from crsphere import calculus as C
 from crsphere import sphere
-from crsphere.geodesics import Chart
+from crsphere.geodesics import Chart, cotangent_lift
 from crsphere.polynomials import Polynomial, sphere_integral
 from crsphere.sphere import (
     SpherePoint,
@@ -999,6 +999,8 @@ def test_jet_route_is_bitwise_the_point_route(n, rng):
     lhs = C.bochner_lhs(f, points)
     per_point = [0.5 * f.bochner_lhs_poly.evaluate(p) for p in points]
     assert lhs.tobytes() == np.array(per_point).tobytes()
+    reeb = C.reeb_derivative(f, points)
+    assert reeb.tobytes() == np.array([C.reeb_derivative(f, p) for p in points]).tobytes()
     for p, left in zip(points, lhs):
         jet, one = C.point_jet(f, p), C.point_jet(f, [p])
         x, y, z = (random_horizontal(rng, p).vec for _ in range(3))
@@ -1013,7 +1015,7 @@ def test_jet_route_is_bitwise_the_point_route(n, rng):
         assert C.hessian_form(f, one)(u[None], v[None])[0] == C.hessian_form(f, p)(u, v)
         assert left == C.bochner_lhs(f, p) == C.bochner_lhs(f, jet)
         for evaluator in (C.sublaplacian_frame, C.sublaplacian_greenleaf, C.bochner_residual,
-                          C.lemma1_residual, C.bochner_lhs):
+                          C.lemma1_residual, C.bochner_lhs, C.reeb_derivative):
             stacked = evaluator(f, one)
             assert stacked.shape == (1,)
             assert evaluator(f, jet) == evaluator(f, p) == stacked[0]
@@ -1023,9 +1025,30 @@ def test_jet_route_is_bitwise_the_point_route(n, rng):
         assert third(f, jet, x, y) == third(f, p, x, y) == third(f, one, x[None], y[None])[0]
         axioms = C.connection_axiom_residuals([p], x[None], y[None], z[None])
         assert C.connection_axiom_residuals(p, x, y, z) == tuple(r[0] for r in axioms)
-    for empty in (C.point_jet, C.bochner_lhs):
-        with pytest.raises(ValueError):
-            empty(f, [])
+    # an empty sequence or a raw coordinate array is not a point
+    for evaluator in (C.point_jet, C.bochner_lhs, C.sublaplacian_greenleaf, C.reeb_derivative,
+                      C.ScalarField.value):
+        for bad in ([], points[0].coords.copy()):
+            with pytest.raises(ValueError, match="SpherePoint"):
+                evaluator(f, bad)
+
+
+@pytest.mark.parametrize("call, off", [
+    (lambda f, p, x, d: C.third_commutation_residual(f, p, d, x), "reeb"),
+    (lambda f, p, x, d: C.connection_axiom_residuals(p, x, d, x), "reeb"),
+    (lambda f, p, x, d: C.tanaka_webster_derivative(p, d, C.VectorFieldPoly.reeb(1)), "normal"),
+    (lambda f, p, x, d: cotangent_lift(p, d), "reeb"),
+], ids=["third_commutation_residual", "connection_axiom_residuals",
+        "tanaka_webster_derivative", "cotangent_lift"])
+def test_direction_arguments_are_checked(call, off, rng, s3_fields):
+    # the formulas evaluate at any vector, so only the guard turns a Reeb
+    # direction into an error (cotangent_lift would pair it with T to 2);
+    # tanaka_webster_derivative takes any tangent direction, so it gets the normal
+    p = random_point(rng, 1)
+    x = random_horizontal(rng, p).vec
+    d = p.reeb_coords() if off == "reeb" else p.coords.copy()
+    with pytest.raises(ValueError, match="not horizontal" if off == "reeb" else "not tangent"):
+        call(s3_fields[0], p, x, d)
 
 
 def test_stacked_directions_must_match_the_points(rng):

@@ -1411,6 +1411,17 @@ def test_reach_set_zero_a_matches_displayed_circle():
         assert abs(x1 * x1 + y1 * y1 - 0.5) < 1e-9
 
 
+def test_reach_set_residual_reads_only_the_displayed_circle():
+    # (r, 0, -c r, 0) is a unit point of the circle that the displayed
+    # slots give when read in storage order (x1, x2, y1, y2); it lies
+    # about 1.02 from the target circle
+    a, b = 0.7, 1.1
+    alpha, minus, _ = G._alpha_parts(a, b)
+    c, r = b / minus, math.sqrt(minus / (2.0 * alpha))
+    point = SpherePoint(np.array([r, 0.0, -c * r, 0.0]), 1)
+    assert G.reach_set_residual(point.coords, a, b) > 0.5
+
+
 # ---------------------------------------------------------------------------
 # Trace export.
 # ---------------------------------------------------------------------------

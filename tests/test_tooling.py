@@ -155,20 +155,19 @@ def test_library_does_not_import_scipy():
 
 def test_suites_call_only_public_calculus_names():
     # The tracer wraps public functions only: a suite that reached into a
-    # private calculus helper would run pointwise work that no per-layer
-    # metric sees.
+    # private library helper would run work that no per-layer metric sees.
     tree = ast.parse((ROOT / "src" / "crsphere" / "suites.py").read_text())
     aliases = {
         alias.asname or alias.name
         for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-        for alias in node.names if alias.name == "calculus"
+        for alias in node.names if alias.name in ("bounds", "calculus", "geodesics")
     }
-    assert aliases == {"C"}
+    assert aliases == {"B", "C", "G"}
     private = sorted(
-        "C.%s (line %d)" % (node.attr, node.lineno)
+        "%s.%s (line %d)" % (node.value.id, node.attr, node.lineno)
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
-        and node.value.id == "C" and node.attr.startswith("_")
+        and node.value.id in aliases and node.attr.startswith("_")
     )
     assert private == []
 
