@@ -281,29 +281,6 @@ class ScalarField:
         return self.sublaplacian_poly.gradient()
 
     @cached_property
-    def grad_h_sq_poly(self):
-        """|grad_H f|^2 as a restriction to the sphere.
-
-        On the sphere q and iq are orthonormal, q . grad f is the Euler
-        sum R = sum_d d f_d over the homogeneous pieces f_d of f, and
-        iq . grad f is T0 f, so there
-
-            |pi_H grad f|^2 = |grad f|^2 - R^2 - (T0 f)^2.
-
-        As ambient polynomials the two sides differ by
-        (R^2 + (T0 f)^2)(|q|^2 - 1); only the restriction is meaningful.
-        """
-        radial = _euler(self.poly)
-        out = Polynomial(2 * self.n + 2)
-        for g in self.grad_polys:
-            out = out + g * g
-        return out - radial * radial - self.t0_poly * self.t0_poly
-
-    @cached_property
-    def bochner_lhs_poly(self):
-        return sublaplacian_polynomial(self.grad_h_sq_poly, self.n)
-
-    @cached_property
     def l_operator_poly(self):
         return _operator_l_polynomial(self)
 
@@ -836,11 +813,38 @@ def operator_l(f, p):
 def bochner_lhs(f, p):
     """(1/2) Delta_b |grad_H f|^2 at p, as a float, or at each point of a stack.
 
-    p is a SpherePoint, a sequence of them, or a PointJet.  Over a
-    stack the exact polynomial is evaluated once; each value is
-    bit-identical to evaluating it at that point alone.
+    p is a SpherePoint, a sequence of them, or a PointJet; f is read
+    only through its flat gradient G, Hessian H and third partials T3
+    there.  On the sphere |grad_H f|^2 is the ambient function
+    g = |G|^2 - R^2 - S^2 with R = q . G and S = t . G, t = iq, and for
+    any ambient g
+
+        Delta_b g = tr(P Hess g) - 2n q . grad g,  P = 1 - q q^T - t t^T.
+
+    The chain rule gives grad R = G + H q, grad S = H t - i G,
+    Hess R = 2H + T3 q and Hess S = T3 t + H I + (H I)^T, with I the
+    matrix of i.  No connection, frame or curvature enters, so the
+    Bochner residual still compares two independent computations.
     """
-    return 0.5 * f.bochner_lhs_poly.evaluate(_point_coords(p))
+    jet = _jet(f, p)
+    q, grad, hess = jet.coords, jet.grad, jet.hess
+    t = times_i(q)
+    r, s = np.vecdot(q, grad), np.vecdot(t, grad)
+    dr, ds = grad + np.matvec(hess, q), np.matvec(hess, t) - times_i(grad)
+    third_g, third_q, third_t = (np.matvec(jet.third, v[..., None, :]) for v in (grad, q, t))
+    hi = -times_i(hess)  # H I: times_i on the rows of H gives H I^T = -H I
+    hess_r, hess_s = 2.0 * hess + third_q, third_t + hi + np.swapaxes(hi, -1, -2)
+
+    def outer(v):
+        return v[..., :, None] * v[..., None, :]
+
+    half_grad_g = np.matvec(hess, grad) - r[..., None] * dr - s[..., None] * ds
+    half_hess_g = (
+        hess @ hess + third_g - outer(dr) - outer(ds)
+        - r[..., None, None] * hess_r - s[..., None, None] * hess_s
+    )
+    proj = np.eye(q.shape[-1]) - outer(q) - outer(t)
+    return np.sum(proj * half_hess_g, axis=(-2, -1)) - 2.0 * f.n * np.vecdot(q, half_grad_g)
 
 
 def bochner_residual(f, p):
@@ -850,8 +854,9 @@ def bochner_residual(f, p):
         - |pi_H Hess f|^2 - (grad_H f)(Delta_b f)
         - rho(grad_H f, grad_H f) - 2 L f
 
-    The left side is exact (`bochner_lhs`); the right side reads f
-    through its flat gradient and Hessian at p.
+    The left side (`bochner_lhs`) is Delta_b by its ambient formula on
+    the flat 3-jet; the right side is the Tanaka-Webster Hessian block,
+    rho and L, read from the flat gradient and Hessian at p.
     """
     jet = _jet(f, p)
     q, block = jet.coords, jet.block
@@ -942,21 +947,3 @@ def third_commutation_residual(f, p, X, Y):
     f00 = f.t0t0_poly.evaluate(jet.coords)
     return third_order[..., 0] - third_order[..., 1] - 2.0 * _omega_vec(jet.coords, x, y) * f00
 
-
-# ----------------------------------------------------------------------
-# Linear-algebra lemma used by the equality case.
-# ----------------------------------------------------------------------
-
-
-def trace_equality_gap(mat):
-    """m |A|^2 - trace(A)^2; zero exactly on multiples of the identity."""
-    mat = np.asarray(mat, dtype=float)
-    m = mat.shape[0]
-    return m * float(np.sum(mat * mat)) - float(np.trace(mat)) ** 2
-
-
-def reconstruct_from_trace(mat):
-    """(trace(A)/m) I, the matrix forced by a vanishing trace gap."""
-    mat = np.asarray(mat, dtype=float)
-    m = mat.shape[0]
-    return (np.trace(mat) / m) * np.eye(m)

@@ -62,7 +62,9 @@ from .sphere import (
     ARG_TOL,
     SpherePoint,
     TangentVector,
+    _check_tangent,
     _finite,
+    _norms,
     _point_coords,
     _vec_at,
     horizontal_frame,
@@ -1002,8 +1004,14 @@ def reach_set_half_pi(a, b, num_samples=64, psi=0.0):
     mat = frame.matrix()
     f = s3_profile_field(a, b)
     phis = np.linspace(0.0, 2 * np.pi, num_samples, endpoint=False)
-    points = [great_circle(x0, np.cos(phi) * mat[0] + np.sin(phi) * mat[1], np.pi / 2.0)
-              for phi in phis]
+    # great_circle at pi/2 along every direction cos(phi) X_1 + sin(phi) X_2:
+    # its guards run once over the stack, and the points are made as one
+    dirs = np.cos(phis)[:, None] * mat[0] + np.sin(phis)[:, None] * mat[1]
+    if not np.all(np.abs(_norms(dirs) - 1.0) <= ARG_TOL):
+        raise ValueError("great_circle expects a unit direction")
+    _check_tangent(x0.coords, dirs, ARG_TOL, "great_circle direction", horizontal=True)
+    out = x0.coords * np.cos(np.pi / 2.0) + dirs * np.sin(np.pi / 2.0)
+    points = SpherePoint.stack(out / _norms(out)[:, None], x0.n)
     # f's gradient, f and T^2 f at every reached point, in one evaluation
     values = evaluate_many([*f.grad_polys, f.poly, f.t0t0_poly], _point_coords(points))
     grads = np.ascontiguousarray(values[:, :-2])

@@ -319,12 +319,12 @@ def _count_point_reads(monkeypatch):
     """Count, over one suite run, the reads a point jet shares, per field.
 
     frame: horizontal_frame calls (one builds the frames of a whole
-    stack); jet: flat gradient-and-Hessian evaluations; t0, third, lhs:
-    float-kernel calls that evaluate a field's T0 f, its third partials
-    and its Bochner left side; block: HessianBlock constructions.
+    stack); jet: flat gradient-and-Hessian evaluations; t0, third:
+    float-kernel calls that evaluate a field's T0 f and its third
+    partials; block: HessianBlock constructions.
     counts["sizes"] lists how many third partials each third call took.
     """
-    counts = dict.fromkeys(("frame", "jet", "t0", "third", "lhs", "block"), 0)
+    counts = dict.fromkeys(("frame", "jet", "t0", "third", "block"), 0)
     sizes = []
     tagged = {}
 
@@ -341,7 +341,7 @@ def _count_point_reads(monkeypatch):
         prop.__set_name__(C.ScalarField, name)
         monkeypatch.setattr(C.ScalarField, name, prop)
 
-    for name, kind in (("t0_poly", "t0"), ("third_polys", "third"), ("bochner_lhs_poly", "lhs")):
+    for name, kind in (("t0_poly", "t0"), ("third_polys", "third")):
         tag(name, kind)
 
     def counted_kernel(polys, points, _kernel=polynomials.evaluate_many):
@@ -388,12 +388,56 @@ def test_lemmas_and_bochner_suites_build_no_vector_field(monkeypatch, n):
 
 
 def test_bochner_suite_reads_one_jet_and_one_block_per_point(monkeypatch):
-    counts, _ = _count_point_reads(monkeypatch)
+    counts, sizes = _count_point_reads(monkeypatch)
     _forbid_vector_fields(monkeypatch)
     assert run_suite(Config(suite="bochner", n=1, trials=8)).passed
     # 8 points over a pool of 4 fields, two each: one stacked frame, jet,
-    # left-side evaluation and Hessian block per field
-    assert counts == {"frame": 4, "jet": 4, "t0": 4, "third": 0, "lhs": 4, "block": 4}
+    # Hessian block and read of the 20 distinct third partials per field,
+    # which the left side takes in place of an exact polynomial
+    assert counts == {"frame": 4, "jet": 4, "t0": 4, "third": 4, "block": 4}
+    assert sizes == [20] * 4
+
+
+def _bochner_residual_check():
+    checks = {c.id: c for c in run_suite(Config(suite="bochner", n=1, trials=4)).checks}
+    return checks["bochner.residual"]
+
+
+def test_bochner_residual_catches_a_wrong_third_partial(monkeypatch):
+    # only the left side reads the third partials: one wrong off-diagonal
+    # entry must show in the residual
+    assert _bochner_residual_check().status
+    third = C.PointJet.third.func
+
+    def corrupted(jet):
+        out = np.array(third(jet))
+        out[..., 0, 1, 2] += 1.0
+        return out
+
+    prop = functools.cached_property(corrupted)
+    prop.__set_name__(C.PointJet, "third")
+    monkeypatch.setattr(C.PointJet, "third", prop)
+    assert not _bochner_residual_check().status
+
+
+def test_bochner_residual_catches_a_wrong_hessian_mirror(monkeypatch):
+    # the flat Hessian's lower triangle is a mirror of the evaluated upper
+    # one; a wrong mirror trips the Hessian block's exchange guard, and
+    # with that guard off it still fails the Bochner residual
+    grad_hess = C._grad_hess
+
+    def broken_mirror(f, q):
+        grad, hess = grad_hess(f, q)
+        hess = hess.copy()
+        lower = np.tril_indices(q.shape[-1], -1)
+        hess[..., lower[0], lower[1]] += 1.0
+        return grad, hess
+
+    monkeypatch.setattr(C, "_grad_hess", broken_mirror)
+    with pytest.raises(ValueError, match="antisymmetry"):
+        _bochner_residual_check()
+    monkeypatch.setattr(C, "EXCHANGE_TOL", math.inf)
+    assert not _bochner_residual_check().status
 
 
 @pytest.mark.parametrize("n, third", [(1, 20), (2, 56)])
@@ -407,7 +451,7 @@ def test_lemmas_suite_reads_one_jet_per_point(monkeypatch, n, third):
     assert run_suite(Config(suite="lemmas", n=n, trials=8)).passed
     # 8 points over a pool of 4 fields, two each: everything once per
     # field, the C(m + 2, 3) distinct third partials (m = 2n + 2) in one call
-    assert counts == {"frame": 4, "jet": 4, "t0": 4, "third": 4, "lhs": 0, "block": 4}
+    assert counts == {"frame": 4, "jet": 4, "t0": 4, "third": 4, "block": 4}
     assert sizes == [third] * 4
 
 

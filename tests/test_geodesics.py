@@ -1382,6 +1382,31 @@ def test_reach_set_is_degenerate_critical_circle(a, b):
         assert abs(s.hess_tt) < 1e-9
 
 
+@pytest.mark.parametrize("a,b,psi", [(0.0, 1.0, 0.0), (0.7, -1.1, 0.4)])
+def test_reach_set_points_are_the_great_circle_points(monkeypatch, a, b, psi):
+    # the reach set makes its points as one stack, guarded once: each is
+    # bitwise great_circle at pi/2 along its sampled direction
+    x0 = G.s3_max_point(a, b, psi)
+    mat = horizontal_frame(x0).matrix()
+    phis = np.linspace(0.0, 2 * np.pi, 24, endpoint=False)
+    expected = [G.great_circle(x0, np.cos(phi) * mat[0] + np.sin(phi) * mat[1], np.pi / 2).coords
+                for phi in phis]
+    calls = []
+
+    def guard(q, v, *args, _check=G._check_tangent, **kwargs):
+        calls.append(np.shape(v))
+        return _check(q, v, *args, **kwargs)
+
+    def forbidden(*args):
+        raise AssertionError("one great_circle call per sample")
+
+    monkeypatch.setattr(G, "_check_tangent", guard)
+    monkeypatch.setattr(G, "great_circle", forbidden)
+    samples = G.reach_set_half_pi(a, b, num_samples=24, psi=psi)
+    assert calls == [(24, 4)]
+    assert [s.point.coords.tobytes() for s in samples] == [e.tobytes() for e in expected]
+
+
 @pytest.mark.parametrize("a", [-1.5, -1.0, -0.3, 0.0, 0.3, 1.0, 1.5])
 def test_s3_suite_at_small_b(a):
     # alpha - a (a > 0) and alpha + a (a < 0) cancel as b -> 0, and at
