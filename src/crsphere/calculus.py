@@ -20,9 +20,14 @@ points, and returns a float for one point or a length-K array for a
 stack.  So checks at one point share its jet, and a suite evaluates
 each identity once over all the points of a field.  Either way
 the residuals of the identities verified here are limited only by the
-floating-point budget of the final evaluation.  Finite differences
-appear solely as independent oracles in the test suite; this holds for
-the whole library, the Hamilton-Jacobi field of `geodesics` included.
+floating-point budget of the final evaluation.  A field builds only
+its distinct flat partials: the second ones d_j d_i f for i <= j in
+`np.triu_indices` order, and the third ones d_k d_j d_i f for
+i <= j <= k in `itertools.combinations_with_replacement` order;
+`_symmetric_index` maps such a sorted list onto its symmetric tensor.
+Finite differences appear solely as independent oracles in the test
+suite; this holds for the whole library, the Hamilton-Jacobi field of
+`geodesics` included.
 
 The adapted connection used throughout is
 
@@ -38,7 +43,8 @@ vanishes (the spheres are torsion-free in the pseudohermitian sense).
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from itertools import combinations_with_replacement
 
 import numpy as np
 
@@ -254,11 +260,17 @@ class ScalarField:
 
     @cached_property
     def hess_polys(self):
-        return [g.gradient() for g in self.grad_polys]
+        """The distinct second partials d_j d_i f, i <= j, in `np.triu_indices` order."""
+        m = self.poly.num_vars
+        return [self.grad_polys[i].partial(j) for i, j in combinations_with_replacement(range(m), 2)]
 
     @cached_property
     def third_polys(self):
-        return [[h.gradient() for h in row] for row in self.hess_polys]
+        """The distinct third partials d_k d_j d_i f, i <= j <= k, in
+        `combinations_with_replacement` order, each taken of d_j d_i f."""
+        m = self.poly.num_vars
+        second, at = self.hess_polys, _symmetric_index(m, 2)
+        return [second[at[i, j]].partial(k) for i, j, k in combinations_with_replacement(range(m), 3)]
 
     @cached_property
     def t0_poly(self):
@@ -441,18 +453,27 @@ def divergence(p, V):
 # ----------------------------------------------------------------------
 
 
+@cache
+def _symmetric_index(m, order):
+    """Read-only (m,) * order array: entry (i, j, ...) of a symmetric tensor
+    in m variables is item index[i, j, ...] of its distinct entries, listed
+    for i <= j <= ... in `combinations_with_replacement` order."""
+    position = {c: k for k, c in enumerate(combinations_with_replacement(range(m), order))}
+    index = np.array([position[tuple(sorted(e))] for e in np.ndindex((m,) * order)])
+    index = index.reshape((m,) * order)
+    index.setflags(write=False)
+    return index
+
+
 def _grad_hess(f, q):
     """Flat gradient and Hessian of f's polynomial at q, or at each row of a stack q.
 
-    The Hessian is symmetric: its upper triangle is evaluated, with the
-    gradient, in one `evaluate_many` call and mirrored.
+    The gradient and the distinct second partials are evaluated in one
+    `evaluate_many` call; the symmetric Hessian gathers the latter.
     """
     m = q.shape[-1]
-    upper = np.triu_indices(m)
-    polys = f.grad_polys + [f.hess_polys[i][j] for i, j in zip(*upper)]
-    values = evaluate_many(polys, q)
-    hess = np.empty(q.shape[:-1] + (m, m))
-    hess[..., upper[0], upper[1]] = hess[..., upper[1], upper[0]] = values[..., m:]
+    values = evaluate_many(f.grad_polys + f.hess_polys, q)
+    hess = np.ascontiguousarray(values[..., m:][..., _symmetric_index(m, 2)])
     return np.ascontiguousarray(values[..., :m]), hess
 
 
@@ -585,15 +606,12 @@ class PointJet:
     def third(self):
         """Flat third partials d_i d_j d_k f.
 
-        They are symmetric in (i, j, k), so only i <= j <= k is
-        evaluated: C(m+2, 3) of the m^3 entries.
+        They are symmetric in (i, j, k), so only the field's C(m+2, 3)
+        distinct ones are evaluated and the m^3 entries gather them.
         """
         m = self.coords.shape[-1]
-        column = {}  # sorted (i, j, k) -> its column of values
-        where = [column.setdefault(tuple(sorted(ijk)), len(column)) for ijk in np.ndindex(m, m, m)]
-        polys = self.field.third_polys
-        values = evaluate_many([polys[i][j][k] for i, j, k in column], self.coords)
-        third = values[..., np.reshape(where, (m, m, m))]
+        values = evaluate_many(self.field.third_polys, self.coords)
+        third = values[..., _symmetric_index(m, 3)]
         third.setflags(write=False)
         return third
 

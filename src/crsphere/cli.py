@@ -12,6 +12,8 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -20,11 +22,15 @@ from .sphere import random_horizontal, random_point
 from .suites import Config, ConfigError, build_payload, config_from_file, run_suite
 
 
-def _add_common(sub):
-    sub.add_argument("--config", help="flat key = value config file")
-    sub.add_argument("--report", help="write the JSON payload to this path")
-    sub.add_argument("--csv-dir", help="directory for geodesic trace CSV exports")
-    sub.add_argument("--seed", type=int, help="random seed")
+# suite -> (help text, its config keys); each key is a --flag of its field's type
+_SUBCOMMANDS = {
+    "spectrum": ("sublaplacian spectrum fragments", ("n", "degree")),
+    "bochner": ("pointwise Bochner-type identity sweep", ("n", "trials", "tol")),
+    "lemmas": ("divergence, integrated and commutation lemmas", ("n", "trials", "tol")),
+    "geodesics": ("geodesic integrators and distance checks", ("n", "steps", "step_size")),
+    "bound": ("curvature floor and eigenvalue bound", ("n", "degree_max")),
+    "s3": ("equality-case phenomenology on S^3", ("a", "b")),
+}
 
 
 def build_parser():
@@ -33,61 +39,23 @@ def build_parser():
         description="verification suites for pseudohermitian geometry on the spheres",
     )
     sub = parser.add_subparsers(dest="suite", required=True)
-
-    p = sub.add_parser("spectrum", help="sublaplacian spectrum fragments")
-    p.add_argument("--n", type=int)
-    p.add_argument("--degree", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("bochner", help="pointwise Bochner-type identity sweep")
-    p.add_argument("--n", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--tol", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("lemmas", help="divergence, integrated and commutation lemmas")
-    p.add_argument("--n", type=int)
-    p.add_argument("--trials", type=int)
-    p.add_argument("--tol", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("geodesics", help="geodesic integrators and distance checks")
-    p.add_argument("--n", type=int)
-    p.add_argument("--steps", type=int)
-    p.add_argument("--step-size", dest="step_size", type=float)
-    _add_common(p)
-
-    p = sub.add_parser("bound", help="curvature floor and eigenvalue bound")
-    p.add_argument("--n", type=int)
-    p.add_argument("--degree-max", dest="degree_max", type=int)
-    _add_common(p)
-
-    p = sub.add_parser("s3", help="equality-case phenomenology on S^3")
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    _add_common(p)
-
+    types = get_type_hints(Config)
+    for suite, (help_text, keys) in _SUBCOMMANDS.items():
+        p = sub.add_parser(suite, help=help_text)
+        for key in keys:
+            p.add_argument("--" + key.replace("_", "-"), type=types[key])
+        p.add_argument("--config", help="flat key = value config file")
+        p.add_argument("--report", help="write the JSON payload to this path")
+        p.add_argument("--csv-dir", help="directory for geodesic trace CSV exports")
+        p.add_argument("--seed", type=types["seed"], help="random seed")
     return parser
 
 
-_OVERRIDE_KEYS = (
-    "n", "degree", "degree_max", "trials", "tol", "steps", "step_size",
-    "a", "b", "seed",
-)
-
-
 def _config_from_args(args):
-    overrides = {}
-    for key in _OVERRIDE_KEYS:
-        val = getattr(args, key, None)
-        if val is not None:
-            overrides[key] = val
-    if args.config:
-        config = config_from_file(args.config, overrides)
-    else:
-        config = Config(**overrides)
-    config.suite = args.suite
-    return config
+    overrides = {
+        f.name: getattr(args, f.name) for f in fields(Config) if getattr(args, f.name, None) is not None
+    }
+    return config_from_file(args.config, overrides) if args.config else Config(**overrides)
 
 
 def _export_traces(config, csv_dir):

@@ -15,6 +15,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -58,6 +59,14 @@ class Config:
     reach_samples: int = 32
 
     def validate(self):
+        for f in fields(self):
+            value, kind = getattr(self, f.name), _FIELD_TYPES[f.name]
+            if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+                raise ConfigError("%s must be of type %s, got %r" % (f.name, kind.__name__, value))
+            if kind is float and not math.isfinite(value):
+                raise ConfigError("%s must be finite" % f.name)
+            if f.name.startswith("tol") and value <= 0:
+                raise ConfigError("%s must be positive" % f.name)
         if self.suite not in SUITES:
             raise ConfigError("unknown suite %r (one of %s)" % (self.suite, ", ".join(SUITES)))
         if not 1 <= self.n <= 3:
@@ -72,12 +81,6 @@ class Config:
                 raise ConfigError("%s must be >= 1" % name)
         if not 0 < self.step_size <= G.MAX_STEP:
             raise ConfigError("step_size must lie in (0, %g]" % G.MAX_STEP)
-        for f in fields(self):
-            value = getattr(self, f.name)
-            if f.type == "float" and not math.isfinite(value):
-                raise ConfigError("%s must be finite" % f.name)
-            if f.name.startswith("tol") and value <= 0:
-                raise ConfigError("%s must be positive" % f.name)
         if self.reach_samples < 4:
             raise ConfigError("reach_samples must be >= 4")
         if self.suite == "s3":
@@ -91,16 +94,15 @@ class Config:
         return dataclasses.asdict(self)
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(Config)}
+_FIELD_TYPES = get_type_hints(Config)  # key -> int, float or str
 
 
-def _coerce(name, raw):
+def _coerce(name, raw, where):
     kind = _FIELD_TYPES[name]
-    if kind == "int":
-        return int(raw)
-    if kind == "float":
-        return float(raw)
-    return str(raw)
+    try:
+        return kind(raw)
+    except ValueError:
+        raise ConfigError("%s%s: %r is not a valid %s" % (where, name, raw, kind.__name__)) from None
 
 
 def config_from_file(path, overrides=None):
@@ -116,12 +118,12 @@ def config_from_file(path, overrides=None):
             key, raw = (part.strip() for part in line.split("=", 1))
             if key not in _FIELD_TYPES:
                 raise ConfigError("%s:%d: unknown key %r" % (path, lineno, key))
-            values[key] = _coerce(key, raw)
+            values[key] = _coerce(key, raw, "%s:%d: " % (path, lineno))
     if overrides:
         for key, raw in overrides.items():
             if key not in _FIELD_TYPES:
                 raise ConfigError("unknown key %r" % key)
-            values[key] = _coerce(key, raw) if isinstance(raw, str) else raw
+            values[key] = _coerce(key, raw, "") if isinstance(raw, str) else raw
     return Config(**values)
 
 

@@ -1,15 +1,20 @@
+import argparse
 import dataclasses
 import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import typing
 from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crsphere import bounds
 from crsphere import calculus as C
@@ -207,6 +212,32 @@ def test_config_rejects_bad_values():
                 Config(suite="s3", **{key: value}).validate()
 
 
+_WRONG_TYPES = {
+    int: st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.none()),
+    float: st.one_of(st.booleans(), st.text(max_size=3), st.none(), st.complex_numbers()),
+    str: st.one_of(st.booleans(), st.integers(), st.floats(), st.none()),
+}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(sorted(typing.get_type_hints(Config).items())).flatmap(
+    lambda item: st.tuples(st.just(item[0]), _WRONG_TYPES[item[1]])))
+def test_config_rejects_a_value_of_the_wrong_type(case):
+    # int keys take int but not bool, float keys int or float but not bool,
+    # and suite a str; anything else is a ConfigError, not a later TypeError
+    name, value = case
+    with pytest.raises(ConfigError, match="^%s must be of type" % name):
+        Config(**{name: value}).validate()
+
+
+@pytest.mark.parametrize("line, key", [("n = 2.0", "n"), ("tol = small", "tol"), ("seed = 4x", "seed")])
+def test_config_file_names_the_line_of_a_bad_value(tmp_path, line, key):
+    path = tmp_path / "bad.cfg"
+    path.write_text("# header\n\ntrials = 3\n%s\n" % line)
+    with pytest.raises(ConfigError, match=re.escape("%s:4: %s" % (path, key))):
+        config_from_file(path)
+
+
 # Small configs under which every suite body reaches all of its checks.
 _SMALL_CONFIGS = {
     "spectrum": {"degree": 2},
@@ -333,7 +364,7 @@ def _count_point_reads(monkeypatch):
 
         def build(self):
             out = func(self)
-            polys = [out] if kind != "third" else [d for plane in out for row in plane for d in row]
+            polys = [out] if kind != "third" else out
             tagged.update((id(poly), kind) for poly in polys)
             return out
 
@@ -576,6 +607,37 @@ def test_cli_spectrum_report(tmp_path):
     assert payload["suites"][0]["passed"] is True
     for check in payload["suites"][0]["checks"]:
         assert {"id", "description", "paper_ref", "status", "residual", "inputs"} <= set(check)
+
+
+_COMMON_FLAGS = {
+    "-h": ("help", None), "--help": ("help", None), "--config": ("config", None),
+    "--report": ("report", None), "--csv-dir": ("csv_dir", None), "--seed": ("seed", int),
+}
+_SUBCOMMAND_FLAGS = {
+    "spectrum": ("sublaplacian spectrum fragments", {"--n": ("n", int), "--degree": ("degree", int)}),
+    "bochner": ("pointwise Bochner-type identity sweep",
+                {"--n": ("n", int), "--trials": ("trials", int), "--tol": ("tol", float)}),
+    "lemmas": ("divergence, integrated and commutation lemmas",
+               {"--n": ("n", int), "--trials": ("trials", int), "--tol": ("tol", float)}),
+    "geodesics": ("geodesic integrators and distance checks",
+                  {"--n": ("n", int), "--steps": ("steps", int), "--step-size": ("step_size", float)}),
+    "bound": ("curvature floor and eigenvalue bound",
+              {"--n": ("n", int), "--degree-max": ("degree_max", int)}),
+    "s3": ("equality-case phenomenology on S^3", {"--a": ("a", float), "--b": ("b", float)}),
+}
+
+
+def test_cli_subcommands_keep_their_flags():
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert list(sub.choices) == list(_SUBCOMMAND_FLAGS)
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    for suite, (help_text, flags) in _SUBCOMMAND_FLAGS.items():
+        got = {opt: (a.dest, a.type) for a in sub.choices[suite]._actions for opt in a.option_strings}
+        assert got == {**flags, **_COMMON_FLAGS}, suite
+        assert helps[suite] == help_text
+    args = parser.parse_args(["geodesics", "--step-size", "0.002", "--steps", "7", "--seed", "5"])
+    assert cli._config_from_args(args) == Config(suite="geodesics", step_size=0.002, steps=7, seed=5)
 
 
 def test_cli_rejects_invalid_arguments():

@@ -1,3 +1,5 @@
+import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -34,6 +36,20 @@ def x1_field(n=1):
 def kernel_quadratic():
     # 2(x1 x2 + y1 y2): degree-2 harmonic killed by the Reeb field
     return C.ScalarField(2 * (var(0) * var(1) + var(2) * var(3)), 1)
+
+
+@lru_cache(maxsize=None)
+def full_hessian_polys(f):
+    """Every flat second partial, hess[i][j] = d_j d_i f, as gradient() of
+    gradient(): the oracle of the field's distinct list."""
+    return [g.gradient() for g in f.poly.gradient()]
+
+
+@lru_cache(maxsize=None)
+def full_third_polys(f):
+    """Every flat third partial, third[i][j][k] = d_k d_j d_i f: the m^3
+    cube the field no longer builds, kept as the oracle of its distinct list."""
+    return [[h.gradient() for h in row] for row in full_hessian_polys(f)]
 
 
 @lru_cache(maxsize=None)
@@ -729,7 +745,7 @@ def _hessian_biform_poly(f, A, B):
     iq = q.times_i()
     grad = C.VectorFieldPoly(f.grad_polys, n)
     hess_term = Polynomial(2 * n + 2)
-    for i, row in enumerate(f.hess_polys):
+    for i, row in enumerate(full_hessian_polys(f)):
         for j, h in enumerate(row):
             hess_term = hess_term + A.comps[i] * h * B.comps[j]
     ja = A.pi_h().times_i()
@@ -758,7 +774,7 @@ def test_hessian_form_derivative_matches_symbolic_biform(n, points, rng, s3_fiel
         u, v, w = (random_horizontal(rng, p).vec for _ in range(3))
         ca, cb = (rng.integers(-4, 5, size=2 * n + 2) / 4 for _ in range(2))
         grad, hess = C._grad_hess(f, q)
-        third = np.array([[[d.evaluate(q) for d in row] for row in plane] for plane in f.third_polys])
+        third = third_partials_reference(f, q)
         e_v = (ext(v, n), C._pi_h_vec(q, v), C._ext_deriv(q, u, v))
         pairs = (
             ((C.VectorFieldPoly.reeb(n), times_i(q), times_i(u)), e_v),
@@ -1031,8 +1047,8 @@ def lemma1_residual_reference(f, p):
 
 
 def third_partials_reference(f, q):
-    """The m^3 evaluations the symmetric fill replaced, kept as its oracle."""
-    return np.array([[[d.evaluate(q) for d in row] for row in plane] for plane in f.third_polys])
+    """The m^3 evaluations the symmetric gather replaced, kept as its oracle."""
+    return np.array([[[d.evaluate(q) for d in row] for row in plane] for plane in full_third_polys(f)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -1053,16 +1069,47 @@ def test_lemma1_on_the_jet_matches_the_divergence_route(n, kind, k, sign, which,
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 3).flatmap(_integer_polys), st.integers(0, 2**32 - 1))
 def test_symmetric_third_partials_match_every_entry(f, seed):
+    # the field's distinct partials, expanded through the index map, are
+    # the full Hessian and cube of gradient() of gradient(), exactly
     m = 2 * f.n + 2
-    polys = f.third_polys
-    for i in range(m):
-        for j in range(m):
-            for k in range(m):
-                a, b, c = sorted((i, j, k))
-                assert polys[i][j][k] == polys[a][b][c]
+    at2, at3 = C._symmetric_index(m, 2), C._symmetric_index(m, 3)
+    assert len(f.hess_polys) == math.comb(m + 1, 2)
+    assert len(f.third_polys) == math.comb(m + 2, 3)
+    hess, third = full_hessian_polys(f), full_third_polys(f)
+    for i, j, k in np.ndindex(m, m, m):
+        assert f.hess_polys[at2[i, j]] == hess[i][j]
+        assert f.third_polys[at3[i, j, k]] == third[i][j][k]
     p = random_point(np.random.default_rng(seed), f.n)
-    third = C.point_jet(f, p).third
-    assert third.tobytes() == third_partials_reference(f, p.coords).tobytes()
+    jet = C.point_jet(f, p)
+    assert jet.hess.tobytes() == np.array([[h.evaluate(p) for h in row] for row in hess]).tobytes()
+    assert jet.third.tobytes() == third_partials_reference(f, p.coords).tobytes()
+
+
+@pytest.mark.parametrize("m, order", [(4, 2), (4, 3), (8, 2), (8, 3)])
+def test_symmetric_index_lists_the_sorted_entries(m, order):
+    # one read-only map per (m, order): the sorted entries in
+    # combinations_with_replacement order (np.triu_indices for order 2)
+    index = C._symmetric_index(m, order)
+    assert index is C._symmetric_index(m, order)
+    assert not index.flags.writeable
+    for position, entry in enumerate(itertools.combinations_with_replacement(range(m), order)):
+        for perm in itertools.permutations(entry):
+            assert index[perm] == position
+    if order == 2:
+        assert np.array_equal(index[np.triu_indices(m)], np.arange(math.comb(m + 1, 2)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_a_jet_builds_only_the_distinct_partials(monkeypatch, rng, n):
+    # gradient, distinct second and distinct third partials, one call each:
+    # a full Hessian or m^3 cube would take more
+    m = 2 * n + 2
+    f = C.ScalarField(Polynomial(m, {(2, 1) + (0,) * (m - 2): 3, (0,) * (m - 1) + (3,): -1}), n)
+    calls = []
+    partial = Polynomial.partial
+    monkeypatch.setattr(Polynomial, "partial", lambda poly, i: calls.append(i) or partial(poly, i))
+    C.point_jet(f, random_point(rng, n)).third
+    assert len(calls) == m + math.comb(m + 1, 2) + math.comb(m + 2, 3)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
