@@ -50,7 +50,6 @@ import numpy as np
 
 from .polynomials import Polynomial, euclidean_laplacian, evaluate_many, sphere_integral
 from .sphere import (
-    ARG_TOL,
     HorizontalFrame,
     SpherePoint,
     TangentVector,
@@ -135,9 +134,6 @@ class VectorFieldPoly:
 
     def __sub__(self, other):
         return VectorFieldPoly([a - b for a, b in zip(self.comps, other.comps)], self.n)
-
-    def __neg__(self):
-        return VectorFieldPoly([-a for a in self.comps], self.n)
 
     def scale(self, poly_or_scalar):
         return VectorFieldPoly([poly_or_scalar * a for a in self.comps], self.n)
@@ -387,19 +383,6 @@ def _ext_deriv(q, u, v):
         - np.vecdot(v, iu)[..., None] * t
         - np.vecdot(v, t)[..., None] * iu
     )
-
-
-def _directions(q, *vectors):
-    """Direction arguments as float arrays shaped like q, one row per point,
-    each row finite, tangent and horizontal at its point to ARG_TOL."""
-    out = []
-    for v in vectors:
-        v = np.asarray(getattr(v, "vec", v), dtype=float)
-        if v.shape != q.shape:
-            raise ValueError("directions of shape %s at points of shape %s" % (v.shape, q.shape))
-        _check_tangent(q, v, ARG_TOL, "direction", horizontal=True)
-        out.append(v)
-    return out
 
 
 def tanaka_webster_derivative(p, X, Y):
@@ -684,7 +667,7 @@ def connection_axiom_residuals(p, x, y, z):
     and each residual is an array of K values.
     """
     q = _point_coords(p)
-    x, y, z = _directions(q, x, y, z)
+    x, y, z = (_vec_at(p, v, "direction", horizontal=True) for v in (x, y, z))
     t = times_i(q)
     y_at, z_at = _pi_h_vec(q, y), _pi_h_vec(q, z)
     dy, dz = _ext_deriv(q, x, y), _ext_deriv(q, x, z)
@@ -763,7 +746,7 @@ def ricci(p, X):
     tangent and horizontal at its point (to ARG_TOL), or ValueError is
     raised.  Returns a float, or an array of K values.
     """
-    (x,) = _directions(_point_coords(p), X)
+    x = _vec_at(p, X, "direction", horizontal=True)
     return _ricci_trace(p, horizontal_frame(p).matrix(), x)
 
 
@@ -950,7 +933,7 @@ def third_commutation_residual(f, p, X, Y):
     (X, Y) and (Y, X), are evaluated together as two rows per point.
     """
     jet = _jet(f, p)
-    x, y = _directions(jet.coords, X, Y)
+    x, y = (_vec_at(jet, v, "direction", horizontal=True) for v in (X, Y))
     q, grad = jet.coords[..., None, :], jet.grad[..., None, :]
     hess = jet.hess[..., None, :, :]
     u, v = np.stack((x, y), axis=-2), np.stack((y, x), axis=-2)

@@ -88,8 +88,9 @@ class GeodesicState:
     b: float = 0.0
 
     def __post_init__(self):
-        if not self.v.horizontal:
-            raise ValueError("geodesic initial velocity must be horizontal")
+        if not isinstance(self.v, TangentVector):
+            raise ValueError("geodesic initial velocity must be a TangentVector")
+        _vec_at(self.x, self.v, "geodesic initial velocity", horizontal=True)
         if not math.isfinite(self.b):
             raise ValueError("the multiplier b must be finite, got %r" % (self.b,))
 
@@ -155,11 +156,15 @@ class GeodesicTrace:
 
 def _great_circle_direction(x0, v):
     """v as a float array, or ValueError unless it is a unit horizontal
-    direction at x0 to ARG_TOL.  The unit guard runs first and is
-    written so that a NaN fails it."""
+    direction at x0 to ARG_TOL, or a (K, m) stack of them checked
+    together.  The unit guard runs first and is written so that a NaN
+    fails it."""
     vec = v.vec if isinstance(v, TangentVector) else np.asarray(v, dtype=float)
-    if not abs(np.linalg.norm(vec) - 1.0) <= ARG_TOL:
+    if not np.all(np.abs(_norms(vec) - 1.0) <= ARG_TOL):
         raise ValueError("great_circle expects a unit direction")
+    if vec.ndim == 2 and vec.shape[1:] == x0.coords.shape:
+        _check_tangent(x0.coords, vec, ARG_TOL, "great_circle direction", horizontal=True)
+        return vec
     return _vec_at(x0, v, "great_circle direction", horizontal=True)
 
 
@@ -300,7 +305,7 @@ def exp_map(x0, w):
     gamma(|w|) along the b = 0 geodesic with direction w/|w|; the curve
     is lengthy, so the distance estimate can never exceed |w|.
     """
-    vec = w.vec if isinstance(w, TangentVector) else np.asarray(w, dtype=float)
+    vec = _vec_at(x0, w, "exp_map direction", horizontal=True)
     r = float(np.linalg.norm(vec))
     if r == 0.0:
         return x0
@@ -1007,9 +1012,7 @@ def reach_set_half_pi(a, b, num_samples=64, psi=0.0):
     # great_circle at pi/2 along every direction cos(phi) X_1 + sin(phi) X_2:
     # its guards run once over the stack, and the points are made as one
     dirs = np.cos(phis)[:, None] * mat[0] + np.sin(phis)[:, None] * mat[1]
-    if not np.all(np.abs(_norms(dirs) - 1.0) <= ARG_TOL):
-        raise ValueError("great_circle expects a unit direction")
-    _check_tangent(x0.coords, dirs, ARG_TOL, "great_circle direction", horizontal=True)
+    dirs = _great_circle_direction(x0, dirs)
     out = x0.coords * np.cos(np.pi / 2.0) + dirs * np.sin(np.pi / 2.0)
     points = SpherePoint.stack(out / _norms(out)[:, None], x0.n)
     # f's gradient, f and T^2 f at every reached point, in one evaluation

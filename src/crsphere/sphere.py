@@ -181,19 +181,23 @@ def _vec_at(p, v, what="vector", horizontal=False):
     """A direction at p as a float array: a TangentVector at p unwrapped,
     or a raw array checked by the guard at ARG_TOL.
 
-    With `horizontal` set, the direction must also be horizontal; a
-    TangentVector flagged horizontal was checked when it was made.
+    p is anything _point_coords reads; at a PointJet or a sequence of K
+    points, v holds one row per point.  With `horizontal` set, the
+    direction must also be horizontal; a TangentVector flagged
+    horizontal was checked when it was made.  This is the one reader of
+    direction arguments.
     """
+    q = _point_coords(p)
     if isinstance(v, TangentVector):
-        if v.base is not p and not np.array_equal(v.base.coords, p.coords):
+        if v.base is not p and not np.array_equal(v.base.coords, q):
             raise ValueError("tangent vector attached to a different base point")
         if v.horizontal or not horizontal:
             return v.vec
         v = v.vec
     v = np.asarray(v, dtype=float)
-    if v.shape != p.coords.shape:
-        raise ValueError("%s of shape %s at a point of shape %s" % (what, v.shape, p.coords.shape))
-    _check_tangent(p.coords, v, ARG_TOL, what, horizontal)
+    if v.shape != q.shape:
+        raise ValueError("%s of shape %s at a point of shape %s" % (what, v.shape, q.shape))
+    _check_tangent(q, v, ARG_TOL, what, horizontal)
     return v
 
 

@@ -63,8 +63,10 @@ class Config:
             value, kind = getattr(self, f.name), _FIELD_TYPES[f.name]
             if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
                 raise ConfigError("%s must be of type %s, got %r" % (f.name, kind.__name__, value))
-            if kind is float and not math.isfinite(value):
-                raise ConfigError("%s must be finite" % f.name)
+            if kind is float:
+                setattr(self, f.name, float(value))  # 1 and 1.0 make one payload
+                if not math.isfinite(value):
+                    raise ConfigError("%s must be finite" % f.name)
             if f.name.startswith("tol") and value <= 0:
                 raise ConfigError("%s must be positive" % f.name)
         if self.suite not in SUITES:

@@ -13,12 +13,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from numpy.testing import assert_allclose
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crsphere import bounds
 from crsphere import calculus as C
 from crsphere import cli, polynomials
+from crsphere import geodesics as G
 from crsphere.bounds import (
     BoundEntry,
     BoundReport,
@@ -33,6 +35,7 @@ from crsphere.suites import (
     CheckResult,
     Config,
     ConfigError,
+    build_payload,
     canonical_payload_bytes,
     config_from_file,
     _SUITE_FUNCS,
@@ -228,6 +231,26 @@ def test_config_rejects_a_value_of_the_wrong_type(case):
     name, value = case
     with pytest.raises(ConfigError, match="^%s must be of type" % name):
         Config(**{name: value}).validate()
+
+
+def test_float_keys_serialise_their_value_not_its_spelling():
+    # a float key given as an int is stored as the float, so 1 and 1.0
+    # run the same suite and give the same canonical payload
+    float_keys = [key for key, kind in typing.get_type_hints(Config).items() if kind is float]
+    assert "a" in float_keys and "step_size" in float_keys
+    for key in float_keys:
+        spellings = [Config(suite="s3", **{key: k}) for k in (2, 2.0)]
+        if key == "step_size":  # no int lies in (0, MAX_STEP]
+            for config in spellings:
+                with pytest.raises(ConfigError, match="step_size must lie in"):
+                    config.validate()
+            continue
+        payloads = [canonical_payload_bytes(build_payload([], c.validate(), 0.0)) for c in spellings]
+        assert payloads[0] == payloads[1], key
+        assert type(spellings[0].validate().as_dict()[key]) is float, key
+    configs = [Config(suite="s3", trials=1, reach_samples=4, a=a) for a in (1, 1.0)]
+    payloads = [canonical_payload_bytes(build_payload([run_suite(c)], c, 0.0)) for c in configs]
+    assert payloads[0] == payloads[1]
 
 
 @pytest.mark.parametrize("line, key", [("n = 2.0", "n"), ("tol = small", "tol"), ("seed = 4x", "seed")])
@@ -664,6 +687,41 @@ def test_cli_config_file_and_csv(tmp_path):
     assert (csv_dir / "hamilton_jacobi_geodesic.csv").exists()
     header = (csv_dir / "connection_geodesic.csv").read_text().splitlines()[0]
     assert header.startswith("s,x1,")
+
+
+@pytest.mark.parametrize("suite, flags, b", [
+    ("geodesics", ("--n", "2", "--steps", "20", "--step-size", "0.005", "--seed", "3"), 1.0),
+    ("s3", ("--a", "0.5", "--b", "1.5"), 0.0),
+])
+def test_cli_exports_both_geodesic_traces(tmp_path, capsys, suite, flags, b):
+    # the in-process export: one row per step from the start point, the
+    # connection trace carrying its multiplier and the HJ trace none
+    cfg = tmp_path / "fast.cfg"
+    cfg.write_text("hj_pairs = 1\ncc_pairs = 1\ntrials = 1\nreach_samples = 4\nsteps = 20\n")
+    csv_dir = tmp_path / "traces"
+    cli.main([suite, *flags, "--config", str(cfg), "--csv-dir", str(csv_dir)])
+    assert "wrote traces" in capsys.readouterr().out
+    config = cli._config_from_args(cli.build_parser().parse_args([suite, *flags, "--config", str(cfg)]))
+    if suite == "s3":
+        start = G.s3_max_point(config.a, config.b)
+    else:
+        start = random_point(np.random.default_rng(config.seed), config.n)
+    m = start.dim
+    header = ["s", *("x%d" % (k + 1) for k in range(m)), *("v%d" % (k + 1) for k in range(m)),
+              "b", "theta_vdot", "speed"]
+    for name, b_column in (("connection_geodesic.csv", b), ("hamilton_jacobi_geodesic.csv", math.nan)):
+        lines = (csv_dir / name).read_text().splitlines()
+        assert lines[0].split(",") == header, name
+        rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
+        assert rows.shape == (config.steps + 1, len(header)), name
+        assert_allclose(rows[0, 1:m + 1], start.coords, rtol=0, atol=1e-12, err_msg=name)
+        assert_allclose(rows[:, 2 * m + 1], b_column, err_msg=name)
+
+
+def test_cli_spectrum_writes_no_traces(tmp_path):
+    csv_dir = tmp_path / "traces"
+    assert cli.main(["spectrum", "--degree", "2", "--csv-dir", str(csv_dir)]) == 0
+    assert not csv_dir.exists()
 
 
 def test_cli_unknown_config_key(tmp_path):

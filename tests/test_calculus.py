@@ -10,11 +10,13 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from crsphere import calculus as C
+from crsphere import geodesics as G
 from crsphere import sphere
 from crsphere.geodesics import Chart, cotangent_lift
 from crsphere.polynomials import Polynomial, sphere_integral
 from crsphere.sphere import (
     SpherePoint,
+    TangentVector,
     horizontal_frame,
     random_horizontal,
     random_point,
@@ -1172,17 +1174,50 @@ def test_direction_arguments_are_checked(call, off, rng, s3_fields):
         call(s3_fields[0], p, x, d)
 
 
+_DIRECTION_READERS = {
+    "contact_form": lambda f, p, v: sphere.contact_form(p, v),
+    "horizontal_project": lambda f, p, v: sphere.horizontal_project(p, v),
+    "complex_structure": lambda f, p, v: sphere.complex_structure(p, v),
+    "levi_form": lambda f, p, v: sphere.levi_form(p, v, v),
+    "webster_metric": lambda f, p, v: sphere.webster_metric(p, v, v),
+    "omega_form": lambda f, p, v: sphere.omega_form(p, v, v),
+    "tanaka_webster_derivative":
+        lambda f, p, v: C.tanaka_webster_derivative(p, v, C.VectorFieldPoly.reeb(1)),
+    "ricci": lambda f, p, v: C.ricci(p, v),
+    "connection_axiom_residuals": lambda f, p, v: C.connection_axiom_residuals(p, v, v, v),
+    "third_commutation_residual": lambda f, p, v: C.third_commutation_residual(f, p, v, v),
+    "cotangent_lift": lambda f, p, v: cotangent_lift(p, v),
+    "great_circle": lambda f, p, v: G.great_circle(p, v, 0.5),
+    "great_circle_points": lambda f, p, v: G.great_circle_points(p, v, np.linspace(0.0, 1.0, 3)),
+    "exp_map": lambda f, p, v: G.exp_map(p, v),
+    "GeodesicState": lambda f, p, v: G.GeodesicState(p, v, 0.5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_DIRECTION_READERS))
+def test_a_direction_at_another_point_is_rejected(name, rng, s3_fields):
+    # -p lies on the Reeb fibre of p, so a unit horizontal vector at p is
+    # also one at -p: only the base point tells the two apart
+    p = random_point(rng, 1)
+    w = random_horizontal(rng, p).vec
+    call = _DIRECTION_READERS[name]
+    call(s3_fields[0], p, TangentVector(p, w, horizontal=True))
+    elsewhere = TangentVector(SpherePoint(-p.coords, 1), w, horizontal=True)
+    with pytest.raises(ValueError, match="different base point"):
+        call(s3_fields[0], p, elsewhere)
+
+
 def test_stacked_directions_must_match_the_points(rng):
     f, g = _trace_fields(1)[:2]
     points = [random_point(rng, 1) for _ in range(3)]
     jet = C.point_jet(f, points)
     xs, ys = (np.array([random_horizontal(rng, p).vec for p in points]) for _ in range(2))
     for bad in (xs[:2], xs[:, :3], xs[0], np.concatenate((xs, xs[:1]))):
-        with pytest.raises(ValueError, match="directions of shape"):
+        with pytest.raises(ValueError, match="direction of shape"):
             C.third_commutation_residual(f, jet, bad, ys)
-        with pytest.raises(ValueError, match="directions of shape"):
+        with pytest.raises(ValueError, match="direction of shape"):
             C.connection_axiom_residuals(points, ys, bad, ys)
-    with pytest.raises(ValueError, match="directions of shape"):
+    with pytest.raises(ValueError, match="direction of shape"):
         C.third_commutation_residual(f, points[0], xs, ys)
     with pytest.raises(ValueError, match="another field"):
         C.lemma1_residual(g, jet)

@@ -118,6 +118,8 @@ def test_integrator_argument_validation(rng):
         G.integrate_connection_geodesic(state, 1.0, 0.5)
     with pytest.raises(ValueError):
         G.GeodesicState(p, TangentVector(p, p.reeb_coords()), 0.0)
+    with pytest.raises(ValueError, match="must be a TangentVector"):
+        G.GeodesicState(p, v.vec, 0.0)
 
 
 def test_integrator_matches_great_circle(rng):

@@ -244,3 +244,26 @@ def test_float_kernel_calls_do_not_scale_with_points(monkeypatch):
         assert few == many > 0, suite
     few, many = (kernel_calls(suite="s3", reach_samples=r) for r in (8, 32))
     assert few == many > 0
+
+
+def test_directions_have_one_reader():
+    # A direction argument is checked at ARG_TOL by sphere._vec_at, or as
+    # a stack at one point by geodesics._great_circle_direction; a second
+    # reader could disagree with them on the same input.
+    guarded, readers = [], []
+    for path in sorted((ROOT / "src" / "crsphere").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for func in ast.walk(tree):
+            if not isinstance(func, ast.FunctionDef):
+                continue
+            if func.name == "_directions":
+                readers.append("%s.%s" % (path.stem, func.name))
+            for node in ast.walk(func):
+                if not isinstance(node, ast.Call):
+                    continue
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                args = [*node.args, *(k.value for k in node.keywords)]
+                if name == "_check_tangent" and any(getattr(a, "id", None) == "ARG_TOL" for a in args):
+                    guarded.append("%s.%s" % (path.stem, func.name))
+    assert readers == []
+    assert sorted(guarded) == ["geodesics._great_circle_direction", "sphere._vec_at"]
