@@ -9,9 +9,16 @@ Euler's identity q . grad f = sum_d d f_d and iq . grad f = T0 f; two
 polynomials that agree on the sphere are interchangeable, but need
 not be equal as polynomials.  The pointwise routes read f only
 through its exact flat partials (up to third order) evaluated at the
-point; products with the frame, the Reeb field, the projection pi_H
-and the canonical horizontal extensions are differentiated by the
-product rule, in floats, at that point.  What they read of f at a
+point.  Their first derivatives along a direction u (of the
+projection pi_H, of the canonical horizontal extensions and of the
+Tanaka-Webster Hessian form) come from one rule: the plain expression
+is evaluated at complex arguments x + i EPS dx (`_along`), and the
+derivative is read from the imaginary part (`_d`).  EPS = 2^-600, so
+EPS^2 underflows to exactly 0: complex multiplication is then
+dual-number multiplication, the imaginary part carries the product
+rule exactly as float arithmetic would, and no step is taken, so there
+is no truncation error (complex-step differentiation; Squire and
+Trapp, SIAM Review 40, 1998).  What they read of f at a
 point (the adapted frame, the flat gradient and Hessian, T0 f, and on
 first use the symmetric third partials and the Hessian block) is
 built once into a `PointJet`, over one point or a stack of K points;
@@ -61,7 +68,6 @@ from .sphere import (
 )
 from .spectrum import t0_apply
 
-EXCHANGE_TOL = 1e-9  # HessianBlock's check of its horizontal antisymmetry
 FIELD_TANGENCY_TOL = 1e-8  # tanaka_webster_derivative's check that its field is tangent
 
 
@@ -326,30 +332,36 @@ def sublaplacian_greenleaf(f, p):
 # or a stack of rows per point (the frame rows [T; X_1..X_2n], or a
 # pair of directions); a caller aligns the axes by inserting one, as in
 # q[..., None, :] against rows of shape (..., R, m).
+#
+# First derivatives are taken in dual arithmetic: `_along(x, dx)` is the
+# value x moving with velocity dx, and `_d` reads the velocity of a
+# result.  Only `_pi_h_vec` and `_hessian_form_at` receive such values;
+# they pair vectors with `_dot`, because np.vecdot conjugates its first
+# argument and would drop derivative terms.
 # ----------------------------------------------------------------------
+
+EPS = 2.0**-600  # EPS^2 underflows to 0: complex products are dual products
+
+
+def _along(x, dx):
+    """x moving along dx: the dual number x + EPS dx, stored as a complex value."""
+    return x + 1j * EPS * dx
+
+
+def _d(z):
+    """The derivative part of a dual result of `_along` arguments."""
+    return z.imag / EPS
+
+
+def _dot(a, b):
+    """Sum over the last axis of a * b, without conjugating (np.vecdot would)."""
+    return np.matvec(a[..., None, :], b)[..., 0]
 
 
 def _pi_h_vec(q, v):
     """pi_H v at q; also the value at q of the horizontal extension seeded by v."""
     t = times_i(q)
-    return v - np.vecdot(v, q)[..., None] * q - np.vecdot(v, t)[..., None] * t
-
-
-def _pi_h_deriv(q, u, w, dw):
-    """pi_H w at q and its D_u, for a field with value w and D_u value dw.
-
-    The projection pi_H w = w - <q,w> q - <iq,w> iq moves with q and is
-    differentiated by the product rule.
-    """
-    t, dt = times_i(q), times_i(u)
-    val = _pi_h_vec(q, w)
-    dval = (
-        dw - (np.vecdot(u, w) + np.vecdot(dw, q))[..., None] * q
-        - np.vecdot(q, w)[..., None] * u
-        - (np.vecdot(dt, w) + np.vecdot(dw, t))[..., None] * t
-        - np.vecdot(t, w)[..., None] * dt
-    )
-    return val, dval
+    return v - _dot(v, q)[..., None] * q - _dot(v, t)[..., None] * t
 
 
 def _big_j(q, v):
@@ -374,15 +386,8 @@ def _cov_deriv_pointwise(q, u, y, dy):
 
 
 def _ext_deriv(q, u, v):
-    """D_u at q of the canonical horizontal extension seeded by v."""
-    t = times_i(q)
-    iu = times_i(u)
-    return (
-        -np.vecdot(v, u)[..., None] * q
-        - np.vecdot(v, q)[..., None] * u
-        - np.vecdot(v, iu)[..., None] * t
-        - np.vecdot(v, t)[..., None] * iu
-    )
+    """D_u at q of the canonical horizontal extension q -> pi_H v seeded by v."""
+    return _d(_pi_h_vec(_along(q, u), v))
 
 
 def tanaka_webster_derivative(p, X, Y):
@@ -483,11 +488,11 @@ def _hessian_form_at(q, grad, hess):
     The form pairs u with v under the broadcasting rule of the helpers,
     with q, grad and hess given the leading axes of the pairs: rows
     U[..., :, None, :] and V[..., None, :, :] give the matrix of values
-    over every pair (U_i, V_j).
+    over every pair (U_i, V_j).  Every argument may be dual.
     """
     t = times_i(q)
-    radial = np.vecdot(q, grad)
-    reebward = np.vecdot(t, grad)
+    radial = _dot(q, grad)
+    reebward = _dot(t, grad)
 
     def form(u, v):
         u = getattr(u, "vec", u)
@@ -495,10 +500,10 @@ def _hessian_form_at(q, grad, hess):
         pu, pv = _pi_h_vec(q, u), _pi_h_vec(q, v)
         ju, jv = times_i(pu), times_i(pv)
         return (
-            np.vecdot(np.matvec(hess, u), v) - np.vecdot(u, v) * radial
-            + np.vecdot(pu, jv) * reebward
-            + np.vecdot(u, t) * np.vecdot(jv, grad)
-            + np.vecdot(ju, grad) * np.vecdot(v, t)
+            _dot(np.matvec(hess, u), v) - _dot(u, v) * radial
+            + _dot(pu, jv) * reebward
+            + _dot(u, t) * _dot(jv, grad)
+            + _dot(ju, grad) * _dot(v, t)
         )
 
     return form
@@ -512,10 +517,11 @@ class HessianBlock:
 
         H[j,k] - H[k,j] = 2 Omega(X_j, X_k) f0,
 
-    which is checked at construction.  A block over a stack of K points
-    takes a sequence of K points and their stacked frame, values of
-    shape (K, 2n+1, 2n+1) and K Reeb values; it is checked point by
-    point, and each method returns one value per point.
+    whose residual `antisymmetry_residual` reports (the lemmas suite
+    checks it).  A block over a stack of K points takes a sequence of K
+    points and their stacked frame, values of shape (K, 2n+1, 2n+1) and
+    K Reeb values, and each method returns one value per point.  A
+    block of the wrong shape or with a non-finite entry is a ValueError.
     """
 
     def __init__(self, base, frame, values, reeb_value):
@@ -527,8 +533,8 @@ class HessianBlock:
         self._frame_rows = frame.matrix()
         if self.values.shape != stack + (2 * n + 1, 2 * n + 1) or np.shape(reeb_value) != stack:
             raise ValueError("hessian block of the wrong shape")
-        if not np.all(self.antisymmetry_residual() <= EXCHANGE_TOL):
-            raise ValueError("horizontal antisymmetry identity violated")
+        if not (np.all(np.isfinite(self.values)) and np.all(np.isfinite(self.reeb_value))):
+            raise ValueError("hessian block with a non-finite entry")
 
     def horizontal_block(self):
         return self.values[..., 1:, 1:]
@@ -794,12 +800,14 @@ def _operator_l_polynomial(f):
 def operator_l_parts(f, p):
     """Both terms of L f at p; the first vanishes when T(f) = 0.
 
-    grad_H f and its D_T come from the flat jet by the product rule.
+    grad_H f = pi_H grad f and its D_T are one dual evaluation on the
+    flat jet.
     """
     jet = _jet(f, p)
     q, grad = jet.coords, jet.grad
     t = times_i(q)
-    g_at, dg = _pi_h_deriv(q, t, grad, np.matvec(jet.hess, t))
+    g = _pi_h_vec(_along(q, t), _along(grad, np.matvec(jet.hess, t)))
+    g_at, dg = g.real, _d(g)
     term1 = np.vecdot(times_i(g_at), evaluate_many(f.t0_grad_polys, q))
     nabla_t_g = _cov_deriv_pointwise(q, t, g_at, dg)
     term2 = np.vecdot(_big_j(q, nabla_t_g), grad)
@@ -873,13 +881,13 @@ def lemma1_residual(f, p):
     """div(J grad_H f) - 2n T(f) at p; the divergence lemma.
 
     J grad_H f = i pi_H grad f, and its D_u along each row u of the
-    adapted frame comes from the flat jet by the product rule
-    (`_pi_h_deriv`); the trace is `divergence`'s, over [T; X_1..X_2n].
+    adapted frame is one dual evaluation of pi_H grad f on the flat jet;
+    the trace is `divergence`'s, over [T; X_1..X_2n].
     """
     jet = _jet(f, p)
     q, rows = jet.coords[..., None, :], jet.rows
-    g_at, dg = _pi_h_deriv(q, rows, jet.grad[..., None, :], rows @ jet.hess)
-    nabla = _cov_deriv_pointwise(q, rows, times_i(g_at), times_i(dg))
+    g = _pi_h_vec(_along(q, rows), _along(jet.grad[..., None, :], rows @ jet.hess))
+    nabla = _cov_deriv_pointwise(q, rows, times_i(g.real), times_i(_d(g)))
     return np.sum(np.vecdot(nabla, rows), axis=-1) - 2.0 * f.n * jet.t0
 
 
@@ -894,32 +902,6 @@ def lemma2_check(f):
     return lhs, rhs
 
 
-def _hessian_form_derivative(q, u, a, da, b, db, grad, hess, dhess):
-    """D_u at q of the hessian_form expansion (nabla^2 f)(A, B).
-
-    a, b are the values at q of the fields A, B and da, db their D_u;
-    grad, hess and dhess are the flat gradient, Hessian and D_u Hessian
-    of f (symmetric matrices on the last two axes).  Every factor of
-    the expansion, the projection pi_H w = w - <q,w> q - <iq,w> iq
-    included, moves with q and is differentiated by the product rule.
-    """
-    dot = np.vecdot
-    t, dt = times_i(q), times_i(u)
-    dgrad = np.matvec(hess, u)
-    pa, dpa = _pi_h_deriv(q, u, a, da)
-    pb, dpb = _pi_h_deriv(q, u, b, db)
-    ja, dja = times_i(pa), times_i(dpa)
-    jb, djb = times_i(pb), times_i(dpb)
-    return (
-        dot(np.matvec(hess, da), b) + dot(np.matvec(dhess, a), b) + dot(np.matvec(hess, a), db)
-        - (dot(da, b) + dot(a, db)) * dot(q, grad) - dot(a, b) * (dot(u, grad) + dot(q, dgrad))
-        + (dot(dpa, jb) + dot(pa, djb)) * dot(t, grad)
-        + dot(pa, jb) * (dot(dt, grad) + dot(t, dgrad))
-        + (dot(dt, a) + dot(t, da)) * dot(jb, grad) + dot(t, a) * (dot(djb, grad) + dot(jb, dgrad))
-        + (dot(dt, b) + dot(t, db)) * dot(ja, grad) + dot(t, b) * (dot(dja, grad) + dot(ja, dgrad))
-    )
-
-
 def third_commutation_residual(f, p, X, Y):
     """Residual of the torsion-free third-order exchange identity
 
@@ -931,6 +913,9 @@ def third_commutation_residual(f, p, X, Y):
     through its flat partials up to third order at p.  For a stack of
     K points X and Y are (K, m) rows.  Both orders of the slots,
     (X, Y) and (Y, X), are evaluated together as two rows per point.
+    The leading term D_u of (nabla^2 f)(T, E_v), with E_v the extension
+    of v, is the Hessian form evaluated once at the dual point q + EPS u,
+    where grad f moves by Hess f u and Hess f by the third partials.
     """
     jet = _jet(f, p)
     x, y = (_vec_at(jet, v, "direction", horizontal=True) for v in (X, Y))
@@ -938,9 +923,12 @@ def third_commutation_residual(f, p, X, Y):
     hess = jet.hess[..., None, :, :]
     u, v = np.stack((x, y), axis=-2), np.stack((y, x), axis=-2)
     t, du_t = times_i(q), times_i(u)
-    v_at, dv = _pi_h_vec(q, v), _ext_deriv(q, u, v)
+    qc = _along(q, u)
+    ext_v = _pi_h_vec(qc, v)
+    v_at, dv = ext_v.real, _d(ext_v)
     dhess = np.matvec(jet.third[..., None, :, :, :], u[..., None, :])
-    leading = _hessian_form_derivative(q, u, t, du_t, v_at, dv, grad, hess, dhess)
+    moving = _hessian_form_at(qc, _along(grad, np.matvec(hess, u)), _along(hess, dhess))
+    leading = _d(moving(times_i(qc), ext_v))
     form = _hessian_form_at(q, grad, hess)
     nabla_u_t = _cov_deriv_pointwise(q, u, t, du_t)
     nabla_u_v = _cov_deriv_pointwise(q, u, v_at, dv)

@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-import time
 from dataclasses import fields
 from typing import get_type_hints
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import geodesics as G
 from .sphere import random_horizontal, random_point
-from .suites import Config, ConfigError, build_payload, config_from_file, run_suite
+from .suites import Config, ConfigError, config_from_file, run_and_report
 
 
 # suite -> (help text, its config keys); each key is a --flag of its field's type
@@ -92,9 +91,8 @@ def main(argv=None):
     except (ConfigError, TypeError, ValueError) as exc:
         parser.error(str(exc))
 
-    start = time.perf_counter()
-    report = run_suite(config)
-    elapsed = time.perf_counter() - start
+    report, payload = run_and_report(config)
+    elapsed = payload["elapsed_seconds"]
 
     for check in report.checks:
         status = "PASS" if check.status else "FAIL"
@@ -110,7 +108,6 @@ def main(argv=None):
         print("wrote traces: %s" % ", ".join(written))
 
     if args.report:
-        payload = build_payload([report], config, elapsed)
         with open(args.report, "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         print("wrote report: %s" % args.report)

@@ -178,14 +178,16 @@ def great_circle(x0, v, s):
 def great_circle_points(x0, v, s):
     """great_circle at every entry of s, as the rows of one array.
 
-    The direction is validated once, by great_circle's guard; each row
-    is normalised.  great_circle keeps its own body: the tests compare
-    the two.
+    v is one direction, or a (K, m) stack of directions at x0; s and
+    the directions broadcast, so a stack at one s gives one row per
+    direction.  The directions are validated once, by great_circle's
+    guard; each row is normalised.  great_circle keeps its own body:
+    the tests compare the two.
     """
     vec = _great_circle_direction(x0, v)
-    s = np.asarray(s, dtype=float)[:, None]
+    s = np.asarray(s, dtype=float)[..., None]
     out = x0.coords * np.cos(s) + vec * np.sin(s)
-    return out / np.linalg.norm(out, axis=1)[:, None]
+    return out / _norms(out)[..., None]
 
 
 def _plane_rhs(y, gram, b):
@@ -1012,9 +1014,7 @@ def reach_set_half_pi(a, b, num_samples=64, psi=0.0):
     # great_circle at pi/2 along every direction cos(phi) X_1 + sin(phi) X_2:
     # its guards run once over the stack, and the points are made as one
     dirs = np.cos(phis)[:, None] * mat[0] + np.sin(phis)[:, None] * mat[1]
-    dirs = _great_circle_direction(x0, dirs)
-    out = x0.coords * np.cos(np.pi / 2.0) + dirs * np.sin(np.pi / 2.0)
-    points = SpherePoint.stack(out / _norms(out)[:, None], x0.n)
+    points = SpherePoint.stack(great_circle_points(x0, dirs, np.pi / 2.0), x0.n)
     # f's gradient, f and T^2 f at every reached point, in one evaluation
     values = evaluate_many([*f.grad_polys, f.poly, f.t0t0_poly], _point_coords(points))
     grads = np.ascontiguousarray(values[:, :-2])

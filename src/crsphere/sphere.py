@@ -77,8 +77,11 @@ def _check_tangent(q, v, tol, what, horizontal):
 
 
 def times_i(v):
-    """Ambient multiplication by i: (x, y) -> (-y, x), on the last axis."""
-    v = np.asarray(v, dtype=float)
+    """Ambient multiplication by i: (x, y) -> (-y, x), on the last axis.
+
+    Real input gives floats; complex input (a dual value) stays complex.
+    """
+    v = np.asarray(v, dtype=complex if np.iscomplexobj(v) else float)
     half = v.shape[-1] // 2
     out = np.empty_like(v)
     np.negative(v[..., half:], out=out[..., :half])

@@ -607,6 +607,7 @@ def canonical_payload_bytes(payload):
 
 
 def run_and_report(config):
+    """Run one suite and time it: (report, its payload); the CLI's path."""
     start = time.perf_counter()
     report = run_suite(config)
     elapsed = time.perf_counter() - start

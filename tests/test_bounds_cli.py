@@ -476,8 +476,8 @@ def test_bochner_residual_catches_a_wrong_third_partial(monkeypatch):
 
 def test_bochner_residual_catches_a_wrong_hessian_mirror(monkeypatch):
     # the flat Hessian's lower triangle is a mirror of the evaluated upper
-    # one; a wrong mirror trips the Hessian block's exchange guard, and
-    # with that guard off it still fails the Bochner residual
+    # one; a wrong mirror fails the Bochner residual and the lemmas
+    # suite's exchange check, each as a failed row
     grad_hess = C._grad_hess
 
     def broken_mirror(f, q):
@@ -488,10 +488,28 @@ def test_bochner_residual_catches_a_wrong_hessian_mirror(monkeypatch):
         return grad, hess
 
     monkeypatch.setattr(C, "_grad_hess", broken_mirror)
-    with pytest.raises(ValueError, match="antisymmetry"):
-        _bochner_residual_check()
-    monkeypatch.setattr(C, "EXCHANGE_TOL", math.inf)
     assert not _bochner_residual_check().status
+    checks = {c.id: c for c in run_suite(Config(suite="lemmas", n=1, trials=4)).checks}
+    assert not checks["lemmas.hessian_exchange"].status
+
+
+def test_a_violated_exchange_identity_is_a_failed_row(monkeypatch):
+    # 1e-6 planted in entry [1, 2] of every Hessian block breaks the
+    # exchange identity by 1e-6, above the default tol of 1e-8: the suite
+    # reports a failed lemmas.hessian_exchange row instead of raising
+    init = C.HessianBlock.__init__
+
+    def planted(self, base, frame, values, reeb_value):
+        values = np.array(values, dtype=float)
+        values[..., 1, 2] += 1e-6
+        init(self, base, frame, values, reeb_value)
+
+    monkeypatch.setattr(C.HessianBlock, "__init__", planted)
+    report = run_suite(Config(suite="lemmas", trials=4))
+    failed = [c.id for c in report.checks if not c.status]
+    assert failed == ["lemmas.hessian_exchange"]
+    (check,) = [c for c in report.checks if c.id == "lemmas.hessian_exchange"]
+    assert 0.9e-6 < check.residual < 1.1e-6
 
 
 @pytest.mark.parametrize("n, third", [(1, 20), (2, 56)])

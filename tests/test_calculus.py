@@ -225,7 +225,7 @@ def test_hessian_antisymmetry_and_reeb_reeb_entry(rng, s3_fields):
     for i in range(20):
         f = s3_fields[i % len(s3_fields)]
         p = random_point(rng, 1)
-        block = C.tw_hessian(f, p)  # constructor checks the exchange identity
+        block = C.tw_hessian(f, p)
         assert block.antisymmetry_residual() < 1e-9
         assert abs(block.values[0, 0] - f.t0t0_poly.evaluate(p.coords)) < 1e-10
 
@@ -678,13 +678,14 @@ def test_pi_h_deriv_matches_symbolic_horizontal_gradient(n, rng):
             p = random_point(rng, n)
             q = p.coords
             grad, hess = C._grad_hess(f, q)
+            # pi_H grad f at the dual point q + EPS u, with grad f moving by Hess f u
             for u in (times_i(q), random_tangent(rng, p).vec):
-                val, dval = C._pi_h_deriv(q, u, grad, hess @ u)
-                assert_allclose(val, g.at(q), rtol=0, atol=1e-12)
-                assert_allclose(dval, g.jacobian_at(q) @ u, rtol=0, atol=1e-12)
+                val = C._pi_h_vec(C._along(q, u), C._along(grad, hess @ u))
+                assert_allclose(val.real, g.at(q), rtol=0, atol=1e-12)
+                assert_allclose(C._d(val), g.jacobian_at(q) @ u, rtol=0, atol=1e-12)
             # a stack of directions gives one derivative per row
             rows = np.concatenate(([times_i(q)], random_tangent(rng, p).vec[None]))
-            _, drows = C._pi_h_deriv(q, rows, grad, rows @ hess)
+            drows = C._d(C._pi_h_vec(C._along(q, rows), C._along(grad, rows @ hess)))
             assert_allclose(drows, rows @ g.jacobian_at(q).T, rtol=0, atol=1e-12)
 
 
@@ -695,8 +696,9 @@ def test_symbolic_and_pointwise_routes_stay_apart(monkeypatch, rng, s3_fields):
     f, g = s3_fields[0], C.ScalarField(s3_fields[1].poly, 1)
     p = random_point(rng, 1)
     # the Bochner left side reads the flat 3-jet and nothing of the right
-    # side: no Tanaka-Webster Hessian or block, connection, Ricci trace or L
-    right_side = ("_hessian_form_at", "_pi_h_deriv", "_cov_deriv_pointwise", "_ricci_trace",
+    # side: no Tanaka-Webster Hessian or block, connection, Ricci trace or
+    # L, and no dual derivative
+    right_side = ("_hessian_form_at", "_along", "_d", "_cov_deriv_pointwise", "_ricci_trace",
                   "operator_l_parts", "HessianBlock")
     for name in right_side:
         monkeypatch.setattr(C, name, forbidden)
@@ -704,7 +706,7 @@ def test_symbolic_and_pointwise_routes_stay_apart(monkeypatch, rng, s3_fields):
     C.bochner_lhs(f, [p, random_point(rng, 1)])
     monkeypatch.undo()
     # and the exact oracle reads no pointwise helper (g has no caches yet)
-    for name in ("_grad_hess", "_pi_h_vec", "_pi_h_deriv", "_hessian_form_at", "point_jet",
+    for name in ("_grad_hess", "_pi_h_vec", "_along", "_d", "_hessian_form_at", "point_jet",
                  "bochner_lhs"):
         monkeypatch.setattr(C, name, forbidden)
     assert not bochner_lhs_poly(g).is_zero()
@@ -764,9 +766,10 @@ def _hessian_biform_poly(f, A, B):
 
 @pytest.mark.parametrize("n, points", [(1, 3), (2, 1)])
 def test_hessian_form_derivative_matches_symbolic_biform(n, points, rng, s3_fields, s5_fields):
-    # The product-rule leading term of the third-order check against u . grad
-    # of the symbolic biform.  (T, E_v) is the pair the check uses; the offset
-    # pair has Reeb and radial parts, so no term of the expansion vanishes.
+    # The dual leading term of the third-order check (the Hessian form at
+    # q + EPS u, with grad f, Hess f and the slots moving) against u . grad
+    # of the symbolic biform.  (T, E_v) is the pair the check uses; the
+    # offset pair has Reeb and radial parts, so no term of the form vanishes.
     pool = s3_fields if n == 1 else s5_fields
     ext, const = C.VectorFieldPoly.horizontal_extension, C.VectorFieldPoly.constant
     for i in range(points):
@@ -786,7 +789,9 @@ def test_hessian_form_derivative_matches_symbolic_biform(n, points, rng, s3_fiel
         for (A, a, da), (B, b, db) in pairs:
             biform = _hessian_biform_poly(f, A, B)
             expected = sum(g.evaluate(q) * u[k] for k, g in enumerate(biform.gradient()))
-            got = C._hessian_form_derivative(q, u, a, da, b, db, grad, hess, third @ u)
+            moving = C._hessian_form_at(C._along(q, u), C._along(grad, hess @ u),
+                                        C._along(hess, third @ u))
+            got = C._d(moving(C._along(a, da), C._along(b, db)))
             assert abs(got - expected) < 1e-10
 
 
@@ -1255,6 +1260,52 @@ def _hessian_form_derivative_reference(q, u, a, da, b, db, grad, hess, dhess):
         + (dt @ a + t @ da) * (jb @ grad) + (t @ a) * (djb @ grad + jb @ dgrad)
         + (dt @ b + t @ db) * (ja @ grad) + (t @ b) * (dja @ grad + ja @ dgrad)
     )
+
+
+def _random_symmetric(rng, m):
+    a = rng.standard_normal((m, m))
+    return a + a.T
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(1, 3),
+    st.floats(-6.0, 3.0),
+    st.floats(-6.0, 3.0),
+    st.floats(-6.0, 3.0),
+    st.integers(0, 2**32 - 1),
+)
+def test_dual_derivatives_match_the_hand_product_rules(n, log_u, log_da, log_db, seed):
+    # _d of the plain expression at _along arguments against the hand
+    # expansions kept above, over directions of norm 1e-6 to 1e3
+    rng = np.random.default_rng(seed)
+    m = 2 * n + 2
+    q = random_point(rng, n).coords
+
+    def direction(log_norm):
+        v = rng.standard_normal(m)
+        return v * (10.0**log_norm / np.linalg.norm(v))
+
+    u, da, db = direction(log_u), direction(log_da), direction(log_db)
+    a, b, grad = rng.standard_normal((3, m))
+    size_u, size_a, size_b = (np.linalg.norm(v) for v in (u, da, db))
+    hess, dhess = _random_symmetric(rng, m), size_u * _random_symmetric(rng, m)
+
+    value, expected = _pi_h_deriv_reference(q, u, a, da)
+    got = C._pi_h_vec(C._along(q, u), C._along(a, da))
+    _assert_close(got.real, value, 1e-14)
+    _assert_close(C._d(got), expected, 1e-14 * (size_a + size_u * np.linalg.norm(a)))
+
+    expected = _hessian_form_derivative_reference(q, u, a, da, b, db, grad, hess, dhess)
+    moving = C._hessian_form_at(C._along(q, u), C._along(grad, hess @ u), C._along(hess, dhess))
+    got = C._d(moving(C._along(a, da), C._along(b, db)))
+    sizes = [np.abs(v).max() for v in (a, b, grad, hess)]
+    scale = np.prod(1.0 + np.array(sizes)) * (size_u + size_a + size_b)
+    _assert_close(got, expected, 1e-14 * scale)
+
+    # the real parts of dual products are the plain float products, bitwise
+    x, y, dx, dy = rng.standard_normal((4, m)) * 10.0 ** rng.uniform(-6, 3, (4, m))
+    assert (C._along(x, dx) * C._along(y, dy)).real.tobytes() == (x * y).tobytes()
 
 
 def third_commutation_residual_reference(f, p, x, y):

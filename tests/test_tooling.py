@@ -267,3 +267,38 @@ def test_directions_have_one_reader():
                     guarded.append("%s.%s" % (path.stem, func.name))
     assert readers == []
     assert sorted(guarded) == ["geodesics._great_circle_direction", "sphere._vec_at"]
+
+
+def _owned_nodes(tree):
+    """(name of the innermost enclosing function, or None, node) for every node."""
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            name = child.name if isinstance(child, ast.FunctionDef) else owner
+            yield name, child
+            yield from visit(child, name)
+    return visit(tree, None)
+
+
+def test_dual_numbers_have_one_maker_and_one_reader():
+    # First derivatives are taken in dual arithmetic: calculus._along makes
+    # a dual value and calculus._d reads its derivative part.  No other code
+    # reads EPS, writes a complex literal or reads .imag; geodesics is exempt
+    # from the last two, because its complex numbers are points of C^(n+1).
+    found = []
+    for path in sorted((ROOT / "src" / "crsphere").glob("*.py")):
+        for owner, node in _owned_nodes(ast.parse(path.read_text())):
+            eps = isinstance(node, ast.Name) and node.id == "EPS" and isinstance(node.ctx, ast.Load)
+            literal = isinstance(node, ast.Constant) and isinstance(node.value, complex)
+            imag = isinstance(node, ast.Attribute) and node.attr == "imag"
+            if eps or ((literal or imag) and path.stem != "geodesics"):
+                found.append("%s.%s" % (path.stem, owner))
+    assert sorted(set(found)) == ["calculus._along", "calculus._d"]
+    # the two helpers that receive dual values pair vectors with the
+    # non-conjugating _dot: np.vecdot conjugates its first argument and
+    # would drop derivative terms
+    tree = ast.parse((ROOT / "src" / "crsphere" / "calculus.py").read_text())
+    helpers = {f.name: f for f in tree.body if isinstance(f, ast.FunctionDef)}
+    for name in ("_pi_h_vec", "_hessian_form_at"):
+        calls = {ast.unparse(n.func) for n in ast.walk(helpers[name]) if isinstance(n, ast.Call)}
+        assert "_dot" in calls
+        assert "np.vecdot" not in calls
