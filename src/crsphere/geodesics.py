@@ -25,10 +25,13 @@ Two independent integrations of the same curves:
     oracle the tests compare against.
 
 Both step loops are plain Python arithmetic on a few scalars, where a
-numpy call costs more than its arithmetic.  numpy only holds the
-traces: the HJ route writes them row by row into preallocated arrays,
-the connection route maps its coefficient rows onto the plane with one
-matrix product at the end.
+numpy call costs more than its arithmetic.  The connection route writes
+its four RK4 stages straight out on the four complex coefficients, and
+the HJ route records each row from the D = |u|^2 + 1 of the field
+evaluation it needs anyway.  numpy only holds the traces: the HJ route
+writes them row by row into preallocated arrays, the connection route
+maps its coefficient rows onto the plane with one matrix product at the
+end.
 
 On the spheres the multiplier b is constant along a geodesic, and a
 curve solves the connection equation with parameter b exactly when its
@@ -190,69 +193,77 @@ def great_circle_points(x0, v, s):
     return out / _norms(out)[..., None]
 
 
-def _plane_rhs(y, gram, b):
-    """(gamma', gamma'') on span_C{q0, v0}, as coefficients over (q0, v0).
-
-    y = (a, beta, g, d) holds q = a q0 + beta v0 and v = g q0 + d v0.
-    gram = (<q0, q0>, <q0, v0>, <v0, q0>, <v0, v0>), so
-    <x, y> = conj(x) . G y for coefficient pairs.  With c = <q, v> and
-    k = 2i (Im c - b), gamma'' = k (v - c q) - |v|^2 q.  Returns the
-    4-tuple (g, d, gamma''_a, gamma''_beta).
-    """
-    a, beta, g, d = y
-    g11, g12, g21, g22 = gram
-    wa, wb = g11 * g + g12 * d, g21 * g + g22 * d  # G v
-    c = a.conjugate() * wa + beta.conjugate() * wb
-    vv = (g.conjugate() * wa + d.conjugate() * wb).real
-    k = 2j * (c.imag - b)
-    return g, d, k * (g - c * a) - vv * a, k * (d - c * beta) - vv * beta
-
-
 def integrate_connection_geodesic(init, s_max, step):
     """Fixed-step RK4 for the connection geodesic ODE.
 
     gamma'' = k v - (k c + |v|^2) q is a complex combination of the
     position q and the velocity v, so every RK4 stage stays in the plane
     span_C{q0, v0} of the initial data.  The step runs on the four
-    complex coefficients of q = a q0 + beta v0 and v = g q0 + d v0
-    (`_plane_rhs`), with every Hermitian product, the renormalization's
-    included, read from the Gram matrix of (q0, v0) as it is: no
-    orthonormalization, so v0 = 0 and non-unit v0 need no special case.
-    It is the same RK4 on the same field as in C^(n+1), at a cost per
-    step that does not depend on n.  The position is
-    renormalized to the sphere after every step (the correction is far
-    below the integrator error).  The multiplier evolves by
-    b' = A(gamma', gamma'), and the spheres have no pseudohermitian
-    torsion A, so b stays constant along the flow.
+    complex coefficients of q = a q0 + beta v0 and v = g q0 + d v0,
+    with every Hermitian product, the renormalization's included, read
+    from the Gram matrix G of (q0, v0) as it is: <x, y> = conj(x) . G y
+    for coefficient pairs, and no orthonormalization, so v0 = 0 and
+    non-unit v0 need no special case.  At a stage (a, beta, g, d), with
+    c = <q, v> and k = 2i (Im c - b), gamma'' = k (v - c q) - |v|^2 q
+    has the coefficients (ga, gb) below.  The four stages are written
+    out on these scalars, so a step builds no list.  It is the same RK4
+    on the same field as in C^(n+1), at a cost per step that does not
+    depend on n.  The position is renormalized to the sphere after
+    every step (the correction is far below the integrator error).  The
+    multiplier evolves by b' = A(gamma', gamma'), and the spheres have
+    no pseudohermitian torsion A, so b stays constant along the flow.
     """
     steps = _step_schedule(s_max, step)
     q0, v0 = _complex(init.x.coords), _complex(init.v.vec)
     g11, g22 = float(np.vdot(q0, q0).real), float(np.vdot(v0, v0).real)
     g12 = complex(np.vdot(q0, v0))
     g21 = g12.conjugate()
-    gram = (g11, g12, g21, g22)
     b = float(init.b)
-    y = [1 + 0j, 0j, 0j, 1 + 0j]
+    a, beta, g, d = 1 + 0j, 0j, 0j, 1 + 0j
     svals = np.empty(len(steps) + 1)
     coef = np.empty((len(steps) + 1, 4), dtype=complex)
     svals[0] = 0.0
-    coef[0] = y
+    coef[0] = a, beta, g, d
     s = 0.0
     for i, h in enumerate(steps, start=1):
         half, sixth = 0.5 * h, h / 6.0
-        k1 = _plane_rhs(y, gram, b)
-        k2 = _plane_rhs([x + half * d for x, d in zip(y, k1)], gram, b)
-        k3 = _plane_rhs([x + half * d for x, d in zip(y, k2)], gram, b)
-        k4 = _plane_rhs([x + h * d for x, d in zip(y, k3)], gram, b)
-        a, beta, g, d = [
-            x + sixth * (d1 + 2 * d2 + 2 * d3 + d4) for x, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)
-        ]
+        # stage 1 at (a, beta, g, d); wa, wb = G v
+        wa, wb = g11 * g + g12 * d, g21 * g + g22 * d
+        c = a.conjugate() * wa + beta.conjugate() * wb
+        vv = (g.conjugate() * wa + d.conjugate() * wb).real
+        k = 2j * (c.imag - b)
+        ga1, gb1 = k * (g - c * a) - vv * a, k * (d - c * beta) - vv * beta
+        # stage 2 at y + (h/2) k1, k1 = (g, d, ga1, gb1)
+        a2, beta2, g2, d2 = a + half * g, beta + half * d, g + half * ga1, d + half * gb1
+        wa, wb = g11 * g2 + g12 * d2, g21 * g2 + g22 * d2
+        c = a2.conjugate() * wa + beta2.conjugate() * wb
+        vv = (g2.conjugate() * wa + d2.conjugate() * wb).real
+        k = 2j * (c.imag - b)
+        ga2, gb2 = k * (g2 - c * a2) - vv * a2, k * (d2 - c * beta2) - vv * beta2
+        # stage 3 at y + (h/2) k2
+        a3, beta3, g3, d3 = a + half * g2, beta + half * d2, g + half * ga2, d + half * gb2
+        wa, wb = g11 * g3 + g12 * d3, g21 * g3 + g22 * d3
+        c = a3.conjugate() * wa + beta3.conjugate() * wb
+        vv = (g3.conjugate() * wa + d3.conjugate() * wb).real
+        k = 2j * (c.imag - b)
+        ga3, gb3 = k * (g3 - c * a3) - vv * a3, k * (d3 - c * beta3) - vv * beta3
+        # stage 4 at y + h k3
+        a4, beta4, g4, d4 = a + h * g3, beta + h * d3, g + h * ga3, d + h * gb3
+        wa, wb = g11 * g4 + g12 * d4, g21 * g4 + g22 * d4
+        c = a4.conjugate() * wa + beta4.conjugate() * wb
+        vv = (g4.conjugate() * wa + d4.conjugate() * wb).real
+        k = 2j * (c.imag - b)
+        ga4, gb4 = k * (g4 - c * a4) - vv * a4, k * (d4 - c * beta4) - vv * beta4
+        a = a + sixth * (g + 2 * g2 + 2 * g3 + g4)
+        beta = beta + sixth * (d + 2 * d2 + 2 * d3 + d4)
+        g = g + sixth * (ga1 + 2 * ga2 + 2 * ga3 + ga4)
+        d = d + sixth * (gb1 + 2 * gb2 + 2 * gb3 + gb4)
         wa, wb = g11 * a + g12 * beta, g21 * a + g22 * beta  # G q
         norm = math.sqrt((a.conjugate() * wa + beta.conjugate() * wb).real)
-        y = [a / norm, beta / norm, g, d]
+        a, beta = a / norm, beta / norm
         s += h
         svals[i] = s
-        coef[i] = y
+        coef[i] = a, beta, g, d
     # rows alternate q and v; dropping the coefficients before the real
     # traces are built lowers the peak memory by their size
     z = coef.reshape(-1, 2) @ np.stack([q0, v0])
@@ -261,7 +272,12 @@ def integrate_connection_geodesic(init, s_max, step):
 
 
 def _step_schedule(s_max, step):
-    """Fixed steps, with one shorter final step landing exactly on s_max.
+    """Fixed steps, with one shorter final step for the remainder.
+
+    A remainder of at most 1e-12 is dropped.  The integrators record s
+    as the running sum of the steps, so the last recorded s is s_max
+    only up to rounding: 2 pi at step 2e-3 ends at 6.283185307179116,
+    4.7e-13 short.
 
     The guards are written `not ...`, so that a NaN step or length
     fails them too.
@@ -346,9 +362,10 @@ class Chart:
         return [x / (1.0 - h) for x in q[:-1]]
 
     # The chart maps below take any sequence of floats and return a
-    # list: the HJ flow records its trace through from_coords and push
-    # once per step, with 3 to 7 entries, where scalar arithmetic beats
-    # numpy's per-call cost.
+    # list, as the HJ flow's lists of 3 to 7 floats are too short for
+    # numpy's per-call cost.  The flow calls them only to hand a state
+    # to the other chart (`_hand_off`); it records its trace through
+    # `_hj_rows`, which is from_coords and push with the D of the step.
 
     def from_coords(self, u):
         d = sum(map(mul, u, u)) + 1.0
@@ -454,7 +471,8 @@ def _hj_rhs(chart, u, xi):
         -dH/du = (M.xi)(R^T xi + s[(u.xi) e_n + u_n xi - xi_n u])
                  - (D/2)|xi|^2 u,
     from one D and four dot products, with no chart map.  u and xi are
-    sequences of floats; both parts come back as lists.
+    sequences of floats; both parts come back as lists, followed by D,
+    which the HJ flow reuses to record the step.
     """
     n, s = chart.n, chart.sign
     uu = sum(map(mul, u, u))
@@ -471,6 +489,7 @@ def _hj_rhs(chart, u, xi):
     return (
         [r * z - c * (m + su * x) for x, m, z in zip(u, mr, xi)],
         [c * (g + su * z - sx * x) - e * x for x, g, z in zip(u, gr, xi)],
+        d,
     )
 
 
@@ -487,13 +506,31 @@ def _hand_off(old, new, u, xi):
     return u_new, new.pull(u_new, m_amb)
 
 
+def _hj_rows(sign, u, du, d):
+    """The trace rows (q, J du) at chart coordinates u, D = |u|^2 + 1 given.
+
+    `Chart.from_coords` and `Chart.push` of the chart with this sign,
+    with their D taken from the caller: the HJ flow passes the D of its
+    field evaluation at u.
+    """
+    q = [2.0 * x / d for x in u]
+    q.append(sign * (d - 2.0) / d)
+    r = 2.0 / d
+    k = 4.0 * sum(map(mul, u, du)) / (d * d)
+    v = [r * z - k * y for y, z in zip(u, du)]
+    v.append(sign * k)
+    return q, v
+
+
 def integrate_hj_geodesic(init, t_max, step):
     """Fixed-step RK4 for the Hamilton-Jacobi system in charts.
 
     The state (u, xi) is stepped on lists of floats.  The Hamiltonian
-    field is the polynomial form of `_hj_rhs`; the trace is recorded
-    through `Chart.from_coords` and `Chart.push`, the velocity as
-    J dH/dxi, taken from the next step's first stage.
+    field is the polynomial form of `_hj_rhs`.  Each recorded row is
+    the point and the velocity J dH/dxi at the new (u, xi), both built
+    by `_hj_rows` from the next step's first-stage field evaluation and
+    the D it computed: D is computed once per stage, and the chart maps
+    run only at a handoff.
     Chart exits are events: when the curve climbs toward the active
     pole the state is handed to the antipodal chart and integration
     continues.
@@ -509,20 +546,19 @@ def integrate_hj_geodesic(init, t_max, step):
     points = np.empty((len(steps) + 1, m))
     vels = np.empty((len(steps) + 1, m))
     events = []
-    k1u, k1x = _hj_rhs(chart, u, xi)
+    k1u, k1x, d = _hj_rhs(chart, u, xi)
     svals[0] = 0.0
-    points[0] = chart.from_coords(u)
-    vels[0] = chart.push(u, k1u)
+    points[0], vels[0] = _hj_rows(chart.sign, u, k1u, d)
     t = 0.0
     for i, h in enumerate(steps, start=1):
         half, sixth = 0.5 * h, h / 6.0
-        k2u, k2x = _hj_rhs(
+        k2u, k2x, _ = _hj_rhs(
             chart, [x + half * y for x, y in zip(u, k1u)], [x + half * y for x, y in zip(xi, k1x)]
         )
-        k3u, k3x = _hj_rhs(
+        k3u, k3x, _ = _hj_rhs(
             chart, [x + half * y for x, y in zip(u, k2u)], [x + half * y for x, y in zip(xi, k2x)]
         )
-        k4u, k4x = _hj_rhs(
+        k4u, k4x, _ = _hj_rhs(
             chart, [x + h * y for x, y in zip(u, k3u)], [x + h * y for x, y in zip(xi, k3x)]
         )
         u = [
@@ -534,18 +570,18 @@ def integrate_hj_geodesic(init, t_max, step):
             for x, y1, y2, y3, y4 in zip(xi, k1x, k2x, k3x, k4x)
         ]
         t += h
-        q = chart.from_coords(u)
-        k1u, k1x = _hj_rhs(chart, u, xi)
+        k1u, k1x, d = _hj_rhs(chart, u, xi)
+        q, v = _hj_rows(chart.sign, u, k1u, d)
         svals[i] = t
         points[i] = q
-        vels[i] = chart.push(u, k1u)
-        if chart.height(q) > Chart.HANDOFF_HEIGHT:
+        vels[i] = v
+        if chart.sign * q[-1] > Chart.HANDOFF_HEIGHT:
             new_cid = 1 - cid
             u, xi = _hand_off(chart, charts[new_cid], u, xi)
             events.append({"t": t, "from_chart": cid, "to_chart": new_cid})
             cid = new_cid
             chart = charts[cid]
-            k1u, k1x = _hj_rhs(chart, u, xi)
+            k1u, k1x, _ = _hj_rhs(chart, u, xi)
     trace = GeodesicTrace(
         svals, points, vels, np.full(len(steps) + 1, np.nan), events=events
     )

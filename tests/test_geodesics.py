@@ -6,7 +6,7 @@ from operator import mul
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 from scipy import optimize
@@ -231,7 +231,8 @@ def test_hj_rhs_matches_matrix_cometric(state):
     # the closed-form field against the matrix oracle: dH/dxi = g xi, and
     # -dH/du by central differences of (1/2) xi^T g(u) xi
     chart, u, xi = state
-    du, dxi = G._hj_rhs(chart, u, xi)
+    du, dxi, d = G._hj_rhs(chart, u, xi)
+    assert d == sum(map(mul, u, u)) + 1.0  # the D of the chart maps, bit for bit
     g = chart.cometric(u)
     assert_allclose(du, g @ xi, rtol=1e-12, atol=1e-12 * (1.0 + float(np.max(np.abs(g @ xi)))))
 
@@ -560,7 +561,7 @@ def _hj_rhs_scalar_reference(chart, u, xi):
 def test_hj_rhs_matches_the_chart_map_closed_form(state):
     # the polynomial field against the closed form through push and pull
     chart, u, xi = state
-    got = G._hj_rhs(chart, u.tolist(), xi.tolist())
+    got = G._hj_rhs(chart, u.tolist(), xi.tolist())[:2]
     want = _hj_rhs_scalar_reference(chart, u.tolist(), xi.tolist())
     for g, w in zip(got, want):
         w = np.array(w)
@@ -700,6 +701,179 @@ def test_pole_crossing_start_hands_off():
         got = G.integrate_hj_geodesic(lift, 2.005, 1e-2)
         assert got.events
         _assert_same_trace(got, hj_rk4_reference(lift, 2.005, 1e-2))
+
+
+# ---------------------------------------------------------------------------
+# The straight-line step loops against their list-form loops, bit for bit.
+# ---------------------------------------------------------------------------
+
+
+def _plane_rhs(y, gram, b):
+    """(gamma', gamma'') on span_C{q0, v0}, as coefficients over (q0, v0).
+
+    y = (a, beta, g, d) holds q = a q0 + beta v0 and v = g q0 + d v0.
+    gram = (<q0, q0>, <q0, v0>, <v0, q0>, <v0, v0>), so
+    <x, y> = conj(x) . G y for coefficient pairs.  With c = <q, v> and
+    k = 2i (Im c - b), gamma'' = k (v - c q) - |v|^2 q.  Returns the
+    4-tuple (g, d, gamma''_a, gamma''_beta).
+    """
+    a, beta, g, d = y
+    g11, g12, g21, g22 = gram
+    wa, wb = g11 * g + g12 * d, g21 * g + g22 * d  # G v
+    c = a.conjugate() * wa + beta.conjugate() * wb
+    vv = (g.conjugate() * wa + d.conjugate() * wb).real
+    k = 2j * (c.imag - b)
+    return g, d, k * (g - c * a) - vv * a, k * (d - c * beta) - vv * beta
+
+
+def connection_plane_list_reference(init, s_max, step):
+    """The plane-coefficient connection route with every stage built as a list.
+
+    The step loop the straight-line stages replaced: each stage zips a
+    4-element list and calls `_plane_rhs` on it.  Every operation runs
+    in the same order on the same operands as in the integrator.
+    """
+    steps = G._step_schedule(s_max, step)
+    q0, v0 = G._complex(init.x.coords), G._complex(init.v.vec)
+    g11, g22 = float(np.vdot(q0, q0).real), float(np.vdot(v0, v0).real)
+    g12 = complex(np.vdot(q0, v0))
+    g21 = g12.conjugate()
+    gram = (g11, g12, g21, g22)
+    b = float(init.b)
+    y = [1 + 0j, 0j, 0j, 1 + 0j]
+    svals = np.empty(len(steps) + 1)
+    coef = np.empty((len(steps) + 1, 4), dtype=complex)
+    svals[0] = 0.0
+    coef[0] = y
+    s = 0.0
+    for i, h in enumerate(steps, start=1):
+        half, sixth = 0.5 * h, h / 6.0
+        k1 = _plane_rhs(y, gram, b)
+        k2 = _plane_rhs([x + half * d for x, d in zip(y, k1)], gram, b)
+        k3 = _plane_rhs([x + half * d for x, d in zip(y, k2)], gram, b)
+        k4 = _plane_rhs([x + h * d for x, d in zip(y, k3)], gram, b)
+        a, beta, g, d = [
+            x + sixth * (d1 + 2 * d2 + 2 * d3 + d4) for x, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)
+        ]
+        wa, wb = g11 * a + g12 * beta, g21 * a + g22 * beta  # G q
+        norm = math.sqrt((a.conjugate() * wa + beta.conjugate() * wb).real)
+        y = [a / norm, beta / norm, g, d]
+        s += h
+        svals[i] = s
+        coef[i] = y
+    z = coef.reshape(-1, 2) @ np.stack([q0, v0])
+    return G.GeodesicTrace(svals, G._real(z[0::2]), G._real(z[1::2]), np.full(len(steps) + 1, b))
+
+
+def hj_list_reference(init, t_max, step):
+    """The HJ route recording every row through Chart.from_coords and Chart.push.
+
+    The step loop the one-D recording replaced: each row recomputes
+    D = |u|^2 + 1 in both chart maps, and the handoff test reads
+    Chart.height.
+    """
+    steps = G._step_schedule(t_max, step)
+    charts = G._charts(init.n)
+    cid = init.chart
+    chart = charts[cid]
+    u = init.x.tolist()
+    xi = init.xi.tolist()
+    m = 2 * init.n + 2
+    svals = np.empty(len(steps) + 1)
+    points = np.empty((len(steps) + 1, m))
+    vels = np.empty((len(steps) + 1, m))
+    events = []
+    k1u, k1x, _ = G._hj_rhs(chart, u, xi)
+    svals[0] = 0.0
+    points[0] = chart.from_coords(u)
+    vels[0] = chart.push(u, k1u)
+    t = 0.0
+    for i, h in enumerate(steps, start=1):
+        half, sixth = 0.5 * h, h / 6.0
+        k2u, k2x, _ = G._hj_rhs(
+            chart, [x + half * y for x, y in zip(u, k1u)], [x + half * y for x, y in zip(xi, k1x)]
+        )
+        k3u, k3x, _ = G._hj_rhs(
+            chart, [x + half * y for x, y in zip(u, k2u)], [x + half * y for x, y in zip(xi, k2x)]
+        )
+        k4u, k4x, _ = G._hj_rhs(
+            chart, [x + h * y for x, y in zip(u, k3u)], [x + h * y for x, y in zip(xi, k3x)]
+        )
+        u = [
+            x + sixth * (y1 + 2 * y2 + 2 * y3 + y4)
+            for x, y1, y2, y3, y4 in zip(u, k1u, k2u, k3u, k4u)
+        ]
+        xi = [
+            x + sixth * (y1 + 2 * y2 + 2 * y3 + y4)
+            for x, y1, y2, y3, y4 in zip(xi, k1x, k2x, k3x, k4x)
+        ]
+        t += h
+        q = chart.from_coords(u)
+        k1u, k1x, _ = G._hj_rhs(chart, u, xi)
+        svals[i] = t
+        points[i] = q
+        vels[i] = chart.push(u, k1u)
+        if chart.height(q) > G.Chart.HANDOFF_HEIGHT:
+            new_cid = 1 - cid
+            u, xi = G._hand_off(chart, charts[new_cid], u, xi)
+            events.append({"t": t, "from_chart": cid, "to_chart": new_cid})
+            cid = new_cid
+            chart = charts[cid]
+            k1u, k1x, _ = G._hj_rhs(chart, u, xi)
+    return G.GeodesicTrace(svals, points, vels, np.full(len(steps) + 1, np.nan), events=events)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_geodesic_starts(), st.sampled_from((0.0, 0.3, 3.0)))
+@example((*_pole_crossing_start(2), -0.6, 2.0055, 1e-2), 3.0)
+def test_step_loops_are_their_list_forms_bit_for_bit(start, speed):
+    p, v, b, length, step = start
+    v = TangentVector(p, speed * v.vec, True)
+    state = G.GeodesicState(p, v, b)
+    lift = G.cotangent_lift(p, v, b)
+    for got, want in (
+        (G.integrate_connection_geodesic(state, length, step),
+         connection_plane_list_reference(state, length, step)),
+        (G.integrate_hj_geodesic(lift, length, step), hj_list_reference(lift, length, step)),
+    ):
+        for name in ("s", "points", "velocities", "b"):
+            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+        assert got.events == want.events
+
+
+def test_pole_crossing_example_hands_off():
+    # the explicit example above does cross charts, several times
+    p, v = _pole_crossing_start(2)
+    lift = G.cotangent_lift(p, TangentVector(p, 3.0 * v.vec, True), -0.6)
+    assert len(hj_list_reference(lift, 2.0055, 1e-2).events) > 1
+
+
+def test_hj_step_loop_records_without_chart_maps(monkeypatch):
+    # each row reuses the D of its first-stage field evaluation, so a
+    # run with no handoff calls neither chart map and evaluates the
+    # field 4 times per step, plus once at the start
+    n = 2
+    e1, across = np.zeros(2 * n + 2), np.zeros(2 * n + 2)
+    e1[0] = across[1] = 1.0
+    p = SpherePoint(e1, n)
+    # the curve stays in span_C{e1, e2}, where the last coordinate is 0
+    lift = G.cotangent_lift(p, TangentVector(p, across, True), 0.4)
+    calls = []
+    field = G._hj_rhs
+
+    def counting(*args):
+        calls.append(1)
+        return field(*args)
+
+    def refuse(self, *args):
+        raise AssertionError("the HJ step loop called a chart map")
+
+    monkeypatch.setattr(G, "_hj_rhs", counting)
+    monkeypatch.setattr(G.Chart, "from_coords", refuse)
+    monkeypatch.setattr(G.Chart, "push", refuse)
+    trace = G.integrate_hj_geodesic(lift, 1.2345, 1e-2)
+    assert not trace.events
+    assert len(calls) == 4 * (len(trace.s) - 1) + 1
 
 
 # ---------------------------------------------------------------------------
