@@ -47,6 +47,8 @@ def monomial_key(exps):
 
 def monomial_basis(num_vars, degree):
     """All exponent tuples of the given total degree, grlex order."""
+    if num_vars < 1:
+        raise ValueError("monomials need at least one variable; got %d" % num_vars)
     if degree < 0:
         return []
     if num_vars == 1:
@@ -444,24 +446,6 @@ def evaluate_many(polys, points):
     return np.ascontiguousarray(sums[0] if single else sums)
 
 
-def _moved_power_terms(p, src, dst):
-    """Terms of x_dst d/dx_src p as (packed key, numerator over p's denominator).
-
-    Moving one power from x_src to x_dst is one key offset, so the terms
-    come in p's order.  A power moved onto an exponent of 255 raises
-    instead of carrying into the next variable.
-    """
-    shift, dst_shift = _exponent_shift(p.num_vars, src), _exponent_shift(p.num_vars, dst)
-    move = (1 << dst_shift) - (1 << shift)
-    for k, v in p._terms.items():
-        e = k >> shift & MAX_EXPONENT
-        if e:
-            key = k + move
-            if not key >> dst_shift & MAX_EXPONENT:  # the destination byte wrapped to 0
-                raise _exponent_error(MAX_EXPONENT + 1)
-            yield key, v * e
-
-
 def euclidean_laplacian(p):
     """Flat Laplacian; drops the degree by two, exactly.
 
@@ -645,7 +629,7 @@ def _stacked_columns(polys):
 def _of_degree(poly, num_vars, degree):
     """True when the polynomial lives in num_vars variables and every term has the degree."""
     return poly.num_vars == num_vars and all(
-        _key_degree(k, num_vars) == degree for k in poly._terms
+        sum(k.to_bytes(num_vars, "big")) == degree for k in poly._terms
     )
 
 

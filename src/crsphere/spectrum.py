@@ -32,10 +32,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .polynomials import (
+    MAX_EXPONENT,
     Polynomial,
     SubspaceBasis,
     _as_fraction,
-    _moved_power_terms,
+    _exponent_error,
+    _exponent_shift,
     _pack,
     _stacked_columns,
     dim_homogeneous,
@@ -48,22 +50,32 @@ def t0_apply(p):
     """The Reeb derivation on a polynomial in 2n+2 variables.
 
     Applied term by term: x^j d/dy^j moves one power from y^j to x^j
-    and y^j d/dx^j one from x^j to y^j.  Terms are accumulated in the
-    order that sum_j (x^j d/dy^j p - y^j d/dx^j p) would produce them,
-    so float evaluations of the result sum in that order too.
+    and y^j d/dx^j one from x^j to y^j, each move one key offset and one
+    walk over p's terms; a power moved onto an exponent of 255 raises.
+    Terms are accumulated in the order that sum_j (x^j d/dy^j p - y^j
+    d/dx^j p) would produce them, so float evaluations sum in it too.
     """
     num_vars = p.num_vars
+    if num_vars % 2:
+        raise ValueError("T0 acts on 2n+2 variables; got %d" % num_vars)
     half = num_vars // 2
     terms = {}
     get = terms.get
     for j in range(half):
         for src, dst, sign in ((half + j, j, 1), (j, half + j, -1)):
-            for key, v in _moved_power_terms(p, src, dst):
-                s = get(key, 0) + sign * v
-                if s:
-                    terms[key] = s
-                else:
-                    del terms[key]
+            shift, dst_shift = _exponent_shift(num_vars, src), _exponent_shift(num_vars, dst)
+            move = (1 << dst_shift) - (1 << shift)
+            for k, v in p._terms.items():
+                e = k >> shift & MAX_EXPONENT
+                if e:
+                    key = k + move
+                    if not key >> dst_shift & MAX_EXPONENT:  # the destination byte wrapped to 0
+                        raise _exponent_error(MAX_EXPONENT + 1)
+                    s = get(key, 0) + sign * e * v
+                    if s:
+                        terms[key] = s
+                    else:
+                        del terms[key]
     return Polynomial._wrap(num_vars, terms, p._den)
 
 
@@ -114,17 +126,20 @@ def _complex_monomial_terms(n, a, b):
     One multinomial expansion: the product over j of the Gaussian-integer
     factors (x_j + i y_j)^(a_j) (x_j - i y_j)^(b_j).  Distinct j touch
     distinct variables, so no two products land on the same monomial.
+    A factor's keys are shifted into x_j's and y_j's bytes; a_j + b_j > 255 raises.
     """
     half = n + 1
     num_vars = 2 * half
-    out = {_pack((0,) * num_vars): (1, 0)}
+    out = {0: (1, 0)}
     for j in range(half):
         deg = a[j] + b[j]
-        steps = []  # packed x_j^(deg - k) y_j^k with the factor's coefficient of it
-        for k, fre, fim in _gaussian_factor(a[j], b[j]):
-            exps = [0] * num_vars
-            exps[j], exps[half + j] = deg - k, k
-            steps.append((_pack(exps), fre, fim))
+        if deg > MAX_EXPONENT:
+            raise _exponent_error(deg)
+        x_shift, y_shift = _exponent_shift(num_vars, j), _exponent_shift(num_vars, half + j)
+        steps = [  # packed x_j^(deg - k) y_j^k with the factor's coefficient of it
+            (((deg - k) << x_shift) + (k << y_shift), fre, fim)
+            for k, fre, fim in _gaussian_factor(a[j], b[j])
+        ]
         grown = {}
         for key, (re, im) in out.items():
             for step, fre, fim in steps:

@@ -87,6 +87,11 @@ def test_exponent_field_is_guarded():
     assert t0_apply(x1**255) == -255 * x1**254 * y1
     with pytest.raises(ValueError):
         t0_apply(x1**255 * y1)
+    # the byte check also holds on the second pair and the x side
+    x2, y2 = var(1), var(3)
+    assert t0_apply(y2**255) == 255 * x2 * y2**254
+    with pytest.raises(ValueError):
+        t0_apply(x2 * y2**255)
 
 
 def test_terms_view_is_read_only_and_counts_without_decoding(monkeypatch):
@@ -122,6 +127,18 @@ def test_monomial_basis_graded_lex():
     mons = monomial_basis(2, 2)
     assert mons == [(2, 0), (1, 1), (0, 2)]
     assert len(monomial_basis(4, 3)) == dim_homogeneous(4, 3) == 20
+
+
+def test_monomial_basis_needs_a_variable():
+    # no variables used to recurse without end; the builders on top raise too
+    for build in (
+        lambda: monomial_basis(0, 2),
+        lambda: monomial_basis(-1, 2),
+        lambda: harmonic_basis(-1, 2),
+        lambda: spectrum_fragment(-1, 2),
+    ):
+        with pytest.raises(ValueError, match="at least one variable"):
+            build()
 
 
 def test_laplacian_examples():

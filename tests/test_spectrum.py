@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -11,6 +12,7 @@ from crsphere.polynomials import (
     Polynomial,
     SubspaceBasis,
     _harmonic_span,
+    _pack,
     dim_homogeneous,
     euclidean_laplacian,
     monomial_basis,
@@ -20,6 +22,8 @@ from crsphere.spectrum import (
     SpectrumEntry,
     SpectrumFragment,
     _complex_monomial,
+    _complex_monomial_terms,
+    _gaussian_factor,
     kernel_t0sq_shift,
     reeb_kernel_eigenfunctions,
     spectrum_fragment,
@@ -39,6 +43,12 @@ def test_t0_on_coordinates():
     assert t0_apply(var(0)) == -var(2)
     assert t0_apply(var(2)) == var(0)
     assert t0_apply(var(1)) == -var(3)
+
+
+def test_t0_needs_paired_variables():
+    # with an odd count the x/y halves would pair the wrong variables
+    with pytest.raises(ValueError, match="2n\\+2 variables"):
+        t0_apply(Polynomial(3, {(1, 0, 1): 1}))
 
 
 def test_t0_kills_the_rotation_invariant():
@@ -129,6 +139,49 @@ def test_complex_monomial_matches_successive_products(data):
     assert re == ref_re
     assert im == ref_im
     assert all(isinstance(c, Fraction) for c in (*re.terms.values(), *im.terms.values()))
+
+
+def complex_monomial_terms_reference(n, a, b):
+    """z^a zbar^b as packed key -> (re, im), each step key built by the validating _pack."""
+    half = n + 1
+    num_vars = 2 * half
+    out = {_pack((0,) * num_vars): (1, 0)}
+    for j in range(half):
+        deg = a[j] + b[j]
+        steps = []
+        for k, fre, fim in _gaussian_factor(a[j], b[j]):
+            exps = [0] * num_vars
+            exps[j], exps[half + j] = deg - k, k
+            steps.append((_pack(exps), fre, fim))
+        grown = {}
+        for key, (re, im) in out.items():
+            for step, fre, fim in steps:
+                grown[key + step] = (re * fre - im * fim, re * fim + im * fre)
+        out = grown
+    return out
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_complex_monomial_terms_match_packed_reference_in_order(data):
+    # the term order becomes the eigenbasis term order, and so the
+    # order in which float evaluations of an eigenfunction sum
+    n = data.draw(st.integers(1, 3))
+    multi = st.tuples(*[st.integers(0, 4)] * (n + 1))
+    a, b = data.draw(multi), data.draw(multi)
+    got = _complex_monomial_terms(n, a, b)
+    assert list(got.items()) == list(complex_monomial_terms_reference(n, a, b).items())
+
+
+def test_complex_monomial_exponent_bound():
+    # a_j + b_j is the exponent of x_j in the leading term: 255 fits a byte, 256 does not
+    fits = _complex_monomial_terms(1, (0, 128), (0, 127))
+    assert list(fits.items()) == list(complex_monomial_terms_reference(1, (0, 128), (0, 127)).items())
+    for a, b in (((128, 0), (128, 0)), ((0, 256), (0, 0)), ((1, 255), (0, 1))):
+        with pytest.raises(ValueError, match="exponent 256 above 255"):
+            _complex_monomial_terms(1, a, b)
+        with pytest.raises(ValueError, match="exponent 256 above 255"):
+            complex_monomial_terms_reference(1, a, b)
 
 
 def coefficient_rows(polys, mons):
@@ -361,6 +414,23 @@ def test_fragment_matches_real_monomial_route(n, ell_max):
     e, r = got.entries[-1], ref.entries[-1]
     assert all(r.eigenbasis.contains(p) for p in e.eigenbasis.polys[:3])
     assert all(e.eigenbasis.contains(p) for p in r.eigenbasis.polys[:3])
+
+
+FRAGMENT_DIGEST = "85907d503201a6990600808b21e38f5c2ece5a139199f4f5800a199eb5fd75b2"
+
+
+def test_fragment_terms_digest():
+    # Every eigenbasis term, numerator, denominator and their order over
+    # the perfbench exact_spectrum range: a kernel rewrite that moves any
+    # of them, or only the term order that float evaluations sum in,
+    # changes the digest.
+    digest = hashlib.sha256()
+    for n, ell_max in ((1, 6), (2, 5), (3, 4)):
+        for ell in range(1, ell_max + 1):
+            for e in spectrum_fragment(n, ell).entries:
+                polys = [(list(p._terms.items()), p._den) for p in e.eigenbasis.polys]
+                digest.update(repr((n, ell, e.t0sq_eigenvalue, polys)).encode())
+    assert digest.hexdigest() == FRAGMENT_DIGEST
 
 
 def test_fragment_rejects_bad_degree():
