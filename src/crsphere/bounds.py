@@ -105,8 +105,8 @@ def check_bound(n, degree_max, num_samples=200, seed=0):
     Equality is flagged when -mu matches the bound to within 1e-12; on
     S^3 the degree-2 kernel eigenvalue -8 achieves it.
     """
-    if degree_max > 6:
-        raise ValueError("fragments are desk scale: degree_max <= 6")
+    if not 1 <= degree_max <= 6:
+        raise ValueError("fragments are desk scale: 1 <= degree_max <= 6")
     samples = estimate_k_samples(n, num_samples, seed)
     k_hat = float(np.min(samples))
     bound = lichnerowicz_bound(n, k_hat)

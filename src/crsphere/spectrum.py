@@ -79,6 +79,30 @@ def t0_apply(p):
     return Polynomial._wrap(num_vars, terms, p._den)
 
 
+def _t0sq_certificate(polys, degree, lam):
+    """True exactly when (T0^2 + lam) p = 0 for every p, with lam an integer.
+
+    A Kronecker substitution (J. reine angew. Math. 92, 1882) packs the
+    numerators into z = sum_i B^i num(p_i), so one exact apply checks
+    them all.  For p of degree at most d, |T0 p|_1 <= d |p|_1: each
+    term's moves carry its exponents, which sum to at most d.  So every
+    coefficient of (T0^2 + lam) num(p_i) is an integer of magnitude at
+    most M = max_i (d^2 + |lam|) |num p_i|_1 < B = M + 1.  The image of
+    z at a monomial is sum_i B^i c_i with |c_i| < B; were it zero with
+    some c_i nonzero, the lowest such c_j would be a multiple of B.
+    """
+    if not polys:
+        return True
+    base = 1 + max((degree * degree + abs(lam)) * sum(map(abs, p._terms.values())) for p in polys)
+    terms, scale = {}, 1
+    for p in polys:
+        for k, v in p._terms.items():
+            terms[k] = terms.get(k, 0) + scale * v
+        scale *= base
+    z = Polynomial._wrap(polys[0].num_vars, {k: v for k, v in terms.items() if v})
+    return (t0_apply(t0_apply(z)) + lam * z).is_zero()
+
+
 def kernel_t0sq_shift(n, ell, lam):
     """Exact basis of Ker(T0^2 + lam I) inside P_ell (brute force route).
 
@@ -296,6 +320,8 @@ def spectrum_fragment(n, ell):
     p + q = ell, so no other eigenvalue can occur; entries come in
     ascending order of lambda.
     """
+    if isinstance(n, bool) or n < 1:
+        raise ValueError("CR dimension must be a positive integer")
     if ell < 1:
         raise ValueError("degree must be >= 1")
     entries = []

@@ -175,6 +175,13 @@ def test_check_bound_degree_cap():
         check_bound(1, 7)
 
 
+def test_check_bound_needs_a_degree():
+    # no degree used to give an empty report whose kernel entries all held
+    for degree_max in (0, -3):
+        with pytest.raises(ValueError, match="1 <= degree_max <= 6"):
+            check_bound(1, degree_max)
+
+
 def test_bound_report_invariant():
     bad = BoundEntry(
         degree=2, t0sq_eigenvalue=0, sublaplacian_eigenvalue=-8,

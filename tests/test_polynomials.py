@@ -135,7 +135,6 @@ def test_monomial_basis_needs_a_variable():
         lambda: monomial_basis(0, 2),
         lambda: monomial_basis(-1, 2),
         lambda: harmonic_basis(-1, 2),
-        lambda: spectrum_fragment(-1, 2),
     ):
         with pytest.raises(ValueError, match="at least one variable"):
             build()

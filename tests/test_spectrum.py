@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 from fractions import Fraction
 from functools import lru_cache
@@ -7,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crsphere import spectrum as S
+from crsphere import suites
 from crsphere.calculus import ScalarField, sublaplacian_greenleaf
 from crsphere.polynomials import (
     Polynomial,
@@ -24,6 +27,7 @@ from crsphere.spectrum import (
     _complex_monomial,
     _complex_monomial_terms,
     _gaussian_factor,
+    _t0sq_certificate,
     kernel_t0sq_shift,
     reeb_kernel_eigenfunctions,
     spectrum_fragment,
@@ -31,6 +35,7 @@ from crsphere.spectrum import (
     t0_apply,
 )
 from crsphere.sphere import random_point
+from crsphere.suites import Config, run_suite
 from test_polynomials import matrix_rank_reference, null_space_reference
 
 
@@ -431,6 +436,131 @@ def test_fragment_terms_digest():
                 polys = [(list(p._terms.items()), p._den) for p in e.eigenbasis.polys]
                 digest.update(repr((n, ell, e.t0sq_eigenvalue, polys)).encode())
     assert digest.hexdigest() == FRAGMENT_DIGEST
+
+
+# ---------------------------------------------------------------------------
+# The packed T0^2 certificate of the spectrum suite.
+# ---------------------------------------------------------------------------
+
+
+def t0sq_per_element_reference(polys, lam):
+    """The per-element check the packed certificate replaced: T0^2 p = -lam p for each p."""
+    return all((t0_apply(t0_apply(p)) + lam * p).is_zero() for p in polys)
+
+
+@lru_cache(maxsize=None)
+def _perfbench_range_entries():
+    """(degree, lambda, eigenbasis) of every entry over (1, <=6), (2, <=5), (3, <=4)."""
+    return tuple(
+        (ell, e.t0sq_eigenvalue, e.eigenbasis.polys)
+        for n, ell_max in ((1, 6), (2, 5), (3, 4))
+        for ell in range(1, ell_max + 1)
+        for e in spectrum_fragment(n, ell).entries
+    )
+
+
+def test_t0sq_certificate_accepts_every_fragment_entry():
+    for ell, lam, polys in _perfbench_range_entries():
+        assert _t0sq_certificate(polys, ell, lam)
+        assert t0sq_per_element_reference(polys, lam)
+
+
+@settings(max_examples=12, deadline=None)
+@given(st.data())
+def test_t0sq_certificate_agrees_with_per_element_reference(data):
+    # one planted fault per entry: a numerator moved by a nonzero integer
+    # in the first, the last or a random element, or lambda shifted by 1
+    for ell, lam, polys in _perfbench_range_entries():
+        where = data.draw(st.sampled_from(("first", "last", "random", "lambda")))
+        if where == "lambda":
+            lam += 1
+        else:
+            i = {"first": 0, "last": len(polys) - 1}.get(where)
+            if i is None:
+                i = data.draw(st.integers(0, len(polys) - 1))
+            p = polys[i]
+            key = data.draw(st.sampled_from(sorted(p._terms)))
+            delta = data.draw(st.integers(-(10**12), 10**12).filter(bool))
+            terms = dict(p._terms)
+            terms[key] += delta
+            planted = Polynomial._wrap(p.num_vars, {k: v for k, v in terms.items() if v}, p._den)
+            polys = polys[:i] + (planted,) + polys[i + 1 :]
+        assert _t0sq_certificate(polys, ell, lam) == t0sq_per_element_reference(polys, lam)
+
+
+def test_t0sq_certificate_explicit_cases():
+    x0, x1 = var(0), var(1)
+    # B = M + 1, not M: with B = M = 1 the two would pack to z = 0
+    assert not _t0sq_certificate([x0, -x0], 1, 0)
+    assert not t0sq_per_element_reference([x0, -x0], 0)
+    # numerators only: the denominator of 3 changes nothing
+    third = Fraction(1, 3) * (x0 * x0 + var(2) * var(2))  # (x1^2 + y1^2) / 3, T0-invariant
+    assert third._den == 3
+    assert not _t0sq_certificate([x0 * x1, third], 2, 0)
+    assert _t0sq_certificate([third, x0 * var(3) - x1 * var(2)], 2, 0)
+    assert not _t0sq_certificate([third], 2, 4)
+    assert _t0sq_certificate([], 3, 9)
+
+
+def _plant_slip(monkeypatch, degree, where):
+    """Make the spectrum suite see x1^degree / 2^40 added to one eigenbasis element.
+
+    `where` is "last" (the last element of the last entry) or "first"
+    (the first element of the first entry, the one the pointwise check
+    evaluates).  The slip is far below the pointwise tolerance, so only
+    the exact check can see it.
+    """
+    original = suites.spectrum_fragment
+    slip = Fraction(1, 2**40) * var(0) ** degree
+
+    def planted(n, ell):
+        fragment = original(n, ell)
+        if ell != degree:
+            return fragment
+        entries = list(fragment.entries)
+        i = -1 if where == "last" else 0
+        polys = list(entries[i].eigenbasis.polys)
+        polys[i] = polys[i] + slip
+        basis = SubspaceBasis(n, ell, tuple(polys))
+        entries[i] = dataclasses.replace(entries[i], eigenbasis=basis)
+        return dataclasses.replace(fragment, entries=tuple(entries))
+
+    monkeypatch.setattr(suites, "spectrum_fragment", planted)
+
+
+@pytest.mark.parametrize("where", ["last", "first"])
+def test_spectrum_exact_row_fails_on_a_wrong_monomial(monkeypatch, where):
+    cfg = Config(suite="spectrum", n=1, degree=3, seed=5)
+    clean = {c.id: c.status for c in run_suite(cfg).checks}
+    _plant_slip(monkeypatch, 3, where)
+    planted = {c.id: c.status for c in run_suite(cfg).checks}
+    assert clean["spectrum.exact.l3"] and not planted["spectrum.exact.l3"]
+    del clean["spectrum.exact.l3"], planted["spectrum.exact.l3"]
+    assert planted == clean
+
+
+def test_t0sq_certificate_reads_no_basis_builder(monkeypatch):
+    def forbidden(*args):
+        raise AssertionError("the certificate reached a basis builder")
+
+    entries = spectrum_fragment(2, 3).entries
+    for name in ("_bigraded_harmonics", "_complex_monomial_terms", "bigraded_block", "null_space"):
+        monkeypatch.setattr(S, name, forbidden)
+    for e in entries:
+        assert _t0sq_certificate(e.eigenbasis.polys, 3, e.t0sq_eigenvalue)
+    assert not _t0sq_certificate(entries[0].eigenbasis.polys, 3, entries[-1].t0sq_eigenvalue)
+
+
+def test_fragment_needs_a_positive_cr_dimension():
+    # n = 0 listed mu = -8 with multiplicity 0 at degree 3; True built n = 1
+    for build in (
+        lambda: spectrum_fragment(0, 3),
+        lambda: spectrum_fragment(-1, 2),
+        lambda: spectrum_fragment(True, 2),
+        lambda: reeb_kernel_eigenfunctions(0),
+    ):
+        with pytest.raises(ValueError, match="CR dimension must be a positive integer"):
+            build()
 
 
 def test_fragment_rejects_bad_degree():
