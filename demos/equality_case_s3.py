@@ -22,7 +22,7 @@ for n, degree_max in ((1, 3), (2, 2)):
     print(f"S^{2 * n + 1}: k_hat = {report.k_hat:.12g}, bound = {report.bound:.12g}")
     for e in report.entries:
         if e.reeb_kernel:
-            word = "equality" if e.equality else "strict"
+            word = "equality" if report.equality(e) else "strict"
             print(f"  kernel eigenvalue mu = {e.sublaplacian_eigenvalue} "
                   f"(degree {e.degree}, multiplicity {e.multiplicity}): {word}")
     others = sorted({e.sublaplacian_eigenvalue for e in report.entries if not e.reeb_kernel})

@@ -7,8 +7,9 @@ integrations of sub-Riemannian geodesics, Carnot-Caratheodory distance
 estimation by shooting, the curvature-floor eigenvalue bound, and the
 S^3 equality-case phenomenology.
 
-All operations are pure functions of immutable values and are safe to
-call concurrently.
+Operations are deterministic functions of their inputs that share only
+memoized exact data.  Most values are immutable, but `GeodesicTrace`,
+`CotangentState` and `CCDistanceResult` are mutable dataclasses.
 """
 
 __version__ = "0.1.0"
@@ -82,7 +83,6 @@ from .geodesics import (  # noqa: F401
     s3_profile_field,
 )
 from .bounds import (  # noqa: F401
-    BoundEntry,
     BoundReport,
     check_bound,
     estimate_k,

@@ -5,6 +5,7 @@ Estimate the curvature floor k from samples of the Ricci quadratic form
 2nk/(2n-1), and compare it against the sublaplacian eigenvalues whose
 eigenspace meets the kernel of the Reeb field.  Only those eigenvalues
 are constrained; the others are reported but never asserted against.
+The report holds the exact fragments' own entries, eigenbases included.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .calculus import ricci
 from .sphere import random_point
-from .spectrum import spectrum_fragment
+from .spectrum import _is_positive_int, spectrum_fragment
 
 EQUALITY_TOL = 1e-12
 BOUND_SLACK = 1e-9
@@ -48,98 +49,58 @@ def estimate_k(n, num_samples=200, seed=0):
 
 
 def lichnerowicz_bound(n, k):
-    """The lower-bound value 2nk/(2n-1) for -lambda."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if isinstance(k, (int, Fraction)) and not isinstance(k, bool):
-        k = Fraction(k)
-        if k <= 0:
-            raise ValueError("k must be positive")
+    """The lower-bound value 2nk/(2n-1) for -lambda; exact for an int or Fraction k."""
+    if not _is_positive_int(n):
+        raise ValueError("n must be a positive integer, got %r" % (n,))
+    if isinstance(k, bool) or not k > 0:  # `not` so that NaN fails too
+        raise ValueError("k must be a positive number, got %r" % (k,))
+    if isinstance(k, (int, Fraction)):
         return Fraction(2 * n, 2 * n - 1) * k
-    k = float(k)
-    if k <= 0:
-        raise ValueError("k must be positive")
-    return 2 * n * k / (2 * n - 1)
+    return 2 * n * float(k) / (2 * n - 1)
 
 
-@dataclass(frozen=True)
-class BoundEntry:
-    degree: int
-    t0sq_eigenvalue: int
-    sublaplacian_eigenvalue: int
-    multiplicity: int
-    reeb_kernel: bool
-    satisfies: bool | None  # asserted only for Reeb-kernel entries
-    equality: bool
-
-
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class BoundReport:
-    n: int
-    k_hat: float
-    bound: float
-    entries: list
-    provenance: dict = field(default_factory=dict)
-    samples: np.ndarray | None = field(default=None, repr=False)  # k_hat is their minimum
+    """The fragments' own `SpectrumEntry` records, in degree order, and the curvature samples.
 
-    def __post_init__(self):
-        for e in self.entries:
-            if e.reeb_kernel:
-                expected = -e.sublaplacian_eigenvalue >= self.bound - BOUND_SLACK
-                if e.satisfies != expected:
-                    raise ValueError("bound flag inconsistent with the eigenvalue")
-            elif e.satisfies is not None:
-                raise ValueError("non-kernel entries are reported, not asserted")
+    The floor, the bound and every verdict are read off them, so no copy can disagree.
+    """
+
+    n: int
+    samples: np.ndarray = field(repr=False)  # k_hat is their minimum
+    entries: tuple
+
+    @property
+    def k_hat(self):
+        return float(np.min(self.samples))
+
+    @property
+    def bound(self):
+        return lichnerowicz_bound(self.n, self.k_hat)
+
+    def satisfies(self, e):
+        """-mu >= bound on a Reeb-kernel entry; None on the others, which are not asserted."""
+        return -e.sublaplacian_eigenvalue >= self.bound - BOUND_SLACK if e.reeb_kernel else None
+
+    def equality(self, e):
+        return abs(-e.sublaplacian_eigenvalue - self.bound) <= EQUALITY_TOL
 
     @property
     def all_kernel_entries_satisfy(self):
-        return all(e.satisfies for e in self.entries if e.reeb_kernel)
+        return all(self.satisfies(e) for e in self.kernel_entries())
 
     def kernel_entries(self):
         return [e for e in self.entries if e.reeb_kernel]
 
 
 def check_bound(n, degree_max, num_samples=200, seed=0):
-    """Assemble spectrum fragments and test the bound on kernel entries.
+    """Draw the curvature samples once and gather the fragments of degree 1..degree_max.
 
-    Equality is flagged when -mu matches the bound to within 1e-12; on
-    S^3 the degree-2 kernel eigenvalue -8 achieves it.
+    Equality means -mu within 1e-12 of the bound; on S^3 the degree-2
+    kernel eigenvalue -8 achieves it.
     """
-    if not 1 <= degree_max <= 6:
-        raise ValueError("fragments are desk scale: 1 <= degree_max <= 6")
+    if not (_is_positive_int(degree_max) and degree_max <= 6):
+        raise ValueError("fragments are desk scale: 1 <= degree_max <= 6, got %r" % (degree_max,))
     samples = estimate_k_samples(n, num_samples, seed)
-    k_hat = float(np.min(samples))
-    bound = lichnerowicz_bound(n, k_hat)
-    entries = []
-    for ell in range(1, degree_max + 1):
-        fragment = spectrum_fragment(n, ell)
-        for e in fragment.entries:
-            mu = e.sublaplacian_eigenvalue
-            if e.reeb_kernel:
-                satisfies = -mu >= bound - BOUND_SLACK
-            else:
-                satisfies = None
-            entries.append(
-                BoundEntry(
-                    degree=ell,
-                    t0sq_eigenvalue=e.t0sq_eigenvalue,
-                    sublaplacian_eigenvalue=mu,
-                    multiplicity=e.multiplicity,
-                    reeb_kernel=e.reeb_kernel,
-                    satisfies=satisfies,
-                    equality=abs(-mu - bound) <= EQUALITY_TOL,
-                )
-            )
-    return BoundReport(
-        n=n,
-        k_hat=k_hat,
-        bound=bound,
-        entries=entries,
-        provenance={
-            "num_samples": num_samples,
-            "seed": seed,
-            "equality_tol": EQUALITY_TOL,
-            "bound_slack": BOUND_SLACK,
-        },
-        samples=samples,
-    )
+    fragments = [spectrum_fragment(n, ell) for ell in range(1, degree_max + 1)]
+    return BoundReport(n, samples, tuple(e for f in fragments for e in f.entries))

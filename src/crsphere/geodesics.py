@@ -415,7 +415,7 @@ class Chart:
 
 @dataclass(eq=False)
 class CotangentState:
-    """Chart position, covector, and the chart carrying them."""
+    """Chart position, covector, and the chart carrying them (0 or 1, an index into `_charts`)."""
 
     x: np.ndarray
     xi: np.ndarray
@@ -423,6 +423,9 @@ class CotangentState:
     n: int
 
     def __post_init__(self):
+        chart = self.chart
+        if isinstance(chart, bool) or not isinstance(chart, (int, np.integer)) or chart not in (0, 1):
+            raise ValueError("chart must be 0 or 1, got %r" % (chart,))
         self.x = np.asarray(self.x, dtype=float)
         self.xi = np.asarray(self.xi, dtype=float)
         if self.x.shape != (2 * self.n + 1,) or self.xi.shape != self.x.shape:

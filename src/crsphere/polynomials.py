@@ -29,7 +29,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
-from operator import or_
+from operator import index, or_
 
 import numpy as np
 
@@ -292,7 +292,9 @@ class Polynomial:
         return self.__mul__(other)
 
     def __pow__(self, k):
-        k = int(k)
+        if isinstance(k, bool):
+            raise TypeError("a polynomial power needs an integer exponent, got %r" % (k,))
+        k = index(k)  # floats and strings raise; numpy integers pass
         if k < 0:
             raise ValueError("negative power")
         out = Polynomial.constant(self.num_vars, 1)

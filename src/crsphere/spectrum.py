@@ -30,6 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from numbers import Integral
 
 from .polynomials import (
     MAX_EXPONENT,
@@ -225,19 +226,27 @@ def structured_t0sq_kernel(n, ell, lam):
 
 @dataclass(frozen=True)
 class SpectrumEntry:
-    """One T0^2 eigenvalue on harmonics of a fixed degree."""
+    """One T0^2 eigenvalue on harmonics of one degree; the rest is read off lambda and the basis."""
 
-    t0sq_eigenvalue: int          # lambda >= 0, meaning T0^2 H = -lambda H
-    multiplicity: int
-    sublaplacian_eigenvalue: int  # mu = lambda - ell (2n + ell)
-    reeb_kernel: bool
+    t0sq_eigenvalue: int  # lambda >= 0, meaning T0^2 H = -lambda H
     eigenbasis: SubspaceBasis
 
-    def __post_init__(self):
-        if self.multiplicity != len(self.eigenbasis):
-            raise ValueError("multiplicity does not match the basis size")
-        if self.reeb_kernel != (self.t0sq_eigenvalue == 0):
-            raise ValueError("reeb_kernel flag inconsistent with lambda")
+    @property
+    def degree(self):
+        return self.eigenbasis.degree
+
+    @property
+    def multiplicity(self):
+        return len(self.eigenbasis)
+
+    @property
+    def reeb_kernel(self):
+        return self.t0sq_eigenvalue == 0
+
+    @property
+    def sublaplacian_eigenvalue(self):
+        ell = self.degree
+        return self.t0sq_eigenvalue - ell * (2 * self.eigenbasis.n + ell)
 
 
 @dataclass(frozen=True)
@@ -253,9 +262,6 @@ class SpectrumFragment:
         dim_h = dim_homogeneous(2 * n + 2, ell) - dim_homogeneous(2 * n + 2, ell - 2)
         if sum(e.multiplicity for e in self.entries) != dim_h:
             raise ValueError("multiplicities do not sum to dim H_ell")
-        for e in self.entries:
-            if e.sublaplacian_eigenvalue != e.t0sq_eigenvalue - ell * (2 * n + ell):
-                raise ValueError("mu = lambda - ell(2n+ell) violated")
 
     def eigenvalues(self):
         return [e.sublaplacian_eigenvalue for e in self.entries]
@@ -313,6 +319,11 @@ def _bigraded_harmonics(n, p, q):
     return out
 
 
+def _is_positive_int(value):
+    """An integer >= 1 that is not a bool; numpy integers count."""
+    return not isinstance(value, bool) and isinstance(value, Integral) and value >= 1
+
+
 def spectrum_fragment(n, ell):
     """All T0^2 eigenvalues on H_ell with exact eigenbases.
 
@@ -320,24 +331,15 @@ def spectrum_fragment(n, ell):
     p + q = ell, so no other eigenvalue can occur; entries come in
     ascending order of lambda.
     """
-    if isinstance(n, bool) or n < 1:
-        raise ValueError("CR dimension must be a positive integer")
-    if ell < 1:
-        raise ValueError("degree must be >= 1")
+    if not _is_positive_int(n):
+        raise ValueError("CR dimension must be a positive integer, got %r" % (n,))
+    if not _is_positive_int(ell):
+        raise ValueError("degree must be a positive integer, got %r" % (ell,))
     entries = []
     for q in range(ell // 2, -1, -1):
         p = ell - q
-        lam = (p - q) ** 2
         basis = SubspaceBasis(n, ell, tuple(_bigraded_harmonics(n, p, q)))
-        entries.append(
-            SpectrumEntry(
-                t0sq_eigenvalue=lam,
-                multiplicity=len(basis),
-                sublaplacian_eigenvalue=lam - ell * (2 * n + ell),
-                reeb_kernel=(lam == 0),
-                eigenbasis=basis,
-            )
-        )
+        entries.append(SpectrumEntry((p - q) ** 2, basis))
     return SpectrumFragment(n, ell, tuple(entries))
 
 
@@ -351,8 +353,4 @@ def reeb_kernel_eigenfunctions(n):
     addition, the antisymmetric combinations x^i y^j - x^j y^i; the
     total dimension is (n+1)^2 - 1.
     """
-    fragment = spectrum_fragment(n, 2)
-    entry = fragment.kernel_entry()
-    if entry is None:
-        raise RuntimeError("degree-2 Reeb kernel missing")  # unreachable
-    return entry.eigenbasis
+    return spectrum_fragment(n, 2).kernel_entry().eigenbasis  # H_{1,1} has lambda = 0

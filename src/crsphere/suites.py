@@ -4,8 +4,9 @@ A suite is a deterministic batch of checks: given the same config it
 produces the same payload, byte for byte (wall-clock timing is carried
 alongside the payload but excluded from the canonical serialization).
 Each check records an identifier, a human-readable description, a topic
-tag, pass/fail status, the worst residual seen, and the inputs that
-produced it.
+tag, pass/fail status, the worst residual seen, and `inputs`: the slice
+of the config the check ran on, with a few summary values such as the
+eigenvalues found.  Which sample gave the worst residual is not recorded.
 """
 
 from __future__ import annotations
@@ -495,7 +496,7 @@ def _suite_bound(cfg):
              e.sublaplacian_eigenvalue for e in report.entries if not e.reeb_kernel]},
         status=report.all_kernel_entries_satisfy and bool(kernel_entries)))
     if cfg.n == 1:
-        eq = [e.sublaplacian_eigenvalue for e in kernel_entries if e.equality]
+        eq = [e.sublaplacian_eigenvalue for e in kernel_entries if report.equality(e)]
         checks.append(_check(
             "bound.equality_case", "the degree-2 kernel eigenvalue -8 achieves equality",
             "equality case", {"equalities": eq}, status=eq == [-8]))

@@ -165,13 +165,13 @@ def test_criterion_08_bound_pipeline():
     kernel1 = rep1.kernel_entries()
     ok = abs(rep1.k_hat - 4.0) < 1e-12 and abs(rep1.bound - 8.0) < 1e-12
     ok = ok and [e.sublaplacian_eigenvalue for e in kernel1] == [-8]
-    ok = ok and kernel1[0].equality and kernel1[0].satisfies
+    ok = ok and rep1.equality(kernel1[0]) and rep1.satisfies(kernel1[0])
     ok = ok and abs(-kernel1[0].sublaplacian_eigenvalue - rep1.bound) <= 1e-12
     rep2 = check_bound(2, 2, num_samples=100, seed=0)
     kernel2 = rep2.kernel_entries()
     ok = ok and abs(rep2.k_hat - 6.0) < 1e-12 and abs(rep2.bound - 8.0) < 1e-12
     ok = ok and [e.sublaplacian_eigenvalue for e in kernel2] == [-12]
-    ok = ok and kernel2[0].satisfies and not kernel2[0].equality
+    ok = ok and rep2.satisfies(kernel2[0]) and not rep2.equality(kernel2[0])
     _report(8, "curvature floor and eigenvalue bound", ok)
 
 

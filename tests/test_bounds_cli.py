@@ -22,14 +22,13 @@ from crsphere import calculus as C
 from crsphere import cli, polynomials
 from crsphere import geodesics as G
 from crsphere.bounds import (
-    BoundEntry,
-    BoundReport,
     check_bound,
     estimate_k,
     estimate_k_samples,
     lichnerowicz_bound,
 )
 from crsphere.polynomials import Polynomial
+from crsphere.spectrum import spectrum_fragment
 from crsphere.sphere import random_horizontal, random_point
 from crsphere.suites import (
     CheckResult,
@@ -99,6 +98,10 @@ def test_lichnerowicz_bound_rejects_bad_k():
         lichnerowicz_bound(1, -2.0)
     with pytest.raises(ValueError):
         lichnerowicz_bound(0, 4)
+    # True gave 8 as n and 2.0 as k; n = 1.5 raised a TypeError from Fraction
+    for n, k in ((True, 4), (1, True), (1.5, 4), (1.5, 4.0)):
+        with pytest.raises(ValueError):
+            lichnerowicz_bound(n, k)
 
 
 def test_check_bound_s3():
@@ -107,13 +110,13 @@ def test_check_bound_s3():
     assert abs(report.bound - 8.0) < 1e-12
     kernel = report.kernel_entries()
     assert [e.sublaplacian_eigenvalue for e in kernel] == [-8]
-    assert kernel[0].satisfies
-    assert kernel[0].equality
+    assert report.satisfies(kernel[0])
+    assert report.equality(kernel[0])
     # non-kernel eigenvalues are reported but never asserted against
     non_kernel = [e for e in report.entries if not e.reeb_kernel]
     assert {-2, -4, -14, -6} == {e.sublaplacian_eigenvalue for e in non_kernel}
-    assert all(e.satisfies is None for e in non_kernel)
-    assert all(not e.equality for e in non_kernel)
+    assert all(report.satisfies(e) is None for e in non_kernel)
+    assert all(not report.equality(e) for e in non_kernel)
 
 
 def test_check_bound_s5_strict():
@@ -122,7 +125,7 @@ def test_check_bound_s5_strict():
     assert abs(report.bound - 8.0) < 1e-12
     kernel = report.kernel_entries()
     assert [e.sublaplacian_eigenvalue for e in kernel] == [-12]
-    assert kernel[0].satisfies and not kernel[0].equality
+    assert report.satisfies(kernel[0]) and not report.equality(kernel[0])
 
 
 def test_kernel_bound_in_every_degree():
@@ -146,8 +149,8 @@ def test_kernel_bound_in_every_degree():
         for e in kernel:
             p = e.degree // 2
             assert -e.sublaplacian_eigenvalue == 4 * p * (p + n)
-            assert e.satisfies
-            assert e.equality == (n == 1 and p == 1)
+            assert report.satisfies(e)
+            assert report.equality(e) == (n == 1 and p == 1)
 
 
 def test_check_bound_keeps_its_samples():
@@ -176,19 +179,28 @@ def test_check_bound_degree_cap():
 
 
 def test_check_bound_needs_a_degree():
-    # no degree used to give an empty report whose kernel entries all held
-    for degree_max in (0, -3):
+    # no degree used to give an empty report whose kernel entries all held;
+    # True ran as degree 1
+    for degree_max in (0, -3, True, 2.0):
         with pytest.raises(ValueError, match="1 <= degree_max <= 6"):
             check_bound(1, degree_max)
 
 
-def test_bound_report_invariant():
-    bad = BoundEntry(
-        degree=2, t0sq_eigenvalue=0, sublaplacian_eigenvalue=-8,
-        multiplicity=3, reeb_kernel=True, satisfies=False, equality=True,
-    )
-    with pytest.raises(ValueError):
-        BoundReport(n=1, k_hat=4.0, bound=8.0, entries=[bad])
+def test_check_bound_entries_are_the_fragments_own(monkeypatch):
+    fragments = []
+
+    def recording(n, ell):
+        fragments.append(spectrum_fragment(n, ell))
+        return fragments[-1]
+
+    monkeypatch.setattr(bounds, "spectrum_fragment", recording)
+    report = check_bound(2, 3, num_samples=50, seed=1)
+    assert [f.degree for f in fragments] == [1, 2, 3]
+    own = [e for f in fragments for e in f.entries]
+    assert len(report.entries) == len(own)
+    assert all(mine is theirs for mine, theirs in zip(report.entries, own))
+    [kernel] = report.kernel_entries()
+    assert kernel is fragments[1].kernel_entry()
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""The demo scripts run to completion."""
+"""The demo scripts run to completion and print what they claim."""
 
 import os
 import subprocess
@@ -8,6 +8,14 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# Lines a demo must print, compared after stripping indentation.
+EXPECTED_LINES = {
+    "equality_case_s3.py": [
+        "kernel eigenvalue mu = -8 (degree 2, multiplicity 3): equality",
+        "kernel eigenvalue mu = -12 (degree 2, multiplicity 8): strict",
+    ],
+}
 
 
 @pytest.mark.parametrize(
@@ -22,3 +30,6 @@ def test_demo_exits_cleanly(name, tmp_path):
         capture_output=True, text=True, env=env, timeout=300, cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
+    printed = [line.strip() for line in proc.stdout.splitlines()]
+    for line in EXPECTED_LINES.get(name, ()):
+        assert line in printed, proc.stdout

@@ -693,6 +693,17 @@ def test_geodesic_data_must_be_finite(bad):
             G.CotangentState(lift.x, xi, lift.chart, 1)
 
 
+def test_cotangent_state_chart_is_zero_or_one():
+    # -1 and True used to pick the south chart by tuple indexing, 2 an IndexError later
+    p, v = _pole_crossing_start(1)
+    lift = G.cotangent_lift(p, v, 0.5)
+    for bad in (-1, 2, True, False, 1.0, None):
+        with pytest.raises(ValueError, match="chart must be 0 or 1"):
+            G.CotangentState(lift.x, lift.xi, bad, 1)
+    for chart in (0, 1, np.int64(1)):
+        assert G.CotangentState(lift.x, lift.xi, chart, 1).chart == chart
+
+
 def test_pole_crossing_start_hands_off():
     # the E1 start of the property test does exercise a chart handoff
     for n in (1, 2, 3):

@@ -67,6 +67,18 @@ def test_numpy_float_coefficients_rejected(bad):
         bad * var(0)
 
 
+def test_power_needs_an_integer_exponent():
+    # int() used to truncate 2.5 to 2 and parse "2"
+    p = var(0) + var(1)
+    for bad in (2.5, 2.0, "2", True, False, Fraction(2)):
+        with pytest.raises(TypeError):
+            p ** bad
+    assert p ** np.int64(3) == p ** 3 == p * p * p
+    assert p ** 0 == Polynomial.constant(4, 1)
+    with pytest.raises(ValueError, match="negative power"):
+        p ** -1
+
+
 def test_exponent_field_is_guarded():
     # 8 bits per exponent: an overflow must raise, not carry into the next variable
     x1, x2, y1 = var(0), var(1), var(2)

@@ -390,7 +390,7 @@ def spectrum_fragment_reference(n, ell):
         lam = (ell - 2 * j) ** 2
         harmonic = _harmonic_span(structured_t0sq_kernel(n, ell, lam), ell)
         basis = SubspaceBasis(n, ell, tuple(harmonic))
-        entries.append(SpectrumEntry(lam, len(basis), lam - ell * (2 * n + ell), lam == 0, basis))
+        entries.append(SpectrumEntry(lam, basis))
     return SpectrumFragment(n, ell, tuple(entries))
 
 
@@ -561,6 +561,10 @@ def test_fragment_needs_a_positive_cr_dimension():
     ):
         with pytest.raises(ValueError, match="CR dimension must be a positive integer"):
             build()
+    # a degree of True built a fragment whose .degree was True
+    for ell in (True, 2.0):
+        with pytest.raises(ValueError, match="degree must be a positive integer"):
+            spectrum_fragment(1, ell)
 
 
 def test_fragment_rejects_bad_degree():
