@@ -12,12 +12,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import index
 
 import numpy as np
 
 from .calculus import ricci
-from .sphere import random_point
-from .spectrum import _is_positive_int, spectrum_fragment
+from .sphere import _is_positive_int, random_point
+from .spectrum import spectrum_fragment
 
 EQUALITY_TOL = 1e-12
 BOUND_SLACK = 1e-9
@@ -101,6 +102,9 @@ def check_bound(n, degree_max, num_samples=200, seed=0):
     """
     if not (_is_positive_int(degree_max) and degree_max <= 6):
         raise ValueError("fragments are desk scale: 1 <= degree_max <= 6, got %r" % (degree_max,))
+    if not _is_positive_int(n):
+        raise ValueError("n must be a positive integer, got %r" % (n,))
+    n = index(n)
     samples = estimate_k_samples(n, num_samples, seed)
     fragments = [spectrum_fragment(n, ell) for ell in range(1, degree_max + 1)]
     return BoundReport(n, samples, tuple(e for f in fragments for e in f.entries))

@@ -52,6 +52,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from itertools import combinations_with_replacement
+from operator import index
 
 import numpy as np
 
@@ -61,6 +62,7 @@ from .sphere import (
     SpherePoint,
     TangentVector,
     _check_tangent,
+    _is_positive_int,
     _point_coords,
     _vec_at,
     horizontal_frame,
@@ -247,10 +249,12 @@ class ScalarField:
     """Restriction to S^(2n+1) of an exact polynomial."""
 
     def __init__(self, poly, n):
+        if not _is_positive_int(n):
+            raise ValueError("CR dimension must be a positive integer, got %r" % (n,))
         if poly.num_vars != 2 * n + 2:
             raise ValueError("polynomial in the wrong number of variables")
         self.poly = poly
-        self.n = n
+        self.n = index(n)
 
     def value(self, p):
         """f at p: a SpherePoint, a sequence of them, or a PointJet."""

@@ -20,9 +20,9 @@ Two independent integrations of the same curves:
     D = |u|^2 + 1 and m = J^T(iq).  (D^2/4) m is the quadratic
     polynomial M(u) of `_hj_rhs`, so H = (D^2/8)|xi|^2 - (1/2)(M.xi)^2
     and both of its gradients are polynomial; the flow steps on lists
-    of floats and never builds g or J.  `Chart.cometric`,
-    `Chart.jacobian` and `hamiltonian` keep the matrix form as the
-    oracle the tests compare against.
+    of floats and never builds g or J.  A chart is its sign s = +-1,
+    and each chart map takes s.  The matrix form (J, g and H) lives in
+    the tests, as the oracle the flow is compared against.
 
 Both step loops are plain Python arithmetic on a few scalars, where a
 numpy call costs more than its arithmetic.  The connection route writes
@@ -55,7 +55,7 @@ import csv
 import functools
 import math
 from dataclasses import dataclass, field
-from operator import mul
+from operator import index, mul
 
 import numpy as np
 
@@ -67,6 +67,7 @@ from .sphere import (
     TangentVector,
     _check_tangent,
     _finite,
+    _is_positive_int,
     _norms,
     _point_coords,
     _vec_at,
@@ -173,19 +174,16 @@ def _great_circle_direction(x0, v):
 
 def great_circle(x0, v, s):
     """x0 cos s + v sin s: the b = 0 geodesic in closed form."""
-    vec = _great_circle_direction(x0, v)
-    out = x0.coords * np.cos(s) + vec * np.sin(s)
-    return SpherePoint(out / np.linalg.norm(out), x0.n)
+    return SpherePoint(great_circle_points(x0, v, s), x0.n)
 
 
 def great_circle_points(x0, v, s):
-    """great_circle at every entry of s, as the rows of one array.
+    """x0 cos s + v sin s, normalised, at every entry of s, as the rows of one array.
 
     v is one direction, or a (K, m) stack of directions at x0; s and
     the directions broadcast, so a stack at one s gives one row per
-    direction.  The directions are validated once, by great_circle's
-    guard; each row is normalised.  great_circle keeps its own body:
-    the tests compare the two.
+    direction.  The directions are validated once; each row is
+    normalised.
     """
     vec = _great_circle_direction(x0, v)
     s = np.asarray(s, dtype=float)[..., None]
@@ -334,88 +332,52 @@ def exp_map(x0, w):
 # Stereographic charts and the Hamilton-Jacobi system.
 # ----------------------------------------------------------------------
 
+# A chart is its sign s: stereographic projection from the pole
+# s e_(2n+2).  Chart 0 has s = +1 and chart 1 has s = -1; states and
+# handoff events carry that index.  The chart maps below each take s,
+# run on any sequence of floats and return lists, as the HJ flow's lists
+# of 3 to 7 floats are too short for numpy's per-call cost.
 
-class Chart:
-    """Stereographic chart from one of the two poles +-e_(2n+2)."""
+# Handoff once the point climbs past this height toward the pole; the
+# other chart then sees it well inside its own domain.
+HANDOFF_HEIGHT = 0.55
 
-    # Handoff once the point climbs past this height toward the pole;
-    # the other chart then sees it well inside its own domain.
-    HANDOFF_HEIGHT = 0.55
 
-    def __init__(self, n, sign):
-        self.n = n
-        self.sign = 1 if sign >= 0 else -1
-        self.m = 2 * n + 2
+def _to_chart(s, q):
+    """Coordinates of the sphere point q in the chart of sign s."""
+    h = s * q[-1]
+    if h >= 1.0 - 1e-14:
+        raise ValueError("point at the chart pole")
+    return [x / (1.0 - h) for x in q[:-1]]
 
-    def pole(self):
-        p = np.zeros(self.m)
-        p[-1] = self.sign
-        return p
 
-    def height(self, q):
-        return self.sign * q[-1]
+def _hj_rows(s, u, du, d):
+    """The point q(u) and the vector J du of the chart of sign s, D = |u|^2 + 1 given.
 
-    def to_coords(self, q):
-        h = self.height(q)
-        if h >= 1.0 - 1e-14:
-            raise ValueError("point at the chart pole")
-        return [x / (1.0 - h) for x in q[:-1]]
+    q = (2u/D, s (D - 2)/D), and J du = ((2/D) du - (4/D^2) u (u.du),
+    s (4/D^2) u.du) without building J.  The HJ flow passes the D of its
+    field evaluation at u.
+    """
+    q = [2.0 * x / d for x in u]
+    q.append(s * (d - 2.0) / d)
+    r = 2.0 / d
+    k = 4.0 * sum(map(mul, u, du)) / (d * d)
+    v = [r * z - k * y for y, z in zip(u, du)]
+    v.append(s * k)
+    return q, v
 
-    # The chart maps below take any sequence of floats and return a
-    # list, as the HJ flow's lists of 3 to 7 floats are too short for
-    # numpy's per-call cost.  The flow calls them only to hand a state
-    # to the other chart (`_hand_off`); it records its trace through
-    # `_hj_rows`, which is from_coords and push with the D of the step.
 
-    def from_coords(self, u):
-        d = sum(map(mul, u, u)) + 1.0
-        q = [2.0 * x / d for x in u]
-        q.append(self.sign * (d - 2.0) / d)
-        return q
-
-    def jacobian(self, u):
-        """d(from_coords)/du, a (2n+2, 2n+1) matrix; conformal columns."""
-        u = np.asarray(u, dtype=float)
-        d = float(u @ u) + 1.0
-        jac = np.zeros((self.m, self.m - 1))
-        jac[: self.m - 1, :] = (2.0 / d) * np.eye(self.m - 1)
-        pm = self.pole() - np.concatenate([u, [0.0]])
-        jac += (4.0 / (d * d)) * np.outer(pm, u)
-        return jac
-
-    def push(self, u, x):
-        """J x without building J: ((2/D) x - (4/D^2) u (u.x), s (4/D^2) u.x)."""
-        d = sum(map(mul, u, u)) + 1.0
-        r = 2.0 / d
-        k = 4.0 * sum(map(mul, u, x)) / (d * d)
-        out = [r * z - k * y for y, z in zip(u, x)]
-        out.append(self.sign * k)
-        return out
-
-    def pull(self, u, w):
-        """J^T w without building J: (2/D) w' + (4/D^2) u (s w_last - u.w')."""
-        d = sum(map(mul, u, u)) + 1.0
-        r = 2.0 / d
-        k = 4.0 * (self.sign * w[-1] - sum(map(mul, u, w))) / (d * d)
-        return [r * z + k * y for y, z in zip(u, w)]
-
-    def cometric(self, u):
-        """g^ij(u) = (D^2/4) I - (D^4/16) m m^T with m_i = <dq/du_i, iq>.
-
-        This is the pushforward of the horizontal projector; the chart
-        Jacobian J satisfies J^T J = (4/D^2) I and J^T q = 0, so only
-        the Reeb covector column survives the subtraction.
-        """
-        d = float(u @ u) + 1.0
-        q = self.from_coords(u)
-        jac = self.jacobian(u)
-        mvec = jac.T @ times_i(q)
-        return (d * d / 4.0) * np.eye(self.m - 1) - (d**4 / 16.0) * np.outer(mvec, mvec)
+def _pull(s, u, w):
+    """J^T w without building J: (2/D) w' + (4/D^2) u (s w_last - u.w')."""
+    d = sum(map(mul, u, u)) + 1.0
+    r = 2.0 / d
+    k = 4.0 * (s * w[-1] - sum(map(mul, u, w))) / (d * d)
+    return [r * z + k * y for y, z in zip(u, w)]
 
 
 @dataclass(eq=False)
 class CotangentState:
-    """Chart position, covector, and the chart carrying them (0 or 1, an index into `_charts`)."""
+    """Chart position, covector, and the chart carrying them: 0 (s = +1) or 1 (s = -1)."""
 
     x: np.ndarray
     xi: np.ndarray
@@ -426,6 +388,9 @@ class CotangentState:
         chart = self.chart
         if isinstance(chart, bool) or not isinstance(chart, (int, np.integer)) or chart not in (0, 1):
             raise ValueError("chart must be 0 or 1, got %r" % (chart,))
+        if not _is_positive_int(self.n):
+            raise ValueError("CR dimension must be a positive integer, got %r" % (self.n,))
+        self.n = index(self.n)
         self.x = np.asarray(self.x, dtype=float)
         self.xi = np.asarray(self.xi, dtype=float)
         if self.x.shape != (2 * self.n + 1,) or self.xi.shape != self.x.shape:
@@ -434,50 +399,40 @@ class CotangentState:
         _finite(self.xi, "chart covector")
 
 
-def _charts(n):
-    return (Chart(n, +1), Chart(n, -1))
-
-
 def cotangent_lift(p, v, reeb_component=1.0):
     """Covector with xi(X) = g(v, X) on H and xi(T) = reeb_component.
 
     The ambient representative is v + reeb_component * i p; pairing it
-    with the chart Jacobian, J^T m, gives the chart covector.
+    with the chart Jacobian, J^T m, gives the chart covector.  The chart
+    is the one whose pole is not on p's side.
     """
     if not math.isfinite(reeb_component):
         raise ValueError("the Reeb component must be finite, got %r" % (reeb_component,))
     vec = _vec_at(p, v, "cotangent_lift direction", horizontal=True)
     q = p.coords
     m_amb = vec + float(reeb_component) * times_i(q)
-    charts = _charts(p.n)
-    cid = 0 if charts[0].height(q) <= 0.0 else 1
-    chart = charts[cid]
-    u = chart.to_coords(q)
-    return CotangentState(u, chart.pull(u, m_amb), cid, p.n)
+    cid = 0 if q[-1] <= 0.0 else 1
+    s = -1 if cid else 1
+    u = _to_chart(s, q)
+    return CotangentState(u, _pull(s, u, m_amb), cid, p.n)
 
 
-def hamiltonian(state):
-    chart = _charts(state.n)[state.chart]
-    g = chart.cometric(state.x)
-    return 0.5 * float(state.xi @ g @ state.xi)
-
-
-def _hj_rhs(chart, u, xi):
-    """(dH/dxi, -dH/du) for H = (D^2/8)|xi|^2 - (1/2)(M.xi)^2.
+def _hj_rhs(s, u, xi):
+    """(dH/dxi, -dH/du) for H = (D^2/8)|xi|^2 - (1/2)(M.xi)^2 in the chart of sign s.
 
     With q laid out as (x_0..x_n, y_0..y_n) and the chart dropping y_n,
     the Reeb covector m = J^T(iq) scaled by D^2/4 is the polynomial
         M(u) = R u + s u_n u - (s/2)(|u|^2 - 1) e_n,
-    s the chart sign, (Ru)_j = -u_(j+n+1) for j < n, (Ru)_n = 0 and
-    (Ru)_j = u_(j-n-1) for j > n; R is antisymmetric, so u.Ru = 0.  So
+    (Ru)_j = -u_(j+n+1) for j < n, (Ru)_n = 0 and (Ru)_j = u_(j-n-1)
+    for j > n; R is antisymmetric, so u.Ru = 0.  So
         dH/dxi = (D^2/4) xi - (M.xi) M,
         -dH/du = (M.xi)(R^T xi + s[(u.xi) e_n + u_n xi - xi_n u])
                  - (D/2)|xi|^2 u,
     from one D and four dot products, with no chart map.  u and xi are
-    sequences of floats; both parts come back as lists, followed by D,
-    which the HJ flow reuses to record the step.
+    sequences of 2n+1 floats; both parts come back as lists, followed
+    by D, which the HJ flow reuses to record the step.
     """
-    n, s = chart.n, chart.sign
+    n = len(u) // 2
     uu = sum(map(mul, u, u))
     uxi = sum(map(mul, u, xi))
     xx = sum(map(mul, xi, xi))
@@ -496,33 +451,17 @@ def _hj_rhs(chart, u, xi):
     )
 
 
-def _hand_off(old, new, u, xi):
-    """Carry a chart state (u, xi) from chart `old` to chart `new`.
+def _hand_off(s, u, xi):
+    """Carry a chart state (u, xi) from the chart of sign s to the chart of sign -s.
 
     J^T J = (4/D^2) I, so the ambient covector J (J^T J)^-1 xi is
     J (D^2/4) xi, which the new chart pulls back.
     """
     d = sum(map(mul, u, u)) + 1.0
     r = 0.25 * d * d
-    m_amb = old.push(u, [r * x for x in xi])
-    u_new = new.to_coords(old.from_coords(u))
-    return u_new, new.pull(u_new, m_amb)
-
-
-def _hj_rows(sign, u, du, d):
-    """The trace rows (q, J du) at chart coordinates u, D = |u|^2 + 1 given.
-
-    `Chart.from_coords` and `Chart.push` of the chart with this sign,
-    with their D taken from the caller: the HJ flow passes the D of its
-    field evaluation at u.
-    """
-    q = [2.0 * x / d for x in u]
-    q.append(sign * (d - 2.0) / d)
-    r = 2.0 / d
-    k = 4.0 * sum(map(mul, u, du)) / (d * d)
-    v = [r * z - k * y for y, z in zip(u, du)]
-    v.append(sign * k)
-    return q, v
+    q, m_amb = _hj_rows(s, u, [r * x for x in xi], d)
+    u_new = _to_chart(-s, q)
+    return u_new, _pull(-s, u_new, m_amb)
 
 
 def integrate_hj_geodesic(init, t_max, step):
@@ -532,16 +471,15 @@ def integrate_hj_geodesic(init, t_max, step):
     field is the polynomial form of `_hj_rhs`.  Each recorded row is
     the point and the velocity J dH/dxi at the new (u, xi), both built
     by `_hj_rows` from the next step's first-stage field evaluation and
-    the D it computed: D is computed once per stage, and the chart maps
-    run only at a handoff.
+    the D it computed: D is computed once per stage, and `_to_chart` and
+    `_pull` run only at a handoff.
     Chart exits are events: when the curve climbs toward the active
     pole the state is handed to the antipodal chart and integration
     continues.
     """
     steps = _step_schedule(t_max, step)
-    charts = _charts(init.n)
     cid = init.chart
-    chart = charts[cid]
+    s = -1 if cid else 1
     u = init.x.tolist()
     xi = init.xi.tolist()
     m = 2 * init.n + 2
@@ -549,20 +487,20 @@ def integrate_hj_geodesic(init, t_max, step):
     points = np.empty((len(steps) + 1, m))
     vels = np.empty((len(steps) + 1, m))
     events = []
-    k1u, k1x, d = _hj_rhs(chart, u, xi)
+    k1u, k1x, d = _hj_rhs(s, u, xi)
     svals[0] = 0.0
-    points[0], vels[0] = _hj_rows(chart.sign, u, k1u, d)
+    points[0], vels[0] = _hj_rows(s, u, k1u, d)
     t = 0.0
     for i, h in enumerate(steps, start=1):
         half, sixth = 0.5 * h, h / 6.0
         k2u, k2x, _ = _hj_rhs(
-            chart, [x + half * y for x, y in zip(u, k1u)], [x + half * y for x, y in zip(xi, k1x)]
+            s, [x + half * y for x, y in zip(u, k1u)], [x + half * y for x, y in zip(xi, k1x)]
         )
         k3u, k3x, _ = _hj_rhs(
-            chart, [x + half * y for x, y in zip(u, k2u)], [x + half * y for x, y in zip(xi, k2x)]
+            s, [x + half * y for x, y in zip(u, k2u)], [x + half * y for x, y in zip(xi, k2x)]
         )
         k4u, k4x, _ = _hj_rhs(
-            chart, [x + h * y for x, y in zip(u, k3u)], [x + h * y for x, y in zip(xi, k3x)]
+            s, [x + h * y for x, y in zip(u, k3u)], [x + h * y for x, y in zip(xi, k3x)]
         )
         u = [
             x + sixth * (y1 + 2 * y2 + 2 * y3 + y4)
@@ -573,22 +511,17 @@ def integrate_hj_geodesic(init, t_max, step):
             for x, y1, y2, y3, y4 in zip(xi, k1x, k2x, k3x, k4x)
         ]
         t += h
-        k1u, k1x, d = _hj_rhs(chart, u, xi)
-        q, v = _hj_rows(chart.sign, u, k1u, d)
+        k1u, k1x, d = _hj_rhs(s, u, xi)
+        q, v = _hj_rows(s, u, k1u, d)
         svals[i] = t
         points[i] = q
         vels[i] = v
-        if chart.sign * q[-1] > Chart.HANDOFF_HEIGHT:
-            new_cid = 1 - cid
-            u, xi = _hand_off(chart, charts[new_cid], u, xi)
-            events.append({"t": t, "from_chart": cid, "to_chart": new_cid})
-            cid = new_cid
-            chart = charts[cid]
-            k1u, k1x, _ = _hj_rhs(chart, u, xi)
-    trace = GeodesicTrace(
-        svals, points, vels, np.full(len(steps) + 1, np.nan), events=events
-    )
-    return trace
+        if s * q[-1] > HANDOFF_HEIGHT:
+            u, xi = _hand_off(s, u, xi)
+            events.append({"t": t, "from_chart": cid, "to_chart": 1 - cid})
+            cid, s = 1 - cid, -s
+            k1u, k1x, _ = _hj_rhs(s, u, xi)
+    return GeodesicTrace(svals, points, vels, np.full(len(steps) + 1, np.nan), events=events)
 
 
 # ----------------------------------------------------------------------
@@ -626,7 +559,7 @@ class ShootingBudget:
     def __post_init__(self):
         for name in ("num_b", "coarse_samples", "refine_maxiter"):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < 1:
+            if not _is_positive_int(value):
                 raise ValueError("%s must be a positive integer, got %r" % (name, value))
         # each guard is written `not (...)`, so that NaN fails it
         if not (0.0 <= self.b_span < math.inf):

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from numbers import Integral
+from operator import index
 
 from .polynomials import (
     MAX_EXPONENT,
@@ -45,6 +45,7 @@ from .polynomials import (
     monomial_basis,
     null_space,
 )
+from .sphere import _is_positive_int
 
 
 def t0_apply(p):
@@ -319,11 +320,6 @@ def _bigraded_harmonics(n, p, q):
     return out
 
 
-def _is_positive_int(value):
-    """An integer >= 1 that is not a bool; numpy integers count."""
-    return not isinstance(value, bool) and isinstance(value, Integral) and value >= 1
-
-
 def spectrum_fragment(n, ell):
     """All T0^2 eigenvalues on H_ell with exact eigenbases.
 
@@ -335,6 +331,7 @@ def spectrum_fragment(n, ell):
         raise ValueError("CR dimension must be a positive integer, got %r" % (n,))
     if not _is_positive_int(ell):
         raise ValueError("degree must be a positive integer, got %r" % (ell,))
+    n, ell = index(n), index(ell)
     entries = []
     for q in range(ell // 2, -1, -1):
         p = ell - q

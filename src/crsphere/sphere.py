@@ -19,6 +19,8 @@ the convention, not an error, and tests pin it down.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from numbers import Integral
+from operator import index
 
 import numpy as np
 
@@ -40,16 +42,23 @@ def _finite(values, what):
         raise ValueError("%s has a non-finite entry" % what)
 
 
+def _is_positive_int(value):
+    """An integer >= 1 that is not a bool; numpy integers count.  Callers
+    that keep the value convert it with operator.index after the guard."""
+    return not isinstance(value, bool) and isinstance(value, Integral) and value >= 1
+
+
 def _norms(v):
     """Euclidean lengths over the last axis; each equals np.linalg.norm of its row."""
     return np.sqrt(np.vecdot(v, v))
 
 
 def _check_points(coords, n, stack):
-    """Raise ValueError unless coords holds finite unit vectors of R^(2n+2)
-    with leading axes `stack`: () for one point, (K,) for K of them."""
-    if n < 1:
-        raise ValueError("CR dimension must be a positive integer")
+    """n as a Python int, or ValueError unless it is a positive integer
+    and coords holds finite unit vectors of R^(2n+2) with leading axes
+    `stack`: () for one point, (K,) for K of them."""
+    if not _is_positive_int(n):
+        raise ValueError("CR dimension must be a positive integer, got %r" % (n,))
     if coords.shape != stack + (2 * n + 2,):
         raise ValueError(
             "expected %d coordinates, got shape %s" % (2 * n + 2, coords.shape)
@@ -57,6 +66,7 @@ def _check_points(coords, n, stack):
     _finite(coords, "point")
     if not np.all(np.abs(_norms(coords) - 1.0) <= UNIT_TOL):
         raise ValueError("point is not on the unit sphere")
+    return index(n)
 
 
 def _check_tangent(q, v, tol, what, horizontal):
@@ -104,7 +114,7 @@ class SpherePoint:
         coords = np.array(self.coords, dtype=float)
         coords.flags.writeable = False
         object.__setattr__(self, "coords", coords)
-        _check_points(coords, self.n, ())
+        object.__setattr__(self, "n", _check_points(coords, self.n, ()))
 
     @classmethod
     def stack(cls, coords, n):
@@ -115,7 +125,7 @@ class SpherePoint:
         holds its row of it.
         """
         coords = np.array(coords, dtype=float)
-        _check_points(coords, n, coords.shape[:1])
+        n = _check_points(coords, n, coords.shape[:1])
         coords.flags.writeable = False
         points = []
         for row in coords:

@@ -104,6 +104,16 @@ def test_lichnerowicz_bound_rejects_bad_k():
             lichnerowicz_bound(n, k)
 
 
+def test_check_bound_takes_numpy_integers():
+    # np.int64(1) as n crashed in the packed T0 apply of the fragments
+    want = check_bound(1, 2, num_samples=20, seed=0)
+    got = check_bound(np.int64(1), np.int64(2), num_samples=20, seed=0)
+    assert type(got.n) is int and got.bound == want.bound and got.entries == want.entries
+    for n in (True, 1.0):
+        with pytest.raises(ValueError):
+            check_bound(n, 2, num_samples=20)
+
+
 def test_check_bound_s3():
     report = check_bound(1, 3, num_samples=50, seed=0)
     assert abs(report.k_hat - 4.0) < 1e-12

@@ -55,7 +55,10 @@ def test_great_circle_points_match_great_circle(n, rng):
     pts = G.great_circle_points(p, v, s)
     assert pts.shape == (s.size, 2 * n + 2)
     for si, row in zip(s, pts):
-        assert_allclose(row, G.great_circle(p, v, si).coords, rtol=0, atol=1e-15)
+        want = p.coords * np.cos(si) + v.vec * np.sin(si)
+        assert_allclose(row, want / np.linalg.norm(want), rtol=0, atol=0)
+        assert_allclose(G.great_circle(p, v, si).coords, row, rtol=0, atol=0)
+        assert_allclose(G.great_circle(p, v, float(si)).coords, row, rtol=0, atol=0)
     assert_allclose(G.great_circle_points(p, v.vec, s), pts, rtol=0, atol=0)
 
 
@@ -162,12 +165,107 @@ def test_exp_map(rng):
 # ---------------------------------------------------------------------------
 
 
+class ChartReference:
+    """Stereographic chart from the pole sign * e_(2n+2), in matrix form.
+
+    The chart class that the library's sign-parametrised chart maps
+    replaced, kept as their oracle; it calls no library chart function.
+    The chart maps take any sequence of floats and return a list.
+    from_coords and push keep the bodies the HJ flow once recorded its
+    rows through, so `hj_list_reference` checks `_hj_rows` bit for bit.
+    """
+
+    def __init__(self, n, sign):
+        self.n = n
+        self.sign = sign
+        self.m = 2 * n + 2
+
+    @classmethod
+    def of(cls, state):
+        """The chart carrying a CotangentState: chart 0 has sign +1, chart 1 sign -1."""
+        return cls(state.n, -1 if state.chart else 1)
+
+    def pole(self):
+        p = np.zeros(self.m)
+        p[-1] = self.sign
+        return p
+
+    def height(self, q):
+        return self.sign * q[-1]
+
+    def to_coords(self, q):
+        h = self.height(q)
+        if h >= 1.0 - 1e-14:
+            raise ValueError("point at the chart pole")
+        return [x / (1.0 - h) for x in q[:-1]]
+
+    def from_coords(self, u):
+        d = sum(map(mul, u, u)) + 1.0
+        q = [2.0 * x / d for x in u]
+        q.append(self.sign * (d - 2.0) / d)
+        return q
+
+    def jacobian(self, u):
+        """d(from_coords)/du, a (2n+2, 2n+1) matrix; conformal columns."""
+        u = np.asarray(u, dtype=float)
+        d = float(u @ u) + 1.0
+        jac = np.zeros((self.m, self.m - 1))
+        jac[: self.m - 1, :] = (2.0 / d) * np.eye(self.m - 1)
+        pm = self.pole() - np.concatenate([u, [0.0]])
+        jac += (4.0 / (d * d)) * np.outer(pm, u)
+        return jac
+
+    def push(self, u, x):
+        """J x without building J: ((2/D) x - (4/D^2) u (u.x), s (4/D^2) u.x)."""
+        d = sum(map(mul, u, u)) + 1.0
+        r = 2.0 / d
+        k = 4.0 * sum(map(mul, u, x)) / (d * d)
+        out = [r * z - k * y for y, z in zip(u, x)]
+        out.append(self.sign * k)
+        return out
+
+    def pull(self, u, w):
+        """J^T w without building J: (2/D) w' + (4/D^2) u (s w_last - u.w')."""
+        d = sum(map(mul, u, u)) + 1.0
+        r = 2.0 / d
+        k = 4.0 * (self.sign * w[-1] - sum(map(mul, u, w))) / (d * d)
+        return [r * z + k * y for y, z in zip(u, w)]
+
+    def cometric(self, u):
+        """g^ij(u) = (D^2/4) I - (D^4/16) m m^T with m_i = <dq/du_i, iq>.
+
+        This is the pushforward of the horizontal projector; the chart
+        Jacobian J satisfies J^T J = (4/D^2) I and J^T q = 0, so only
+        the Reeb covector column survives the subtraction.
+        """
+        d = float(u @ u) + 1.0
+        q = self.from_coords(u)
+        jac = self.jacobian(u)
+        mvec = jac.T @ times_i(q)
+        return (d * d / 4.0) * np.eye(self.m - 1) - (d**4 / 16.0) * np.outer(mvec, mvec)
+
+
+def hamiltonian_reference(state):
+    """H = (1/2) xi^T g xi from the matrix cometric."""
+    g = ChartReference.of(state).cometric(state.x)
+    return 0.5 * float(state.xi @ g @ state.xi)
+
+
+def hand_off_reference(old, new, u, xi):
+    """(u, xi) carried from chart `old` to chart `new` through push, to_coords and pull."""
+    d = sum(map(mul, u, u)) + 1.0
+    r = 0.25 * d * d
+    m_amb = old.push(u, [r * x for x in xi])
+    u_new = new.to_coords(old.from_coords(u))
+    return u_new, new.pull(u_new, m_amb)
+
+
 def test_canonical_lift_pairings(rng):
     p = random_point(rng, 1)
     frame = horizontal_frame(p)
     v = frame.vectors[0]
     lift = G.cotangent_lift(p, v, 1.0)
-    chart = G._charts(1)[lift.chart]
+    chart = ChartReference.of(lift)
     jac = chart.jacobian(lift.x)
     # xi(T) = 1 and xi(X_j) = g(v, X_j); chart covectors pair through the
     # Jacobian columns
@@ -189,11 +287,11 @@ def test_canonical_lift_pairings(rng):
 def test_canonical_lift_zero_velocity(rng):
     p = random_point(rng, 1)
     lift = G.cotangent_lift(p, np.zeros(4), 1.0)
-    chart = G._charts(1)[lift.chart]
+    chart = ChartReference.of(lift)
     jac = chart.jacobian(lift.x)
     vel = jac @ (chart.cometric(lift.x) @ lift.xi)
     assert np.max(np.abs(vel)) < 1e-12  # vanishes on the horizontal space
-    assert G.hamiltonian(lift) < 1e-12
+    assert hamiltonian_reference(lift) < 1e-12
     # still pairs to one against the Reeb direction
     coeff = np.linalg.lstsq(jac, times_i(p.coords), rcond=None)[0]
     assert abs(float(lift.xi @ coeff) - 1.0) < 1e-9
@@ -203,18 +301,18 @@ def test_hamiltonian_value(rng):
     p = random_point(rng, 1)
     v = random_horizontal(rng, p)
     lift = G.cotangent_lift(p, v, 0.7)
-    assert abs(G.hamiltonian(lift) - 0.5) < 1e-12
+    assert abs(hamiltonian_reference(lift) - 0.5) < 1e-12
 
 
 # |u| at which a chart point reaches the handoff height: the height is
 # (D - 2)/D with D = |u|^2 + 1.
-HANDOFF_RADIUS = math.sqrt((1 + G.Chart.HANDOFF_HEIGHT) / (1 - G.Chart.HANDOFF_HEIGHT))
+HANDOFF_RADIUS = math.sqrt((1 + G.HANDOFF_HEIGHT) / (1 - G.HANDOFF_HEIGHT))
 
 
 @st.composite
 def _chart_states(draw):
     n = draw(st.integers(1, 3))
-    chart = G.Chart(n, draw(st.sampled_from((1, -1))))
+    chart = ChartReference(n, draw(st.sampled_from((1, -1))))
     dim = 2 * n + 1
     floats = st.floats(-1.0, 1.0)
     direction = np.array(draw(st.lists(floats, min_size=dim, max_size=dim)))
@@ -231,7 +329,7 @@ def test_hj_rhs_matches_matrix_cometric(state):
     # the closed-form field against the matrix oracle: dH/dxi = g xi, and
     # -dH/du by central differences of (1/2) xi^T g(u) xi
     chart, u, xi = state
-    du, dxi, d = G._hj_rhs(chart, u, xi)
+    du, dxi, d = G._hj_rhs(chart.sign, u, xi)
     assert d == sum(map(mul, u, u)) + 1.0  # the D of the chart maps, bit for bit
     g = chart.cometric(u)
     assert_allclose(du, g @ xi, rtol=1e-12, atol=1e-12 * (1.0 + float(np.max(np.abs(g @ xi)))))
@@ -246,16 +344,24 @@ def test_hj_rhs_matches_matrix_cometric(state):
 
 
 def test_hj_flow_builds_no_matrix(monkeypatch, rng):
-    def refuse(self, u):
+    # the matrix form (J, g and H) lives only in ChartReference: the
+    # library keeps no chart class, and the flow calls none of the numpy
+    # builders the matrix form needs
+    for name in ("Chart", "_charts", "hamiltonian"):
+        assert not hasattr(G, name)
+    v = TangentVector(E1, np.array([0.0, 0.0, 0.0, 1.0]), True)
+    p = random_point(rng, 2)
+    lifts = [G.cotangent_lift(E1, v, 0.0), G.cotangent_lift(p, random_horizontal(rng, p), 1.0)]
+
+    def refuse(*args, **kwargs):
         raise AssertionError("the HJ flow built a chart matrix")
 
-    monkeypatch.setattr(G.Chart, "cometric", refuse)
-    monkeypatch.setattr(G.Chart, "jacobian", refuse)
-    v = TangentVector(E1, np.array([0.0, 0.0, 0.0, 1.0]), True)
-    through = G.integrate_hj_geodesic(G.cotangent_lift(E1, v, 0.0), 3.0, 1e-2)
+    for name in ("zeros", "eye", "outer"):
+        monkeypatch.setattr(np, name, refuse)
+    monkeypatch.setattr(np.linalg, "solve", refuse)
+    through = G.integrate_hj_geodesic(lifts[0], 3.0, 1e-2)
     assert through.events  # the run hands off charts
-    p = random_point(rng, 2)
-    G.integrate_hj_geodesic(G.cotangent_lift(p, random_horizontal(rng, p), 1.0), 0.5, 1e-2)
+    G.integrate_hj_geodesic(lifts[1], 0.5, 1e-2)
 
 
 def test_step_loops_call_no_times_i(monkeypatch):
@@ -289,13 +395,13 @@ def test_step_loops_call_no_times_i(monkeypatch):
 def test_hand_off_matches_solve_form(rng):
     # J^T J = (4/D^2) I, so the closed form replaces a linear solve
     for n in (1, 2, 3):
-        for cid in (0, 1):
-            old, new = G._charts(n)[cid], G._charts(n)[1 - cid]
+        for s in (1, -1):
+            old, new = ChartReference(n, s), ChartReference(n, -s)
             for _ in range(10):
                 d = rng.standard_normal(2 * n + 1)
                 u = d / np.linalg.norm(d) * rng.uniform(HANDOFF_RADIUS, 1.2 * HANDOFF_RADIUS)
                 xi = rng.standard_normal(2 * n + 1)
-                u_new, xi_new = G._hand_off(old, new, u, xi)
+                u_new, xi_new = G._hand_off(s, u, xi)
                 jac = old.jacobian(u)
                 m_amb = jac @ np.linalg.solve(jac.T @ jac, xi)
                 u_ref = new.to_coords(old.from_coords(u))
@@ -421,7 +527,7 @@ def _hj_rhs_reference(chart, u, xi):
 def hj_rk4_reference(init, t_max, step):
     """The HJ route as RK4 on numpy vectors, recording J g xi after every step."""
     steps = G._step_schedule(t_max, step)
-    charts = G._charts(init.n)
+    charts = (ChartReference(init.n, 1), ChartReference(init.n, -1))
     cid = init.chart
     u, xi = init.x.copy(), init.xi.copy()
     svals, points, vels, events = [], [], [], []
@@ -444,7 +550,7 @@ def hj_rk4_reference(init, t_max, step):
         xi = xi + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
         t += h
         record(t)
-        if chart.height(points[-1]) > G.Chart.HANDOFF_HEIGHT:
+        if chart.height(points[-1]) > G.HANDOFF_HEIGHT:
             new = charts[1 - cid]
             d = float(u @ u) + 1.0
             m_amb = _push_reference(chart, u, (0.25 * d * d) * xi)
@@ -561,7 +667,7 @@ def _hj_rhs_scalar_reference(chart, u, xi):
 def test_hj_rhs_matches_the_chart_map_closed_form(state):
     # the polynomial field against the closed form through push and pull
     chart, u, xi = state
-    got = G._hj_rhs(chart, u.tolist(), xi.tolist())[:2]
+    got = G._hj_rhs(chart.sign, u.tolist(), xi.tolist())[:2]
     want = _hj_rhs_scalar_reference(chart, u.tolist(), xi.tolist())
     for g, w in zip(got, want):
         w = np.array(w)
@@ -591,7 +697,7 @@ def test_polynomial_hamiltonian_matches_the_matrix_cometric(state):
     assert_allclose(m, jac_m, rtol=0, atol=1e-13 * max(1.0, float(np.max(np.abs(jac_m)))))
     lift = G.CotangentState(u, xi, 0 if chart.sign > 0 else 1, chart.n)
     ham = 0.125 * d * d * float(xi @ xi) - 0.5 * float(m @ xi) ** 2
-    assert abs(ham - G.hamiltonian(lift)) <= 1e-12 * max(1.0, 0.125 * d * d * float(xi @ xi))
+    assert abs(ham - hamiltonian_reference(lift)) <= 1e-12 * max(1.0, 0.125 * d * d * float(xi @ xi))
 
 
 def _pole_crossing_start(n):
@@ -704,6 +810,16 @@ def test_cotangent_state_chart_is_zero_or_one():
         assert G.CotangentState(lift.x, lift.xi, chart, 1).chart == chart
 
 
+def test_cotangent_state_n_is_a_positive_integer():
+    # True and 1.0 were accepted and stored as n
+    p, v = _pole_crossing_start(1)
+    lift = G.cotangent_lift(p, v, 0.5)
+    for bad in (True, 1.0, 0):
+        with pytest.raises(ValueError, match="CR dimension must be a positive integer"):
+            G.CotangentState(lift.x, lift.xi, lift.chart, bad)
+    assert type(G.CotangentState(lift.x, lift.xi, lift.chart, np.int64(1)).n) is int
+
+
 def test_pole_crossing_start_hands_off():
     # the E1 start of the property test does exercise a chart handoff
     for n in (1, 2, 3):
@@ -777,14 +893,15 @@ def connection_plane_list_reference(init, s_max, step):
 
 
 def hj_list_reference(init, t_max, step):
-    """The HJ route recording every row through Chart.from_coords and Chart.push.
+    """The HJ route recording every row through ChartReference.from_coords and .push.
 
     The step loop the one-D recording replaced: each row recomputes
-    D = |u|^2 + 1 in both chart maps, and the handoff test reads
-    Chart.height.
+    D = |u|^2 + 1 in both chart maps, the handoff test reads
+    ChartReference.height, and the handoff runs through the chart
+    objects.  Only the field `_hj_rhs` comes from the library.
     """
     steps = G._step_schedule(t_max, step)
-    charts = G._charts(init.n)
+    charts = (ChartReference(init.n, 1), ChartReference(init.n, -1))
     cid = init.chart
     chart = charts[cid]
     u = init.x.tolist()
@@ -794,7 +911,7 @@ def hj_list_reference(init, t_max, step):
     points = np.empty((len(steps) + 1, m))
     vels = np.empty((len(steps) + 1, m))
     events = []
-    k1u, k1x, _ = G._hj_rhs(chart, u, xi)
+    k1u, k1x, _ = G._hj_rhs(chart.sign, u, xi)
     svals[0] = 0.0
     points[0] = chart.from_coords(u)
     vels[0] = chart.push(u, k1u)
@@ -802,13 +919,17 @@ def hj_list_reference(init, t_max, step):
     for i, h in enumerate(steps, start=1):
         half, sixth = 0.5 * h, h / 6.0
         k2u, k2x, _ = G._hj_rhs(
-            chart, [x + half * y for x, y in zip(u, k1u)], [x + half * y for x, y in zip(xi, k1x)]
+            chart.sign,
+            [x + half * y for x, y in zip(u, k1u)],
+            [x + half * y for x, y in zip(xi, k1x)],
         )
         k3u, k3x, _ = G._hj_rhs(
-            chart, [x + half * y for x, y in zip(u, k2u)], [x + half * y for x, y in zip(xi, k2x)]
+            chart.sign,
+            [x + half * y for x, y in zip(u, k2u)],
+            [x + half * y for x, y in zip(xi, k2x)],
         )
         k4u, k4x, _ = G._hj_rhs(
-            chart, [x + h * y for x, y in zip(u, k3u)], [x + h * y for x, y in zip(xi, k3x)]
+            chart.sign, [x + h * y for x, y in zip(u, k3u)], [x + h * y for x, y in zip(xi, k3x)]
         )
         u = [
             x + sixth * (y1 + 2 * y2 + 2 * y3 + y4)
@@ -820,17 +941,17 @@ def hj_list_reference(init, t_max, step):
         ]
         t += h
         q = chart.from_coords(u)
-        k1u, k1x, _ = G._hj_rhs(chart, u, xi)
+        k1u, k1x, _ = G._hj_rhs(chart.sign, u, xi)
         svals[i] = t
         points[i] = q
         vels[i] = chart.push(u, k1u)
-        if chart.height(q) > G.Chart.HANDOFF_HEIGHT:
+        if chart.height(q) > G.HANDOFF_HEIGHT:
             new_cid = 1 - cid
-            u, xi = G._hand_off(chart, charts[new_cid], u, xi)
+            u, xi = hand_off_reference(chart, charts[new_cid], u, xi)
             events.append({"t": t, "from_chart": cid, "to_chart": new_cid})
             cid = new_cid
             chart = charts[cid]
-            k1u, k1x, _ = G._hj_rhs(chart, u, xi)
+            k1u, k1x, _ = G._hj_rhs(chart.sign, u, xi)
     return G.GeodesicTrace(svals, points, vels, np.full(len(steps) + 1, np.nan), events=events)
 
 
@@ -859,10 +980,25 @@ def test_pole_crossing_example_hands_off():
     assert len(hj_list_reference(lift, 2.0055, 1e-2).events) > 1
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_handoff_runs_are_the_list_form_bit_for_bit(n):
+    # pole-crossing starts hand off charts, through _hand_off's sign maps
+    # in the library and through the chart objects in the reference
+    p, v = _pole_crossing_start(n)
+    for speed, b in ((1.0, 0.5), (3.0, -0.6)):
+        lift = G.cotangent_lift(p, TangentVector(p, speed * v.vec, True), b)
+        got, want = G.integrate_hj_geodesic(lift, 3.0, 2e-3), hj_list_reference(lift, 3.0, 2e-3)
+        assert got.events
+        for name in ("s", "points", "velocities"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert got.events == want.events
+
+
 def test_hj_step_loop_records_without_chart_maps(monkeypatch):
-    # each row reuses the D of its first-stage field evaluation, so a
-    # run with no handoff calls neither chart map and evaluates the
-    # field 4 times per step, plus once at the start
+    # each row is built by _hj_rows from the D of its first-stage field
+    # evaluation, so a run with no handoff calls neither _to_chart nor
+    # _pull and evaluates the field 4 times per step, plus once at the
+    # start
     n = 2
     e1, across = np.zeros(2 * n + 2), np.zeros(2 * n + 2)
     e1[0] = across[1] = 1.0
@@ -876,12 +1012,12 @@ def test_hj_step_loop_records_without_chart_maps(monkeypatch):
         calls.append(1)
         return field(*args)
 
-    def refuse(self, *args):
+    def refuse(*args):
         raise AssertionError("the HJ step loop called a chart map")
 
     monkeypatch.setattr(G, "_hj_rhs", counting)
-    monkeypatch.setattr(G.Chart, "from_coords", refuse)
-    monkeypatch.setattr(G.Chart, "push", refuse)
+    monkeypatch.setattr(G, "_to_chart", refuse)
+    monkeypatch.setattr(G, "_pull", refuse)
     trace = G.integrate_hj_geodesic(lift, 1.2345, 1e-2)
     assert not trace.events
     assert len(calls) == 4 * (len(trace.s) - 1) + 1

@@ -4,6 +4,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -565,6 +566,16 @@ def test_fragment_needs_a_positive_cr_dimension():
     for ell in (True, 2.0):
         with pytest.raises(ValueError, match="degree must be a positive integer"):
             spectrum_fragment(1, ell)
+
+
+def test_numpy_integer_arguments_give_the_int_fragment():
+    # np.int64 passed the guard, then crashed in rref (a degree) and in
+    # the packed T0 apply (a CR dimension)
+    want = spectrum_fragment(1, 2)
+    for n, ell in ((1, np.int64(2)), (np.int64(1), 2)):
+        got = spectrum_fragment(n, ell)
+        assert got == want
+        assert type(got.n) is int and type(got.degree) is int
 
 
 def test_fragment_rejects_bad_degree():

@@ -38,6 +38,19 @@ def test_point_validation():
         SpherePoint(np.array([1.0, 0.0, 0.0]), 1)
 
 
+def test_point_cr_dimension_is_a_positive_integer():
+    # 1.0 was accepted and made horizontal_frame raise a TypeError; True was stored
+    coords = E1.coords
+    for bad in (True, 1.0, 0, None):
+        with pytest.raises(ValueError, match="CR dimension must be a positive integer"):
+            SpherePoint(coords, bad)
+        with pytest.raises(ValueError, match="CR dimension must be a positive integer"):
+            SpherePoint.stack(coords[None], bad)
+    for n in (1, np.int64(1)):
+        assert type(SpherePoint(coords, n).n) is int
+        assert type(SpherePoint.stack(coords[None], n)[0].n) is int
+
+
 def test_tangent_validation():
     with pytest.raises(ValueError):
         TangentVector(E1, np.array([1.0, 0.0, 0.0, 0.0]))
