@@ -1,9 +1,10 @@
-"""The standing payload matrix: 52 `run_suite` configs and their payloads.
+"""The standing payload matrix: 58 `run_suite` configs and their payloads.
 
 The configs are
 
 * bochner, lemmas and bound defaults at n = 1, 2, 3;
 * geodesics with hj_pairs = 3, cc_pairs = 2 at n = 1, 2, 3;
+* spectrum at degree 6 and bound at degree_max 6 for n = 1, 2, 3;
 * s3 at (a, b) = (0, 1), (0.7, -0.3), (0.5, 1.5) and (-1, 1e-6);
 * every call of the three perfbench workloads at seeds 0, 1, 2, read
   from perfbench/workloads.py, which this module does not edit.
@@ -49,6 +50,9 @@ def configs():
             "geodesics n=%d hj_pairs=3 cc_pairs=2" % n,
             {"suite": "geodesics", "n": n, "hj_pairs": 3, "cc_pairs": 2},
         ))
+    for n in (1, 2, 3):
+        out.append(("spectrum n=%d degree=6" % n, {"suite": "spectrum", "n": n, "degree": 6}))
+        out.append(("bound n=%d degree_max=6" % n, {"suite": "bound", "n": n, "degree_max": 6}))
     for a, b in S3_PARAMETERS:
         out.append(("s3 a=%r b=%r" % (a, b), {"suite": "s3", "a": a, "b": b}))
     workloads = _workloads()

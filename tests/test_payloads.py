@@ -19,7 +19,7 @@ def test_payload_matrix_matches_the_recorded_file():
     # the file with payloads/record.py in the same commit
     matrix = _load_matrix()
     recorded = json.loads(matrix.PAYLOADS.read_text())
-    assert len(recorded["configs"]) == 52
+    assert len(recorded["configs"]) == 58
     got = matrix.compute()
     assert [e["name"] for e in got["configs"]] == [e["name"] for e in recorded["configs"]]
     moved = [
