@@ -648,6 +648,13 @@ class SubspaceBasis:
     Any other basis is independent exactly when the integer kernel of
     its stacked columns (`_stacked_columns`) is empty, which one
     fraction-free elimination decides on every input.
+
+    `spectrum_fragment` alone builds its bases with `_certified`, which
+    runs the per-element checks but not the elimination: each of its
+    bases is the injective image of kernel vectors in echelon form (each
+    nonzero at its own free column and zero at every other), which are
+    independent by inspection; `spectrum._bigraded_harmonics` checks that
+    pattern and proves the image injective.
     """
 
     n: int
@@ -655,6 +662,22 @@ class SubspaceBasis:
     polys: tuple
 
     def __post_init__(self):
+        self._check_elements()
+        leading = {max(p._terms) for p in self.polys}
+        if len(leading) == len(self.polys):
+            return  # echelon form: independent by inspection
+        if null_space(_stacked_columns(self.polys), len(self.polys)):
+            raise ValueError("basis is not linearly independent")
+
+    @classmethod
+    def _certified(cls, n, degree, polys):
+        """The basis after the element checks only: its builder has proved it independent."""
+        basis = object.__new__(cls)
+        vars(basis).update(n=n, degree=degree, polys=polys)
+        basis._check_elements()
+        return basis
+
+    def _check_elements(self):
         num_vars = 2 * self.n + 2
         for p in self.polys:
             if p.num_vars != num_vars:
@@ -663,11 +686,6 @@ class SubspaceBasis:
                 raise ValueError("basis element with a term of the wrong degree")
         if any(p.is_zero() for p in self.polys):
             raise ValueError("zero polynomial in a basis")
-        leading = {max(p._terms) for p in self.polys}
-        if len(leading) == len(self.polys):
-            return  # echelon form: independent by inspection
-        if null_space(_stacked_columns(self.polys), len(self.polys)):
-            raise ValueError("basis is not linearly independent")
 
     def __len__(self):
         return len(self.polys)

@@ -11,7 +11,11 @@ The flat Laplacian maps P_{p,q} to P_{p-1,q-1} by an integer matrix with
 at most n+1 entries per column, so the harmonics split into the pieces
 H_{p,q} (Folland, Trans. AMS 171, 1972).  `spectrum_fragment` takes the
 integer kernel of that matrix for each (p, q) and reads a real basis off
-its real and imaginary parts; everything stays exact.  Every kernel in
+its real and imaginary parts; everything stays exact.  That basis is
+independent without a second elimination: the kernel vectors are in
+echelon form, which `_bigraded_harmonics` checks, and the map from
+kernel vectors to real harmonics is injective (the lemma in its
+docstring).  Every kernel in
 this module, as in `polynomials`, comes from the one fraction-free
 elimination `polynomials.null_space` (Bareiss, Math. Comp. 22, 1968).
 The real-monomial routes (`kernel_t0sq_shift` by brute force on
@@ -274,6 +278,18 @@ class SpectrumFragment:
         return None
 
 
+def _echelon_kernel(kernel):
+    """The kernel vectors, or ValueError unless each is positive at its own
+    free column, its largest key, and no other vector holds that column:
+    the pattern `null_space` returns.  Linear in the entries."""
+    free = set(map(max, kernel))
+    if len(free) != len(kernel) or any(
+        vec[max(vec)] <= 0 or len(free.intersection(vec)) != 1 for vec in kernel
+    ):
+        raise ValueError("kernel vectors are not in echelon form")
+    return kernel
+
+
 def _bigraded_harmonics(n, p, q):
     """Real basis of the harmonics in H_{p,q} + H_{q,p}, for p >= q.
 
@@ -290,6 +306,17 @@ def _bigraded_harmonics(n, p, q):
     -2 Im z^a zbar^b (a strictly earlier); each has its own kernel.
     Removing e_j from a and b keeps their order, so the image pairs stay
     in the same half.
+
+    The output is independent, with no elimination to prove it.
+    `_echelon_kernel` checks that each kernel vector is nonzero at its
+    own free column and zero at every other vector's, so the vectors
+    h_1, ..., h_m are independent by inspection, and stay so over C,
+    since distinct z^a zbar^b are independent over C.  For p > q a real
+    relation sum_k (s_k Re h_k + t_k Im h_k) = 0 splits by bidegree into
+    sum_k (s_k - i t_k) h_k = 0 in P_{p,q} and its conjugate in P_{q,p},
+    so every s_k and t_k is 0.  For p = q the two groups lie in the +1
+    and -1 eigenspaces of conjugation, and within a group the columns
+    z^a zbar^b +- z^b zbar^a have disjoint supports.
     """
     mons_p = monomial_basis(n + 1, p)
     if p > q:
@@ -309,7 +336,7 @@ def _bigraded_harmonics(n, p, q):
                     image = (a[:j] + (a[j] - 1,) + a[j + 1 :], b[:j] + (b[j] - 1,) + b[j + 1 :])
                     rows.setdefault(image, {})[col] = 4 * a[j] * b[j]
         expanded = [_complex_monomial_terms(n, a, b) for a, b in pairs]
-        for vec in null_space(list(rows.values()), len(pairs)):
+        for vec in _echelon_kernel(null_space(list(rows.values()), len(pairs))):
             for part in parts:
                 terms = {}
                 for col, c in vec.items():
@@ -335,7 +362,8 @@ def spectrum_fragment(n, ell):
     entries = []
     for q in range(ell // 2, -1, -1):
         p = ell - q
-        basis = SubspaceBasis(n, ell, tuple(_bigraded_harmonics(n, p, q)))
+        # independent by the lemma of `_bigraded_harmonics`: no elimination
+        basis = SubspaceBasis._certified(n, ell, tuple(_bigraded_harmonics(n, p, q)))
         entries.append(SpectrumEntry((p - q) ** 2, basis))
     return SpectrumFragment(n, ell, tuple(entries))
 

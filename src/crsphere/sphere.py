@@ -418,7 +418,10 @@ def random_point(rng, n, count=None, slots=0):
     operations on each row.  Points and vectors are checked in bulk:
     finite, of unit length, and the vectors tangent and horizontal at
     their points, at the tolerances of SpherePoint and TangentVector.
+    An n that is not a positive integer raises before any draw.
     """
+    if not _is_positive_int(n):
+        raise ValueError("CR dimension must be a positive integer, got %r" % (n,))
     m = 2 * n + 2
     if count is None:
         if slots:

@@ -440,6 +440,84 @@ def test_fragment_terms_digest():
 
 
 # ---------------------------------------------------------------------------
+# Fragment bases are certified by their kernel's echelon pattern.
+# ---------------------------------------------------------------------------
+
+
+def test_general_basis_check_accepts_every_fragment_entry():
+    # the full elimination of SubspaceBasis is the oracle of the certificate
+    for n, ell_max in ((1, 6), (2, 5), (3, 4)):
+        for ell in range(1, ell_max + 1):
+            for e in spectrum_fragment(n, ell).entries:
+                assert SubspaceBasis(n, ell, e.eigenbasis.polys) == e.eigenbasis
+
+
+def _shared_free_column(kernel):
+    """kernel[0] with one more entry below its free column: a second vector with that free column."""
+    vec = dict(kernel[0])
+    col = min(set(range(max(vec))) - {max(v) for v in kernel})
+    vec[col] = vec.get(col, 0) + 1
+    return kernel + [vec]
+
+
+def _held_free_column(kernel):
+    """kernel[1] made nonzero at kernel[0]'s free column, which lies below its own."""
+    vec = dict(kernel[1])
+    vec[max(kernel[0])] = 1
+    return [kernel[0], vec] + kernel[2:]
+
+
+PLANTED_KERNEL_FAULTS = {
+    "duplicated vector": lambda kernel: kernel + [kernel[-1]],
+    "shared free column": _shared_free_column,
+    "held free column": _held_free_column,
+    "negative at its free column": lambda kernel: [{k: -v for k, v in kernel[0].items()}] + kernel[1:],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(PLANTED_KERNEL_FAULTS))
+def test_fragment_refuses_a_kernel_out_of_echelon_form(monkeypatch, fault):
+    # every kernel with two or more vectors gets the fault; the check
+    # reads the kernel before any polynomial is built from it
+    original, plant = S.null_space, PLANTED_KERNEL_FAULTS[fault]
+    planted = []
+
+    def faulty(rows, ncols):
+        kernel = original(rows, ncols)
+        if len(kernel) < 2:
+            return kernel
+        planted.append(fault)
+        return plant(kernel)
+
+    monkeypatch.setattr(S, "null_space", faulty)
+    with pytest.raises(ValueError, match="kernel vectors are not in echelon form"):
+        spectrum_fragment(2, 4)
+    assert planted == [fault]
+
+
+def test_echelon_kernel_passes_what_null_space_returns():
+    rows = [{0: 1, 2: -1}, {1: 2, 3: 1, 4: -3}]
+    kernel = S.null_space(rows, 5)
+    assert S._echelon_kernel(kernel) is kernel
+    assert S._echelon_kernel([]) == []
+    for fault, plant in PLANTED_KERNEL_FAULTS.items():
+        with pytest.raises(ValueError):
+            S._echelon_kernel(plant(kernel))
+
+
+def test_certified_basis_keeps_the_element_checks():
+    x0, y0 = var(0), var(2)
+    assert SubspaceBasis._certified(1, 1, (x0, y0)) == SubspaceBasis(1, 1, (x0, y0))
+    for n, degree, polys, message in (
+        (2, 1, (x0,), "wrong number of variables"),
+        (1, 2, (x0,), "wrong degree"),
+        (1, 1, (x0, x0 - x0), "zero polynomial"),
+    ):
+        with pytest.raises(ValueError, match=message):
+            SubspaceBasis._certified(n, degree, polys)
+
+
+# ---------------------------------------------------------------------------
 # The packed T0^2 certificate of the spectrum suite.
 # ---------------------------------------------------------------------------
 

@@ -51,6 +51,23 @@ def test_point_cr_dimension_is_a_positive_integer():
         assert type(SpherePoint.stack(coords[None], n)[0].n) is int
 
 
+def test_random_point_refuses_a_bad_n_before_drawing():
+    # 1.0 raised numpy's TypeError; True drew from the stream before SpherePoint refused it
+    rng = np.random.default_rng(7)
+    for bad in (1.0, True, 0, -2):
+        for kwargs in ({}, {"count": 3}, {"count": 2, "slots": 1}):
+            state = rng.bit_generator.state
+            with pytest.raises(ValueError, match="CR dimension must be a positive integer"):
+                random_point(rng, bad, **kwargs)
+            assert rng.bit_generator.state == state
+    # valid calls draw as before: the guard reads no state
+    a, b = np.random.default_rng(3), np.random.default_rng(3)
+    p = random_point(a, np.int64(2))
+    v = b.standard_normal(6)
+    assert np.array_equal(p.coords, v / np.linalg.norm(v))
+    assert a.bit_generator.state == b.bit_generator.state
+
+
 def test_tangent_validation():
     with pytest.raises(ValueError):
         TangentVector(E1, np.array([1.0, 0.0, 0.0, 0.0]))

@@ -103,6 +103,26 @@ def test_tracer_sees_the_exact_kernel():
         assert tracer.counts["polynomials.null_space.cells"] > 0, label
 
 
+def _null_space_spans(call):
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        call()
+    finally:
+        tracer.uninstall()
+    return Counter(tracer.span_names[i] for i in tracer.name)["polynomials.null_space"]
+
+
+def test_fragment_eliminates_once_per_kernel_group():
+    # Fragment bases are certified by their kernel's echelon pattern; a
+    # second elimination that proves them independent again would add spans.
+    # At degree 4: two kernel groups for q = 2 (p = q) and one each for q = 1, 0.
+    assert _null_space_spans(lambda: spectrum.spectrum_fragment(3, 4)) == 4
+    x1, x2 = Polynomial.variable(4, 0), Polynomial.variable(4, 1)
+    collided = (x1 + x2, x1 + 2 * x2)  # both lead with x1
+    assert _null_space_spans(lambda: SubspaceBasis(1, 1, collided)) == 1
+
+
 def test_workload_verdict_tables_match_expected():
     # The benchmark's output gate compares each call's (check id, status)
     # table with perfbench/expected.json; a renamed check or a moved
