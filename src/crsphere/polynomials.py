@@ -650,11 +650,8 @@ class SubspaceBasis:
     fraction-free elimination decides on every input.
 
     `spectrum_fragment` alone builds its bases with `_certified`, which
-    runs the per-element checks but not the elimination: each of its
-    bases is the injective image of kernel vectors in echelon form (each
-    nonzero at its own free column and zero at every other), which are
-    independent by inspection; `spectrum._bigraded_harmonics` checks that
-    pattern and proves the image injective.
+    skips only the elimination: each is the injective image of kernel
+    vectors in echelon form, a lemma of `spectrum._bigraded_harmonics`.
     """
 
     n: int

@@ -11,11 +11,9 @@ The flat Laplacian maps P_{p,q} to P_{p-1,q-1} by an integer matrix with
 at most n+1 entries per column, so the harmonics split into the pieces
 H_{p,q} (Folland, Trans. AMS 171, 1972).  `spectrum_fragment` takes the
 integer kernel of that matrix for each (p, q) and reads a real basis off
-its real and imaginary parts; everything stays exact.  That basis is
-independent without a second elimination: the kernel vectors are in
-echelon form, which `_bigraded_harmonics` checks, and the map from
-kernel vectors to real harmonics is injective (the lemma in its
-docstring).  Every kernel in
+its real and imaginary parts; everything stays exact, and the basis is
+independent by the echelon lemma of `_bigraded_harmonics`, with no
+second elimination.  Every kernel in
 this module, as in `polynomials`, comes from the one fraction-free
 elimination `polynomials.null_space` (Bareiss, Math. Comp. 22, 1968).
 The real-monomial routes (`kernel_t0sq_shift` by brute force on
