@@ -19,16 +19,20 @@ Two independent integrations of the same curves:
     horizontal projector, g = (D^2/4) I - (D^4/16) m m^T with
     D = |u|^2 + 1 and m = J^T(iq).  (D^2/4) m is the quadratic
     polynomial M(u) of `_hj_rhs`, so H = (D^2/8)|xi|^2 - (1/2)(M.xi)^2
-    and both of its gradients are polynomial; the flow steps on lists
-    of floats and never builds g or J.  A chart is its sign s = +-1,
+    and both of its gradients are polynomial; the flow steps on named
+    floats and never builds g or J.  A chart is its sign s = +-1,
     and each chart map takes s.  The matrix form (J, g and H) lives in
     the tests, as the oracle the flow is compared against.
 
-Both step loops are plain Python arithmetic on a few scalars, where a
-numpy call costs more than its arithmetic.  The connection route writes
-its four RK4 stages straight out on the four complex coefficients, and
-the HJ route records each row from the D = |u|^2 + 1 of the field
-evaluation it needs anyway.  numpy only holds the traces: the HJ route
+Both step loops are straight-line Python arithmetic on named scalars,
+where a numpy call costs more than its arithmetic.  The connection route
+writes its four RK4 stages out on the four complex coefficients.  The HJ
+state is 2n+1 coordinates and 2n+1 covector entries, so its step is
+generated once per n: `_hj_source(n)` writes the field, the four
+stages, the RK4 combination, the row recording and the handoff test out
+on named floats, and `_hj_kernel(n)` compiles that on first use.  Each
+row comes from the D = |u|^2 + 1 of the field evaluation the next step
+needs anyway.  numpy only holds the traces: the HJ route
 writes them row by row into preallocated arrays, the connection route
 maps its coefficient rows onto the plane with one matrix product at the
 end.
@@ -430,25 +434,98 @@ def _hj_rhs(s, u, xi):
                  - (D/2)|xi|^2 u,
     from one D and four dot products, with no chart map.  u and xi are
     sequences of 2n+1 floats; both parts come back as lists, followed
-    by D, which the HJ flow reuses to record the step.
+    by D, which the HJ flow reuses to record the step.  The arithmetic
+    is written out once, in `_hj_source`, and this is its `rhs`.
     """
-    n = len(u) // 2
-    uu = sum(map(mul, u, u))
-    uxi = sum(map(mul, u, xi))
-    xx = sum(map(mul, xi, xi))
-    su, sx = s * u[n], s * xi[n]
-    # mr = M - s u_n u and gr = R^T xi + s (u.xi) e_n: R u and R^T xi
-    # with their zero e_n entries filled in
-    mr = [-y for y in u[n + 1:]] + [-0.5 * s * (uu - 1.0)] + list(u[:n])
-    gr = list(xi[n + 1:]) + [s * uxi] + [-y for y in xi[:n]]
-    c = sum(map(mul, mr, xi)) + su * uxi  # M.xi
-    d = uu + 1.0
-    r, e = 0.25 * d * d, 0.5 * d * xx
-    return (
-        [r * z - c * (m + su * x) for x, m, z in zip(u, mr, xi)],
-        [c * (g + su * z - sx * x) - e * x for x, g, z in zip(u, gr, xi)],
-        d,
+    return _hj_kernel(len(u) // 2)[0](s, u, xi)
+
+
+def _hj_source(n):
+    """Source of the HJ field `rhs` and step loop `run` at CR dimension n, on named scalars.
+
+    A name ending in an index j is one float: the state u, x, the stage
+    points pu, px, the stage fields kSu, kSx (S = 1..4) and the row q, v.
+    Each line makes the list form's float operations on the same
+    operands in the same order, so the traces equal its traces bit for
+    bit: a dot product adds left to right from 0, as sum() does (0 + (-0.0)
+    is +0.0), and mr, gr are the entries of M - s u_n u and R^T xi + s (u.xi) e_n.
+    """
+    js = range(2 * n + 1)
+
+    def seq(p, size=len(js)):
+        return ", ".join("%s%d" % (p, j) for j in range(size))
+
+    def dot(a, b):
+        return "0" + "".join(" + %s%d * %s%d" % (a, j, b, j) for j in js)
+
+    def field(u, x, du, dx):
+        mr = ["-%s%d" % (u, j + n + 1) for j in range(n)] + ["mid"] + [u + str(j) for j in range(n)]
+        gr = [x + str(j + n + 1) for j in range(n)] + ["s * ux"] + ["-%s%d" % (x, j) for j in range(n)]
+        return [
+            "uu, ux, xx = %s, %s, %s" % (dot(u, u), dot(u, x), dot(x, x)),
+            "su, sx, mid = s * %s%d, s * %s%d, -0.5 * s * (uu - 1.0)" % (u, n, x, n),
+            "c, d = 0%s + su * ux, uu + 1.0" % "".join(" + %s * %s%d" % (mr[j], x, j) for j in js),
+            "r, e = 0.25 * d * d, 0.5 * d * xx",
+        ] + ["%s%d = r * %s%d - c * (%s + su * %s%d)" % (du, j, x, j, mr[j], u, j) for j in js] + [
+            "%s%d = c * (%s + su * %s%d - sx * %s%d) - e * %s%d" % (dx, j, gr[j], x, j, u, j, u, j)
+            for j in js
+        ]
+
+    body = []
+    for k, scale in ((1, "half"), (2, "half"), (3, "h")):  # stage k + 1 at y + scale * k_k
+        body += ["p{y}{j} = {y}{j} + {h} * k{k}{y}{j}".format(y=y, j=j, h=scale, k=k)
+                 for y in "ux" for j in js]
+        body += field("pu", "px", "k%du" % (k + 1), "k%dx" % (k + 1))
+    body += ["{y}{j} = {y}{j} + sixth * (k1{y}{j} + 2 * k2{y}{j} + 2 * k3{y}{j} + k4{y}{j})".format(
+        y=y, j=j) for y in "ux" for j in js]
+    # the next step's first stage, and the row `_hj_rows` builds from its D
+    body += ["t += h"] + field("u", "x", "k1u", "k1x") + ["q%d = 2.0 * u%d / d" % (j, j) for j in js]
+    body += ["q%d = s * (d - 2.0) / d" % len(js), "r, k = 2.0 / d, 4.0 * (%s) / (d * d)" % dot("u", "k1u")]
+    body += ["v%d = r * k1u%d - k * u%d" % (j, j, j) for j in js] + ["v%d = s * k" % len(js)]
+    return _HJ_TEMPLATE.format(
+        u=seq("u"), x=seq("x"), k1u=seq("k1u"), k1x=seq("k1x"), q=seq("q", len(js) + 1),
+        v=seq("v", len(js) + 1), last=len(js), field="\n    ".join(field("u", "x", "k1u", "k1x")),
+        body="\n        ".join(body),
     )
+
+
+_HJ_TEMPLATE = """\
+def rhs(s, u, xi):
+    ({u}), ({x}) = u, xi
+    {field}
+    return [{k1u}], [{k1x}], d
+
+
+def run(s, cid, u, xi, k1u, k1x, steps, svals, points, vels, events):
+    ({u}), ({x}), ({k1u}), ({k1x}) = u, xi, k1u, k1x
+    t = 0.0
+    for i, h in enumerate(steps, start=1):
+        half, sixth = 0.5 * h, h / 6.0
+        {body}
+        svals[i], points[i], vels[i] = t, ({q}), ({v})
+        if s * q{last} > HANDOFF_HEIGHT:
+            u, xi = _hand_off(s, [{u}], [{x}])
+            events.append({{"t": t, "from_chart": cid, "to_chart": 1 - cid}})
+            cid, s = 1 - cid, -s
+            ({k1u}), ({k1x}), _ = _hj_rhs(s, u, xi)
+            ({u}), ({x}) = u, xi
+"""
+
+
+@functools.lru_cache(maxsize=None, typed=True)
+def _hj_kernel(n):
+    """(rhs, run) of `_hj_source(n)`, compiled on first use at each CR dimension n.
+
+    A bool, a float or n < 1 raises ValueError; the cache is typed, so
+    a float equal to a cached numpy integer is refused too.  The code
+    runs in the module's globals, so `run` hands off through `_hand_off`
+    and `_hj_rhs` as they stand when it runs.
+    """
+    if not _is_positive_int(n):
+        raise ValueError("CR dimension must be a positive integer, got %r" % (n,))
+    namespace = {}
+    exec(compile(_hj_source(index(n)), "<hj kernel n=%d>" % n, "exec"), globals(), namespace)
+    return namespace["rhs"], namespace["run"]
 
 
 def _hand_off(s, u, xi):
@@ -467,21 +544,19 @@ def _hand_off(s, u, xi):
 def integrate_hj_geodesic(init, t_max, step):
     """Fixed-step RK4 for the Hamilton-Jacobi system in charts.
 
-    The state (u, xi) is stepped on lists of floats.  The Hamiltonian
-    field is the polynomial form of `_hj_rhs`.  Each recorded row is
-    the point and the velocity J dH/dxi at the new (u, xi), both built
-    by `_hj_rows` from the next step's first-stage field evaluation and
-    the D it computed: D is computed once per stage, and `_to_chart` and
-    `_pull` run only at a handoff.
+    The Hamiltonian field is the polynomial form of `_hj_rhs`, and the
+    step loop is the `run` of `_hj_kernel(n)`, written out on the 2n+1
+    floats of u and of xi, so a step builds no list.  Each recorded row
+    is the point and the velocity J dH/dxi at the new (u, xi), built as
+    `_hj_rows` builds them from the next step's first-stage field
+    evaluation and its D; `_to_chart` and `_pull` run only at a handoff.
     Chart exits are events: when the curve climbs toward the active
     pole the state is handed to the antipodal chart and integration
     continues.
     """
     steps = _step_schedule(t_max, step)
-    cid = init.chart
-    s = -1 if cid else 1
-    u = init.x.tolist()
-    xi = init.xi.tolist()
+    s = -1 if init.chart else 1
+    u, xi = init.x.tolist(), init.xi.tolist()
     m = 2 * init.n + 2
     svals = np.empty(len(steps) + 1)
     points = np.empty((len(steps) + 1, m))
@@ -490,37 +565,7 @@ def integrate_hj_geodesic(init, t_max, step):
     k1u, k1x, d = _hj_rhs(s, u, xi)
     svals[0] = 0.0
     points[0], vels[0] = _hj_rows(s, u, k1u, d)
-    t = 0.0
-    for i, h in enumerate(steps, start=1):
-        half, sixth = 0.5 * h, h / 6.0
-        k2u, k2x, _ = _hj_rhs(
-            s, [x + half * y for x, y in zip(u, k1u)], [x + half * y for x, y in zip(xi, k1x)]
-        )
-        k3u, k3x, _ = _hj_rhs(
-            s, [x + half * y for x, y in zip(u, k2u)], [x + half * y for x, y in zip(xi, k2x)]
-        )
-        k4u, k4x, _ = _hj_rhs(
-            s, [x + h * y for x, y in zip(u, k3u)], [x + h * y for x, y in zip(xi, k3x)]
-        )
-        u = [
-            x + sixth * (y1 + 2 * y2 + 2 * y3 + y4)
-            for x, y1, y2, y3, y4 in zip(u, k1u, k2u, k3u, k4u)
-        ]
-        xi = [
-            x + sixth * (y1 + 2 * y2 + 2 * y3 + y4)
-            for x, y1, y2, y3, y4 in zip(xi, k1x, k2x, k3x, k4x)
-        ]
-        t += h
-        k1u, k1x, d = _hj_rhs(s, u, xi)
-        q, v = _hj_rows(s, u, k1u, d)
-        svals[i] = t
-        points[i] = q
-        vels[i] = v
-        if s * q[-1] > HANDOFF_HEIGHT:
-            u, xi = _hand_off(s, u, xi)
-            events.append({"t": t, "from_chart": cid, "to_chart": 1 - cid})
-            cid, s = 1 - cid, -s
-            k1u, k1x, _ = _hj_rhs(s, u, xi)
+    _hj_kernel(init.n)[1](s, init.chart, u, xi, k1u, k1x, steps, svals, points, vels, events)
     return GeodesicTrace(svals, points, vels, np.full(len(steps) + 1, np.nan), events=events)
 
 

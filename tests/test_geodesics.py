@@ -1,8 +1,12 @@
 import csv
 import dataclasses
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from operator import mul
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +30,7 @@ from crsphere.sphere import (
 from crsphere.suites import TOL_CLOSED_FORM, Config, run_suite
 
 E1 = SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]), 1)
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 # ---------------------------------------------------------------------------
@@ -172,7 +177,7 @@ class ChartReference:
     replaced, kept as their oracle; it calls no library chart function.
     The chart maps take any sequence of floats and return a list.
     from_coords and push keep the bodies the HJ flow once recorded its
-    rows through, so `hj_list_reference` checks `_hj_rows` bit for bit.
+    rows through, so `hj_list_reference` checks the recorded rows bit for bit.
     """
 
     def __init__(self, n, sign):
@@ -892,13 +897,40 @@ def connection_plane_list_reference(init, s_max, step):
     return G.GeodesicTrace(svals, G._real(z[0::2]), G._real(z[1::2]), np.full(len(steps) + 1, b))
 
 
-def hj_list_reference(init, t_max, step):
-    """The HJ route recording every row through ChartReference.from_coords and .push.
+def hj_rhs_list_reference(s, u, xi):
+    """The HJ field of `G._hj_rhs`, on lists: the list form the generated kernel replaced.
 
-    The step loop the one-D recording replaced: each row recomputes
-    D = |u|^2 + 1 in both chart maps, the handoff test reads
-    ChartReference.height, and the handoff runs through the chart
-    objects.  Only the field `_hj_rhs` comes from the library.
+    The lines `G._hj_source` writes out must make these float operations
+    in this order: mr and gr are M - s u_n u and R^T xi + s (u.xi) e_n,
+    with R u and R^T xi's zero e_n entries filled in.  Returns
+    (dH/dxi, -dH/du, D).
+    """
+    n = len(u) // 2
+    uu = sum(map(mul, u, u))
+    uxi = sum(map(mul, u, xi))
+    xx = sum(map(mul, xi, xi))
+    su, sx = s * u[n], s * xi[n]
+    mr = [-y for y in u[n + 1:]] + [-0.5 * s * (uu - 1.0)] + list(u[:n])
+    gr = list(xi[n + 1:]) + [s * uxi] + [-y for y in xi[:n]]
+    c = sum(map(mul, mr, xi)) + su * uxi  # M.xi
+    d = uu + 1.0
+    r, e = 0.25 * d * d, 0.5 * d * xx
+    return (
+        [r * z - c * (m + su * x) for x, m, z in zip(u, mr, xi)],
+        [c * (g + su * z - sx * x) - e * x for x, g, z in zip(u, gr, xi)],
+        d,
+    )
+
+
+def hj_list_reference(init, t_max, step):
+    """The HJ route with every stage built as a list, recording through ChartReference.
+
+    The step loop the generated straight-line kernel replaced: each
+    stage zips the state with the last stage's field into new lists and
+    calls `hj_rhs_list_reference` on them, each row recomputes
+    D = |u|^2 + 1 in ChartReference.from_coords and .push, the handoff
+    test reads ChartReference.height, and the handoff runs through the
+    chart objects.  No field, step or chart map comes from the library.
     """
     steps = G._step_schedule(t_max, step)
     charts = (ChartReference(init.n, 1), ChartReference(init.n, -1))
@@ -911,24 +943,24 @@ def hj_list_reference(init, t_max, step):
     points = np.empty((len(steps) + 1, m))
     vels = np.empty((len(steps) + 1, m))
     events = []
-    k1u, k1x, _ = G._hj_rhs(chart.sign, u, xi)
+    k1u, k1x, _ = hj_rhs_list_reference(chart.sign, u, xi)
     svals[0] = 0.0
     points[0] = chart.from_coords(u)
     vels[0] = chart.push(u, k1u)
     t = 0.0
     for i, h in enumerate(steps, start=1):
         half, sixth = 0.5 * h, h / 6.0
-        k2u, k2x, _ = G._hj_rhs(
+        k2u, k2x, _ = hj_rhs_list_reference(
             chart.sign,
             [x + half * y for x, y in zip(u, k1u)],
             [x + half * y for x, y in zip(xi, k1x)],
         )
-        k3u, k3x, _ = G._hj_rhs(
+        k3u, k3x, _ = hj_rhs_list_reference(
             chart.sign,
             [x + half * y for x, y in zip(u, k2u)],
             [x + half * y for x, y in zip(xi, k2x)],
         )
-        k4u, k4x, _ = G._hj_rhs(
+        k4u, k4x, _ = hj_rhs_list_reference(
             chart.sign, [x + h * y for x, y in zip(u, k3u)], [x + h * y for x, y in zip(xi, k3x)]
         )
         u = [
@@ -941,7 +973,7 @@ def hj_list_reference(init, t_max, step):
         ]
         t += h
         q = chart.from_coords(u)
-        k1u, k1x, _ = G._hj_rhs(chart.sign, u, xi)
+        k1u, k1x, _ = hj_rhs_list_reference(chart.sign, u, xi)
         svals[i] = t
         points[i] = q
         vels[i] = chart.push(u, k1u)
@@ -951,8 +983,13 @@ def hj_list_reference(init, t_max, step):
             events.append({"t": t, "from_chart": cid, "to_chart": new_cid})
             cid = new_cid
             chart = charts[cid]
-            k1u, k1x, _ = G._hj_rhs(chart.sign, u, xi)
+            k1u, k1x, _ = hj_rhs_list_reference(chart.sign, u, xi)
     return G.GeodesicTrace(svals, points, vels, np.full(len(steps) + 1, np.nan), events=events)
+
+
+def _bits(values):
+    """The IEEE-754 bit patterns of floats, so that -0.0 and +0.0 differ."""
+    return np.asarray(values, dtype=float).view(np.int64)
 
 
 # pole-crossing starts at n = 1, 2, 3, each handing off charts twice
@@ -978,7 +1015,8 @@ def test_step_loops_are_their_list_forms_bit_for_bit(start, speed):
         (G.integrate_hj_geodesic(lift, length, step), hj_list_reference(lift, length, step)),
     ):
         for name in ("s", "points", "velocities", "b"):
-            assert np.array_equal(getattr(got, name), getattr(want, name), equal_nan=True), name
+            # equal bit patterns: array_equal alone takes -0.0 for +0.0
+            assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name))), name
         assert got.events == want.events
 
 
@@ -989,17 +1027,19 @@ def test_pole_crossing_example_hands_off():
         assert len(hj_list_reference(lift, length, step).events) > 1
 
 
-def test_hj_step_loop_records_without_chart_maps(monkeypatch):
-    # each row is built by _hj_rows from the D of its first-stage field
-    # evaluation, so a run with no handoff calls neither _to_chart nor
-    # _pull and evaluates the field 4 times per step, plus once at the
-    # start
+def _no_handoff_lift():
+    """A lift at E1 in S^5 whose curve stays in span_C{e1, e2}, where the last coordinate is 0."""
     n = 2
     e1, across = np.zeros(2 * n + 2), np.zeros(2 * n + 2)
     e1[0] = across[1] = 1.0
     p = SpherePoint(e1, n)
-    # the curve stays in span_C{e1, e2}, where the last coordinate is 0
-    lift = G.cotangent_lift(p, TangentVector(p, across, True), 0.4)
+    return G.cotangent_lift(p, TangentVector(p, across, True), 0.4)
+
+
+def test_hj_step_loop_records_without_chart_maps(monkeypatch):
+    # the kernel's step loop writes out its four stages and the row
+    # recording, so `_hj_rhs` runs once at the start and once after each
+    # handoff, and a run with no handoff calls neither _to_chart nor _pull
     calls = []
     field = G._hj_rhs
 
@@ -1011,11 +1051,104 @@ def test_hj_step_loop_records_without_chart_maps(monkeypatch):
         raise AssertionError("the HJ step loop called a chart map")
 
     monkeypatch.setattr(G, "_hj_rhs", counting)
+    (p, v, b, length, step), speed = _HANDOFF_STARTS[1]
+    trace = G.integrate_hj_geodesic(
+        G.cotangent_lift(p, TangentVector(p, speed * v.vec, True), b), length, step
+    )
+    assert len(trace.events) > 1
+    assert len(calls) == 1 + len(trace.events)
+    calls.clear()
+    lift = _no_handoff_lift()
     monkeypatch.setattr(G, "_to_chart", refuse)
     monkeypatch.setattr(G, "_pull", refuse)
     trace = G.integrate_hj_geodesic(lift, 1.2345, 1e-2)
     assert not trace.events
-    assert len(calls) == 4 * (len(trace.s) - 1) + 1
+    assert len(calls) == 1
+
+
+def test_hj_rhs_is_its_list_form_at_signed_zeros(monkeypatch):
+    # the generated field against the list form, bit for bit, where
+    # +0.0 and -0.0 meet: on S^3 every u and xi with entries in `entries`
+    # (the chart origin with each sign of zero among them), drawn ones at
+    # n = 2, 3, and every state the list-form loop visits along the
+    # no-handoff curve and the handoff starts
+    def same(s, u, xi):
+        """Whether the list form gave a -0.0, after checking the field is it bit for bit."""
+        got, want = G._hj_rhs(s, u, xi), hj_rhs_list_reference(s, u, xi)
+        for part, ref in zip(got[:2], want[:2]):
+            assert np.array_equal(_bits(part), _bits(ref)), (s, u, xi)
+        assert _bits(got[2]) == _bits(want[2])
+        return any(x == 0.0 and math.copysign(1.0, x) < 0 for x in want[0] + want[1])
+
+    entries = (0.0, -0.0, 0.25, -1.5)
+    grid = [list(e) for e in np.array(np.meshgrid(*[entries] * 3)).reshape(3, -1).T]
+    for s in (1, -1):
+        for u in grid:
+            for xi in grid:
+                same(s, u, xi)
+    rng = np.random.default_rng(7)
+    for n in (2, 3):
+        for _ in range(300):
+            u, xi = rng.choice(entries, size=(2, 2 * n + 1)).tolist()
+            same(int(rng.choice((1, -1))), u, xi)
+    states = []
+    recorded = hj_rhs_list_reference
+
+    def recording(s, u, xi):
+        states.append((s, u, xi))
+        return recorded(s, u, xi)
+
+    monkeypatch.setitem(globals(), "hj_rhs_list_reference", recording)
+    hj_list_reference(_no_handoff_lift(), 1.2345, 1e-2)
+    for (p, v, b, length, step), speed in _HANDOFF_STARTS:
+        hj_list_reference(G.cotangent_lift(p, TangentVector(p, speed * v.vec, True), b), length, step)
+    monkeypatch.undo()
+    assert sum(same(*state) for state in states) > 0  # the curves do reach -0.0
+
+
+def test_hj_kernel_compiles_once_per_dimension(monkeypatch):
+    compiled = []
+
+    def counting(source, *args):
+        compiled.append(source)
+        return compile(source, *args)
+
+    monkeypatch.setattr(G, "compile", counting, raising=False)
+    G._hj_kernel.cache_clear()
+    for n in (1, 2, 1, 2):
+        p, v = _pole_crossing_start(n)
+        G.integrate_hj_geodesic(G.cotangent_lift(p, v, 0.5), 2.005, 1e-2)
+        G._hj_rhs(1, [0.5] * (2 * n + 1), [1.0] * (2 * n + 1))
+    assert len(compiled) == 2
+    info = G._hj_kernel.cache_info()
+    assert (info.misses, info.currsize) == (2, 2)
+    assert info.hits > 0
+
+
+def test_hj_kernel_refuses_a_bad_dimension():
+    G._hj_kernel.cache_clear()
+    for bad in (True, False, 1.0, 2.0, 0, -1):
+        with pytest.raises(ValueError, match="CR dimension must be a positive integer"):
+            G._hj_kernel(bad)
+    assert G._hj_kernel.cache_info().currsize == 0
+    # a numpy integer is a valid n, and a float equal to it still misses the cache
+    assert G._hj_kernel(np.int64(1))[0](1, [0.5, 0.0, -0.5], [1.0, 2.0, 3.0]) == G._hj_rhs(
+        1, [0.5, 0.0, -0.5], [1.0, 2.0, 3.0])
+    with pytest.raises(ValueError, match="CR dimension must be a positive integer"):
+        G._hj_kernel(1.0)
+
+
+def test_import_compiles_no_hj_kernel():
+    # the kernels are built on first use, so importing the library does no
+    # work for them
+    code = "import crsphere\nfrom crsphere import geodesics\nprint(geodesics._hj_kernel.cache_info().currsize)"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "0"
 
 
 # ---------------------------------------------------------------------------
