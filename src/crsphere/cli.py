@@ -17,7 +17,7 @@ from typing import get_type_hints
 import numpy as np
 
 from . import geodesics as G
-from .sphere import random_horizontal, random_point
+from .sphere import horizontal_frame, random_horizontal, random_point
 from .suites import Config, ConfigError, config_from_file, run_and_report
 
 
@@ -63,8 +63,6 @@ def _export_traces(config, csv_dir):
     n = config.n if config.suite != "s3" else 1
     if config.suite == "s3":
         x0 = G.s3_max_point(config.a, config.b)
-        from .sphere import horizontal_frame
-
         v = horizontal_frame(x0).vectors[0]
         start, b = x0, 0.0
     else:

@@ -28,7 +28,6 @@ UNIT_TOL = 1e-12
 TYPE_TOL = 1e-12  # tolerance enforced on typed values
 ARG_TOL = 1e-9    # tolerance for validating raw array arguments
 FRAME_TOL = 1e-10  # Levi-orthonormality and J-pairing of a horizontal frame
-FRAME_SEED_MIN = 1e-2  # shortest projected seed horizontal_frame normalises
 
 
 def _finite(values, what):
@@ -312,64 +311,33 @@ class HorizontalFrame:
 def horizontal_frame(p):
     """Deterministic adapted frame at p, or at each point of a sequence p.
 
-    Gram-Schmidt over the horizontally projected ambient basis vectors in
-    index order, skipping seeds whose projection is shorter than
-    FRAME_SEED_MIN; once n vectors are chosen the other half is their
-    J-image.  Normalising a projection of length s scales its rounding
-    error by 1/s, so a short seed would break tangency beyond TYPE_TOL.
-    A frame is always found: were fewer than n vectors chosen, the
-    2n+2 final projections would have squared lengths summing to at
-    least 2, yet each would be below FRAME_SEED_MIN^2.
+    One complex Householder reflector H = I - 2 v v*/|v|^2 per point, in
+    real arithmetic: v = p + u, with u the unit vector along (x^1, y^1),
+    or e_1 when that pair is zero.  H is unitary and sends e_1 to a unit
+    multiple of p, so X_a = H e_(a+1), a = 1..n, and their J-images are
+    a Levi-orthonormal frame of H_p.  As |v|^2 = 2 (1 + |z^1|) >= 2,
+    nothing is divided by a small number.
 
-    A sequence of K points is built as one stack, each point running
-    its own seed skips; the frame at one point is the stack of K = 1.
-    Every frame row is bitwise the one that Gram-Schmidt at its point
-    alone gives.  The points' coordinates are checked again first, so a
-    point changed after it was made cannot pass.
+    A sequence of K points is one stack, with the same elementwise
+    operations on each point; the frame at one point is the stack of
+    K = 1.  The points' coordinates are checked again first, so a point
+    changed after it was made cannot pass.
     """
     single = isinstance(p, SpherePoint)
     points = (p,) if single else tuple(p)
     q = _point_coords(points)
     n = points[0].n
     _check_points(q, n, q.shape[:1])
-    rows = _gram_schmidt_rows(q, n)
+    pair = q[:, [0, n + 1]]
+    r = np.hypot(pair[:, :1], pair[:, 1:])
+    v = q.copy()
+    v[:, [0, n + 1]] += np.divide(pair, r, out=np.tile([1.0, 0.0], (len(q), 1)), where=r > 0.0)
+    iv = times_i(v)
+    top = np.eye(2 * n + 2)[1 : n + 1] - (2.0 / np.vecdot(v, v))[:, None, None] * (
+        v[:, 1 : n + 1, None] * v[:, None, :] + iv[:, 1 : n + 1, None] * iv[:, None, :]
+    )
+    rows = np.concatenate((top, times_i(top)), axis=1)
     return HorizontalFrame(p, rows[0]) if single else HorizontalFrame(points, rows)
-
-
-def _gram_schmidt_rows(q, n):
-    """The frame rows of horizontal_frame at each row of a (K, 2n+2) stack q.
-
-    Every point runs the one-point loop: seed k is projected against the
-    span [X_1, J X_1, X_2, J X_2, ...] of the vectors that point has
-    chosen so far, in that order, with the same operations, and is kept
-    only if its projection is long enough, so each point's rows do not
-    depend on the others in the stack.  The span is zero past a point's
-    own vectors: w - <0, w> 0 = w exactly, since no entry of w is ever
-    -0.0 (x - y is +0.0 whenever it is zero).
-    """
-    num, m = q.shape
-    t = times_i(q)
-    # seeds[:, k] is the projected seed e_k - q_k q - t_k t
-    seeds = np.eye(m) - q[:, :, None] * q[:, None, :] - t[:, :, None] * t[:, None, :]
-    span = np.zeros((num, 2 * n, m))  # X_a at 2a, J X_a at 2a + 1
-    chosen = np.zeros(num, dtype=int)
-    for k in range(m):
-        live = np.flatnonzero(chosen < n)
-        if not live.size:
-            break
-        w = seeds[live, k]
-        for s in range(2 * chosen[live].max()):
-            u = span[live, s]  # a zero row past a point's own span vectors
-            w = w - np.vecdot(u, w)[:, None] * u
-        norm = np.sqrt(np.vecdot(w, w))
-        keep = norm >= FRAME_SEED_MIN
-        rows, w = live[keep], w[keep] / norm[keep, None]
-        slot = 2 * chosen[rows]
-        span[rows, slot], span[rows, slot + 1] = w, times_i(w)
-        chosen[rows] += 1
-    if np.any(chosen < n):
-        raise RuntimeError("failed to build a horizontal frame")  # unreachable
-    return np.concatenate((span[:, 0::2], span[:, 1::2]), axis=1)
 
 
 def s3_frame_coefficients(p):

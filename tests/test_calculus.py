@@ -965,8 +965,8 @@ def _trace_fields(n):
 def _trace_point(n, kind, k, sign, seed):
     """A random point, a coordinate axis (E1 when k = 0) or a point near one.
 
-    At and near the axes horizontal_frame skips seeds whose projection
-    is short.
+    On the axes the first complex coordinate of the point is zero or of
+    modulus one, the two edges of horizontal_frame's reflector.
     """
     rng = np.random.default_rng(seed)
     if kind == "random":

@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+from crsphere import geodesics as G
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
@@ -14,13 +16,25 @@ def _load_matrix():
     return module
 
 
-def test_payload_matrix_matches_the_recorded_file():
+def test_payload_matrix_matches_the_recorded_file(monkeypatch):
     # a change that moves canonical bytes, a status or an id re-records
     # the file with payloads/record.py in the same commit
     matrix = _load_matrix()
     recorded = json.loads(matrix.PAYLOADS.read_text())
     assert len(recorded["configs"]) == 58
+    handoffs = []
+    hand_off = G._hand_off
+
+    def counted(*args):
+        handoffs.append(args[0])
+        return hand_off(*args)
+
+    # the HJ kernel looks _hand_off up in the module's globals when it runs
+    monkeypatch.setattr(G, "_hand_off", counted)
     got = matrix.compute()
+    # the matrix must keep recording a chart handoff (one today, in
+    # geodesic_shooting seed=2 call=0), so no edit drops the only config with one
+    assert len(handoffs) >= 1
     assert [e["name"] for e in got["configs"]] == [e["name"] for e in recorded["configs"]]
     moved = [
         want["name"] for have, want in zip(got["configs"], recorded["configs"]) if have != want
