@@ -11,8 +11,8 @@ Two independent integrations of the same curves:
         gamma'' = k gamma' - (k c + |gamma'|^2) gamma,  k = 2i (Im c - b),
     a complex combination of gamma and gamma'.  Every RK4 stage
     therefore stays in the plane span_C{q0, v0} of the initial data,
-    and the step runs on four complex coefficients over that plane,
-    whatever n is;
+    and the step runs on the coefficients of gamma and gamma' over a
+    Hermitian-orthonormal basis of that plane, whatever n is;
 
   * the Hamilton-Jacobi system of H(x, xi) = (1/2) g^ij(x) xi_i xi_j in
     stereographic charts.  The cometric is the pushforward of the
@@ -24,18 +24,10 @@ Two independent integrations of the same curves:
     and each chart map takes s.  The matrix form (J, g and H) lives in
     the tests, as the oracle the flow is compared against.
 
-Both step loops are straight-line Python arithmetic on named scalars,
-where a numpy call costs more than its arithmetic.  The connection route
-writes its four RK4 stages out on the four complex coefficients.  The HJ
-state is 2n+1 coordinates and 2n+1 covector entries, so its step is
-generated once per n: `_hj_source(n)` writes the field, the four
-stages, the RK4 combination, the row recording and the handoff test out
-on named floats, and `_hj_kernel(n)` compiles that on first use.  Each
-row comes from the D = |u|^2 + 1 of the field evaluation the next step
-needs anyway.  numpy only holds the traces: the HJ route
-writes them row by row into preallocated arrays, the connection route
-maps its coefficient rows onto the plane with one matrix product at the
-end.
+Both step loops are straight-line Python arithmetic on named floats,
+where a numpy call costs more than its arithmetic; the HJ step is
+generated once per n (`_hj_source`) and compiled on first use.  numpy
+only holds the traces, written row by row into preallocated arrays.
 
 On the spheres the multiplier b is constant along a geodesic, and a
 curve solves the connection equation with parameter b exactly when its
@@ -198,79 +190,86 @@ def great_circle_points(x0, v, s):
 def integrate_connection_geodesic(init, s_max, step):
     """Fixed-step RK4 for the connection geodesic ODE.
 
-    gamma'' = k v - (k c + |v|^2) q is a complex combination of the
-    position q and the velocity v, so every RK4 stage stays in the plane
-    span_C{q0, v0} of the initial data.  The step runs on the four
-    complex coefficients of q = a q0 + beta v0 and v = g q0 + d v0,
-    with every Hermitian product, the renormalization's included, read
-    from the Gram matrix G of (q0, v0) as it is: <x, y> = conj(x) . G y
-    for coefficient pairs, and no orthonormalization, so v0 = 0 and
-    non-unit v0 need no special case.  At a stage (a, beta, g, d), with
-    c = <q, v> and k = 2i (Im c - b), gamma'' = k (v - c q) - |v|^2 q
-    has the coefficients (ga, gb) below.  The four stages are written
-    out on these scalars, so a step builds no list.  It is the same RK4
-    on the same field as in C^(n+1), at a cost per step that does not
-    depend on n.  The position is renormalized to the sphere after
-    every step (the correction is far below the integrator error).  The
-    multiplier evolves by b' = A(gamma', gamma'), and the spheres have
-    no pseudohermitian torsion A, so b stays constant along the flow.
+    The four stages are written out on the real (r) and imaginary (i)
+    parts of q = a e1 + beta e2 and v = g e1 + d e2 (b for beta) over the
+    orthonormal basis of `_plane_basis`, so c = <q, v> = conj(a) g +
+    conj(beta) d, |v|^2 = |g|^2 + |d|^2, a step makes no complex operation
+    and its cost does not depend on n.  Stage S has the point (aS, bS, gS, dS)
+    and gamma'' = k (v - c q) - |v|^2 q = (gaS, gbS), k = 2i (Im c - mult).
+    The position is renormalized to the sphere by its ambient norm
+    sqrt(|a|^2 + |beta|^2).  The multiplier mult evolves by b' = A(gamma', gamma'),
+    and the spheres have no pseudohermitian torsion A, so it stays constant.
     """
     steps = _step_schedule(s_max, step)
-    q0, v0 = _complex(init.x.coords), _complex(init.v.vec)
-    g11, g22 = float(np.vdot(q0, q0).real), float(np.vdot(v0, v0).real)
-    g12 = complex(np.vdot(q0, v0))
-    g21 = g12.conjugate()
-    b = float(init.b)
-    a, beta, g, d = 1 + 0j, 0j, 0j, 1 + 0j
+    basis, y = _plane_basis(_complex(init.x.coords), _complex(init.v.vec))
+    mult = float(init.b)
     svals = np.empty(len(steps) + 1)
-    coef = np.empty((len(steps) + 1, 4), dtype=complex)
-    svals[0] = 0.0
-    coef[0] = a, beta, g, d
+    rows = np.empty((len(steps) + 1, 8))
+    svals[0], rows[0] = 0.0, y
+    ar, ai, br, bi, gr, gi, dr, di = y
     s = 0.0
     for i, h in enumerate(steps, start=1):
         half, sixth = 0.5 * h, h / 6.0
-        # stage 1 at (a, beta, g, d); wa, wb = G v
-        wa, wb = g11 * g + g12 * d, g21 * g + g22 * d
-        c = a.conjugate() * wa + beta.conjugate() * wb
-        vv = (g.conjugate() * wa + d.conjugate() * wb).real
-        k = 2j * (c.imag - b)
-        ga1, gb1 = k * (g - c * a) - vv * a, k * (d - c * beta) - vv * beta
-        # stage 2 at y + (h/2) k1, k1 = (g, d, ga1, gb1)
-        a2, beta2, g2, d2 = a + half * g, beta + half * d, g + half * ga1, d + half * gb1
-        wa, wb = g11 * g2 + g12 * d2, g21 * g2 + g22 * d2
-        c = a2.conjugate() * wa + beta2.conjugate() * wb
-        vv = (g2.conjugate() * wa + d2.conjugate() * wb).real
-        k = 2j * (c.imag - b)
-        ga2, gb2 = k * (g2 - c * a2) - vv * a2, k * (d2 - c * beta2) - vv * beta2
-        # stage 3 at y + (h/2) k2
-        a3, beta3, g3, d3 = a + half * g2, beta + half * d2, g + half * ga2, d + half * gb2
-        wa, wb = g11 * g3 + g12 * d3, g21 * g3 + g22 * d3
-        c = a3.conjugate() * wa + beta3.conjugate() * wb
-        vv = (g3.conjugate() * wa + d3.conjugate() * wb).real
-        k = 2j * (c.imag - b)
-        ga3, gb3 = k * (g3 - c * a3) - vv * a3, k * (d3 - c * beta3) - vv * beta3
-        # stage 4 at y + h k3
-        a4, beta4, g4, d4 = a + h * g3, beta + h * d3, g + h * ga3, d + h * gb3
-        wa, wb = g11 * g4 + g12 * d4, g21 * g4 + g22 * d4
-        c = a4.conjugate() * wa + beta4.conjugate() * wb
-        vv = (g4.conjugate() * wa + d4.conjugate() * wb).real
-        k = 2j * (c.imag - b)
-        ga4, gb4 = k * (g4 - c * a4) - vv * a4, k * (d4 - c * beta4) - vv * beta4
-        a = a + sixth * (g + 2 * g2 + 2 * g3 + g4)
-        beta = beta + sixth * (d + 2 * d2 + 2 * d3 + d4)
-        g = g + sixth * (ga1 + 2 * ga2 + 2 * ga3 + ga4)
-        d = d + sixth * (gb1 + 2 * gb2 + 2 * gb3 + gb4)
-        wa, wb = g11 * a + g12 * beta, g21 * a + g22 * beta  # G q
-        norm = math.sqrt((a.conjugate() * wa + beta.conjugate() * wb).real)
-        a, beta = a / norm, beta / norm
+        cr, ci = ar * gr + ai * gi + br * dr + bi * di, ar * gi - ai * gr + br * di - bi * dr
+        vv, k = gr * gr + gi * gi + dr * dr + di * di, 2.0 * (ci - mult)
+        ur, ui = gr - (cr * ar - ci * ai), gi - (cr * ai + ci * ar)
+        wr, wi = dr - (cr * br - ci * bi), di - (cr * bi + ci * br)
+        ga1r, ga1i = -k * ui - vv * ar, k * ur - vv * ai
+        gb1r, gb1i = -k * wi - vv * br, k * wr - vv * bi
+        a2r, a2i = ar + half * gr, ai + half * gi
+        b2r, b2i = br + half * dr, bi + half * di
+        g2r, g2i = gr + half * ga1r, gi + half * ga1i
+        d2r, d2i = dr + half * gb1r, di + half * gb1i
+        cr, ci = a2r * g2r + a2i * g2i + b2r * d2r + b2i * d2i, a2r * g2i - a2i * g2r + b2r * d2i - b2i * d2r
+        vv, k = g2r * g2r + g2i * g2i + d2r * d2r + d2i * d2i, 2.0 * (ci - mult)
+        ur, ui = g2r - (cr * a2r - ci * a2i), g2i - (cr * a2i + ci * a2r)
+        wr, wi = d2r - (cr * b2r - ci * b2i), d2i - (cr * b2i + ci * b2r)
+        ga2r, ga2i = -k * ui - vv * a2r, k * ur - vv * a2i
+        gb2r, gb2i = -k * wi - vv * b2r, k * wr - vv * b2i
+        a3r, a3i = ar + half * g2r, ai + half * g2i
+        b3r, b3i = br + half * d2r, bi + half * d2i
+        g3r, g3i = gr + half * ga2r, gi + half * ga2i
+        d3r, d3i = dr + half * gb2r, di + half * gb2i
+        cr, ci = a3r * g3r + a3i * g3i + b3r * d3r + b3i * d3i, a3r * g3i - a3i * g3r + b3r * d3i - b3i * d3r
+        vv, k = g3r * g3r + g3i * g3i + d3r * d3r + d3i * d3i, 2.0 * (ci - mult)
+        ur, ui = g3r - (cr * a3r - ci * a3i), g3i - (cr * a3i + ci * a3r)
+        wr, wi = d3r - (cr * b3r - ci * b3i), d3i - (cr * b3i + ci * b3r)
+        ga3r, ga3i = -k * ui - vv * a3r, k * ur - vv * a3i
+        gb3r, gb3i = -k * wi - vv * b3r, k * wr - vv * b3i
+        a4r, a4i = ar + h * g3r, ai + h * g3i
+        b4r, b4i = br + h * d3r, bi + h * d3i
+        g4r, g4i = gr + h * ga3r, gi + h * ga3i
+        d4r, d4i = dr + h * gb3r, di + h * gb3i
+        cr, ci = a4r * g4r + a4i * g4i + b4r * d4r + b4i * d4i, a4r * g4i - a4i * g4r + b4r * d4i - b4i * d4r
+        vv, k = g4r * g4r + g4i * g4i + d4r * d4r + d4i * d4i, 2.0 * (ci - mult)
+        ur, ui = g4r - (cr * a4r - ci * a4i), g4i - (cr * a4i + ci * a4r)
+        wr, wi = d4r - (cr * b4r - ci * b4i), d4i - (cr * b4i + ci * b4r)
+        ga4r, ga4i = -k * ui - vv * a4r, k * ur - vv * a4i
+        gb4r, gb4i = -k * wi - vv * b4r, k * wr - vv * b4i
+        ar, ai = ar + sixth * (gr + 2 * g2r + 2 * g3r + g4r), ai + sixth * (gi + 2 * g2i + 2 * g3i + g4i)
+        br, bi = br + sixth * (dr + 2 * d2r + 2 * d3r + d4r), bi + sixth * (di + 2 * d2i + 2 * d3i + d4i)
+        gr, gi = gr + sixth * (ga1r + 2 * ga2r + 2 * ga3r + ga4r), gi + sixth * (ga1i + 2 * ga2i + 2 * ga3i + ga4i)
+        dr, di = dr + sixth * (gb1r + 2 * gb2r + 2 * gb3r + gb4r), di + sixth * (gb1i + 2 * gb2i + 2 * gb3i + gb4i)
+        norm = math.sqrt(ar * ar + ai * ai + br * br + bi * bi)
+        ar, ai, br, bi = ar / norm, ai / norm, br / norm, bi / norm
         s += h
-        svals[i] = s
-        coef[i] = a, beta, g, d
-    # rows alternate q and v; dropping the coefficients before the real
-    # traces are built lowers the peak memory by their size
-    z = coef.reshape(-1, 2) @ np.stack([q0, v0])
-    del coef
-    return GeodesicTrace(svals, _real(z[0::2]), _real(z[1::2]), np.full(len(steps) + 1, b))
+        svals[i], rows[i] = s, (ar, ai, br, bi, gr, gi, dr, di)
+    # rows alternate q and v; freeing them before the traces are built lowers the peak memory
+    z = rows.view(complex).reshape(-1, 2) @ basis
+    del rows
+    return GeodesicTrace(svals, _real(z[0::2]), _real(z[1::2]), np.full(len(steps) + 1, mult))
+
+
+def _plane_basis(q0, v0):
+    """Hermitian-orthonormal (e1, e2) as a (2, n+1) array, and the eight floats of (q0, v0) over it.
+
+    e1 = q0/|q0| and e2 = w/|w| for w = v0 - <e1, v0> e1, or 0 when w is 0."""
+    r = float(np.linalg.norm(q0))
+    e1 = q0 / r
+    g = complex(np.vdot(e1, v0))
+    w = v0 - g * e1
+    d = float(np.linalg.norm(w))
+    return np.stack([e1, w / d if d else w]), (r, 0.0, 0.0, 0.0, g.real, g.imag, d, 0.0)
 
 
 def _step_schedule(s_max, step):

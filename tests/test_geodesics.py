@@ -751,11 +751,57 @@ def test_scalar_kernels_match_numpy_references(start):
     )
 
 
+@settings(max_examples=40, deadline=None)
+@given(_geodesic_starts(), st.sampled_from((0.0, 0.3, 3.0)))
+def test_plane_route_matches_the_gram_route(start, speed):
+    # the eight floats over an orthonormal basis against the four complex
+    # coefficients over (q0, v0) that the integrator stepped before
+    p, v, b, length, step = start
+    state = G.GeodesicState(p, TangentVector(p, speed * v.vec, True), b)
+    _assert_same_trace(
+        G.integrate_connection_geodesic(state, length, step),
+        connection_gram_reference(state, length, step),
+    )
+
+
+def _basis_starts(rng):
+    """(point, unit horizontal direction) pairs: random ones at n = 1, 2, 3, the
+    pole-crossing start, and points of norm 1 -+ 5e-13, inside UNIT_TOL."""
+    starts = [_pole_crossing_start(n) for n in (1, 2, 3)]
+    for n in (1, 2, 3):
+        for scale in (1.0, 1.0, 1.0 - 5e-13, 1.0 + 5e-13):
+            p = random_point(rng, n)
+            v = random_horizontal(rng, p).vec
+            p = SpherePoint(scale * p.coords, n)
+            starts.append((p, TangentVector(p, v, True)))
+    return starts
+
+
+@pytest.mark.parametrize("speed", [0.0, 0.3, 3.0])
+def test_plane_basis_is_orthonormal_and_rows_stay_unit(speed, rng):
+    for p, v in _basis_starts(rng):
+        v = TangentVector(p, speed * v.vec, True)
+        q0, v0 = G._complex(p.coords), G._complex(v.vec)
+        basis, y = G._plane_basis(q0, v0)
+        gram = basis.conj() @ basis.T  # <e_j, e_k>
+        assert np.max(np.abs(gram - np.diag([1.0, 1.0 if speed else 0.0]))) <= 1e-15
+        # q0 = |q0| e1 and v0 = <e1, v0> e1 + |w| e2
+        coef = np.array(y).view(complex).reshape(2, 2)
+        assert np.max(np.abs(coef @ basis - [q0, v0])) <= 1e-15 * max(1.0, speed)
+        trace = G.integrate_connection_geodesic(G.GeodesicState(p, v, -0.6), 1.2345, 5e-3)
+        assert np.max(np.abs(trace.points[0] - p.coords)) <= 1e-15
+        assert np.max(np.abs(trace.velocities[0] - v.vec)) <= 1e-15 * max(1.0, speed)
+        assert np.max(np.abs(np.linalg.norm(trace.points[1:], axis=1) - 1.0)) <= 1e-15
+        if speed == 0.0:
+            assert np.all(trace.velocities == 0.0)
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("speed", [0.0, 0.3, 3.0])
 def test_plane_route_on_every_gram_matrix(n, speed, rng):
-    # the plane route reads every product from the Gram matrix of (q0, v0)
-    # as it is: a zero and non-unit velocities need no special case
+    # the plane route steps over an orthonormal basis of span_C{q0, v0}, whatever
+    # the Gram matrix of (q0, v0) is: a zero velocity leaves e2 = 0, and a
+    # non-unit one scales d
     for b in (0.0, 1.3, -2.2):
         p = random_point(rng, n)
         v = TangentVector(p, speed * random_horizontal(rng, p).vec, True)
@@ -763,6 +809,7 @@ def test_plane_route_on_every_gram_matrix(n, speed, rng):
         got = G.integrate_connection_geodesic(state, 1.2345, 5e-3)
         _assert_same_trace(got, connection_rk4_reference(state, 1.2345, 5e-3))
         _assert_same_trace(got, connection_scalar_rk4_reference(state, 1.2345, 5e-3))
+        _assert_same_trace(got, connection_gram_reference(state, 1.2345, 5e-3))
         if speed == 0.0:
             assert np.all(got.velocities == 0.0)
             assert np.max(np.abs(got.points - p.coords)) <= 1e-15
@@ -840,60 +887,118 @@ def test_pole_crossing_start_hands_off():
 # ---------------------------------------------------------------------------
 
 
-def _plane_rhs(y, gram, b):
-    """(gamma', gamma'') on span_C{q0, v0}, as coefficients over (q0, v0).
+def connection_gram_reference(init, s_max, step):
+    """The connection route as RK4 on four complex plane coefficients over (q0, v0).
 
-    y = (a, beta, g, d) holds q = a q0 + beta v0 and v = g q0 + d v0.
-    gram = (<q0, q0>, <q0, v0>, <v0, q0>, <v0, v0>), so
-    <x, y> = conj(x) . G y for coefficient pairs.  With c = <q, v> and
-    k = 2i (Im c - b), gamma'' = k (v - c q) - |v|^2 q.  Returns the
-    4-tuple (g, d, gamma''_a, gamma''_beta).
-    """
-    a, beta, g, d = y
-    g11, g12, g21, g22 = gram
-    wa, wb = g11 * g + g12 * d, g21 * g + g22 * d  # G v
-    c = a.conjugate() * wa + beta.conjugate() * wb
-    vv = (g.conjugate() * wa + d.conjugate() * wb).real
-    k = 2j * (c.imag - b)
-    return g, d, k * (g - c * a) - vv * a, k * (d - c * beta) - vv * beta
-
-
-def connection_plane_list_reference(init, s_max, step):
-    """The plane-coefficient connection route with every stage built as a list.
-
-    The step loop the straight-line stages replaced: each stage zips a
-    4-element list and calls `_plane_rhs` on it.  Every operation runs
-    in the same order on the same operands as in the integrator.
+    The step loop the eight-float route replaced.  q = a q0 + beta v0 and
+    v = g q0 + d v0, with every Hermitian product, the renormalization's
+    included, read from the Gram matrix G of (q0, v0) as it is:
+    <x, y> = conj(x) . G y for coefficient pairs, and no orthonormalization.
     """
     steps = G._step_schedule(s_max, step)
     q0, v0 = G._complex(init.x.coords), G._complex(init.v.vec)
     g11, g22 = float(np.vdot(q0, q0).real), float(np.vdot(v0, v0).real)
     g12 = complex(np.vdot(q0, v0))
     g21 = g12.conjugate()
-    gram = (g11, g12, g21, g22)
     b = float(init.b)
-    y = [1 + 0j, 0j, 0j, 1 + 0j]
+    a, beta, g, d = 1 + 0j, 0j, 0j, 1 + 0j
     svals = np.empty(len(steps) + 1)
     coef = np.empty((len(steps) + 1, 4), dtype=complex)
     svals[0] = 0.0
-    coef[0] = y
+    coef[0] = a, beta, g, d
     s = 0.0
     for i, h in enumerate(steps, start=1):
         half, sixth = 0.5 * h, h / 6.0
-        k1 = _plane_rhs(y, gram, b)
-        k2 = _plane_rhs([x + half * d for x, d in zip(y, k1)], gram, b)
-        k3 = _plane_rhs([x + half * d for x, d in zip(y, k2)], gram, b)
-        k4 = _plane_rhs([x + h * d for x, d in zip(y, k3)], gram, b)
-        a, beta, g, d = [
-            x + sixth * (d1 + 2 * d2 + 2 * d3 + d4) for x, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)
-        ]
+        # stage 1 at (a, beta, g, d); wa, wb = G v
+        wa, wb = g11 * g + g12 * d, g21 * g + g22 * d
+        c = a.conjugate() * wa + beta.conjugate() * wb
+        vv = (g.conjugate() * wa + d.conjugate() * wb).real
+        k = 2j * (c.imag - b)
+        ga1, gb1 = k * (g - c * a) - vv * a, k * (d - c * beta) - vv * beta
+        # stage 2 at y + (h/2) k1, k1 = (g, d, ga1, gb1)
+        a2, beta2, g2, d2 = a + half * g, beta + half * d, g + half * ga1, d + half * gb1
+        wa, wb = g11 * g2 + g12 * d2, g21 * g2 + g22 * d2
+        c = a2.conjugate() * wa + beta2.conjugate() * wb
+        vv = (g2.conjugate() * wa + d2.conjugate() * wb).real
+        k = 2j * (c.imag - b)
+        ga2, gb2 = k * (g2 - c * a2) - vv * a2, k * (d2 - c * beta2) - vv * beta2
+        # stage 3 at y + (h/2) k2
+        a3, beta3, g3, d3 = a + half * g2, beta + half * d2, g + half * ga2, d + half * gb2
+        wa, wb = g11 * g3 + g12 * d3, g21 * g3 + g22 * d3
+        c = a3.conjugate() * wa + beta3.conjugate() * wb
+        vv = (g3.conjugate() * wa + d3.conjugate() * wb).real
+        k = 2j * (c.imag - b)
+        ga3, gb3 = k * (g3 - c * a3) - vv * a3, k * (d3 - c * beta3) - vv * beta3
+        # stage 4 at y + h k3
+        a4, beta4, g4, d4 = a + h * g3, beta + h * d3, g + h * ga3, d + h * gb3
+        wa, wb = g11 * g4 + g12 * d4, g21 * g4 + g22 * d4
+        c = a4.conjugate() * wa + beta4.conjugate() * wb
+        vv = (g4.conjugate() * wa + d4.conjugate() * wb).real
+        k = 2j * (c.imag - b)
+        ga4, gb4 = k * (g4 - c * a4) - vv * a4, k * (d4 - c * beta4) - vv * beta4
+        a = a + sixth * (g + 2 * g2 + 2 * g3 + g4)
+        beta = beta + sixth * (d + 2 * d2 + 2 * d3 + d4)
+        g = g + sixth * (ga1 + 2 * ga2 + 2 * ga3 + ga4)
+        d = d + sixth * (gb1 + 2 * gb2 + 2 * gb3 + gb4)
         wa, wb = g11 * a + g12 * beta, g21 * a + g22 * beta  # G q
         norm = math.sqrt((a.conjugate() * wa + beta.conjugate() * wb).real)
-        y = [a / norm, beta / norm, g, d]
+        a, beta = a / norm, beta / norm
         s += h
         svals[i] = s
-        coef[i] = y
+        coef[i] = a, beta, g, d
     z = coef.reshape(-1, 2) @ np.stack([q0, v0])
+    return G.GeodesicTrace(svals, G._real(z[0::2]), G._real(z[1::2]), np.full(len(steps) + 1, b))
+
+
+def _plane_rhs(y, b):
+    """(gamma', gamma'') on span_C{q0, v0}, as the eight floats of its coefficients.
+
+    y = (ar, ai, br, bi, gr, gi, dr, di) holds the real and imaginary
+    parts of q = a e1 + beta e2 and v = g e1 + d e2 over a
+    Hermitian-orthonormal basis (e1, e2), so c = <q, v> = conj(a) g +
+    conj(beta) d and |v|^2 = |g|^2 + |d|^2.  With k = 2i (Im c - b),
+    gamma'' = k (v - c q) - |v|^2 q.  Returns the 8-list (g, d, gamma'').
+    """
+    ar, ai, br, bi, gr, gi, dr, di = y
+    cr = ar * gr + ai * gi + br * dr + bi * di
+    ci = ar * gi - ai * gr + br * di - bi * dr
+    vv = gr * gr + gi * gi + dr * dr + di * di
+    k = 2.0 * (ci - b)  # k / i
+    ur, ui = gr - (cr * ar - ci * ai), gi - (cr * ai + ci * ar)  # v - c q, over e1
+    wr, wi = dr - (cr * br - ci * bi), di - (cr * bi + ci * br)  # over e2
+    return [gr, gi, dr, di, -k * ui - vv * ar, k * ur - vv * ai, -k * wi - vv * br, k * wr - vv * bi]
+
+
+def connection_plane_list_reference(init, s_max, step):
+    """The eight-float connection route with every stage built as a list.
+
+    The list form of the integrator's written-out stages: each stage zips an
+    8-element list and calls `_plane_rhs` on it.  Every operation runs
+    in the same order on the same operands as in the integrator, over
+    the library's basis `G._plane_basis`.
+    """
+    steps = G._step_schedule(s_max, step)
+    basis, y = G._plane_basis(G._complex(init.x.coords), G._complex(init.v.vec))
+    b = float(init.b)
+    y = list(y)
+    svals = np.empty(len(steps) + 1)
+    rows = np.empty((len(steps) + 1, 8))
+    svals[0] = 0.0
+    rows[0] = y
+    s = 0.0
+    for i, h in enumerate(steps, start=1):
+        half, sixth = 0.5 * h, h / 6.0
+        k1 = _plane_rhs(y, b)
+        k2 = _plane_rhs([x + half * d for x, d in zip(y, k1)], b)
+        k3 = _plane_rhs([x + half * d for x, d in zip(y, k2)], b)
+        k4 = _plane_rhs([x + h * d for x, d in zip(y, k3)], b)
+        y = [x + sixth * (d1 + 2 * d2 + 2 * d3 + d4) for x, d1, d2, d3, d4 in zip(y, k1, k2, k3, k4)]
+        norm = math.sqrt(y[0] * y[0] + y[1] * y[1] + y[2] * y[2] + y[3] * y[3])
+        y = [x / norm for x in y[:4]] + y[4:]
+        s += h
+        svals[i] = s
+        rows[i] = y
+    z = rows.view(complex).reshape(-1, 2) @ basis
     return G.GeodesicTrace(svals, G._real(z[0::2]), G._real(z[1::2]), np.full(len(steps) + 1, b))
 
 
@@ -1004,6 +1109,9 @@ _HANDOFF_STARTS = tuple(
 @example(*_HANDOFF_STARTS[0])
 @example(*_HANDOFF_STARTS[1])
 @example(*_HANDOFF_STARTS[2])
+@example(_HANDOFF_STARTS[0][0], 0.0)
+@example(_HANDOFF_STARTS[1][0], 0.0)
+@example(_HANDOFF_STARTS[2][0], 0.0)
 def test_step_loops_are_their_list_forms_bit_for_bit(start, speed):
     p, v, b, length, step = start
     v = TangentVector(p, speed * v.vec, True)

@@ -1,13 +1,14 @@
 """The benchmark's span tracer names only code that exists and sees the
 exact kernel, its workloads still give the recorded verdicts, the saved
 benchmark results are whole, the library runs without importing scipy,
-and the suites call only public calculus functions, each pointwise one
+the suites call only public calculus functions, each pointwise one
 once per field, and the float kernel a number of times that does not
-grow with the points."""
+grow with the points, and the connection step loop is float arithmetic."""
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -19,7 +20,7 @@ from pathlib import Path
 
 from crsphere import bounds as B
 from crsphere import calculus as C
-from crsphere import polynomials, spectrum
+from crsphere import geodesics, polynomials, spectrum
 from crsphere.polynomials import Polynomial, SubspaceBasis
 from crsphere.suites import Config, run_suite
 
@@ -322,3 +323,19 @@ def test_dual_numbers_have_one_maker_and_one_reader():
         calls = {ast.unparse(n.func) for n in ast.walk(helpers[name]) if isinstance(n, ast.Call)}
         assert "_dot" in calls
         assert "np.vecdot" not in calls
+
+
+def test_connection_step_loop_is_float_arithmetic():
+    # The connection route steps on the eight floats of its plane
+    # coefficients over an orthonormal basis.  A .conjugate(), .real or .imag
+    # access, a complex constant or a numpy call in its step loop would bring
+    # complex arithmetic, or a numpy call's overhead, back into every step.
+    tree = ast.parse(inspect.getsource(geodesics.integrate_connection_geodesic))
+    (loop,) = [node for node in ast.walk(tree) if isinstance(node, (ast.For, ast.While))]
+    found = sorted(
+        ast.unparse(node) for node in ast.walk(loop)
+        if (isinstance(node, ast.Attribute) and node.attr in ("conjugate", "real", "imag"))
+        or (isinstance(node, ast.Constant) and isinstance(node.value, complex))
+        or (isinstance(node, ast.Name) and node.id in ("np", "numpy", "cmath"))
+    )
+    assert found == []
