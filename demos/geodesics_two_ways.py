@@ -2,11 +2,11 @@
 """Sub-Riemannian geodesics two ways, plus distance estimation.
 
 The same curve is produced by (a) the second-order equation of the
-adapted connection in ambient coordinates and (b) the Hamilton-Jacobi
-system of the horizontal cometric in stereographic charts, matched
-through the cotangent lift with Reeb component b.  A closed two-
-frequency form provides the oracle, and the Carnot-Caratheodory
-distance comes from solving its endpoint equation alpha(b, t) = <x, y>.
+adapted connection and (b) the Hamilton-Jacobi flow of the horizontal
+cometric, both in ambient coordinates, matched through the cotangent
+lift with Reeb component b.  A closed two-frequency form provides the
+oracle, and the Carnot-Caratheodory distance comes from solving its
+endpoint equation alpha(b, t) = <x, y>.
 """
 
 import os
@@ -22,8 +22,8 @@ from crsphere import (
     integrate_hj_geodesic,
     riemannian_distance,
 )
-from crsphere.geodesics import closed_form_geodesic
-from crsphere.sphere import SpherePoint, random_horizontal, random_point, times_i
+from crsphere.geodesics import closed_form_geodesic, great_circle_points
+from crsphere.sphere import SpherePoint, TangentVector, random_horizontal, random_point, times_i
 
 rng = np.random.default_rng(4)
 p = random_point(rng, 1)
@@ -45,13 +45,19 @@ print("  speed drift:                   %.2e" % conn.max_speed_drift)
 sp = hj.speed
 print("  Hamiltonian drift:             %.2e" % np.max(np.abs(0.5 * sp**2 - 0.5 * sp[0] ** 2)))
 
-# --- chart handoff: drive a curve through a chart pole ----------------
+# --- the Hamilton-Jacobi route has no chart: a polar great circle --------
+# From e1 toward e4 the b = 0 geodesic is the great circle through +-e4,
+# the poles of the two stereographic charts the route once switched between.
 start = SpherePoint(np.array([1.0, 0.0, 0.0, 0.0]), 1)
-from crsphere.sphere import TangentVector
-
 toward_pole = TangentVector(start, np.array([0.0, 0.0, 0.0, 1.0]), horizontal=True)
-through = integrate_hj_geodesic(cotangent_lift(start, toward_pole, 0.0), 3.0, 1e-3)
-print("\nchart handoff events along a polar great circle:", through.events)
+polar = integrate_hj_geodesic(cotangent_lift(start, toward_pole, 0.0), 2 * np.pi, 1e-3)
+circle = great_circle_points(start, toward_pole, polar.s)
+print("\npolar great circle, Hamilton-Jacobi route over [0, 2 pi], step 1e-3:")
+print("  passes both old chart poles: %s"
+      % (polar.points[:, -1].max() > 1 - 1e-6 and polar.points[:, -1].min() < -1 + 1e-6))
+print("  gap to great_circle:         %.2e" % np.max(np.linalg.norm(polar.points - circle, axis=1)))
+print("  max ||q| - 1|:               %.2e"
+      % np.max(np.abs(np.linalg.norm(polar.points, axis=1) - 1.0)))
 
 # --- distance estimation ----------------------------------------------
 print("\nCarnot-Caratheodory distance estimates on S^3:")

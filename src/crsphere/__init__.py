@@ -3,13 +3,16 @@
 Exact sublaplacian spectrum fragments via the circle action on harmonic
 polynomials, pointwise verification of the horizontal Bochner-type
 identity and its supporting commutation lemmas, two independent
-integrations of sub-Riemannian geodesics, Carnot-Caratheodory distance
-estimation by shooting, the curvature-floor eigenvalue bound, and the
-S^3 equality-case phenomenology.
+integrations of sub-Riemannian geodesics (the adapted connection's
+equation on the complex plane of the initial data, and the Hamiltonian
+flow of the horizontal cometric in ambient coordinates, with no chart),
+Carnot-Caratheodory distance estimation by shooting, the curvature-floor
+eigenvalue bound, and the S^3 equality-case phenomenology.
 
 Operations are deterministic functions of their inputs that share only
 memoized exact data.  Most values are immutable, but `GeodesicTrace`,
-`CotangentState` and `CCDistanceResult` are mutable dataclasses.
+`CotangentState` (an ambient unit position and covector) and
+`CCDistanceResult` are mutable dataclasses.
 """
 
 __version__ = "0.1.0"

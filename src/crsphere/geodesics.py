@@ -14,15 +14,16 @@ Two independent integrations of the same curves:
     and the step runs on the coefficients of gamma and gamma' over a
     Hermitian-orthonormal basis of that plane, whatever n is;
 
-  * the Hamilton-Jacobi system of H(x, xi) = (1/2) g^ij(x) xi_i xi_j in
-    stereographic charts.  The cometric is the pushforward of the
-    horizontal projector, g = (D^2/4) I - (D^4/16) m m^T with
-    D = |u|^2 + 1 and m = J^T(iq).  (D^2/4) m is the quadratic
-    polynomial M(u) of `_hj_rhs`, so H = (D^2/8)|xi|^2 - (1/2)(M.xi)^2
-    and both of its gradients are polynomial; the flow steps on named
-    floats and never builds g or J.  A chart is its sign s = +-1,
-    and each chart map takes s.  The matrix form (J, g and H) lives in
-    the tests, as the oracle the flow is compared against.
+  * the Hamilton-Jacobi flow of the horizontal cometric, lifted to the
+    homogeneous ambient Hamiltonian on R^(2n+2) x R^(2n+2),
+        H(q, p) = (1/2)(|q|^2 |p|^2 - (q.p)^2 - (iq.p)^2),
+    half the squared length of p's horizontal part at |q| = 1.  H is
+    unchanged by p -> p + lambda q, so |q|^2, q.p and iq.p are first
+    integrals: the flow keeps q on the sphere with no chart, pole or
+    renormalization, and the cotangent lift v + b iq starts it.  (The
+    same H without the factor |q|^2 makes (q.p)' = |p|^2, and the flow
+    blows up in finite time.)  The stereographic chart form of H lives
+    in the tests, as the oracle the flow is compared against.
 
 Both step loops are straight-line Python arithmetic on named floats,
 where a numpy call costs more than its arithmetic; the HJ step is
@@ -51,7 +52,7 @@ import csv
 import functools
 import math
 from dataclasses import dataclass, field
-from operator import index, mul
+from operator import index
 
 import numpy as np
 
@@ -61,6 +62,7 @@ from .sphere import (
     ARG_TOL,
     SpherePoint,
     TangentVector,
+    _check_points,
     _check_tangent,
     _finite,
     _is_positive_int,
@@ -103,7 +105,7 @@ class GeodesicTrace:
     points: np.ndarray       # (N, 2n+2)
     velocities: np.ndarray   # (N, 2n+2)
     b: np.ndarray            # (N,)
-    events: list = field(default_factory=list)
+    events: list = field(default_factory=list)  # always empty; perfbench's handoff counter reads it
 
     @property
     def theta_vdot(self):
@@ -332,182 +334,116 @@ def exp_map(x0, w):
 
 
 # ----------------------------------------------------------------------
-# Stereographic charts and the Hamilton-Jacobi system.
+# The Hamilton-Jacobi system in ambient coordinates.
 # ----------------------------------------------------------------------
-
-# A chart is its sign s: stereographic projection from the pole
-# s e_(2n+2).  Chart 0 has s = +1 and chart 1 has s = -1; states and
-# handoff events carry that index.  The chart maps below each take s,
-# run on any sequence of floats and return lists, as the HJ flow's lists
-# of 3 to 7 floats are too short for numpy's per-call cost.
-
-# Handoff once the point climbs past this height toward the pole; the
-# other chart then sees it well inside its own domain.
-HANDOFF_HEIGHT = 0.55
-
-
-def _to_chart(s, q):
-    """Coordinates of the sphere point q in the chart of sign s."""
-    h = s * q[-1]
-    if h >= 1.0 - 1e-14:
-        raise ValueError("point at the chart pole")
-    return [x / (1.0 - h) for x in q[:-1]]
-
-
-def _hj_rows(s, u, du, d):
-    """The point q(u) and the vector J du of the chart of sign s, D = |u|^2 + 1 given.
-
-    q = (2u/D, s (D - 2)/D), and J du = ((2/D) du - (4/D^2) u (u.du),
-    s (4/D^2) u.du) without building J.  The HJ flow passes the D of its
-    field evaluation at u.
-    """
-    q = [2.0 * x / d for x in u]
-    q.append(s * (d - 2.0) / d)
-    r = 2.0 / d
-    k = 4.0 * sum(map(mul, u, du)) / (d * d)
-    v = [r * z - k * y for y, z in zip(u, du)]
-    v.append(s * k)
-    return q, v
-
-
-def _pull(s, u, w):
-    """J^T w without building J: (2/D) w' + (4/D^2) u (s w_last - u.w')."""
-    d = sum(map(mul, u, u)) + 1.0
-    r = 2.0 / d
-    k = 4.0 * (s * w[-1] - sum(map(mul, u, w))) / (d * d)
-    return [r * z + k * y for y, z in zip(u, w)]
 
 
 @dataclass(eq=False)
 class CotangentState:
-    """Chart position, covector, and the chart carrying them: 0 (s = +1) or 1 (s = -1)."""
+    """A unit position x in R^(2n+2) and an ambient covector xi there."""
 
     x: np.ndarray
     xi: np.ndarray
-    chart: int
     n: int
 
     def __post_init__(self):
-        chart = self.chart
-        if isinstance(chart, bool) or not isinstance(chart, (int, np.integer)) or chart not in (0, 1):
-            raise ValueError("chart must be 0 or 1, got %r" % (chart,))
-        if not _is_positive_int(self.n):
-            raise ValueError("CR dimension must be a positive integer, got %r" % (self.n,))
-        self.n = index(self.n)
         self.x = np.asarray(self.x, dtype=float)
         self.xi = np.asarray(self.xi, dtype=float)
-        if self.x.shape != (2 * self.n + 1,) or self.xi.shape != self.x.shape:
-            raise ValueError("chart state of the wrong dimension")
-        _finite(self.x, "chart position")
-        _finite(self.xi, "chart covector")
+        _finite(self.x, "cotangent position")
+        _finite(self.xi, "cotangent covector")
+        self.n = _check_points(self.x, self.n, ())
+        if self.xi.shape != self.x.shape:
+            raise ValueError("cotangent covector of shape %s at a position of shape %s"
+                             % (self.xi.shape, self.x.shape))
 
 
 def cotangent_lift(p, v, reeb_component=1.0):
     """Covector with xi(X) = g(v, X) on H and xi(T) = reeb_component.
 
-    The ambient representative is v + reeb_component * i p; pairing it
-    with the chart Jacobian, J^T m, gives the chart covector.  The chart
-    is the one whose pole is not on p's side.
+    Its ambient representative, and the start of the HJ flow, is
+    v + reeb_component * i p.
     """
     if not math.isfinite(reeb_component):
         raise ValueError("the Reeb component must be finite, got %r" % (reeb_component,))
     vec = _vec_at(p, v, "cotangent_lift direction", horizontal=True)
     q = p.coords
-    m_amb = vec + float(reeb_component) * times_i(q)
-    cid = 0 if q[-1] <= 0.0 else 1
-    s = -1 if cid else 1
-    u = _to_chart(s, q)
-    return CotangentState(u, _pull(s, u, m_amb), cid, p.n)
+    return CotangentState(q, vec + float(reeb_component) * times_i(q), p.n)
 
 
-def _hj_rhs(s, u, xi):
-    """(dH/dxi, -dH/du) for H = (D^2/8)|xi|^2 - (1/2)(M.xi)^2 in the chart of sign s.
+def _hj_rhs(q, p):
+    """(dH/dp, -dH/dq) for H = (1/2)(|q|^2 |p|^2 - (q.p)^2 - (iq.p)^2).
 
-    With q laid out as (x_0..x_n, y_0..y_n) and the chart dropping y_n,
-    the Reeb covector m = J^T(iq) scaled by D^2/4 is the polynomial
-        M(u) = R u + s u_n u - (s/2)(|u|^2 - 1) e_n,
-    (Ru)_j = -u_(j+n+1) for j < n, (Ru)_n = 0 and (Ru)_j = u_(j-n-1)
-    for j > n; R is antisymmetric, so u.Ru = 0.  So
-        dH/dxi = (D^2/4) xi - (M.xi) M,
-        -dH/du = (M.xi)(R^T xi + s[(u.xi) e_n + u_n xi - xi_n u])
-                 - (D/2)|xi|^2 u,
-    from one D and four dot products, with no chart map.  u and xi are
-    sequences of 2n+1 floats; both parts come back as lists, followed
-    by D, which the HJ flow reuses to record the step.  The arithmetic
-    is written out once, in `_hj_source`, and this is its `rhs`.
+    With a = q.p and c = iq.p, and iq.p = -q.ip,
+        dH/dp = |q|^2 p - a q - c iq,   -dH/dq = a p - c ip - |p|^2 q.
+    q and p are sequences of 2n+2 floats; both parts come back as
+    lists.  The arithmetic is written out once, in `_hj_source`, and
+    this is its `rhs`.
     """
-    return _hj_kernel(len(u) // 2)[0](s, u, xi)
+    return _hj_kernel(len(q) // 2 - 1)[0](q, p)
 
 
 def _hj_source(n):
     """Source of the HJ field `rhs` and step loop `run` at CR dimension n, on named scalars.
 
-    A name ending in an index j is one float: the state u, x, the stage
-    points pu, px, the stage fields kSu, kSx (S = 1..4) and the row q, v.
-    Each line makes the list form's float operations on the same
-    operands in the same order, so the traces equal its traces bit for
-    bit: a dot product adds left to right from 0, as sum() does (0 + (-0.0)
-    is +0.0), and mr, gr are the entries of M - s u_n u and R^T xi + s (u.xi) e_n.
+    A name ending in an index j is one float: the state q, p, the stage
+    points sq, sp and the stage fields kSq, kSp (S = 1..4).  Each line
+    makes the list form's float operations on the same operands in the
+    same order, so the traces equal its traces bit for bit: a dot
+    product adds left to right from 0, and a term - c * (-y) of the list
+    form is written + c * y, which IEEE arithmetic rounds alike.
     """
-    js = range(2 * n + 1)
+    m = 2 * n + 2
+    js = range(m)
+    # i(x, y) = (-y, x): entry j of iq is -q_(j+n+1) up to j = n and q_(j-n-1) after
+    ij = [(j + n + 1) % m for j in js]
+    isign = ["-" if j <= n else "+" for j in js]  # of q_ij in iq_j, so of q_ij p_j in c
+    csign = ["+" if j <= n else "-" for j in js]  # of c q_ij in the term - c iq_j
 
-    def seq(p, size=len(js)):
-        return ", ".join("%s%d" % (p, j) for j in range(size))
+    def seq(name):
+        return ", ".join("%s%d" % (name, j) for j in js)
 
     def dot(a, b):
         return "0" + "".join(" + %s%d * %s%d" % (a, j, b, j) for j in js)
 
-    def field(u, x, du, dx):
-        mr = ["-%s%d" % (u, j + n + 1) for j in range(n)] + ["mid"] + [u + str(j) for j in range(n)]
-        gr = [x + str(j + n + 1) for j in range(n)] + ["s * ux"] + ["-%s%d" % (x, j) for j in range(n)]
-        return [
-            "uu, ux, xx = %s, %s, %s" % (dot(u, u), dot(u, x), dot(x, x)),
-            "su, sx, mid = s * %s%d, s * %s%d, -0.5 * s * (uu - 1.0)" % (u, n, x, n),
-            "c, d = 0%s + su * ux, uu + 1.0" % "".join(" + %s * %s%d" % (mr[j], x, j) for j in js),
-            "r, e = 0.25 * d * d, 0.5 * d * xx",
-        ] + ["%s%d = r * %s%d - c * (%s + su * %s%d)" % (du, j, x, j, mr[j], u, j) for j in js] + [
-            "%s%d = c * (%s + su * %s%d - sx * %s%d) - e * %s%d" % (dx, j, gr[j], x, j, u, j, u, j)
+    def field(q, p, dq, dp):
+        c = "0" + "".join(" %s %s%d * %s%d" % (isign[j], q, ij[j], p, j) for j in js)
+        return ["qq, a, pp, c = %s, %s, %s, %s" % (dot(q, q), dot(q, p), dot(p, p), c)] + [
+            "%s%d = qq * %s%d - a * %s%d %s c * %s%d" % (dq, j, p, j, q, j, csign[j], q, ij[j])
+            for j in js
+        ] + [
+            "%s%d = a * %s%d %s c * %s%d - pp * %s%d" % (dp, j, p, j, csign[j], p, ij[j], q, j)
             for j in js
         ]
 
     body = []
     for k, scale in ((1, "half"), (2, "half"), (3, "h")):  # stage k + 1 at y + scale * k_k
-        body += ["p{y}{j} = {y}{j} + {h} * k{k}{y}{j}".format(y=y, j=j, h=scale, k=k)
-                 for y in "ux" for j in js]
-        body += field("pu", "px", "k%du" % (k + 1), "k%dx" % (k + 1))
+        body += ["s{y}{j} = {y}{j} + {h} * k{k}{y}{j}".format(y=y, j=j, h=scale, k=k)
+                 for y in "qp" for j in js]
+        body += field("sq", "sp", "k%dq" % (k + 1), "k%dp" % (k + 1))
     body += ["{y}{j} = {y}{j} + sixth * (k1{y}{j} + 2 * k2{y}{j} + 2 * k3{y}{j} + k4{y}{j})".format(
-        y=y, j=j) for y in "ux" for j in js]
-    # the next step's first stage, and the row `_hj_rows` builds from its D
-    body += ["t += h"] + field("u", "x", "k1u", "k1x") + ["q%d = 2.0 * u%d / d" % (j, j) for j in js]
-    body += ["q%d = s * (d - 2.0) / d" % len(js), "r, k = 2.0 / d, 4.0 * (%s) / (d * d)" % dot("u", "k1u")]
-    body += ["v%d = r * k1u%d - k * u%d" % (j, j, j) for j in js] + ["v%d = s * k" % len(js)]
+        y=y, j=j) for y in "qp" for j in js]
+    # the next step's first stage, whose dq is the recorded velocity
+    body += ["t += h"] + field("q", "p", "k1q", "k1p")
     return _HJ_TEMPLATE.format(
-        u=seq("u"), x=seq("x"), k1u=seq("k1u"), k1x=seq("k1x"), q=seq("q", len(js) + 1),
-        v=seq("v", len(js) + 1), last=len(js), field="\n    ".join(field("u", "x", "k1u", "k1x")),
-        body="\n        ".join(body),
+        q=seq("q"), p=seq("p"), k1q=seq("k1q"), k1p=seq("k1p"),
+        field="\n    ".join(field("q", "p", "k1q", "k1p")), body="\n        ".join(body),
     )
 
 
 _HJ_TEMPLATE = """\
-def rhs(s, u, xi):
-    ({u}), ({x}) = u, xi
+def rhs(q, p):
+    ({q}), ({p}) = q, p
     {field}
-    return [{k1u}], [{k1x}], d
+    return [{k1q}], [{k1p}]
 
 
-def run(s, cid, u, xi, k1u, k1x, steps, svals, points, vels, events):
-    ({u}), ({x}), ({k1u}), ({k1x}) = u, xi, k1u, k1x
+def run(q, p, k1q, k1p, steps, svals, points, vels):
+    ({q}), ({p}), ({k1q}), ({k1p}) = q, p, k1q, k1p
     t = 0.0
     for i, h in enumerate(steps, start=1):
         half, sixth = 0.5 * h, h / 6.0
         {body}
-        svals[i], points[i], vels[i] = t, ({q}), ({v})
-        if s * q{last} > HANDOFF_HEIGHT:
-            u, xi = _hand_off(s, [{u}], [{x}])
-            events.append({{"t": t, "from_chart": cid, "to_chart": 1 - cid}})
-            cid, s = 1 - cid, -s
-            ({k1u}), ({k1x}), _ = _hj_rhs(s, u, xi)
-            ({u}), ({x}) = u, xi
+        svals[i], points[i], vels[i] = t, ({q}), ({k1q})
 """
 
 
@@ -517,55 +453,35 @@ def _hj_kernel(n):
 
     A bool, a float or n < 1 raises ValueError; the cache is typed, so
     a float equal to a cached numpy integer is refused too.  The code
-    runs in the module's globals, so `run` hands off through `_hand_off`
-    and `_hj_rhs` as they stand when it runs.
+    reads no global of this module.
     """
     if not _is_positive_int(n):
         raise ValueError("CR dimension must be a positive integer, got %r" % (n,))
     namespace = {}
-    exec(compile(_hj_source(index(n)), "<hj kernel n=%d>" % n, "exec"), globals(), namespace)
+    exec(compile(_hj_source(index(n)), "<hj kernel n=%d>" % n, "exec"), namespace)
     return namespace["rhs"], namespace["run"]
 
 
-def _hand_off(s, u, xi):
-    """Carry a chart state (u, xi) from the chart of sign s to the chart of sign -s.
-
-    J^T J = (4/D^2) I, so the ambient covector J (J^T J)^-1 xi is
-    J (D^2/4) xi, which the new chart pulls back.
-    """
-    d = sum(map(mul, u, u)) + 1.0
-    r = 0.25 * d * d
-    q, m_amb = _hj_rows(s, u, [r * x for x in xi], d)
-    u_new = _to_chart(-s, q)
-    return u_new, _pull(-s, u_new, m_amb)
-
-
 def integrate_hj_geodesic(init, t_max, step):
-    """Fixed-step RK4 for the Hamilton-Jacobi system in charts.
+    """Fixed-step RK4 for the Hamilton-Jacobi system in ambient coordinates.
 
-    The Hamiltonian field is the polynomial form of `_hj_rhs`, and the
-    step loop is the `run` of `_hj_kernel(n)`, written out on the 2n+1
-    floats of u and of xi, so a step builds no list.  Each recorded row
-    is the point and the velocity J dH/dxi at the new (u, xi), built as
-    `_hj_rows` builds them from the next step's first-stage field
-    evaluation and its D; `_to_chart` and `_pull` run only at a handoff.
-    Chart exits are events: when the curve climbs toward the active
-    pole the state is handed to the antipodal chart and integration
-    continues.
+    The Hamiltonian field is `_hj_rhs`, and the step loop is the `run`
+    of `_hj_kernel(n)`, written out on the 2n+2 floats of q and of p, so
+    a step builds no list.  Each recorded row is the point q and the
+    velocity dH/dp at it, which the next step's first stage computes.
+    |q|^2 is a first integral, so q is not renormalized, and the curve
+    has no chart to leave: `events` stays empty.
     """
     steps = _step_schedule(t_max, step)
-    s = -1 if init.chart else 1
-    u, xi = init.x.tolist(), init.xi.tolist()
-    m = 2 * init.n + 2
+    q, p = init.x.tolist(), init.xi.tolist()
+    rhs, run = _hj_kernel(init.n)
     svals = np.empty(len(steps) + 1)
-    points = np.empty((len(steps) + 1, m))
-    vels = np.empty((len(steps) + 1, m))
-    events = []
-    k1u, k1x, d = _hj_rhs(s, u, xi)
-    svals[0] = 0.0
-    points[0], vels[0] = _hj_rows(s, u, k1u, d)
-    _hj_kernel(init.n)[1](s, init.chart, u, xi, k1u, k1x, steps, svals, points, vels, events)
-    return GeodesicTrace(svals, points, vels, np.full(len(steps) + 1, np.nan), events=events)
+    points = np.empty((len(steps) + 1, len(q)))
+    vels = np.empty((len(steps) + 1, len(q)))
+    k1q, k1p = rhs(q, p)
+    svals[0], points[0], vels[0] = 0.0, q, k1q
+    run(q, p, k1q, k1p, steps, svals, points, vels)
+    return GeodesicTrace(svals, points, vels, np.full(len(steps) + 1, np.nan))
 
 
 # ----------------------------------------------------------------------

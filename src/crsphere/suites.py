@@ -445,9 +445,7 @@ def _suite_geodesics(cfg):
         worst_ham, cfg.tol_hamiltonian))
 
     lift1 = G.cotangent_lift(p, v, 1.0)
-    half = G.integrate_hj_geodesic(
-        G.CotangentState(lift1.x, 2.0 * lift1.xi, lift1.chart, n), 0.5, cfg.step_size
-    )
+    half = G.integrate_hj_geodesic(G.CotangentState(lift1.x, 2.0 * lift1.xi, n), 0.5, cfg.step_size)
     full = G.integrate_hj_geodesic(lift1, 1.0, cfg.step_size)
     rep_gap = float(np.linalg.norm(half.endpoint() - full.endpoint()))
     checks.append(_check(

@@ -15,6 +15,7 @@ EXPECTED_LINES = {
         "kernel eigenvalue mu = -8 (degree 2, multiplicity 3): equality",
         "kernel eigenvalue mu = -12 (degree 2, multiplicity 8): strict",
     ],
+    "geodesics_two_ways.py": ["passes both old chart poles: True"],
 }
 
 

@@ -170,14 +170,31 @@ def test_exp_map(rng):
 # ---------------------------------------------------------------------------
 
 
+def _dot(u, w):
+    """u.w for sequences of floats, added left to right from 0.
+
+    The list forms' own dot product: builtin sum() adds floats left to
+    right only up to CPython 3.11, and it must not decide their bits.
+    """
+    acc = 0
+    for x, y in zip(u, w):
+        acc = acc + x * y
+    return acc
+
+
+# The HJ route in stereographic charts is the form the ambient route
+# replaced, kept here as its oracle: ChartReference, the chart field
+# `hj_rhs_list_reference` and the chart loop `hj_list_reference`, which
+# hands the state to the other chart once the point climbs past this height.
+HANDOFF_HEIGHT = 0.55
+
+
 class ChartReference:
     """Stereographic chart from the pole sign * e_(2n+2), in matrix form.
 
-    The chart class that the library's sign-parametrised chart maps
-    replaced, kept as their oracle; it calls no library chart function.
-    The chart maps take any sequence of floats and return a list.
-    from_coords and push keep the bodies the HJ flow once recorded its
-    rows through, so `hj_list_reference` checks the recorded rows bit for bit.
+    The chart maps take any sequence of floats and return a list.  The
+    library keeps no chart; this class serves the chart oracle of the HJ
+    route and the matrix cometric it is checked against.
     """
 
     def __init__(self, n, sign):
@@ -187,8 +204,12 @@ class ChartReference:
 
     @classmethod
     def of(cls, state):
-        """The chart carrying a CotangentState: chart 0 has sign +1, chart 1 sign -1."""
-        return cls(state.n, -1 if state.chart else 1)
+        """(chart, u, xi) of an ambient CotangentState: the chart whose pole is
+        not on the state's side, its coordinates u and the covector J^T xi."""
+        q = state.x.tolist()
+        chart = cls(state.n, 1 if q[-1] <= 0.0 else -1)
+        u = chart.to_coords(q)
+        return chart, np.array(u), np.array(chart.pull(u, state.xi.tolist()))
 
     def pole(self):
         p = np.zeros(self.m)
@@ -205,7 +226,7 @@ class ChartReference:
         return [x / (1.0 - h) for x in q[:-1]]
 
     def from_coords(self, u):
-        d = sum(map(mul, u, u)) + 1.0
+        d = _dot(u, u) + 1.0
         q = [2.0 * x / d for x in u]
         q.append(self.sign * (d - 2.0) / d)
         return q
@@ -222,18 +243,18 @@ class ChartReference:
 
     def push(self, u, x):
         """J x without building J: ((2/D) x - (4/D^2) u (u.x), s (4/D^2) u.x)."""
-        d = sum(map(mul, u, u)) + 1.0
+        d = _dot(u, u) + 1.0
         r = 2.0 / d
-        k = 4.0 * sum(map(mul, u, x)) / (d * d)
+        k = 4.0 * _dot(u, x) / (d * d)
         out = [r * z - k * y for y, z in zip(u, x)]
         out.append(self.sign * k)
         return out
 
     def pull(self, u, w):
         """J^T w without building J: (2/D) w' + (4/D^2) u (s w_last - u.w')."""
-        d = sum(map(mul, u, u)) + 1.0
+        d = _dot(u, u) + 1.0
         r = 2.0 / d
-        k = 4.0 * (self.sign * w[-1] - sum(map(mul, u, w))) / (d * d)
+        k = 4.0 * (self.sign * w[-1] - _dot(u, w)) / (d * d)
         return [r * z + k * y for y, z in zip(u, w)]
 
     def cometric(self, u):
@@ -250,15 +271,14 @@ class ChartReference:
         return (d * d / 4.0) * np.eye(self.m - 1) - (d**4 / 16.0) * np.outer(mvec, mvec)
 
 
-def hamiltonian_reference(state):
+def hamiltonian_reference(chart, u, xi):
     """H = (1/2) xi^T g xi from the matrix cometric."""
-    g = ChartReference.of(state).cometric(state.x)
-    return 0.5 * float(state.xi @ g @ state.xi)
+    return 0.5 * float(xi @ chart.cometric(u) @ xi)
 
 
 def hand_off_reference(old, new, u, xi):
     """(u, xi) carried from chart `old` to chart `new` through push, to_coords and pull."""
-    d = sum(map(mul, u, u)) + 1.0
+    d = _dot(u, u) + 1.0
     r = 0.25 * d * d
     m_amb = old.push(u, [r * x for x in xi])
     u_new = new.to_coords(old.from_coords(u))
@@ -270,48 +290,51 @@ def test_canonical_lift_pairings(rng):
     frame = horizontal_frame(p)
     v = frame.vectors[0]
     lift = G.cotangent_lift(p, v, 1.0)
-    chart = ChartReference.of(lift)
-    jac = chart.jacobian(lift.x)
-    # xi(T) = 1 and xi(X_j) = g(v, X_j); chart covectors pair through the
-    # Jacobian columns
-    theta_chart = jac.T @ times_i(p.coords)
+    # xi(T) = 1 and xi(X_j) = g(v, X_j), paired in ambient coordinates
+    assert abs(float(lift.xi @ times_i(p.coords)) - 1.0) < 1e-12
+    assert abs(float(lift.xi @ frame.vectors[0].vec) - 1.0) < 1e-12
+    assert abs(float(lift.xi @ frame.vectors[1].vec)) < 1e-12  # orthogonal frame vector
+    # the chart covector J^T xi pairs the same through the Jacobian columns
+    chart, u, xi = ChartReference.of(lift)
+    jac = chart.jacobian(u)
 
     def pair(ambient_vec):
         coeff = np.linalg.lstsq(jac, ambient_vec, rcond=None)[0]
-        return float(lift.xi @ coeff)
+        return float(xi @ coeff)
 
     assert abs(pair(times_i(p.coords)) - 1.0) < 1e-9
     assert abs(pair(frame.vectors[0].vec) - 1.0) < 1e-9
-    assert abs(pair(frame.vectors[1].vec)) < 1e-9  # orthogonal frame vector
-    # cometric inversion returns the velocity
-    vel = jac @ (chart.cometric(lift.x) @ lift.xi)
-    assert_allclose(vel, v.vec, atol=1e-9)
-    del theta_chart
+    assert abs(pair(frame.vectors[1].vec)) < 1e-9
+    # cometric inversion returns the velocity, in the chart and in the flow
+    assert_allclose(jac @ (chart.cometric(u) @ xi), v.vec, atol=1e-9)
+    assert_allclose(G._hj_rhs(lift.x.tolist(), lift.xi.tolist())[0], v.vec, rtol=0, atol=1e-14)
 
 
 def test_canonical_lift_zero_velocity(rng):
     p = random_point(rng, 1)
     lift = G.cotangent_lift(p, np.zeros(4), 1.0)
-    chart = ChartReference.of(lift)
-    jac = chart.jacobian(lift.x)
-    vel = jac @ (chart.cometric(lift.x) @ lift.xi)
+    chart, u, xi = ChartReference.of(lift)
+    jac = chart.jacobian(u)
+    vel = jac @ (chart.cometric(u) @ xi)
     assert np.max(np.abs(vel)) < 1e-12  # vanishes on the horizontal space
-    assert hamiltonian_reference(lift) < 1e-12
+    assert np.max(np.abs(G._hj_rhs(lift.x.tolist(), lift.xi.tolist())[0])) < 1e-15
+    assert hamiltonian_reference(chart, u, xi) < 1e-12
     # still pairs to one against the Reeb direction
     coeff = np.linalg.lstsq(jac, times_i(p.coords), rcond=None)[0]
-    assert abs(float(lift.xi @ coeff) - 1.0) < 1e-9
+    assert abs(float(xi @ coeff) - 1.0) < 1e-9
+    assert abs(float(lift.xi @ times_i(p.coords)) - 1.0) < 1e-12
 
 
 def test_hamiltonian_value(rng):
     p = random_point(rng, 1)
     v = random_horizontal(rng, p)
     lift = G.cotangent_lift(p, v, 0.7)
-    assert abs(hamiltonian_reference(lift) - 0.5) < 1e-12
+    assert abs(hamiltonian_reference(*ChartReference.of(lift)) - 0.5) < 1e-12
 
 
 # |u| at which a chart point reaches the handoff height: the height is
 # (D - 2)/D with D = |u|^2 + 1.
-HANDOFF_RADIUS = math.sqrt((1 + G.HANDOFF_HEIGHT) / (1 - G.HANDOFF_HEIGHT))
+HANDOFF_RADIUS = math.sqrt((1 + HANDOFF_HEIGHT) / (1 - HANDOFF_HEIGHT))
 
 
 @st.composite
@@ -331,21 +354,47 @@ def _chart_states(draw):
 @settings(max_examples=120, deadline=None)
 @given(_chart_states())
 def test_hj_rhs_matches_matrix_cometric(state):
-    # the closed-form field against the matrix oracle: dH/dxi = g xi, and
-    # -dH/du by central differences of (1/2) xi^T g(u) xi
+    # the ambient field pushed through a chart against the matrix oracle.
+    # The ambient covector p = J (D^2/4) xi has J^T p = xi; along the flow
+    # u' = (D^2/4) J^T q' must be g xi, and xi' = J^T p' + (d/dt J^T) p
+    # must be -dH/du, by central differences of (1/2) xi^T g(u) xi
     chart, u, xi = state
-    du, dxi, d = G._hj_rhs(chart.sign, u, xi)
-    assert d == sum(map(mul, u, u)) + 1.0  # the D of the chart maps, bit for bit
-    g = chart.cometric(u)
-    assert_allclose(du, g @ xi, rtol=1e-12, atol=1e-12 * (1.0 + float(np.max(np.abs(g @ xi)))))
+    d = float(u @ u) + 1.0
+    q, p = chart.from_coords(u), chart.push(u, (0.25 * d * d) * xi)
+    dq, dp = G._hj_rhs(q, p)
+    du = 0.25 * d * d * np.array(chart.pull(u, dq))
+    gxi = chart.cometric(u) @ xi
+    assert_allclose(du, gxi, rtol=0, atol=1e-12 * (1.0 + float(np.max(np.abs(gxi)))))
 
     def ham(x):
         return 0.5 * float(xi @ chart.cometric(x) @ xi)
 
     h = 1e-5
     fd = np.array([-(ham(u + h * e) - ham(u - h * e)) / (2 * h) for e in np.eye(u.size)])
+    speed = max(float(np.linalg.norm(du)), 1e-300)  # (d/dt J^T) p by a central difference along du
+    e = du / speed
+    moved = speed * (np.array(chart.pull(u + h * e, p)) - np.array(chart.pull(u - h * e, p))) / (2 * h)
+    dxi = np.array(chart.pull(u, dp)) + moved
     scale = 1.0 + float(np.max(np.abs(fd)))
     assert np.max(np.abs(dxi - fd)) < 1e-7 * scale
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hj_field_keeps_its_first_integrals(n, rng):
+    # H is unchanged by p -> p + lambda q, so d|q|^2/dt = 2 q.q', d(q.p)/dt and
+    # d(iq.p)/dt vanish wherever |q| = 1.  The field of the non-homogeneous
+    # (1/2)(|p|^2 - (q.p)^2 - (iq.p)^2) fails the second: there d(q.p)/dt = |p|^2
+    for _ in range(200):
+        q = random_point(rng, n).coords
+        p = rng.uniform(0.1, 3.0) * rng.standard_normal(2 * n + 2)
+        dq, dp = (np.array(x) for x in G._hj_rhs(q.tolist(), p.tolist()))
+        scale = 1e-14 * (1.0 + float(p @ p))
+        assert abs(float(q @ dq)) <= scale
+        assert abs(float(dq @ p + q @ dp)) <= scale
+        assert abs(float(times_i(dq) @ p + times_i(q) @ dp)) <= scale
+        iq, a, c = times_i(q), float(q @ p), float(times_i(q) @ p)
+        plain_dq, plain_dp = p - a * q - c * iq, a * p - c * times_i(p)
+        assert float(plain_dq @ p + q @ plain_dp) == pytest.approx(float(p @ p), rel=1e-12)
 
 
 def test_hj_flow_builds_no_matrix(monkeypatch, rng):
@@ -365,7 +414,8 @@ def test_hj_flow_builds_no_matrix(monkeypatch, rng):
         monkeypatch.setattr(np, name, refuse)
     monkeypatch.setattr(np.linalg, "solve", refuse)
     through = G.integrate_hj_geodesic(lifts[0], 3.0, 1e-2)
-    assert through.events  # the run hands off charts
+    assert np.max(through.points[:, -1]) > 0.999  # the run passes an old chart pole
+    assert through.events == []
     G.integrate_hj_geodesic(lifts[1], 0.5, 1e-2)
 
 
@@ -390,15 +440,15 @@ def test_step_loops_call_no_times_i(monkeypatch):
             ("hj", lambda: G.integrate_hj_geodesic(lift, length, 1e-2)),
         ):
             calls.clear()
-            trace = run()
-            counts.setdefault(name, []).append((len(calls), len(trace.events)))
-    assert counts["hj"][1][1] > 0  # the long HJ run hands off charts
-    for name, ((short, _), (long, _)) in counts.items():
+            run()
+            counts.setdefault(name, []).append(len(calls))
+    for name, (short, long) in counts.items():
         assert long == short, name
 
 
 def test_hand_off_matches_solve_form(rng):
-    # J^T J = (4/D^2) I, so the closed form replaces a linear solve
+    # the chart oracle's handoff: J^T J = (4/D^2) I, so its closed form
+    # replaces a linear solve
     for n in (1, 2, 3):
         for s in (1, -1):
             old, new = ChartReference(n, s), ChartReference(n, -s)
@@ -406,7 +456,7 @@ def test_hand_off_matches_solve_form(rng):
                 d = rng.standard_normal(2 * n + 1)
                 u = d / np.linalg.norm(d) * rng.uniform(HANDOFF_RADIUS, 1.2 * HANDOFF_RADIUS)
                 xi = rng.standard_normal(2 * n + 1)
-                u_new, xi_new = G._hand_off(s, u, xi)
+                u_new, xi_new = hand_off_reference(old, new, u, xi)
                 jac = old.jacobian(u)
                 m_amb = jac @ np.linalg.solve(jac.T @ jac, xi)
                 u_ref = new.to_coords(old.from_coords(u))
@@ -429,10 +479,17 @@ def test_hj_matches_connection_route(rng):
 
 
 def test_hj_chart_handoff():
+    # the polar great circle from E1 climbs past the handoff height, so the
+    # chart oracle hands off on it, while the ambient route has no chart
+    # and runs straight through
     v = TangentVector(E1, np.array([0.0, 0.0, 0.0, 1.0]), True)
-    hj = G.integrate_hj_geodesic(G.cotangent_lift(E1, v, 0.0), 3.0, 1e-3)
-    assert hj.events, "trajectory through the pole region must hand off charts"
-    assert hj.events[0]["from_chart"] != hj.events[0]["to_chart"]
+    lift = G.cotangent_lift(E1, v, 0.0)
+    oracle = hj_list_reference(lift, 3.0, 1e-3)
+    assert oracle.events, "the chart oracle must hand off along the polar circle"
+    assert oracle.events[0]["from_sign"] != oracle.events[0]["to_sign"]
+    hj = G.integrate_hj_geodesic(lift, 3.0, 1e-3)
+    assert hj.events == []
+    assert np.max(np.linalg.norm(hj.points - oracle.points, axis=1)) <= HJ_ROUTE_GAP
     conn = G.integrate_connection_geodesic(G.GeodesicState(E1, v, 0.0), 3.0, 1e-3)
     assert np.max(np.linalg.norm(conn.points - hj.points, axis=1)) < 1e-5
 
@@ -441,7 +498,7 @@ def test_hj_reparametrization_invariance(rng):
     p = random_point(rng, 1)
     v = random_horizontal(rng, p)
     lift = G.cotangent_lift(p, v, 1.0)
-    doubled = G.CotangentState(lift.x, 2.0 * lift.xi, lift.chart, 1)
+    doubled = G.CotangentState(lift.x, 2.0 * lift.xi, 1)
     full = G.integrate_hj_geodesic(lift, 1.0, 1e-3)
     half = G.integrate_hj_geodesic(doubled, 0.5, 1e-3)
     assert np.linalg.norm(full.endpoint() - half.endpoint()) < 1e-6
@@ -485,86 +542,32 @@ def connection_rk4_reference(init, s_max, step):
     )
 
 
-def _from_coords_reference(chart, u):
-    d = float(u @ u) + 1.0
-    q = np.empty(chart.m)
-    q[:-1] = 2.0 * u / d
-    q[-1] = chart.sign * (d - 2.0) / d
-    return q
-
-
-def _push_reference(chart, u, x):
-    d = float(u @ u) + 1.0
-    ux = float(u @ x)
-    out = np.empty(chart.m)
-    out[:-1] = (2.0 / d) * x - (4.0 * ux / (d * d)) * u
-    out[-1] = chart.sign * 4.0 * ux / (d * d)
-    return out
-
-
-def _pull_reference(chart, u, w):
-    d = float(u @ u) + 1.0
-    wp = w[:-1]
-    return (2.0 / d) * wp + (4.0 * (chart.sign * w[-1] - float(u @ wp)) / (d * d)) * u
-
-
-def _cometric_apply_reference(chart, u, xi):
-    d = float(u @ u) + 1.0
-    w = times_i(_from_coords_reference(chart, u))
-    m = _pull_reference(chart, u, w)
-    c = float(m @ xi)
-    return (0.25 * d * d) * xi - (d**4 / 16.0 * c) * m, d, w, c
-
-
-def _hj_rhs_reference(chart, u, xi):
-    du, d, w, c = _cometric_apply_reference(chart, u, xi)
-    wp = w[:-1]
-    a = float(u @ wp) - chart.sign * w[-1]
-    uxi = float(u @ xi)
-    hess_xi = (-4.0 / (d * d)) * (uxi * wp + float(wp @ xi) * u + a * xi) + (
-        16.0 * a * uxi / d**3
-    ) * u
-    grad_c = hess_xi - _pull_reference(chart, u, times_i(_push_reference(chart, u, xi)))
-    dxi = -0.5 * ((d * float(xi @ xi) - 0.5 * d**3 * c * c) * u - (d**4 / 8.0 * c) * grad_c)
-    return du, dxi
+def _hj_rhs_reference(q, p):
+    """(dH/dp, -dH/dq) of the ambient Hamiltonian on numpy vectors."""
+    iq = times_i(q)
+    a, c = float(q @ p), float(iq @ p)
+    return float(q @ q) * p - a * q - c * iq, a * p - c * times_i(p) - float(p @ p) * q
 
 
 def hj_rk4_reference(init, t_max, step):
-    """The HJ route as RK4 on numpy vectors, recording J g xi after every step."""
+    """The ambient HJ route as RK4 on numpy vectors, recording dH/dp after every step."""
     steps = G._step_schedule(t_max, step)
-    charts = (ChartReference(init.n, 1), ChartReference(init.n, -1))
-    cid = init.chart
-    u, xi = init.x.copy(), init.xi.copy()
-    svals, points, vels, events = [], [], [], []
-
-    def record(t):
-        chart = charts[cid]
-        svals.append(t)
-        points.append(_from_coords_reference(chart, u))
-        vels.append(_push_reference(chart, u, _cometric_apply_reference(chart, u, xi)[0]))
-
-    record(0.0)
+    q, p = init.x.copy(), init.xi.copy()
+    svals, points, vels = [0.0], [q], [_hj_rhs_reference(q, p)[0]]
     t = 0.0
     for h in steps:
-        chart = charts[cid]
-        k1u, k1x = _hj_rhs_reference(chart, u, xi)
-        k2u, k2x = _hj_rhs_reference(chart, u + 0.5 * h * k1u, xi + 0.5 * h * k1x)
-        k3u, k3x = _hj_rhs_reference(chart, u + 0.5 * h * k2u, xi + 0.5 * h * k2x)
-        k4u, k4x = _hj_rhs_reference(chart, u + h * k3u, xi + h * k3x)
-        u = u + (h / 6.0) * (k1u + 2 * k2u + 2 * k3u + k4u)
-        xi = xi + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
+        k1q, k1p = _hj_rhs_reference(q, p)
+        k2q, k2p = _hj_rhs_reference(q + 0.5 * h * k1q, p + 0.5 * h * k1p)
+        k3q, k3p = _hj_rhs_reference(q + 0.5 * h * k2q, p + 0.5 * h * k2p)
+        k4q, k4p = _hj_rhs_reference(q + h * k3q, p + h * k3p)
+        q = q + (h / 6.0) * (k1q + 2 * k2q + 2 * k3q + k4q)
+        p = p + (h / 6.0) * (k1p + 2 * k2p + 2 * k3p + k4p)
         t += h
-        record(t)
-        if chart.height(points[-1]) > G.HANDOFF_HEIGHT:
-            new = charts[1 - cid]
-            d = float(u @ u) + 1.0
-            m_amb = _push_reference(chart, u, (0.25 * d * d) * xi)
-            u = np.array(new.to_coords(_from_coords_reference(chart, u)))
-            xi = _pull_reference(new, u, m_amb)
-            events.append({"t": t, "from_chart": cid, "to_chart": 1 - cid})
-            cid = 1 - cid
+        svals.append(t)
+        points.append(q)
+        vels.append(_hj_rhs_reference(q, p)[0])
     return G.GeodesicTrace(
-        np.array(svals), np.array(points), np.array(vels), np.full(len(svals), np.nan), events
+        np.array(svals), np.array(points), np.array(vels), np.full(len(svals), np.nan)
     )
 
 
@@ -636,10 +639,10 @@ def _cometric_apply_scalar_reference(chart, u, xi):
 
     m = J^T(iq) and c = m.xi; returns g xi with D, iq and c, on lists.
     """
-    d = sum(map(mul, u, u)) + 1.0
+    d = _dot(u, u) + 1.0
     w = _mul_i_reference(chart.from_coords(u))
     m = chart.pull(u, w)
-    c = sum(map(mul, m, xi))
+    c = _dot(m, xi)
     r, k = 0.25 * d * d, d**4 / 16.0 * c
     return [r * x - k * y for x, y in zip(xi, m)], d, w, c
 
@@ -653,12 +656,12 @@ def _hj_rhs_scalar_reference(chart, u, xi):
     where q.w = s w_last + 2a/D with a = u.w' - s w_last for a fixed w.
     """
     du, d, w, c = _cometric_apply_scalar_reference(chart, u, xi)
-    a = sum(map(mul, u, w)) - chart.sign * w[-1]
-    uxi = sum(map(mul, u, xi))
-    wxi = sum(map(mul, w, xi))
+    a = _dot(u, w) - chart.sign * w[-1]
+    uxi = _dot(u, xi)
+    wxi = _dot(w, xi)
     r, k = -4.0 / (d * d), 16.0 * a * uxi / d**3
     pulled = chart.pull(u, _mul_i_reference(chart.push(u, xi)))
-    e = d * sum(map(mul, xi, xi)) - 0.5 * d**3 * c * c
+    e = d * _dot(xi, xi) - 0.5 * d**3 * c * c
     f = d**4 / 8.0 * c
     # grad c = Hess xi - pulled, Hess xi = r (uxi w' + (w'.xi) u + a xi) + k u
     return du, [
@@ -670,9 +673,9 @@ def _hj_rhs_scalar_reference(chart, u, xi):
 @settings(max_examples=120, deadline=None)
 @given(_chart_states())
 def test_hj_rhs_matches_the_chart_map_closed_form(state):
-    # the polynomial field against the closed form through push and pull
+    # the chart oracle's polynomial field against the closed form through push and pull
     chart, u, xi = state
-    got = G._hj_rhs(chart.sign, u.tolist(), xi.tolist())[:2]
+    got = hj_rhs_list_reference(chart.sign, u.tolist(), xi.tolist())[:2]
     want = _hj_rhs_scalar_reference(chart, u.tolist(), xi.tolist())
     for g, w in zip(got, want):
         w = np.array(w)
@@ -700,9 +703,8 @@ def test_polynomial_hamiltonian_matches_the_matrix_cometric(state):
     m = _reeb_polynomial_reference(chart, u)
     jac_m = 0.25 * d * d * (chart.jacobian(u).T @ times_i(chart.from_coords(u)))
     assert_allclose(m, jac_m, rtol=0, atol=1e-13 * max(1.0, float(np.max(np.abs(jac_m)))))
-    lift = G.CotangentState(u, xi, 0 if chart.sign > 0 else 1, chart.n)
     ham = 0.125 * d * d * float(xi @ xi) - 0.5 * float(m @ xi) ** 2
-    assert abs(ham - hamiltonian_reference(lift)) <= 1e-12 * max(1.0, 0.125 * d * d * float(xi @ xi))
+    assert abs(ham - hamiltonian_reference(chart, u, xi)) <= 1e-12 * max(1.0, 0.125 * d * d * float(xi @ xi))
 
 
 def _pole_crossing_start(n):
@@ -844,22 +846,27 @@ def test_geodesic_data_must_be_finite(bad):
     for k in range(lift.x.size):
         x, xi = lift.x.copy(), lift.xi.copy()
         x[k] = bad
-        with pytest.raises(ValueError, match="chart position has a non-finite entry"):
-            G.CotangentState(x, lift.xi, lift.chart, 1)
+        with pytest.raises(ValueError, match="cotangent position has a non-finite entry"):
+            G.CotangentState(x, lift.xi, 1)
         xi[k] = bad
-        with pytest.raises(ValueError, match="chart covector has a non-finite entry"):
-            G.CotangentState(lift.x, xi, lift.chart, 1)
+        with pytest.raises(ValueError, match="cotangent covector has a non-finite entry"):
+            G.CotangentState(lift.x, xi, 1)
 
 
-def test_cotangent_state_chart_is_zero_or_one():
-    # -1 and True used to pick the south chart by tuple indexing, 2 an IndexError later
-    p, v = _pole_crossing_start(1)
-    lift = G.cotangent_lift(p, v, 0.5)
-    for bad in (-1, 2, True, False, 1.0, None):
-        with pytest.raises(ValueError, match="chart must be 0 or 1"):
-            G.CotangentState(lift.x, lift.xi, bad, 1)
-    for chart in (0, 1, np.int64(1)):
-        assert G.CotangentState(lift.x, lift.xi, chart, 1).chart == chart
+def test_cotangent_state_position_is_unit(rng):
+    # the state is ambient, so its position is a point of the sphere, held
+    # to the unit check of SpherePoint; the covector has its shape
+    p = random_point(rng, 2)
+    lift = G.cotangent_lift(p, random_horizontal(rng, p), 0.5)
+    for scale in (0.5, 1.0 - 1e-9, 1.0 + 1e-9, 0.0):
+        with pytest.raises(ValueError, match="point is not on the unit sphere"):
+            G.CotangentState(scale * lift.x, lift.xi, 2)
+    for scale in (1.0 - 5e-13, 1.0 + 5e-13):
+        assert np.array_equal(G.CotangentState(scale * lift.x, lift.xi, 2).x, scale * lift.x)
+    with pytest.raises(ValueError, match="expected 4 coordinates"):
+        G.CotangentState(lift.x, lift.xi, 1)
+    with pytest.raises(ValueError, match="cotangent covector of shape"):
+        G.CotangentState(lift.x, lift.xi[:-1], 2)
 
 
 def test_cotangent_state_n_is_a_positive_integer():
@@ -868,18 +875,21 @@ def test_cotangent_state_n_is_a_positive_integer():
     lift = G.cotangent_lift(p, v, 0.5)
     for bad in (True, 1.0, 0):
         with pytest.raises(ValueError, match="CR dimension must be a positive integer"):
-            G.CotangentState(lift.x, lift.xi, lift.chart, bad)
-    assert type(G.CotangentState(lift.x, lift.xi, lift.chart, np.int64(1)).n) is int
+            G.CotangentState(lift.x, lift.xi, bad)
+    assert type(G.CotangentState(lift.x, lift.xi, np.int64(1)).n) is int
 
 
 def test_pole_crossing_start_hands_off():
-    # the E1 start of the property test does exercise a chart handoff
+    # the E1 start of the property tests crosses a pole of the chart
+    # oracle, which hands off there; the ambient route has no event and
+    # matches its numpy reference
     for n in (1, 2, 3):
         p, v = _pole_crossing_start(n)
         lift = G.cotangent_lift(p, v, 0.5)
-        got = G.integrate_hj_geodesic(lift, 2.005, 1e-2)
-        assert got.events
-        _assert_same_trace(got, hj_rk4_reference(lift, 2.005, 1e-2))
+        assert hj_list_reference(lift, 2.005, 1e-2).events
+        _assert_same_trace(
+            G.integrate_hj_geodesic(lift, 2.005, 1e-2), hj_rk4_reference(lift, 2.005, 1e-2)
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -1003,21 +1013,21 @@ def connection_plane_list_reference(init, s_max, step):
 
 
 def hj_rhs_list_reference(s, u, xi):
-    """The HJ field of `G._hj_rhs`, on lists: the list form the generated kernel replaced.
+    """The HJ field in the chart of sign s, on lists: the chart oracle's field.
 
-    The lines `G._hj_source` writes out must make these float operations
-    in this order: mr and gr are M - s u_n u and R^T xi + s (u.xi) e_n,
-    with R u and R^T xi's zero e_n entries filled in.  Returns
-    (dH/dxi, -dH/du, D).
+    (dH/dxi, -dH/du) for H = (D^2/8)|xi|^2 - (1/2)(M.xi)^2 with
+    D = |u|^2 + 1 and M(u) = (D^2/4) J^T(iq): mr and gr are
+    M - s u_n u and R^T xi + s (u.xi) e_n, with R u and R^T xi's zero
+    e_n entries filled in.  Returns (dH/dxi, -dH/du, D).
     """
     n = len(u) // 2
-    uu = sum(map(mul, u, u))
-    uxi = sum(map(mul, u, xi))
-    xx = sum(map(mul, xi, xi))
+    uu = _dot(u, u)
+    uxi = _dot(u, xi)
+    xx = _dot(xi, xi)
     su, sx = s * u[n], s * xi[n]
     mr = [-y for y in u[n + 1:]] + [-0.5 * s * (uu - 1.0)] + list(u[:n])
     gr = list(xi[n + 1:]) + [s * uxi] + [-y for y in xi[:n]]
-    c = sum(map(mul, mr, xi)) + su * uxi  # M.xi
+    c = _dot(mr, xi) + su * uxi  # M.xi
     d = uu + 1.0
     r, e = 0.25 * d * d, 0.5 * d * xx
     return (
@@ -1028,21 +1038,19 @@ def hj_rhs_list_reference(s, u, xi):
 
 
 def hj_list_reference(init, t_max, step):
-    """The HJ route with every stage built as a list, recording through ChartReference.
+    """The HJ route in stereographic charts, with every stage built as a list.
 
-    The step loop the generated straight-line kernel replaced: each
-    stage zips the state with the last stage's field into new lists and
-    calls `hj_rhs_list_reference` on them, each row recomputes
-    D = |u|^2 + 1 in ChartReference.from_coords and .push, the handoff
-    test reads ChartReference.height, and the handoff runs through the
-    chart objects.  No field, step or chart map comes from the library.
+    The route the ambient flow replaced, kept as its oracle.  It starts
+    from an ambient CotangentState in the chart of `ChartReference.of`;
+    each stage zips the state with the last stage's field into new
+    lists and calls `hj_rhs_list_reference` on them, each row is
+    recorded through ChartReference.from_coords and .push, and once the
+    point climbs past HANDOFF_HEIGHT the state is handed to the other
+    chart, an event.  No field, step or chart map comes from the library.
     """
     steps = G._step_schedule(t_max, step)
-    charts = (ChartReference(init.n, 1), ChartReference(init.n, -1))
-    cid = init.chart
-    chart = charts[cid]
-    u = init.x.tolist()
-    xi = init.xi.tolist()
+    chart, u, xi = ChartReference.of(init)
+    u, xi = u.tolist(), xi.tolist()
     m = 2 * init.n + 2
     svals = np.empty(len(steps) + 1)
     points = np.empty((len(steps) + 1, m))
@@ -1082,14 +1090,62 @@ def hj_list_reference(init, t_max, step):
         svals[i] = t
         points[i] = q
         vels[i] = chart.push(u, k1u)
-        if chart.height(q) > G.HANDOFF_HEIGHT:
-            new_cid = 1 - cid
-            u, xi = hand_off_reference(chart, charts[new_cid], u, xi)
-            events.append({"t": t, "from_chart": cid, "to_chart": new_cid})
-            cid = new_cid
-            chart = charts[cid]
+        if chart.height(q) > HANDOFF_HEIGHT:
+            new = ChartReference(init.n, -chart.sign)
+            u, xi = hand_off_reference(chart, new, u, xi)
+            events.append({"t": t, "from_sign": chart.sign, "to_sign": new.sign})
+            chart = new
             k1u, k1x, _ = hj_rhs_list_reference(chart.sign, u, xi)
     return G.GeodesicTrace(svals, points, vels, np.full(len(steps) + 1, np.nan), events=events)
+
+
+def ambient_rhs_list_reference(q, p):
+    """The field of `G._hj_rhs` on lists: (dH/dp, -dH/dq) with iq and ip built as lists.
+
+    The lines `G._hj_source` writes out must make these float operations
+    in this order (a term - c * (-y) here is + c * y there).
+    """
+    iq, ip = _mul_i_reference(q), _mul_i_reference(p)
+    qq, a, pp, c = _dot(q, q), _dot(q, p), _dot(p, p), _dot(iq, p)
+    return (
+        [qq * y - a * x - c * z for x, y, z in zip(q, p, iq)],
+        [a * y - c * w - pp * x for x, y, w in zip(q, p, ip)],
+    )
+
+
+def ambient_list_reference(init, t_max, step):
+    """The ambient HJ route with every stage built as a list.
+
+    The list form of the generated straight-line kernel: each stage zips
+    the state with the last stage's field into new lists and calls
+    `ambient_rhs_list_reference` on them, and each row is q with the
+    next step's first-stage dq.  No field or step comes from the library.
+    """
+    steps = G._step_schedule(t_max, step)
+    q, p = init.x.tolist(), init.xi.tolist()
+    svals = np.empty(len(steps) + 1)
+    points = np.empty((len(steps) + 1, len(q)))
+    vels = np.empty((len(steps) + 1, len(q)))
+    k1q, k1p = ambient_rhs_list_reference(q, p)
+    svals[0], points[0], vels[0] = 0.0, q, k1q
+    t = 0.0
+    for i, h in enumerate(steps, start=1):
+        half, sixth = 0.5 * h, h / 6.0
+        k2q, k2p = ambient_rhs_list_reference(
+            [x + half * y for x, y in zip(q, k1q)], [x + half * y for x, y in zip(p, k1p)]
+        )
+        k3q, k3p = ambient_rhs_list_reference(
+            [x + half * y for x, y in zip(q, k2q)], [x + half * y for x, y in zip(p, k2p)]
+        )
+        k4q, k4p = ambient_rhs_list_reference(
+            [x + h * y for x, y in zip(q, k3q)], [x + h * y for x, y in zip(p, k3p)]
+        )
+        q = [x + sixth * (y1 + 2 * y2 + 2 * y3 + y4) for x, y1, y2, y3, y4 in zip(q, k1q, k2q, k3q, k4q)]
+        p = [x + sixth * (y1 + 2 * y2 + 2 * y3 + y4) for x, y1, y2, y3, y4 in zip(p, k1p, k2p, k3p, k4p)]
+        t += h
+        k1q, k1p = ambient_rhs_list_reference(q, p)
+        svals[i], points[i], vels[i] = t, q, k1q
+    return G.GeodesicTrace(svals, points, vels, np.full(len(steps) + 1, np.nan))
 
 
 def _bits(values):
@@ -1097,7 +1153,8 @@ def _bits(values):
     return np.asarray(values, dtype=float).view(np.int64)
 
 
-# pole-crossing starts at n = 1, 2, 3, each handing off charts twice
+# pole-crossing starts at n = 1, 2, 3, on which the chart oracle hands off
+# twice and the ambient route runs through both old poles
 _HANDOFF_STARTS = tuple(
     ((*_pole_crossing_start(n), -0.6, length, step), 3.0)
     for n, length, step in ((1, 3.0, 2e-3), (2, 2.0055, 1e-2), (3, 3.0, 2e-3))
@@ -1120,96 +1177,117 @@ def test_step_loops_are_their_list_forms_bit_for_bit(start, speed):
     for got, want in (
         (G.integrate_connection_geodesic(state, length, step),
          connection_plane_list_reference(state, length, step)),
-        (G.integrate_hj_geodesic(lift, length, step), hj_list_reference(lift, length, step)),
+        (G.integrate_hj_geodesic(lift, length, step), ambient_list_reference(lift, length, step)),
     ):
         for name in ("s", "points", "velocities", "b"):
             # equal bit patterns: array_equal alone takes -0.0 for +0.0
             assert np.array_equal(_bits(getattr(got, name)), _bits(getattr(want, name))), name
-        assert got.events == want.events
+        assert got.events == want.events == []
 
 
 def test_pole_crossing_example_hands_off():
-    # the explicit examples above do cross charts, several times
+    # the explicit examples above cross the old charts' poles: the chart
+    # oracle hands off on them several times
     for (p, v, b, length, step), speed in _HANDOFF_STARTS:
         lift = G.cotangent_lift(p, TangentVector(p, speed * v.vec, True), b)
         assert len(hj_list_reference(lift, length, step).events) > 1
 
 
-def _no_handoff_lift():
-    """A lift at E1 in S^5 whose curve stays in span_C{e1, e2}, where the last coordinate is 0."""
-    n = 2
-    e1, across = np.zeros(2 * n + 2), np.zeros(2 * n + 2)
-    e1[0] = across[1] = 1.0
-    p = SpherePoint(e1, n)
-    return G.cotangent_lift(p, TangentVector(p, across, True), 0.4)
+# The HJ route's bounds against the chart oracle and the connection route
+# at the geodesics suite's setting (t = 1, step 1e-3).  Over five starts
+# (four random, one pole-crossing) for each b of the test below at
+# n = 1, 2, 3, the largest gaps were 2.1e-12 in points and 1.2e-11 in
+# velocities to the chart oracle, 4.7e-12 in points to the connection
+# route, and 1.1e-14 in | |q| - 1 |.  Each bound keeps a margin of about 4x.
+HJ_ROUTE_GAP = 5e-11
+HJ_UNIT_DRIFT = 5e-14
 
 
-def test_hj_step_loop_records_without_chart_maps(monkeypatch):
+def _random_start(rng, n):
+    p = random_point(rng, n)
+    return p, random_horizontal(rng, p)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hj_agrees_with_the_chart_oracle_and_the_connection_route(n, rng):
+    # from random starts over the suite's b cycle and b = +-3, and from the
+    # pole-crossing start at b = 0 and 0.4, on which the chart oracle hands off
+    starts = [(*_random_start(rng, n), b, False) for b in (0.0, 1.0, -0.7, 0.4, 1.5, 3.0, -3.0)]
+    starts += [(*_pole_crossing_start(n), b, True) for b in (0.0, 0.4)]
+    for p, v, b, pole_crossing in starts:
+        lift = G.cotangent_lift(p, v, b)
+        got = G.integrate_hj_geodesic(lift, 1.0, 1e-3)
+        assert got.events == []
+        oracle = hj_list_reference(lift, 1.0, 1e-3)
+        assert oracle.events or not pole_crossing
+        conn = G.integrate_connection_geodesic(G.GeodesicState(p, v, b), 1.0, 1e-3)
+        assert np.max(np.abs(got.points - oracle.points)) <= HJ_ROUTE_GAP, b
+        assert np.max(np.abs(got.velocities - oracle.velocities)) <= HJ_ROUTE_GAP, b
+        assert np.max(np.abs(got.points - conn.points)) <= HJ_ROUTE_GAP, b
+        assert np.max(np.abs(np.linalg.norm(got.points, axis=1) - 1.0)) <= HJ_UNIT_DRIFT
+
+
+def test_hj_step_loop_calls_the_field_once(monkeypatch):
     # the kernel's step loop writes out its four stages and the row
-    # recording, so `_hj_rhs` runs once at the start and once after each
-    # handoff, and a run with no handoff calls neither _to_chart nor _pull
+    # recording: the only name it looks up is enumerate, and the
+    # one-point field runs once per integration, for row 0
+    for n in (1, 2, 3):
+        rhs, run = G._hj_kernel(n)
+        assert run.__code__.co_names == ("enumerate",)
+        assert rhs.__code__.co_names == ()
     calls = []
-    field = G._hj_rhs
+    kernel = G._hj_kernel
 
-    def counting(*args):
-        calls.append(1)
-        return field(*args)
+    def counting(n):
+        rhs, run = kernel(n)
 
-    def refuse(*args):
-        raise AssertionError("the HJ step loop called a chart map")
+        def counted(*args):
+            calls.append(1)
+            return rhs(*args)
 
-    monkeypatch.setattr(G, "_hj_rhs", counting)
-    (p, v, b, length, step), speed = _HANDOFF_STARTS[1]
-    trace = G.integrate_hj_geodesic(
-        G.cotangent_lift(p, TangentVector(p, speed * v.vec, True), b), length, step
-    )
-    assert len(trace.events) > 1
-    assert len(calls) == 1 + len(trace.events)
-    calls.clear()
-    lift = _no_handoff_lift()
-    monkeypatch.setattr(G, "_to_chart", refuse)
-    monkeypatch.setattr(G, "_pull", refuse)
-    trace = G.integrate_hj_geodesic(lift, 1.2345, 1e-2)
-    assert not trace.events
-    assert len(calls) == 1
+        return counted, run
+
+    monkeypatch.setattr(G, "_hj_kernel", counting)
+    for (p, v, b, length, step), speed in _HANDOFF_STARTS:
+        calls.clear()
+        G.integrate_hj_geodesic(G.cotangent_lift(p, TangentVector(p, speed * v.vec, True), b), length, step)
+        assert len(calls) == 1
 
 
 def test_hj_rhs_is_its_list_form_at_signed_zeros(monkeypatch):
     # the generated field against the list form, bit for bit, where
-    # +0.0 and -0.0 meet: on S^3 every u and xi with entries in `entries`
-    # (the chart origin with each sign of zero among them), drawn ones at
+    # +0.0 and -0.0 meet: on S^3 every q and p with entries in `entries`
+    # (the origin with each sign of zero among them), drawn ones at
     # n = 2, 3, and every state the list-form loop visits along the
-    # no-handoff curve and the handoff starts
-    def same(s, u, xi):
+    # pole-crossing starts
+    def same(q, p):
         """Whether the list form gave a -0.0, after checking the field is it bit for bit."""
-        got, want = G._hj_rhs(s, u, xi), hj_rhs_list_reference(s, u, xi)
-        for part, ref in zip(got[:2], want[:2]):
-            assert np.array_equal(_bits(part), _bits(ref)), (s, u, xi)
-        assert _bits(got[2]) == _bits(want[2])
+        got, want = G._hj_rhs(q, p), ambient_rhs_list_reference(q, p)
+        for part, ref in zip(got, want):
+            assert np.array_equal(_bits(part), _bits(ref)), (q, p)
         return any(x == 0.0 and math.copysign(1.0, x) < 0 for x in want[0] + want[1])
 
     entries = (0.0, -0.0, 0.25, -1.5)
-    grid = [list(e) for e in np.array(np.meshgrid(*[entries] * 3)).reshape(3, -1).T]
-    for s in (1, -1):
-        for u in grid:
-            for xi in grid:
-                same(s, u, xi)
+    grid = [list(e) for e in np.array(np.meshgrid(*[entries] * 4)).reshape(4, -1).T]
+    for q in grid:
+        for p in grid[::3]:
+            same(q, p)
     rng = np.random.default_rng(7)
     for n in (2, 3):
         for _ in range(300):
-            u, xi = rng.choice(entries, size=(2, 2 * n + 1)).tolist()
-            same(int(rng.choice((1, -1))), u, xi)
+            q, p = rng.choice(entries, size=(2, 2 * n + 2)).tolist()
+            same(q, p)
     states = []
-    recorded = hj_rhs_list_reference
+    recorded = ambient_rhs_list_reference
 
-    def recording(s, u, xi):
-        states.append((s, u, xi))
-        return recorded(s, u, xi)
+    def recording(q, p):
+        states.append((q, p))
+        return recorded(q, p)
 
-    monkeypatch.setitem(globals(), "hj_rhs_list_reference", recording)
-    hj_list_reference(_no_handoff_lift(), 1.2345, 1e-2)
+    monkeypatch.setitem(globals(), "ambient_rhs_list_reference", recording)
     for (p, v, b, length, step), speed in _HANDOFF_STARTS:
-        hj_list_reference(G.cotangent_lift(p, TangentVector(p, speed * v.vec, True), b), length, step)
+        for s in (speed, 0.0):
+            ambient_list_reference(G.cotangent_lift(p, TangentVector(p, s * v.vec, True), b), length, step)
     monkeypatch.undo()
     assert sum(same(*state) for state in states) > 0  # the curves do reach -0.0
 
@@ -1226,7 +1304,7 @@ def test_hj_kernel_compiles_once_per_dimension(monkeypatch):
     for n in (1, 2, 1, 2):
         p, v = _pole_crossing_start(n)
         G.integrate_hj_geodesic(G.cotangent_lift(p, v, 0.5), 2.005, 1e-2)
-        G._hj_rhs(1, [0.5] * (2 * n + 1), [1.0] * (2 * n + 1))
+        G._hj_rhs([0.5] * (2 * n + 2), [1.0] * (2 * n + 2))
     assert len(compiled) == 2
     info = G._hj_kernel.cache_info()
     assert (info.misses, info.currsize) == (2, 2)
@@ -1240,8 +1318,8 @@ def test_hj_kernel_refuses_a_bad_dimension():
             G._hj_kernel(bad)
     assert G._hj_kernel.cache_info().currsize == 0
     # a numpy integer is a valid n, and a float equal to it still misses the cache
-    assert G._hj_kernel(np.int64(1))[0](1, [0.5, 0.0, -0.5], [1.0, 2.0, 3.0]) == G._hj_rhs(
-        1, [0.5, 0.0, -0.5], [1.0, 2.0, 3.0])
+    q, p = [0.5, 0.0, -0.5, 0.5], [1.0, 2.0, 3.0, 4.0]
+    assert G._hj_kernel(np.int64(1))[0](q, p) == G._hj_rhs(q, p)
     with pytest.raises(ValueError, match="CR dimension must be a positive integer"):
         G._hj_kernel(1.0)
 

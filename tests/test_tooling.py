@@ -3,7 +3,8 @@ exact kernel, its workloads still give the recorded verdicts, the saved
 benchmark results are whole, the library runs without importing scipy,
 the suites call only public calculus functions, each pointwise one
 once per field, and the float kernel a number of times that does not
-grow with the points, and the connection step loop is float arithmetic."""
+grow with the points, the connection step loop is float arithmetic, and
+the float modules call no builtin sum()."""
 
 import ast
 import importlib
@@ -339,3 +340,17 @@ def test_connection_step_loop_is_float_arithmetic():
         or (isinstance(node, ast.Name) and node.id in ("np", "numpy", "cmath"))
     )
     assert found == []
+
+
+def test_float_modules_call_no_builtin_sum():
+    # builtin sum() adds floats left to right only up to CPython 3.11; from
+    # 3.12 it compensates, so a float sum would round differently there and
+    # move payload bytes.  geodesics and calculus reduce floats in a written
+    # order or through numpy, never through sum().
+    for name in ("geodesics", "calculus"):
+        tree = ast.parse((ROOT / "src" / "crsphere" / (name + ".py")).read_text())
+        calls = [
+            "%s:%d" % (name, node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "sum"
+        ]
+        assert calls == []
