@@ -469,8 +469,8 @@ def integrate_hj_geodesic(init, t_max, step):
     of `_hj_kernel(n)`, written out on the 2n+2 floats of q and of p, so
     a step builds no list.  Each recorded row is the point q and the
     velocity dH/dp at it, which the next step's first stage computes.
-    |q|^2 is a first integral, so q is not renormalized, and the curve
-    has no chart to leave: `events` stays empty.
+    |q|^2 and iq.p are first integrals: q is not renormalized, and b is
+    the start's iq.p, the lift's Reeb component.  `events` stays empty.
     """
     steps = _step_schedule(t_max, step)
     q, p = init.x.tolist(), init.xi.tolist()
@@ -481,7 +481,8 @@ def integrate_hj_geodesic(init, t_max, step):
     k1q, k1p = rhs(q, p)
     svals[0], points[0], vels[0] = 0.0, q, k1q
     run(q, p, k1q, k1p, steps, svals, points, vels)
-    return GeodesicTrace(svals, points, vels, np.full(len(steps) + 1, np.nan))
+    reeb = math.fsum(times_i(init.x) * init.xi)  # iq.p, correctly rounded in any order
+    return GeodesicTrace(svals, points, vels, np.full(len(steps) + 1, reeb))
 
 
 # ----------------------------------------------------------------------

@@ -628,11 +628,9 @@ def _stacked_columns(polys):
 # ----------------------------------------------------------------------
 
 
-def _of_degree(poly, num_vars, degree):
-    """True when the polynomial lives in num_vars variables and every term has the degree."""
-    return poly.num_vars == num_vars and all(
-        sum(k.to_bytes(num_vars, "big")) == degree for k in poly._terms
-    )
+def _of_degree(keys, num_vars, degree):
+    """True when every packed key in num_vars variables has the total degree."""
+    return all(sum(k.to_bytes(num_vars, "big")) == degree for k in keys)
 
 
 @dataclass(frozen=True)
@@ -676,11 +674,10 @@ class SubspaceBasis:
 
     def _check_elements(self):
         num_vars = 2 * self.n + 2
-        for p in self.polys:
-            if p.num_vars != num_vars:
-                raise ValueError("basis element in the wrong number of variables")
-            if not _of_degree(p, num_vars, self.degree):
-                raise ValueError("basis element with a term of the wrong degree")
+        if any(p.num_vars != num_vars for p in self.polys):
+            raise ValueError("basis element in the wrong number of variables")
+        if not _of_degree(set().union(*(p._terms for p in self.polys)), num_vars, self.degree):
+            raise ValueError("basis element with a term of the wrong degree")
         if any(p.is_zero() for p in self.polys):
             raise ValueError("zero polynomial in a basis")
 
@@ -698,7 +695,8 @@ class SubspaceBasis:
         """
         if poly.is_zero():
             return True
-        if not _of_degree(poly, 2 * self.n + 2, self.degree):
+        num_vars = 2 * self.n + 2
+        if poly.num_vars != num_vars or not _of_degree(poly._terms, num_vars, self.degree):
             return False
         stacked = (*self.polys, poly)
         return bool(null_space(_stacked_columns(stacked), len(stacked)))

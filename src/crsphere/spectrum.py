@@ -83,28 +83,37 @@ def t0_apply(p):
     return Polynomial._wrap(num_vars, terms, p._den)
 
 
-def _t0sq_certificate(polys, degree, lam):
-    """True exactly when (T0^2 + lam) p = 0 for every p, with lam an integer.
+def _t0sq_certificate(entries, degree):
+    """True exactly when (T0^2 + lam) p = 0 for every p of every (lam, polys)
+    entry of a fragment, each lam an integer: one packing per fragment.
 
     A Kronecker substitution (J. reine angew. Math. 92, 1882) packs the
-    numerators into z = sum_i B^i num(p_i), so one exact apply checks
-    them all.  For p of degree at most d, |T0 p|_1 <= d |p|_1: each
-    term's moves carry its exponents, which sum to at most d.  So every
-    coefficient of (T0^2 + lam) num(p_i) is an integer of magnitude at
-    most M = max_i (d^2 + |lam|) |num p_i|_1 < B = M + 1.  The image of
-    z at a monomial is sum_i B^i c_i with |c_i| < B; were it zero with
-    some c_i nonzero, the lowest such c_j would be a multiple of B.
+    numerators of all entries into z = sum_i B^i num(p_i); digit i carries
+    its own lam_i, added in place to T0^2 z.  For p of degree at most d,
+    |T0 p|_1 <= d |p|_1: each term's moves carry its exponents, which sum
+    to at most d.  So every coefficient of (T0^2 + lam_i) num(p_i) is an
+    integer of magnitude at most M = max_i (d^2 + |lam_i|) |num p_i|_1 over
+    all entries, and M < B = M + 1.  The sum at a monomial is sum_i B^i c_i
+    with |c_i| < B; were it zero with some c_i nonzero, the lowest such c_j
+    would be a multiple of B.
     """
-    if not polys:
+    digits = [(lam, p) for lam, polys in entries for p in polys]
+    if not digits:
         return True
-    base = 1 + max((degree * degree + abs(lam)) * sum(map(abs, p._terms.values())) for p in polys)
-    terms, scale = {}, 1
-    for p in polys:
+    base = 1 + max((degree * degree + abs(lam)) * sum(map(abs, p._terms.values())) for lam, p in digits)
+    z, scale = {}, 1
+    for _, p in digits:
         for k, v in p._terms.items():
-            terms[k] = terms.get(k, 0) + scale * v
+            z[k] = z.get(k, 0) + scale * v
         scale *= base
-    z = Polynomial._wrap(polys[0].num_vars, {k: v for k, v in terms.items() if v})
-    return (t0_apply(t0_apply(z)) + lam * z).is_zero()
+    z = t0_apply(Polynomial._wrap(p.num_vars, z))  # T0 z, freeing z; no packed value is 0
+    terms, scale = t0_apply(z)._terms, 1  # T0^2 z, a fresh dict
+    for lam, p in digits:
+        c = lam * scale
+        for k, v in p._terms.items():
+            terms[k] = terms.get(k, 0) + c * v
+        scale *= base
+    return not any(terms.values())
 
 
 def kernel_t0sq_shift(n, ell, lam):
@@ -151,16 +160,19 @@ def _gaussian_factor(a, b):
 def _complex_monomial_terms(n, a, b):
     """z^a zbar^b as a dict packed monomial key -> (re, im) integer pair.
 
-    One multinomial expansion: the product over j of the Gaussian-integer
-    factors (x_j + i y_j)^(a_j) (x_j - i y_j)^(b_j).  Distinct j touch
-    distinct variables, so no two products land on the same monomial.
-    A factor's keys are shifted into x_j's and y_j's bytes; a_j + b_j > 255 raises.
+    One multinomial expansion, made once per block: the product over j of
+    the Gaussian-integer factors (x_j + i y_j)^(a_j) (x_j - i y_j)^(b_j)
+    other than 1.  Distinct j touch distinct variables, so no two products
+    land on the same monomial.  A factor's keys are shifted into x_j's and
+    y_j's bytes; a_j + b_j > 255 raises.
     """
     half = n + 1
     num_vars = 2 * half
     out = {0: (1, 0)}
     for j in range(half):
         deg = a[j] + b[j]
+        if not deg:
+            continue
         if deg > MAX_EXPONENT:
             raise _exponent_error(deg)
         x_shift, y_shift = _exponent_shift(num_vars, j), _exponent_shift(num_vars, half + j)
@@ -180,10 +192,7 @@ def _complex_monomial_terms(n, a, b):
 def _complex_monomial(n, a, b):
     """Real and imaginary parts of z^a zbar^b as exact real polynomials."""
     terms = _complex_monomial_terms(n, a, b).items()
-    num_vars = 2 * n + 2
-    return tuple(
-        Polynomial._wrap(num_vars, {k: z[part] for k, z in terms if z[part]}) for part in (0, 1)
-    )
+    return tuple(Polynomial._wrap(2 * n + 2, {k: z[part] for k, z in terms if z[part]}) for part in (0, 1))
 
 
 def bigraded_block(n, d_plus, d_minus):
@@ -197,29 +206,20 @@ def bigraded_block(n, d_plus, d_minus):
     """
     if d_plus < d_minus:
         raise ValueError("blocks are enumerated with d+ >= d-")
-    mons_minus = monomial_basis(n + 1, d_minus)
-    diagonal = d_plus == d_minus
-    out = []
-    for i, a in enumerate(monomial_basis(n + 1, d_plus)):
-        for j, b in enumerate(mons_minus):
-            if diagonal and j < i:
-                continue
-            out.extend(p for p in _complex_monomial(n, a, b) if not p.is_zero())
-    return out
+    mons_plus, mons_minus = monomial_basis(n + 1, d_plus), monomial_basis(n + 1, d_minus)
+    return [
+        p
+        for i, a in enumerate(mons_plus)
+        for b in (mons_plus[i:] if d_plus == d_minus else mons_minus)
+        for p in _complex_monomial(n, a, b)
+        if not p.is_zero()
+    ]
 
 
 def structured_t0sq_kernel(n, ell, lam):
     """Ker(T0^2 + lam I) in P_ell assembled from bigraded blocks."""
-    lam = _as_fraction(lam)
-    out = []
-    for j in range(ell // 2 + 1):
-        k = ell - 2 * j  # d+ - d-
-        if k * k != lam:
-            continue
-        d_minus = j
-        d_plus = ell - j
-        out.extend(bigraded_block(n, d_plus, d_minus))
-    return out
+    lam = _as_fraction(lam)  # the block (ell - j, j) has lambda = (ell - 2j)^2
+    return [p for j in range(ell // 2 + 1) if (ell - 2 * j) ** 2 == lam for p in bigraded_block(n, ell - j, j)]
 
 
 # ----------------------------------------------------------------------
@@ -305,6 +305,8 @@ def _bigraded_harmonics(n, p, q):
     Removing e_j from a and b keeps their order, so the image pairs stay
     in the same half.
 
+    Both groups read one expansion of each z^a zbar^b of the block.
+
     The output is independent, with no elimination to prove it.
     `_echelon_kernel` checks that each kernel vector is nonzero at its
     own free column and zero at every other vector's, so the vectors
@@ -316,14 +318,10 @@ def _bigraded_harmonics(n, p, q):
     and -1 eigenspaces of conjugation, and within a group the columns
     z^a zbar^b +- z^b zbar^a have disjoint supports.
     """
-    mons_p = monomial_basis(n + 1, p)
-    if p > q:
-        groups = [([(a, b) for a in mons_p for b in monomial_basis(n + 1, q)], (0, 1))]
-    else:
-        groups = [
-            ([(a, b) for i, a in enumerate(mons_p) for b in mons_p[i:]], (0,)),
-            ([(a, b) for i, a in enumerate(mons_p) for b in mons_p[i + 1 :]], (1,)),
-        ]
+    mons_p, mons_q = monomial_basis(n + 1, p), monomial_basis(n + 1, q)
+    block = [(a, b) for i, a in enumerate(mons_p) for b in (mons_q if p > q else mons_p[i:])]
+    expanded = {pair: _complex_monomial_terms(n, *pair) for pair in block}
+    groups = [(block, (0, 1))] if p > q else [(block, (0,)), ([(a, b) for a, b in block if a != b], (1,))]
     num_vars = 2 * n + 2
     out = []
     for pairs, parts in groups:
@@ -333,12 +331,12 @@ def _bigraded_harmonics(n, p, q):
                 if a[j] and b[j]:
                     image = (a[:j] + (a[j] - 1,) + a[j + 1 :], b[:j] + (b[j] - 1,) + b[j + 1 :])
                     rows.setdefault(image, {})[col] = 4 * a[j] * b[j]
-        expanded = [_complex_monomial_terms(n, a, b) for a, b in pairs]
+        cols = [expanded[pair] for pair in pairs]
         for vec in _echelon_kernel(null_space(list(rows.values()), len(pairs))):
             for part in parts:
                 terms = {}
                 for col, c in vec.items():
-                    for k, z in expanded[col].items():
+                    for k, z in cols[col].items():
                         if z[part]:
                             terms[k] = terms.get(k, 0) + c * z[part]
                 out.append(Polynomial._wrap(num_vars, {k: v for k, v in terms.items() if v}))

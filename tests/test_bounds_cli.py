@@ -742,7 +742,8 @@ def test_cli_config_file_and_csv(tmp_path):
 ])
 def test_cli_exports_both_geodesic_traces(tmp_path, capsys, suite, flags, b):
     # the in-process export: one row per step from the start point, the
-    # connection trace carrying its multiplier and the HJ trace none
+    # connection trace carrying its multiplier and the HJ trace its Reeb
+    # component iq.p, a first integral that equals that multiplier
     cfg = tmp_path / "fast.cfg"
     cfg.write_text("hj_pairs = 1\ncc_pairs = 1\ntrials = 1\nreach_samples = 4\nsteps = 20\n")
     csv_dir = tmp_path / "traces"
@@ -756,13 +757,13 @@ def test_cli_exports_both_geodesic_traces(tmp_path, capsys, suite, flags, b):
     m = start.dim
     header = ["s", *("x%d" % (k + 1) for k in range(m)), *("v%d" % (k + 1) for k in range(m)),
               "b", "theta_vdot", "speed"]
-    for name, b_column in (("connection_geodesic.csv", b), ("hamilton_jacobi_geodesic.csv", math.nan)):
+    for name in ("connection_geodesic.csv", "hamilton_jacobi_geodesic.csv"):
         lines = (csv_dir / name).read_text().splitlines()
         assert lines[0].split(",") == header, name
         rows = np.array([[float(x) for x in line.split(",")] for line in lines[1:]])
         assert rows.shape == (config.steps + 1, len(header)), name
         assert_allclose(rows[0, 1:m + 1], start.coords, rtol=0, atol=1e-12, err_msg=name)
-        assert_allclose(rows[:, 2 * m + 1], b_column, err_msg=name)
+        assert_allclose(rows[:, 2 * m + 1], b, rtol=0, atol=1e-12, err_msg=name)
 
 
 def test_cli_spectrum_writes_no_traces(tmp_path):

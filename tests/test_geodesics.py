@@ -148,6 +148,20 @@ def test_integrator_conservation_nonzero_b(rng):
     assert np.all(trace.b == 1.1)  # the multiplier is frozen on the spheres
 
 
+def test_hj_trace_records_the_reeb_component(rng):
+    # iq.p is a first integral of the ambient flow, and the lift's Reeb
+    # component: every row records its start value as b, as the
+    # connection route records its multiplier
+    for n in (1, 2, 3):
+        for b in (0.0, 1.0, -1.5):
+            p = random_point(rng, n)
+            lift = G.cotangent_lift(p, random_horizontal(rng, p), b)
+            trace = G.integrate_hj_geodesic(lift, 0.5, 1e-2)
+            assert trace.b.shape == trace.s.shape
+            assert np.all(trace.b == math.fsum(times_i(lift.x) * lift.xi))
+            assert abs(trace.b[0] - b) <= 1e-12
+
+
 def test_integrator_matches_closed_form(rng):
     p = random_point(rng, 1)
     v = random_horizontal(rng, p)
@@ -1145,7 +1159,8 @@ def ambient_list_reference(init, t_max, step):
         t += h
         k1q, k1p = ambient_rhs_list_reference(q, p)
         svals[i], points[i], vels[i] = t, q, k1q
-    return G.GeodesicTrace(svals, points, vels, np.full(len(steps) + 1, np.nan))
+    reeb = math.fsum(x * y for x, y in zip(_mul_i_reference(init.x.tolist()), init.xi.tolist()))
+    return G.GeodesicTrace(svals, points, vels, np.full(len(steps) + 1, reeb))
 
 
 def _bits(values):

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
@@ -511,6 +512,8 @@ def test_certified_basis_keeps_the_element_checks():
     for n, degree, polys, message in (
         (2, 1, (x0,), "wrong number of variables"),
         (1, 2, (x0,), "wrong degree"),
+        # the keys are checked as one set: a stray key in the last element alone
+        (1, 1, (x0, y0, var(1) + x0 * y0), "wrong degree"),
         (1, 1, (x0, x0 - x0), "zero polynomial"),
     ):
         with pytest.raises(ValueError, match=message):
@@ -527,32 +530,66 @@ def t0sq_per_element_reference(polys, lam):
     return all((t0_apply(t0_apply(p)) + lam * p).is_zero() for p in polys)
 
 
+def t0sq_per_entry_reference(entries, degree):
+    """The packing the fragment packing replaced: one per (lam, polys) entry.
+
+    z = sum_i B^i num(p_i) over the entry's elements alone, with
+    B = 1 + max_i (d^2 + |lam|) |num p_i|_1, and (T0^2 + lam) z = 0.
+    """
+    for lam, polys in entries:
+        if not polys:
+            continue
+        base = 1 + max((degree * degree + abs(lam)) * sum(map(abs, p._terms.values())) for p in polys)
+        terms, scale = {}, 1
+        for p in polys:
+            for k, v in p._terms.items():
+                terms[k] = terms.get(k, 0) + scale * v
+            scale *= base
+        z = Polynomial._wrap(polys[0].num_vars, {k: v for k, v in terms.items() if v})
+        if not (t0_apply(t0_apply(z)) + lam * z).is_zero():
+            return False
+    return True
+
+
+def _entries(fragment):
+    """The certificate's input: (lambda, eigenbasis elements) of each entry."""
+    return [(e.t0sq_eigenvalue, e.eigenbasis.polys) for e in fragment.entries]
+
+
 @lru_cache(maxsize=None)
-def _perfbench_range_entries():
-    """(degree, lambda, eigenbasis) of every entry over (1, <=6), (2, <=5), (3, <=4)."""
+def _perfbench_range_fragments():
+    """(degree, entries) of every fragment over (1, <=6), (2, <=5), (3, <=4)."""
     return tuple(
-        (ell, e.t0sq_eigenvalue, e.eigenbasis.polys)
+        (ell, tuple(_entries(spectrum_fragment(n, ell))))
         for n, ell_max in ((1, 6), (2, 5), (3, 4))
         for ell in range(1, ell_max + 1)
-        for e in spectrum_fragment(n, ell).entries
     )
 
 
 def test_t0sq_certificate_accepts_every_fragment_entry():
-    for ell, lam, polys in _perfbench_range_entries():
-        assert _t0sq_certificate(polys, ell, lam)
-        assert t0sq_per_element_reference(polys, lam)
+    for ell, entries in _perfbench_range_fragments():
+        assert _t0sq_certificate(entries, ell)
+        assert t0sq_per_entry_reference(entries, ell)
+        assert all(t0sq_per_element_reference(polys, lam) for lam, polys in entries)
 
 
 @settings(max_examples=12, deadline=None)
 @given(st.data())
 def test_t0sq_certificate_agrees_with_per_element_reference(data):
-    # one planted fault per entry: a numerator moved by a nonzero integer
-    # in the first, the last or a random element, or lambda shifted by 1
-    for ell, lam, polys in _perfbench_range_entries():
-        where = data.draw(st.sampled_from(("first", "last", "random", "lambda")))
+    # one planted fault per fragment, in any of its entries: a numerator
+    # moved by a nonzero integer in the first, the last or a random
+    # element, the lambdas of two entries swapped, or a lambda shifted by 1
+    for ell, entries in _perfbench_range_fragments():
+        entries = list(entries)
+        e = data.draw(st.integers(0, len(entries) - 1))
+        lam, polys = entries[e]
+        faults = ("first", "last", "random", "lambda") + (("swap",) if len(entries) > 1 else ())
+        where = data.draw(st.sampled_from(faults))
         if where == "lambda":
-            lam += 1
+            entries[e] = (lam + 1, polys)
+        elif where == "swap":
+            f = data.draw(st.integers(0, len(entries) - 1).filter(lambda f: f != e))
+            entries[e], entries[f] = (entries[f][0], polys), (lam, entries[f][1])
         else:
             i = {"first": 0, "last": len(polys) - 1}.get(where)
             if i is None:
@@ -563,22 +600,36 @@ def test_t0sq_certificate_agrees_with_per_element_reference(data):
             terms = dict(p._terms)
             terms[key] += delta
             planted = Polynomial._wrap(p.num_vars, {k: v for k, v in terms.items() if v}, p._den)
-            polys = polys[:i] + (planted,) + polys[i + 1 :]
-        assert _t0sq_certificate(polys, ell, lam) == t0sq_per_element_reference(polys, lam)
+            entries[e] = (lam, polys[:i] + (planted,) + polys[i + 1 :])
+        want = all(t0sq_per_element_reference(polys, lam) for lam, polys in entries)
+        assert t0sq_per_entry_reference(entries, ell) == want
+        assert _t0sq_certificate(entries, ell) == want
 
 
 def test_t0sq_certificate_explicit_cases():
-    x0, x1 = var(0), var(1)
+    x0, x1, y0 = var(0), var(1), var(2)
     # B = M + 1, not M: with B = M = 1 the two would pack to z = 0
-    assert not _t0sq_certificate([x0, -x0], 1, 0)
+    for entries in ([(0, [x0, -x0])], [(0, [x0]), (0, [-x0])]):
+        assert not _t0sq_certificate(entries, 1)
+        assert not t0sq_per_entry_reference(entries, 1)
     assert not t0sq_per_element_reference([x0, -x0], 0)
     # numerators only: the denominator of 3 changes nothing
-    third = Fraction(1, 3) * (x0 * x0 + var(2) * var(2))  # (x1^2 + y1^2) / 3, T0-invariant
+    third = Fraction(1, 3) * (x0 * x0 + y0 * y0)  # (x1^2 + y1^2) / 3, T0-invariant
     assert third._den == 3
-    assert not _t0sq_certificate([x0 * x1, third], 2, 0)
-    assert _t0sq_certificate([third, x0 * var(3) - x1 * var(2)], 2, 0)
-    assert not _t0sq_certificate([third], 2, 4)
-    assert _t0sq_certificate([], 3, 9)
+    assert not _t0sq_certificate([(0, [x0 * x1, third])], 2)
+    assert _t0sq_certificate([(0, [third, x0 * var(3) - x1 * y0])], 2)
+    assert not _t0sq_certificate([(4, [third])], 2)
+    assert _t0sq_certificate([], 3)
+    assert _t0sq_certificate([(9, [])], 3)
+    # digit i carries its own lambda: T0^2 (x1^2 - y1^2) = -4 (x1^2 - y1^2)
+    squares = x0 * x0 - y0 * y0
+    assert _t0sq_certificate([(0, [third]), (4, [squares])], 2)
+    assert not _t0sq_certificate([(4, [third]), (0, [squares])], 2)
+    # B is the max over all entries: the first entry's B = 9 would let
+    # 9 c_1 + 81 c_2 cancel, as T0^2 x1 x2 = 2 (y1 y2 - x1 x2) gives c_1 = -9 c_2
+    carried = [(0, [third]), (0, [9 * x0 * x1, -x0 * x1])]
+    assert not _t0sq_certificate(carried, 2)
+    assert not t0sq_per_entry_reference(carried, 2)
 
 
 def _plant_slip(monkeypatch, degree, where):
@@ -622,12 +673,52 @@ def test_t0sq_certificate_reads_no_basis_builder(monkeypatch):
     def forbidden(*args):
         raise AssertionError("the certificate reached a basis builder")
 
-    entries = spectrum_fragment(2, 3).entries
+    entries = _entries(spectrum_fragment(2, 3))
     for name in ("_bigraded_harmonics", "_complex_monomial_terms", "bigraded_block", "null_space"):
         monkeypatch.setattr(S, name, forbidden)
-    for e in entries:
-        assert _t0sq_certificate(e.eigenbasis.polys, 3, e.t0sq_eigenvalue)
-    assert not _t0sq_certificate(entries[0].eigenbasis.polys, 3, entries[-1].t0sq_eigenvalue)
+    assert _t0sq_certificate(entries, 3)
+    assert not _t0sq_certificate([(entries[-1][0], entries[0][1])], 3)
+
+
+def test_fragment_expands_each_complex_monomial_once(monkeypatch):
+    # one expansion per (a, b) of a block: the antisymmetric group of
+    # p = q reads the symmetric group's, so (3, 4) makes 35 + 80 + 55
+    want = spectrum_fragment(3, 4)
+    calls = Counter()
+    original = S._complex_monomial_terms
+
+    def counting(n, a, b):
+        calls[a, b] += 1
+        return original(n, a, b)
+
+    monkeypatch.setattr(S, "_complex_monomial_terms", counting)
+    assert spectrum_fragment(3, 4) == want
+    dims = [len(monomial_basis(4, d)) for d in range(5)]
+    assert set(calls.values()) == {1}
+    assert sum(calls.values()) == dims[4] * dims[0] + dims[3] * dims[1] + comb(dims[2] + 1, 2) == 170
+
+
+@pytest.mark.parametrize("degree", [1, 2, 3])
+def test_spectrum_suite_builds_each_fragment_once(monkeypatch, degree):
+    # the kernel check reads the degree-2 fragment, which only a degree-1
+    # run has to build for it alone; the points come in one draw per degree
+    counts = Counter()
+
+    def count(module, name):
+        original = getattr(module, name)
+
+        def counting(*args, **kwargs):
+            counts[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+
+    for module, name in ((suites, "spectrum_fragment"), (S, "spectrum_fragment"), (suites, "random_point")):
+        count(module, name)
+    checks = run_suite(Config(suite="spectrum", n=1, degree=degree)).checks
+    assert all(c.status for c in checks)
+    assert counts["spectrum_fragment"] == max(degree, 2)
+    assert counts["random_point"] == degree
 
 
 def test_fragment_needs_a_positive_cr_dimension():
